@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -43,7 +44,8 @@ def _load_scenario(args) -> Scenario:
     else:
         scenario = Scenario()
     if getattr(args, "duration", None) is not None:
-        scenario.duration = args.duration
+        # replace() re-runs Scenario's checks on the overridden duration
+        scenario = dataclasses.replace(scenario, duration=args.duration)
     if getattr(args, "seed", None) is not None:
         scenario.seed = args.seed
     return scenario

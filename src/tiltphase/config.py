@@ -17,6 +17,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_finite(cfg, prefix: str) -> None:
+    """Reject nan and inf in every float field; comparisons let them through."""
+    for name, field_type in _FIELD_TYPES[prefix].items():
+        if field_type is float and not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{prefix}.{name} must be finite")
+
+
 @dataclass
 class ControllerConfig:
     # Control cycle (nominal; used to size cycle-count filter windows)
@@ -130,6 +137,8 @@ class ControllerConfig:
     hh_sagittal_only: bool = False
 
     def validate(self) -> None:
+        _check_finite(self, "controller")
+
         def positive(*names):
             for n in names:
                 if getattr(self, n) <= 0:
@@ -213,6 +222,7 @@ class PlantConfig:
     couple_lean: float = 0.5
 
     def validate(self) -> None:
+        _check_finite(self, "plant")
         for n in ("pendulum_c", "gravity", "substep_dt", "fall_angle", "impulse_scale"):
             if getattr(self, n) <= 0:
                 raise ConfigError(f"plant.{n} must be positive")
@@ -225,10 +235,20 @@ class PlantConfig:
 
 
 _PREFIXES = {"controller": ControllerConfig, "plant": PlantConfig}
+_TYPE_MAP = {"float": float, "int": int, "bool": bool}
+_FIELD_TYPES = {
+    prefix: {f.name: _TYPE_MAP.get(f.type, float) for f in fields(cls)}
+    for prefix, cls in _PREFIXES.items()
+}
 
 
-def _coerce(field_type, raw: str, key: str):
-    raw = raw.strip()
+def _coerce(field_type, value, key: str):
+    """Convert a config-file string or a scenario JSON value to field_type.
+
+    Non-string values go through their text form, so `false` and `2.7` are
+    judged exactly as they would be in a config file.
+    """
+    raw = str(value).strip()
     if field_type is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
@@ -248,10 +268,6 @@ def _coerce(field_type, raw: str, key: str):
 
 def parse_config_lines(lines) -> Tuple[ControllerConfig, PlantConfig]:
     values: Dict[str, Dict[str, object]] = {"controller": {}, "plant": {}}
-    types = {
-        prefix: {f.name: f.type for f in fields(cls)} for prefix, cls in _PREFIXES.items()
-    }
-    type_map = {"float": float, "int": int, "bool": bool}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -264,10 +280,9 @@ def parse_config_lines(lines) -> Tuple[ControllerConfig, PlantConfig]:
         prefix, name = key.split(".", 1)
         if prefix not in _PREFIXES:
             raise ConfigError(f"line {lineno}: unknown section {prefix!r}")
-        if name not in types[prefix]:
+        if name not in _FIELD_TYPES[prefix]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        ftype = type_map.get(types[prefix][name], float)
-        values[prefix][name] = _coerce(ftype, raw, key)
+        values[prefix][name] = _coerce(_FIELD_TYPES[prefix][name], raw, key)
     ctrl = ControllerConfig(**values["controller"])
     plant = PlantConfig(**values["plant"])
     ctrl.validate()
@@ -282,19 +297,15 @@ def load_config(path) -> Tuple[ControllerConfig, PlantConfig]:
 
 def apply_overrides(ctrl: ControllerConfig, plant: PlantConfig, overrides: Dict[str, object]):
     """Apply `section.key -> value` overrides (e.g. from a scenario file)."""
-    type_map = {"float": float, "int": int, "bool": bool}
-    ctypes = {f.name: type_map.get(f.type, float) for f in fields(ControllerConfig)}
-    ptypes = {f.name: type_map.get(f.type, float) for f in fields(PlantConfig)}
     for key, value in overrides.items():
         if "." not in key:
             raise ConfigError(f"override key {key!r} must be 'controller.x' or 'plant.x'")
         prefix, name = key.split(".", 1)
-        if prefix == "controller" and name in ctypes:
-            setattr(ctrl, name, ctypes[name](value))
-        elif prefix == "plant" and name in ptypes:
-            setattr(plant, name, ptypes[name](value))
-        else:
+        types = _FIELD_TYPES.get(prefix, {})
+        if name not in types:
             raise ConfigError(f"unknown override key {key!r}")
+        cfg = ctrl if prefix == "controller" else plant
+        setattr(cfg, name, _coerce(types[name], value, key))
     ctrl.validate()
     plant.validate()
     return ctrl, plant

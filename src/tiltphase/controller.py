@@ -31,11 +31,16 @@ from tiltphase.filters import (
     coerced_interp,
     hard_coerce_ellip,
     one_sided_deadband,
+    smooth_deadband2,
     smooth_deadband_1d,
-    smooth_deadband_ellip,
+    soft_coerce2,
     soft_coerce_1d,
-    soft_coerce_ellip,
 )
+
+
+# tuple.__new__(ActivationSet, fields) skips the generated keyword
+# constructor, which costs about 1 us per cycle for this 19-field tuple.
+_new_tuple = tuple.__new__
 
 
 class GaitCommand(NamedTuple):
@@ -214,21 +219,19 @@ class TiltPhaseController:
 
     def pd_feedback(self, pd_mean, pd_slope):
         cfg = self.cfg
-        db_p = smooth_deadband_ellip(pd_mean, self._db_p)
-        db_d = smooth_deadband_ellip(pd_slope, self._db_d)
+        a0, a1 = self._db_p.semi_axes
+        db_p = p0, p1 = smooth_deadband2(pd_mean[0], pd_mean[1], a0, a1)
+        a0, a1 = self._db_d.semi_axes
+        db_d = d0, d1 = smooth_deadband2(pd_slope[0], pd_slope[1], a0, a1)
 
         gp = directional_gain(db_p, cfg.arm_p_gain_lat, cfg.arm_p_gain_sag)
         gd = directional_gain(db_d, cfg.arm_d_gain_lat, cfg.arm_d_gain_sag)
-        arm = soft_coerce_ellip(
-            (gp * db_p[0] + gd * db_d[0], gp * db_p[1] + gd * db_d[1]),
-            self._arm_out, cfg.arm_buffer,
-        )
+        a0, a1 = self._arm_out.semi_axes
+        arm = soft_coerce2(gp * p0 + gd * d0, gp * p1 + gd * d1, a0, a1, cfg.arm_buffer)
         gp = directional_gain(db_p, cfg.foot_p_gain_lat, cfg.foot_p_gain_sag)
         gd = directional_gain(db_d, cfg.foot_d_gain_lat, cfg.foot_d_gain_sag)
-        foot = soft_coerce_ellip(
-            (gp * db_p[0] + gd * db_d[0], gp * db_p[1] + gd * db_d[1]),
-            self._foot_out, cfg.foot_buffer,
-        )
+        a0, a1 = self._foot_out.semi_axes
+        foot = soft_coerce2(gp * p0 + gd * d0, gp * p1 + gd * d1, a0, a1, cfg.foot_buffer)
         return arm, foot
 
     def i_feedback_step(self, p_d, dt):
@@ -293,8 +296,8 @@ class TiltPhaseController:
             vy = sag_max
         elif vy < -sag_max:
             vy = -sag_max
-        p_o = soft_coerce_ellip((vx, vy), self._so_out, cfg.so_buffer)
-        return p_o, e_l, e_r
+        a0, a1 = self._so_out.semi_axes
+        return soft_coerce2(vx, vy, a0, a1, cfg.so_buffer), e_l, e_r
 
     def swing_ground_plane(self, p_b, p_e):
         cfg = self.cfg
@@ -312,9 +315,10 @@ class TiltPhaseController:
             q = _qmul(_qmul(a, qe), (cy_, 0.0, -sy_, 0.0))
             p_ns = _tilt2_of_quat(q)
         m = self.sp_mean.step(p_ns)
-        v = smooth_deadband_ellip(m, self._sp_db)
-        v = (cfg.sp_gain * v[0], cfg.sp_gain * v[1])
-        return soft_coerce_ellip(v, self._sp_out, cfg.sp_buffer), p_ns
+        a0, a1 = self._sp_db.semi_axes
+        v0, v1 = smooth_deadband2(m[0], m[1], a0, a1)
+        a0, a1 = self._sp_out.semi_axes
+        return soft_coerce2(cfg.sp_gain * v0, cfg.sp_gain * v1, a0, a1, cfg.sp_buffer), p_ns
 
     def max_hip_height_step(self, pd_mean, dt):
         cfg = self.cfg
@@ -366,27 +370,28 @@ class TiltPhaseController:
 
         self.mu = gait_phase_step(mu, f_g, dt)
 
-        return ActivationSet(
-            arm_tilt=arm,
-            support_foot_tilt=foot,
-            continuous_foot_tilt=cft,
-            hip_shift=hip,
-            max_hip_height=h_max,
-            lean_tilt=lean,
-            swing_out_tilt=swing_out,
-            swing_ground_plane=plane,
-            gait_frequency=f_g,
-            mu=mu,
-            body_tilt=(p_b[0], p_b[1]),
-            expected_tilt=(p_e[0], p_e[1]),
-            deviation=p_d,
-            deviation_mean=pd_mean,
-            crossing_energy_left=e_l,
-            crossing_energy_right=e_r,
-            instability=instability,
-            deviation_speed=s_d,
-            flags=flags,
-        )
+        # Fields in declaration order, see _new_tuple.
+        return _new_tuple(ActivationSet, (
+            arm,  # arm_tilt
+            foot,  # support_foot_tilt
+            cft,  # continuous_foot_tilt
+            hip,  # hip_shift
+            h_max,  # max_hip_height
+            lean,  # lean_tilt
+            swing_out,  # swing_out_tilt
+            plane,  # swing_ground_plane
+            f_g,  # gait_frequency
+            mu,  # mu
+            (p_b[0], p_b[1]),  # body_tilt
+            (p_e[0], p_e[1]),  # expected_tilt
+            p_d,  # deviation
+            pd_mean,  # deviation_mean
+            e_l,  # crossing_energy_left
+            e_r,  # crossing_energy_right
+            instability,  # instability
+            s_d,  # deviation_speed
+            flags,  # flags
+        ))
 
 
 # -- inlined 2D tilt quaternion helpers (hot path) ---------------------------

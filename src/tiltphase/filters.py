@@ -67,6 +67,20 @@ def soft_coerce_1d(x: float, limit: float, b: float) -> float:
     return -soft_coerce_mag(-x, limit, b)
 
 
+def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[float, float]:
+    """2D `soft_coerce_ellip` on scalars: ellipsoid semi-axes (a0, a1), buffer b."""
+    m2 = x0 * x0 + x1 * x1
+    if m2 == 0.0:
+        return (0.0, 0.0)
+    m = math.sqrt(m2)
+    r = math.sqrt(m2 / ((x0 / a0) ** 2 + (x1 / a1) ** 2))
+    s = soft_coerce_mag(m, r, b)
+    if s == m:
+        return (x0, x1)
+    k = s / m
+    return (k * x0, k * x1)
+
+
 def soft_coerce_ellip(x: Sequence[float], ellipsoid: Ellipsoid, b: float) -> Tuple[float, ...]:
     """Soft-coerce x radially to the ellipsoid, with soft buffer b.
 
@@ -74,18 +88,8 @@ def soft_coerce_ellip(x: Sequence[float], ellipsoid: Ellipsoid, b: float) -> Tup
     directional radius. Requires 0 < b < min semi-axis.
     """
     if len(x) == 2:
-        x0, x1 = x[0], x[1]
-        m2 = x0 * x0 + x1 * x1
-        if m2 == 0.0:
-            return (0.0, 0.0)
         a0, a1 = ellipsoid.semi_axes
-        m = math.sqrt(m2)
-        r = math.sqrt(m2 / ((x0 / a0) ** 2 + (x1 / a1) ** 2))
-        s = soft_coerce_mag(m, r, b)
-        if s == m:
-            return (x0, x1)
-        k = s / m
-        return (k * x0, k * x1)
+        return soft_coerce2(x[0], x[1], a0, a1, b)
     m = math.sqrt(sum(xi * xi for xi in x))
     if m == 0.0:
         return tuple(0.0 for _ in x)
@@ -134,18 +138,22 @@ def smooth_deadband_1d(x: float, r: float) -> float:
     return -smooth_deadband_mag(-x, r)
 
 
+def smooth_deadband2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float, float]:
+    """2D `smooth_deadband_ellip` on scalars: ellipsoid semi-axes (a0, a1)."""
+    m2 = x0 * x0 + x1 * x1
+    if m2 == 0.0:
+        return (0.0, 0.0)
+    m = math.sqrt(m2)
+    r = math.sqrt(m2 / ((x0 / a0) ** 2 + (x1 / a1) ** 2))
+    k = smooth_deadband_mag(m, r) / m
+    return (k * x0, k * x1)
+
+
 def smooth_deadband_ellip(x: Sequence[float], ellipsoid: Ellipsoid) -> Tuple[float, ...]:
     """Apply smooth deadband radially along x with the directional ellipsoid radius."""
     if len(x) == 2:
-        x0, x1 = x[0], x[1]
-        m2 = x0 * x0 + x1 * x1
-        if m2 == 0.0:
-            return (0.0, 0.0)
         a0, a1 = ellipsoid.semi_axes
-        m = math.sqrt(m2)
-        r = math.sqrt(m2 / ((x0 / a0) ** 2 + (x1 / a1) ** 2))
-        k = smooth_deadband_mag(m, r) / m
-        return (k * x0, k * x1)
+        return smooth_deadband2(x[0], x[1], a0, a1)
     m = math.sqrt(sum(xi * xi for xi in x))
     if m == 0.0:
         return tuple(0.0 for _ in x)
@@ -258,33 +266,39 @@ class WlbfFilter:
         self._buf.clear()
 
     def step(self, t: float, x: Sequence[float]):
-        if len(x) != self.dim:
-            raise ValueError(f"expected {self.dim}-dim sample, got {len(x)}")
+        dim = self.dim
+        if len(x) != dim:
+            raise ValueError(f"expected {dim}-dim sample, got {len(x)}")
         buf = self._buf
         if buf and t <= buf[-1][0]:
             raise ValueError(f"non-increasing time {t} (last was {buf[-1][0]})")
-        buf.append((float(t), tuple(float(v) for v in x)))
+        # Records are flat (t, x0, ..., x_{dim-1}) tuples so the moment loops
+        # below unpack them without a second indexing step.
+        t0 = float(t)
+        # A generator-built tuple costs about ten times the literal one here.
+        if dim == 1:
+            latest = (float(x[0]),)
+        elif dim == 2:
+            latest = (float(x[0]), float(x[1]))
+        else:
+            latest = tuple(float(v) for v in x)
+        buf.append((t0,) + latest)
 
         n = len(buf)
-        dim = self.dim
         if n < 2:
-            latest = buf[-1][1]
-            zero = (0.0,) * dim
-            return latest, zero, latest
+            return latest, (0.0,) * dim, latest
 
         # Linear recency weights w_k = k+1 for the k-th oldest sample;
         # normalization cancels in the regression. Times are shifted so the
         # newest sample sits at 0, which keeps the moment sums well
         # conditioned regardless of absolute time.
-        t0 = buf[-1][0]
         sw = 0.5 * n * (n + 1)
         if dim == 1:
             w = st = stt = sx0 = stx0 = 0.0
-            for tk, xk in buf:
+            for tk, x0 in buf:
                 w += 1.0
                 tau = tk - t0
                 wt = w * tau
-                x0 = xk[0]
                 st += wt
                 stt += wt * tau
                 sx0 += w * x0
@@ -292,19 +306,17 @@ class WlbfFilter:
             tbar = st / sw
             cov_tt = stt - tbar * st
             if cov_tt <= 0.0:
-                return buf[-1][1], (0.0,), buf[-1][1]
+                return latest, (0.0,), latest
             xb0 = sx0 / sw
             s0 = (stx0 - tbar * sx0) / cov_tt
             return (xb0 - s0 * tbar,), (s0,), (xb0,)
         if dim == 2:
             w = st = stt = 0.0
             sx0 = sx1 = stx0 = stx1 = 0.0
-            for tk, xk in buf:
+            for tk, x0, x1 in buf:
                 w += 1.0
                 tau = tk - t0
                 wt = w * tau
-                x0 = xk[0]
-                x1 = xk[1]
                 st += wt
                 stt += wt * tau
                 sx0 += w * x0
@@ -314,7 +326,7 @@ class WlbfFilter:
             tbar = st / sw
             cov_tt = stt - tbar * st
             if cov_tt <= 0.0:
-                return buf[-1][1], (0.0, 0.0), buf[-1][1]
+                return latest, (0.0, 0.0), latest
             xb0 = sx0 / sw
             xb1 = sx1 / sw
             s0 = (stx0 - tbar * sx0) / cov_tt
@@ -328,21 +340,20 @@ class WlbfFilter:
         w = st = stt = 0.0
         sx = [0.0] * dim
         stx = [0.0] * dim
-        for tk, xk in buf:
+        for rec in buf:
             w += 1.0
-            tau = tk - t0
+            tau = rec[0] - t0
             wt = w * tau
             st += wt
             stt += wt * tau
             for i in range(dim):
-                sx[i] += w * xk[i]
-                stx[i] += wt * xk[i]
+                xi = rec[i + 1]
+                sx[i] += w * xi
+                stx[i] += wt * xi
         tbar = st / sw
         cov_tt = stt - tbar * st
         if cov_tt <= 0.0:
-            latest = buf[-1][1]
-            zero = (0.0,) * dim
-            return latest, zero, latest
+            return latest, (0.0,) * dim, latest
         xbar = [v / sw for v in sx]
         slope = tuple((stx[i] - tbar * sx[i]) / cov_tt for i in range(dim))
         value = tuple(xbar[i] - slope[i] * tbar for i in range(dim))
@@ -380,13 +391,16 @@ class BoundedIntegrator:
         v = self.value
         if len(v) == 2:
             h = 0.5 * dt
-            y = (v[0] + h * (u[0] + up[0]), v[1] + h * (u[1] + up[1]))
+            a0, a1 = self.ellipsoid.semi_axes
             self._u_prev = (float(u[0]), float(u[1]))
-        else:
-            y = tuple(
-                yi + 0.5 * dt * (ui + upi) for yi, ui, upi in zip(v, u, up)
+            self.value = soft_coerce2(
+                v[0] + h * (u[0] + up[0]), v[1] + h * (u[1] + up[1]), a0, a1, self.buffer
             )
-            self._u_prev = tuple(float(vi) for vi in u)
+            return self.value
+        y = tuple(
+            yi + 0.5 * dt * (ui + upi) for yi, ui, upi in zip(v, u, up)
+        )
+        self._u_prev = tuple(float(vi) for vi in u)
         self.value = soft_coerce_ellip(y, self.ellipsoid, self.buffer)
         return self.value
 

@@ -29,8 +29,8 @@ class Scenario:
     overrides: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError("scenario duration must be positive")
+        if not (0.0 < self.duration < math.inf):
+            raise ValueError("scenario duration must be positive and finite")
         times = [t for t, _ in self.commands]
         if times != sorted(times):
             raise ValueError("scenario command schedule times must be sorted")

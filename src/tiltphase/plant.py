@@ -11,6 +11,16 @@ Per axis the undisturbed dynamics about the current pivot offset is
 crossing energy. With the pivot at upright (the default) an exactly upright
 resting plant stays put; with the pivot at a crossing phase the trajectory
 conserves the pendulum invariant, which the conservation tests exploit.
+
+The RK4 substep loop in `SurrogatePlant.step` is inlined over local floats,
+with everything that is constant over a control cycle (``c2``, the pivot
+offsets ``eq_x``/``eq_y``, the eight coupling products, the external force,
+``h/2`` and ``h/6``) computed once before it. Traces must stay bit-identical
+to the plain per-stage RK4 that tests keep as a reference, so the operation
+order is fixed: each hoisted value keeps its original expression, each
+acceleration is the left-to-right chain
+``c2*sin(p - eq) - foot - arm - plane - swing_out + f``, and each update is
+``p + h6*(k1 + 2*k2 + 2*k3 + k4)``. Never reassociate or pre-sum terms.
 """
 
 from __future__ import annotations
@@ -118,42 +128,6 @@ class SurrogatePlant:
 
     # -- dynamics -------------------------------------------------------------
 
-    def _acceleration(self, px, py, vx, vy, act: ActivationSet, f_ext):
-        cfg = self.cfg
-        c = cfg.pendulum_c * act.max_hip_height  # lower hips -> slower dynamics
-        c2 = c * c
-        # The equilibrium of sin(p - eq) is unstable, so shifting it toward
-        # positive p accelerates the body the other way: positive activation
-        # therefore raises eq to oppose positive deviation.
-        eq_x = (
-            self.state.pivot_x
-            + cfg.couple_cft * act.continuous_foot_tilt[0]
-            + cfg.couple_hip * act.hip_shift[0]
-        )
-        eq_y = (
-            self.state.pivot_y
-            + cfg.couple_cft * act.continuous_foot_tilt[1]
-            + cfg.couple_hip * act.hip_shift[1]
-            + cfg.couple_lean * act.lean_tilt[1]
-        )
-        ax = (
-            c2 * math.sin(px - eq_x)
-            - cfg.couple_foot * act.support_foot_tilt[0]
-            - cfg.couple_arm * act.arm_tilt[0]
-            - cfg.couple_plane * act.swing_ground_plane[0]
-            - cfg.couple_swing_out * act.swing_out_tilt[0]
-            + f_ext[0]
-        )
-        ay = (
-            c2 * math.sin(py - eq_y)
-            - cfg.couple_foot * act.support_foot_tilt[1]
-            - cfg.couple_arm * act.arm_tilt[1]
-            - cfg.couple_plane * act.swing_ground_plane[1]
-            - cfg.couple_swing_out * act.swing_out_tilt[1]
-            + f_ext[1]
-        )
-        return ax, ay
-
     def step(
         self,
         act: ActivationSet,
@@ -184,11 +158,65 @@ class SurrogatePlant:
                     fx += d.magnitude * math.cos(d.direction)
                     fy += d.magnitude * math.sin(d.direction)
 
-            n_sub = max(1, math.ceil(dt / self.cfg.substep_dt))
+            cfg = self.cfg
+            n_sub = max(1, math.ceil(dt / cfg.substep_dt))
             h = dt / n_sub
+            hh = 0.5 * h
+            h6 = h / 6.0
+            c = cfg.pendulum_c * act.max_hip_height  # lower hips -> slower dynamics
+            c2 = c * c
+            # The equilibrium of sin(p - eq) is unstable, so shifting it toward
+            # positive p accelerates the body the other way: positive activation
+            # therefore raises eq to oppose positive deviation.
+            eq_x = (
+                st.pivot_x
+                + cfg.couple_cft * act.continuous_foot_tilt[0]
+                + cfg.couple_hip * act.hip_shift[0]
+            )
+            eq_y = (
+                st.pivot_y
+                + cfg.couple_cft * act.continuous_foot_tilt[1]
+                + cfg.couple_hip * act.hip_shift[1]
+                + cfg.couple_lean * act.lean_tilt[1]
+            )
+            foot_x = cfg.couple_foot * act.support_foot_tilt[0]
+            foot_y = cfg.couple_foot * act.support_foot_tilt[1]
+            arm_x = cfg.couple_arm * act.arm_tilt[0]
+            arm_y = cfg.couple_arm * act.arm_tilt[1]
+            plane_x = cfg.couple_plane * act.swing_ground_plane[0]
+            plane_y = cfg.couple_plane * act.swing_ground_plane[1]
+            so_x = cfg.couple_swing_out * act.swing_out_tilt[0]
+            so_y = cfg.couple_swing_out * act.swing_out_tilt[1]
+            sin = math.sin
+
+            # Classic RK4 on (p, v) with p' = v, v' = a(p); see the module
+            # docstring for why every expression keeps its exact form.
             px, py, vx, vy = st.px, st.py, st.vx, st.vy
             for _ in range(n_sub):
-                px, py, vx, vy = self._rk4(px, py, vx, vy, act, (fx, fy), h)
+                ax1 = c2 * sin(px - eq_x) - foot_x - arm_x - plane_x - so_x + fx
+                ay1 = c2 * sin(py - eq_y) - foot_y - arm_y - plane_y - so_y + fy
+                px2 = px + hh * vx
+                py2 = py + hh * vy
+                vx2 = vx + hh * ax1
+                vy2 = vy + hh * ay1
+                ax2 = c2 * sin(px2 - eq_x) - foot_x - arm_x - plane_x - so_x + fx
+                ay2 = c2 * sin(py2 - eq_y) - foot_y - arm_y - plane_y - so_y + fy
+                px3 = px + hh * vx2
+                py3 = py + hh * vy2
+                vx3 = vx + hh * ax2
+                vy3 = vy + hh * ay2
+                ax3 = c2 * sin(px3 - eq_x) - foot_x - arm_x - plane_x - so_x + fx
+                ay3 = c2 * sin(py3 - eq_y) - foot_y - arm_y - plane_y - so_y + fy
+                px4 = px + h * vx3
+                py4 = py + h * vy3
+                vx4 = vx + h * ax3
+                vy4 = vy + h * ay3
+                ax4 = c2 * sin(px4 - eq_x) - foot_x - arm_x - plane_x - so_x + fx
+                ay4 = c2 * sin(py4 - eq_y) - foot_y - arm_y - plane_y - so_y + fy
+                px = px + h6 * (vx + 2 * vx2 + 2 * vx3 + vx4)
+                py = py + h6 * (vy + 2 * vy2 + 2 * vy3 + vy4)
+                vx = vx + h6 * (ax1 + 2 * ax2 + 2 * ax3 + ax4)
+                vy = vy + h6 * (ay1 + 2 * ay2 + 2 * ay3 + ay4)
             st.px, st.py, st.vx, st.vy = px, py, vx, vy
             st.odometry += abs(act.gait_frequency) * dt
 
@@ -198,25 +226,6 @@ class SurrogatePlant:
                 st.vy = 0.0
 
         return self._emit_imu(disturbances, t_end, dt)
-
-    def _rk4(self, px, py, vx, vy, act, f_ext, h):
-        def deriv(px_, py_, vx_, vy_):
-            ax, ay = self._acceleration(px_, py_, vx_, vy_, act, f_ext)
-            return vx_, vy_, ax, ay
-
-        k1 = deriv(px, py, vx, vy)
-        k2 = deriv(px + 0.5 * h * k1[0], py + 0.5 * h * k1[1],
-                   vx + 0.5 * h * k1[2], vy + 0.5 * h * k1[3])
-        k3 = deriv(px + 0.5 * h * k2[0], py + 0.5 * h * k2[1],
-                   vx + 0.5 * h * k2[2], vy + 0.5 * h * k2[3])
-        k4 = deriv(px + h * k3[0], py + h * k3[1],
-                   vx + h * k3[2], vy + h * k3[3])
-        return (
-            px + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            py + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-            vx + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-            vy + h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]),
-        )
 
     def _emit_imu(self, disturbances, t_now, dt) -> ImuSample:
         st = self.state

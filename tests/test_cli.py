@@ -35,6 +35,14 @@ class TestSimulate:
         assert rc == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_nonpositive_duration_rejected(self, capsys):
+        for bad in ("-1", "0", "nan"):
+            rc = main(["simulate", "--duration", bad])
+            assert rc == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert "duration" in captured.err
+            assert "cycles" not in captured.out
+
     def test_missing_config_file(self, capsys):
         rc = main(["--config", "/no/such/file", "simulate"])
         assert rc == EXIT_INPUT

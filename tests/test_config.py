@@ -42,6 +42,15 @@ class TestDefaults:
         with pytest.raises(ConfigError, match="noise"):
             PlantConfig(noise_gyro=-1.0).validate()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_rejected(self, bad):
+        with pytest.raises(ConfigError, match="plant.substep_dt must be finite"):
+            PlantConfig(substep_dt=bad).validate()
+        with pytest.raises(ConfigError, match="controller.arm_p_gain_lat must be finite"):
+            ControllerConfig(arm_p_gain_lat=bad).validate()
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config_lines([f"plant.couple_arm = {bad}"])
+
 
 class TestParsing:
     def test_parse_basic(self):
@@ -100,6 +109,35 @@ class TestOverrides:
             apply_overrides(ControllerConfig(), PlantConfig(), {"controller.bogus": 1})
         with pytest.raises(ConfigError, match="must be"):
             apply_overrides(ControllerConfig(), PlantConfig(), {"i_gain": 1})
+
+    def test_override_bool_parsed_like_config_file(self):
+        ctrl, _ = apply_overrides(
+            ControllerConfig(hh_sagittal_only=True), PlantConfig(),
+            {"controller.hh_sagittal_only": "false"},
+        )
+        assert ctrl.hh_sagittal_only is False
+        ctrl, _ = apply_overrides(
+            ControllerConfig(), PlantConfig(), {"controller.hh_sagittal_only": True}
+        )
+        assert ctrl.hh_sagittal_only is True
+        with pytest.raises(ConfigError, match="expected a boolean"):
+            apply_overrides(
+                ControllerConfig(), PlantConfig(), {"controller.hh_sagittal_only": "maybe"}
+            )
+
+    def test_override_int_not_truncated(self):
+        with pytest.raises(ConfigError, match="expected an integer"):
+            apply_overrides(ControllerConfig(), PlantConfig(), {"controller.pd_mean_order": 2.7})
+        ctrl, _ = apply_overrides(
+            ControllerConfig(), PlantConfig(), {"controller.pd_mean_order": 7}
+        )
+        assert ctrl.pd_mean_order == 7
+
+    def test_override_bad_number_rejected(self):
+        with pytest.raises(ConfigError, match="expected a number"):
+            apply_overrides(ControllerConfig(), PlantConfig(), {"controller.i_gain": "fast"})
+        with pytest.raises(ConfigError, match="must be finite"):
+            apply_overrides(ControllerConfig(), PlantConfig(), {"plant.substep_dt": "inf"})
 
     def test_override_result_is_validated(self):
         with pytest.raises(ConfigError):

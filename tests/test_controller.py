@@ -15,6 +15,7 @@ from tiltphase.controller import (
     timing_law,
 )
 from tiltphase.estimator import ImuSample
+from tiltphase.filters import Ellipsoid, smooth_deadband_ellip, soft_coerce_ellip
 from tiltphase.rotation import quat_conj, quat_from_tilt_phase, quat_mul, quat_rotate
 
 G = 9.81
@@ -239,6 +240,74 @@ class TestControllerStep:
         ctrl.reset()
         second = [ctrl.step(s, GaitCommand(0.2, 0.0, 0.1), dt) for s in samples]
         assert first == second
+
+    def test_pd_feedback_matches_helper_composition(self):
+        # pd_feedback uses the scalar 2D deadband and coercion kernels; it
+        # must equal the public ellipsoid helpers composed, bit for bit.
+        cfg = ControllerConfig()
+        ctrl = TiltPhaseController(cfg)
+        rng = random.Random(3)
+
+        db_p_ellipsoid = Ellipsoid((cfg.pd_deadband_p_x, cfg.pd_deadband_p_y))
+        db_d_ellipsoid = Ellipsoid((cfg.pd_deadband_d_x, cfg.pd_deadband_d_y))
+
+        def reference(pd_mean, pd_slope):
+            db_p = smooth_deadband_ellip(pd_mean, db_p_ellipsoid)
+            db_d = smooth_deadband_ellip(pd_slope, db_d_ellipsoid)
+            out = []
+            for part, limits, buffer in (
+                ("arm", (cfg.arm_limit_x, cfg.arm_limit_y), cfg.arm_buffer),
+                ("foot", (cfg.foot_limit_x, cfg.foot_limit_y), cfg.foot_buffer),
+            ):
+                gp = directional_gain(
+                    db_p, getattr(cfg, part + "_p_gain_lat"), getattr(cfg, part + "_p_gain_sag")
+                )
+                gd = directional_gain(
+                    db_d, getattr(cfg, part + "_d_gain_lat"), getattr(cfg, part + "_d_gain_sag")
+                )
+                v = (gp * db_p[0] + gd * db_d[0], gp * db_p[1] + gd * db_d[1])
+                out.append(soft_coerce_ellip(v, Ellipsoid(limits), buffer))
+            return tuple(out)
+
+        for k in range(3000):
+            scale = 10.0 ** rng.uniform(-4.0, 0.5)
+            pd_mean = (rng.gauss(0.0, scale), rng.gauss(0.0, scale))
+            pd_slope = (rng.gauss(0.0, 10 * scale), rng.gauss(0.0, 10 * scale))
+            if k % 10 == 0:
+                pd_mean = (0.0, 0.0)
+            if k % 15 == 0:
+                pd_slope = (0.0, 0.0)
+            assert ctrl.pd_feedback(pd_mean, pd_slope) == reference(pd_mean, pd_slope)
+
+    def test_activation_fields_carry_their_stage(self):
+        # Every stage returns distinct values; each must land in its own field.
+        ctrl = TiltPhaseController(ControllerConfig())
+        ctrl.pd_feedback = lambda pd_mean, pd_slope: ((1.0, 1.5), (2.0, 2.5))
+        ctrl.i_feedback_step = lambda p_d, dt: ((3.0, 3.5), (4.0, 4.5))
+        ctrl.leaning = lambda cmd, t, dt: (0.0, 5.0)
+        ctrl.swing_out_step = lambda p_xb, t, mu, pd_mean: ((6.0, 6.5), 7.0, 8.0)
+        ctrl.swing_ground_plane = lambda p_b, p_e: ((9.0, 9.5), (0.0, 0.0))
+        ctrl.max_hip_height_step = lambda pd_mean, dt: (0.75, 10.0, 11.0)
+        dt = 0.01
+        act = ctrl.step(ImuSample(dt, (0.3, -0.2, 0.0), (0.0, 0.0, G)), GaitCommand(), dt)
+        assert act.arm_tilt == (1.0, 1.5)
+        assert act.support_foot_tilt == (2.0, 2.5)
+        assert act.continuous_foot_tilt == (3.0, 3.5)
+        assert act.hip_shift == (4.0, 4.5)
+        assert act.max_hip_height == 0.75
+        assert act.lean_tilt == (0.0, 5.0)
+        assert act.swing_out_tilt == (6.0, 6.5)
+        assert act.swing_ground_plane == (9.0, 9.5)
+        assert act.crossing_energy_left == 7.0
+        assert act.crossing_energy_right == 8.0
+        assert act.instability == 10.0
+        assert act.deviation_speed == 11.0
+        assert act.mu == 0.0 and ctrl.mu > 0.0
+        assert act.gait_frequency == pytest.approx(ctrl.mu / dt)
+        assert act.expected_tilt == (0.0, 0.0)
+        assert act.body_tilt == act.deviation != (0.0, 0.0)
+        assert act.deviation_mean == act.deviation
+        assert act.flags == ()
 
     def test_rejects_bad_dt(self):
         ctrl = TiltPhaseController(ControllerConfig())

@@ -15,8 +15,10 @@ from tiltphase.filters import (
     coerced_interp,
     hard_coerce_ellip,
     one_sided_deadband,
+    smooth_deadband2,
     smooth_deadband_1d,
     smooth_deadband_ellip,
+    soft_coerce2,
     soft_coerce_1d,
     soft_coerce_ellip,
 )
@@ -186,6 +188,27 @@ class TestSmoothDeadband:
         u = 0.1  # below 2r: quadratic
         assert one_sided_deadband(1.0 + u, 1.0, 0.2) == pytest.approx(u * u / 0.8)
         assert one_sided_deadband(3.0, 1.0, 0.2) == pytest.approx(2.0 - 0.2)
+
+
+class TestScalar2dKernels:
+    def test_match_generic_path(self):
+        # A 3D input with a zero third component takes the generic n-dim
+        # path and must reshape the first two components the same way.
+        rng = random.Random(17)
+        for _ in range(2000):
+            a0, a1 = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
+            b = rng.uniform(0.01, 0.99) * min(a0, a1)
+            scale = 10.0 ** rng.uniform(-3.0, 1.0)
+            x0, x1 = rng.gauss(0.0, scale), rng.gauss(0.0, scale)
+            e3 = Ellipsoid((a0, a1, 1.0))
+            soft = soft_coerce2(x0, x1, a0, a1, b)
+            assert soft == pytest.approx(soft_coerce_ellip((x0, x1, 0.0), e3, b)[:2], abs=1e-12)
+            db = smooth_deadband2(x0, x1, a0, a1)
+            assert db == pytest.approx(smooth_deadband_ellip((x0, x1, 0.0), e3)[:2], abs=1e-12)
+
+    def test_zero_vector(self):
+        assert soft_coerce2(0.0, 0.0, 1.0, 2.0, 0.1) == (0.0, 0.0)
+        assert smooth_deadband2(0.0, 0.0, 1.0, 2.0) == (0.0, 0.0)
 
 
 class TestCoercedInterp:

@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
 from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import ActivationSet, pendulum_invariant
+from tiltphase.deviation import gait_phase_step
 from tiltphase.estimator import AttitudeEstimator
 from tiltphase.plant import Disturbance, PlantState, SurrogatePlant
 
@@ -164,3 +166,136 @@ class TestImuOutput:
         plant = SurrogatePlant(PlantConfig())
         with pytest.raises(ValueError):
             plant.step(IDLE, 0.0, [], 0.0, 0.0)
+
+
+class ReferencePlant(SurrogatePlant):
+    """The plant with its RK4 written as plain per-stage derivative calls.
+
+    This is the straightforward form the inlined substep loop must match bit
+    for bit; it is only a test reference, never a second code path.
+    """
+
+    def _acceleration(self, px, py, vx, vy, act, f_ext):
+        cfg = self.cfg
+        c = cfg.pendulum_c * act.max_hip_height
+        c2 = c * c
+        eq_x = (
+            self.state.pivot_x
+            + cfg.couple_cft * act.continuous_foot_tilt[0]
+            + cfg.couple_hip * act.hip_shift[0]
+        )
+        eq_y = (
+            self.state.pivot_y
+            + cfg.couple_cft * act.continuous_foot_tilt[1]
+            + cfg.couple_hip * act.hip_shift[1]
+            + cfg.couple_lean * act.lean_tilt[1]
+        )
+        ax = (
+            c2 * math.sin(px - eq_x)
+            - cfg.couple_foot * act.support_foot_tilt[0]
+            - cfg.couple_arm * act.arm_tilt[0]
+            - cfg.couple_plane * act.swing_ground_plane[0]
+            - cfg.couple_swing_out * act.swing_out_tilt[0]
+            + f_ext[0]
+        )
+        ay = (
+            c2 * math.sin(py - eq_y)
+            - cfg.couple_foot * act.support_foot_tilt[1]
+            - cfg.couple_arm * act.arm_tilt[1]
+            - cfg.couple_plane * act.swing_ground_plane[1]
+            - cfg.couple_swing_out * act.swing_out_tilt[1]
+            + f_ext[1]
+        )
+        return ax, ay
+
+    def _rk4(self, px, py, vx, vy, act, f_ext, h):
+        def deriv(px_, py_, vx_, vy_):
+            ax, ay = self._acceleration(px_, py_, vx_, vy_, act, f_ext)
+            return vx_, vy_, ax, ay
+
+        k1 = deriv(px, py, vx, vy)
+        k2 = deriv(px + 0.5 * h * k1[0], py + 0.5 * h * k1[1],
+                   vx + 0.5 * h * k1[2], vy + 0.5 * h * k1[3])
+        k3 = deriv(px + 0.5 * h * k2[0], py + 0.5 * h * k2[1],
+                   vx + 0.5 * h * k2[2], vy + 0.5 * h * k2[3])
+        k4 = deriv(px + h * k3[0], py + h * k3[1],
+                   vx + h * k3[2], vy + h * k3[3])
+        return (
+            px + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+            py + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+            vx + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
+            vy + h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]),
+        )
+
+    def step(self, act, mu, disturbances, t, dt):
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        st = self.state
+        t_end = t + dt
+        if not st.fallen:
+            self._handle_gait_events(mu)
+            for i, d in enumerate(disturbances):
+                if d.kind == "impulse" and i not in self._applied_impulses:
+                    if t <= d.start_time < t_end:
+                        self._applied_impulses.add(i)
+                        self.apply_push(d.direction, d.magnitude)
+            fx = 0.0
+            fy = 0.0
+            for d in disturbances:
+                if d.kind == "force" and d.start_time <= t < d.start_time + d.duration:
+                    fx += d.magnitude * math.cos(d.direction)
+                    fy += d.magnitude * math.sin(d.direction)
+            n_sub = max(1, math.ceil(dt / self.cfg.substep_dt))
+            h = dt / n_sub
+            px, py, vx, vy = st.px, st.py, st.vx, st.vy
+            for _ in range(n_sub):
+                px, py, vx, vy = self._rk4(px, py, vx, vy, act, (fx, fy), h)
+            st.px, st.py, st.vx, st.vy = px, py, vx, vy
+            st.odometry += abs(act.gait_frequency) * dt
+            if math.hypot(st.px, st.py) > self.cfg.fall_angle:
+                st.fallen = True
+                st.vx = 0.0
+                st.vy = 0.0
+        return self._emit_imu(disturbances, t_end, dt)
+
+
+class TestBitExactKernel:
+    @pytest.mark.parametrize("substep_dt, n_sub", [(0.01, 1), (1e-3, 10), (0.0015, 7)])
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_matches_reference_rk4_exactly(self, substep_dt, n_sub, seed):
+        assert max(1, math.ceil(DT / substep_dt)) == n_sub
+        rng = random.Random(seed)
+
+        def pair():
+            return (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+
+        cfg = PlantConfig(
+            substep_dt=substep_dt, pivot_x_left=-0.05, pivot_x_right=0.05, pivot_y=0.02,
+            noise_gyro=0.01, noise_accel=0.05,
+        )
+        fast = SurrogatePlant(cfg, seed=seed)
+        ref = ReferencePlant(cfg, seed=seed)
+        px, py = pair()
+        vx, vy = pair()
+        for plant in (fast, ref):
+            plant.state.px, plant.state.py = px, py
+            plant.state.vx, plant.state.vy = vx, vy
+        disturbances = [
+            Disturbance("force", direction=rng.uniform(-math.pi, math.pi),
+                        magnitude=rng.uniform(0.5, 2.0), start_time=0.0, duration=0.5),
+            Disturbance("impulse", direction=rng.uniform(-math.pi, math.pi),
+                        magnitude=rng.uniform(0.1, 0.5), start_time=0.255),
+        ]
+        mu = 0.0
+        for k in range(60):
+            act = ActivationSet(
+                arm_tilt=pair(), support_foot_tilt=pair(), continuous_foot_tilt=pair(),
+                hip_shift=pair(), max_hip_height=rng.uniform(0.85, 0.99), lean_tilt=pair(),
+                swing_out_tilt=pair(), swing_ground_plane=pair(),
+                gait_frequency=rng.uniform(5.0, 8.0),
+            )
+            mu = gait_phase_step(mu, act.gait_frequency, DT)
+            got = fast.step(act, mu, disturbances, k * DT, DT)
+            want = ref.step(act, mu, disturbances, k * DT, DT)
+            assert got == want
+            assert fast.state == ref.state

@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,9 +32,7 @@ class Scenario:
     def __post_init__(self):
         if not (0.0 < self.duration < math.inf):
             raise ValueError("scenario duration must be positive and finite")
-        times = [t for t, _ in self.commands]
-        if times != sorted(times):
-            raise ValueError("scenario command schedule times must be sorted")
+        _schedule_times(self.commands)
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
@@ -69,14 +68,26 @@ class Scenario:
         )
 
 
-def _command_at(commands: List[Tuple[float, GaitCommand]], t: float) -> GaitCommand:
-    cmd = GaitCommand()
-    for tc, c in commands:
-        if tc <= t:
-            cmd = c
-        else:
-            break
-    return cmd
+_NO_COMMAND = GaitCommand()
+
+
+def _schedule_times(commands: List[Tuple[float, GaitCommand]]) -> List[float]:
+    """Times of a command schedule, checked to be finite and sorted."""
+    times = [t for t, _ in commands]
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"command schedule time {t} is not finite")
+    if times != sorted(times):
+        raise ValueError("command schedule times must be sorted")
+    return times
+
+
+def _command_at(
+    times: List[float], commands: List[Tuple[float, GaitCommand]], t: float
+) -> GaitCommand:
+    """The last command whose time is <= t (times from `_schedule_times`)."""
+    i = bisect_right(times, t)
+    return commands[i - 1][1] if i else _NO_COMMAND
 
 
 @dataclass
@@ -98,6 +109,8 @@ def run_closed_loop(
     if scenario.overrides:
         apply_overrides(ctrl_cfg, plant_cfg, scenario.overrides)
     dt = ctrl_cfg.cycle_dt
+    commands = scenario.commands
+    times = _schedule_times(commands)
     controller = TiltPhaseController(ctrl_cfg) if scenario.controller_enabled else None
     plant = SurrogatePlant(plant_cfg, seed=scenario.seed)
 
@@ -107,7 +120,7 @@ def run_closed_loop(
     mu_open = 0.0
     for k in range(1, n + 1):
         t = k * dt
-        cmd = _command_at(scenario.commands, t)
+        cmd = _command_at(times, commands, t)
         if controller is not None:
             act = controller.step(imu, cmd, dt)
             mu = controller.mu
@@ -128,18 +141,25 @@ def run_replay(
     commands: Optional[List[Tuple[float, GaitCommand]]] = None,
 ) -> List[tuple]:
     """Run the controller open loop over a recorded IMU stream."""
+    commands = commands or []
+    times = _schedule_times(commands)
     controller = TiltPhaseController(copy.deepcopy(ctrl_cfg))
     records = []
     t_prev = None
     for s in samples:
+        if not math.isfinite(s.t):
+            raise ValueError(f"non-finite IMU timestamp {s.t}")
         if t_prev is not None and s.t <= t_prev:
             raise ValueError(f"non-monotone IMU timestamp {s.t} after {t_prev}")
         dt = ctrl_cfg.cycle_dt if t_prev is None else s.t - t_prev
-        cmd = _command_at(commands or [], s.t)
+        cmd = _command_at(times, commands, s.t)
         act = controller.step(s, cmd, dt)
         records.append(record_values(s.t, act))
         t_prev = s.t
     return records
+
+
+_IMU_FIELDS = ("t", "gx", "gy", "gz", "ax", "ay", "az")
 
 
 def load_imu_log(path) -> List[ImuSample]:
@@ -157,10 +177,12 @@ def load_imu_log(path) -> List[ImuSample]:
                 vals = [float(p) for p in parts]
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric field") from None
+            for name, v in zip(_IMU_FIELDS, vals):
+                if not math.isfinite(v):
+                    raise ValueError(f"line {lineno}: non-finite {name} {v}")
+            if samples and vals[0] <= samples[-1].t:
+                raise ValueError(f"line {lineno}: non-monotone timestamp {vals[0]}")
             samples.append(ImuSample(vals[0], tuple(vals[1:4]), tuple(vals[4:7])))
-    for i in range(1, len(samples)):
-        if samples[i].t <= samples[i - 1].t:
-            raise ValueError(f"row {i + 1}: non-monotone timestamp {samples[i].t}")
     return samples
 
 

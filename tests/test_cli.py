@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tiltphase.cli import EXIT_FALLEN, EXIT_INPUT, EXIT_OK, main
 
 
@@ -68,6 +70,13 @@ class TestReplay:
         log = tmp_path / "log.csv"
         log.write_text("t,gx,gy,gz,ax,ay,az\n")
         assert main(["replay", str(log)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("row", ["nan,0,0,0,0,0,9.81", "0.02,0,nan,0,0,0,9.81"])
+    def test_non_finite_log_rejected(self, tmp_path, capsys, row):
+        log = tmp_path / "log.csv"
+        log.write_text("t,gx,gy,gz,ax,ay,az\n0.01,0,0,0,0,0,9.81\n" + row + "\n")
+        assert main(["replay", str(log)]) == EXIT_INPUT
+        assert "line 3: non-finite" in capsys.readouterr().err
 
 
 class TestPushtest:

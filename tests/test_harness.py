@@ -1,13 +1,17 @@
 import json
 import math
+import random
 
 import pytest
 
 from tiltphase.config import ControllerConfig, PlantConfig
+from tiltphase.controller import GaitCommand
 from tiltphase.deviation import ExpectedWaveform
 from tiltphase.estimator import ImuSample
 from tiltphase.harness import (
     Scenario,
+    _command_at,
+    _schedule_times,
     fit_waveform,
     load_imu_log,
     push_battery,
@@ -48,6 +52,39 @@ class TestScenario:
         with pytest.raises(ValueError, match="sorted"):
             Scenario(commands=[(2.0, GaitCommand()), (1.0, GaitCommand())])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_command_time_rejected(self, bad):
+        # NaN compares false both ways, so [0.5, nan, 0.2] used to pass the sort check
+        with pytest.raises(ValueError, match="finite"):
+            Scenario(
+                commands=[(0.5, GaitCommand()), (bad, GaitCommand()), (0.2, GaitCommand())]
+            )
+
+
+def _scan_command_at(commands, t):
+    """The linear schedule scan that `_command_at` replaced, as its reference."""
+    cmd = GaitCommand()
+    for tc, c in commands:
+        if tc <= t:
+            cmd = c
+        else:
+            break
+    return cmd
+
+
+def test_command_lookup_matches_linear_scan():
+    rng = random.Random(5)
+    for _ in range(300):
+        # Few distinct times, so schedules have ties and repeated entries
+        n = rng.randrange(12)
+        times = sorted(rng.choice((0.0, 0.5, 1.0, rng.uniform(0.0, 3.0))) for _ in range(n))
+        commands = [(tc, GaitCommand(rng.random(), float(k))) for k, tc in enumerate(times)]
+        probes = [-1.0, -0.0, 0.0, 0.5, 1.0, 3.5] + times
+        probes += [rng.uniform(-0.5, 3.5) for _ in range(10)]
+        checked = _schedule_times(commands)
+        for t in probes:
+            assert _command_at(checked, commands, t) == _scan_command_at(commands, t)
+
 
 class TestClosedLoop:
     def test_nominal_run_stays_upright(self):
@@ -81,6 +118,17 @@ class TestReplay:
         with pytest.raises(ValueError, match="non-monotone"):
             run_replay(ControllerConfig(), bad)
 
+    def test_replay_rejects_unsorted_schedule(self):
+        samples = [ImuSample(0.01 * k, (0.0, 0.0, 0.0), (0.0, 0.0, 9.81)) for k in range(1, 5)]
+        with pytest.raises(ValueError, match="sorted"):
+            run_replay(ControllerConfig(), samples,
+                       [(0.02, GaitCommand(0.3)), (0.01, GaitCommand())])
+
+    def test_replay_rejects_non_finite_timestamp(self):
+        samples = [ImuSample(t, (0.0, 0.0, 0.0), (0.0, 0.0, 9.81)) for t in (0.01, math.nan, 0.03)]
+        with pytest.raises(ValueError, match="non-finite"):
+            run_replay(ControllerConfig(), samples)
+
     def test_load_imu_log(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text(
@@ -99,7 +147,17 @@ class TestReplay:
         with pytest.raises(ValueError, match="line 1"):
             load_imu_log(path)
         path.write_text("0.02,0,0,0,0,0,9.81\n0.01,0,0,0,0,0,9.81\n")
-        with pytest.raises(ValueError, match="non-monotone"):
+        with pytest.raises(ValueError, match="line 2: non-monotone"):
+            load_imu_log(path)
+
+    @pytest.mark.parametrize("column, name", [(0, "t"), (2, "gy"), (6, "az")])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_load_imu_log_rejects_non_finite(self, tmp_path, column, name, bad):
+        row = ["0.02", "0", "0", "0", "0", "0", "9.81"]
+        row[column] = bad
+        path = tmp_path / "log.csv"
+        path.write_text("t,gx,gy,gz,ax,ay,az\n0.01,0,0,0,0,0,9.81\n" + ",".join(row) + "\n")
+        with pytest.raises(ValueError, match=f"line 3: non-finite {name}"):
             load_imu_log(path)
 
 

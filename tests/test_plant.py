@@ -1,13 +1,22 @@
+import dataclasses
 import math
 import random
+import struct
 
 import pytest
 
 from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import ActivationSet, pendulum_invariant
 from tiltphase.deviation import gait_phase_step
-from tiltphase.estimator import AttitudeEstimator
+from tiltphase.estimator import AttitudeEstimator, ImuSample
 from tiltphase.plant import Disturbance, PlantState, SurrogatePlant
+from tiltphase.rotation import (
+    quat_conj,
+    quat_from_tilt_phase,
+    quat_mul,
+    quat_normalize,
+    quat_rotate,
+)
 
 IDLE = ActivationSet()
 DT = 0.01
@@ -169,10 +178,12 @@ class TestImuOutput:
 
 
 class ReferencePlant(SurrogatePlant):
-    """The plant with its RK4 written as plain per-stage derivative calls.
+    """The plant written plainly: per-stage RK4 derivative calls, no rest
+    skip, three disturbance scans and an IMU sample built from rotation.py
+    calls.
 
-    This is the straightforward form the inlined substep loop must match bit
-    for bit; it is only a test reference, never a second code path.
+    This is the straightforward form the inlined step must match bit for bit;
+    it is only a test reference, never a second code path.
     """
 
     def _acceleration(self, px, py, vx, vy, act, f_ext):
@@ -256,7 +267,67 @@ class ReferencePlant(SurrogatePlant):
                 st.fallen = True
                 st.vx = 0.0
                 st.vy = 0.0
-        return self._emit_imu(disturbances, t_end, dt)
+        return self._reference_imu(disturbances, t_end, dt)
+
+    def _reference_imu(self, disturbances, t_now, dt):
+        st = self.state
+        cfg = self.cfg
+        bias_x = 0.0
+        bias_y = 0.0
+        for d in disturbances:
+            if d.kind == "bias" and d.start_time <= t_now < d.start_time + d.duration:
+                bias_x += d.magnitude * math.cos(d.direction)
+                bias_y += d.magnitude * math.sin(d.direction)
+
+        q_meas = quat_from_tilt_phase((st.px + bias_x, st.py + bias_y))
+        dq = quat_normalize(quat_mul(quat_conj(self._q_meas_prev), q_meas))
+        w, x, y, z = dq
+        s = math.sqrt(x * x + y * y + z * z)
+        if s < 1e-15:
+            gyro = [0.0, 0.0, 0.0]
+        else:
+            k = 2.0 * math.atan2(s, w) / (s * dt)
+            gyro = [k * x, k * y, k * z]
+        self._q_meas_prev = q_meas
+
+        accel = list(quat_rotate(quat_conj(q_meas), (0.0, 0.0, cfg.gravity)))
+        if cfg.noise_gyro > 0.0:
+            for i in range(3):
+                gyro[i] += self.rng.gauss(0.0, cfg.noise_gyro)
+        if cfg.noise_accel > 0.0:
+            for i in range(3):
+                accel[i] += self.rng.gauss(0.0, cfg.noise_accel)
+        return ImuSample(t_now, tuple(gyro), tuple(accel))
+
+
+def _bits(value):
+    """value with every float replaced by its IEEE 754 bytes, so -0.0 != 0.0."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def assert_bit_identical(fast, ref, got, want):
+    assert _bits(got) == _bits(want)
+    assert _bits(dataclasses.astuple(fast.state)) == _bits(dataclasses.astuple(ref.state))
+    assert _bits(tuple(fast._q_meas_prev)) == _bits(tuple(ref._q_meas_prev))
+
+
+def run_pair(cfg, acts, disturbances=(), state=None, mu=0.5, seed=0):
+    """Step a plant and its reference side by side, asserting bit identity
+    after every cycle; returns the plant."""
+    fast = SurrogatePlant(cfg, seed=seed)
+    ref = ReferencePlant(cfg, seed=seed)
+    for plant in (fast, ref):
+        for name, value in (state or {}).items():
+            setattr(plant.state, name, value)
+    for k, act in enumerate(acts):
+        got = fast.step(act, mu, list(disturbances), k * DT, DT)
+        want = ref.step(act, mu, list(disturbances), k * DT, DT)
+        assert_bit_identical(fast, ref, got, want)
+    return fast
 
 
 class TestBitExactKernel:
@@ -285,6 +356,8 @@ class TestBitExactKernel:
                         magnitude=rng.uniform(0.5, 2.0), start_time=0.0, duration=0.5),
             Disturbance("impulse", direction=rng.uniform(-math.pi, math.pi),
                         magnitude=rng.uniform(0.1, 0.5), start_time=0.255),
+            Disturbance("bias", direction=rng.uniform(-math.pi, math.pi),
+                        magnitude=rng.uniform(0.01, 0.1), start_time=0.105, duration=0.2),
         ]
         mu = 0.0
         for k in range(60):
@@ -297,5 +370,74 @@ class TestBitExactKernel:
             mu = gait_phase_step(mu, act.gait_frequency, DT)
             got = fast.step(act, mu, disturbances, k * DT, DT)
             want = ref.step(act, mu, disturbances, k * DT, DT)
-            assert got == want
-            assert fast.state == ref.state
+            assert_bit_identical(fast, ref, got, want)
+
+
+_PAIR_FIELDS = (
+    "arm_tilt", "support_foot_tilt", "continuous_foot_tilt", "hip_shift",
+    "lean_tilt", "swing_out_tilt", "swing_ground_plane",
+)
+
+
+class TestRestPath:
+    """The exact rest skip against the reference loop, bit for bit."""
+
+    @pytest.mark.parametrize("names", [("px",), ("py",), ("vx",), ("vy",), ("px", "py", "vx", "vy")])
+    def test_negative_zero_state(self, names):
+        plant = run_pair(PlantConfig(), [IDLE] * 3, state=dict.fromkeys(names, -0.0))
+        st = plant.state
+        assert _bits((st.px, st.py, st.vx, st.vy)) == _bits((0.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("field", _PAIR_FIELDS)
+    @pytest.mark.parametrize("pair", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+    def test_signed_zero_activation(self, field, pair):
+        run_pair(PlantConfig(), [IDLE._replace(**{field: pair})] * 3)
+
+    @pytest.mark.parametrize("field", ["max_hip_height", "gait_frequency"])
+    @pytest.mark.parametrize("value", [0.0, -0.0])
+    def test_signed_zero_scalar_activation(self, field, value):
+        run_pair(PlantConfig(), [IDLE._replace(**{field: value})] * 3)
+
+    def test_non_finite_hip_height(self):
+        # c2 = inf turns c2 * sin(0) into nan, which the loop propagates
+        plant = run_pair(PlantConfig(), [IDLE._replace(max_hip_height=math.inf)] * 2)
+        assert math.isnan(plant.state.px)
+
+    @pytest.mark.parametrize("pivots", [
+        dict(pivot_x_left=-0.0, pivot_x_right=-0.0),
+        dict(pivot_y=-0.0),
+        dict(pivot_x_left=-0.0, pivot_x_right=-0.0, pivot_y=-0.0),
+    ])
+    def test_signed_zero_pivots(self, pivots):
+        run_pair(PlantConfig(**pivots), [IDLE] * 3)
+
+    def test_zero_magnitude_force(self):
+        force = Disturbance("force", direction=2.5, magnitude=0.0, start_time=0.0, duration=1.0)
+        run_pair(PlantConfig(), [IDLE] * 3, [force])
+
+    @pytest.mark.parametrize("pivots", [dict(pivot_x_right=0.05), dict(pivot_y=-1e-300)])
+    def test_non_zero_pivot_does_not_skip(self, pivots):
+        plant = run_pair(PlantConfig(**pivots), [IDLE] * 3)
+        assert plant.state.vx != 0.0 or plant.state.vy != 0.0
+
+    def test_impulse_in_first_rest_cycle(self):
+        push = Disturbance("impulse", direction=0.7, magnitude=0.3, start_time=0.0)
+        plant = run_pair(PlantConfig(), [IDLE] * 3, [push])
+        assert plant.state.vx != 0.0
+
+    def test_emission_signed_zeros_and_large_tilts(self):
+        # A fallen plant only emits, so its state reaches the IMU sample as
+        # set: signed zeros, subnormals (sa * px rounds to -0.0) and tilts
+        # past pi (cos(alpha / 2) < 0)
+        values = (0.0, -0.0, 5e-324, -5e-324, 0.2, -0.2, 3.5, -4.0)
+        for px in values:
+            for py in values:
+                run_pair(PlantConfig(), [IDLE] * 2, state=dict(px=px, py=py, fallen=True))
+
+    def test_fallen_plant(self):
+        bias = Disturbance("bias", direction=-1.0, magnitude=0.05, start_time=0.0, duration=1.0)
+        plant = run_pair(
+            PlantConfig(noise_gyro=0.01, noise_accel=0.05), [IDLE] * 4, [bias],
+            state=dict(px=1.6, vx=-0.0, fallen=True), seed=4,
+        )
+        assert plant.state.fallen and plant.state.px == 1.6

@@ -36,6 +36,7 @@ from tiltphase.filters import (
     soft_coerce2,
     soft_coerce_1d,
 )
+from tiltphase.rotation import quat_mul, tilt_of_quat, tilt_quat
 
 
 # tuple.__new__(ActivationSet, fields) skips the generated keyword
@@ -309,11 +310,10 @@ class TiltPhaseController:
         else:
             hy = 0.5 * pyn
             cy_, sy_ = math.cos(hy), math.sin(hy)
-            qb = _quat_from_tilt2(p_b)
-            qe = _quat_from_tilt2(p_e)
-            a = _qmul((cy_, 0.0, sy_, 0.0), (qb[0], -qb[1], -qb[2], -qb[3]))
-            q = _qmul(_qmul(a, qe), (cy_, 0.0, -sy_, 0.0))
-            p_ns = _tilt2_of_quat(q)
+            bw, bx, by, bz = tilt_quat(p_b[0], p_b[1])
+            a = quat_mul((cy_, 0.0, sy_, 0.0), (bw, -bx, -by, -bz))
+            q = quat_mul(quat_mul(a, tilt_quat(p_e[0], p_e[1])), (cy_, 0.0, -sy_, 0.0))
+            p_ns = tilt_of_quat(q)
         m = self.sp_mean.step(p_ns)
         a0, a1 = self._sp_db.semi_axes
         v0, v1 = smooth_deadband2(m[0], m[1], a0, a1)
@@ -393,38 +393,3 @@ class TiltPhaseController:
             flags,  # flags
         ))
 
-
-# -- inlined 2D tilt quaternion helpers (hot path) ---------------------------
-
-def _quat_from_tilt2(p):
-    px, py = p[0], p[1]
-    alpha = math.sqrt(px * px + py * py)
-    if alpha < 1e-300:
-        return (1.0, 0.0, 0.0, 0.0)
-    s = math.sin(0.5 * alpha) / alpha
-    return (math.cos(0.5 * alpha), s * px, s * py, 0.0)
-
-
-def _qmul(a, b):
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return (
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    )
-
-
-def _tilt2_of_quat(q):
-    w, x, y, z = q
-    s = math.sqrt(x * x + y * y)
-    if s < 1e-300:
-        return (0.0, 0.0)
-    h = math.sqrt(w * w + z * z)
-    alpha = 2.0 * math.atan2(s, h)
-    if h < 1e-12:
-        k = alpha / s
-        return (k * x, k * y)
-    k = alpha / (h * s)
-    return (k * (w * x + z * y), k * (w * y - z * x))

@@ -21,9 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from tiltphase.rotation import TiltPhase2D, wrap_pi
-
-TWO_PI = 2.0 * math.pi
+from tiltphase.rotation import TiltPhase2D, tilt_of_quat, tilt_quat, wrap_pi
 
 
 def gait_phase_step(mu: float, f_g: float, dt: float) -> float:
@@ -57,10 +55,6 @@ class ExpectedWaveform:
         )
 
 
-def expected_phase(mu: float, waveform: ExpectedWaveform) -> TiltPhase2D:
-    return waveform.evaluate(mu)
-
-
 class DeviationResult(NamedTuple):
     px: float
     py: float
@@ -82,34 +76,18 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     if p_yn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
         return DeviationResult(p_b[0], p_b[1], 0.0, 0.0, True)
 
-    # Inline quaternion arithmetic: this runs every control cycle.
     hy = 0.5 * p_yn
     cyn = math.cos(hy)
     syn = math.sin(hy)
-
-    bx, by = p_b[0], p_b[1]
-    alpha_b = math.sqrt(bx * bx + by * by)
-    if alpha_b < 1e-300:
-        qb = (1.0, 0.0, 0.0, 0.0)
-    else:
-        sb = math.sin(0.5 * alpha_b) / alpha_b
-        qb = (math.cos(0.5 * alpha_b), sb * bx, sb * by, 0.0)
-    ex, ey = p_e[0], p_e[1]
-    alpha_e = math.sqrt(ex * ex + ey * ey)
-    if alpha_e < 1e-300:
-        qe = (1.0, 0.0, 0.0, 0.0)
-    else:
-        se = math.sin(0.5 * alpha_e) / alpha_e
-        qe = (math.cos(0.5 * alpha_e), se * ex, se * ey, 0.0)
+    bw, bxq, byq, bzq = tilt_quat(p_b[0], p_b[1])
+    ew, exq, eyq, ezq = tilt_quat(p_e[0], p_e[1])
 
     # A = q_y(p_yN) * q_P(P_B)^*: multiply (cyn, 0, syn, 0) by the conjugate
-    bw, bxq, byq, bzq = qb
     a0 = cyn * bw + syn * byq
     a1 = -cyn * bxq - syn * bzq
     a2 = -cyn * byq + syn * bw
     a3 = -cyn * bzq + syn * bxq
     # B = q_P(P_E) * q_y(-p_yN): multiply qe by (cyn, 0, -syn, 0)
-    ew, exq, eyq, ezq = qe
     b0 = ew * cyn + eyq * syn
     b1 = exq * cyn + ezq * syn
     b2 = -ew * syn + eyq * cyn
@@ -146,16 +124,5 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
         residual = abs(wrap_pi(2.0 * math.atan2(qd[3], qd[0])))
 
     # P_d = P_q(q_d^*): 2D tilt phase of the conjugate
-    w, x, y, z = qd[0], -qd[1], -qd[2], -qd[3]
-    s = math.sqrt(x * x + y * y)
-    if s < 1e-300:
-        return DeviationResult(0.0, 0.0, psi_e, residual, converged)
-    h = math.sqrt(w * w + z * z)
-    alpha = 2.0 * math.atan2(s, h)
-    if h < 1e-12:
-        k = alpha / s
-        return DeviationResult(k * x, k * y, psi_e, residual, converged)
-    k = alpha / (h * s)
-    return DeviationResult(
-        k * (w * x + z * y), k * (w * y - z * x), psi_e, residual, converged
-    )
+    px, py = tilt_of_quat((qd[0], -qd[1], -qd[2], -qd[3]))
+    return DeviationResult(px, py, psi_e, residual, converged)

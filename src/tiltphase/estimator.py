@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence, Tuple
 
-from tiltphase.rotation import TiltPhase2D, quat_normalize
+from tiltphase.rotation import TiltPhase2D, quat_normalize, tilt_of_quat
 
 GRAVITY = 9.81
 
@@ -107,20 +107,8 @@ class AttitudeEstimator:
                 n = -n
             self.q = (nw / n, nx / n, ny / n, nz / n)
 
-        return self.tilt_phase()
+        return tilt_of_quat(self.q)
 
     def tilt_phase(self) -> TiltPhase2D:
         """2D tilt phase of the current estimate (fused yaw removed by construction)."""
-        w, x, y, z = self.q
-        s = math.sqrt(x * x + y * y)
-        if s < 1e-300:
-            return TiltPhase2D(0.0, 0.0)
-        h = math.sqrt(w * w + z * z)
-        alpha = 2.0 * math.atan2(s, h)
-        if h < 1e-12:
-            k = alpha / s
-            return TiltPhase2D(k * x, k * y)
-        # (alpha*cos(gamma), alpha*sin(gamma)) without trig: the direction
-        # vector (wx + zy, wy - zx) has norm h*s exactly
-        k = alpha / (h * s)
-        return TiltPhase2D(k * (w * x + z * y), k * (w * y - z * x))
+        return tilt_of_quat(self.q)

@@ -58,10 +58,17 @@ class Scenario:
             )
             for d in data.get("disturbances", [])
         ]
+        seed = data.get("seed", 0)
+        enabled = data.get("controller_enabled", True)
+        # No coercion: bool("false") is True and int(2.7) is 2
+        if type(seed) is not int:
+            raise ValueError(f"scenario seed: expected an integer, got {seed!r}")
+        if type(enabled) is not bool:
+            raise ValueError(f"scenario controller_enabled: expected a boolean, got {enabled!r}")
         return cls(
             duration=float(data.get("duration", 10.0)),
-            seed=int(data.get("seed", 0)),
-            controller_enabled=bool(data.get("controller_enabled", True)),
+            seed=seed,
+            controller_enabled=enabled,
             commands=commands,
             disturbances=disturbances,
             overrides=dict(data.get("config", {})),

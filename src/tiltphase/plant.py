@@ -76,6 +76,10 @@ class Disturbance:
     def __post_init__(self):
         if self.kind not in ("impulse", "force", "bias"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        for name in ("direction", "magnitude", "start_time", "duration"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"disturbance {name} must be finite, got {value}")
         if self.magnitude < 0.0:
             raise ValueError("disturbance magnitude must be >= 0")
 

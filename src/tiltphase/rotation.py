@@ -3,8 +3,9 @@
 Conventions
 -----------
 Quaternions are scalar-first tuples ``(w, x, y, z)`` mapping body frame to
-world frame. Every constructor and operation returns a unit quaternion in
-canonical form (``w >= 0``), so round trips are sign-free.
+world frame. ``quat_normalize``, ``axis_rotation`` and ``quat_from_tilt_phase``
+return unit quaternions in canonical form (``w >= 0``); ``quat_mul``,
+``quat_conj`` and ``tilt_quat`` neither renormalise nor canonicalise.
 
 A rotation decomposes as ``q = q_z(psi) * q_tilt`` where ``psi`` is the
 fused yaw and ``q_tilt`` is a pure tilt rotation, i.e. a rotation about an
@@ -22,12 +23,15 @@ well defined.
 
 Singularity: at ``alpha = pi`` the fused yaw is undefined; it is returned
 as 0 there, and ``gamma`` is recovered from the quaternion vector part.
+
+The per-cycle kernels ``tilt_quat`` and ``tilt_of_quat`` are the package's
+only tilt phase <-> quaternion conversions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Tuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,6 +48,10 @@ class Quat(NamedTuple):
 class TiltPhase2D(NamedTuple):
     px: float
     py: float
+
+
+_new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
+_ZERO_TILT = TiltPhase2D(0.0, 0.0)
 
 
 class TiltPhase3D(NamedTuple):
@@ -81,10 +89,11 @@ def quat_normalize(q) -> Quat:
     return Quat(w / n, x / n, y / n, z / n)
 
 
-def quat_mul(a, b) -> Quat:
+def quat_mul(a, b) -> Tuple[float, float, float, float]:
+    """Hamilton product a * b, as a plain 4-tuple (cheaper to build than a Quat)."""
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
-    return Quat(
+    return (
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
@@ -161,25 +170,49 @@ def quat_from_tilt_phase(p) -> Quat:
     return quat_normalize((cz * ca, cz * tx - sz * ty, cz * ty + sz * tx, sz * ca))
 
 
+def tilt_quat(px: float, py: float) -> Tuple[float, float, float, float]:
+    """Pure tilt quaternion of the 2D tilt phase (px, py), as a plain 4-tuple.
+
+    Neither renormalised nor canonicalised (w < 0 for alpha > pi).
+    """
+    alpha = math.sqrt(px * px + py * py)
+    if alpha < 1e-300:
+        return IDENTITY
+    s = math.sin(0.5 * alpha) / alpha
+    return (math.cos(0.5 * alpha), s * px, s * py, 0.0)
+
+
+def tilt_of_quat(q) -> TiltPhase2D:
+    """2D tilt phase (alpha*cos(gamma), alpha*sin(gamma)) of a quaternion.
+
+    No trig for gamma: the de-yawed direction (wx + zy, wy - zx) has norm
+    h*s, where h = |(w, z)| and s = |(x, y)|. At alpha = pi (h < 1e-12) the
+    direction is (x, y).
+    """
+    w, x, y, z = q
+    s = math.sqrt(x * x + y * y)
+    if s < 1e-300:
+        return _ZERO_TILT
+    h = math.sqrt(w * w + z * z)
+    alpha = 2.0 * math.atan2(s, h)
+    if h < 1e-12:
+        k = alpha / s
+        return _new_tuple(TiltPhase2D, (k * x, k * y))
+    k = alpha / (h * s)
+    return _new_tuple(TiltPhase2D, (k * (w * x + z * y), k * (w * y - z * x)))
+
+
 def tilt_phase_from_quat(q) -> TiltPhase3D:
     """3D tilt phase (alpha*cos(gamma), alpha*sin(gamma), psi) of a unit quaternion.
 
-    At alpha = pi (w = z = 0) the yaw is taken as 0 and the tilt axis angle
-    comes directly from the vector part, gamma = atan2(y, x).
+    At alpha = pi (w = z = 0) the yaw is taken as 0 and the tilt axis
+    comes directly from the vector part.
     """
-    w, x, y, z = q
-    h = math.sqrt(w * w + z * z)
-    s = math.sqrt(x * x + y * y)
-    alpha = 2.0 * math.atan2(s, h)
-    if h < 1e-12:
-        gamma = math.atan2(y, x)
-        return TiltPhase3D(alpha * math.cos(gamma), alpha * math.sin(gamma), 0.0)
-    psi = wrap_pi(2.0 * math.atan2(z, w))
-    if s < 1e-300:
-        return TiltPhase3D(0.0, 0.0, psi)
-    # De-yawed vector part: q_z(-psi) * q has vector (wx + zy, wy - zx, 0) / h
-    gamma = math.atan2(w * y - z * x, w * x + z * y)
-    return TiltPhase3D(alpha * math.cos(gamma), alpha * math.sin(gamma), psi)
+    w, _, _, z = q
+    px, py = tilt_of_quat(q)
+    if math.sqrt(w * w + z * z) < 1e-12:
+        return TiltPhase3D(px, py, 0.0)
+    return TiltPhase3D(px, py, wrap_pi(2.0 * math.atan2(z, w)))
 
 
 def remove_fused_yaw(q) -> Quat:

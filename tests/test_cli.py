@@ -37,6 +37,20 @@ class TestSimulate:
         assert rc == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"disturbances": [{"kind": "force", "magnitude": NaN, "duration": 1.0}]}', "magnitude"),
+        ('{"disturbances": [{"kind": "impulse", "start_time": Infinity}]}', "start_time"),
+        ('{"controller_enabled": "false"}', "controller_enabled"),
+        ('{"seed": 2.7}', "seed"),
+    ])
+    def test_invalid_scenario_field_rejected(self, tmp_path, capsys, text, field):
+        sc = tmp_path / "bad.json"
+        sc.write_text(text)
+        assert main(["simulate", "--scenario", str(sc), "--duration", "0.5"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert "cycles" not in captured.out
+
     def test_nonpositive_duration_rejected(self, capsys):
         for bad in ("-1", "0", "nan"):
             rc = main(["simulate", "--duration", bad])

@@ -7,7 +7,6 @@ from tiltphase.deviation import (
     DeviationResult,
     ExpectedWaveform,
     deviation_tilt,
-    expected_phase,
     gait_phase_step,
 )
 from tiltphase.rotation import (
@@ -53,18 +52,18 @@ class TestGaitPhase:
 class TestExpectedWaveform:
     def test_zero_amplitude(self):
         w = ExpectedWaveform(0.0, 0.0, 0.0, 0.0, 0.01, -0.02)
-        assert expected_phase(1.234, w) == pytest.approx((0.01, -0.02))
+        assert w.evaluate(1.234) == pytest.approx((0.01, -0.02))
 
     def test_periodicity(self):
         w = ExpectedWaveform(0.05, 0.03, 0.2, -0.7, 0.01, 0.0)
         for mu in (-3.0, -1.0, 0.0, 2.5):
-            assert expected_phase(mu, w) == pytest.approx(
-                expected_phase(mu + 2 * math.pi, w)
+            assert w.evaluate(mu) == pytest.approx(
+                w.evaluate(mu + 2 * math.pi)
             )
 
     def test_direct_evaluation(self):
         w = ExpectedWaveform(amp_x=0.05, phase_x=0.0, offset_x=0.0)
-        assert expected_phase(math.pi / 2, w).px == pytest.approx(0.05)
+        assert w.evaluate(math.pi / 2).px == pytest.approx(0.05)
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,23 @@ class TestScenario:
         assert sc.disturbances[0].kind == "impulse"
         assert sc.overrides == {"controller.i_gain": 0.0}
 
+    @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None])
+    def test_controller_enabled_must_be_boolean(self, bad):
+        # bool("false") is True
+        with pytest.raises(ValueError, match="controller_enabled: expected a boolean"):
+            Scenario.from_json(json.dumps({"controller_enabled": bad}))
+
+    @pytest.mark.parametrize("bad", [2.7, 3.0, "3", True, None])
+    def test_seed_must_be_integer(self, bad):
+        # int(2.7) is 2
+        with pytest.raises(ValueError, match="seed: expected an integer"):
+            Scenario.from_json(json.dumps({"seed": bad}))
+
+    def test_non_finite_disturbance_rejected(self):
+        text = json.dumps({"disturbances": [{"kind": "force", "magnitude": math.nan}]})
+        with pytest.raises(ValueError, match="magnitude must be finite"):
+            Scenario.from_json(text)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Scenario(duration=0.0)

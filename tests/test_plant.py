@@ -41,6 +41,13 @@ class TestDisturbanceValidation:
         with pytest.raises(ValueError):
             Disturbance("impulse", magnitude=-1.0)
 
+    @pytest.mark.parametrize("name", ["direction", "magnitude", "start_time", "duration"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field(self, name, bad):
+        # A nan force turned the plant state to nan, which never counts as fallen
+        with pytest.raises(ValueError, match=f"disturbance {name} must be finite"):
+            Disturbance("force", **{name: bad})
+
 
 class TestDynamics:
     def test_upright_rest_stays_put(self):

@@ -1,0 +1,285 @@
+"""The shared tilt phase <-> quaternion kernels against the code they replaced.
+
+The controller's ground plane, the estimator's output and the deviation
+tilt each used to carry a private copy of the conversion. The copies are
+kept below as references, and every caller of `rotation.tilt_quat` and
+`rotation.tilt_of_quat` must reproduce them bit for bit (IEEE bytes, so
+-0.0 != 0.0), including signed zeros, subnormal tilts, tilts near and past
+pi, the h < 1e-12 branch and a tilted nominal ground plane.
+"""
+
+import math
+import random
+
+import pytest
+from test_plant import _bits
+
+from tiltphase.config import ControllerConfig
+from tiltphase.controller import TiltPhaseController
+from tiltphase.deviation import DeviationResult, deviation_tilt
+from tiltphase.estimator import AttitudeEstimator
+from tiltphase.filters import smooth_deadband2, soft_coerce2
+from tiltphase.rotation import TiltPhase3D, tilt_phase_from_quat, wrap_pi
+
+# -- reference copies of the replaced conversions -----------------------------
+
+
+def ref_quat_from_tilt2(p):
+    px, py = p[0], p[1]
+    alpha = math.sqrt(px * px + py * py)
+    if alpha < 1e-300:
+        return (1.0, 0.0, 0.0, 0.0)
+    s = math.sin(0.5 * alpha) / alpha
+    return (math.cos(0.5 * alpha), s * px, s * py, 0.0)
+
+
+def ref_qmul(a, b):
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def ref_tilt2_of_quat(q):
+    """The controller's and the estimator's trig-free tail (same operations)."""
+    w, x, y, z = q
+    s = math.sqrt(x * x + y * y)
+    if s < 1e-300:
+        return (0.0, 0.0)
+    h = math.sqrt(w * w + z * z)
+    alpha = 2.0 * math.atan2(s, h)
+    if h < 1e-12:
+        k = alpha / s
+        return (k * x, k * y)
+    k = alpha / (h * s)
+    return (k * (w * x + z * y), k * (w * y - z * x))
+
+
+def ref_ground_plane_tilt(p_b, p_e, pyn):
+    """P_NS as `swing_ground_plane` computed it with its private helpers."""
+    if pyn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
+        return (-p_b[0], -p_b[1])
+    hy = 0.5 * pyn
+    cy_, sy_ = math.cos(hy), math.sin(hy)
+    qb = ref_quat_from_tilt2(p_b)
+    qe = ref_quat_from_tilt2(p_e)
+    a = ref_qmul((cy_, 0.0, sy_, 0.0), (qb[0], -qb[1], -qb[2], -qb[3]))
+    q = ref_qmul(ref_qmul(a, qe), (cy_, 0.0, -sy_, 0.0))
+    return ref_tilt2_of_quat(q)
+
+
+class ReferenceGroundPlane(TiltPhaseController):
+    """`swing_ground_plane` as it was, on its private helpers."""
+
+    def swing_ground_plane(self, p_b, p_e):
+        cfg = self.cfg
+        p_ns = ref_ground_plane_tilt(p_b, p_e, cfg.py_nominal)
+        m = self.sp_mean.step(p_ns)
+        a0, a1 = self._sp_db.semi_axes
+        v0, v1 = smooth_deadband2(m[0], m[1], a0, a1)
+        a0, a1 = self._sp_out.semi_axes
+        return soft_coerce2(cfg.sp_gain * v0, cfg.sp_gain * v1, a0, a1, cfg.sp_buffer), p_ns
+
+
+def ref_deviation_tilt(p_b, p_e, p_yn):
+    """`deviation_tilt` with its inline conversions written out."""
+    if p_yn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
+        return DeviationResult(p_b[0], p_b[1], 0.0, 0.0, True)
+    hy = 0.5 * p_yn
+    cyn = math.cos(hy)
+    syn = math.sin(hy)
+
+    bx, by = p_b[0], p_b[1]
+    alpha_b = math.sqrt(bx * bx + by * by)
+    if alpha_b < 1e-300:
+        qb = (1.0, 0.0, 0.0, 0.0)
+    else:
+        sb = math.sin(0.5 * alpha_b) / alpha_b
+        qb = (math.cos(0.5 * alpha_b), sb * bx, sb * by, 0.0)
+    ex, ey = p_e[0], p_e[1]
+    alpha_e = math.sqrt(ex * ex + ey * ey)
+    if alpha_e < 1e-300:
+        qe = (1.0, 0.0, 0.0, 0.0)
+    else:
+        se = math.sin(0.5 * alpha_e) / alpha_e
+        qe = (math.cos(0.5 * alpha_e), se * ex, se * ey, 0.0)
+
+    bw, bxq, byq, bzq = qb
+    a0 = cyn * bw + syn * byq
+    a1 = -cyn * bxq - syn * bzq
+    a2 = -cyn * byq + syn * bw
+    a3 = -cyn * bzq + syn * bxq
+    ew, exq, eyq, ezq = qe
+    b0 = ew * cyn + eyq * syn
+    b1 = exq * cyn + ezq * syn
+    b2 = -ew * syn + eyq * cyn
+    b3 = -exq * syn + ezq * cyn
+
+    z1 = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    k0, k1, k2, k3 = -a3, a2, -a1, a0
+    z2 = k0 * b3 + k1 * b2 - k2 * b1 + k3 * b0
+    converged = True
+    if z1 * z1 + z2 * z2 < 1e-28:
+        psi_e = 0.0
+        converged = False
+    else:
+        psi_e = wrap_pi(2.0 * math.atan2(-z1, z2))
+
+    hz = 0.5 * psi_e
+    cz = math.cos(hz)
+    sz = math.sin(hz)
+    c0 = cz * a0 + sz * k0
+    c1 = cz * a1 + sz * k1
+    c2 = cz * a2 + sz * k2
+    c3 = cz * a3 + sz * k3
+    qd = (
+        c0 * b0 - c1 * b1 - c2 * b2 - c3 * b3,
+        c0 * b1 + c1 * b0 + c2 * b3 - c3 * b2,
+        c0 * b2 - c1 * b3 + c2 * b0 + c3 * b1,
+        c0 * b3 + c1 * b2 - c2 * b1 + c3 * b0,
+    )
+    if qd[0] == 0.0 and qd[3] == 0.0:
+        residual = 0.0
+    else:
+        residual = abs(wrap_pi(2.0 * math.atan2(qd[3], qd[0])))
+
+    w, x, y, z = qd[0], -qd[1], -qd[2], -qd[3]
+    s = math.sqrt(x * x + y * y)
+    if s < 1e-300:
+        return DeviationResult(0.0, 0.0, psi_e, residual, converged)
+    h = math.sqrt(w * w + z * z)
+    alpha = 2.0 * math.atan2(s, h)
+    if h < 1e-12:
+        k = alpha / s
+        return DeviationResult(k * x, k * y, psi_e, residual, converged)
+    k = alpha / (h * s)
+    return DeviationResult(
+        k * (w * x + z * y), k * (w * y - z * x), psi_e, residual, converged
+    )
+
+
+def ref_tilt_phase_from_quat(q):
+    """`tilt_phase_from_quat` with gamma from atan2 and px, py from cos/sin."""
+    w, x, y, z = q
+    h = math.sqrt(w * w + z * z)
+    s = math.sqrt(x * x + y * y)
+    alpha = 2.0 * math.atan2(s, h)
+    if h < 1e-12:
+        gamma = math.atan2(y, x)
+        return TiltPhase3D(alpha * math.cos(gamma), alpha * math.sin(gamma), 0.0)
+    psi = wrap_pi(2.0 * math.atan2(z, w))
+    if s < 1e-300:
+        return TiltPhase3D(0.0, 0.0, psi)
+    gamma = math.atan2(w * y - z * x, w * x + z * y)
+    return TiltPhase3D(alpha * math.cos(gamma), alpha * math.sin(gamma), psi)
+
+
+# -- inputs ---------------------------------------------------------------------
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-300, 1e-160, -1e-160)
+
+
+def random_tilt(rng):
+    """A 2D tilt phase: signed zeros, subnormal and tiny, ordinary, near and past pi."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return (rng.choice(_SPECIAL), rng.choice(_SPECIAL))
+    if kind == 1:
+        return (rng.choice(_SPECIAL), rng.uniform(-0.4, 0.4))
+    if kind == 2:
+        return (rng.uniform(-0.4, 0.4), rng.choice(_SPECIAL))
+    if kind == 3:
+        alpha = math.pi + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15, -1)
+    else:
+        alpha = rng.uniform(0.0, 4.0)
+    gamma = rng.uniform(-math.pi, math.pi)
+    return (alpha * math.cos(gamma), alpha * math.sin(gamma))
+
+
+def random_pyn(rng):
+    return rng.choice((0.0, -0.0, 1e-310, rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)))
+
+
+def half_turn_pairs(rng):
+    """(P_B, P_E, p_yN) whose deviation is a half turn, so h ~ 0 in the tail.
+
+    Tilts about y commute with the nominal plane's y rotation, so
+    P_E - P_B = pi along y gives q_d = q_y(pi) to rounding.
+    """
+    b = rng.uniform(-1.0, 1.0)
+    pyn = random_pyn(rng)
+    yield (0.0, b), (0.0, b + math.pi), pyn
+    yield (0.0, b), (-0.0, b - math.pi), pyn
+    yield (b, 0.0), (b + math.pi, 0.0), 0.0
+    yield (b, -0.0), (b - math.pi, 0.0), -0.0
+
+
+def random_quat_special(rng):
+    """A quaternion: uniform rotation, near or at the half turn, or a near-identity."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        v = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    elif kind == 1:
+        eps = 10.0 ** rng.uniform(-17, -10)
+        v = [rng.choice((eps, -eps, 0.0, -0.0)), rng.gauss(0.0, 1.0),
+             rng.gauss(0.0, 1.0), rng.choice((eps, -eps, 0.0, -0.0))]
+    elif kind == 2:
+        v = [1.0, rng.choice(_SPECIAL), rng.choice(_SPECIAL), rng.choice(_SPECIAL)]
+    else:
+        v = [rng.choice((0.0, -0.0)), rng.gauss(0.0, 1.0), rng.choice(_SPECIAL), 0.0]
+    n = math.sqrt(sum(c * c for c in v))
+    return tuple(c / n for c in v)
+
+
+# -- tests ----------------------------------------------------------------------
+
+
+class TestBitExactTiltKernels:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_deviation_tilt(self, seed):
+        rng = random.Random(seed)
+        cases = [(random_tilt(rng), random_tilt(rng), random_pyn(rng)) for _ in range(3000)]
+        for _ in range(100):
+            cases.extend(half_turn_pairs(rng))
+        for p_b, p_e, pyn in cases:
+            got = deviation_tilt(p_b, p_e, pyn)
+            want = ref_deviation_tilt(p_b, p_e, pyn)
+            assert _bits(got) == _bits(want), (p_b, p_e, pyn)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_estimator_tilt_phase(self, seed):
+        rng = random.Random(seed)
+        est = AttitudeEstimator()
+        for _ in range(5000):
+            est.q = random_quat_special(rng)
+            assert _bits(est.tilt_phase()) == _bits(ref_tilt2_of_quat(est.q)), est.q
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    @pytest.mark.parametrize("pyn", [0.0, -0.0, 0.12, -0.2])
+    def test_swing_ground_plane(self, seed, pyn):
+        rng = random.Random(seed)
+        cfg = ControllerConfig(py_nominal=pyn)
+        ctrl = TiltPhaseController(cfg)
+        ref = ReferenceGroundPlane(cfg)
+        cases = [(random_tilt(rng), random_tilt(rng)) for _ in range(1000)]
+        cases += [(p_b, p_e) for _ in range(50) for p_b, p_e, _ in half_turn_pairs(rng)]
+        for p_b, p_e in cases:
+            got = ctrl.swing_ground_plane(p_b, p_e)
+            want = ref.swing_ground_plane(p_b, p_e)
+            assert _bits(got) == _bits(want), (p_b, p_e, pyn)
+
+
+class TestTiltPhaseFromQuat:
+    def test_within_1e14_of_trig_formula(self):
+        rng = random.Random(8)
+        for _ in range(20000):
+            q = random_quat_special(rng)
+            got = tilt_phase_from_quat(q)
+            want = ref_tilt_phase_from_quat(q)
+            assert abs(got.px - want.px) <= 1e-14, q
+            assert abs(got.py - want.py) <= 1e-14, q
+            assert _bits(got.pz) == _bits(want.pz), q

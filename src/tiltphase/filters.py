@@ -2,8 +2,10 @@
 
 All units are stateful single-owner objects with a deterministic ``step``,
 plus stateless shaping functions (elliptical soft coercion, smooth deadband,
-coerced interpolation). Vector-valued filters work on fixed-dimension
-sequences of floats; the dimension is fixed at construction.
+coerced interpolation). The controller builds only scalar and 2D shapes, so
+those are the only ones here: ellipses have two semi-axes, the bounded
+integrator is 2D, and the mean and WLBF filters are scalar or 2D, fixed at
+construction.
 
 The elliptical operations act radially: the direction of the input is
 preserved exactly and only the magnitude is reshaped against the directional
@@ -19,34 +21,28 @@ from typing import Sequence, Tuple
 
 
 class Ellipsoid:
-    """Axis-aligned ellipsoid given by strictly positive principal semi-axes."""
+    """Axis-aligned ellipse given by two strictly positive principal semi-axes."""
 
     __slots__ = ("semi_axes",)
 
     def __init__(self, semi_axes: Sequence[float]):
         axes = tuple(float(a) for a in semi_axes)
-        if not axes or any(a <= 0.0 for a in axes):
-            raise ValueError(f"ellipsoid semi-axes must be positive, got {axes}")
+        if len(axes) != 2 or any(a <= 0.0 for a in axes):
+            raise ValueError(f"ellipse needs two positive semi-axes, got {axes}")
         self.semi_axes = axes
-
-    @property
-    def dim(self) -> int:
-        return len(self.semi_axes)
 
     @property
     def min_semi_axis(self) -> float:
         return min(self.semi_axes)
 
     def radius_along(self, x: Sequence[float]) -> float:
-        """Directional radius along the (nonzero) vector x."""
-        m2 = 0.0
-        s = 0.0
-        for xi, ai in zip(x, self.semi_axes):
-            m2 += xi * xi
-            s += (xi / ai) ** 2
+        """Directional radius along the (nonzero) 2-vector x."""
+        x0, x1 = x
+        a0, a1 = self.semi_axes
+        s = (x0 / a0) ** 2 + (x1 / a1) ** 2
         if s <= 0.0:
             return self.min_semi_axis
-        return math.sqrt(m2 / s)
+        return math.sqrt((x0 * x0 + x1 * x1) / s)
 
 
 def soft_coerce_mag(m: float, r: float, b: float) -> float:
@@ -81,47 +77,28 @@ def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[
     return (k * x0, k * x1)
 
 
-def soft_coerce_ellip(x: Sequence[float], ellipsoid: Ellipsoid, b: float) -> Tuple[float, ...]:
+def soft_coerce_ellip(x: Sequence[float], ellipsoid: Ellipsoid, b: float) -> Tuple[float, float]:
     """Soft-coerce x radially to the ellipsoid, with soft buffer b.
 
     Direction preserved exactly; output magnitude stays strictly below the
     directional radius. Requires 0 < b < min semi-axis.
     """
-    if len(x) == 2:
-        a0, a1 = ellipsoid.semi_axes
-        return soft_coerce2(x[0], x[1], a0, a1, b)
-    m = math.sqrt(sum(xi * xi for xi in x))
-    if m == 0.0:
-        return tuple(0.0 for _ in x)
-    r = ellipsoid.radius_along(x)
-    s = soft_coerce_mag(m, r, b)
-    if s == m:
-        return tuple(x)
-    k = s / m
-    return tuple(k * xi for xi in x)
+    x0, x1 = x
+    return soft_coerce2(x0, x1, *ellipsoid.semi_axes, b)
 
 
-def hard_coerce_ellip(x: Sequence[float], ellipsoid: Ellipsoid) -> Tuple[float, ...]:
-    """Radially clamp x onto the ellipsoid (hard elliptical coercion)."""
-    if len(x) == 2:
-        x0, x1 = x[0], x[1]
-        m2 = x0 * x0 + x1 * x1
-        if m2 == 0.0:
-            return (0.0, 0.0)
-        a0, a1 = ellipsoid.semi_axes
-        s = (x0 / a0) ** 2 + (x1 / a1) ** 2
-        if s <= 1.0:
-            return (x0, x1)
-        k = 1.0 / math.sqrt(s)
-        return (k * x0, k * x1)
-    m = math.sqrt(sum(xi * xi for xi in x))
-    if m == 0.0:
-        return tuple(0.0 for _ in x)
-    r = ellipsoid.radius_along(x)
-    if m <= r:
-        return tuple(x)
-    k = r / m
-    return tuple(k * xi for xi in x)
+def hard_coerce_ellip(x: Sequence[float], ellipsoid: Ellipsoid) -> Tuple[float, float]:
+    """Radially clamp the 2-vector x onto the ellipse (hard elliptical coercion)."""
+    x0, x1 = x
+    m2 = x0 * x0 + x1 * x1
+    if m2 == 0.0:
+        return (0.0, 0.0)
+    a0, a1 = ellipsoid.semi_axes
+    s = (x0 / a0) ** 2 + (x1 / a1) ** 2
+    if s <= 1.0:
+        return (x0, x1)
+    k = 1.0 / math.sqrt(s)
+    return (k * x0, k * x1)
 
 
 def smooth_deadband_mag(m: float, r: float) -> float:
@@ -149,18 +126,10 @@ def smooth_deadband2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float,
     return (k * x0, k * x1)
 
 
-def smooth_deadband_ellip(x: Sequence[float], ellipsoid: Ellipsoid) -> Tuple[float, ...]:
-    """Apply smooth deadband radially along x with the directional ellipsoid radius."""
-    if len(x) == 2:
-        a0, a1 = ellipsoid.semi_axes
-        return smooth_deadband2(x[0], x[1], a0, a1)
-    m = math.sqrt(sum(xi * xi for xi in x))
-    if m == 0.0:
-        return tuple(0.0 for _ in x)
-    r = ellipsoid.radius_along(x)
-    d = smooth_deadband_mag(m, r)
-    k = d / m
-    return tuple(k * xi for xi in x)
+def smooth_deadband_ellip(x: Sequence[float], ellipsoid: Ellipsoid) -> Tuple[float, float]:
+    """Apply smooth deadband radially along the 2-vector x with the directional radius."""
+    x0, x1 = x
+    return smooth_deadband2(x0, x1, *ellipsoid.semi_axes)
 
 
 def one_sided_deadband(x: float, threshold: float, r: float) -> float:
@@ -184,17 +153,17 @@ def coerced_interp(x: float, x0: float, x1: float, y0: float, y1: float) -> floa
 
 
 class MeanFilter:
-    """Moving average of an n-dim vector over the last `order` samples.
+    """Moving average of a scalar or 2D vector over the last `order` samples.
 
     During warm-up the mean of the available samples is returned. A running
-    sum keeps the step O(dim) regardless of order.
+    sum keeps the step O(1) regardless of order.
     """
 
     __slots__ = ("dim", "order", "_buf", "_sum")
 
     def __init__(self, dim: int, order: int):
-        if dim < 1 or order < 1:
-            raise ValueError("MeanFilter needs dim >= 1 and order >= 1")
+        if dim not in (1, 2) or order < 1:
+            raise ValueError(f"MeanFilter needs dim 1 or 2 and order >= 1, got {dim}, {order}")
         self.dim = dim
         self.order = order
         self._buf = deque()
@@ -202,46 +171,35 @@ class MeanFilter:
 
     def reset(self) -> None:
         self._buf.clear()
-        for i in range(self.dim):
-            self._sum[i] = 0.0
+        self._sum = [0.0] * self.dim
 
     def step(self, x: Sequence[float]) -> Tuple[float, ...]:
         if len(x) != self.dim:
             raise ValueError(f"expected {self.dim}-dim sample, got {len(x)}")
         buf = self._buf
         s = self._sum
-        if self.dim == 2:
-            x0, x1 = float(x[0]), float(x[1])
-            buf.append((x0, x1))
+        if self.dim == 1:
+            # Scalar records; the same operation order as the 2D path.
+            x0 = float(x[0])
+            buf.append(x0)
             s[0] += x0
-            s[1] += x1
             if len(buf) > self.order:
-                o0, o1 = buf.popleft()
-                s[0] -= o0
-                s[1] -= o1
-            n = len(buf)
-            return (s[0] / n, s[1] / n)
-        xs = tuple(float(v) for v in x)
-        buf.append(xs)
-        for i, v in enumerate(xs):
-            s[i] += v
+                s[0] -= buf.popleft()
+            return (s[0] / len(buf),)
+        x0, x1 = float(x[0]), float(x[1])
+        buf.append((x0, x1))
+        s[0] += x0
+        s[1] += x1
         if len(buf) > self.order:
-            old = buf.popleft()
-            for i, v in enumerate(old):
-                s[i] -= v
+            o0, o1 = buf.popleft()
+            s[0] -= o0
+            s[1] -= o1
         n = len(buf)
-        return tuple(si / n for si in s)
-
-    @property
-    def value(self) -> Tuple[float, ...]:
-        n = len(self._buf)
-        if n == 0:
-            return (0.0,) * self.dim
-        return tuple(si / n for si in self._sum)
+        return (s[0] / n, s[1] / n)
 
 
 class WlbfFilter:
-    """Weighted line of best fit over a sliding time buffer of n-dim samples.
+    """Weighted line of best fit over a sliding time buffer of 1D or 2D samples.
 
     Performs per-dimension weighted linear least squares regression against
     time. Weights decrease linearly with sample age (newest sample heaviest)
@@ -256,8 +214,10 @@ class WlbfFilter:
     __slots__ = ("dim", "capacity", "_buf")
 
     def __init__(self, dim: int, capacity: int):
-        if dim < 1 or capacity < 1:
-            raise ValueError("WlbfFilter needs dim >= 1 and capacity >= 1")
+        if dim not in (1, 2) or capacity < 1:
+            raise ValueError(
+                f"WlbfFilter needs dim 1 or 2 and capacity >= 1, got {dim}, {capacity}"
+            )
         self.dim = dim
         self.capacity = capacity
         self._buf = deque(maxlen=capacity)
@@ -272,16 +232,13 @@ class WlbfFilter:
         buf = self._buf
         if buf and t <= buf[-1][0]:
             raise ValueError(f"non-increasing time {t} (last was {buf[-1][0]})")
-        # Records are flat (t, x0, ..., x_{dim-1}) tuples so the moment loops
+        # Records are flat (t, x0) or (t, x0, x1) tuples so the moment loops
         # below unpack them without a second indexing step.
         t0 = float(t)
-        # A generator-built tuple costs about ten times the literal one here.
         if dim == 1:
             latest = (float(x[0]),)
-        elif dim == 2:
-            latest = (float(x[0]), float(x[1]))
         else:
-            latest = tuple(float(v) for v in x)
+            latest = (float(x[0]), float(x[1]))
         buf.append((t0,) + latest)
 
         n = len(buf)
@@ -310,54 +267,31 @@ class WlbfFilter:
             xb0 = sx0 / sw
             s0 = (stx0 - tbar * sx0) / cov_tt
             return (xb0 - s0 * tbar,), (s0,), (xb0,)
-        if dim == 2:
-            w = st = stt = 0.0
-            sx0 = sx1 = stx0 = stx1 = 0.0
-            for tk, x0, x1 in buf:
-                w += 1.0
-                tau = tk - t0
-                wt = w * tau
-                st += wt
-                stt += wt * tau
-                sx0 += w * x0
-                sx1 += w * x1
-                stx0 += wt * x0
-                stx1 += wt * x1
-            tbar = st / sw
-            cov_tt = stt - tbar * st
-            if cov_tt <= 0.0:
-                return latest, (0.0, 0.0), latest
-            xb0 = sx0 / sw
-            xb1 = sx1 / sw
-            s0 = (stx0 - tbar * sx0) / cov_tt
-            s1 = (stx1 - tbar * sx1) / cov_tt
-            return (
-                (xb0 - s0 * tbar, xb1 - s1 * tbar),
-                (s0, s1),
-                (xb0, xb1),
-            )
-
         w = st = stt = 0.0
-        sx = [0.0] * dim
-        stx = [0.0] * dim
-        for rec in buf:
+        sx0 = sx1 = stx0 = stx1 = 0.0
+        for tk, x0, x1 in buf:
             w += 1.0
-            tau = rec[0] - t0
+            tau = tk - t0
             wt = w * tau
             st += wt
             stt += wt * tau
-            for i in range(dim):
-                xi = rec[i + 1]
-                sx[i] += w * xi
-                stx[i] += wt * xi
+            sx0 += w * x0
+            sx1 += w * x1
+            stx0 += wt * x0
+            stx1 += wt * x1
         tbar = st / sw
         cov_tt = stt - tbar * st
         if cov_tt <= 0.0:
-            return latest, (0.0,) * dim, latest
-        xbar = [v / sw for v in sx]
-        slope = tuple((stx[i] - tbar * sx[i]) / cov_tt for i in range(dim))
-        value = tuple(xbar[i] - slope[i] * tbar for i in range(dim))
-        return value, slope, tuple(xbar)
+            return latest, (0.0, 0.0), latest
+        xb0 = sx0 / sw
+        xb1 = sx1 / sw
+        s0 = (stx0 - tbar * sx0) / cov_tt
+        s1 = (stx1 - tbar * sx1) / cov_tt
+        return (
+            (xb0 - s0 * tbar, xb1 - s1 * tbar),
+            (s0, s1),
+            (xb0, xb1),
+        )
 
 
 class BoundedIntegrator:
@@ -377,31 +311,23 @@ class BoundedIntegrator:
             )
         self.ellipsoid = ellipsoid
         self.buffer = buffer
-        self.value = (0.0,) * ellipsoid.dim
-        self._u_prev = (0.0,) * ellipsoid.dim
+        self.reset()
 
     def reset(self) -> None:
-        self.value = (0.0,) * self.ellipsoid.dim
-        self._u_prev = (0.0,) * self.ellipsoid.dim
+        self.value = (0.0, 0.0)
+        self._u_prev = (0.0, 0.0)
 
-    def step(self, u: Sequence[float], dt: float) -> Tuple[float, ...]:
+    def step(self, u: Sequence[float], dt: float) -> Tuple[float, float]:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         up = self._u_prev
         v = self.value
-        if len(v) == 2:
-            h = 0.5 * dt
-            a0, a1 = self.ellipsoid.semi_axes
-            self._u_prev = (float(u[0]), float(u[1]))
-            self.value = soft_coerce2(
-                v[0] + h * (u[0] + up[0]), v[1] + h * (u[1] + up[1]), a0, a1, self.buffer
-            )
-            return self.value
-        y = tuple(
-            yi + 0.5 * dt * (ui + upi) for yi, ui, upi in zip(v, u, up)
+        h = 0.5 * dt
+        a0, a1 = self.ellipsoid.semi_axes
+        self._u_prev = (float(u[0]), float(u[1]))
+        self.value = soft_coerce2(
+            v[0] + h * (u[0] + up[0]), v[1] + h * (u[1] + up[1]), a0, a1, self.buffer
         )
-        self._u_prev = tuple(float(vi) for vi in u)
-        self.value = soft_coerce_ellip(y, self.ellipsoid, self.buffer)
         return self.value
 
 

@@ -37,26 +37,15 @@ class Scenario:
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         data = json.loads(text)
-        commands = [
-            (
-                float(c.get("t", 0.0)),
-                GaitCommand(
-                    float(c.get("vx", 0.0)),
-                    float(c.get("vy", 0.0)),
-                    float(c.get("wz", 0.0)),
-                ),
-            )
-            for c in data.get("commands", [])
-        ]
+        commands = []
+        for i, c in enumerate(data.get("commands", [])):
+            t, vx, vy, wz = (_json_number(c, k, f"commands[{i}].") for k in _COMMAND_KEYS)
+            commands.append((t, GaitCommand(vx, vy, wz)))
         disturbances = [
             Disturbance(
-                kind=d["kind"],
-                direction=float(d.get("direction", 0.0)),
-                magnitude=float(d.get("magnitude", 0.0)),
-                start_time=float(d.get("start_time", 0.0)),
-                duration=float(d.get("duration", 0.0)),
+                d["kind"], *(_json_number(d, k, f"disturbances[{i}].") for k in _DISTURBANCE_KEYS)
             )
-            for d in data.get("disturbances", [])
+            for i, d in enumerate(data.get("disturbances", []))
         ]
         seed = data.get("seed", 0)
         enabled = data.get("controller_enabled", True)
@@ -66,13 +55,27 @@ class Scenario:
         if type(enabled) is not bool:
             raise ValueError(f"scenario controller_enabled: expected a boolean, got {enabled!r}")
         return cls(
-            duration=float(data.get("duration", 10.0)),
+            duration=_json_number(data, "duration", "", 10.0),
             seed=seed,
             controller_enabled=enabled,
             commands=commands,
             disturbances=disturbances,
             overrides=dict(data.get("config", {})),
         )
+
+
+_COMMAND_KEYS = ("t", "vx", "vy", "wz")
+# In the order of Disturbance's fields after `kind`
+_DISTURBANCE_KEYS = ("direction", "magnitude", "start_time", "duration")
+
+
+def _json_number(obj: dict, key: str, where: str, default: float = 0.0) -> float:
+    """obj[key] (or default) as a float; it must be a JSON int or float."""
+    value = obj.get(key, default)
+    # bool is an int subclass, and float() would also take "0.5"
+    if type(value) not in (int, float):
+        raise ValueError(f"scenario {where}{key}: expected a number, got {value!r}")
+    return float(value)
 
 
 _NO_COMMAND = GaitCommand()

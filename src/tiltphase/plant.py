@@ -82,6 +82,8 @@ class Disturbance:
                 raise ValueError(f"disturbance {name} must be finite, got {value}")
         if self.magnitude < 0.0:
             raise ValueError("disturbance magnitude must be >= 0")
+        if self.duration < 0.0:
+            raise ValueError("disturbance duration must be >= 0")
 
 
 @dataclass

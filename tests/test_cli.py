@@ -42,6 +42,10 @@ class TestSimulate:
         ('{"disturbances": [{"kind": "impulse", "start_time": Infinity}]}', "start_time"),
         ('{"controller_enabled": "false"}', "controller_enabled"),
         ('{"seed": 2.7}', "seed"),
+        ('{"duration": true}', "duration"),
+        ('{"commands": [{"t": "0.5", "vx": 0.3}]}', "commands[0].t"),
+        ('{"disturbances": [{"kind": "force", "magnitude": "9.5"}]}', "magnitude"),
+        ('{"disturbances": [{"kind": "force", "magnitude": 9.5, "duration": -1.0}]}', "duration"),
     ])
     def test_invalid_scenario_field_rejected(self, tmp_path, capsys, text, field):
         sc = tmp_path / "bad.json"

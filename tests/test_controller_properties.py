@@ -1,0 +1,106 @@
+"""Property tests of the coercion bounds: scalar soft coercion, and the
+controller's outputs for any plausible IMU input.
+
+Needs Hypothesis (the `test` extra); skipped where it is not installed.
+"""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as hs  # noqa: E402
+
+from tiltphase.config import ControllerConfig  # noqa: E402
+from tiltphase.controller import GaitCommand, TiltPhaseController  # noqa: E402
+from tiltphase.estimator import ImuSample  # noqa: E402
+from tiltphase.filters import soft_coerce_1d  # noqa: E402
+
+# Same tolerance as the benchmark's trace check (perfbench/workloads.py)
+TOL = 1e-9
+
+_FINITE = hs.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    x=hs.one_of(hs.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e300, -1.7e308]), _FINITE),
+    limit=hs.floats(1e-3, 1e3),
+    frac=hs.floats(0.01, 0.99),
+)
+def test_soft_coerce_1d_strictly_inside(x, limit, frac):
+    y = soft_coerce_1d(x, limit, frac * limit)
+    assert -limit < y < limit
+
+
+def _anisotropic():
+    return ControllerConfig(
+        arm_limit_x=0.5, arm_limit_y=0.2, arm_buffer=0.05,
+        foot_limit_x=0.1, foot_limit_y=0.3, foot_buffer=0.05,
+        i_bound_x=0.4, i_bound_y=1.2,
+        so_limit_x=0.6, so_limit_y=0.1, so_buffer=0.05,
+        sp_limit_x=0.05, sp_limit_y=0.3, sp_buffer=0.02,
+    )
+
+
+_CONFIGS = {"defaults": ControllerConfig(), "anisotropic": _anisotropic()}
+
+_GYRO = hs.floats(-50.0, 50.0)
+_ACCEL = hs.floats(-30.0, 30.0)
+_CYCLE = hs.tuples(
+    hs.tuples(_GYRO, _GYRO, _GYRO),
+    hs.tuples(_ACCEL, _ACCEL, _ACCEL),
+    hs.floats(1e-4, 0.05),
+)
+
+
+def output_errors(act, cfg):
+    """Outputs of one controller step that are non-finite or outside their bounds."""
+    errors = []
+    for name, value in act._asdict().items():
+        if name == "flags":
+            continue
+        if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
+            errors.append(f"{name} not finite: {value}")
+    if errors:
+        return errors
+    ellipses = (
+        ("arm_tilt", cfg.arm_limit_x, cfg.arm_limit_y),
+        ("support_foot_tilt", cfg.foot_limit_x, cfg.foot_limit_y),
+        ("continuous_foot_tilt", cfg.i_cft_gain * cfg.i_bound_x, cfg.i_cft_gain * cfg.i_bound_y),
+        ("hip_shift", cfg.i_hip_gain * cfg.i_bound_x, cfg.i_hip_gain * cfg.i_bound_y),
+        ("swing_out_tilt", cfg.so_limit_x, cfg.so_limit_y),
+        ("swing_ground_plane", cfg.sp_limit_x, cfg.sp_limit_y),
+    )
+    for name, ax, ay in ellipses:
+        x, y = getattr(act, name)
+        ratio = (x / ax) ** 2 + (y / ay) ** 2
+        if ratio > 1.0 + TOL:
+            errors.append(f"{name} {x, y} outside its ellipse (ratio {ratio!r})")
+    lx, ly = act.lean_tilt
+    if lx != 0.0 or abs(ly) > cfg.lean_limit + TOL:
+        errors.append(f"lean_tilt {lx, ly} outside its limit")
+    if not (cfg.f_min - TOL <= act.gait_frequency <= cfg.f_max + TOL):
+        errors.append(f"gait_frequency {act.gait_frequency} outside [f_min, f_max]")
+    if not (cfg.hh_height_lo - TOL <= act.max_hip_height <= cfg.hh_height_hi + TOL):
+        errors.append(f"max_hip_height {act.max_hip_height} outside its range")
+    return errors
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    config=hs.sampled_from(sorted(_CONFIGS)),
+    cycles=hs.lists(_CYCLE, min_size=1, max_size=60),
+    cmd=hs.tuples(hs.floats(-1.0, 1.0), hs.floats(-1.0, 1.0), hs.floats(-1.0, 1.0)),
+)
+def test_controller_outputs_finite_and_bounded(config, cycles, cmd):
+    cfg = _CONFIGS[config]
+    ctrl = TiltPhaseController(cfg)
+    command = GaitCommand(*cmd)
+    t = 0.0
+    for gyro, accel, dt in cycles:
+        t += dt
+        act = ctrl.step(ImuSample(t, gyro, accel), command, dt)
+        assert output_errors(act, cfg) == []

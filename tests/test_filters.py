@@ -1,5 +1,7 @@
 import math
 import random
+import struct
+from collections import deque
 
 import numpy as np
 import pytest
@@ -18,9 +20,106 @@ from tiltphase.filters import (
     smooth_deadband2,
     smooth_deadband_1d,
     smooth_deadband_ellip,
+    smooth_deadband_mag,
     soft_coerce2,
     soft_coerce_1d,
     soft_coerce_ellip,
+    soft_coerce_mag,
+)
+
+
+# The generic n-dim paths that filters.py used to carry beside its 2D and
+# scalar paths, kept verbatim as references for the paths that replaced them.
+
+
+def generic_radius_along(x, semi_axes):
+    m2 = 0.0
+    s = 0.0
+    for xi, ai in zip(x, semi_axes):
+        m2 += xi * xi
+        s += (xi / ai) ** 2
+    if s <= 0.0:
+        return min(semi_axes)
+    return math.sqrt(m2 / s)
+
+
+def generic_soft_coerce_ellip(x, semi_axes, b):
+    m = math.sqrt(sum(xi * xi for xi in x))
+    if m == 0.0:
+        return tuple(0.0 for _ in x)
+    r = generic_radius_along(x, semi_axes)
+    s = soft_coerce_mag(m, r, b)
+    if s == m:
+        return tuple(x)
+    k = s / m
+    return tuple(k * xi for xi in x)
+
+
+def generic_smooth_deadband_ellip(x, semi_axes):
+    m = math.sqrt(sum(xi * xi for xi in x))
+    if m == 0.0:
+        return tuple(0.0 for _ in x)
+    r = generic_radius_along(x, semi_axes)
+    d = smooth_deadband_mag(m, r)
+    k = d / m
+    return tuple(k * xi for xi in x)
+
+
+class GenericMeanFilter:
+    def __init__(self, dim, order):
+        self.order = order
+        self._buf = deque()
+        self._sum = [0.0] * dim
+
+    def step(self, x):
+        buf = self._buf
+        s = self._sum
+        xs = tuple(float(v) for v in x)
+        buf.append(xs)
+        for i, v in enumerate(xs):
+            s[i] += v
+        if len(buf) > self.order:
+            old = buf.popleft()
+            for i, v in enumerate(old):
+                s[i] -= v
+        n = len(buf)
+        return tuple(si / n for si in s)
+
+
+class ReferenceIntegrator:
+    """The 2D update of BoundedIntegrator before its generic path was deleted."""
+
+    def __init__(self, semi_axes, buffer):
+        self.semi_axes = semi_axes
+        self.buffer = buffer
+        self.value = (0.0,) * 2
+        self._u_prev = (0.0,) * 2
+
+    def step(self, u, dt):
+        up = self._u_prev
+        v = self.value
+        h = 0.5 * dt
+        a0, a1 = self.semi_axes
+        self._u_prev = (float(u[0]), float(u[1]))
+        self.value = soft_coerce2(
+            v[0] + h * (u[0] + up[0]), v[1] + h * (u[1] + up[1]), a0, a1, self.buffer
+        )
+        return self.value
+
+
+def _bits(value):
+    """value with every float replaced by its IEEE 754 bytes, so -0.0 != 0.0."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+# Signed zeros, subnormal, tiny and ordinary magnitudes
+EDGE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e-160, -3e-200, 1e-12,
+    0.25, -0.7, 1.5, -3.0,
 )
 
 
@@ -46,6 +145,11 @@ class TestEllipsoid:
             Ellipsoid((1.0, -0.5))
         with pytest.raises(ValueError):
             Ellipsoid(())
+
+    @pytest.mark.parametrize("axes", [(1.0,), (1.0, 1.0, 1.0)])
+    def test_needs_exactly_two_axes(self, axes):
+        with pytest.raises(ValueError, match="two positive semi-axes"):
+            Ellipsoid(axes)
 
     def test_principal_axis_radius(self):
         e = Ellipsoid((2.0, 0.5))
@@ -77,16 +181,16 @@ class TestSoftCoerce:
         assert soft_coerce_1d(-1.0, 1.0, 0.2) == pytest.approx(-got)
 
     def test_asymptote(self):
-        e = Ellipsoid((1.0,))
         prev = 0.0
         for m in (1.0, 2.0, 3.0, 5.0):
-            (y,) = soft_coerce_ellip((m,), e, 0.2)
+            y = soft_coerce_1d(m, 1.0, 0.2)
             assert prev < y < 1.0
+            assert soft_coerce_1d(-m, 1.0, 0.2) == -y
             prev = y
-        # Far field: approaches the radius (to within rounding) without exceeding it
-        for m in (100.0, 1e6, 1e9):
-            (y,) = soft_coerce_ellip((m,), e, 0.2)
-            assert y <= 1.0
+        # Far field: approaches the limit without reaching it
+        for m in (100.0, 1e6, 1e9, 1e300):
+            y = soft_coerce_1d(m, 1.0, 0.2)
+            assert y < 1.0
             assert y == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_maps_to_zero(self):
@@ -117,19 +221,17 @@ class TestSoftCoerce:
             b = rng.uniform(0.05, 0.9 * r)
             m1 = rng.uniform(0, 5)
             m2 = m1 + rng.uniform(0, 3)
-            e = Ellipsoid((r,))
-            y1 = soft_coerce_ellip((m1,), e, b)[0]
-            y2 = soft_coerce_ellip((m2,), e, b)[0]
+            y1 = soft_coerce_1d(m1, r, b)
+            y2 = soft_coerce_1d(m2, r, b)
             assert y1 <= y2 + 1e-14
 
     def test_c1_junction(self):
         # Central finite differences across the knee m = r - b.
         r, b = 1.0, 0.2
-        e = Ellipsoid((r,))
         h = 1e-6
         for m in (r - b - 5e-7, r - b, r - b + 5e-7):
-            lo = soft_coerce_ellip((m - h,), e, b)[0]
-            hi = soft_coerce_ellip((m + h,), e, b)[0]
+            lo = soft_coerce_1d(m - h, r, b)
+            hi = soft_coerce_1d(m + h, r, b)
             d = (hi - lo) / (2 * h)
             # Slope is 1 just inside, exp(-(m-knee)/b) just outside.
             expect = 1.0 if m <= r - b else math.exp(-(m - (r - b)) / b)
@@ -140,6 +242,16 @@ class TestSoftCoerce:
         assert hard_coerce_ellip((0.2, 0.1), e) == (0.2, 0.1)
         y = hard_coerce_ellip((0.0, 2.0), e)
         assert y == pytest.approx((0.0, 0.5))
+
+    @pytest.mark.parametrize("helper", [
+        lambda x, e: soft_coerce_ellip(x, e, 0.1),
+        hard_coerce_ellip,
+        smooth_deadband_ellip,
+    ])
+    @pytest.mark.parametrize("x", [(0.5,), (0.5, 0.2, 0.1)])
+    def test_ellip_helpers_take_2_vectors_only(self, helper, x):
+        with pytest.raises(ValueError):
+            helper(x, Ellipsoid((1.0, 1.0)))
 
 
 class TestSmoothDeadband:
@@ -192,19 +304,21 @@ class TestSmoothDeadband:
 
 class TestScalar2dKernels:
     def test_match_generic_path(self):
-        # A 3D input with a zero third component takes the generic n-dim
-        # path and must reshape the first two components the same way.
+        # A 3D input with a zero third component, through the generic n-dim
+        # reference, must reshape the first two components the same way.
         rng = random.Random(17)
         for _ in range(2000):
             a0, a1 = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
             b = rng.uniform(0.01, 0.99) * min(a0, a1)
             scale = 10.0 ** rng.uniform(-3.0, 1.0)
             x0, x1 = rng.gauss(0.0, scale), rng.gauss(0.0, scale)
-            e3 = Ellipsoid((a0, a1, 1.0))
+            axes3 = (a0, a1, 1.0)
             soft = soft_coerce2(x0, x1, a0, a1, b)
-            assert soft == pytest.approx(soft_coerce_ellip((x0, x1, 0.0), e3, b)[:2], abs=1e-12)
+            want = generic_soft_coerce_ellip((x0, x1, 0.0), axes3, b)[:2]
+            assert soft == pytest.approx(want, abs=1e-12)
             db = smooth_deadband2(x0, x1, a0, a1)
-            assert db == pytest.approx(smooth_deadband_ellip((x0, x1, 0.0), e3)[:2], abs=1e-12)
+            want = generic_smooth_deadband_ellip((x0, x1, 0.0), axes3)[:2]
+            assert db == pytest.approx(want, abs=1e-12)
 
     def test_zero_vector(self):
         assert soft_coerce2(0.0, 0.0, 1.0, 2.0, 0.1) == (0.0, 0.0)
@@ -246,14 +360,21 @@ class TestMeanFilter:
 
     def test_brute_force_oracle(self):
         rng = random.Random(41)
-        f = MeanFilter(3, 7)
-        hist = []
-        for _ in range(200):
-            x = tuple(rng.uniform(-5, 5) for _ in range(3))
-            hist.append(x)
-            got = f.step(x)
-            want = np.mean(np.array(hist[-7:]), axis=0)
-            assert np.allclose(got, want, atol=1e-12)
+        for dim in (1, 2):
+            f = MeanFilter(dim, 7)
+            hist = []
+            for _ in range(200):
+                x = tuple(rng.uniform(-5, 5) for _ in range(dim))
+                hist.append(x)
+                got = f.step(x)
+                assert len(got) == dim
+                want = np.mean(np.array(hist[-7:]), axis=0)
+                assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [0, 3])
+    def test_scalar_or_2d_only(self, dim):
+        with pytest.raises(ValueError, match="dim 1 or 2"):
+            MeanFilter(dim, 3)
 
 
 class TestWlbf:
@@ -279,6 +400,11 @@ class TestWlbf:
         assert value == (7.0,)
         assert slope == (0.0,)
         assert mtv == (7.0,)
+
+    @pytest.mark.parametrize("dim", [0, 3])
+    def test_scalar_or_2d_only(self, dim):
+        with pytest.raises(ValueError, match="dim 1 or 2"):
+            WlbfFilter(dim, 4)
 
     def test_rejects_non_increasing_time(self):
         f = WlbfFilter(1, 4)
@@ -354,6 +480,54 @@ class TestBoundedIntegrator:
             y = bi.step(u, 0.01)
             r = bi.ellipsoid.radius_along(y) if math.hypot(*y) > 0 else 1.0
             assert math.hypot(*y) < r
+
+
+class TestBitExactPaths:
+    """The scalar and 2D paths against the generic code they replaced, by IEEE bytes."""
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_scalar_mean_filter(self, order):
+        rng = random.Random(order)
+        f = MeanFilter(1, order)
+        ref = GenericMeanFilter(1, order)
+        for _ in range(4 * order + 40):
+            x = (rng.choice(EDGE_VALUES) if rng.random() < 0.5 else rng.uniform(-5.0, 5.0),)
+            assert _bits(f.step(x)) == _bits(ref.step(x))
+        # After a reset the filter starts over exactly like a new one
+        f.reset()
+        ref = GenericMeanFilter(1, order)
+        for x in EDGE_VALUES:
+            assert _bits(f.step((x,))) == _bits(ref.step((x,)))
+
+    def test_radius_along(self):
+        rng = random.Random(5)
+        axes = (1e-3, 0.05, 0.3, 1.0, 2.5)
+        for _ in range(20_000):
+            a = (rng.choice(axes), rng.choice(axes))
+            x = tuple(
+                rng.choice(EDGE_VALUES) if rng.random() < 0.5 else rng.gauss(0.0, 2.0)
+                for _ in range(2)
+            )
+            got = Ellipsoid(a).radius_along(x)
+            assert _bits(got) == _bits(generic_radius_along(x, a))
+
+    @pytest.mark.parametrize("semi_axes, buffer", [((1.0, 1.0), 0.1), ((0.08, 0.12), 0.02)])
+    def test_bounded_integrator(self, semi_axes, buffer):
+        rng = random.Random(11)
+        bi = BoundedIntegrator(Ellipsoid(semi_axes), buffer)
+        ref = ReferenceIntegrator(semi_axes, buffer)
+        assert _bits(bi.value) == _bits(ref.value)
+        for k in range(5000):
+            u = tuple(
+                rng.choice(EDGE_VALUES) if rng.random() < 0.3 else rng.uniform(-50.0, 50.0)
+                for _ in range(2)
+            )
+            dt = rng.choice((0.01, 1e-3, 5e-324, 0.05))
+            assert _bits(bi.step(u, dt)) == _bits(ref.step(u, dt))
+            if k == 2500:
+                bi.reset()
+                ref = ReferenceIntegrator(semi_axes, buffer)
+        assert _bits(bi._u_prev) == _bits(ref._u_prev)
 
 
 class TestSlopeLimiter:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -55,6 +56,43 @@ class TestScenario:
         # int(2.7) is 2
         with pytest.raises(ValueError, match="seed: expected an integer"):
             Scenario.from_json(json.dumps({"seed": bad}))
+
+    @pytest.mark.parametrize("field, data", [
+        ("duration", {"duration": True}),
+        ("duration", {"duration": "4.0"}),
+        ("commands[0].t", {"commands": [{"t": "0.5"}]}),
+        ("commands[0].vx", {"commands": [{"vx": True}]}),
+        ("commands[0].vy", {"commands": [{"vy": "0.1"}]}),
+        ("commands[1].wz", {"commands": [{"t": 0.0}, {"t": 1.0, "wz": None}]}),
+        ("disturbances[0].direction", {"disturbances": [{"kind": "impulse", "direction": False}]}),
+        ("disturbances[0].magnitude", {"disturbances": [{"kind": "force", "magnitude": "9.5"}]}),
+        ("disturbances[0].start_time", {"disturbances": [{"kind": "bias", "start_time": [1]}]}),
+        ("disturbances[0].duration", {"disturbances": [{"kind": "force", "duration": True}]}),
+    ])
+    def test_number_fields_must_be_json_numbers(self, field, data):
+        # float(True) is 1.0 and float("9.5") is 9.5
+        with pytest.raises(ValueError, match=re.escape(f"scenario {field}: expected a number")):
+            Scenario.from_json(json.dumps(data))
+
+    def test_integer_numbers_accepted(self):
+        text = json.dumps({
+            "duration": 3,
+            "commands": [{"t": 0, "vx": 1}],
+            "disturbances": [{"kind": "force", "magnitude": 2, "start_time": 1, "duration": 1}],
+        })
+        sc = Scenario.from_json(text)
+        assert sc.duration == 3.0 and type(sc.duration) is float
+        assert sc.commands == [(0.0, GaitCommand(1.0, 0.0, 0.0))]
+        d = sc.disturbances[0]
+        assert (d.direction, d.magnitude, d.start_time, d.duration) == (0.0, 2.0, 1.0, 1.0)
+
+    def test_negative_disturbance_duration_rejected(self):
+        # A force with duration -1 never acted, so a 3 s run read as upright
+        text = json.dumps({"disturbances": [
+            {"kind": "force", "magnitude": 9.5, "start_time": 0.0, "duration": -1.0}
+        ]})
+        with pytest.raises(ValueError, match="disturbance duration must be >= 0"):
+            Scenario.from_json(text)
 
     def test_non_finite_disturbance_rejected(self):
         text = json.dumps({"disturbances": [{"kind": "force", "magnitude": math.nan}]})

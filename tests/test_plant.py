@@ -41,6 +41,15 @@ class TestDisturbanceValidation:
         with pytest.raises(ValueError):
             Disturbance("impulse", magnitude=-1.0)
 
+    @pytest.mark.parametrize("kind", ["impulse", "force", "bias"])
+    def test_negative_duration(self, kind):
+        # A negative window never opens: the force below would never act
+        with pytest.raises(ValueError, match="disturbance duration must be >= 0"):
+            Disturbance(kind, magnitude=9.5, duration=-1.0)
+        with pytest.raises(ValueError, match="disturbance duration must be >= 0"):
+            Disturbance(kind, duration=-5e-324)
+        assert Disturbance(kind, duration=0.0).duration == 0.0
+
     @pytest.mark.parametrize("name", ["direction", "magnitude", "start_time", "duration"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_field(self, name, bad):

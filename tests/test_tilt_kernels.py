@@ -1,11 +1,19 @@
 """The shared tilt phase <-> quaternion kernels against the code they replaced.
 
-The controller's ground plane, the estimator's output and the deviation
-tilt each used to carry a private copy of the conversion. The copies are
-kept below as references, and every caller of `rotation.tilt_quat` and
-`rotation.tilt_of_quat` must reproduce them bit for bit (IEEE bytes, so
+The controller's ground plane, the estimator's output, the deviation tilt
+and the public conversions in `rotation` each used to carry a private copy
+of the tilt or fused yaw math. The copies are kept below as references.
+Every caller of `rotation.tilt_quat`, `rotation.tilt_of_quat` and
+`rotation.fused_yaw` must reproduce them bit for bit (IEEE bytes, so
 -0.0 != 0.0), including signed zeros, subnormal tilts, tilts near and past
-pi, the h < 1e-12 branch and a tilted nominal ground plane.
+pi, the h < 1e-12 branch and a tilted nominal ground plane. The stated
+exceptions are tested as such:
+
+- `quat_from_tilt_phase` may differ in the sign of a zero component;
+- `fused_yaw` is 0 on the whole singular set 0 <= |(w, z)| < 1e-12, as
+  `tilt_phase_from_quat` always was (it used to be 0 only at w = z = 0);
+- `remove_fused_yaw` moves by rounding, and on the singular set by up to
+  |(w, z)|, which the old code dropped.
 """
 
 import math
@@ -16,10 +24,20 @@ from test_plant import _bits
 
 from tiltphase.config import ControllerConfig
 from tiltphase.controller import TiltPhaseController
-from tiltphase.deviation import DeviationResult, deviation_tilt
+from tiltphase.deviation import deviation_tilt
 from tiltphase.estimator import AttitudeEstimator
 from tiltphase.filters import smooth_deadband2, soft_coerce2
-from tiltphase.rotation import TiltPhase3D, tilt_phase_from_quat, wrap_pi
+from tiltphase.rotation import (
+    TiltPhase3D,
+    fused_angles_from_quat,
+    fused_yaw,
+    quat_from_tilt_phase,
+    quat_normalize,
+    remove_fused_yaw,
+    tilt_angles_from_quat,
+    tilt_phase_from_quat,
+    wrap_pi,
+)
 
 # -- reference copies of the replaced conversions -----------------------------
 
@@ -86,9 +104,13 @@ class ReferenceGroundPlane(TiltPhaseController):
 
 
 def ref_deviation_tilt(p_b, p_e, p_yn):
-    """`deviation_tilt` with its inline conversions written out."""
+    """`deviation_tilt` with its inline conversions written out.
+
+    Returns (px, py, psi_e, residual, converged): the old result still
+    carried the fused yaw residual of q_d.
+    """
     if p_yn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
-        return DeviationResult(p_b[0], p_b[1], 0.0, 0.0, True)
+        return (p_b[0], p_b[1], 0.0, 0.0, True)
     hy = 0.5 * p_yn
     cyn = math.cos(hy)
     syn = math.sin(hy)
@@ -150,16 +172,14 @@ def ref_deviation_tilt(p_b, p_e, p_yn):
     w, x, y, z = qd[0], -qd[1], -qd[2], -qd[3]
     s = math.sqrt(x * x + y * y)
     if s < 1e-300:
-        return DeviationResult(0.0, 0.0, psi_e, residual, converged)
+        return (0.0, 0.0, psi_e, residual, converged)
     h = math.sqrt(w * w + z * z)
     alpha = 2.0 * math.atan2(s, h)
     if h < 1e-12:
         k = alpha / s
-        return DeviationResult(k * x, k * y, psi_e, residual, converged)
+        return (k * x, k * y, psi_e, residual, converged)
     k = alpha / (h * s)
-    return DeviationResult(
-        k * (w * x + z * y), k * (w * y - z * x), psi_e, residual, converged
-    )
+    return (k * (w * x + z * y), k * (w * y - z * x), psi_e, residual, converged)
 
 
 def ref_tilt_phase_from_quat(q):
@@ -176,6 +196,53 @@ def ref_tilt_phase_from_quat(q):
         return TiltPhase3D(0.0, 0.0, psi)
     gamma = math.atan2(w * y - z * x, w * x + z * y)
     return TiltPhase3D(alpha * math.cos(gamma), alpha * math.sin(gamma), psi)
+
+
+def ref_quat_from_tilt_phase(p):
+    """`quat_from_tilt_phase` with its own alpha and half-angle math."""
+    if len(p) == 2:
+        px, py = p
+        pz = 0.0
+    else:
+        px, py, pz = p
+    alpha = math.sqrt(px * px + py * py)
+    hz = 0.5 * pz
+    cz = math.cos(hz)
+    sz = math.sin(hz)
+    if alpha < 1e-300:
+        return quat_normalize((cz, 0.0, 0.0, sz))
+    ha = 0.5 * alpha
+    ca = math.cos(ha)
+    sa = math.sin(ha) / alpha
+    tx = sa * px
+    ty = sa * py
+    return quat_normalize((cz * ca, cz * tx - sz * ty, cz * ty + sz * tx, sz * ca))
+
+
+def ref_fused_yaw(q):
+    """`fused_yaw` with the old singular set w = z = 0."""
+    w, _, _, z = q
+    if w == 0.0 and z == 0.0:
+        return 0.0
+    return wrap_pi(2.0 * math.atan2(z, w))
+
+
+def ref_tilt_phase_from_quat_kernel(q):
+    """`tilt_phase_from_quat` with its own copy of the fused yaw."""
+    w, _, _, z = q
+    px, py = ref_tilt2_of_quat(q)
+    if math.sqrt(w * w + z * z) < 1e-12:
+        return TiltPhase3D(px, py, 0.0)
+    return TiltPhase3D(px, py, wrap_pi(2.0 * math.atan2(z, w)))
+
+
+def ref_remove_fused_yaw(q):
+    """`remove_fused_yaw` with its own de-yaw math."""
+    w, x, y, z = q
+    h = math.sqrt(w * w + z * z)
+    if h < 1e-12:
+        return quat_normalize((0.0, x, y, 0.0))
+    return quat_normalize((h, (w * x + z * y) / h, (w * y - z * x) / h, 0.0))
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -235,6 +302,24 @@ def random_quat_special(rng):
     return tuple(c / n for c in v)
 
 
+def singular_quat(rng):
+    """A quaternion with 0 < |(w, z)| < 1e-12: a tilt within 2e-12 of the half turn."""
+    h = 10.0 ** rng.uniform(-300.0, -12.01)
+    psi = rng.uniform(-math.pi, math.pi)
+    gamma = rng.uniform(-math.pi, math.pi)
+    return (h * math.cos(0.5 * psi), math.cos(gamma), math.sin(gamma), h * math.sin(0.5 * psi))
+
+
+def yaw_norm(q):
+    return math.sqrt(q[0] * q[0] + q[3] * q[3])
+
+
+def assert_equal_up_to_zero_sign(got, want, msg):
+    assert got == want, msg
+    for g, w in zip(got, want):
+        assert _bits(g) == _bits(w) or g == 0.0, msg
+
+
 # -- tests ----------------------------------------------------------------------
 
 
@@ -247,8 +332,8 @@ class TestBitExactTiltKernels:
             cases.extend(half_turn_pairs(rng))
         for p_b, p_e, pyn in cases:
             got = deviation_tilt(p_b, p_e, pyn)
-            want = ref_deviation_tilt(p_b, p_e, pyn)
-            assert _bits(got) == _bits(want), (p_b, p_e, pyn)
+            px, py, psi_e, _residual, converged = ref_deviation_tilt(p_b, p_e, pyn)
+            assert _bits(got) == _bits((px, py, psi_e, converged)), (p_b, p_e, pyn)
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_estimator_tilt_phase(self, seed):
@@ -283,3 +368,66 @@ class TestTiltPhaseFromQuat:
             assert abs(got.px - want.px) <= 1e-14, q
             assert abs(got.py - want.py) <= 1e-14, q
             assert _bits(got.pz) == _bits(want.pz), q
+
+
+class TestRotationCompositions:
+    """The public conversions, now compositions of the kernels, against their old bodies."""
+
+    @pytest.mark.parametrize("seed", [9, 10])
+    def test_quat_from_tilt_phase_2d(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20000):
+            p = random_tilt(rng)
+            assert_equal_up_to_zero_sign(quat_from_tilt_phase(p), ref_quat_from_tilt_phase(p), p)
+
+    def test_quat_from_tilt_phase_3d(self):
+        rng = random.Random(11)
+        special = (0.0, -0.0, 5e-324, math.pi, -math.pi, 3.0 * math.pi)
+        for _ in range(20000):
+            pz = rng.choice(special) if rng.random() < 0.3 else rng.uniform(-10.0, 10.0)
+            p = random_tilt(rng) + (pz,)
+            assert_equal_up_to_zero_sign(quat_from_tilt_phase(p), ref_quat_from_tilt_phase(p), p)
+
+    def test_tilt_phase_from_quat_bytes(self):
+        rng = random.Random(12)
+        qs = [random_quat_special(rng) for _ in range(10000)]
+        qs += [singular_quat(rng) for _ in range(2000)]
+        for q in qs:
+            assert _bits(tilt_phase_from_quat(q)) == _bits(ref_tilt_phase_from_quat_kernel(q)), q
+
+    def test_fused_yaw_bytes_off_the_singular_set(self):
+        rng = random.Random(13)
+        qs = [random_quat_special(rng) for _ in range(10000)]
+        qs += [singular_quat(rng) for _ in range(2000)]
+        for q in qs:
+            want = 0.0 if yaw_norm(q) < 1e-12 else ref_fused_yaw(q)
+            assert _bits(fused_yaw(q)) == _bits(want), q
+
+    def test_fused_yaw_is_the_tilt_phase_yaw_on_the_singular_set(self):
+        rng = random.Random(14)
+        qs = [quat_normalize((1e-13, 0.6, 0.8, 1e-13))]
+        qs += [singular_quat(rng) for _ in range(2000)]
+        qs += [random_quat_special(rng) for _ in range(2000)]
+        for q in qs:
+            psi = fused_yaw(q)
+            assert _bits(psi) == _bits(tilt_phase_from_quat(q).pz), q
+            assert _bits(psi) == _bits(tilt_angles_from_quat(q).psi), q
+            assert _bits(psi) == _bits(fused_angles_from_quat(q).psi), q
+        assert fused_yaw(qs[0]) == 0.0
+
+    def test_remove_fused_yaw(self):
+        rng = random.Random(15)
+        qs = [random_quat_special(rng) for _ in range(10000)]
+        qs += [singular_quat(rng) for _ in range(2000)]
+        for q in qs:
+            got = remove_fused_yaw(q)
+            want = ref_remove_fused_yaw(q)
+            diff = max(abs(g - w) for g, w in zip(got, want))
+            h = yaw_norm(q)
+            if h >= 1e-12:
+                assert diff <= 1e-15, q
+            else:
+                # The old code set w to 0 on the singular set; w is now about
+                # h, whose rounding may flip the canonical sign (q ~ -q).
+                flipped = max(abs(g + w) for g, w in zip(got, want))
+                assert min(diff, flipped) <= h + 1e-15, q

@@ -103,16 +103,9 @@ def cmd_fit_waveform(args) -> int:
     px = [r["pxB"] for r in records]
     py = [r["pyB"] for r in records]
     wave, rms = fit_waveform(mu, px, py)
-    out = {
-        "wave_amp_x": wave.amp_x,
-        "wave_amp_y": wave.amp_y,
-        "wave_phase_x": wave.phase_x,
-        "wave_phase_y": wave.phase_y,
-        "wave_offset_x": wave.offset_x,
-        "wave_offset_y": wave.offset_y,
-        "residual_rms_x": rms[0],
-        "residual_rms_y": rms[1],
-    }
+    # Named as the ControllerConfig keys they feed
+    out = {f"wave_{k}": v for k, v in dataclasses.asdict(wave).items()}
+    out["residual_rms_x"], out["residual_rms_y"] = rms
     text = json.dumps(out, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

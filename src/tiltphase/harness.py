@@ -18,7 +18,7 @@ from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController
 from tiltphase.deviation import ExpectedWaveform, gait_phase_step
 from tiltphase.estimator import ImuSample
 from tiltphase.plant import Disturbance, SurrogatePlant
-from tiltphase.trace import record_values
+from tiltphase.trace import csv_rows, finite_float, record_values
 
 
 @dataclass
@@ -40,12 +40,13 @@ class Scenario:
         data = json.loads(text)
         if type(data) is not dict:
             raise ValueError(f"scenario: expected a JSON object, got {data!r:.40}")
+        _known_keys(data, _SCENARIO_KEYS, "")
         commands = []
-        for i, c in enumerate(_json_objects(data, "commands")):
+        for i, c in enumerate(_json_objects(data, "commands", _COMMAND_KEYS)):
             t, vx, vy, wz = (_json_number(c, k, f"commands[{i}].") for k in _COMMAND_KEYS)
             commands.append((t, GaitCommand(vx, vy, wz)))
         disturbances = []
-        for i, d in enumerate(_json_objects(data, "disturbances")):
+        for i, d in enumerate(_json_objects(data, "disturbances", ("kind", *_DISTURBANCE_KEYS))):
             where = f"disturbances[{i}]."
             kind = d.get("kind")
             if type(kind) is not str:
@@ -73,19 +74,28 @@ class Scenario:
         )
 
 
+_SCENARIO_KEYS = ("duration", "seed", "controller_enabled", "commands", "disturbances", "config")
 _COMMAND_KEYS = ("t", "vx", "vy", "wz")
 # In the order of Disturbance's fields after `kind`
 _DISTURBANCE_KEYS = ("direction", "magnitude", "start_time", "duration")
 
 
-def _json_objects(data: dict, key: str) -> list:
-    """data[key] (or []), checked to be a list of JSON objects."""
+def _known_keys(obj: dict, keys: Sequence[str], where: str) -> None:
+    # A misspelt key would otherwise silently take its default
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"scenario {where}{key}: unknown key")
+
+
+def _json_objects(data: dict, key: str, keys: Sequence[str]) -> list:
+    """data[key] (or []), checked to be a list of JSON objects with known keys."""
     items = data.get(key, [])
     if type(items) is not list:
         raise ValueError(f"scenario {key}: expected a list, got {items!r:.40}")
     for i, item in enumerate(items):
         if type(item) is not dict:
             raise ValueError(f"scenario {key}[{i}]: expected an object, got {item!r:.40}")
+        _known_keys(item, keys, f"{key}[{i}].")
     return items
 
 
@@ -200,24 +210,11 @@ _IMU_FIELDS = ("t", "gx", "gy", "gz", "ax", "ay", "az")
 def load_imu_log(path) -> List[ImuSample]:
     """Parse an IMU log: header then rows `t,gx,gy,gz,ax,ay,az`."""
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#") or text.startswith("t,"):
-                continue
-            parts = text.split(",")
-            if len(parts) != 7:
-                raise ValueError(f"line {lineno}: expected 7 fields, got {len(parts)}")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric field") from None
-            for name, v in zip(_IMU_FIELDS, vals):
-                if not math.isfinite(v):
-                    raise ValueError(f"line {lineno}: non-finite {name} {v}")
-            if samples and vals[0] <= samples[-1].t:
-                raise ValueError(f"line {lineno}: non-monotone timestamp {vals[0]}")
-            samples.append(ImuSample(vals[0], tuple(vals[1:4]), tuple(vals[4:7])))
+    for lineno, parts in csv_rows(path, len(_IMU_FIELDS)):
+        t, *v = (finite_float(raw, name, lineno) for name, raw in zip(_IMU_FIELDS, parts))
+        if samples and t <= samples[-1].t:
+            raise ValueError(f"line {lineno}: non-monotone timestamp {t}")
+        samples.append(ImuSample(t, tuple(v[:3]), tuple(v[3:])))
     return samples
 
 

@@ -1,80 +1,88 @@
 """Line-delimited trace records, one per controller cycle.
 
 A trace file starts with a schema header line `# tiltphase-trace v1` and a
-field-name comment, followed by comma-separated records in the fixed field
-order below. Floats are written with repr so replays are byte-reproducible.
+field-name comment, followed by comma-separated records in the field order
+below. Values are written with `str`, which for a float is its shortest
+round-tripping form, so replays are byte-reproducible.
 """
 
 from __future__ import annotations
 
-from typing import List
+import math
+from typing import Iterator, List, Tuple
 
 from tiltphase.controller import ActivationSet
 
 SCHEMA = "tiltphase-trace v1"
 
-FIELDS = (
-    "t", "mu",
-    "pxB", "pyB", "pxE", "pyE", "pxd", "pyd",
-    "pxa", "pya", "pxs", "pys", "pxc", "pyc",
-    "sx", "sy", "hmax", "pxl", "pyl", "pxo", "pyo", "pxS", "pyS", "fg",
-    "EL", "ER", "inst", "sd", "flags",
-)
+# Each traced ActivationSet field and its columns, in trace order;
+# deviation_mean is not traced
+COLUMNS = {
+    "mu": ("mu",), "body_tilt": ("pxB", "pyB"), "expected_tilt": ("pxE", "pyE"),
+    "deviation": ("pxd", "pyd"), "arm_tilt": ("pxa", "pya"),
+    "support_foot_tilt": ("pxs", "pys"), "continuous_foot_tilt": ("pxc", "pyc"),
+    "hip_shift": ("sx", "sy"), "max_hip_height": ("hmax",), "lean_tilt": ("pxl", "pyl"),
+    "swing_out_tilt": ("pxo", "pyo"), "swing_ground_plane": ("pxS", "pyS"),
+    "gait_frequency": ("fg",), "crossing_energy_left": ("EL",), "crossing_energy_right": ("ER",),
+    "instability": ("inst",), "deviation_speed": ("sd",),
+}
+FIELDS = ("t", *(c for cols in COLUMNS.values() for c in cols), "flags")
+# (ActivationSet index, number of columns); a renamed field fails here
+_LAYOUT = tuple((ActivationSet._fields.index(f), len(cols)) for f, cols in COLUMNS.items())
 
 
 def record_values(t: float, act: ActivationSet) -> tuple:
-    return (
-        t, act.mu,
-        act.body_tilt[0], act.body_tilt[1],
-        act.expected_tilt[0], act.expected_tilt[1],
-        act.deviation[0], act.deviation[1],
-        act.arm_tilt[0], act.arm_tilt[1],
-        act.support_foot_tilt[0], act.support_foot_tilt[1],
-        act.continuous_foot_tilt[0], act.continuous_foot_tilt[1],
-        act.hip_shift[0], act.hip_shift[1],
-        act.max_hip_height,
-        act.lean_tilt[0], act.lean_tilt[1],
-        act.swing_out_tilt[0], act.swing_out_tilt[1],
-        act.swing_ground_plane[0], act.swing_ground_plane[1],
-        act.gait_frequency,
-        act.crossing_energy_left, act.crossing_energy_right,
-        act.instability, act.deviation_speed,
-        "|".join(act.flags),
-    )
+    row = [t]
+    for i, width in _LAYOUT:
+        if width == 1:
+            row.append(act[i])
+        else:
+            row.extend(act[i])
+    row.append("|".join(act.flags))
+    return tuple(row)
 
 
 def format_record(values: tuple) -> str:
-    parts = []
-    for v in values:
-        parts.append(repr(v) if isinstance(v, float) else str(v))
-    return ",".join(parts)
+    return ",".join(map(str, values))
 
 
 def write_trace(path, records: List[tuple], csv: bool = False) -> None:
+    header = ",".join(FIELDS) if csv else f"# {SCHEMA}\n# " + ",".join(FIELDS)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if csv:
-            fh.write(",".join(FIELDS) + "\n")
-        else:
-            fh.write(f"# {SCHEMA}\n")
-            fh.write("# " + ",".join(FIELDS) + "\n")
+        fh.write(header + "\n")
         for rec in records:
             fh.write(format_record(rec) + "\n")
 
 
-def read_trace(path) -> List[dict]:
-    out = []
+def csv_rows(path, n_fields: int) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, fields) of each row; blank, `#` and `t,...` header lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("t,"):
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("#") or text.startswith("t,"):
                 continue
-            parts = line.split(",")
-            if len(parts) != len(FIELDS):
-                raise ValueError(
-                    f"malformed trace record: {len(parts)} fields, expected {len(FIELDS)}"
-                )
-            rec = {}
-            for name, raw in zip(FIELDS, parts):
-                rec[name] = raw if name == "flags" else float(raw)
-            out.append(rec)
+            parts = text.split(",")
+            if len(parts) != n_fields:
+                raise ValueError(f"line {lineno}: malformed row: {len(parts)} fields, not {n_fields}")
+            yield lineno, parts
+
+
+def finite_float(raw: str, name: str, lineno: int) -> float:
+    """Field `name` of line `lineno` as a finite float."""
+    try:
+        v = float(raw)
+    except ValueError:
+        raise ValueError(f"line {lineno}: non-numeric {name} {raw!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"line {lineno}: non-finite {name} {v}")
+    return v
+
+
+def read_trace(path) -> List[dict]:
+    """Trace records as dicts keyed by FIELDS; flags stays a string."""
+    out = []
+    for lineno, parts in csv_rows(path, len(FIELDS)):
+        rec = {name: finite_float(raw, name, lineno) for name, raw in zip(FIELDS[:-1], parts)}
+        rec["flags"] = parts[-1]
+        out.append(rec)
     return out

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tiltphase.cli import EXIT_FALLEN, EXIT_INPUT, EXIT_OK, main
+from tiltphase.config import ControllerConfig
 
 
 class TestSimulate:
@@ -70,6 +71,21 @@ class TestSimulate:
         assert field in captured.err
         assert "cycles" not in captured.out
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"disturbance": [{"kind": "impulse", "magnitude": 9.0, "start_time": 0.2}]}',
+         "disturbance"),
+        ('{"disturbances": [{"kind": "impulse", "magnitude": 9.0, "start": 0.2}]}',
+         "disturbances[0].start"),
+        ('{"commands": [{"t": 0, "vz": 0.3}]}', "commands[0].vz"),
+    ])
+    def test_unknown_scenario_key_rejected(self, tmp_path, capsys, text, key):
+        sc = tmp_path / "typo.json"
+        sc.write_text(text)
+        assert main(["simulate", "--scenario", str(sc), "--duration", "0.5"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: scenario {key}: unknown key")
+        assert "cycles" not in captured.out
+
     def test_nonpositive_duration_rejected(self, capsys):
         for bad in ("-1", "0", "nan"):
             rc = main(["simulate", "--duration", bad])
@@ -132,9 +148,32 @@ class TestFitWaveform:
         assert rc == EXIT_OK
         data = json.loads(out.read_text())
         assert set(data) >= {"wave_amp_x", "wave_phase_x", "residual_rms_x"}
+        wave = {k: v for k, v in data.items() if k.startswith("wave_")}
+        assert len(wave) == 6
+        ControllerConfig(**wave)  # the fitted keys are controller config keys
 
     def test_missing_trace(self):
         assert main(["fit-waveform", "/no/such/trace"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("column, bad, message", [
+        (None, None, "line 5: malformed"),
+        (2, "x", "line 5: non-numeric pxB"),
+        (27, "nan", "line 5: non-finite sd"),
+    ])
+    def test_bad_trace_names_the_line(self, tmp_path, capsys, column, bad, message):
+        trace = tmp_path / "run.trace"
+        assert main(["simulate", "--duration", "0.5", "--out", str(trace)]) == EXIT_OK
+        lines = trace.read_text().splitlines()
+        row = lines[4].split(",")
+        if column is None:
+            row.pop()
+        else:
+            row[column] = bad
+        lines[4] = ",".join(row)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fit-waveform", str(trace)]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -1,18 +1,21 @@
-"""SHA-256 of the trace bytes of two fixed closed-loop runs.
+"""SHA-256 of the trace bytes of two fixed closed-loop runs and one replay.
 
-The digests were recorded before the tilt phase and fused yaw math moved
-onto the shared `rotation` kernels, and any change that moves a single
-trace byte fails here. A change that is meant to move traces must say so
-and record the new digests.
+The closed-loop digests were recorded before the tilt phase and fused yaw
+math moved onto the shared `rotation` kernels, and the replay digests
+before the trace columns and the row reader were declared once; any change
+that moves a single trace byte fails here. A change that is meant to move
+traces must say so and record the new digests.
 """
 
 import hashlib
+import math
+import random
 
 import pytest
 
 from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import GaitCommand
-from tiltphase.harness import Scenario, run_closed_loop
+from tiltphase.harness import Scenario, load_imu_log, run_closed_loop, run_replay
 from tiltphase.plant import Disturbance
 from tiltphase.trace import write_trace
 
@@ -54,4 +57,48 @@ def test_trace_digest(tmp_path, make_run, n_records, digest):
     assert len(result.records) == n_records
     path = tmp_path / "run.trace"
     write_trace(path, result.records)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def noisy_imu_log(path, n=400, seed=5):
+    """A walking-like IMU log with sensor noise and accelerometer spikes that
+    the estimator's gate rejects, written as CSV with a header line."""
+    rng = random.Random(seed)
+    lines = ["t,gx,gy,gz,ax,ay,az"]
+    for k in range(1, n + 1):
+        t = 0.01 * k
+        phase = 2.0 * math.pi * 1.8 * t
+        px, py = 0.03 * math.sin(phase + 0.4), 0.02 * math.sin(phase)
+        gyro = [
+            0.34 * math.cos(phase + 0.4) + rng.gauss(0.0, 0.01),
+            0.23 * math.cos(phase) + rng.gauss(0.0, 0.01),
+            rng.gauss(0.0, 0.005),
+        ]
+        accel = [
+            9.81 * math.sin(py) + rng.gauss(0.0, 0.05),
+            -9.81 * math.sin(px) + rng.gauss(0.0, 0.05),
+            9.81 * math.cos(px) * math.cos(py) + rng.gauss(0.0, 0.05),
+        ]
+        if k % 37 == 0:
+            accel = [a * 2.2 for a in accel]
+        lines.append(",".join(repr(v) for v in (t, *gyro, *accel)))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("csv, digest", [
+    (False, "ba099a31d04d3b03cbc9cb44dde99ba4c5a3dc0a450a6d09871bc17ad668d914"),
+    (True, "61662ca6a7584292a3dc428cb6de4abb29d490074cf978b9abab25358ae5b07d"),
+])
+def test_replay_trace_digest(tmp_path, csv, digest):
+    """A fitted-like waveform and a constant command over a noisy log: the
+    estimator's gate, the full deviation path and both `write_trace` modes."""
+    log = tmp_path / "imu.csv"
+    noisy_imu_log(log)
+    cfg = ControllerConfig(
+        wave_amp_x=0.03, wave_amp_y=0.02, wave_phase_x=0.4, wave_offset_y=-0.002
+    )
+    records = run_replay(cfg, load_imu_log(log), [(0.0, GaitCommand(0.25, 0.0, 0.1))])
+    assert len(records) == 400
+    path = tmp_path / "run.trace"
+    write_trace(path, records, csv=csv)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

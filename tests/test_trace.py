@@ -1,9 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
-from tiltphase.controller import ActivationSet
+from tiltphase.config import ControllerConfig
+from tiltphase.controller import ActivationSet, GaitCommand
+from tiltphase.estimator import ImuSample
+from tiltphase.harness import run_replay
 from tiltphase.trace import (
+    COLUMNS,
     FIELDS,
     format_record,
     read_trace,
@@ -24,6 +29,43 @@ def sample_records(n=5):
         )
         records.append(record_values(0.01 * (k + 1), act))
     return records
+
+
+# The v1 column list, copied literally: reordering ActivationSet or the
+# column table must not silently move a column
+V1_FIELDS = (
+    "t", "mu",
+    "pxB", "pyB", "pxE", "pyE", "pxd", "pyd",
+    "pxa", "pya", "pxs", "pys", "pxc", "pyc",
+    "sx", "sy", "hmax", "pxl", "pyl", "pxo", "pyo", "pxS", "pyS", "fg",
+    "EL", "ER", "inst", "sd", "flags",
+)
+
+
+class TestSchema:
+    def test_v1_columns_pinned(self):
+        assert FIELDS == V1_FIELDS
+
+    def test_every_field_but_deviation_mean_is_traced(self):
+        assert set(COLUMNS) | {"flags"} == set(ActivationSet._fields) - {"deviation_mean"}
+
+    def test_column_count_matches_field_shape(self):
+        for name, cols in COLUMNS.items():
+            default = ActivationSet._field_defaults[name]
+            assert len(cols) == (len(default) if isinstance(default, tuple) else 1), name
+
+    def test_columns_follow_their_fields(self):
+        act = ActivationSet(
+            **{name: tuple(float(k + j) for j in range(len(cols))) if len(cols) > 1
+               else float(k) for k, (name, cols) in enumerate(COLUMNS.items())},
+            flags=("a", "b"),
+        )
+        row = dict(zip(FIELDS, record_values(-1.0, act)))
+        assert row.pop("t") == -1.0
+        assert row.pop("flags") == "a|b"
+        for name, cols in COLUMNS.items():
+            value = getattr(act, name)
+            assert tuple(row[c] for c in cols) == (value if len(cols) > 1 else (value,))
 
 
 class TestRecordValues:
@@ -69,3 +111,39 @@ class TestRoundTrip:
         path.write_text("# tiltphase-trace v1\n1.0,2.0,3.0\n")
         with pytest.raises(ValueError, match="malformed"):
             read_trace(path)
+
+    @pytest.mark.parametrize("column, bad, message", [
+        (None, None, "line 4: malformed"),
+        (2, "x", "line 4: non-numeric pxB 'x'"),
+        (27, "nan", "line 4: non-finite sd"),
+        (1, "inf", "line 4: non-finite mu"),
+        (0, "-inf", "line 4: non-finite t"),
+    ])
+    def test_bad_row_names_line_and_column(self, tmp_path, column, bad, message):
+        path = tmp_path / "bad.trace"
+        write_trace(path, sample_records())
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        if column is None:
+            row.pop()
+        else:
+            row[column] = bad
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_trace(path)
+
+
+def test_numpy_float_replay_round_trips(tmp_path):
+    """np.float64 inputs reach the trace as plain decimals and read back exactly."""
+    f = np.float64
+    samples = [
+        ImuSample(f(0.01 * k), (f(0.01), f(-0.02 * k), f(0.0)), (f(0.1), f(0.0), f(9.81)))
+        for k in range(1, 30)
+    ]
+    records = run_replay(ControllerConfig(), samples, [(0.0, GaitCommand(0.2))])
+    path = tmp_path / "np.trace"
+    write_trace(path, records)
+    assert "np.float64" not in path.read_text()
+    back = read_trace(path)
+    assert [tuple(row.values()) for row in back] == records

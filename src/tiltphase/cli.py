@@ -30,6 +30,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FALLEN = 2
 
+# Largest impulse `pushtest --threshold` tries
+THRESHOLD_HI = 4.0
+
 
 def _load_configs(args):
     if getattr(args, "config", None):
@@ -89,9 +92,12 @@ def cmd_pushtest(args) -> int:
         for impulse, withstood in rows:
             print(f"controller={label} impulse={impulse:g} withstood={withstood}/{args.pushes}")
     if args.threshold:
-        th_on = push_threshold(ctrl, plant, True, seed=args.seed)
-        th_off = push_threshold(ctrl, plant, False, seed=args.seed)
-        print(f"threshold: on={th_on:.4f} off={th_off:.4f}")
+        shown = []
+        for enabled, label in ((True, "on"), (False, "off")):
+            th = push_threshold(ctrl, plant, enabled, hi=THRESHOLD_HI, seed=args.seed)
+            # push_threshold returns hi itself when the push at hi is withstood
+            shown.append(f"{label}{'>=' if th == THRESHOLD_HI else '='}{th:.4f}")
+        print("threshold: " + " ".join(shown))
     return EXIT_OK
 
 

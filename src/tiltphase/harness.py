@@ -11,8 +11,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from tiltphase.config import ControllerConfig, PlantConfig, apply_overrides
 from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController
 from tiltphase.deviation import ExpectedWaveform, gait_phase_step
@@ -301,8 +299,12 @@ def push_threshold(
 def fit_waveform(mu: Sequence[float], px: Sequence[float], py: Sequence[float]):
     """Least-squares fit of a*sin(mu + phi0) + c per axis.
 
-    Returns (ExpectedWaveform, residual RMS per axis).
+    Returns (ExpectedWaveform, residual RMS per axis). numpy is imported
+    here, not at module level: nothing else in the package uses it, and it
+    is most of the import time of `tiltphase.cli`.
     """
+    import numpy as np
+
     mu = np.asarray(mu, dtype=float)
     if mu.size < 10:
         raise ValueError("need at least 10 samples to fit the waveform")

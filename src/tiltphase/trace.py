@@ -70,6 +70,8 @@ def csv_rows(path, n_fields: int) -> Iterator[Tuple[int, List[str]]]:
 def finite_float(raw: str, name: str, lineno: int) -> float:
     """Field `name` of line `lineno` as a finite float."""
     try:
+        if "_" in raw:  # float() reads digit-group underscores: "1_0" is 10.0
+            raise ValueError
         v = float(raw)
     except ValueError:
         raise ValueError(f"line {lineno}: non-numeric {name} {raw!r}") from None

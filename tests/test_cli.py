@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tiltphase.cli import EXIT_FALLEN, EXIT_INPUT, EXIT_OK, main
+from tiltphase.cli import EXIT_FALLEN, EXIT_INPUT, EXIT_OK, THRESHOLD_HI, main
 from tiltphase.config import ControllerConfig
 
 
@@ -127,6 +131,14 @@ class TestReplay:
         assert main(["replay", str(log)]) == EXIT_INPUT
         assert "line 3: non-finite" in capsys.readouterr().err
 
+    def test_digit_group_underscore_rejected(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("t,gx,gy,gz,ax,ay,az\n0.0_1,0,0,0,0,0,9.81\n0.02,0,0,0,0,0,9.81\n")
+        assert main(["replay", str(log)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "line 2: non-numeric t '0.0_1'" in captured.err
+        assert "cycles" not in captured.out
+
 
 class TestPushtest:
     def test_small_battery(self, capsys):
@@ -134,6 +146,15 @@ class TestPushtest:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "controller=on impulse=0.2 withstood=2/2" in out
+
+    def test_threshold_capped_at_hi_is_shown_as_bound(self, capsys):
+        rc = main(["pushtest", "--impulses", "0.2", "--pushes", "1", "--controller", "on",
+                   "--threshold"])
+        assert rc == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[-1]
+        # The controller withstands the largest push tried; the open loop does not
+        assert line.startswith(f"threshold: on>={THRESHOLD_HI:.4f} off=")
+        assert float(line.rsplit("=", 1)[1]) < THRESHOLD_HI
 
     def test_no_levels_rejected(self, capsys):
         assert main(["pushtest", "--impulses", " "]) == EXIT_INPUT
@@ -194,3 +215,27 @@ class TestTopLevel:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == EXIT_INPUT
         assert "usage:" in capsys.readouterr().out
+
+
+COLD_START = """
+import contextlib, io, sys
+import tiltphase, tiltphase.cli, tiltphase.harness
+from tiltphase.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["--dump-config"]) == 0
+    assert main(["simulate", "--duration", "0.1"]) == 0
+print("numpy" in sys.modules)
+tiltphase.harness.fit_waveform([0.5 * k for k in range(12)], [0.0] * 12, [0.0] * 12)
+print("numpy" in sys.modules)
+"""
+
+
+def test_numpy_loaded_only_by_fit_waveform():
+    """In a fresh interpreter the CLI, config and closed loop load no numpy;
+    fit_waveform, its only user, imports it when called."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out[0] == "False", "numpy imported before fit_waveform"
+    assert out[1] == "True"

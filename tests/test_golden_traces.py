@@ -1,23 +1,49 @@
-"""SHA-256 of the trace bytes of two fixed closed-loop runs and one replay.
+"""SHA-256 of the trace bytes of two fixed closed-loop runs and one replay,
+and the exact outputs of `fit_waveform` and of a push battery.
 
 The closed-loop digests were recorded before the tilt phase and fused yaw
-math moved onto the shared `rotation` kernels, and the replay digests
-before the trace columns and the row reader were declared once; any change
-that moves a single trace byte fails here. A change that is meant to move
-traces must say so and record the new digests.
+math moved onto the shared `rotation` kernels, the replay digests before
+the trace columns and the row reader were declared once, and the
+`fit_waveform` and push battery goldens before numpy moved inside
+`fit_waveform`; any change that moves a single trace byte fails here. A
+change that is meant to move traces must say so and record the new digests.
 """
 
+import dataclasses
 import hashlib
+import json
 import math
 import random
 
 import pytest
 
+from tiltphase import harness
+from tiltphase.cli import EXIT_OK, main
 from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import GaitCommand
-from tiltphase.harness import Scenario, load_imu_log, run_closed_loop, run_replay
+from tiltphase.harness import (
+    Scenario,
+    fit_waveform,
+    load_imu_log,
+    push_battery,
+    run_closed_loop,
+    run_replay,
+)
 from tiltphase.plant import Disturbance
-from tiltphase.trace import write_trace
+from tiltphase.trace import format_record, write_trace
+
+FIT_WAVEFORM_HEX = [
+    "0x1.ed23e3d8669f9p-6", "0x1.43f999b2fec5ep-6", "0x1.9494d5ab7607dp-2",
+    "-0x1.1b503f6160554p+0", "0x1.0508c931fa784p-8", "-0x1.ba0c894aeda1cp-11",
+    "0x1.0877c0f4be591p-9", "0x1.0a79dd48ddfbcp-9",
+]
+FIT_WAVEFORM_CLI_SHA256 = "dc5dfa26ff0b47d4b8ad3a270824c3adb44b193531686fafd08a27ac469ea90c"
+PUSH_BATTERY_GOLDEN = [
+    (True, [(1.0, 1), (1.5, 1), (7.0, 1)],
+     "85508b4d9968ae311f1bf38396fb6e97e2a46d6711b220f5225822738873d047"),
+    (False, [(1.0, 1), (1.5, 0), (7.0, 0)],
+     "05f013fe77741db6bdc6b4853e33784f84c3a8034e9f2c28b04adc497e08f271"),
+]
 
 
 def default_loop_with_impulse():
@@ -102,3 +128,57 @@ def test_replay_trace_digest(tmp_path, csv, digest):
     path = tmp_path / "run.trace"
     write_trace(path, records, csv=csv)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def noisy_tilt_waveform(n=300, seed=9):
+    """Gait phase and body tilt: a sinusoid with offset per axis plus seeded noise."""
+    rng = random.Random(seed)
+    mu = [(0.113 * k) % (2.0 * math.pi) - math.pi for k in range(n)]
+    px = [0.03 * math.sin(m + 0.4) + 0.004 + rng.gauss(0.0, 0.002) for m in mu]
+    py = [0.02 * math.sin(m - 1.1) - 0.001 + rng.gauss(0.0, 0.002) for m in mu]
+    return mu, px, py
+
+
+def test_fit_waveform_bits():
+    wave, rms = fit_waveform(*noisy_tilt_waveform())
+    values = (*dataclasses.astuple(wave), *rms)
+    assert [float.hex(v) for v in values] == FIT_WAVEFORM_HEX
+
+
+def test_fit_waveform_cli_digest(tmp_path, capsys):
+    """`fit-waveform` on the trace of a walking, turning, pushed `simulate` run."""
+    scenario = {
+        "duration": 3.0,
+        "seed": 4,
+        "commands": [{"t": 0.0, "vx": 0.2, "wz": 0.1}],
+        "disturbances": [
+            {"kind": "impulse", "direction": 0.7, "magnitude": 1.0, "start_time": 1.0}
+        ],
+    }
+    sc, trace, out = tmp_path / "walk.json", tmp_path / "run.trace", tmp_path / "wave.json"
+    sc.write_text(json.dumps(scenario))
+    assert main(["simulate", "--scenario", str(sc), "--out", str(trace)]) == EXIT_OK
+    assert main(["fit-waveform", str(trace), "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIT_WAVEFORM_CLI_SHA256
+
+
+@pytest.mark.parametrize("enabled, withstood, digest", PUSH_BATTERY_GOLDEN)
+def test_push_battery_digest(monkeypatch, enabled, withstood, digest):
+    """Ladder (1.0, 1.5, 7.0), one push per level, seed 5: the push trial path,
+    the rest skip and, with the controller off, the open loop."""
+    h = hashlib.sha256()
+    run = harness.run_closed_loop
+
+    def recording_run(*args, **kwargs):
+        result = run(*args, **kwargs)
+        for rec in result.records:
+            h.update((format_record(rec) + "\n").encode())
+        h.update(b"--\n")
+        return result
+
+    monkeypatch.setattr(harness, "run_closed_loop", recording_run)
+    results = push_battery(
+        ControllerConfig(), PlantConfig(), (1.0, 1.5, 7.0), 1, seed=5, controller_enabled=enabled
+    )
+    assert results == withstood
+    assert h.hexdigest() == digest

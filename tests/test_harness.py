@@ -205,6 +205,17 @@ class TestReplay:
         with pytest.raises(ValueError, match="line 2: non-monotone"):
             load_imu_log(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("0.0_1,0,0,0,0,0,9.81", "line 2: non-numeric t '0.0_1'"),
+        ("0.01,0,0,0,0,0,9_8.1", "line 2: non-numeric az '9_8.1'"),
+    ])
+    def test_load_imu_log_rejects_digit_group_underscores(self, tmp_path, row, message):
+        # float() would read "0.0_1" as 0.01
+        path = tmp_path / "log.csv"
+        path.write_text("t,gx,gy,gz,ax,ay,az\n" + row + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_imu_log(path)
+
     @pytest.mark.parametrize("column, name", [(0, "t"), (2, "gy"), (6, "az")])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_load_imu_log_rejects_non_finite(self, tmp_path, column, name, bad):

@@ -118,6 +118,8 @@ class TestRoundTrip:
         (27, "nan", "line 4: non-finite sd"),
         (1, "inf", "line 4: non-finite mu"),
         (0, "-inf", "line 4: non-finite t"),
+        (2, "1_0", "line 4: non-numeric pxB '1_0'"),
+        (0, "0.0_2", "line 4: non-numeric t '0.0_2'"),
     ])
     def test_bad_row_names_line_and_column(self, tmp_path, column, bad, message):
         path = tmp_path / "bad.trace"

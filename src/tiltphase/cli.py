@@ -11,6 +11,7 @@ from tiltphase.config import (
     ConfigError,
     ControllerConfig,
     PlantConfig,
+    coerce,
     dump_config,
     load_config,
 )
@@ -80,7 +81,7 @@ def cmd_replay(args) -> int:
 
 def cmd_pushtest(args) -> int:
     ctrl, plant = _load_configs(args)
-    impulses = [float(s) for s in args.impulses.split(",") if s.strip()]
+    impulses = [coerce(float, s, "--impulses") for s in args.impulses.split(",") if s.strip()]
     if not impulses:
         raise ValueError("no impulse levels given")
     for enabled, label in ((True, "on"), (False, "off")):

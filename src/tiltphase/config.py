@@ -242,8 +242,9 @@ _FIELD_TYPES = {
 }
 
 
-def _coerce(field_type, value, key: str):
-    """Convert a config-file string or a scenario JSON value to field_type.
+def coerce(field_type, value, key: str):
+    """Convert a config-file string, a scenario JSON value or a CLI flag value
+    to field_type (bool, int or float); `key` names it in the error.
 
     Non-string values go through their text form, so `false` and `2.7` are
     judged exactly as they would be in a config file.
@@ -255,15 +256,13 @@ def _coerce(field_type, value, key: str):
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if field_type is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+    kind = "an integer" if field_type is int else "a number"
     try:
-        return float(raw)
+        if "_" in raw:  # int() and float() read digit-group underscores: "1_0" is 10
+            raise ValueError
+        return field_type(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from None
 
 
 def parse_config_lines(lines) -> Tuple[ControllerConfig, PlantConfig]:
@@ -282,7 +281,7 @@ def parse_config_lines(lines) -> Tuple[ControllerConfig, PlantConfig]:
             raise ConfigError(f"line {lineno}: unknown section {prefix!r}")
         if name not in _FIELD_TYPES[prefix]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[prefix][name] = _coerce(_FIELD_TYPES[prefix][name], raw, key)
+        values[prefix][name] = coerce(_FIELD_TYPES[prefix][name], raw, f"line {lineno}: {key}")
     ctrl = ControllerConfig(**values["controller"])
     plant = PlantConfig(**values["plant"])
     ctrl.validate()
@@ -305,7 +304,7 @@ def apply_overrides(ctrl: ControllerConfig, plant: PlantConfig, overrides: Dict[
         if name not in types:
             raise ConfigError(f"unknown override key {key!r}")
         cfg = ctrl if prefix == "controller" else plant
-        setattr(cfg, name, _coerce(types[name], value, key))
+        setattr(cfg, name, coerce(types[name], value, key))
     ctrl.validate()
     plant.validate()
     return ctrl, plant

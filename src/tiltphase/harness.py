@@ -133,6 +133,10 @@ def _command_at(
     return commands[i - 1][1] if i else _NO_COMMAND
 
 
+_new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
+_MU = ActivationSet._fields.index("mu")
+
+
 @dataclass
 class RunResult:
     records: List[tuple]
@@ -159,7 +163,12 @@ def run_closed_loop(
 
     n = int(round(scenario.duration / dt))
     records: List[tuple] = []
-    imu = plant.step(ActivationSet(gait_frequency=ctrl_cfg.f_nom), 0.0, scenario.disturbances, 0.0, dt)
+    idle = ActivationSet(gait_frequency=ctrl_cfg.f_nom)
+    # The controller-off output is `idle` with mu replaced, built each cycle
+    # with tuple.__new__ from the fields around mu
+    idle_head = idle[:_MU]
+    idle_tail = idle[_MU + 1:]
+    imu = plant.step(idle, 0.0, scenario.disturbances, 0.0, dt)
     mu_open = 0.0
     for k in range(1, n + 1):
         t = k * dt
@@ -168,7 +177,7 @@ def run_closed_loop(
             act = controller.step(imu, cmd, dt)
             mu = controller.mu
         else:
-            act = ActivationSet(gait_frequency=ctrl_cfg.f_nom, mu=mu_open)
+            act = _new_tuple(ActivationSet, idle_head + (mu_open,) + idle_tail)
             mu_open = gait_phase_step(mu_open, ctrl_cfg.f_nom, dt)
             mu = mu_open
         records.append(record_values(t, act))

@@ -38,8 +38,14 @@ is needed because ``inf * 0.0`` is nan. Walking in place before a push starts
 exactly at rest, so the push battery skips over a third of its loops.
 
 Disturbances are scanned once per cycle, in list order, so the force and
-bias sums are unchanged. The IMU sample is built from rotation.py calls;
-the traced benchmark counts them as the rotation layer.
+bias sums are unchanged. The IMU sample takes two rotation.py calls:
+``quat_from_tilt_phase`` for the measured orientation and the fused
+``imu_of_motion`` kernel for the gyro and accelerometer values, bit for bit
+the six-call chain it replaced. The traced benchmark's rotation spans wrap
+names on this module, so ``rotation.us_per_cycle`` now covers only
+``quat_from_tilt_phase``, and the kernel counts as ``plant.step`` self time
+until the benchmark gives the emission a span of its own (ROADMAP
+direction 1, step 1).
 """
 
 from __future__ import annotations
@@ -52,9 +58,14 @@ from typing import List, Optional
 from tiltphase.config import PlantConfig
 from tiltphase.controller import ActivationSet
 from tiltphase.estimator import ImuSample
-from tiltphase.rotation import quat_conj, quat_from_tilt_phase, quat_mul, quat_normalize, quat_rotate
+from tiltphase.rotation import imu_of_motion, quat_from_tilt_phase
+
+# Unused here, but perfbench/layers.py wraps these names on this module
+# (ROTATION_NAMES) and its traced runs fail without them
+from tiltphase.rotation import quat_conj, quat_mul, quat_normalize, quat_rotate  # noqa: F401
 
 _INF = math.inf
+_new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
 
 
 @dataclass
@@ -280,18 +291,8 @@ class SurrogatePlant:
         st = self.state
         q_meas = quat_from_tilt_phase((st.px + bias_x, st.py + bias_y))
         # Exact body rates of the measured orientation over this step
-        w, x, y, z = quat_normalize(quat_mul(quat_conj(self._q_meas_prev), q_meas))
-        s = math.sqrt(x * x + y * y + z * z)
-        if s < 1e-15:
-            gx = gy = gz = 0.0
-        else:
-            k = 2.0 * math.atan2(s, w) / (s * dt)
-            gx = k * x
-            gy = k * y
-            gz = k * z
+        gx, gy, gz, ax, ay, az = imu_of_motion(self._q_meas_prev, q_meas, dt, cfg.gravity)
         self._q_meas_prev = q_meas
-
-        ax, ay, az = quat_rotate(quat_conj(q_meas), (0.0, 0.0, cfg.gravity))
         # The draw order is part of the seeded output: three gyro, then three
         # accelerometer
         gauss = self.rng.gauss
@@ -303,4 +304,4 @@ class SurrogatePlant:
             ax += gauss(0.0, cfg.noise_accel)
             ay += gauss(0.0, cfg.noise_accel)
             az += gauss(0.0, cfg.noise_accel)
-        return ImuSample(t_now, (gx, gy, gz), (ax, ay, az))
+        return _new_tuple(ImuSample, (t_now, (gx, gy, gz), (ax, ay, az)))

@@ -31,9 +31,18 @@ tilt and yaw formulas. The other conversions are compositions of them::
     quat_from_tilt_phase(p) = quat_normalize(q_z(pz) * tilt_quat(px, py))
     tilt_phase_from_quat(q) = (*tilt_of_quat(q), fused_yaw(q))
     remove_fused_yaw(q)     = quat_from_tilt_phase(tilt_of_quat(q))
+    imu_of_motion(q0, q, dt, g)
+        = (body rate of quat_normalize(quat_conj(q0) * q) over dt,
+           quat_rotate(quat_conj(q), (0, 0, g)))
 
 and ``tilt_angles_from_quat`` and ``fused_angles_from_quat`` are read off
-``tilt_phase_from_quat``.
+``tilt_phase_from_quat``. ``imu_of_motion`` is the plant's IMU emission in
+one call of plain floats, bit for bit the chain of five calls it fuses.
+The traced benchmark's rotation spans wrap function names on the plant
+module, so ``rotation.us_per_cycle`` now covers only
+``quat_from_tilt_phase``; the kernel's time counts as ``plant.step`` self
+time until the benchmark gives the emission a span of its own (ROADMAP
+direction 1, step 1).
 """
 
 from __future__ import annotations
@@ -94,7 +103,7 @@ def quat_normalize(q) -> Quat:
         return Quat(1.0, 0.0, 0.0, 0.0)
     if w < 0.0:
         n = -n
-    return Quat(w / n, x / n, y / n, z / n)
+    return _new_tuple(Quat, (w / n, x / n, y / n, z / n))
 
 
 def quat_mul(a, b) -> Tuple[float, float, float, float]:
@@ -126,6 +135,64 @@ def quat_rotate(q, v):
         vx + w * tx + y * tz - z * ty,
         vy + w * ty + z * tx - x * tz,
         vz + w * tz + x * ty - y * tx,
+    )
+
+
+def imu_of_motion(q_prev, q, dt: float, g: float) -> Tuple[float, float, float, float, float, float]:
+    """Gyro and accelerometer reading ``(gx, gy, gz, ax, ay, az)`` of a body
+    that turned from ``q_prev`` to ``q`` over ``dt``, under gravity ``g``.
+
+    The gyro is the constant body rate that takes ``q_prev`` to ``q``: with
+    ``dq = quat_normalize(quat_mul(quat_conj(q_prev), q))`` and ``s`` the norm
+    of its vector part, it is ``2*atan2(s, dq.w) / (s*dt)`` times that vector
+    part, and 0 when ``s < 1e-15``. The accelerometer is
+    ``quat_rotate(quat_conj(q), (0, 0, g))``. Every operation of those calls
+    is kept, in their order (the products with the zero components of
+    ``(0, 0, g)`` included), so each output is bit for bit the chain's.
+    """
+    w1, x1, y1, z1 = q_prev
+    x1 = -x1
+    y1 = -y1
+    z1 = -z1
+    w2, x2, y2, z2 = q
+    # quat_mul(quat_conj(q_prev), q)
+    w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    x = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    y = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    z = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    # quat_normalize
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n <= 1e-300:
+        w, x, y, z = IDENTITY
+    else:
+        if w < 0.0:
+            n = -n
+        w = w / n
+        x = x / n
+        y = y / n
+        z = z / n
+    s = math.sqrt(x * x + y * y + z * z)
+    if s < 1e-15:
+        gx = gy = gz = 0.0
+    else:
+        k = 2.0 * math.atan2(s, w) / (s * dt)
+        gx = k * x
+        gy = k * y
+        gz = k * z
+    # quat_rotate(quat_conj(q), (0.0, 0.0, g))
+    x = -x2
+    y = -y2
+    z = -z2
+    tx = 2.0 * (y * g - z * 0.0)
+    ty = 2.0 * (z * 0.0 - x * g)
+    tz = 2.0 * (x * 0.0 - y * 0.0)
+    return (
+        gx,
+        gy,
+        gz,
+        0.0 + w2 * tx + y * tz - z * ty,
+        0.0 + w2 * ty + z * tx - x * tz,
+        g + w2 * tz + x * ty - y * tx,
     )
 
 

@@ -47,6 +47,18 @@ def format_record(values: tuple) -> str:
 
 
 def write_trace(path, records: List[tuple], csv: bool = False) -> None:
+    """Write records (from `record_values`) to path as a trace or plain CSV.
+
+    Raises ValueError, naming the record's t and the column, before the file
+    is opened if any value is non-finite, since `read_trace` refuses it.
+    """
+    isfinite = math.isfinite
+    for rec in records:
+        # One sum per record; only a non-finite (or overflowing) sum is scanned
+        if not isfinite(sum(rec[:-1])):
+            for name, v in zip(FIELDS, rec[:-1]):
+                if not isfinite(v):
+                    raise ValueError(f"record t={rec[0]}: non-finite {name} {v}")
     header = ",".join(FIELDS) if csv else f"# {SCHEMA}\n# " + ",".join(FIELDS)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")

@@ -102,6 +102,22 @@ class TestSimulate:
         rc = main(["--config", "/no/such/file", "simulate"])
         assert rc == EXIT_INPUT
 
+    def test_config_file_underscore_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("controller.f_nom = 6.0\ncontroller.i_gain = 1_0\n")
+        assert main(["--config", str(cfg), "--dump-config"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "error: line 2: controller.i_gain: expected a number, got '1_0'" in captured.err
+        assert captured.out == ""
+
+    def test_scenario_override_underscore_rejected(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"duration": 0.1, "config": {"controller.i_gain": "2_5"}}))
+        assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "error: controller.i_gain: expected a number, got '2_5'" in captured.err
+        assert "cycles" not in captured.out
+
     def test_deterministic_trace_output(self, tmp_path):
         a, b = tmp_path / "a.trace", tmp_path / "b.trace"
         assert main(["simulate", "--duration", "1.0", "--seed", "4", "--out", str(a)]) == EXIT_OK
@@ -158,6 +174,13 @@ class TestPushtest:
 
     def test_no_levels_rejected(self, capsys):
         assert main(["pushtest", "--impulses", " "]) == EXIT_INPUT
+
+    def test_digit_group_underscore_level_rejected(self, capsys):
+        # float("1_0") is 10.0
+        assert main(["pushtest", "--impulses", "0.2,1_0", "--pushes", "1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "error: --impulses: expected a number, got '1_0'" in captured.err
+        assert "controller=" not in captured.out
 
 
 class TestFitWaveform:

@@ -85,6 +85,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="expected a boolean"):
             parse_config_lines(["controller.hh_sagittal_only = maybe"])
 
+    @pytest.mark.parametrize("line, message", [
+        ("controller.i_gain = 1_0", "line 1: controller.i_gain: expected a number, got '1_0'"),
+        ("plant.gravity = 9_81.0", "line 1: plant.gravity: expected a number, got '9_81.0'"),
+        ("controller.pd_mean_order = 1_0",
+         "line 1: controller.pd_mean_order: expected an integer, got '1_0'"),
+    ])
+    def test_digit_group_underscores_rejected(self, line, message):
+        # int() and float() would read "1_0" as 10
+        with pytest.raises(ConfigError) as err:
+            parse_config_lines([line])
+        assert str(err.value) == message
+
     def test_parsed_configs_are_validated(self):
         with pytest.raises(ConfigError, match="cycle_dt"):
             parse_config_lines(["controller.cycle_dt = -0.01"])
@@ -138,6 +150,15 @@ class TestOverrides:
             apply_overrides(ControllerConfig(), PlantConfig(), {"controller.i_gain": "fast"})
         with pytest.raises(ConfigError, match="must be finite"):
             apply_overrides(ControllerConfig(), PlantConfig(), {"plant.substep_dt": "inf"})
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("controller.i_gain", "2_5", "a number"),
+        ("controller.pd_mean_order", "1_0", "an integer"),
+    ])
+    def test_override_digit_group_underscores_rejected(self, key, value, kind):
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(ControllerConfig(), PlantConfig(), {key: value})
+        assert str(err.value) == f"{key}: expected {kind}, got {value!r}"
 
     def test_override_result_is_validated(self):
         with pytest.raises(ConfigError):

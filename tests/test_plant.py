@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import math
 import random
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import ActivationSet, pendulum_invariant
 from tiltphase.deviation import gait_phase_step
 from tiltphase.estimator import AttitudeEstimator, ImuSample
+import tiltphase.plant
+import tiltphase.rotation
 from tiltphase.plant import Disturbance, PlantState, SurrogatePlant
 from tiltphase.rotation import (
     quat_conj,
@@ -191,6 +195,21 @@ class TestImuOutput:
         plant = SurrogatePlant(PlantConfig())
         with pytest.raises(ValueError):
             plant.step(IDLE, 0.0, [], 0.0, 0.0)
+
+
+def test_benchmark_rotation_wrap_points_exist():
+    # perfbench/layers.py wraps each of its ROTATION_NAMES on tiltphase.plant
+    # for the rotation spans; a name the plant no longer has makes every
+    # traced benchmark run raise AttributeError
+    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    tree = ast.parse(layers.read_text(encoding="utf-8"))
+    names = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ROTATION_NAMES"
+    )
+    assert len(names) == 5
+    for name in names:
+        assert getattr(tiltphase.plant, name) is getattr(tiltphase.rotation, name), name
 
 
 class ReferencePlant(SurrogatePlant):

@@ -14,23 +14,30 @@ exceptions are tested as such:
   `tilt_phase_from_quat` always was (it used to be 0 only at w = z = 0);
 - `remove_fused_yaw` moves by rounding, and on the singular set by up to
   |(w, z)|, which the old code dropped.
+
+The plant's IMU emission was a chain of rotation calls after
+`quat_from_tilt_phase`; `rotation.imu_of_motion` must match a copy of that
+chain bit for bit.
 """
 
 import math
 import random
 
 import pytest
-from test_plant import _bits
+from test_plant import IDLE, _bits
 
-from tiltphase.config import ControllerConfig
+from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import TiltPhaseController
 from tiltphase.deviation import deviation_tilt
-from tiltphase.estimator import AttitudeEstimator
+from tiltphase.estimator import AttitudeEstimator, ImuSample
 from tiltphase.filters import smooth_deadband2, soft_coerce2
+from tiltphase.plant import SurrogatePlant
 from tiltphase.rotation import (
+    Quat,
     TiltPhase3D,
     fused_angles_from_quat,
     fused_yaw,
+    imu_of_motion,
     quat_from_tilt_phase,
     quat_normalize,
     remove_fused_yaw,
@@ -38,6 +45,12 @@ from tiltphase.rotation import (
     tilt_phase_from_quat,
     wrap_pi,
 )
+
+try:  # Hypothesis is the `test` extra; only the IMU kernel property needs it
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as hs
+except ImportError:
+    hs = None
 
 # -- reference copies of the replaced conversions -----------------------------
 
@@ -431,3 +444,101 @@ class TestRotationCompositions:
                 # h, whose rounding may flip the canonical sign (q ~ -q).
                 flipped = max(abs(g + w) for g, w in zip(got, want))
                 assert min(diff, flipped) <= h + 1e-15, q
+
+
+# -- the plant's IMU emission ---------------------------------------------------
+
+
+def ref_quat_conj(q):
+    w, x, y, z = q
+    return (w, -x, -y, -z)
+
+
+def ref_quat_normalize(q):
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n <= 1e-300:
+        return (1.0, 0.0, 0.0, 0.0)
+    if w < 0.0:
+        n = -n
+    return (w / n, x / n, y / n, z / n)
+
+
+def ref_quat_rotate(q, v):
+    w, x, y, z = q
+    vx, vy, vz = v
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (
+        vx + w * tx + y * tz - z * ty,
+        vy + w * ty + z * tx - x * tz,
+        vz + w * tz + x * ty - y * tx,
+    )
+
+
+def ref_emit_imu(q_prev, q_meas, dt, g):
+    """The plant's six-call emission chain that `imu_of_motion` replaced, after
+    its first call (`quat_from_tilt_phase`, which made q_meas)."""
+    w, x, y, z = ref_quat_normalize(ref_qmul(ref_quat_conj(q_prev), q_meas))
+    s = math.sqrt(x * x + y * y + z * z)
+    if s < 1e-15:
+        gx = gy = gz = 0.0
+    else:
+        k = 2.0 * math.atan2(s, w) / (s * dt)
+        gx = k * x
+        gy = k * y
+        gz = k * z
+    return (gx, gy, gz, *ref_quat_rotate(ref_quat_conj(q_meas), (0.0, 0.0, g)))
+
+
+_CYCLE_DT = ControllerConfig().cycle_dt
+
+
+def test_imu_outputs_keep_their_types():
+    assert type(quat_normalize((2.0, 0.0, 0.0, -2.0))) is Quat
+    plant = SurrogatePlant(PlantConfig())
+    plant.state.px = 0.1
+    sample = plant.step(IDLE, 0.0, [], 0.0, _CYCLE_DT)
+    assert type(sample) is ImuSample
+    assert sample.t == _CYCLE_DT and len(sample.gyro) == len(sample.accel) == 3
+
+
+if hs is None:
+    def test_imu_of_motion_is_the_six_call_chain():
+        pytest.skip("needs Hypothesis (the `test` extra)")
+else:
+    # Zero, signed zero, subnormal (s * px rounds to a signed zero) and tilts
+    # past pi, where quat_normalize flips the sign to make w >= 0
+    _TILT = hs.one_of(
+        hs.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, math.pi, 3.5, -4.0]),
+        hs.floats(-10.0, 10.0),
+    )
+    # What the plant passes (q_meas of a tilt phase, and the identity it starts
+    # from) and any 4-tuple, zero and non-unit ones included
+    _QUAT = hs.one_of(
+        hs.just((1.0, 0.0, 0.0, 0.0)),
+        hs.builds(lambda px, py: quat_from_tilt_phase((px, py)), _TILT, _TILT),
+        hs.tuples(*[hs.sampled_from([0.0, -0.0, 5e-324, -1.0]) | hs.floats(-2.0, 2.0)] * 4),
+    )
+    _DT = hs.one_of(hs.just(_CYCLE_DT), hs.floats(0.1 * _CYCLE_DT, 10.0 * _CYCLE_DT))
+
+    _Q0 = quat_from_tilt_phase((0.0, 0.0))
+    _Q_SUB = quat_from_tilt_phase((5e-324, -5e-324))
+    _Q_WIDE = quat_from_tilt_phase((3.5, -1.0))  # alpha > pi
+
+    @settings(max_examples=1000, deadline=None)
+    @given(q_prev=_QUAT, q=_QUAT, same=hs.booleans(), dt=_DT,
+           g=hs.sampled_from([9.81, 9.80665, 0.0, -0.0, -9.81]))
+    @example(q_prev=(1.0, 0.0, 0.0, 0.0), q=_Q0, same=False, dt=_CYCLE_DT, g=9.81)
+    @example(q_prev=_Q0, q=_Q_SUB, same=False, dt=_CYCLE_DT, g=9.81)
+    @example(q_prev=_Q_SUB, q=_Q_SUB, same=True, dt=_CYCLE_DT, g=9.81)
+    @example(q_prev=_Q0, q=_Q_WIDE, same=False, dt=_CYCLE_DT, g=9.81)
+    @example(q_prev=_Q_WIDE, q=_Q_WIDE, same=True, dt=_CYCLE_DT, g=9.81)
+    @example(q_prev=(0.0, 0.0, 0.0, 0.0), q=(-0.0, 0.0, -0.0, 0.0), same=False, dt=_CYCLE_DT,
+             g=9.81)
+    def test_imu_of_motion_is_the_six_call_chain(q_prev, q, same, dt, g):
+        if same:
+            q_prev = q
+        got = imu_of_motion(q_prev, q, dt, g)
+        assert [v.hex() for v in got] == [v.hex() for v in ref_emit_imu(q_prev, q, dt, g)]

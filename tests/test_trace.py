@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tiltphase.config import ControllerConfig
+from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import ActivationSet, GaitCommand
 from tiltphase.estimator import ImuSample
-from tiltphase.harness import run_replay
+from tiltphase.harness import Scenario, run_closed_loop, run_replay
 from tiltphase.trace import (
     COLUMNS,
     FIELDS,
@@ -134,6 +134,34 @@ class TestRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
             read_trace(path)
+
+    @pytest.mark.parametrize("column, bad", [(0, math.nan), (1, math.inf), (18, math.nan),
+                                             (27, -math.inf)])
+    def test_non_finite_value_refused_on_write(self, tmp_path, column, bad):
+        records = sample_records()
+        row = list(records[2])
+        row[column] = bad
+        records[2] = tuple(row)
+        path = tmp_path / "bad.trace"
+        with pytest.raises(ValueError) as err:
+            write_trace(path, records)
+        assert str(err.value) == f"record t={row[0]}: non-finite {FIELDS[column]} {bad}"
+        assert not path.exists()
+
+    def test_overflowing_row_sum_is_written(self, tmp_path):
+        # The row's sum is inf, but every value in it is finite
+        records = sample_records()
+        records[2] = (records[2][0], 1e308, 1e308, *records[2][3:])
+        path = tmp_path / "big.trace"
+        write_trace(path, records)
+        assert read_trace(path)[2]["pxB"] == 1e308
+
+    def test_nan_command_refused_on_write(self, tmp_path):
+        # A nan command passed in code reaches the lean tilt's sagittal column
+        scenario = Scenario(duration=0.5, commands=[(0.2, GaitCommand(vx=math.nan))])
+        records = run_closed_loop(ControllerConfig(), PlantConfig(), scenario).records
+        with pytest.raises(ValueError, match=r"^record t=0\.2: non-finite pyl nan$"):
+            write_trace(tmp_path / "nan.trace", records)
 
 
 def test_numpy_float_replay_round_trips(tmp_path):

@@ -34,6 +34,26 @@ EXIT_FALLEN = 2
 # Largest impulse `pushtest --threshold` tries
 THRESHOLD_HI = 4.0
 
+# Numeric flags are read as text and converted by the config coercion, so
+# `--seed 1_0` is refused as `1_0` is in a config file: (flag, type, least value)
+_NUMERIC_FLAGS = (
+    ("duration", float, None), ("seed", int, None), ("pushes", int, 1), ("cycles", int, 1)
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's exit 2 is EXIT_FALLEN; main exits EXIT_INPUT
+        raise ValueError(message)
+
+
+def _coerce_flags(args) -> None:
+    for name, kind, least in _NUMERIC_FLAGS:
+        if getattr(args, name, None) is not None:
+            value = coerce(kind, getattr(args, name), f"--{name}")
+            if least is not None and value < least:
+                raise ValueError(f"--{name} must be at least {least}, got {value}")
+            setattr(args, name, value)
+
 
 def _load_configs(args):
     if getattr(args, "config", None):
@@ -132,7 +152,7 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tiltphase",
         description="Tilt-phase gait stabilization controller harness",
     )
@@ -144,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="closed-loop run against the surrogate plant")
     p.add_argument("--scenario", help="scenario JSON file")
-    p.add_argument("--duration", type=float, help="override scenario duration [s]")
-    p.add_argument("--seed", type=int, help="override scenario seed")
+    p.add_argument("--duration", help="override scenario duration [s]")
+    p.add_argument("--seed", help="override scenario seed")
     p.add_argument("--out", help="trace output path")
     p.add_argument("--csv", action="store_true", help="write the trace as plain CSV")
     p.set_defaults(func=cmd_simulate)
@@ -158,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pushtest", help="paired push batteries, controller on vs off")
     p.add_argument("--impulses", default="0.5,1.0,1.5,2.0", help="comma separated levels")
-    p.add_argument("--pushes", type=int, default=20, help="pushes per level")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pushes", default=20, help="pushes per level")
+    p.add_argument("--seed", default=0)
     p.add_argument("--controller", choices=("on", "off", "both"), default="both")
     p.add_argument("--threshold", action="store_true", help="also binary-search thresholds")
     p.set_defaults(func=cmd_pushtest)
@@ -170,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_waveform)
 
     p = sub.add_parser("selftest", help="latency benchmark plus a nominal run")
-    p.add_argument("--cycles", type=int, default=20000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--cycles", default=20000)
+    p.add_argument("--seed")
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -179,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        _coerce_flags(args)
         if args.dump_config:
             ctrl, plant = _load_configs(args)
             for line in dump_config(ctrl, plant):

@@ -29,7 +29,7 @@ from tiltphase.filters import (
     SlopeLimiter,
     WlbfFilter,
     coerced_interp,
-    hard_coerce_ellip,
+    hard_coerce2,
     one_sided_deadband,
     smooth_deadband2,
     smooth_deadband_1d,
@@ -156,6 +156,11 @@ class TiltPhaseController:
     def __init__(self, cfg: ControllerConfig):
         cfg.validate()
         self.cfg = cfg
+        self.reset()
+
+    def reset(self) -> None:
+        """Build every piece of controller state afresh from the config."""
+        cfg = self.cfg
         self.waveform = ExpectedWaveform(
             cfg.wave_amp_x, cfg.wave_amp_y,
             cfg.wave_phase_x, cfg.wave_phase_y,
@@ -165,16 +170,6 @@ class TiltPhaseController:
             kp=cfg.est_kp, ki=cfg.est_ki, bias_limit=cfg.est_bias_limit,
             acc_min_g=cfg.est_acc_min_g, acc_max_g=cfg.est_acc_max_g,
         )
-
-        self._db_p = Ellipsoid((cfg.pd_deadband_p_x, cfg.pd_deadband_p_y))
-        self._db_d = Ellipsoid((cfg.pd_deadband_d_x, cfg.pd_deadband_d_y))
-        self._arm_out = Ellipsoid((cfg.arm_limit_x, cfg.arm_limit_y))
-        self._foot_out = Ellipsoid((cfg.foot_limit_x, cfg.foot_limit_y))
-        self._i_clamp = Ellipsoid((cfg.i_clamp_x, cfg.i_clamp_y))
-        self._so_out = Ellipsoid((cfg.so_limit_x, cfg.so_limit_y))
-        self._sp_db = Ellipsoid((cfg.sp_deadband_x, cfg.sp_deadband_y))
-        self._sp_out = Ellipsoid((cfg.sp_limit_x, cfg.sp_limit_y))
-
         self.p_mean = MeanFilter(2, cfg.pd_mean_order)
         self.d_wlbf = WlbfFilter(2, cfg.pd_wlbf_size)
         self.integrator = BoundedIntegrator(
@@ -198,46 +193,28 @@ class TiltPhaseController:
         self.mu = 0.0
         self._pd_mean_prev: Tuple[float, float] | None = None
 
-    def reset(self) -> None:
-        self.estimator.reset()
-        self.p_mean.reset()
-        self.d_wlbf.reset()
-        self.integrator.reset()
-        self.ripple_mean.reset()
-        self.lean_wlbf.reset()
-        self.lean_slope.reset()
-        self.so_wlbf.reset()
-        self.so_hold_l.reset()
-        self.so_hold_r.reset()
-        self.sp_mean.reset()
-        self.hh_lowpass.reset()
-        self.hh_islope.reset()
-        self.hh_hslope.reset(self.cfg.hh_height_hi)
-        self.mu = 0.0
-        self._pd_mean_prev = None
-
     # -- individual corrective action computations --------------------------
 
     def pd_feedback(self, pd_mean, pd_slope):
         cfg = self.cfg
-        a0, a1 = self._db_p.semi_axes
-        db_p = p0, p1 = smooth_deadband2(pd_mean[0], pd_mean[1], a0, a1)
-        a0, a1 = self._db_d.semi_axes
-        db_d = d0, d1 = smooth_deadband2(pd_slope[0], pd_slope[1], a0, a1)
+        m0, m1 = pd_mean
+        s0, s1 = pd_slope
+        db_p = p0, p1 = smooth_deadband2(m0, m1, cfg.pd_deadband_p_x, cfg.pd_deadband_p_y)
+        db_d = d0, d1 = smooth_deadband2(s0, s1, cfg.pd_deadband_d_x, cfg.pd_deadband_d_y)
 
         gp = directional_gain(db_p, cfg.arm_p_gain_lat, cfg.arm_p_gain_sag)
         gd = directional_gain(db_d, cfg.arm_d_gain_lat, cfg.arm_d_gain_sag)
-        a0, a1 = self._arm_out.semi_axes
-        arm = soft_coerce2(gp * p0 + gd * d0, gp * p1 + gd * d1, a0, a1, cfg.arm_buffer)
+        arm = soft_coerce2(gp * p0 + gd * d0, gp * p1 + gd * d1,
+                           cfg.arm_limit_x, cfg.arm_limit_y, cfg.arm_buffer)
         gp = directional_gain(db_p, cfg.foot_p_gain_lat, cfg.foot_p_gain_sag)
         gd = directional_gain(db_d, cfg.foot_d_gain_lat, cfg.foot_d_gain_sag)
-        a0, a1 = self._foot_out.semi_axes
-        foot = soft_coerce2(gp * p0 + gd * d0, gp * p1 + gd * d1, a0, a1, cfg.foot_buffer)
+        foot = soft_coerce2(gp * p0 + gd * d0, gp * p1 + gd * d1,
+                            cfg.foot_limit_x, cfg.foot_limit_y, cfg.foot_buffer)
         return arm, foot
 
     def i_feedback_step(self, p_d, dt):
         cfg = self.cfg
-        cx, cy = hard_coerce_ellip(p_d, self._i_clamp)
+        cx, cy = hard_coerce2(p_d[0], p_d[1], cfg.i_clamp_x, cfg.i_clamp_y)
         y = self.integrator.step((cfg.i_gain * cx, cfg.i_gain * cy), dt)
         z = self.ripple_mean.step(y)
         cft = (cfg.i_cft_gain * z[0], cfg.i_cft_gain * z[1])
@@ -297,8 +274,7 @@ class TiltPhaseController:
             vy = sag_max
         elif vy < -sag_max:
             vy = -sag_max
-        a0, a1 = self._so_out.semi_axes
-        return soft_coerce2(vx, vy, a0, a1, cfg.so_buffer), e_l, e_r
+        return soft_coerce2(vx, vy, cfg.so_limit_x, cfg.so_limit_y, cfg.so_buffer), e_l, e_r
 
     def swing_ground_plane(self, p_b, p_e):
         cfg = self.cfg
@@ -315,10 +291,10 @@ class TiltPhaseController:
             q = quat_mul(quat_mul(a, tilt_quat(p_e[0], p_e[1])), (cy_, 0.0, -sy_, 0.0))
             p_ns = tilt_of_quat(q)
         m = self.sp_mean.step(p_ns)
-        a0, a1 = self._sp_db.semi_axes
-        v0, v1 = smooth_deadband2(m[0], m[1], a0, a1)
-        a0, a1 = self._sp_out.semi_axes
-        return soft_coerce2(cfg.sp_gain * v0, cfg.sp_gain * v1, a0, a1, cfg.sp_buffer), p_ns
+        v0, v1 = smooth_deadband2(m[0], m[1], cfg.sp_deadband_x, cfg.sp_deadband_y)
+        plane = soft_coerce2(cfg.sp_gain * v0, cfg.sp_gain * v1,
+                             cfg.sp_limit_x, cfg.sp_limit_y, cfg.sp_buffer)
+        return plane, p_ns
 
     def max_hip_height_step(self, pd_mean, dt):
         cfg = self.cfg

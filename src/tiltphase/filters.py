@@ -87,18 +87,22 @@ def soft_coerce_ellip(x: Sequence[float], ellipsoid: Ellipsoid, b: float) -> Tup
     return soft_coerce2(x0, x1, *ellipsoid.semi_axes, b)
 
 
-def hard_coerce_ellip(x: Sequence[float], ellipsoid: Ellipsoid) -> Tuple[float, float]:
-    """Radially clamp the 2-vector x onto the ellipse (hard elliptical coercion)."""
-    x0, x1 = x
+def hard_coerce2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float, float]:
+    """2D `hard_coerce_ellip` on scalars: ellipsoid semi-axes (a0, a1)."""
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
-    a0, a1 = ellipsoid.semi_axes
     s = (x0 / a0) ** 2 + (x1 / a1) ** 2
     if s <= 1.0:
         return (x0, x1)
     k = 1.0 / math.sqrt(s)
     return (k * x0, k * x1)
+
+
+def hard_coerce_ellip(x: Sequence[float], ellipsoid: Ellipsoid) -> Tuple[float, float]:
+    """Radially clamp the 2-vector x onto the ellipse (hard elliptical coercion)."""
+    x0, x1 = x
+    return hard_coerce2(x0, x1, *ellipsoid.semi_axes)
 
 
 def smooth_deadband_mag(m: float, r: float) -> float:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import sys
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from tiltphase.config import ControllerConfig, PlantConfig, apply_overrides
@@ -151,9 +150,10 @@ def run_closed_loop(
     scenario: Scenario,
 ) -> RunResult:
     """Run plant + controller for scenario.duration and collect trace records."""
-    ctrl_cfg = copy.deepcopy(ctrl_cfg)
-    plant_cfg = copy.deepcopy(plant_cfg)
     if scenario.overrides:
+        # apply_overrides sets fields in place; the caller's configs stay as they are
+        ctrl_cfg = replace(ctrl_cfg)
+        plant_cfg = replace(plant_cfg)
         apply_overrides(ctrl_cfg, plant_cfg, scenario.overrides)
     dt = ctrl_cfg.cycle_dt
     commands = scenario.commands
@@ -195,7 +195,7 @@ def run_replay(
     """Run the controller open loop over a recorded IMU stream."""
     commands = commands or []
     times = _schedule_times(commands)
-    controller = TiltPhaseController(copy.deepcopy(ctrl_cfg))
+    controller = TiltPhaseController(ctrl_cfg)
     records = []
     t_prev = None
     for s in samples:
@@ -227,6 +227,10 @@ def load_imu_log(path) -> List[ImuSample]:
 
 # -- push battery -------------------------------------------------------------
 
+# A push trial walks in place for T_PUSH seconds, is pushed, then runs T_SETTLE more
+T_PUSH = 2.0
+T_SETTLE = 5.0
+
 
 def run_push_trial(
     ctrl_cfg: ControllerConfig,
@@ -235,16 +239,14 @@ def run_push_trial(
     impulse: float,
     seed: int,
     controller_enabled: bool = True,
-    t_push: float = 2.0,
-    t_settle: float = 5.0,
 ) -> bool:
     """One walking-in-place run with a push; True if the plant never falls."""
     scenario = Scenario(
-        duration=t_push + t_settle,
+        duration=T_PUSH + T_SETTLE,
         seed=seed,
         controller_enabled=controller_enabled,
         disturbances=[
-            Disturbance("impulse", direction=direction, magnitude=impulse, start_time=t_push)
+            Disturbance("impulse", direction=direction, magnitude=impulse, start_time=T_PUSH)
         ],
     )
     return not run_closed_loop(ctrl_cfg, plant_cfg, scenario).fallen
@@ -335,15 +337,17 @@ def fit_waveform(mu: Sequence[float], px: Sequence[float], py: Sequence[float]):
 
 # -- latency benchmark ---------------------------------------------------------
 
+# Untimed steps before each timed block, and the number of blocks
+WARMUP_STEPS = 2000
+REPEATS = 3
 
-def benchmark_controller_step(
-    ctrl_cfg: ControllerConfig, n: int = 20000, warmup: int = 2000, repeats: int = 3
-) -> Tuple[float, float]:
+
+def benchmark_controller_step(ctrl_cfg: ControllerConfig, n: int = 20000) -> Tuple[float, float]:
     """Measure controller_step latency; returns (mean_us, p99_us).
 
     Cyclic garbage collection is paused around the timed region (the hot
     path allocates only small reference-counted tuples) and the best of
-    `repeats` blocks is reported, so scheduler noise from a loaded host is
+    REPEATS blocks is reported, so scheduler noise from a loaded host is
     measured out rather than attributed to the controller.
     """
     import gc
@@ -356,12 +360,12 @@ def benchmark_controller_step(
     best_p99 = math.inf
     gc_was_enabled = gc.isenabled()
     try:
-        for _ in range(max(1, repeats)):
-            controller = TiltPhaseController(copy.deepcopy(ctrl_cfg))
+        for _ in range(REPEATS):
+            controller = TiltPhaseController(ctrl_cfg)
             times = []
             gc.collect()
             gc.disable()
-            for k in range(warmup + n):
+            for k in range(WARMUP_STEPS + n):
                 # Mild synthetic motion so every branch does real work
                 t = (k + 1) * dt
                 gyro = (0.1 * math.sin(3 * t), 0.05 * math.cos(2 * t), 0.0)
@@ -370,7 +374,7 @@ def benchmark_controller_step(
                 t0 = perf()
                 controller.step(imu, cmd, dt)
                 t1 = perf()
-                if k >= warmup:
+                if k >= WARMUP_STEPS:
                     times.append(t1 - t0)
             gc.enable()
             times.sort()

@@ -40,12 +40,7 @@ exactly at rest, so the push battery skips over a third of its loops.
 Disturbances are scanned once per cycle, in list order, so the force and
 bias sums are unchanged. The IMU sample takes two rotation.py calls:
 ``quat_from_tilt_phase`` for the measured orientation and the fused
-``imu_of_motion`` kernel for the gyro and accelerometer values, bit for bit
-the six-call chain it replaced. The traced benchmark's rotation spans wrap
-names on this module, so ``rotation.us_per_cycle`` now covers only
-``quat_from_tilt_phase``, and the kernel counts as ``plant.step`` self time
-until the benchmark gives the emission a span of its own (ROADMAP
-direction 1, step 1).
+``imu_of_motion`` kernel for the gyro and accelerometer values.
 """
 
 from __future__ import annotations
@@ -60,8 +55,7 @@ from tiltphase.controller import ActivationSet
 from tiltphase.estimator import ImuSample
 from tiltphase.rotation import imu_of_motion, quat_from_tilt_phase
 
-# Unused here, but perfbench/layers.py wraps these names on this module
-# (ROTATION_NAMES) and its traced runs fail without them
+# Unused here; the traced benchmark wraps these names on this module
 from tiltphase.rotation import quat_conj, quat_mul, quat_normalize, quat_rotate  # noqa: F401
 
 _INF = math.inf

@@ -38,11 +38,6 @@ tilt and yaw formulas. The other conversions are compositions of them::
 and ``tilt_angles_from_quat`` and ``fused_angles_from_quat`` are read off
 ``tilt_phase_from_quat``. ``imu_of_motion`` is the plant's IMU emission in
 one call of plain floats, bit for bit the chain of five calls it fuses.
-The traced benchmark's rotation spans wrap function names on the plant
-module, so ``rotation.us_per_cycle`` now covers only
-``quat_from_tilt_phase``; the kernel's time counts as ``plant.step`` self
-time until the benchmark gives the emission a span of its own (ROADMAP
-direction 1, step 1).
 """
 
 from __future__ import annotations

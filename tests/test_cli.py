@@ -240,6 +240,47 @@ class TestTopLevel:
         assert "usage:" in capsys.readouterr().out
 
 
+class TestFlags:
+    """Numeric flags go through the config coercion and their bounds; a bad
+    flag is one `error:` line and exit 1, never argparse's exit 2 (EXIT_FALLEN)."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--seed", "1_0"], "--seed: expected an integer, got '1_0'"),
+        (["simulate", "--duration", "1_0"], "--duration: expected a number, got '1_0'"),
+        (["simulate", "--duration", "abc"], "--duration: expected a number, got 'abc'"),
+        (["pushtest", "--pushes", "-1"], "--pushes must be at least 1, got -1"),
+        (["pushtest", "--pushes", "0"], "--pushes must be at least 1, got 0"),
+        (["pushtest", "--pushes", "2.5"], "--pushes: expected an integer, got '2.5'"),
+        (["pushtest", "--seed", "1_0"], "--seed: expected an integer, got '1_0'"),
+        (["selftest", "--cycles", "0"], "--cycles must be at least 1, got 0"),
+        (["selftest", "--cycles", "2_0"], "--cycles: expected an integer, got '2_0'"),
+    ], ids=["seed-underscore", "duration-underscore", "duration-text", "pushes-negative",
+            "pushes-zero", "pushes-fraction", "pushtest-seed", "cycles-zero", "cycles-underscore"])
+    def test_bad_numeric_flag_rejected(self, capsys, argv, message):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
+        (["pushtest", "--controller", "maybe"], "argument --controller: invalid choice"),
+        (["replay"], "the following arguments are required: imu_log"),
+        (["simulate", "--seed"], "argument --seed: expected one argument"),
+    ], ids=["unknown-flag", "bad-choice", "missing-positional", "missing-value"])
+    def test_usage_error_exits_input(self, capsys, argv, message):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    def test_help_still_exits_ok(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--duration" in capsys.readouterr().out
+
+
 COLD_START = """
 import contextlib, io, sys
 import tiltphase, tiltphase.cli, tiltphase.harness

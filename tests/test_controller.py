@@ -224,22 +224,24 @@ class TestControllerStep:
             assert cfg.hh_height_lo <= act.max_hip_height <= cfg.hh_height_hi
 
     def test_deterministic_and_resettable(self):
-        cfg = ControllerConfig()
-        ctrl = TiltPhaseController(cfg)
-        dt = cfg.cycle_dt
-        rng = random.Random(7)
-        samples = [
-            ImuSample(
-                k * dt,
-                tuple(rng.uniform(-1, 1) for _ in range(3)),
-                (0.1, -0.2, G),
-            )
-            for k in range(1, 400)
-        ]
-        first = [ctrl.step(s, GaitCommand(0.2, 0.0, 0.1), dt) for s in samples]
-        ctrl.reset()
-        second = [ctrl.step(s, GaitCommand(0.2, 0.0, 0.1), dt) for s in samples]
-        assert first == second
+        # est_ki > 0 gives the estimator a bias state that reset must clear
+        for cfg in (ControllerConfig(), ControllerConfig(est_ki=0.5, hh_sagittal_only=True)):
+            ctrl = TiltPhaseController(cfg)
+            dt = cfg.cycle_dt
+            rng = random.Random(7)
+            samples = [
+                ImuSample(
+                    k * dt,
+                    tuple(rng.uniform(-1, 1) for _ in range(3)),
+                    (0.1, -0.2, G),
+                )
+                for k in range(1, 400)
+            ]
+            first = [ctrl.step(s, GaitCommand(0.2, 0.0, 0.1), dt) for s in samples]
+            assert (ctrl.estimator.bias != (0.0, 0.0, 0.0)) == (cfg.est_ki > 0.0)
+            ctrl.reset()
+            second = [ctrl.step(s, GaitCommand(0.2, 0.0, 0.1), dt) for s in samples]
+            assert first == second
 
     def test_pd_feedback_matches_helper_composition(self):
         # pd_feedback uses the scalar 2D deadband and coercion kernels; it

@@ -15,6 +15,7 @@ from tiltphase.filters import (
     SlopeLimiter,
     WlbfFilter,
     coerced_interp,
+    hard_coerce2,
     hard_coerce_ellip,
     one_sided_deadband,
     smooth_deadband2,
@@ -105,6 +106,20 @@ class ReferenceIntegrator:
             v[0] + h * (u[0] + up[0]), v[1] + h * (u[1] + up[1]), a0, a1, self.buffer
         )
         return self.value
+
+
+def ref_hard_coerce_ellip(x, semi_axes):
+    """hard_coerce_ellip as it was before the scalar kernel was split out."""
+    x0, x1 = x
+    m2 = x0 * x0 + x1 * x1
+    if m2 == 0.0:
+        return (0.0, 0.0)
+    a0, a1 = semi_axes
+    s = (x0 / a0) ** 2 + (x1 / a1) ** 2
+    if s <= 1.0:
+        return (x0, x1)
+    k = 1.0 / math.sqrt(s)
+    return (k * x0, k * x1)
 
 
 def _bits(value):
@@ -510,6 +525,21 @@ class TestBitExactPaths:
             )
             got = Ellipsoid(a).radius_along(x)
             assert _bits(got) == _bits(generic_radius_along(x, a))
+
+    @pytest.mark.parametrize("helper", [
+        hard_coerce_ellip,
+        lambda x, e: ref_hard_coerce_ellip(x, e.semi_axes),
+    ], ids=["wrapper", "reference"])
+    def test_hard_coerce2(self, helper):
+        rng = random.Random(23)
+        axes = (1e-3, 0.05, 0.3, 1.0, 2.5)
+        for _ in range(20_000):
+            a = (rng.choice(axes), rng.choice(axes))
+            x = tuple(
+                rng.choice(EDGE_VALUES) if rng.random() < 0.5 else rng.gauss(0.0, 2.0)
+                for _ in range(2)
+            )
+            assert _bits(hard_coerce2(*x, *a)) == _bits(helper(x, Ellipsoid(a)))
 
     @pytest.mark.parametrize("semi_axes, buffer", [((1.0, 1.0), 0.1), ((0.08, 0.12), 0.02)])
     def test_bounded_integrator(self, semi_axes, buffer):

@@ -110,9 +110,9 @@ class ReferenceGroundPlane(TiltPhaseController):
         cfg = self.cfg
         p_ns = ref_ground_plane_tilt(p_b, p_e, cfg.py_nominal)
         m = self.sp_mean.step(p_ns)
-        a0, a1 = self._sp_db.semi_axes
+        a0, a1 = cfg.sp_deadband_x, cfg.sp_deadband_y
         v0, v1 = smooth_deadband2(m[0], m[1], a0, a1)
-        a0, a1 = self._sp_out.semi_axes
+        a0, a1 = cfg.sp_limit_x, cfg.sp_limit_y
         return soft_coerce2(cfg.sp_gain * v0, cfg.sp_gain * v1, a0, a1, cfg.sp_buffer), p_ns
 
 

@@ -156,6 +156,10 @@ class ControllerConfig:
             "sp_deadband_x", "sp_deadband_y", "sp_limit_x", "sp_limit_y", "sp_buffer",
             "tim_deadband", "hh_settle_time", "hh_slope_rate", "hh_height_rate",
         )
+        for n in ("arm_p_gain_lat", "arm_p_gain_sag", "arm_d_gain_lat", "arm_d_gain_sag",
+                  "foot_p_gain_lat", "foot_p_gain_sag", "foot_d_gain_lat", "foot_d_gain_sag"):
+            if getattr(self, n) < 0:
+                raise ConfigError(f"controller.{n} must be >= 0")
         for n in ("pd_mean_order", "pd_wlbf_size", "lean_wlbf_size", "so_wlbf_size",
                   "sp_mean_order", "i_ripple_steps"):
             if getattr(self, n) < 1:

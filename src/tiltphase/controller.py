@@ -123,13 +123,24 @@ def support_indicator(mu: float, double_support_width: float) -> float:
 
 
 def directional_gain(v: Tuple[float, float], gain_lat: float, gain_sag: float) -> float:
-    """Elliptical interpolation of lateral (x) and sagittal (y) gains along v."""
+    """Elliptical interpolation of lateral (x) and sagittal (y) gains along v.
+
+    A zero gain switches its axis off: where the formula divides by zero or
+    overflows, v on an axis gets that axis's gain and any other v the smaller.
+    """
     x, y = v
     m2 = x * x + y * y
     if m2 == 0.0:
         return min(gain_lat, gain_sag)
-    s = (x / gain_lat) ** 2 + (y / gain_sag) ** 2
-    return math.sqrt(m2 / s)
+    try:
+        s = (x / gain_lat) ** 2 + (y / gain_sag) ** 2
+        return math.sqrt(m2 / s)
+    except (ZeroDivisionError, OverflowError):
+        if x == 0.0:
+            return gain_sag
+        if y == 0.0:
+            return gain_lat
+        return min(gain_lat, gain_sag)
 
 
 def timing_law(

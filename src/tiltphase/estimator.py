@@ -40,13 +40,12 @@ class AttitudeEstimator:
         bias_limit: float = 0.1,
         acc_min_g: float = 0.5,
         acc_max_g: float = 1.5,
-        gravity: float = GRAVITY,
     ):
         self.kp = kp
         self.ki = ki
         self.bias_limit = bias_limit
-        self.acc_min = acc_min_g * gravity
-        self.acc_max = acc_max_g * gravity
+        self.acc_min = acc_min_g * GRAVITY
+        self.acc_max = acc_max_g * GRAVITY
         self.q = (1.0, 0.0, 0.0, 0.0)
         self.bias = (0.0, 0.0, 0.0)
 

@@ -1,11 +1,11 @@
 """Filter and signal shaping toolbox.
 
-All units are stateful single-owner objects with a deterministic ``step``,
-plus stateless shaping functions (elliptical soft coercion, smooth deadband,
-coerced interpolation). The controller builds only scalar and 2D shapes, so
-those are the only ones here: ellipses have two semi-axes, the bounded
-integrator is 2D, and the mean and WLBF filters are scalar or 2D, fixed at
-construction.
+All units are stateful single-owner objects with a deterministic ``step``
+that build their state in ``__init__`` only (the controller's ``reset()``
+builds new ones), plus stateless shaping functions (elliptical soft
+coercion, smooth deadband, coerced interpolation). Only the scalar and 2D
+shapes the controller builds are here: two-axis ellipses, a 2D bounded
+integrator, and mean and WLBF filters of dim 1 or 2, fixed at construction.
 
 The elliptical operations act radially: the direction of the input is
 preserved exactly and only the magnitude is reshaped against the directional
@@ -173,10 +173,6 @@ class MeanFilter:
         self._buf = deque()
         self._sum = [0.0] * dim
 
-    def reset(self) -> None:
-        self._buf.clear()
-        self._sum = [0.0] * self.dim
-
     def step(self, x: Sequence[float]) -> Tuple[float, ...]:
         if len(x) != self.dim:
             raise ValueError(f"expected {self.dim}-dim sample, got {len(x)}")
@@ -225,9 +221,6 @@ class WlbfFilter:
         self.dim = dim
         self.capacity = capacity
         self._buf = deque(maxlen=capacity)
-
-    def reset(self) -> None:
-        self._buf.clear()
 
     def step(self, t: float, x: Sequence[float]):
         dim = self.dim
@@ -315,9 +308,6 @@ class BoundedIntegrator:
             )
         self.ellipsoid = ellipsoid
         self.buffer = buffer
-        self.reset()
-
-    def reset(self) -> None:
         self.value = (0.0, 0.0)
         self._u_prev = (0.0, 0.0)
 
@@ -346,9 +336,6 @@ class SlopeLimiter:
         self.max_rate = max_rate
         self.value = initial
 
-    def reset(self, value: float = 0.0) -> None:
-        self.value = value
-
     def step(self, x: float, dt: float) -> float:
         lim = self.max_rate * dt
         d = x - self.value
@@ -371,9 +358,6 @@ class HoldFilter:
         self.hold_time = hold_time
         self._buf = deque()
 
-    def reset(self) -> None:
-        self._buf.clear()
-
     def step(self, x: float, t: float) -> float:
         buf = self._buf
         # Monotone deque: drop entries dominated by the new sample.
@@ -391,14 +375,11 @@ class LowPassFilter:
 
     __slots__ = ("settling_time", "value")
 
-    def __init__(self, settling_time: float, initial: float = 0.0):
+    def __init__(self, settling_time: float):
         if settling_time <= 0.0:
             raise ValueError("settling_time must be positive")
         self.settling_time = settling_time
-        self.value = initial
-
-    def reset(self, value: float = 0.0) -> None:
-        self.value = value
+        self.value = 0.0
 
     def step(self, x: float, dt: float) -> float:
         # After settling_time of constant input the output covers 99% of a step.

@@ -140,8 +140,6 @@ _MU = ActivationSet._fields.index("mu")
 class RunResult:
     records: List[tuple]
     fallen: bool
-    plant: SurrogatePlant
-    controller: Optional[TiltPhaseController]
 
 
 def run_closed_loop(
@@ -184,7 +182,7 @@ def run_closed_loop(
         imu = plant.step(act, mu, scenario.disturbances, t, dt)
         if plant.state.fallen:
             break
-    return RunResult(records, plant.state.fallen, plant, controller)
+    return RunResult(records, plant.state.fallen)
 
 
 def run_replay(
@@ -282,20 +280,23 @@ def push_battery(
     return results
 
 
+# Bisection steps of push_threshold below its cap
+THRESHOLD_ITERS = 10
+
+
 def push_threshold(
     ctrl_cfg: ControllerConfig,
     plant_cfg: PlantConfig,
     controller_enabled: bool,
     direction: float = 0.0,
     hi: float = 4.0,
-    iters: int = 10,
     seed: int = 0,
 ) -> float:
     """Binary-search the maximum withstood impulse along one direction."""
     lo = 0.0
     if run_push_trial(ctrl_cfg, plant_cfg, direction, hi, seed, controller_enabled):
         return hi
-    for _ in range(iters):
+    for _ in range(THRESHOLD_ITERS):
         mid = 0.5 * (lo + hi)
         if run_push_trial(ctrl_cfg, plant_cfg, direction, mid, seed, controller_enabled):
             lo = mid
@@ -352,6 +353,8 @@ def benchmark_controller_step(ctrl_cfg: ControllerConfig, n: int = 20000) -> Tup
     """
     import gc
 
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     dt = ctrl_cfg.cycle_dt
     cmd = GaitCommand()
     g = 9.81

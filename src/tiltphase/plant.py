@@ -100,7 +100,6 @@ class PlantState:
     support: str = "R"
     pivot_x: float = 0.0
     pivot_y: float = 0.0
-    odometry: float = 0.0
     fallen: bool = False
 
 
@@ -270,7 +269,6 @@ class SurrogatePlant:
                     vx = vx + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
                     vy = vy + h6 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
             st.px, st.py, st.vx, st.vy = px, py, vx, vy
-            st.odometry += abs(act.gait_frequency) * dt
 
             if math.hypot(st.px, st.py) > self.cfg.fall_angle:
                 st.fallen = True

@@ -34,6 +34,15 @@ class TestDefaults:
         with pytest.raises(ConfigError, match="double_support_width"):
             ControllerConfig(double_support_width=math.pi).validate()
 
+    @pytest.mark.parametrize("name", [
+        f"{part}_{term}_gain_{axis}"
+        for part in ("arm", "foot") for term in ("p", "d") for axis in ("lat", "sag")
+    ])
+    def test_negative_pd_gain_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"^controller.{name} must be >= 0$"):
+            ControllerConfig(**{name: -0.1}).validate()
+        ControllerConfig(**{name: 0.0}).validate()
+
     def test_invalid_plant_fields(self):
         with pytest.raises(ConfigError, match="strike_restitution"):
             PlantConfig(strike_restitution=1.5).validate()

@@ -154,6 +154,18 @@ class TestDirectionalGain:
     def test_zero_vector(self):
         assert directional_gain((0.0, 0.0), 2.0, 0.5) == 0.5
 
+    def test_zero_gain_switches_its_axis_off(self):
+        assert directional_gain((0.3, 0.0), 0.0, 0.5) == 0.0
+        assert directional_gain((0.0, 0.3), 0.0, 0.5) == 0.5
+        assert directional_gain((0.3, 0.1), 0.0, 0.5) == 0.0
+        assert directional_gain((0.3, 0.0), 2.0, 0.0) == 2.0
+        assert directional_gain((0.3, 0.1), 2.0, 0.0) == 0.0
+
+    def test_tiny_gain_does_not_overflow(self):
+        assert directional_gain((0.3, 0.0), 1e-300, 0.5) == 1e-300
+        assert directional_gain((0.0, 0.3), 1e-300, 0.5) == 0.5
+        assert 0.0 <= directional_gain((0.3, 0.1), 1e-300, 0.5) <= 1e-300
+
 
 class TestControllerStep:
     def test_rest_produces_no_actions(self):

@@ -1,5 +1,6 @@
 """Property tests of the coercion bounds: scalar soft coercion, and the
-controller's outputs for any plausible IMU input.
+controller's outputs for any plausible IMU input and, in a pushed closed
+loop, for zero or tiny PD gains.
 
 Needs Hypothesis (the `test` extra); skipped where it is not installed.
 """
@@ -13,10 +14,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
 
-from tiltphase.config import ControllerConfig  # noqa: E402
-from tiltphase.controller import GaitCommand, TiltPhaseController  # noqa: E402
+from tiltphase.config import ControllerConfig, PlantConfig  # noqa: E402
+from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController  # noqa: E402
 from tiltphase.estimator import ImuSample  # noqa: E402
 from tiltphase.filters import soft_coerce_1d  # noqa: E402
+from tiltphase.plant import Disturbance, SurrogatePlant  # noqa: E402
 
 # Same tolerance as the benchmark's trace check (perfbench/workloads.py)
 TOL = 1e-9
@@ -104,3 +106,23 @@ def test_controller_outputs_finite_and_bounded(config, cycles, cmd):
         t += dt
         act = ctrl.step(ImuSample(t, gyro, accel), command, dt)
         assert output_errors(act, cfg) == []
+
+
+@pytest.mark.parametrize("gain", [0.0, 1e-300])
+@pytest.mark.parametrize("name", [
+    f"{part}_{term}_gain_{axis}"
+    for part in ("arm", "foot") for term in ("p", "d") for axis in ("lat", "sag")
+])
+def test_zero_or_tiny_pd_gain_in_pushed_loop(name, gain):
+    cfg = ControllerConfig(**{name: gain})
+    ctrl = TiltPhaseController(cfg)
+    plant = SurrogatePlant(PlantConfig())
+    # A diagonal push moves both axes, so each of the eight gains is used
+    push = [Disturbance("impulse", 0.8, 1.0, start_time=1.0)]
+    dt = cfg.cycle_dt
+    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, push, 0.0, dt)
+    for k in range(1, 201):
+        act = ctrl.step(imu, GaitCommand(), dt)
+        assert output_errors(act, cfg) == []
+        imu = plant.step(act, ctrl.mu, push, k * dt, dt)
+    assert not plant.state.fallen

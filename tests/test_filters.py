@@ -508,11 +508,6 @@ class TestBitExactPaths:
         for _ in range(4 * order + 40):
             x = (rng.choice(EDGE_VALUES) if rng.random() < 0.5 else rng.uniform(-5.0, 5.0),)
             assert _bits(f.step(x)) == _bits(ref.step(x))
-        # After a reset the filter starts over exactly like a new one
-        f.reset()
-        ref = GenericMeanFilter(1, order)
-        for x in EDGE_VALUES:
-            assert _bits(f.step((x,))) == _bits(ref.step((x,)))
 
     def test_radius_along(self):
         rng = random.Random(5)
@@ -547,16 +542,13 @@ class TestBitExactPaths:
         bi = BoundedIntegrator(Ellipsoid(semi_axes), buffer)
         ref = ReferenceIntegrator(semi_axes, buffer)
         assert _bits(bi.value) == _bits(ref.value)
-        for k in range(5000):
+        for _ in range(5000):
             u = tuple(
                 rng.choice(EDGE_VALUES) if rng.random() < 0.3 else rng.uniform(-50.0, 50.0)
                 for _ in range(2)
             )
             dt = rng.choice((0.01, 1e-3, 5e-324, 0.05))
             assert _bits(bi.step(u, dt)) == _bits(ref.step(u, dt))
-            if k == 2500:
-                bi.reset()
-                ref = ReferenceIntegrator(semi_axes, buffer)
         assert _bits(bi._u_prev) == _bits(ref._u_prev)
 
 

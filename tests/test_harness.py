@@ -13,6 +13,7 @@ from tiltphase.harness import (
     Scenario,
     _command_at,
     _schedule_times,
+    benchmark_controller_step,
     fit_waveform,
     load_imu_log,
     push_battery,
@@ -162,6 +163,11 @@ class TestClosedLoop:
         sc = Scenario(duration=0.5, overrides={"controller.i_gain": 0.0})
         run_closed_loop(ctrl, PlantConfig(), sc)
         assert ctrl.i_gain == ControllerConfig().i_gain
+
+
+def test_benchmark_controller_step_rejects_no_cycles():
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+        benchmark_controller_step(ControllerConfig(), n=0)
 
 
 class TestReplay:

@@ -297,7 +297,6 @@ class ReferencePlant(SurrogatePlant):
             for _ in range(n_sub):
                 px, py, vx, vy = self._rk4(px, py, vx, vy, act, (fx, fy), h)
             st.px, st.py, st.vx, st.vy = px, py, vx, vy
-            st.odometry += abs(act.gait_frequency) * dt
             if math.hypot(st.px, st.py) > self.cfg.fall_angle:
                 st.fallen = True
                 st.vx = 0.0

@@ -39,10 +39,26 @@ class Ellipsoid:
         """Directional radius along the (nonzero) 2-vector x."""
         x0, x1 = x
         a0, a1 = self.semi_axes
-        s = (x0 / a0) ** 2 + (x1 / a1) ** 2
+        try:
+            s = (x0 / a0) ** 2 + (x1 / a1) ** 2
+        except OverflowError:
+            return _scaled_radius(x0, x1, a0, a1)
         if s <= 0.0:
             return self.min_semi_axis
         return math.sqrt((x0 * x0 + x1 * x1) / s)
+
+
+def _scaled_radius(x0: float, x1: float, a0: float, a1: float) -> float:
+    """Directional radius of the (a0, a1) ellipse along (x0, x1), for inputs
+    where squaring x / a overflows or underflows: each ratio is scaled by the
+    larger one first. Infinite when both ratios vanish (x is 0 on that scale).
+    """
+    w0 = abs(x0) / a0
+    w1 = abs(x1) / a1
+    u = max(w0, w1)
+    if u == 0.0:
+        return math.inf
+    return math.hypot(x0, x1) / u / math.hypot(w0 / u, w1 / u)
 
 
 def soft_coerce_mag(m: float, r: float, b: float) -> float:
@@ -69,7 +85,10 @@ def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[
     if m2 == 0.0:
         return (0.0, 0.0)
     m = math.sqrt(m2)
-    r = math.sqrt(m2 / ((x0 / a0) ** 2 + (x1 / a1) ** 2))
+    try:
+        r = math.sqrt(m2 / ((x0 / a0) ** 2 + (x1 / a1) ** 2))
+    except (OverflowError, ZeroDivisionError):
+        r = _scaled_radius(x0, x1, a0, a1)
     s = soft_coerce_mag(m, r, b)
     if s == m:
         return (x0, x1)
@@ -125,7 +144,10 @@ def smooth_deadband2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float,
     if m2 == 0.0:
         return (0.0, 0.0)
     m = math.sqrt(m2)
-    r = math.sqrt(m2 / ((x0 / a0) ** 2 + (x1 / a1) ** 2))
+    try:
+        r = math.sqrt(m2 / ((x0 / a0) ** 2 + (x1 / a1) ** 2))
+    except (OverflowError, ZeroDivisionError):
+        r = _scaled_radius(x0, x1, a0, a1)
     k = smooth_deadband_mag(m, r) / m
     return (k * x0, k * x1)
 

@@ -114,11 +114,15 @@ _NO_COMMAND = GaitCommand()
 
 
 def _schedule_times(commands: List[Tuple[float, GaitCommand]]) -> List[float]:
-    """Times of a command schedule, checked to be finite and sorted."""
-    times = [t for t, _ in commands]
-    for t in times:
+    """Times of a command schedule, checked to be sorted and, with every
+    command field, finite."""
+    for t, cmd in commands:
         if not math.isfinite(t):
             raise ValueError(f"command schedule time {t} is not finite")
+        for name, v in zip(GaitCommand._fields, cmd):
+            if not math.isfinite(v):
+                raise ValueError(f"command at t={t}: {name} {v} is not finite")
+    times = [t for t, _ in commands]
     if times != sorted(times):
         raise ValueError("command schedule times must be sorted")
     return times
@@ -311,26 +315,44 @@ def push_threshold(
 def fit_waveform(mu: Sequence[float], px: Sequence[float], py: Sequence[float]):
     """Least-squares fit of a*sin(mu + phi0) + c per axis.
 
-    Returns (ExpectedWaveform, residual RMS per axis). numpy is imported
-    here, not at module level: nothing else in the package uses it, and it
-    is most of the import time of `tiltphase.cli`.
+    a*sin(mu + phi0) = b0*sin(mu) + b1*cos(mu), so this is a linear fit of
+    (b0, b1, c). Centring every column on its mean drops c out, leaving 2x2
+    normal equations solved by Cramer's rule. Returns (ExpectedWaveform,
+    residual RMS per axis). Raises ValueError when mu does not span enough
+    of the phase circle to separate sin from cos (all equal, or only two
+    distinct values).
     """
-    import numpy as np
-
-    mu = np.asarray(mu, dtype=float)
-    if mu.size < 10:
+    n = len(mu)
+    if len(px) != n or len(py) != n:
+        raise ValueError(f"mu, px and py differ in length: {n}, {len(px)}, {len(py)}")
+    if n < 10:
         raise ValueError("need at least 10 samples to fit the waveform")
-    A = np.stack([np.sin(mu), np.cos(mu), np.ones_like(mu)], axis=1)
+    sin = [math.sin(m) for m in mu]
+    cos = [math.cos(m) for m in mu]
+    ms = math.fsum(sin) / n
+    mc = math.fsum(cos) / n
+    ds = [u - ms for u in sin]
+    dc = [v - mc for v in cos]
+    sss = math.fsum(u * u for u in ds)
+    scc = math.fsum(v * v for v in dc)
+    ssc = math.fsum(u * v for u, v in zip(ds, dc))
+    det = sss * scc - ssc * ssc
+    if det <= 1e-12 * sss * scc:
+        raise ValueError("gait phase mu covers too little of the cycle to fit the waveform")
     params = []
     rms = []
-    for data in (np.asarray(px, dtype=float), np.asarray(py, dtype=float)):
-        beta, *_ = np.linalg.lstsq(A, data, rcond=None)
-        a = float(np.hypot(beta[0], beta[1]))
-        phi0 = float(math.atan2(beta[1], beta[0])) if a > 0 else 0.0
-        c = float(beta[2])
+    for data in (px, py):
+        md = math.fsum(data) / n
+        ssd = math.fsum(u * (d - md) for u, d in zip(ds, data))
+        scd = math.fsum(v * (d - md) for v, d in zip(dc, data))
+        b0 = (ssd * scc - scd * ssc) / det
+        b1 = (scd * sss - ssd * ssc) / det
+        c = md - b0 * ms - b1 * mc
+        a = math.hypot(b0, b1)
+        phi0 = math.atan2(b1, b0) if a > 0 else 0.0
         params.append((a, phi0, c))
-        resid = data - A @ beta
-        rms.append(float(np.sqrt(np.mean(resid**2))))
+        sq = math.fsum((d - (b0 * u + b1 * v + c)) ** 2 for u, v, d in zip(sin, cos, data))
+        rms.append(math.sqrt(sq / n))
     (ax_, phx, cx), (ay_, phy, cy) = params
     wave = ExpectedWaveform(ax_, ay_, phx, phy, cx, cy)
     return wave, tuple(rms)

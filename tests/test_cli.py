@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import pytest
 
 from tiltphase.cli import EXIT_FALLEN, EXIT_INPUT, EXIT_OK, THRESHOLD_HI, main
 from tiltphase.config import ControllerConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestSimulate:
@@ -199,6 +202,21 @@ class TestFitWaveform:
     def test_missing_trace(self):
         assert main(["fit-waveform", "/no/such/trace"]) == EXIT_INPUT
 
+    def test_constant_phase_trace_exits_input(self, tmp_path, capsys):
+        trace = tmp_path / "run.trace"
+        assert main(["simulate", "--duration", "0.5", "--out", str(trace)]) == EXIT_OK
+        lines = trace.read_text().splitlines()
+        for i in range(2, len(lines)):
+            row = lines[i].split(",")
+            row[1] = "0.3"  # mu
+            lines[i] = ",".join(row)
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fit-waveform", str(trace)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "error: gait phase mu covers too little of the cycle" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("column, bad, message", [
         (None, None, "line 5: malformed"),
         (2, "x", "line 5: non-numeric pxB"),
@@ -283,23 +301,38 @@ class TestFlags:
 
 COLD_START = """
 import contextlib, io, sys
-import tiltphase, tiltphase.cli, tiltphase.harness
 from tiltphase.cli import main
+trace = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["--dump-config"]) == 0
-    assert main(["simulate", "--duration", "0.1"]) == 0
-print("numpy" in sys.modules)
-tiltphase.harness.fit_waveform([0.5 * k for k in range(12)], [0.0] * 12, [0.0] * 12)
+    assert main(["simulate", "--duration", "1.0", "--out", trace]) == 0
+    assert main(["fit-waveform", trace]) == 0
 print("numpy" in sys.modules)
 """
 
 
-def test_numpy_loaded_only_by_fit_waveform():
-    """In a fresh interpreter the CLI, config and closed loop load no numpy;
-    fit_waveform, its only user, imports it when called."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+def test_cli_never_loads_numpy(tmp_path):
+    """In a fresh interpreter the CLI, the closed loop and the waveform fit
+    run on the standard library alone."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", COLD_START, str(tmp_path / "run.trace")],
+        env=env, capture_output=True, text=True, check=True,
     ).stdout.split()
-    assert out[0] == "False", "numpy imported before fit_waveform"
-    assert out[1] == "True"
+    assert out == ["False"], "numpy imported"
+
+
+def test_package_imports_only_the_standard_library():
+    for path in sorted((SRC / "tiltphase").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "tiltphase", (
+                    f"{path.name}:{node.lineno} imports {name}"
+                )

@@ -1,6 +1,6 @@
 """Property tests of the coercion bounds: scalar soft coercion, and the
 controller's outputs for any plausible IMU input and, in a pushed closed
-loop, for zero or tiny PD gains.
+loop, for zero or tiny PD gains and for tiny or huge semi-axes and deadbands.
 
 Needs Hypothesis (the `test` extra); skipped where it is not installed.
 """
@@ -126,3 +126,28 @@ def test_zero_or_tiny_pd_gain_in_pushed_loop(name, gain):
         assert output_errors(act, cfg) == []
         imu = plant.step(act, ctrl.mu, push, k * dt, dt)
     assert not plant.state.fallen
+
+
+@pytest.mark.parametrize("fields", [
+    {"pd_deadband_p_x": 1e-300},
+    {"pd_deadband_d_y": 1e-300},
+    {"arm_limit_x": 1e-200, "arm_buffer": 1e-201},
+    {"foot_limit_x": 1e-250, "foot_buffer": 1e-251},
+    {"arm_limit_x": 1e300, "arm_limit_y": 1e300},
+    {"sp_deadband_x": 1e300, "sp_deadband_y": 1e300},
+    {"i_bound_x": 1e300, "i_bound_y": 1e300},
+], ids=lambda f: ",".join(f"{k}={v:g}" for k, v in f.items()))
+def test_tiny_or_huge_axes_in_pushed_loop(fields):
+    """Axes that validate() accepts but whose (x / a) ** 2 overflows or
+    underflows to a zero sum: step neither raises nor leaves the ellipses."""
+    cfg = ControllerConfig(**fields)
+    cfg.validate()
+    ctrl = TiltPhaseController(cfg)
+    plant = SurrogatePlant(PlantConfig())
+    push = [Disturbance("impulse", 0.8, 1.0, start_time=1.0)]
+    dt = cfg.cycle_dt
+    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, push, 0.0, dt)
+    for k in range(1, 201):
+        act = ctrl.step(imu, GaitCommand(), dt)
+        assert output_errors(act, cfg) == []
+        imu = plant.step(act, ctrl.mu, push, k * dt, dt)

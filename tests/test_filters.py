@@ -14,6 +14,7 @@ from tiltphase.filters import (
     MeanFilter,
     SlopeLimiter,
     WlbfFilter,
+    _scaled_radius,
     coerced_interp,
     hard_coerce2,
     hard_coerce_ellip,
@@ -181,6 +182,20 @@ class TestEllipsoid:
             if abs(a[0] - a[1]) > 1e-9:
                 assert r < max(a)
             assert r >= min(a) - 1e-12
+
+    def test_radius_where_squares_overflow_or_vanish(self):
+        # The scaled form agrees with the direct one where both work...
+        rng = random.Random(4)
+        for _ in range(1000):
+            a = (rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0))
+            x = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+            want = Ellipsoid(a).radius_along(x)
+            assert _scaled_radius(*x, *a) == pytest.approx(want, rel=1e-14)
+        # ...and takes over where (x / a) ** 2 overflows or both squares vanish
+        r = Ellipsoid((1e-200, 1.0)).radius_along((1.0, 1.0))
+        assert r == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-14)
+        assert _scaled_radius(1.0, -1.0, 1e300, 1e300) == pytest.approx(1e300, rel=1e-14)
+        assert _scaled_radius(1e-200, 0.0, 1e300, 1e300) == math.inf
 
 
 class TestSoftCoerce:

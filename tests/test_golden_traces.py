@@ -3,9 +3,10 @@ and the exact outputs of `fit_waveform` and of a push battery.
 
 The closed-loop digests were recorded before the tilt phase and fused yaw
 math moved onto the shared `rotation` kernels, the replay digests before
-the trace columns and the row reader were declared once, and the
-`fit_waveform` and push battery goldens before numpy moved inside
-`fit_waveform`; any change that moves a single trace byte fails here. A
+the trace columns and the row reader were declared once, the push battery
+golden before numpy moved inside `fit_waveform`, and the `fit_waveform`
+goldens when its numpy least squares became a closed-form fit on the
+standard library; any change that moves a single trace byte fails here. A
 change that is meant to move traces must say so and record the new digests.
 """
 
@@ -33,11 +34,11 @@ from tiltphase.plant import Disturbance
 from tiltphase.trace import format_record, write_trace
 
 FIT_WAVEFORM_HEX = [
-    "0x1.ed23e3d8669f9p-6", "0x1.43f999b2fec5ep-6", "0x1.9494d5ab7607dp-2",
-    "-0x1.1b503f6160554p+0", "0x1.0508c931fa784p-8", "-0x1.ba0c894aeda1cp-11",
-    "0x1.0877c0f4be591p-9", "0x1.0a79dd48ddfbcp-9",
+    "0x1.ed23e3d8669f3p-6", "0x1.43f999b2fec59p-6", "0x1.9494d5ab7607ap-2",
+    "-0x1.1b503f6160554p+0", "0x1.0508c931fa785p-8", "-0x1.ba0c894aeda24p-11",
+    "0x1.0877c0f4be591p-9", "0x1.0a79dd48ddfbbp-9",
 ]
-FIT_WAVEFORM_CLI_SHA256 = "dc5dfa26ff0b47d4b8ad3a270824c3adb44b193531686fafd08a27ac469ea90c"
+FIT_WAVEFORM_CLI_SHA256 = "1fe14bfee0182a19dbd99881598604bccc98b4b259706429a957fb43ef578459"
 PUSH_BATTERY_GOLDEN = [
     (True, [(1.0, 1), (1.5, 1), (7.0, 1)],
      "85508b4d9968ae311f1bf38396fb6e97e2a46d6711b220f5225822738873d047"),

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from tiltphase.config import ControllerConfig, PlantConfig
@@ -142,6 +144,23 @@ def test_command_lookup_matches_linear_scan():
             assert _command_at(checked, commands, t) == _scan_command_at(commands, t)
 
 
+@pytest.mark.parametrize("field", GaitCommand._fields)
+def test_non_finite_command_field_rejected(field):
+    """A nan command field would reach controller state and leave most
+    records after it non-finite; every runner refuses the schedule."""
+    commands = [(0.0, GaitCommand(0.2)), (0.2, GaitCommand(**{field: math.nan}))]
+    message = rf"command at t=0\.2: {field} nan is not finite"
+    with pytest.raises(ValueError, match=message):
+        Scenario(commands=commands)
+    scenario = Scenario(duration=1.0)
+    scenario.commands = commands
+    with pytest.raises(ValueError, match=message):
+        run_closed_loop(ControllerConfig(), PlantConfig(), scenario)
+    samples = [ImuSample(0.01 * k, (0.0, 0.0, 0.0), (0.0, 0.0, 9.81)) for k in range(1, 50)]
+    with pytest.raises(ValueError, match=message):
+        run_replay(ControllerConfig(), samples, commands)
+
+
 class TestClosedLoop:
     def test_nominal_run_stays_upright(self):
         res = run_closed_loop(ControllerConfig(), PlantConfig(), Scenario(duration=3.0))
@@ -266,3 +285,49 @@ class TestFitWaveform:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             fit_waveform([0.0] * 5, [0.0] * 5, [0.0] * 5)
+
+    def test_matches_lstsq(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            n = rng.choice((10, 11, 37, 300, rng.randrange(10, 2001), 2000))
+            start = rng.uniform(-math.pi, math.pi)
+            span = rng.uniform(1.0, 12.0)
+            # Both ends of the span are sampled, so mu spans at least 1 rad
+            offsets = [0.0, span] + [span * rng.random() for _ in range(n - 2)]
+            mu = [math.remainder(start + d, 2.0 * math.pi) for d in offsets]
+            cols = []
+            for _axis in range(2):
+                a, phi = rng.uniform(0.005, 0.1), rng.uniform(-math.pi, math.pi)
+                c, noise = rng.uniform(-0.05, 0.05), rng.uniform(0.0, 0.01)
+                cols.append([a * math.sin(m + phi) + c + rng.gauss(0.0, noise) for m in mu])
+            wave, rms = fit_waveform(mu, *cols)
+            got = (*dataclasses.astuple(wave), *rms)
+            want = lstsq_fit(mu, *cols)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (n, span)
+
+    @pytest.mark.parametrize("mu", [[0.3] * 20, [0.3, 1.2] * 10, [-2.0] * 9 + [1.0] * 11],
+                             ids=["constant", "two-valued", "two-valued-unbalanced"])
+    def test_too_few_distinct_phases(self, mu):
+        with pytest.raises(ValueError, match="mu covers too little of the cycle"):
+            fit_waveform(mu, [0.1] * len(mu), [0.0] * len(mu))
+
+    def test_column_lengths_must_match(self):
+        mu = [0.5 * k for k in range(12)]
+        with pytest.raises(ValueError, match="differ in length: 12, 11, 12"):
+            fit_waveform(mu, [0.0] * 11, [0.0] * 12)
+
+
+def lstsq_fit(mu, px, py):
+    """numpy's least squares on columns (sin mu, cos mu, 1): the fit
+    `fit_waveform` replaced, as its reference; the same 8 values."""
+    mu = np.asarray(mu, dtype=float)
+    A = np.stack([np.sin(mu), np.cos(mu), np.ones_like(mu)], axis=1)
+    params, rms = [], []
+    for data in (np.asarray(px, dtype=float), np.asarray(py, dtype=float)):
+        beta, *_ = np.linalg.lstsq(A, data, rcond=None)
+        params.append(
+            (float(np.hypot(beta[0], beta[1])), math.atan2(beta[1], beta[0]), float(beta[2]))
+        )
+        rms.append(float(np.sqrt(np.mean((data - A @ beta) ** 2))))
+    (ax, phx, cx), (ay, phy, cy) = params
+    return ax, ay, phx, phy, cx, cy, *rms

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tiltphase.config import ControllerConfig, PlantConfig
-from tiltphase.controller import ActivationSet, GaitCommand
+from tiltphase.config import ControllerConfig
+from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController
 from tiltphase.estimator import ImuSample
-from tiltphase.harness import Scenario, run_closed_loop, run_replay
+from tiltphase.harness import run_replay
 from tiltphase.trace import (
     COLUMNS,
     FIELDS,
@@ -157,9 +157,16 @@ class TestRoundTrip:
         assert read_trace(path)[2]["pxB"] == 1e308
 
     def test_nan_command_refused_on_write(self, tmp_path):
-        # A nan command passed in code reaches the lean tilt's sagittal column
-        scenario = Scenario(duration=0.5, commands=[(0.2, GaitCommand(vx=math.nan))])
-        records = run_closed_loop(ControllerConfig(), PlantConfig(), scenario).records
+        # A nan command passed to the controller in code, past the harness's
+        # schedule check, reaches the lean tilt's sagittal column
+        cfg = ControllerConfig()
+        ctrl = TiltPhaseController(cfg)
+        records = []
+        for k in range(1, 51):
+            t = k * cfg.cycle_dt
+            cmd = GaitCommand(vx=math.nan) if t >= 0.2 else GaitCommand()
+            act = ctrl.step(ImuSample(t, (0.0, 0.0, 0.0), (0.0, 0.0, 9.81)), cmd, cfg.cycle_dt)
+            records.append(record_values(t, act))
         with pytest.raises(ValueError, match=r"^record t=0\.2: non-finite pyl nan$"):
             write_trace(tmp_path / "nan.trace", records)
 

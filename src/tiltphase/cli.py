@@ -1,10 +1,11 @@
-"""Command line harness: simulate, replay, push batteries, fitting, selftest."""
+"""Command line harness: simulate, replay, push batteries, fitting, trace diff, selftest."""
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from tiltphase.config import (
@@ -25,11 +26,13 @@ from tiltphase.harness import (
     run_closed_loop,
     run_replay,
 )
-from tiltphase.trace import read_trace, write_trace
+from tiltphase.trace import FIELDS, read_trace, write_trace
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FALLEN = 2
+# `diff` of two traces that differ, as diff(1) does
+EXIT_DIFFERENT = 1
 
 # Largest impulse `pushtest --threshold` tries
 THRESHOLD_HI = 4.0
@@ -141,6 +144,49 @@ def cmd_fit_waveform(args) -> int:
     return EXIT_OK
 
 
+def _read_trace_of(path):
+    try:
+        return read_trace(path)
+    except ValueError as exc:  # read_trace names the line; add the file
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _differ(x: float, y: float) -> bool:
+    # == alone takes -0.0 for 0.0, which the trace writes differently
+    return x != y or math.copysign(1.0, x) != math.copysign(1.0, y)
+
+
+def cmd_diff(args) -> int:
+    a = _read_trace_of(args.a)
+    b = _read_trace_of(args.b)
+    numeric = FIELDS[:-1]
+    worst = dict.fromkeys(numeric, 0.0)
+    flag_diffs = 0
+    first = None
+    for i, (ra, rb) in enumerate(zip(a, b), start=1):
+        cols = [n for n in numeric if _differ(ra[n], rb[n])]
+        for n in cols:
+            worst[n] = max(worst[n], abs(ra[n] - rb[n]))
+        if ra["flags"] != rb["flags"]:
+            flag_diffs += 1
+            cols.append("flags")
+        if cols and first is None:
+            shown = ", ".join(f"{n} {ra[n]!r} vs {rb[n]!r}" for n in cols)
+            first = f"record {i} (t={ra['t']!r}): {shown}"
+    if first is None and len(a) != len(b):
+        first = f"record {min(len(a), len(b)) + 1}: only in {args.a if len(a) > len(b) else args.b}"
+    print("column max_abs_diff")
+    for n in numeric:
+        print(f"{n} {worst[n]!r}")
+    print(f"flags {flag_diffs} records differ")
+    print(f"records {len(a)} {len(b)}")
+    if first is None:
+        print("identical")
+        return EXIT_OK
+    print(f"first diverging {first}")
+    return EXIT_DIFFERENT
+
+
 def cmd_selftest(args) -> int:
     ctrl, plant = _load_configs(args)
     mean_us, p99_us = benchmark_controller_step(ctrl, n=args.cycles)
@@ -188,6 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace", help="trace file from simulate")
     p.add_argument("--out", help="write fitted parameters as JSON")
     p.set_defaults(func=cmd_fit_waveform)
+
+    p = sub.add_parser("diff", help="largest difference per column of two traces")
+    p.add_argument("a", help="trace file")
+    p.add_argument("b", help="trace file")
+    p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("selftest", help="latency benchmark plus a nominal run")
     p.add_argument("--cycles", default=20000)

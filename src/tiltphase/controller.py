@@ -19,7 +19,7 @@ from typing import NamedTuple, Tuple
 
 from tiltphase.config import ControllerConfig
 from tiltphase.deviation import ExpectedWaveform, deviation_tilt, gait_phase_step
-from tiltphase.estimator import AttitudeEstimator, ImuSample
+from tiltphase.estimator import GRAVITY, AttitudeEstimator, ImuSample
 from tiltphase.filters import (
     BoundedIntegrator,
     Ellipsoid,
@@ -203,6 +203,9 @@ class TiltPhaseController:
 
         self.mu = 0.0
         self._pd_mean_prev: Tuple[float, float] | None = None
+        # The last finite inputs, which stand in for non-finite ones; before
+        # the first step, an IMU at rest and no command
+        self._held = (ImuSample(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, GRAVITY)), GaitCommand())
 
     # -- individual corrective action computations --------------------------
 
@@ -330,18 +333,50 @@ class TiltPhaseController:
 
     # -- one full control cycle ---------------------------------------------
 
+    def _hold_non_finite(self, imu: ImuSample, cmd: GaitCommand, dt: float):
+        """(imu, cmd, flags) with each non-finite value replaced by its held one.
+
+        A held timestamp advances by dt. Flags `imu_nonfinite` and
+        `cmd_nonfinite` name the input that had one.
+        """
+        held_imu, held_cmd = self._held
+        flags = ()
+        t, gyro, accel = imu
+        if not all(map(math.isfinite, (t, *gyro, *accel))):
+            flags = ("imu_nonfinite",)
+            imu = ImuSample(
+                t if math.isfinite(t) else held_imu.t + dt,
+                tuple(v if math.isfinite(v) else h for v, h in zip(gyro, held_imu.gyro)),
+                tuple(v if math.isfinite(v) else h for v, h in zip(accel, held_imu.accel)),
+            )
+        if not all(map(math.isfinite, cmd)):
+            flags += ("cmd_nonfinite",)
+            cmd = GaitCommand(*(v if math.isfinite(v) else h for v, h in zip(cmd, held_cmd)))
+        return imu, cmd, flags
+
     def step(self, imu: ImuSample, cmd: GaitCommand, dt: float) -> ActivationSet:
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         cfg = self.cfg
         mu = self.mu
         flags = ()
+
+        # One sum covers every input; only a non-finite (or overflowing) sum
+        # is scanned
+        gyro = imu.gyro
+        accel = imu.accel
+        if not math.isfinite(
+            imu.t + gyro[0] + gyro[1] + gyro[2] + accel[0] + accel[1] + accel[2]
+            + cmd[0] + cmd[1] + cmd[2]
+        ):
+            imu, cmd, flags = self._hold_non_finite(imu, cmd, dt)
+        self._held = imu, cmd
 
         p_b = self.estimator.step(imu.gyro, imu.accel, dt)
         p_e = self.waveform.evaluate(mu)
         dev = deviation_tilt(p_b, p_e, cfg.py_nominal)
         if not dev.converged:
-            flags = ("deviation_degenerate",)
+            flags += ("deviation_degenerate",)
         p_d = (dev.px, dev.py)
 
         pd_mean = self.p_mean.step(p_d)

@@ -42,9 +42,10 @@ class Ellipsoid:
         try:
             s = (x0 / a0) ** 2 + (x1 / a1) ** 2
         except OverflowError:
-            return _scaled_radius(x0, x1, a0, a1)
+            s = 0.0
         if s <= 0.0:
-            return self.min_semi_axis
+            # The squares overflow or both underflow
+            return _scaled_radius(x0, x1, a0, a1)
         return math.sqrt((x0 * x0 + x1 * x1) / s)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 import time
 from bisect import bisect_right
@@ -151,7 +152,14 @@ def run_closed_loop(
     plant_cfg: PlantConfig,
     scenario: Scenario,
 ) -> RunResult:
-    """Run plant + controller for scenario.duration and collect trace records."""
+    """Run plant + controller for scenario.duration and collect trace records.
+
+    The cycles before the first command or disturbance can act are replayed
+    from a one-entry memo when a run with the same key filled it (see
+    `_quiet_prefix`), so push trials that differ only in the push share one
+    walk to the push. The result is bit for bit that of a full run.
+    """
+    global _quiet_prefix
     if scenario.overrides:
         # apply_overrides sets fields in place; the caller's configs stay as they are
         ctrl_cfg = replace(ctrl_cfg)
@@ -164,15 +172,47 @@ def run_closed_loop(
     plant = SurrogatePlant(plant_cfg, seed=scenario.seed)
 
     n = int(round(scenario.duration / dt))
-    records: List[tuple] = []
     idle = ActivationSet(gait_frequency=ctrl_cfg.f_nom)
     # The controller-off output is `idle` with mu replaced, built each cycle
     # with tuple.__new__ from the fields around mu
     idle_head = idle[:_MU]
     idle_tail = idle[_MU + 1:]
-    imu = plant.step(idle, 0.0, scenario.disturbances, 0.0, dt)
-    mu_open = 0.0
-    for k in range(1, n + 1):
+
+    # Cycle k's plant step ends at k*dt + dt (cycle 0's at 0.0 + dt), the
+    # same floats as below and in SurrogatePlant.step. While that end is
+    # before every command and disturbance time, nothing scheduled can act,
+    # so cycles 0 .. quiet-1 read only the key's inputs.
+    t_event = min(times[:1] + [d.start_time for d in scenario.disturbances], default=math.inf)
+    quiet = 0
+    while quiet < n and quiet * dt + dt < t_event:
+        quiet += 1
+    noisy = plant_cfg.noise_gyro > 0.0 or plant_cfg.noise_accel > 0.0
+    # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not
+    key = (
+        repr(ctrl_cfg), repr(plant_cfg), controller is not None, quiet,
+        scenario.seed if noisy else None,
+    )
+    # Imported here: pickle adds about 3 ms to a cold start of the CLI
+    from tiltphase import snapshot
+
+    memo = _quiet_prefix
+    if memo is not None and memo[0] == key:
+        _, blob, prefix_records, imu, mu_open = memo
+        controller, plant = _resume(blob, ctrl_cfg, plant_cfg, scenario.seed, noisy)
+        records = list(prefix_records)
+        first, store_at = quiet, 0
+    else:
+        records = []
+        imu = plant.step(idle, 0.0, scenario.disturbances, 0.0, dt)
+        mu_open = 0.0
+        first, store_at = 1, quiet
+    for k in range(first, n + 1):
+        if k == store_at:
+            blob = snapshot.dumps((controller, plant))
+            _quiet_prefix = (key, blob, tuple(records), imu, mu_open)
+            # Reading their state left the objects slower to step (see
+            # snapshot.py); the run goes on from a copy, as a later one will
+            controller, plant = _resume(blob, ctrl_cfg, plant_cfg, scenario.seed, noisy)
         t = k * dt
         cmd = _command_at(times, commands, t)
         if controller is not None:
@@ -187,6 +227,28 @@ def run_closed_loop(
         if plant.state.fallen:
             break
     return RunResult(records, plant.state.fallen)
+
+
+# (key, snapshot of (controller, plant), records, IMU sample, open-loop mu) at
+# the start of cycle `quiet` of the last run_closed_loop that reached it. The
+# key is everything cycles 0 .. quiet-1 read: both configs, the controller
+# switch, the count itself and, with plant noise, the seed. A snapshot is
+# restored in about a quarter of the time copy.deepcopy takes.
+_quiet_prefix: Optional[tuple] = None
+
+
+def _resume(blob: bytes, ctrl_cfg, plant_cfg, seed: int, noisy: bool):
+    """The (controller, plant) of a snapshot, bound to this run's configs."""
+    from tiltphase import snapshot
+
+    controller, plant = snapshot.loads(blob)
+    if controller is not None:
+        controller.cfg = ctrl_cfg
+    plant.cfg = plant_cfg
+    if not noisy:
+        # The seed is never read without noise: this is a fresh run's rng
+        plant.rng = random.Random(seed)
+    return controller, plant
 
 
 def run_replay(
@@ -267,11 +329,9 @@ def push_battery(
     Directions are drawn from the seed only, so controller-on and
     controller-off batteries with the same seed are paired push-for-push.
     """
-    import random as _random
-
     results = []
     for level, impulse in enumerate(impulses):
-        rng = _random.Random(1000003 * seed + level)
+        rng = random.Random(1000003 * seed + level)
         withstood = 0
         for k in range(pushes_per_level):
             direction = rng.uniform(-math.pi, math.pi)

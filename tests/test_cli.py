@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tiltphase.cli import EXIT_FALLEN, EXIT_INPUT, EXIT_OK, THRESHOLD_HI, main
+from tiltphase.cli import EXIT_DIFFERENT, EXIT_FALLEN, EXIT_INPUT, EXIT_OK, THRESHOLD_HI, main
 from tiltphase.config import ControllerConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -236,6 +237,75 @@ class TestFitWaveform:
         capsys.readouterr()
         assert main(["fit-waveform", str(trace)]) == EXIT_INPUT
         assert message in capsys.readouterr().err
+
+
+class TestDiff:
+    @pytest.fixture
+    def traces(self, tmp_path):
+        """Two 1.5 s runs that differ from the push at 1.0 s on."""
+        paths = []
+        for magnitude in (0.8, 0.9):
+            sc = tmp_path / f"push{magnitude}.json"
+            sc.write_text(json.dumps({"duration": 1.5, "disturbances": [
+                {"kind": "impulse", "magnitude": magnitude, "start_time": 1.0}]}))
+            out = tmp_path / f"push{magnitude}.trace"
+            assert main(["simulate", "--scenario", str(sc), "--out", str(out)]) == EXIT_OK
+            paths.append(out)
+        return paths
+
+    def test_identical_traces_exit_ok(self, traces, capsys):
+        a, _ = traces
+        copy = a.with_name("copy.trace")
+        copy.write_bytes(a.read_bytes())
+        assert main(["diff", str(a), str(copy)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "identical"
+        assert "pxB 0.0" in out and "flags 0 records differ" in out
+
+    def test_different_traces_name_the_first_record(self, traces, capsys):
+        a, b = traces
+        assert main(["diff", str(a), str(b)]) == EXIT_DIFFERENT
+        out = capsys.readouterr().out.splitlines()
+        assert "records 150 150" in out
+        # The push lands in cycle 100's plant step; record 101 is the first to see it
+        assert out[-1].startswith("first diverging record 101 (t=1.01): ")
+        worst = dict(line.split(" ", 1) for line in out[1:35])
+        assert float(worst["t"]) == 0.0 and float(worst["pxB"]) > 0.0
+
+    def test_one_ulp_and_signed_zero_differ(self, traces, capsys):
+        a, _ = traces
+        lines = a.read_text().splitlines()
+        fields = lines[40].split(",")
+        fields[1] = repr(math.nextafter(float(fields[1]), math.inf))
+        edited = a.with_name("ulp.trace")
+        edited.write_text("\n".join(lines[:40] + [",".join(fields)] + lines[41:]) + "\n")
+        assert main(["diff", str(a), str(edited)]) == EXIT_DIFFERENT
+        assert capsys.readouterr().out.splitlines()[-1].startswith("first diverging record 39 ")
+        # -0.0 reads as a number equal to 0.0, but the trace bytes differ
+        zero = lines[2].split(",")
+        col = zero.index("0.0")
+        zero[col] = "-0.0"
+        edited.write_text("\n".join(lines[:2] + [",".join(zero)] + lines[3:]) + "\n")
+        assert main(["diff", str(a), str(edited)]) == EXIT_DIFFERENT
+        assert capsys.readouterr().out.splitlines()[-1].startswith("first diverging record 1 ")
+
+    def test_length_mismatch_differs(self, traces, capsys):
+        a, _ = traces
+        lines = a.read_text().splitlines()
+        short = a.with_name("short.trace")
+        short.write_text("\n".join(lines[:-10]) + "\n")
+        assert main(["diff", str(a), str(short)]) == EXIT_DIFFERENT
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"first diverging record 141: only in {a}"
+        )
+
+    def test_malformed_trace_names_file_and_line(self, traces, capsys):
+        a, _ = traces
+        lines = a.read_text().splitlines()
+        bad = a.with_name("bad.trace")
+        bad.write_text("\n".join(lines[:5] + ["1.0,2.0"] + lines[5:]) + "\n")
+        assert main(["diff", str(a), str(bad)]) == EXIT_INPUT
+        assert f"{bad}: line 6: malformed row" in capsys.readouterr().err
 
 
 class TestTopLevel:

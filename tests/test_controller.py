@@ -387,3 +387,86 @@ class TestLeaning:
             peak = max(peak, act.lean_tilt[1])
             last = act.lean_tilt[1]
         assert peak > last + 1e-6
+
+
+class TestNonFiniteInput:
+    """A non-finite IMU or command value is replaced by the last finite one
+    and flagged; it never reaches controller state."""
+
+    def run(self, inputs, n=500):
+        """Steps a controller at rest with walking commands; inputs maps a
+        cycle to (gyro, accel, cmd) overrides, None keeping the default."""
+        ctrl = TiltPhaseController(ControllerConfig())
+        dt = 0.01
+        acts = []
+        for k in range(1, n + 1):
+            gyro, accel, cmd = inputs.get(k, (None, None, None))
+            imu = ImuSample(k * dt, gyro or (0.01, -0.02, 0.0), accel or (0.1, 0.0, G))
+            acts.append(ctrl.step(imu, cmd or GaitCommand(vx=0.3, wz=0.1), dt))
+        return ctrl, acts
+
+    def test_nan_command_is_held_and_flagged(self):
+        _, acts = self.run({20: (None, None, GaitCommand(vx=math.nan))})
+        _, clean = self.run({})
+        assert acts[19].flags == ("cmd_nonfinite",)
+        assert all(a.flags == () for i, a in enumerate(acts) if i != 19)
+        # vx was 0.3 on every other cycle, so holding it is the clean run
+        assert acts[-1].lean_tilt == clean[-1].lean_tilt
+        assert all(math.isfinite(v) for v in acts[-1].lean_tilt)
+
+    @pytest.mark.parametrize("gyro, accel", [
+        ((math.nan, -0.02, 0.0), None),
+        (None, (0.1, math.inf, G)),
+        ((0.01, -0.02, -math.inf), (math.nan, 0.0, G)),
+    ])
+    def test_non_finite_imu_is_held_and_flagged(self, gyro, accel):
+        # Every finite value equals the clean run's, so holding is the clean run
+        _, acts = self.run({30: (gyro, accel, None)})
+        _, clean = self.run({})
+        assert acts[29].flags == ("imu_nonfinite",)
+        assert all(a.flags == () for i, a in enumerate(acts) if i != 29)
+        assert acts == [a if i != 29 else a._replace(flags=("imu_nonfinite",))
+                        for i, a in enumerate(clean)]
+
+    def test_each_value_is_held_alone(self):
+        # Only the bad component is replaced: the clean gyro y differs from
+        # the held one, so holding the whole vector would show
+        ctrl = TiltPhaseController(ControllerConfig())
+        ref = TiltPhaseController(ControllerConfig())
+        ctrl.step(ImuSample(0.01, (0.01, 0.0, 0.0), (0.0, 0.0, G)), GaitCommand(vx=0.2), 0.01)
+        ref.step(ImuSample(0.01, (0.01, 0.0, 0.0), (0.0, 0.0, G)), GaitCommand(vx=0.2), 0.01)
+        got = ctrl.step(ImuSample(math.nan, (math.nan, 0.5, 0.0), (0.0, 0.0, G)),
+                        GaitCommand(vx=0.2, vy=math.inf), 0.01)
+        want = ref.step(ImuSample(0.02, (0.01, 0.5, 0.0), (0.0, 0.0, G)),
+                        GaitCommand(vx=0.2), 0.01)
+        assert got.flags == ("imu_nonfinite", "cmd_nonfinite")
+        assert got._replace(flags=()) == want
+
+    def test_first_sample_non_finite_holds_rest(self):
+        ctrl = TiltPhaseController(ControllerConfig())
+        act = ctrl.step(ImuSample(0.01, (math.nan,) * 3, (math.nan,) * 3),
+                        GaitCommand(math.nan, math.nan, math.nan), 0.01)
+        assert act.flags == ("imu_nonfinite", "cmd_nonfinite")
+        rest = TiltPhaseController(ControllerConfig()).step(
+            ImuSample(0.01, (0.0, 0.0, 0.0), (0.0, 0.0, G)), GaitCommand(), 0.01)
+        assert act._replace(flags=()) == rest
+
+    def test_finite_overflowing_sum_is_not_flagged(self):
+        ctrl = TiltPhaseController(ControllerConfig())
+        act = ctrl.step(ImuSample(0.01, (0.0, 0.0, 0.0), (0.0, 0.0, G)),
+                        GaitCommand(1e308, 1e308, 0.0), 0.01)
+        assert act.flags == ()
+
+    def test_held_values_are_built_in_reset(self):
+        ctrl, _ = self.run({}, n=5)
+        ctrl.reset()
+        act = ctrl.step(ImuSample(0.01, (math.nan, 0.0, 0.0), (0.0, 0.0, G)), GaitCommand(), 0.01)
+        rest = TiltPhaseController(ControllerConfig()).step(
+            ImuSample(0.01, (0.0, 0.0, 0.0), (0.0, 0.0, G)), GaitCommand(), 0.01)
+        assert act._replace(flags=()) == rest
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        ctrl = TiltPhaseController(ControllerConfig())
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            ctrl.step(ImuSample(0.01, (0, 0, 0), (0, 0, G)), GaitCommand(), dt)

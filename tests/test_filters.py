@@ -41,7 +41,12 @@ def generic_radius_along(x, semi_axes):
         m2 += xi * xi
         s += (xi / ai) ** 2
     if s <= 0.0:
-        return min(semi_axes)
+        # Both squares underflow: scale each ratio by the larger first
+        w = [abs(xi) / ai for xi, ai in zip(x, semi_axes)]
+        u = max(w)
+        if u == 0.0:
+            return math.inf
+        return math.hypot(*x) / u / math.hypot(*(wi / u for wi in w))
     return math.sqrt(m2 / s)
 
 
@@ -196,6 +201,9 @@ class TestEllipsoid:
         assert r == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-14)
         assert _scaled_radius(1.0, -1.0, 1e300, 1e300) == pytest.approx(1e300, rel=1e-14)
         assert _scaled_radius(1e-200, 0.0, 1e300, 1e300) == math.inf
+        # Both squares underflow to 0.0: the radius along the long axis
+        assert Ellipsoid((1e-3, 2.5)).radius_along((0.0, 1e-200)) == pytest.approx(2.5, rel=1e-14)
+        assert Ellipsoid((0.3, 0.3)).radius_along((1e-170, -1e-170)) == pytest.approx(0.3, rel=1e-14)
 
 
 class TestSoftCoerce:

@@ -183,3 +183,13 @@ def test_push_battery_digest(monkeypatch, enabled, withstood, digest):
     )
     assert results == withstood
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("enabled, withstood, digest", PUSH_BATTERY_GOLDEN)
+def test_push_battery_digest_with_the_prefix_warm(monkeypatch, enabled, withstood, digest):
+    """The same battery after another trial filled the quiet-prefix memo, so
+    its first trial replays the walk to the push too."""
+    monkeypatch.setattr(harness, "_quiet_prefix", None)
+    harness.run_push_trial(ControllerConfig(), PlantConfig(), 2.0, 0.3, 99, enabled)
+    assert harness._quiet_prefix is not None
+    test_push_battery_digest(monkeypatch, enabled, withstood, digest)

@@ -1,0 +1,150 @@
+"""run_closed_loop's memo of the quiet prefix: a run that replays it from the
+memo must equal the run made with the memo cleared, record for record."""
+
+import math
+import random
+
+import pytest
+
+import tiltphase.harness as harness
+from tiltphase.config import ConfigError, ControllerConfig, PlantConfig
+from tiltphase.controller import GaitCommand
+from tiltphase.harness import Scenario, run_closed_loop
+from tiltphase.plant import Disturbance, SurrogatePlant
+
+
+@pytest.fixture
+def plant_steps(monkeypatch):
+    """Counts SurrogatePlant.step calls; the memo starts empty and is put back after."""
+    count = [0]
+    step = SurrogatePlant.step
+
+    def counting(self, *args):
+        count[0] += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(SurrogatePlant, "step", counting)
+    monkeypatch.setattr(harness, "_quiet_prefix", None)
+    return count
+
+
+def cold(ctrl, plant, scenario):
+    harness._quiet_prefix = None
+    return run_closed_loop(ctrl, plant, scenario)
+
+
+def quiet_cycles(t_event, dt, n):
+    """Cycles k >= 0 whose plant step ends (k*dt + dt) before t_event, at most n."""
+    return min(n, sum(1 for k in range(n + 1) if k * dt + dt < t_event))
+
+
+def event_times(rng, dt):
+    k = rng.randrange(0, 40)
+    t = k * dt
+    return rng.choice([t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf), 0.0, -0.2])
+
+
+def scenario_at(t_event, kind, duration, seed, enabled, overrides, rng):
+    commands = []
+    disturbances = []
+    if kind == "command":
+        commands = [(t_event, GaitCommand(rng.uniform(-0.5, 0.5), 0.0, 0.2))]
+    else:
+        disturbances = [Disturbance(kind, rng.uniform(-math.pi, math.pi), rng.uniform(0.5, 2.0),
+                                    t_event, rng.uniform(0.0, 0.5))]
+    # A later push the prefix must not see either
+    disturbances.append(Disturbance("impulse", 0.3, rng.uniform(0.5, 1.5), t_event + 0.25))
+    return Scenario(duration=duration, seed=seed, controller_enabled=enabled,
+                    commands=commands, disturbances=disturbances, overrides=dict(overrides))
+
+
+OVERRIDES = (
+    {},
+    {"controller.pd_mean_order": 3, "plant.couple_arm": 2.5},
+    {"controller.cycle_dt": 0.012},
+)
+
+
+def test_warm_prefix_equals_cleared_run(plant_steps):
+    rng = random.Random(1301)
+    hits = 0
+    for case in range(60):
+        enabled = rng.random() < 0.5
+        noisy = rng.random() < 0.5
+        overrides = rng.choice(OVERRIDES)
+        plant = PlantConfig(noise_gyro=0.02, noise_accel=0.1) if noisy else PlantConfig()
+        ctrl = ControllerConfig()
+        dt = overrides.get("controller.cycle_dt", ctrl.cycle_dt)
+        t_event = event_times(rng, dt)
+        kind = rng.choice(("command", "impulse", "force", "bias"))
+        # Shorter than the quiet prefix, or running past it
+        duration = rng.choice((0.5 * max(t_event, dt), max(t_event, 0.0) + 0.4))
+        seed = rng.randrange(100)
+        # The warming run shares the key: a seed that only noise would read
+        # and pushes of another size and direction
+        warm_seed = seed if noisy else seed + 1
+        warming = scenario_at(t_event, kind, duration, warm_seed, enabled, overrides, rng)
+        target = scenario_at(t_event, kind, duration, seed, enabled, overrides, rng)
+
+        want = cold(ctrl, plant, target)
+        plant_steps[0] = 0
+        cold(ctrl, plant, target)
+        full = plant_steps[0]
+        run_closed_loop(ctrl, plant, warming)
+        plant_steps[0] = 0
+        got = run_closed_loop(ctrl, plant, target)
+
+        assert got.records == want.records, case
+        assert got.fallen == want.fallen, case
+        quiet = quiet_cycles(t_event, dt, int(round(duration / dt)))
+        assert full - plant_steps[0] == quiet, case
+        hits += quiet > 0
+    assert hits >= 30
+
+
+def test_noise_seed_is_part_of_the_key(plant_steps):
+    plant = PlantConfig(noise_gyro=0.02)
+    ctrl = ControllerConfig()
+    push = [Disturbance("impulse", 0.4, 1.0, 0.5)]
+    a = Scenario(duration=1.0, seed=1, disturbances=push)
+    b = Scenario(duration=1.0, seed=2, disturbances=push)
+    want = cold(ctrl, plant, b).records
+    run_closed_loop(ctrl, plant, a)
+    plant_steps[0] = 0
+    assert run_closed_loop(ctrl, plant, b).records == want
+    assert plant_steps[0] == 101  # a miss: every cycle ran
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_config_mutated_in_place_misses(plant_steps, enabled):
+    ctrl = ControllerConfig()
+    plant = PlantConfig()
+    scenario = Scenario(duration=1.0, controller_enabled=enabled,
+                        disturbances=[Disturbance("impulse", 0.4, 1.0, 0.5)])
+    run_closed_loop(ctrl, plant, scenario)
+    ctrl.f_nom = 5.0
+    plant.couple_foot = 5.0
+    plant_steps[0] = 0
+    got = run_closed_loop(ctrl, plant, scenario)
+    assert plant_steps[0] == 101
+    assert got.records == cold(ctrl, plant, scenario).records
+    assert got.records != cold(ControllerConfig(), PlantConfig(), scenario).records
+
+
+def test_signed_zero_and_int_fields_are_told_apart(plant_steps):
+    # Each of these equals a default field under ==, yet changes the trace
+    scenario = Scenario(duration=1.0, disturbances=[Disturbance("impulse", 0.4, 1.0, 0.5)])
+    for ctrl in (ControllerConfig(wave_offset_x=-0.0), ControllerConfig(wave_offset_y=-0.0),
+                 ControllerConfig(hh_height_hi=1)):
+        want = repr(cold(ctrl, PlantConfig(), scenario).records)
+        cold(ControllerConfig(), PlantConfig(), scenario)
+        assert repr(run_closed_loop(ctrl, PlantConfig(), scenario).records) == want
+
+
+def test_invalid_config_raises_with_the_memo_warm(plant_steps):
+    scenario = Scenario(duration=1.0, disturbances=[Disturbance("impulse", 0.4, 1.0, 0.5)])
+    run_closed_loop(ControllerConfig(), PlantConfig(), scenario)
+    with pytest.raises(ConfigError, match="cycle_dt"):
+        run_closed_loop(ControllerConfig(cycle_dt=-0.01), PlantConfig(), scenario)
+    with pytest.raises(ConfigError, match="pendulum_c"):
+        run_closed_loop(ControllerConfig(), PlantConfig(pendulum_c=0.0), scenario)

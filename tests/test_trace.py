@@ -157,15 +157,16 @@ class TestRoundTrip:
         assert read_trace(path)[2]["pxB"] == 1e308
 
     def test_nan_command_refused_on_write(self, tmp_path):
-        # A nan command passed to the controller in code, past the harness's
-        # schedule check, reaches the lean tilt's sagittal column
+        # A nan in the lean tilt's sagittal column from t=0.2 on
         cfg = ControllerConfig()
         ctrl = TiltPhaseController(cfg)
         records = []
         for k in range(1, 51):
             t = k * cfg.cycle_dt
-            cmd = GaitCommand(vx=math.nan) if t >= 0.2 else GaitCommand()
-            act = ctrl.step(ImuSample(t, (0.0, 0.0, 0.0), (0.0, 0.0, 9.81)), cmd, cfg.cycle_dt)
+            act = ctrl.step(ImuSample(t, (0.0, 0.0, 0.0), (0.0, 0.0, 9.81)), GaitCommand(),
+                            cfg.cycle_dt)
+            if t >= 0.2:
+                act = act._replace(lean_tilt=(0.0, math.nan))
             records.append(record_values(t, act))
         with pytest.raises(ValueError, match=r"^record t=0\.2: non-finite pyl nan$"):
             write_trace(tmp_path / "nan.trace", records)

@@ -246,6 +246,14 @@ _FIELD_TYPES = {
 }
 
 
+def parse_number(raw: str, kind=float):
+    """Text as kind (int or float); ValueError if it is not one. Digit-group
+    underscores are refused, though int() and float() read "1_0" as 10."""
+    if "_" in raw:
+        raise ValueError(f"digit-group underscore in {raw!r}")
+    return kind(raw)
+
+
 def coerce(field_type, value, key: str):
     """Convert a config-file string, a scenario JSON value or a CLI flag value
     to field_type (bool, int or float); `key` names it in the error.
@@ -262,9 +270,7 @@ def coerce(field_type, value, key: str):
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     kind = "an integer" if field_type is int else "a number"
     try:
-        if "_" in raw:  # int() and float() read digit-group underscores: "1_0" is 10
-            raise ValueError
-        return field_type(raw)
+        return parse_number(raw, field_type)
     except ValueError:
         raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from None
 

@@ -22,7 +22,6 @@ from tiltphase.deviation import ExpectedWaveform, deviation_tilt, gait_phase_ste
 from tiltphase.estimator import GRAVITY, AttitudeEstimator, ImuSample
 from tiltphase.filters import (
     BoundedIntegrator,
-    Ellipsoid,
     HoldFilter,
     LowPassFilter,
     MeanFilter,
@@ -181,22 +180,18 @@ class TiltPhaseController:
             kp=cfg.est_kp, ki=cfg.est_ki, bias_limit=cfg.est_bias_limit,
             acc_min_g=cfg.est_acc_min_g, acc_max_g=cfg.est_acc_max_g,
         )
-        self.p_mean = MeanFilter(2, cfg.pd_mean_order)
+        self.p_mean = MeanFilter(cfg.pd_mean_order)
         self.d_wlbf = WlbfFilter(2, cfg.pd_wlbf_size)
-        self.integrator = BoundedIntegrator(
-            Ellipsoid((cfg.i_bound_x, cfg.i_bound_y)), cfg.i_buffer
-        )
+        self.integrator = BoundedIntegrator(cfg.i_bound_x, cfg.i_bound_y, cfg.i_buffer)
         # Ripple filter spans an even number of steps at the nominal frequency
         step_cycles = math.pi / (cfg.f_nom * cfg.cycle_dt)
-        self.ripple_mean = MeanFilter(
-            2, max(1, round(cfg.i_ripple_steps * step_cycles))
-        )
+        self.ripple_mean = MeanFilter(max(1, round(cfg.i_ripple_steps * step_cycles)))
         self.lean_wlbf = WlbfFilter(1, cfg.lean_wlbf_size)
         self.lean_slope = SlopeLimiter(cfg.lean_slope_rate)
         self.so_wlbf = WlbfFilter(1, cfg.so_wlbf_size)
         self.so_hold_l = HoldFilter(cfg.so_hold_time)
         self.so_hold_r = HoldFilter(cfg.so_hold_time)
-        self.sp_mean = MeanFilter(2, cfg.sp_mean_order)
+        self.sp_mean = MeanFilter(cfg.sp_mean_order)
         self.hh_lowpass = LowPassFilter(cfg.hh_settle_time)
         self.hh_islope = SlopeLimiter(cfg.hh_slope_rate)
         self.hh_hslope = SlopeLimiter(cfg.hh_height_rate, initial=cfg.hh_height_hi)
@@ -336,17 +331,22 @@ class TiltPhaseController:
     def _hold_non_finite(self, imu: ImuSample, cmd: GaitCommand, dt: float):
         """(imu, cmd, flags) with each non-finite value replaced by its held one.
 
-        A held timestamp advances by dt. Flags `imu_nonfinite` and
-        `cmd_nonfinite` name the input that had one.
+        A gyro whose squared norm overflows (|gyro| above about 1.3e154) is
+        held whole, as the estimator cannot integrate it. A held timestamp
+        advances by dt. Flags `imu_nonfinite` and `cmd_nonfinite` name the
+        input that had one.
         """
         held_imu, held_cmd = self._held
         flags = ()
         t, gyro, accel = imu
-        if not all(map(math.isfinite, (t, *gyro, *accel))):
+        if not all(map(math.isfinite, (t, sum(v * v for v in gyro), *accel))):
             flags = ("imu_nonfinite",)
+            gyro = tuple(v if math.isfinite(v) else h for v, h in zip(gyro, held_imu.gyro))
+            if not math.isfinite(sum(v * v for v in gyro)):
+                gyro = held_imu.gyro
             imu = ImuSample(
                 t if math.isfinite(t) else held_imu.t + dt,
-                tuple(v if math.isfinite(v) else h for v, h in zip(gyro, held_imu.gyro)),
+                gyro,
                 tuple(v if math.isfinite(v) else h for v, h in zip(accel, held_imu.accel)),
             )
         if not all(map(math.isfinite, cmd)):
@@ -361,13 +361,13 @@ class TiltPhaseController:
         mu = self.mu
         flags = ()
 
-        # One sum covers every input; only a non-finite (or overflowing) sum
-        # is scanned
+        # One sum covers every input, the gyro by its squares; only a
+        # non-finite (or overflowing) sum is scanned
         gyro = imu.gyro
         accel = imu.accel
         if not math.isfinite(
-            imu.t + gyro[0] + gyro[1] + gyro[2] + accel[0] + accel[1] + accel[2]
-            + cmd[0] + cmd[1] + cmd[2]
+            imu.t + gyro[0] * gyro[0] + gyro[1] * gyro[1] + gyro[2] * gyro[2]
+            + accel[0] + accel[1] + accel[2] + cmd[0] + cmd[1] + cmd[2]
         ):
             imu, cmd, flags = self._hold_non_finite(imu, cmd, dt)
         self._held = imu, cmd

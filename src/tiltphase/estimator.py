@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence, Tuple
 
-from tiltphase.rotation import TiltPhase2D, quat_normalize, tilt_of_quat
+from tiltphase.rotation import TiltPhase2D, tilt_of_quat
 
 GRAVITY = 9.81
 
@@ -47,10 +47,6 @@ class AttitudeEstimator:
         self.acc_min = acc_min_g * GRAVITY
         self.acc_max = acc_max_g * GRAVITY
         self.q = (1.0, 0.0, 0.0, 0.0)
-        self.bias = (0.0, 0.0, 0.0)
-
-    def reset(self, q=(1.0, 0.0, 0.0, 0.0)) -> None:
-        self.q = quat_normalize(q)
         self.bias = (0.0, 0.0, 0.0)
 
     def step(self, gyro: Sequence[float], accel: Sequence[float], dt: float) -> TiltPhase2D:
@@ -106,8 +102,4 @@ class AttitudeEstimator:
                 n = -n
             self.q = (nw / n, nx / n, ny / n, nz / n)
 
-        return tilt_of_quat(self.q)
-
-    def tilt_phase(self) -> TiltPhase2D:
-        """2D tilt phase of the current estimate (fused yaw removed by construction)."""
         return tilt_of_quat(self.q)

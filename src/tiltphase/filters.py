@@ -2,15 +2,18 @@
 
 All units are stateful single-owner objects with a deterministic ``step``
 that build their state in ``__init__`` only (the controller's ``reset()``
-builds new ones), plus stateless shaping functions (elliptical soft
-coercion, smooth deadband, coerced interpolation). Only the scalar and 2D
-shapes the controller builds are here: two-axis ellipses, a 2D bounded
-integrator, and mean and WLBF filters of dim 1 or 2, fixed at construction.
+builds new ones), plus stateless shaping functions. Each shaping law has one
+form, a scalar kernel: soft coercion (``soft_coerce_1d``, ``soft_coerce2``),
+hard coercion (``hard_coerce2``), smooth deadband (``smooth_deadband_1d``,
+``smooth_deadband2``, ``one_sided_deadband``) and coerced interpolation.
+Only the shapes the controller builds are here: two-axis ellipses given by
+their semi-axes (a0, a1), a 2D bounded integrator, 2D mean filters and WLBF
+filters of dim 1 or 2.
 
 The elliptical operations act radially: the direction of the input is
 preserved exactly and only the magnitude is reshaped against the directional
-radius of the bounding/deadband ellipsoid. This keeps the radial limit
-tight between the principal axes, unlike independent per-axis limits.
+radius of the bounding/deadband ellipse. This keeps the radial limit tight
+between the principal axes, unlike independent per-axis limits.
 """
 
 from __future__ import annotations
@@ -20,46 +23,17 @@ from collections import deque
 from typing import Sequence, Tuple
 
 
-class Ellipsoid:
-    """Axis-aligned ellipse given by two strictly positive principal semi-axes."""
-
-    __slots__ = ("semi_axes",)
-
-    def __init__(self, semi_axes: Sequence[float]):
-        axes = tuple(float(a) for a in semi_axes)
-        if len(axes) != 2 or any(a <= 0.0 for a in axes):
-            raise ValueError(f"ellipse needs two positive semi-axes, got {axes}")
-        self.semi_axes = axes
-
-    @property
-    def min_semi_axis(self) -> float:
-        return min(self.semi_axes)
-
-    def radius_along(self, x: Sequence[float]) -> float:
-        """Directional radius along the (nonzero) 2-vector x."""
-        x0, x1 = x
-        a0, a1 = self.semi_axes
-        try:
-            s = (x0 / a0) ** 2 + (x1 / a1) ** 2
-        except OverflowError:
-            s = 0.0
-        if s <= 0.0:
-            # The squares overflow or both underflow
-            return _scaled_radius(x0, x1, a0, a1)
-        return math.sqrt((x0 * x0 + x1 * x1) / s)
-
-
 def _scaled_radius(x0: float, x1: float, a0: float, a1: float) -> float:
     """Directional radius of the (a0, a1) ellipse along (x0, x1), for inputs
-    where squaring x / a overflows or underflows: each ratio is scaled by the
-    larger one first. Infinite when both ratios vanish (x is 0 on that scale).
+    where squaring x / a overflows or underflows: x is scaled by its larger
+    component before it is divided by the semi-axes. Infinite for x = 0.
     """
-    w0 = abs(x0) / a0
-    w1 = abs(x1) / a1
-    u = max(w0, w1)
+    u = max(abs(x0), abs(x1))
     if u == 0.0:
         return math.inf
-    return math.hypot(x0, x1) / u / math.hypot(w0 / u, w1 / u)
+    y0 = x0 / u
+    y1 = x1 / u
+    return math.hypot(y0, y1) / math.hypot(y0 / a0, y1 / a1)
 
 
 def soft_coerce_mag(m: float, r: float, b: float) -> float:
@@ -81,7 +55,10 @@ def soft_coerce_1d(x: float, limit: float, b: float) -> float:
 
 
 def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[float, float]:
-    """2D `soft_coerce_ellip` on scalars: ellipsoid semi-axes (a0, a1), buffer b."""
+    """Soft-coerce (x0, x1) radially to the ellipse with semi-axes (a0, a1),
+    with soft buffer b: the direction is kept exactly and the magnitude stays
+    strictly below the directional radius. Requires 0 < b < min(a0, a1).
+    """
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
@@ -97,18 +74,8 @@ def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[
     return (k * x0, k * x1)
 
 
-def soft_coerce_ellip(x: Sequence[float], ellipsoid: Ellipsoid, b: float) -> Tuple[float, float]:
-    """Soft-coerce x radially to the ellipsoid, with soft buffer b.
-
-    Direction preserved exactly; output magnitude stays strictly below the
-    directional radius. Requires 0 < b < min semi-axis.
-    """
-    x0, x1 = x
-    return soft_coerce2(x0, x1, *ellipsoid.semi_axes, b)
-
-
 def hard_coerce2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float, float]:
-    """2D `hard_coerce_ellip` on scalars: ellipsoid semi-axes (a0, a1)."""
+    """Radially clamp (x0, x1) onto the ellipse with semi-axes (a0, a1)."""
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
@@ -117,12 +84,6 @@ def hard_coerce2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float, flo
         return (x0, x1)
     k = 1.0 / math.sqrt(s)
     return (k * x0, k * x1)
-
-
-def hard_coerce_ellip(x: Sequence[float], ellipsoid: Ellipsoid) -> Tuple[float, float]:
-    """Radially clamp the 2-vector x onto the ellipse (hard elliptical coercion)."""
-    x0, x1 = x
-    return hard_coerce2(x0, x1, *ellipsoid.semi_axes)
 
 
 def smooth_deadband_mag(m: float, r: float) -> float:
@@ -140,7 +101,8 @@ def smooth_deadband_1d(x: float, r: float) -> float:
 
 
 def smooth_deadband2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float, float]:
-    """2D `smooth_deadband_ellip` on scalars: ellipsoid semi-axes (a0, a1)."""
+    """Smooth deadband applied radially to (x0, x1), against the directional
+    radius of the ellipse with semi-axes (a0, a1)."""
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
@@ -151,12 +113,6 @@ def smooth_deadband2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float,
         r = _scaled_radius(x0, x1, a0, a1)
     k = smooth_deadband_mag(m, r) / m
     return (k * x0, k * x1)
-
-
-def smooth_deadband_ellip(x: Sequence[float], ellipsoid: Ellipsoid) -> Tuple[float, float]:
-    """Apply smooth deadband radially along the 2-vector x with the directional radius."""
-    x0, x1 = x
-    return smooth_deadband2(x0, x1, *ellipsoid.semi_axes)
 
 
 def one_sided_deadband(x: float, threshold: float, r: float) -> float:
@@ -180,36 +136,25 @@ def coerced_interp(x: float, x0: float, x1: float, y0: float, y1: float) -> floa
 
 
 class MeanFilter:
-    """Moving average of a scalar or 2D vector over the last `order` samples.
+    """Moving average of a 2D vector over the last `order` samples.
 
     During warm-up the mean of the available samples is returned. A running
     sum keeps the step O(1) regardless of order.
     """
 
-    __slots__ = ("dim", "order", "_buf", "_sum")
+    __slots__ = ("order", "_buf", "_sum")
 
-    def __init__(self, dim: int, order: int):
-        if dim not in (1, 2) or order < 1:
-            raise ValueError(f"MeanFilter needs dim 1 or 2 and order >= 1, got {dim}, {order}")
-        self.dim = dim
+    def __init__(self, order: int):
+        if order < 1:
+            raise ValueError(f"MeanFilter needs order >= 1, got {order}")
         self.order = order
         self._buf = deque()
-        self._sum = [0.0] * dim
+        self._sum = [0.0, 0.0]
 
-    def step(self, x: Sequence[float]) -> Tuple[float, ...]:
-        if len(x) != self.dim:
-            raise ValueError(f"expected {self.dim}-dim sample, got {len(x)}")
+    def step(self, x: Sequence[float]) -> Tuple[float, float]:
         buf = self._buf
         s = self._sum
-        if self.dim == 1:
-            # Scalar records; the same operation order as the 2D path.
-            x0 = float(x[0])
-            buf.append(x0)
-            s[0] += x0
-            if len(buf) > self.order:
-                s[0] -= buf.popleft()
-            return (s[0] / len(buf),)
-        x0, x1 = float(x[0]), float(x[1])
+        x0, x1 = x
         buf.append((x0, x1))
         s[0] += x0
         s[1] += x1
@@ -268,7 +213,8 @@ class WlbfFilter:
         # Linear recency weights w_k = k+1 for the k-th oldest sample;
         # normalization cancels in the regression. Times are shifted so the
         # newest sample sits at 0, which keeps the moment sums well
-        # conditioned regardless of absolute time.
+        # conditioned regardless of absolute time. Time gaps so large that
+        # the moments overflow make cov_tt nan: no slope, as for equal times.
         sw = 0.5 * n * (n + 1)
         if dim == 1:
             w = st = stt = sx0 = stx0 = 0.0
@@ -282,7 +228,7 @@ class WlbfFilter:
                 stx0 += wt * x0
             tbar = st / sw
             cov_tt = stt - tbar * st
-            if cov_tt <= 0.0:
+            if not cov_tt > 0.0:
                 return latest, (0.0,), latest
             xb0 = sx0 / sw
             s0 = (stx0 - tbar * sx0) / cov_tt
@@ -301,7 +247,7 @@ class WlbfFilter:
             stx1 += wt * x1
         tbar = st / sw
         cov_tt = stt - tbar * st
-        if cov_tt <= 0.0:
+        if not cov_tt > 0.0:
             return latest, (0.0, 0.0), latest
         xb0 = sx0 / sw
         xb1 = sx1 / sw
@@ -318,18 +264,20 @@ class BoundedIntegrator:
     """Elliptically bounded 2D trapezoidal integrator with inherent anti-windup.
 
     Each step integrates trapezoidally and soft-coerces the result to the
-    bounding ellipsoid; the coerced output is the starting point of the next
-    update, so the integral can leave the boundary as fast as it got there.
+    bounding ellipse with semi-axes (a0, a1); the coerced output is the
+    starting point of the next update, so the integral can leave the
+    boundary as fast as it got there.
     """
 
-    __slots__ = ("ellipsoid", "buffer", "value", "_u_prev")
+    __slots__ = ("a0", "a1", "buffer", "value", "_u_prev")
 
-    def __init__(self, ellipsoid: Ellipsoid, buffer: float):
-        if not (0.0 < buffer < ellipsoid.min_semi_axis):
-            raise ValueError(
-                f"soft buffer {buffer} must lie in (0, {ellipsoid.min_semi_axis})"
-            )
-        self.ellipsoid = ellipsoid
+    def __init__(self, a0: float, a1: float, buffer: float):
+        if not (a0 > 0.0 and a1 > 0.0):
+            raise ValueError(f"ellipse needs two positive semi-axes, got {(a0, a1)}")
+        if not (0.0 < buffer < min(a0, a1)):
+            raise ValueError(f"soft buffer {buffer} must lie in (0, {min(a0, a1)})")
+        self.a0 = a0
+        self.a1 = a1
         self.buffer = buffer
         self.value = (0.0, 0.0)
         self._u_prev = (0.0, 0.0)
@@ -340,10 +288,9 @@ class BoundedIntegrator:
         up = self._u_prev
         v = self.value
         h = 0.5 * dt
-        a0, a1 = self.ellipsoid.semi_axes
         self._u_prev = (float(u[0]), float(u[1]))
         self.value = soft_coerce2(
-            v[0] + h * (u[0] + up[0]), v[1] + h * (u[1] + up[1]), a0, a1, self.buffer
+            v[0] + h * (u[0] + up[0]), v[1] + h * (u[1] + up[1]), self.a0, self.a1, self.buffer
         )
         return self.value
 
@@ -388,7 +335,8 @@ class HoldFilter:
             buf.pop()
         buf.append((t, x))
         cutoff = t - self.hold_time
-        while buf[0][0] <= cutoff:
+        # The newest entry stays even where t - hold_time rounds to t
+        while buf[0][0] <= cutoff and len(buf) > 1:
             buf.popleft()
         return buf[0][1]
 

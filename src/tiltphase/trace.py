@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Tuple
 
+from tiltphase.config import parse_number
 from tiltphase.controller import ActivationSet
 
 SCHEMA = "tiltphase-trace v1"
@@ -82,9 +83,7 @@ def csv_rows(path, n_fields: int) -> Iterator[Tuple[int, List[str]]]:
 def finite_float(raw: str, name: str, lineno: int) -> float:
     """Field `name` of line `lineno` as a finite float."""
     try:
-        if "_" in raw:  # float() reads digit-group underscores: "1_0" is 10.0
-            raise ValueError
-        v = float(raw)
+        v = parse_number(raw)
     except ValueError:
         raise ValueError(f"line {lineno}: non-numeric {name} {raw!r}") from None
     if not math.isfinite(v):

@@ -26,15 +26,14 @@ from tiltphase.deviation import deviation_tilt
 from tiltphase.estimator import ImuSample
 from tiltphase.filters import (
     BoundedIntegrator,
-    Ellipsoid,
     MeanFilter,
     WlbfFilter,
-    hard_coerce_ellip,
+    hard_coerce2,
     one_sided_deadband,
-    smooth_deadband_ellip,
+    smooth_deadband2,
     smooth_deadband_mag,
+    soft_coerce2,
     soft_coerce_1d,
-    soft_coerce_ellip,
 )
 from tiltphase.harness import Scenario, push_battery, push_threshold, run_closed_loop
 from tiltphase.plant import Disturbance, SurrogatePlant
@@ -127,14 +126,15 @@ def test_filter_oracle_equivalence():
     assert worst < 1e-9
 
     worst_mean = 0.0
-    m = MeanFilter(1, 7)
+    m = MeanFilter(7)
     window = []
     for _ in range(2000):
-        x = rng.uniform(-3.0, 3.0)
+        x = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
         window.append(x)
-        got = m.step((x,))[0]
-        want = sum(window[-7:]) / len(window[-7:])
-        worst_mean = max(worst_mean, abs(got - want))
+        got = m.step(x)
+        for i in (0, 1):
+            want = sum(w[i] for w in window[-7:]) / len(window[-7:])
+            worst_mean = max(worst_mean, abs(got[i] - want))
     assert worst_mean < 1e-12
     print(f"PASS filter oracle equivalence: wlbf {worst:.2e}, mean {worst_mean:.2e}")
 
@@ -143,16 +143,16 @@ def test_coercion_and_deadband_geometry():
     rng = random.Random(4242)
     for _ in range(10_000):
         a = (rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0))
-        e = Ellipsoid(a)
         x = (rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0))
         b = rng.uniform(0.01, 0.9 * min(a))
-        for y in (soft_coerce_ellip(x, e, b), hard_coerce_ellip(x, e)):
+        for y in (soft_coerce2(*x, *a, b), hard_coerce2(*x, *a)):
             assert (y[0] / a[0]) ** 2 + (y[1] / a[1]) ** 2 <= 1.0 + 1e-9
-        d = smooth_deadband_ellip(x, e)
+        d = smooth_deadband2(*x, *a)
         assert math.hypot(*d) <= math.hypot(*x) + 1e-12
-        # Off-axis directional radius strictly below the max semi-axis
+        # Off-axis directional radius (the length of a far input clamped onto
+        # the ellipse) strictly below the max semi-axis
         ang = rng.uniform(0.05, math.pi / 2 - 0.05)
-        r = e.radius_along((math.cos(ang), math.sin(ang)))
+        r = math.hypot(*hard_coerce2(10.0 * math.cos(ang), 10.0 * math.sin(ang), *a))
         if abs(a[0] - a[1]) > 1e-9:
             assert r < max(a)
 
@@ -245,7 +245,7 @@ def test_crossing_energy_properties():
 def test_integrator_anti_windup():
     dt = 0.01
     u = (0.4, 0.3)
-    integ = BoundedIntegrator(Ellipsoid((1.0, 1.0)), 0.1)
+    integ = BoundedIntegrator(1.0, 1.0, 0.1)
     prev = (math.inf, math.inf)
     for _ in range(20_000):
         y = integ.step(u, dt)

@@ -10,6 +10,7 @@ import pytest
 
 from tiltphase.cli import EXIT_DIFFERENT, EXIT_FALLEN, EXIT_INPUT, EXIT_OK, THRESHOLD_HI, main
 from tiltphase.config import ControllerConfig
+from tiltphase.trace import read_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -150,6 +151,32 @@ class TestReplay:
         log.write_text("t,gx,gy,gz,ax,ay,az\n0.01,0,0,0,0,0,9.81\n" + row + "\n")
         assert main(["replay", str(log)]) == EXIT_INPUT
         assert "line 3: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t0, step", [(1.7e18, 1e7), (1e300, 1e300), (1e300, 3e284)])
+    def test_huge_timestamps(self, tmp_path, capsys, t0, step):
+        # Unix-epoch nanoseconds, and timestamps where t - hold_time == t
+        log = tmp_path / "log.csv"
+        rows = ["t,gx,gy,gz,ax,ay,az"]
+        rows += [f"{t0 + step * k!r},{0.1 * (k % 5 - 2)},0.05,0,0.1,-0.2,9.81" for k in range(60)]
+        log.write_text("\n".join(rows) + "\n")
+        trace = tmp_path / "r.trace"
+        rc = main(["replay", str(log), "--out", str(trace)])
+        captured = capsys.readouterr()
+        if rc == EXIT_OK:
+            assert "60 cycles" in captured.out
+            assert len(read_trace(trace)) == 60  # refuses non-finite values
+        else:
+            assert rc == EXIT_INPUT and "error: line " in captured.err
+
+    def test_huge_gyro_is_held(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        rows = ["t,gx,gy,gz,ax,ay,az"]
+        rows += [f"{0.01 * k},{1e200 if k == 20 else 0.1},0,0,0,0,9.81" for k in range(1, 40)]
+        log.write_text("\n".join(rows) + "\n")
+        trace = tmp_path / "r.trace"
+        assert main(["replay", str(log), "--out", str(trace)]) == EXIT_OK
+        assert "39 cycles" in capsys.readouterr().out
+        assert [r["flags"] for r in read_trace(trace)][18:21] == ["", "imu_nonfinite", ""]
 
     def test_digit_group_underscore_rejected(self, tmp_path, capsys):
         log = tmp_path / "log.csv"

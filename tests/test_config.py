@@ -7,10 +7,13 @@ from tiltphase.config import (
     ControllerConfig,
     PlantConfig,
     apply_overrides,
+    coerce,
     dump_config,
     load_config,
     parse_config_lines,
+    parse_number,
 )
+from tiltphase.trace import finite_float
 
 
 class TestDefaults:
@@ -105,6 +108,22 @@ class TestParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_lines([line])
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("raw", ["1_0", "2_5.0", "1e1_0", "_1"])
+    def test_one_number_gate_refuses_digit_groups(self, raw):
+        # Config values, CLI flags and trace/IMU fields share parse_number
+        with pytest.raises(ValueError, match="digit-group underscore"):
+            parse_number(raw)
+        with pytest.raises(ConfigError, match=f"x: expected an integer, got '{raw}'"):
+            coerce(int, raw, "x")
+        with pytest.raises(ValueError, match=f"line 3: non-numeric t '{raw}'"):
+            finite_float(raw, "t", 3)
+
+    def test_one_number_gate_reads_numbers(self):
+        assert parse_number("2.5e-3") == 0.0025
+        assert parse_number("-7", int) == -7
+        assert type(parse_number("7")) is float
+        assert finite_float(" 1e3 ", "t", 1) == 1000.0
 
     def test_parsed_configs_are_validated(self):
         with pytest.raises(ConfigError, match="cycle_dt"):

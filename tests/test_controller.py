@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from test_filters import generic_smooth_deadband_ellip, generic_soft_coerce_ellip
 
 from tiltphase.config import ControllerConfig
 from tiltphase.controller import (
@@ -15,7 +16,6 @@ from tiltphase.controller import (
     timing_law,
 )
 from tiltphase.estimator import ImuSample
-from tiltphase.filters import Ellipsoid, smooth_deadband_ellip, soft_coerce_ellip
 from tiltphase.rotation import quat_conj, quat_from_tilt_phase, quat_mul, quat_rotate
 
 G = 9.81
@@ -256,18 +256,15 @@ class TestControllerStep:
             assert first == second
 
     def test_pd_feedback_matches_helper_composition(self):
-        # pd_feedback uses the scalar 2D deadband and coercion kernels; it
-        # must equal the public ellipsoid helpers composed, bit for bit.
+        # pd_feedback composes the 2D deadband and coercion kernels; it must
+        # equal their generic n-dim references composed, bit for bit.
         cfg = ControllerConfig()
         ctrl = TiltPhaseController(cfg)
         rng = random.Random(3)
 
-        db_p_ellipsoid = Ellipsoid((cfg.pd_deadband_p_x, cfg.pd_deadband_p_y))
-        db_d_ellipsoid = Ellipsoid((cfg.pd_deadband_d_x, cfg.pd_deadband_d_y))
-
         def reference(pd_mean, pd_slope):
-            db_p = smooth_deadband_ellip(pd_mean, db_p_ellipsoid)
-            db_d = smooth_deadband_ellip(pd_slope, db_d_ellipsoid)
+            db_p = generic_smooth_deadband_ellip(pd_mean, (cfg.pd_deadband_p_x, cfg.pd_deadband_p_y))
+            db_d = generic_smooth_deadband_ellip(pd_slope, (cfg.pd_deadband_d_x, cfg.pd_deadband_d_y))
             out = []
             for part, limits, buffer in (
                 ("arm", (cfg.arm_limit_x, cfg.arm_limit_y), cfg.arm_buffer),
@@ -280,7 +277,7 @@ class TestControllerStep:
                     db_d, getattr(cfg, part + "_d_gain_lat"), getattr(cfg, part + "_d_gain_sag")
                 )
                 v = (gp * db_p[0] + gd * db_d[0], gp * db_p[1] + gd * db_d[1])
-                out.append(soft_coerce_ellip(v, Ellipsoid(limits), buffer))
+                out.append(generic_soft_coerce_ellip(v, limits, buffer))
             return tuple(out)
 
         for k in range(3000):
@@ -418,6 +415,11 @@ class TestNonFiniteInput:
         ((math.nan, -0.02, 0.0), None),
         (None, (0.1, math.inf, G)),
         ((0.01, -0.02, -math.inf), (math.nan, 0.0, G)),
+        # Finite, but |gyro| ** 2 overflows: the gyro is held whole
+        ((1e200, -0.02, 0.0), None),
+        ((0.01, -1.7e308, 0.0), None),
+        ((1e154, 1e154, 1e154), None),
+        ((math.nan, 1e300, 0.0), None),
     ])
     def test_non_finite_imu_is_held_and_flagged(self, gyro, accel):
         # Every finite value equals the clean run's, so holding is the clean run

@@ -1,11 +1,13 @@
 """Property tests of the coercion bounds: scalar soft coercion, and the
 controller's outputs for any plausible IMU input and, in a pushed closed
-loop, for zero or tiny PD gains and for tiny or huge semi-axes and deadbands.
+loop, for zero or tiny PD gains, for tiny or huge semi-axes and deadbands,
+and for non-finite inputs, which the controller holds.
 
 Needs Hypothesis (the `test` extra); skipped where it is not installed.
 """
 
 import math
+from collections import deque
 
 import pytest
 
@@ -151,3 +153,59 @@ def test_tiny_or_huge_axes_in_pushed_loop(fields):
         act = ctrl.step(imu, GaitCommand(), dt)
         assert output_errors(act, cfg) == []
         imu = plant.step(act, ctrl.mu, push, k * dt, dt)
+
+
+_NONFINITE = (math.nan, math.inf, -math.inf)
+# (cycle, field, value); fields 0-6 are the IMU's t, gyro and accel, 7-9 the command
+_INJECTION = hs.one_of(
+    hs.tuples(hs.integers(0, 199), hs.integers(0, 9), hs.sampled_from(_NONFINITE)),
+    # Finite, but |gyro| ** 2 overflows
+    hs.tuples(hs.integers(0, 199), hs.integers(1, 3), hs.sampled_from([1e200, -1.7e308])),
+)
+
+
+def state_floats(obj):
+    """Every float reachable from obj's attributes and containers."""
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, (tuple, list, deque)):
+        for item in obj:
+            yield from state_floats(item)
+    elif hasattr(obj, "__slots__"):
+        for name in type(obj).__slots__:
+            yield from state_floats(getattr(obj, name))
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from state_floats(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=hs.sampled_from(sorted(_CONFIGS)),
+    injections=hs.lists(_INJECTION, min_size=1, max_size=6),
+)
+def test_non_finite_inputs_held_in_pushed_loop(config, injections):
+    """nan or inf in any IMU or command field at any cycle of a 2 s pushed
+    closed loop: outputs stay finite and inside their bounds, and no filter
+    or estimator state takes a non-finite value."""
+    cfg = _CONFIGS[config]
+    ctrl = TiltPhaseController(cfg)
+    plant = SurrogatePlant(PlantConfig())
+    push = [Disturbance("impulse", 0.8, 1.0, start_time=1.0)]
+    bad = {}
+    for cycle, field, value in injections:
+        bad.setdefault(cycle, {})[field] = value
+    dt = cfg.cycle_dt
+    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, push, 0.0, dt)
+    for k in range(200):
+        values = [imu.t, *imu.gyro, *imu.accel, 0.2, 0.0, 0.1]
+        for field, value in bad.get(k, {}).items():
+            values[field] = value
+        act = ctrl.step(ImuSample(values[0], tuple(values[1:4]), tuple(values[4:7])),
+                        GaitCommand(*values[7:]), dt)
+        assert ("imu_nonfinite" in act.flags) == any(f < 7 for f in bad.get(k, ()))
+        assert ("cmd_nonfinite" in act.flags) == any(f >= 7 for f in bad.get(k, ()))
+        assert output_errors(act, cfg) == []
+        state = list(state_floats(ctrl))
+        assert all(map(math.isfinite, state)), f"cycle {k}: non-finite state"
+        imu = plant.step(act, ctrl.mu, push, (k + 1) * dt, dt)

@@ -8,7 +8,6 @@ import pytest
 
 from tiltphase.filters import (
     BoundedIntegrator,
-    Ellipsoid,
     HoldFilter,
     LowPassFilter,
     MeanFilter,
@@ -17,15 +16,12 @@ from tiltphase.filters import (
     _scaled_radius,
     coerced_interp,
     hard_coerce2,
-    hard_coerce_ellip,
     one_sided_deadband,
     smooth_deadband2,
     smooth_deadband_1d,
-    smooth_deadband_ellip,
     smooth_deadband_mag,
     soft_coerce2,
     soft_coerce_1d,
-    soft_coerce_ellip,
     soft_coerce_mag,
 )
 
@@ -41,12 +37,12 @@ def generic_radius_along(x, semi_axes):
         m2 += xi * xi
         s += (xi / ai) ** 2
     if s <= 0.0:
-        # Both squares underflow: scale each ratio by the larger first
-        w = [abs(xi) / ai for xi, ai in zip(x, semi_axes)]
-        u = max(w)
+        # Both squares underflow: scale x by its largest component first
+        u = max(abs(xi) for xi in x)
         if u == 0.0:
             return math.inf
-        return math.hypot(*x) / u / math.hypot(*(wi / u for wi in w))
+        y = [xi / u for xi in x]
+        return math.hypot(*y) / math.hypot(*(yi / ai for yi, ai in zip(y, semi_axes)))
     return math.sqrt(m2 / s)
 
 
@@ -161,29 +157,25 @@ def wlbf_oracle(buf):
 
 
 class TestEllipsoid:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Ellipsoid((1.0, -0.5))
-        with pytest.raises(ValueError):
-            Ellipsoid(())
+    """Ellipse geometry of the 2D kernels: a far input hard-coerces onto the
+    boundary, so the length of the result is the directional radius."""
 
-    @pytest.mark.parametrize("axes", [(1.0,), (1.0, 1.0, 1.0)])
-    def test_needs_exactly_two_axes(self, axes):
+    def test_validation(self):
         with pytest.raises(ValueError, match="two positive semi-axes"):
-            Ellipsoid(axes)
+            BoundedIntegrator(1.0, -0.5, 0.1)
+        with pytest.raises(ValueError, match="two positive semi-axes"):
+            BoundedIntegrator(0.0, 1.0, 0.1)
 
     def test_principal_axis_radius(self):
-        e = Ellipsoid((2.0, 0.5))
-        assert e.radius_along((1.0, 0.0)) == pytest.approx(2.0)
-        assert e.radius_along((0.0, -3.0)) == pytest.approx(0.5)
+        assert hard_coerce2(10.0, 0.0, 2.0, 0.5) == pytest.approx((2.0, 0.0))
+        assert hard_coerce2(0.0, -3.0, 2.0, 0.5) == pytest.approx((0.0, -0.5))
 
     def test_off_axis_radius_below_max(self):
         rng = random.Random(3)
         for _ in range(1000):
             a = (rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
-            e = Ellipsoid(a)
             ang = rng.uniform(0.05, math.pi / 2 - 0.05)
-            r = e.radius_along((math.cos(ang), math.sin(ang)))
+            r = math.hypot(*hard_coerce2(10.0 * math.cos(ang), 10.0 * math.sin(ang), *a))
             if abs(a[0] - a[1]) > 1e-9:
                 assert r < max(a)
             assert r >= min(a) - 1e-12
@@ -194,23 +186,32 @@ class TestEllipsoid:
         for _ in range(1000):
             a = (rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0))
             x = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-            want = Ellipsoid(a).radius_along(x)
+            want = generic_radius_along(x, a)
             assert _scaled_radius(*x, *a) == pytest.approx(want, rel=1e-14)
         # ...and takes over where (x / a) ** 2 overflows or both squares vanish
-        r = Ellipsoid((1e-200, 1.0)).radius_along((1.0, 1.0))
+        r = _scaled_radius(1.0, 1.0, 1e-200, 1.0)
         assert r == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-14)
         assert _scaled_radius(1.0, -1.0, 1e300, 1e300) == pytest.approx(1e300, rel=1e-14)
-        assert _scaled_radius(1e-200, 0.0, 1e300, 1e300) == math.inf
+        assert _scaled_radius(1e-200, 0.0, 1e300, 1e300) == pytest.approx(1e300, rel=1e-14)
+        assert _scaled_radius(0.0, 0.0, 1.0, 1.0) == math.inf
         # Both squares underflow to 0.0: the radius along the long axis
-        assert Ellipsoid((1e-3, 2.5)).radius_along((0.0, 1e-200)) == pytest.approx(2.5, rel=1e-14)
-        assert Ellipsoid((0.3, 0.3)).radius_along((1e-170, -1e-170)) == pytest.approx(0.3, rel=1e-14)
+        assert _scaled_radius(0.0, 1e-200, 1e-3, 2.5) == pytest.approx(2.5, rel=1e-14)
+        assert _scaled_radius(1e-170, -1e-170, 0.3, 0.3) == pytest.approx(0.3, rel=1e-14)
+        # In the kernels: far past the deadband, |output| = |x| - r
+        y = smooth_deadband2(1.0, 1.0, 1e-200, 1.0)
+        assert math.hypot(*y) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("x0, want", [(5e-324, 10.0), (1e-320, 10.0), (-2.5e-310, 10.0)])
+    def test_radius_where_ratios_are_subnormal(self, x0, want):
+        # x / a is subnormal or underflows to 0; scaling x first keeps the digits
+        assert _scaled_radius(x0, 0.0, 10.0, 1.0) == pytest.approx(want, rel=1e-15)
+        assert _scaled_radius(0.0, x0, 1.0, 10.0) == pytest.approx(want, rel=1e-15)
 
 
 class TestSoftCoerce:
     def test_identity_inside(self):
-        e = Ellipsoid((1.0, 1.0))
         x = (0.3, 0.4)  # |x| = 0.5 <= 1 - 0.2
-        assert soft_coerce_ellip(x, e, 0.2) == x
+        assert soft_coerce2(*x, 1.0, 1.0, 0.2) == x
 
     def test_1d_direct_value(self):
         # r=1, b=0.2, m=1 -> 1 - 0.2*e^{-1}
@@ -232,20 +233,18 @@ class TestSoftCoerce:
             assert y == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_maps_to_zero(self):
-        e = Ellipsoid((1.0, 2.0))
-        assert soft_coerce_ellip((0.0, 0.0), e, 0.1) == (0.0, 0.0)
+        assert soft_coerce2(0.0, 0.0, 1.0, 2.0, 0.1) == (0.0, 0.0)
 
     def test_direction_preserved_and_inside(self):
         rng = random.Random(17)
         for _ in range(10_000):
             a = (rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0))
-            e = Ellipsoid(a)
             b = rng.uniform(0.01, 0.9 * min(a))
             x = (rng.uniform(-6, 6), rng.uniform(-6, 6))
-            y = soft_coerce_ellip(x, e, b)
+            y = soft_coerce2(*x, *a, b)
             my = math.hypot(*y)
             mx = math.hypot(*x)
-            r = e.radius_along(x) if mx > 0 else min(a)
+            r = generic_radius_along(x, a) if mx > 0 else min(a)
             assert my < r + 1e-12
             if mx > 1e-12 and my > 1e-12:
                 assert math.atan2(x[1], x[0]) == pytest.approx(
@@ -276,26 +275,14 @@ class TestSoftCoerce:
             assert abs(d - expect) < 1e-4
 
     def test_hard_coerce(self):
-        e = Ellipsoid((1.0, 0.5))
-        assert hard_coerce_ellip((0.2, 0.1), e) == (0.2, 0.1)
-        y = hard_coerce_ellip((0.0, 2.0), e)
+        assert hard_coerce2(0.2, 0.1, 1.0, 0.5) == (0.2, 0.1)
+        y = hard_coerce2(0.0, 2.0, 1.0, 0.5)
         assert y == pytest.approx((0.0, 0.5))
-
-    @pytest.mark.parametrize("helper", [
-        lambda x, e: soft_coerce_ellip(x, e, 0.1),
-        hard_coerce_ellip,
-        smooth_deadband_ellip,
-    ])
-    @pytest.mark.parametrize("x", [(0.5,), (0.5, 0.2, 0.1)])
-    def test_ellip_helpers_take_2_vectors_only(self, helper, x):
-        with pytest.raises(ValueError):
-            helper(x, Ellipsoid((1.0, 1.0)))
 
 
 class TestSmoothDeadband:
     def test_zero(self):
-        e = Ellipsoid((1.0, 1.0))
-        assert smooth_deadband_ellip((0.0, 0.0), e) == (0.0, 0.0)
+        assert smooth_deadband2(0.0, 0.0, 1.0, 1.0) == (0.0, 0.0)
 
     def test_junction_value(self):
         # 1D, r=1, x=2: both branches give 1.
@@ -322,13 +309,12 @@ class TestSmoothDeadband:
         rng = random.Random(31)
         for _ in range(1000):
             a = (rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0))
-            e = Ellipsoid(a)
             ang = rng.uniform(-math.pi, math.pi)
             u = (math.cos(ang), math.sin(ang))
-            r = e.radius_along(u)
+            r = generic_radius_along(u, a)
             m = 2 * r + rng.uniform(0.1, 5.0)
             x = (m * u[0], m * u[1])
-            y = smooth_deadband_ellip(x, e)
+            y = smooth_deadband2(*x, *a)
             assert math.hypot(*y) == pytest.approx(m - r, abs=1e-12)
             assert math.atan2(y[1], y[0]) == pytest.approx(ang, abs=1e-12)
 
@@ -382,37 +368,36 @@ class TestCoercedInterp:
 
 class TestMeanFilter:
     def test_constant(self):
-        f = MeanFilter(2, 4)
+        f = MeanFilter(4)
         for _ in range(10):
             assert f.step((3.0, -1.0)) == pytest.approx((3.0, -1.0))
 
     def test_order_two(self):
-        f = MeanFilter(1, 2)
-        assert f.step((0.0,)) == (0.0,)
-        assert f.step((1.0,)) == (0.5,)
+        f = MeanFilter(2)
+        assert f.step((0.0, 1.0)) == (0.0, 1.0)
+        assert f.step((1.0, 3.0)) == (0.5, 2.0)
+        assert f.step((2.0, 3.0)) == (1.5, 3.0)
+        with pytest.raises(ValueError, match="order >= 1"):
+            MeanFilter(0)
 
     def test_dimension_mismatch(self):
-        f = MeanFilter(2, 3)
+        f = MeanFilter(3)
         with pytest.raises(ValueError):
             f.step((1.0,))
+        with pytest.raises(ValueError):
+            f.step((1.0, 2.0, 3.0))
 
     def test_brute_force_oracle(self):
         rng = random.Random(41)
-        for dim in (1, 2):
-            f = MeanFilter(dim, 7)
-            hist = []
-            for _ in range(200):
-                x = tuple(rng.uniform(-5, 5) for _ in range(dim))
-                hist.append(x)
-                got = f.step(x)
-                assert len(got) == dim
-                want = np.mean(np.array(hist[-7:]), axis=0)
-                assert np.allclose(got, want, atol=1e-12)
-
-    @pytest.mark.parametrize("dim", [0, 3])
-    def test_scalar_or_2d_only(self, dim):
-        with pytest.raises(ValueError, match="dim 1 or 2"):
-            MeanFilter(dim, 3)
+        f = MeanFilter(7)
+        hist = []
+        for _ in range(200):
+            x = (rng.uniform(-5, 5), rng.uniform(-5, 5))
+            hist.append(x)
+            got = f.step(x)
+            assert len(got) == 2
+            want = np.mean(np.array(hist[-7:]), axis=0)
+            assert np.allclose(got, want, atol=1e-12)
 
 
 class TestWlbf:
@@ -444,6 +429,15 @@ class TestWlbf:
         with pytest.raises(ValueError, match="dim 1 or 2"):
             WlbfFilter(dim, 4)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_time_gaps_beyond_float_range_give_no_slope(self, dim):
+        # The moments of gaps near 1e300 overflow; the value stays the latest
+        f = WlbfFilter(dim, 4)
+        for k in range(1, 6):
+            value, slope, mtv = f.step(1e300 * k, (0.5 * k,) * dim)
+            assert value == mtv == (0.5 * k,) * dim
+            assert slope == (0.0,) * dim
+
     def test_rejects_non_increasing_time(self):
         f = WlbfFilter(1, 4)
         f.step(1.0, (0.0,))
@@ -470,12 +464,12 @@ class TestWlbf:
 
 class TestBoundedIntegrator:
     def test_zero_input(self):
-        bi = BoundedIntegrator(Ellipsoid((1.0, 1.0)), 0.1)
+        bi = BoundedIntegrator(1.0, 1.0, 0.1)
         for _ in range(50):
             assert bi.step((0.0, 0.0), 0.01) == (0.0, 0.0)
 
     def test_linear_ramp_inside(self):
-        bi = BoundedIntegrator(Ellipsoid((1.0, 1.0)), 0.1)
+        bi = BoundedIntegrator(1.0, 1.0, 0.1)
         u = (0.5, 0.2)
         dt = 0.01
         y = (0.0, 0.0)
@@ -492,12 +486,12 @@ class TestBoundedIntegrator:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BoundedIntegrator(Ellipsoid((1.0, 0.2)), 0.3)
+            BoundedIntegrator(1.0, 0.2, 0.3)
 
     def test_anti_windup(self):
         # Saturate with constant +u, flip sign: once the reversed input is in
         # effect, the very next step moves inward by at least 0.95*dt*|u|.
-        bi = BoundedIntegrator(Ellipsoid((1.0, 1.0)), 0.1)
+        bi = BoundedIntegrator(1.0, 1.0, 0.1)
         u = (2.0, 0.0)
         dt = 0.01
         for _ in range(2000):
@@ -512,11 +506,11 @@ class TestBoundedIntegrator:
 
     def test_never_leaves_coercion_image(self):
         rng = random.Random(71)
-        bi = BoundedIntegrator(Ellipsoid((0.8, 1.2)), 0.15)
+        bi = BoundedIntegrator(0.8, 1.2, 0.15)
         for _ in range(100_000):
             u = (rng.uniform(-50, 50), rng.uniform(-50, 50))
             y = bi.step(u, 0.01)
-            r = bi.ellipsoid.radius_along(y) if math.hypot(*y) > 0 else 1.0
+            r = generic_radius_along(y, (bi.a0, bi.a1)) if math.hypot(*y) > 0 else 1.0
             assert math.hypot(*y) < r
 
 
@@ -525,14 +519,23 @@ class TestBitExactPaths:
 
     @pytest.mark.parametrize("order", range(1, 13))
     def test_scalar_mean_filter(self, order):
+        """Each component of the 2D filter is the scalar moving mean of its
+        stream, bit for bit."""
         rng = random.Random(order)
-        f = MeanFilter(1, order)
-        ref = GenericMeanFilter(1, order)
+        f = MeanFilter(order)
+        refs = (GenericMeanFilter(1, order), GenericMeanFilter(1, order))
         for _ in range(4 * order + 40):
-            x = (rng.choice(EDGE_VALUES) if rng.random() < 0.5 else rng.uniform(-5.0, 5.0),)
-            assert _bits(f.step(x)) == _bits(ref.step(x))
+            x = tuple(
+                rng.choice(EDGE_VALUES) if rng.random() < 0.5 else rng.uniform(-5.0, 5.0)
+                for _ in range(2)
+            )
+            want = tuple(ref.step((xi,))[0] for ref, xi in zip(refs, x))
+            assert _bits(f.step(x)) == _bits(want)
+        assert _bits(tuple(f._sum)) == _bits(tuple(ref._sum[0] for ref in refs))
 
     def test_radius_along(self):
+        """The directional radius inside the 2D kernels, by the bits of their
+        outputs against the generic references."""
         rng = random.Random(5)
         axes = (1e-3, 0.05, 0.3, 1.0, 2.5)
         for _ in range(20_000):
@@ -541,14 +544,11 @@ class TestBitExactPaths:
                 rng.choice(EDGE_VALUES) if rng.random() < 0.5 else rng.gauss(0.0, 2.0)
                 for _ in range(2)
             )
-            got = Ellipsoid(a).radius_along(x)
-            assert _bits(got) == _bits(generic_radius_along(x, a))
+            b = 0.5 * min(a)
+            assert _bits(smooth_deadband2(*x, *a)) == _bits(generic_smooth_deadband_ellip(x, a))
+            assert _bits(soft_coerce2(*x, *a, b)) == _bits(generic_soft_coerce_ellip(x, a, b))
 
-    @pytest.mark.parametrize("helper", [
-        hard_coerce_ellip,
-        lambda x, e: ref_hard_coerce_ellip(x, e.semi_axes),
-    ], ids=["wrapper", "reference"])
-    def test_hard_coerce2(self, helper):
+    def test_hard_coerce2(self):
         rng = random.Random(23)
         axes = (1e-3, 0.05, 0.3, 1.0, 2.5)
         for _ in range(20_000):
@@ -557,12 +557,12 @@ class TestBitExactPaths:
                 rng.choice(EDGE_VALUES) if rng.random() < 0.5 else rng.gauss(0.0, 2.0)
                 for _ in range(2)
             )
-            assert _bits(hard_coerce2(*x, *a)) == _bits(helper(x, Ellipsoid(a)))
+            assert _bits(hard_coerce2(*x, *a)) == _bits(ref_hard_coerce_ellip(x, a))
 
     @pytest.mark.parametrize("semi_axes, buffer", [((1.0, 1.0), 0.1), ((0.08, 0.12), 0.02)])
     def test_bounded_integrator(self, semi_axes, buffer):
         rng = random.Random(11)
-        bi = BoundedIntegrator(Ellipsoid(semi_axes), buffer)
+        bi = BoundedIntegrator(*semi_axes, buffer)
         ref = ReferenceIntegrator(semi_axes, buffer)
         assert _bits(bi.value) == _bits(ref.value)
         for _ in range(5000):
@@ -618,6 +618,14 @@ class TestHoldFilter:
         hf = HoldFilter(0.2)
         for k in range(50):
             assert hf.step(1.5, 0.01 * k) == 1.5
+
+    @pytest.mark.parametrize("t0", [1.7e18, 1e300])
+    def test_keeps_newest_where_hold_time_vanishes(self, t0):
+        # t - hold_time rounds to t: the window is the newest sample alone
+        hf = HoldFilter(0.4)
+        assert hf.step(2.0, t0) == 2.0
+        assert hf.step(1.0, t0 * 2.0) == 1.0
+        assert hf.step(3.0, t0 * 3.0) == 3.0
 
 
 class TestLowPass:

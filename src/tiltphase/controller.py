@@ -332,7 +332,9 @@ class TiltPhaseController:
         """(imu, cmd, flags) with each non-finite value replaced by its held one.
 
         A gyro whose squared norm overflows (|gyro| above about 1.3e154) is
-        held whole, as the estimator cannot integrate it. A held timestamp
+        held whole, as the estimator cannot integrate it; `step` also flags
+        `imu_nonfinite` when the rotation |rate| * dt overflows, and then
+        the estimate holds its attitude. A held timestamp
         advances by dt. Flags `imu_nonfinite` and `cmd_nonfinite` name the
         input that had one.
         """
@@ -372,7 +374,13 @@ class TiltPhaseController:
             imu, cmd, flags = self._hold_non_finite(imu, cmd, dt)
         self._held = imu, cmd
 
-        p_b = self.estimator.step(imu.gyro, imu.accel, dt)
+        try:
+            p_b = self.estimator.step(imu.gyro, imu.accel, dt)
+        except OverflowError:
+            # |rate| * dt overflows: the estimate holds its attitude
+            p_b = tilt_of_quat(self.estimator.q)
+            if "imu_nonfinite" not in flags:
+                flags = ("imu_nonfinite",) + flags
         p_e = self.waveform.evaluate(mu)
         dev = deviation_tilt(p_b, p_e, cfg.py_nominal)
         if not dev.converged:

@@ -50,10 +50,16 @@ class AttitudeEstimator:
         self.bias = (0.0, 0.0, 0.0)
 
     def step(self, gyro: Sequence[float], accel: Sequence[float], dt: float) -> TiltPhase2D:
+        """Advance by dt and return the tilt phase of the estimate.
+
+        Raises OverflowError, leaving the state unchanged, when the rotation
+        angle |rate| * dt overflows (a huge dt can do so for any rate).
+        """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         w, x, y, z = self.q
-        bx, by, bz = self.bias
+        bias = self.bias
+        bx, by, bz = bias
         gx = gyro[0] - bx
         gy = gyro[1] - by
         gz = gyro[2] - bz
@@ -79,14 +85,17 @@ class AttitudeEstimator:
             gz += kp * ez
             if self.ki != 0.0:
                 lim = self.bias_limit
-                bx = min(lim, max(-lim, bx - self.ki * ex * dt))
-                by = min(lim, max(-lim, by - self.ki * ey * dt))
-                bz = min(lim, max(-lim, bz - self.ki * ez * dt))
-                self.bias = (bx, by, bz)
+                bias = (
+                    min(lim, max(-lim, bx - self.ki * ex * dt)),
+                    min(lim, max(-lim, by - self.ki * ey * dt)),
+                    min(lim, max(-lim, bz - self.ki * ez * dt)),
+                )
 
         # Integrate body rates: q <- q * exp(0.5 * omega * dt)
         th = math.sqrt(gx * gx + gy * gy + gz * gz) * dt
         if th > 1e-12:
+            if th == math.inf:
+                raise OverflowError("rotation angle |rate| * dt overflows")
             h = 0.5 * th
             s = math.sin(h) / (th / dt)  # sin(h) / |omega|
             dw = math.cos(h)
@@ -101,5 +110,6 @@ class AttitudeEstimator:
             if nw < 0.0:
                 n = -n
             self.q = (nw / n, nx / n, ny / n, nz / n)
+        self.bias = bias
 
         return tilt_of_quat(self.q)

@@ -56,8 +56,9 @@ def soft_coerce_1d(x: float, limit: float, b: float) -> float:
 
 def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[float, float]:
     """Soft-coerce (x0, x1) radially to the ellipse with semi-axes (a0, a1),
-    with soft buffer b: the direction is kept exactly and the magnitude stays
-    strictly below the directional radius. Requires 0 < b < min(a0, a1).
+    with soft buffer b: the direction is kept up to rounding, and a saturated
+    output satisfies (y0/a0)**2 + (y1/a1)**2 <= 1 as computed. Requires
+    0 < b < min(a0, a1).
     """
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
@@ -71,7 +72,14 @@ def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[
     if s == m:
         return (x0, x1)
     k = s / m
-    return (k * x0, k * x1)
+    y0 = k * x0
+    y1 = k * x1
+    # Rounding in r, s, k and the products can leave a saturated output a few
+    # ulps outside the ellipse; step both components back inside
+    while (y0 / a0) ** 2 + (y1 / a1) ** 2 > 1.0:
+        y0 = math.nextafter(y0, 0.0)
+        y1 = math.nextafter(y1, 0.0)
+    return (y0, y1)
 
 
 def hard_coerce2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float, float]:

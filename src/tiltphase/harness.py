@@ -283,8 +283,11 @@ def load_imu_log(path) -> List[ImuSample]:
     samples = []
     for lineno, parts in csv_rows(path, len(_IMU_FIELDS)):
         t, *v = (finite_float(raw, name, lineno) for name, raw in zip(_IMU_FIELDS, parts))
-        if samples and t <= samples[-1].t:
-            raise ValueError(f"line {lineno}: non-monotone timestamp {t}")
+        if samples:
+            if t <= samples[-1].t:
+                raise ValueError(f"line {lineno}: non-monotone timestamp {t}")
+            if t - samples[-1].t == math.inf:
+                raise ValueError(f"line {lineno}: timestamp step overflows after t={samples[-1].t}")
         samples.append(ImuSample(t, tuple(v[:3]), tuple(v[3:])))
     return samples
 

@@ -12,6 +12,14 @@ crossing energy. With the pivot at upright (the default) an exactly upright
 resting plant stays put; with the pivot at a crossing phase the trajectory
 conserves the pendulum invariant, which the conservation tests exploit.
 
+Each control cycle is integrated by classic RK4 in ``ceil(dt / substep_dt)``
+equal substeps. The default ``substep_dt`` of 5 ms gives 2 substeps per
+10 ms cycle: against a 0.1 ms reference, every traced column of the golden
+closed loops stays within 2.2e-10 (1 ms gives 3.6e-13, 10 ms 3.5e-9; the
+error falls as h^4), and none of 800 push trials changes its fall result
+against 1 ms. A pendulum with ``C = 2 rad/s`` needs no finer step in a test
+plant, and a plant step costs less than half of what it costs at 1 ms.
+
 The RK4 substep loop in `SurrogatePlant.step` is inlined over local floats,
 with everything that is constant over a control cycle (``c2``, the pivot
 offsets ``eq_x``/``eq_y``, the eight coupling products, the external force,
@@ -35,7 +43,8 @@ each acceleration chain ends in ``+ fx``, so every acceleration is +0.0.
 Every velocity update adds ``h*(+0.0)`` and every position update adds
 ``h6*(+0.0 sum)``, which also turns a -0.0 state into +0.0. A finite ``c2``
 is needed because ``inf * 0.0`` is nan. Walking in place before a push starts
-exactly at rest, so the push battery skips over a third of its loops.
+exactly at rest; since the harness replays that walk from its quiet-prefix
+memo, the skip covers about 6% of the push battery's plant steps.
 
 Disturbances are scanned once per cycle, in list order, so the force and
 bias sums are unchanged. The IMU sample takes two rotation.py calls:

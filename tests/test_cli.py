@@ -178,6 +178,27 @@ class TestReplay:
         assert "39 cycles" in capsys.readouterr().out
         assert [r["flags"] for r in read_trace(trace)][18:21] == ["", "imu_nonfinite", ""]
 
+    @pytest.mark.parametrize("rows, flags", [
+        (["1e300,1e10,0,0,0,0,9.81", "2e300,1e10,0,0,0,0,9.81", "3e300,1e10,0,0,0,0,9.81"],
+         ["", "imu_nonfinite", "imu_nonfinite"]),
+        # No gyro at all: the accelerometer correction alone overflows over dt
+        (["0,0,0,0,0,0,9.81", "1e308,0,0,0,9.81,0,0"], ["", "imu_nonfinite"]),
+        # The gyro's squares overflow, so the zero gyro before it is held
+        (["0.01,0,0,0,0,0,9.81", "1e300,0,1e200,0,0,0,9.81"], ["", "imu_nonfinite"]),
+    ])
+    def test_rotation_overflow_is_held(self, tmp_path, capsys, rows, flags):
+        # The estimator rotates by |rate| * dt; with dt a timestamp difference
+        # that product can overflow although each value is finite
+        log = tmp_path / "log.csv"
+        log.write_text("\n".join(["t,gx,gy,gz,ax,ay,az", *rows]) + "\n")
+        trace = tmp_path / "r.trace"
+        assert main(["replay", str(log), "--out", str(trace)]) == EXIT_OK
+        assert f"{len(rows)} cycles" in capsys.readouterr().out
+        records = read_trace(trace)
+        assert [r["flags"] for r in records] == flags
+        assert all(r["pxB"] == records[0]["pxB"] and r["pyB"] == records[0]["pyB"]
+                   for r, f in zip(records, flags) if f)
+
     def test_digit_group_underscore_rejected(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_text("t,gx,gy,gz,ax,ay,az\n0.0_1,0,0,0,0,0,9.81\n0.02,0,0,0,0,0,9.81\n")

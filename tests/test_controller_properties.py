@@ -1,4 +1,4 @@
-"""Property tests of the coercion bounds: scalar soft coercion, and the
+"""Property tests of the coercion bounds: scalar and 2D soft coercion, and the
 controller's outputs for any plausible IMU input and, in a pushed closed
 loop, for zero or tiny PD gains, for tiny or huge semi-axes and deadbands,
 and for non-finite inputs, which the controller holds.
@@ -13,13 +13,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
 
 from tiltphase.config import ControllerConfig, PlantConfig  # noqa: E402
 from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController  # noqa: E402
 from tiltphase.estimator import ImuSample  # noqa: E402
-from tiltphase.filters import soft_coerce_1d  # noqa: E402
+from tiltphase.filters import soft_coerce2, soft_coerce_1d  # noqa: E402
 from tiltphase.plant import Disturbance, SurrogatePlant  # noqa: E402
 
 # Same tolerance as the benchmark's trace check (perfbench/workloads.py)
@@ -37,6 +37,26 @@ _FINITE = hs.floats(allow_nan=False, allow_infinity=False)
 def test_soft_coerce_1d_strictly_inside(x, limit, frac):
     y = soft_coerce_1d(x, limit, frac * limit)
     assert -limit < y < limit
+
+
+# |x| up to 1e150: above about 1.3e154 the squared norm overflows, which
+# soft_coerce2 does not handle yet
+_SQUARABLE = hs.floats(-1e150, 1e150)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    x0=_SQUARABLE,
+    x1=_SQUARABLE,
+    a0=hs.floats(1e-3, 1e3),
+    a1=hs.floats(1e-3, 1e3),
+    frac=hs.floats(0.01, 0.99),
+)
+@example(-4.868, 3.375, 0.5, 0.5, 0.2)
+@example(2.723, -4.731, 0.5, 0.5, 0.2)
+def test_soft_coerce2_inside_its_ellipse(x0, x1, a0, a1, frac):
+    y0, y1 = soft_coerce2(x0, x1, a0, a1, frac * min(a0, a1))
+    assert (y0 / a0) ** 2 + (y1 / a1) ** 2 <= 1.0
 
 
 def _anisotropic():
@@ -70,18 +90,22 @@ def output_errors(act, cfg):
             errors.append(f"{name} not finite: {value}")
     if errors:
         return errors
+    # Soft-coerced outputs lie inside their ellipse with no tolerance; the
+    # integral terms are the integrator's value times a gain, and that
+    # product rounds
     ellipses = (
-        ("arm_tilt", cfg.arm_limit_x, cfg.arm_limit_y),
-        ("support_foot_tilt", cfg.foot_limit_x, cfg.foot_limit_y),
-        ("continuous_foot_tilt", cfg.i_cft_gain * cfg.i_bound_x, cfg.i_cft_gain * cfg.i_bound_y),
-        ("hip_shift", cfg.i_hip_gain * cfg.i_bound_x, cfg.i_hip_gain * cfg.i_bound_y),
-        ("swing_out_tilt", cfg.so_limit_x, cfg.so_limit_y),
-        ("swing_ground_plane", cfg.sp_limit_x, cfg.sp_limit_y),
+        ("arm_tilt", cfg.arm_limit_x, cfg.arm_limit_y, 0.0),
+        ("support_foot_tilt", cfg.foot_limit_x, cfg.foot_limit_y, 0.0),
+        ("continuous_foot_tilt",
+         cfg.i_cft_gain * cfg.i_bound_x, cfg.i_cft_gain * cfg.i_bound_y, TOL),
+        ("hip_shift", cfg.i_hip_gain * cfg.i_bound_x, cfg.i_hip_gain * cfg.i_bound_y, TOL),
+        ("swing_out_tilt", cfg.so_limit_x, cfg.so_limit_y, 0.0),
+        ("swing_ground_plane", cfg.sp_limit_x, cfg.sp_limit_y, 0.0),
     )
-    for name, ax, ay in ellipses:
+    for name, ax, ay, tol in ellipses:
         x, y = getattr(act, name)
         ratio = (x / ax) ** 2 + (y / ay) ** 2
-        if ratio > 1.0 + TOL:
+        if ratio > 1.0 + tol:
             errors.append(f"{name} {x, y} outside its ellipse (ratio {ratio!r})")
     lx, ly = act.lean_tilt
     if lx != 0.0 or abs(ly) > cfg.lean_limit + TOL:
@@ -108,6 +132,8 @@ def test_controller_outputs_finite_and_bounded(config, cycles, cmd):
         t += dt
         act = ctrl.step(ImuSample(t, gyro, accel), command, dt)
         assert output_errors(act, cfg) == []
+        z0, z1 = ctrl.integrator.value
+        assert (z0 / cfg.i_bound_x) ** 2 + (z1 / cfg.i_bound_y) ** 2 <= 1.0
 
 
 @pytest.mark.parametrize("gain", [0.0, 1e-300])

@@ -113,6 +113,17 @@ class TestTracking:
         assert est.bias[1] == pytest.approx(-0.01, abs=5e-3)
         assert math.hypot(*p) < 0.02
 
+    def test_rotation_overflow_leaves_state_unchanged(self):
+        est = AttitudeEstimator(kp=2.0, ki=0.5, bias_limit=0.1)
+        for _ in range(50):
+            est.step((0.03, -0.02, 0.01), (1.0, 0.5, GRAVITY), 0.01)
+        q, bias = est.q, est.bias
+        # A tilted accelerometer alone gives a rate of about kp, and
+        # 2 * 1e308 overflows
+        with pytest.raises(OverflowError):
+            est.step((0.0, 0.0, 0.0), (GRAVITY, 0.0, 0.0), 1e308)
+        assert (est.q, est.bias) == (q, bias)
+
 
 class TestInvariants:
     def test_norm_drift(self):

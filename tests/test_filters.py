@@ -55,7 +55,10 @@ def generic_soft_coerce_ellip(x, semi_axes, b):
     if s == m:
         return tuple(x)
     k = s / m
-    return tuple(k * xi for xi in x)
+    y = [k * xi for xi in x]
+    while sum((yi / ai) ** 2 for yi, ai in zip(y, semi_axes)) > 1.0:
+        y = [math.nextafter(yi, 0.0) for yi in y]
+    return tuple(y)
 
 
 def generic_smooth_deadband_ellip(x, semi_axes):

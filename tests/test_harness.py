@@ -229,6 +229,9 @@ class TestReplay:
         path.write_text("0.02,0,0,0,0,0,9.81\n0.01,0,0,0,0,0,9.81\n")
         with pytest.raises(ValueError, match="line 2: non-monotone"):
             load_imu_log(path)
+        path.write_text("-1.7e308,0,0,0,0,0,9.81\n1.7e308,0,0,0,0,0,9.81\n")
+        with pytest.raises(ValueError, match="line 2: timestamp step overflows"):
+            load_imu_log(path)
 
     @pytest.mark.parametrize("row, message", [
         ("0.0_1,0,0,0,0,0,9.81", "line 2: non-numeric t '0.0_1'"),

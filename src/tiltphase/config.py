@@ -24,7 +24,7 @@ def _check_finite(cfg, prefix: str) -> None:
             raise ConfigError(f"{prefix}.{name} must be finite")
 
 
-@dataclass
+@dataclass(slots=True)
 class ControllerConfig:
     # Control cycle (nominal; used to size cycle-count filter windows)
     cycle_dt: float = 0.01
@@ -144,14 +144,27 @@ class ControllerConfig:
                 if getattr(self, n) <= 0:
                     raise ConfigError(f"controller.{n} must be positive")
 
+        # Past these limits a run asks for more cycles or plant substeps than
+        # it can take, the crossing energy divides by zero, or the expected
+        # tilt, which no walk takes beyond pi, overflows tilt_quat
+        for n, lo, hi, limit in (
+            ("cycle_dt", 1e-3, 0.1, "lie in [0.001, 0.1]"),
+            ("so_pendulum_c", 1e-3, math.inf, "be at least 0.001"),
+            ("wave_amp_x", 0.0, math.pi, "lie in [0, pi]"),
+            ("wave_amp_y", 0.0, math.pi, "lie in [0, pi]"),
+            ("wave_offset_x", -math.pi, math.pi, "lie in [-pi, pi]"),
+            ("wave_offset_y", -math.pi, math.pi, "lie in [-pi, pi]"),
+        ):
+            if not lo <= getattr(self, n) <= hi:
+                raise ConfigError(f"controller.{n} must {limit}")
         positive(
-            "cycle_dt", "f_nom", "f_min", "f_max",
+            "f_nom", "f_min", "f_max",
             "pd_deadband_p_x", "pd_deadband_p_y", "pd_deadband_d_x", "pd_deadband_d_y",
             "arm_limit_x", "arm_limit_y", "arm_buffer",
             "foot_limit_x", "foot_limit_y", "foot_buffer",
             "i_clamp_x", "i_clamp_y", "i_bound_x", "i_bound_y", "i_buffer",
             "lean_slope_rate", "lean_limit", "lean_buffer",
-            "so_pendulum_c", "so_deadband", "so_hold_time",
+            "so_deadband", "so_hold_time",
             "so_limit_x", "so_limit_y", "so_buffer",
             "sp_deadband_x", "sp_deadband_y", "sp_limit_x", "sp_limit_y", "sp_buffer",
             "tim_deadband", "hh_settle_time", "hh_slope_rate", "hh_height_rate",
@@ -183,8 +196,6 @@ class ControllerConfig:
             raise ConfigError("controller.so_crossing_px_l < 0 < so_crossing_px_r required")
         if self.so_energy_min < 0.0:
             raise ConfigError("controller.so_energy_min must be >= 0")
-        if self.wave_amp_x < 0.0 or self.wave_amp_y < 0.0:
-            raise ConfigError("controller.wave_amp_* must be >= 0")
         if self.hh_height_lo > self.hh_height_hi:
             raise ConfigError("controller.hh_height_lo must not exceed hh_height_hi")
         if self.hh_instability_lo >= self.hh_instability_hi:
@@ -195,7 +206,7 @@ class ControllerConfig:
             raise ConfigError("controller.double_support_width must be in (0, pi)")
 
 
-@dataclass
+@dataclass(slots=True)
 class PlantConfig:
     pendulum_c: float = 2.0
     gravity: float = 9.81

@@ -163,14 +163,15 @@ def timing_law(
 class TiltPhaseController:
     """Stateful controller; `step` is strictly sequential and deterministic."""
 
+    __slots__ = (
+        "cfg", "waveform", "estimator", "p_mean", "d_wlbf", "integrator", "ripple_mean",
+        "lean_wlbf", "lean_slope", "so_wlbf", "so_hold_l", "so_hold_r", "sp_mean",
+        "hh_lowpass", "hh_islope", "hh_hslope", "mu", "_pd_mean_prev", "_held",
+    )
+
     def __init__(self, cfg: ControllerConfig):
         cfg.validate()
         self.cfg = cfg
-        self.reset()
-
-    def reset(self) -> None:
-        """Build every piece of controller state afresh from the config."""
-        cfg = self.cfg
         self.waveform = ExpectedWaveform(
             cfg.wave_amp_x, cfg.wave_amp_y,
             cfg.wave_phase_x, cfg.wave_phase_y,

@@ -33,7 +33,7 @@ def gait_phase_step(mu: float, f_g: float, dt: float) -> float:
     return wrap_pi(mu + f_g * dt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpectedWaveform:
     """Per-axis sinusoid-with-offset model of the nominal tilt phase trajectory."""
 

@@ -1,9 +1,9 @@
 """Filter and signal shaping toolbox.
 
-All units are stateful single-owner objects with a deterministic ``step``
-that build their state in ``__init__`` only (the controller's ``reset()``
-builds new ones), plus stateless shaping functions. Each shaping law has one
-form, a scalar kernel: soft coercion (``soft_coerce_1d``, ``soft_coerce2``),
+All units are stateful single-owner objects with ``__slots__`` and a
+deterministic ``step`` that build their state in ``__init__`` only, plus
+stateless shaping functions. Each shaping law has one form, a scalar
+kernel: soft coercion (``soft_coerce_1d``, ``soft_coerce2``),
 hard coercion (``hard_coerce2``), smooth deadband (``smooth_deadband_1d``,
 ``smooth_deadband2``, ``one_sided_deadband``) and coerced interpolation.
 Only the shapes the controller builds are here: two-axis ellipses given by
@@ -63,6 +63,15 @@ def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
+    if m2 == math.inf:
+        # The squared norm overflows: the magnitude comes from x scaled by
+        # its larger component, so the output saturates along the input ray
+        u = max(abs(x0), abs(x1))
+        x0 /= u
+        x1 /= u
+        m = math.hypot(x0, x1)
+        k = soft_coerce_mag(m * u, _scaled_radius(x0, x1, a0, a1), b) / m
+        return _step_inside(k * x0, k * x1, a0, a1)
     m = math.sqrt(m2)
     try:
         r = math.sqrt(m2 / ((x0 / a0) ** 2 + (x1 / a1) ** 2))
@@ -72,10 +81,13 @@ def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[
     if s == m:
         return (x0, x1)
     k = s / m
-    y0 = k * x0
-    y1 = k * x1
-    # Rounding in r, s, k and the products can leave a saturated output a few
-    # ulps outside the ellipse; step both components back inside
+    return _step_inside(k * x0, k * x1, a0, a1)
+
+
+def _step_inside(y0: float, y1: float, a0: float, a1: float) -> Tuple[float, float]:
+    """(y0, y1), a radially clamped point, stepped toward 0 one ulp at a time
+    while (y0/a0)**2 + (y1/a1)**2 > 1: rounding in the radius and the products
+    can leave it a few ulps outside the ellipse."""
     while (y0 / a0) ** 2 + (y1 / a1) ** 2 > 1.0:
         y0 = math.nextafter(y0, 0.0)
         y1 = math.nextafter(y1, 0.0)
@@ -87,7 +99,12 @@ def hard_coerce2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float, flo
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
-    s = (x0 / a0) ** 2 + (x1 / a1) ** 2
+    try:
+        s = (x0 / a0) ** 2 + (x1 / a1) ** 2
+    except (OverflowError, ZeroDivisionError):
+        # Far outside an ellipse with a tiny semi-axis: clamp to the radius along x
+        k = _scaled_radius(x0, x1, a0, a1) / math.hypot(x0, x1)
+        return _step_inside(k * x0, k * x1, a0, a1)
     if s <= 1.0:
         return (x0, x1)
     k = 1.0 / math.sqrt(s)

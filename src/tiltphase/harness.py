@@ -193,7 +193,7 @@ def run_closed_loop(
         scenario.seed if noisy else None,
     )
     # Imported here: pickle adds about 3 ms to a cold start of the CLI
-    from tiltphase import snapshot
+    import pickle
 
     memo = _quiet_prefix
     if memo is not None and memo[0] == key:
@@ -208,11 +208,8 @@ def run_closed_loop(
         first, store_at = 1, quiet
     for k in range(first, n + 1):
         if k == store_at:
-            blob = snapshot.dumps((controller, plant))
+            blob = pickle.dumps((controller, plant), pickle.HIGHEST_PROTOCOL)
             _quiet_prefix = (key, blob, tuple(records), imu, mu_open)
-            # Reading their state left the objects slower to step (see
-            # snapshot.py); the run goes on from a copy, as a later one will
-            controller, plant = _resume(blob, ctrl_cfg, plant_cfg, scenario.seed, noisy)
         t = k * dt
         cmd = _command_at(times, commands, t)
         if controller is not None:
@@ -229,19 +226,20 @@ def run_closed_loop(
     return RunResult(records, plant.state.fallen)
 
 
-# (key, snapshot of (controller, plant), records, IMU sample, open-loop mu) at
+# (key, pickled (controller, plant), records, IMU sample, open-loop mu) at
 # the start of cycle `quiet` of the last run_closed_loop that reached it. The
 # key is everything cycles 0 .. quiet-1 read: both configs, the controller
-# switch, the count itself and, with plant noise, the seed. A snapshot is
-# restored in about a quarter of the time copy.deepcopy takes.
+# switch, the count itself and, with plant noise, the seed. The package's
+# objects have `__slots__`, so neither pickling nor unpickling slows their
+# later steps, and a copy is restored in a quarter of copy.deepcopy's time.
 _quiet_prefix: Optional[tuple] = None
 
 
 def _resume(blob: bytes, ctrl_cfg, plant_cfg, seed: int, noisy: bool):
-    """The (controller, plant) of a snapshot, bound to this run's configs."""
-    from tiltphase import snapshot
+    """The pickled (controller, plant) of the memo, bound to this run's configs."""
+    import pickle
 
-    controller, plant = snapshot.loads(blob)
+    controller, plant = pickle.loads(blob)
     if controller is not None:
         controller.cfg = ctrl_cfg
     plant.cfg = plant_cfg

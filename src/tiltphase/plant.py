@@ -100,7 +100,7 @@ class Disturbance:
             raise ValueError("disturbance duration must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class PlantState:
     px: float = 0.0
     py: float = 0.0
@@ -113,6 +113,8 @@ class PlantState:
 
 
 class SurrogatePlant:
+    __slots__ = ("cfg", "state", "rng", "_mu_prev", "_q_meas_prev", "_applied_impulses")
+
     def __init__(self, cfg: PlantConfig, seed: int = 0):
         cfg.validate()
         self.cfg = cfg

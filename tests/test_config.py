@@ -46,6 +46,22 @@ class TestDefaults:
             ControllerConfig(**{name: -0.1}).validate()
         ControllerConfig(**{name: 0.0}).validate()
 
+    @pytest.mark.parametrize("name, bad, good, message", [
+        ("cycle_dt", 1e-12, 1e-3, r"must lie in \[0.001, 0.1\]"),
+        ("cycle_dt", 1e300, 0.1, r"must lie in \[0.001, 0.1\]"),
+        ("so_pendulum_c", 1e-300, 1e-3, "must be at least 0.001"),
+        ("wave_amp_x", 1e300, math.pi, r"must lie in \[0, pi\]"),
+        ("wave_amp_y", -0.1, 0.0, r"must lie in \[0, pi\]"),
+        ("wave_offset_x", 1e300, -math.pi, r"must lie in \[-pi, pi\]"),
+        ("wave_offset_y", -3.2, math.pi, r"must lie in \[-pi, pi\]"),
+    ])
+    def test_field_limits_named(self, name, bad, good, message):
+        # Past these limits step divides by zero or overflows tilt_quat, or
+        # a run asks for trillions of cycles or plant substeps
+        with pytest.raises(ConfigError, match=f"^controller.{name} {message}$"):
+            ControllerConfig(**{name: bad}).validate()
+        ControllerConfig(**{name: good}).validate()
+
     def test_invalid_plant_fields(self):
         with pytest.raises(ConfigError, match="strike_restitution"):
             PlantConfig(strike_restitution=1.5).validate()

@@ -235,8 +235,9 @@ class TestControllerStep:
             assert cfg.f_min <= act.gait_frequency <= cfg.f_max
             assert cfg.hh_height_lo <= act.max_hip_height <= cfg.hh_height_hi
 
-    def test_deterministic_and_resettable(self):
-        # est_ki > 0 gives the estimator a bias state that reset must clear
+    def test_deterministic(self):
+        # est_ki > 0 gives the estimator a bias state, which a second
+        # controller must build up the same way
         for cfg in (ControllerConfig(), ControllerConfig(est_ki=0.5, hh_sagittal_only=True)):
             ctrl = TiltPhaseController(cfg)
             dt = cfg.cycle_dt
@@ -251,7 +252,7 @@ class TestControllerStep:
             ]
             first = [ctrl.step(s, GaitCommand(0.2, 0.0, 0.1), dt) for s in samples]
             assert (ctrl.estimator.bias != (0.0, 0.0, 0.0)) == (cfg.est_ki > 0.0)
-            ctrl.reset()
+            ctrl = TiltPhaseController(cfg)
             second = [ctrl.step(s, GaitCommand(0.2, 0.0, 0.1), dt) for s in samples]
             assert first == second
 
@@ -292,7 +293,12 @@ class TestControllerStep:
 
     def test_activation_fields_carry_their_stage(self):
         # Every stage returns distinct values; each must land in its own field.
-        ctrl = TiltPhaseController(ControllerConfig())
+        # The controller has __slots__, so its methods take no stub; a
+        # subclass without __slots__ has a __dict__ that does
+        class Stubbed(TiltPhaseController):
+            pass
+
+        ctrl = Stubbed(ControllerConfig())
         ctrl.pd_feedback = lambda pd_mean, pd_slope: ((1.0, 1.5), (2.0, 2.5))
         ctrl.i_feedback_step = lambda p_d, dt: ((3.0, 3.5), (4.0, 4.5))
         ctrl.leaning = lambda cmd, t, dt: (0.0, 5.0)
@@ -458,14 +464,6 @@ class TestNonFiniteInput:
         act = ctrl.step(ImuSample(0.01, (0.0, 0.0, 0.0), (0.0, 0.0, G)),
                         GaitCommand(1e308, 1e308, 0.0), 0.01)
         assert act.flags == ()
-
-    def test_held_values_are_built_in_reset(self):
-        ctrl, _ = self.run({}, n=5)
-        ctrl.reset()
-        act = ctrl.step(ImuSample(0.01, (math.nan, 0.0, 0.0), (0.0, 0.0, G)), GaitCommand(), 0.01)
-        rest = TiltPhaseController(ControllerConfig()).step(
-            ImuSample(0.01, (0.0, 0.0, 0.0), (0.0, 0.0, G)), GaitCommand(), 0.01)
-        assert act._replace(flags=()) == rest
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_dt(self, dt):

@@ -277,10 +277,35 @@ class TestSoftCoerce:
             expect = 1.0 if m <= r - b else math.exp(-(m - (r - b)) / b)
             assert abs(d - expect) < 1e-4
 
+    @pytest.mark.parametrize("x, a, b", [
+        ((3e200, 1e200), (0.5, 0.5), 0.3),
+        ((-1.1, -9.2e298), (0.5, 1e300), 0.3),
+        ((1.7e308, -1.7e308), (1e-3, 1e3), 1e-4),
+    ])
+    def test_overflowing_norm_saturates_along_the_ray(self, x, a, b):
+        # x0**2 + x1**2 overflows; the output still lies on the input ray,
+        # saturated just inside the ellipse
+        y = soft_coerce2(*x, *a, b)
+        ratio = (y[0] / a[0]) ** 2 + (y[1] / a[1]) ** 2
+        assert 1.0 - 1e-12 < ratio <= 1.0
+        assert math.atan2(y[1], y[0]) == pytest.approx(math.atan2(x[1], x[0]), abs=1e-12)
+
     def test_hard_coerce(self):
         assert hard_coerce2(0.2, 0.1, 1.0, 0.5) == (0.2, 0.1)
         y = hard_coerce2(0.0, 2.0, 1.0, 0.5)
         assert y == pytest.approx((0.0, 0.5))
+
+    @pytest.mark.parametrize("x, a", [
+        ((0.01, 0.003), (1e-300, 0.05)),
+        ((-0.2, 0.1), (1e-300, 1e-300)),
+        ((1e200, -1e200), (1.0, 1.0)),
+    ])
+    def test_hard_coerce_where_squares_overflow(self, x, a):
+        # (x / a) ** 2 overflows: clamped onto the ellipse along the input ray
+        y = hard_coerce2(*x, *a)
+        ratio = (y[0] / a[0]) ** 2 + (y[1] / a[1]) ** 2
+        assert 1.0 - 1e-12 < ratio <= 1.0
+        assert math.atan2(y[1], y[0]) == pytest.approx(math.atan2(x[1], x[0]), abs=1e-12)
 
 
 class TestSmoothDeadband:

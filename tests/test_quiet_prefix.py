@@ -3,12 +3,13 @@ memo must equal the run made with the memo cleared, record for record."""
 
 import math
 import random
+from collections import deque
 
 import pytest
 
 import tiltphase.harness as harness
 from tiltphase.config import ConfigError, ControllerConfig, PlantConfig
-from tiltphase.controller import GaitCommand
+from tiltphase.controller import GaitCommand, TiltPhaseController
 from tiltphase.harness import Scenario, run_closed_loop
 from tiltphase.plant import Disturbance, SurrogatePlant
 
@@ -148,3 +149,51 @@ def test_invalid_config_raises_with_the_memo_warm(plant_steps):
         run_closed_loop(ControllerConfig(cycle_dt=-0.01), PlantConfig(), scenario)
     with pytest.raises(ConfigError, match="pendulum_c"):
         run_closed_loop(ControllerConfig(), PlantConfig(pendulum_c=0.0), scenario)
+
+
+def reachable(root):
+    """root and every object reachable from it through slots and containers,
+    stopping at builtin scalars."""
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if obj is None or isinstance(obj, (bool, int, float, str)) or id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, (tuple, list, deque, set)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, name) for cls in type(obj).__mro__
+                         for name in cls.__dict__.get("__slots__", ()) if hasattr(obj, name))
+    return list(seen.values())
+
+
+def test_no_reachable_object_has_a_dict(monkeypatch):
+    """Neither a fresh controller and plant nor a pair restored from the memo
+    and stepped on reaches an object with a __dict__. Such an object steps
+    slower once its state has been read, as pickling it into the memo does."""
+    monkeypatch.setattr(harness, "_quiet_prefix", None)
+    restored = []
+    resume = harness._resume
+
+    def keeping(*args):
+        restored.append(resume(*args))
+        return restored[-1]
+
+    monkeypatch.setattr(harness, "_resume", keeping)
+    scenario = Scenario(duration=1.0, disturbances=[Disturbance("impulse", 0.4, 1.0, 0.5)])
+    for _ in range(2):  # fills the memo, then restores from it
+        run_closed_loop(ControllerConfig(), PlantConfig(), scenario)
+    assert len(restored) == 1
+    fresh = (TiltPhaseController(ControllerConfig()), SurrogatePlant(PlantConfig()))
+    for pair in (fresh, restored[0]):
+        objects = reachable(pair)
+        # The plant's random.Random has a __dict__ (its gauss_next), but it
+        # pickles through getstate and setstate, which never read it
+        assert [o for o in objects if hasattr(o, "__dict__") and not isinstance(o, random.Random)] == []
+        assert {type(o).__name__ for o in objects} >= {
+            "TiltPhaseController", "ControllerConfig", "ExpectedWaveform", "AttitudeEstimator",
+            "MeanFilter", "WlbfFilter", "BoundedIntegrator", "HoldFilter", "ImuSample",
+            "SurrogatePlant", "PlantConfig", "PlantState", "Random",
+        }

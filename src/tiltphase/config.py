@@ -88,6 +88,7 @@ class ControllerConfig:
     # Feedforward leaning
     lean_wlbf_size: int = 10
     lean_slope_rate: float = 2.0
+    # Signed: feedforward, so a negative gain leans the other way and reverses no correction
     lean_gain_vx: float = 0.1
     lean_gain_wz: float = 0.05
     lean_gain_ax: float = 0.05
@@ -145,10 +146,15 @@ class ControllerConfig:
                     raise ConfigError(f"controller.{n} must be positive")
 
         # Past these limits a run asks for more cycles or plant substeps than
-        # it can take, the crossing energy divides by zero, or the expected
-        # tilt, which no walk takes beyond pi, overflows tilt_quat
+        # it can take, the ripple filter's pi / (f_nom * cycle_dt) cycles per
+        # step or the crossing energy divide by zero, or the expected tilt,
+        # which no walk takes beyond pi, or the plant's pendulum, which a
+        # hip height above 1 speeds up, overflows tilt_quat
         for n, lo, hi, limit in (
             ("cycle_dt", 1e-3, 0.1, "lie in [0.001, 0.1]"),
+            ("f_min", 0.1, math.inf, "be at least 0.1"),
+            ("hh_height_hi", 0.0, 1.0, "lie in [0, 1]"),
+            ("hh_height_lo", 0.0, 1.0, "lie in [0, 1]"),
             ("so_pendulum_c", 1e-3, math.inf, "be at least 0.001"),
             ("wave_amp_x", 0.0, math.pi, "lie in [0, pi]"),
             ("wave_amp_y", 0.0, math.pi, "lie in [0, pi]"),
@@ -169,8 +175,10 @@ class ControllerConfig:
             "sp_deadband_x", "sp_deadband_y", "sp_limit_x", "sp_limit_y", "sp_buffer",
             "tim_deadband", "hh_settle_time", "hh_slope_rate", "hh_height_rate",
         )
+        # A negative feedback gain turns its correction into a push the same way
         for n in ("arm_p_gain_lat", "arm_p_gain_sag", "arm_d_gain_lat", "arm_d_gain_sag",
-                  "foot_p_gain_lat", "foot_p_gain_sag", "foot_d_gain_lat", "foot_d_gain_sag"):
+                  "foot_p_gain_lat", "foot_p_gain_sag", "foot_d_gain_lat", "foot_d_gain_sag",
+                  "i_gain", "i_cft_gain", "i_hip_gain", "so_gain", "sp_gain", "tim_gain"):
             if getattr(self, n) < 0:
                 raise ConfigError(f"controller.{n} must be >= 0")
         for n in ("pd_mean_order", "pd_wlbf_size", "lean_wlbf_size", "so_wlbf_size",
@@ -239,9 +247,28 @@ class PlantConfig:
 
     def validate(self) -> None:
         _check_finite(self, "plant")
-        for n in ("pendulum_c", "gravity", "substep_dt", "fall_angle", "impulse_scale"):
+        for n in ("pendulum_c", "gravity", "fall_angle", "impulse_scale"):
             if getattr(self, n) <= 0:
                 raise ConfigError(f"plant.{n} must be positive")
+        # A 0.1 s cycle then asks for at most 1e4 substeps
+        if self.substep_dt < 1e-5:
+            raise ConfigError("plant.substep_dt must be at least 1e-05")
+        # With these limits a cycle's acceleration and push stay finite, so
+        # the tilt never overflows the IMU emission, which squares it
+        if self.pendulum_c > 1e3:
+            raise ConfigError("plant.pendulum_c must be at most 1000")
+        if self.impulse_scale < 1e-6:
+            raise ConfigError("plant.impulse_scale must be at least 1e-06")
+        for n in ("couple_arm", "couple_foot", "couple_plane", "couple_swing_out",
+                  "couple_cft", "couple_hip", "couple_lean"):
+            if abs(getattr(self, n)) > 1e3:
+                raise ConfigError(f"plant.{n} must lie in [-1000, 1000]")
+        # A negative capture would throw the body away from the new pivot
+        if self.strike_capture < 0.0:
+            raise ConfigError("plant.strike_capture must be >= 0")
+        for n in ("pivot_x_left", "pivot_x_right", "pivot_y"):
+            if abs(getattr(self, n)) > math.pi:
+                raise ConfigError(f"plant.{n} must lie in [-pi, pi]")
         if not (0.0 <= self.strike_restitution <= 1.0):
             raise ConfigError("plant.strike_restitution must lie in [0, 1]")
         if not (0.0 <= self.strike_reset <= 1.0):

@@ -35,7 +35,7 @@ from tiltphase.filters import (
     soft_coerce2,
     soft_coerce_1d,
 )
-from tiltphase.rotation import quat_mul, tilt_of_quat, tilt_quat
+from tiltphase.rotation import tilt_of_quat
 
 
 # tuple.__new__(ActivationSet, fields) skips the generated keyword
@@ -182,14 +182,14 @@ class TiltPhaseController:
             acc_min_g=cfg.est_acc_min_g, acc_max_g=cfg.est_acc_max_g,
         )
         self.p_mean = MeanFilter(cfg.pd_mean_order)
-        self.d_wlbf = WlbfFilter(2, cfg.pd_wlbf_size)
+        self.d_wlbf = WlbfFilter(2, cfg.pd_wlbf_size, cfg.cycle_dt)
         self.integrator = BoundedIntegrator(cfg.i_bound_x, cfg.i_bound_y, cfg.i_buffer)
         # Ripple filter spans an even number of steps at the nominal frequency
         step_cycles = math.pi / (cfg.f_nom * cfg.cycle_dt)
         self.ripple_mean = MeanFilter(max(1, round(cfg.i_ripple_steps * step_cycles)))
-        self.lean_wlbf = WlbfFilter(1, cfg.lean_wlbf_size)
+        self.lean_wlbf = WlbfFilter(1, cfg.lean_wlbf_size, cfg.cycle_dt)
         self.lean_slope = SlopeLimiter(cfg.lean_slope_rate)
-        self.so_wlbf = WlbfFilter(1, cfg.so_wlbf_size)
+        self.so_wlbf = WlbfFilter(1, cfg.so_wlbf_size, cfg.cycle_dt)
         self.so_hold_l = HoldFilter(cfg.so_hold_time)
         self.so_hold_r = HoldFilter(cfg.so_hold_time)
         self.sp_mean = MeanFilter(cfg.sp_mean_order)
@@ -286,25 +286,14 @@ class TiltPhaseController:
             vy = -sag_max
         return soft_coerce2(vx, vy, cfg.so_limit_x, cfg.so_limit_y, cfg.so_buffer), e_l, e_r
 
-    def swing_ground_plane(self, p_b, p_e):
+    def swing_ground_plane(self, p_ns):
+        """Swing ground plane tilt from P_NS, which `deviation_tilt` returns:
+        P_q( q_y(pyN) * q_P(P_B)^* * q_P(P_E) * q_y(-pyN) )."""
         cfg = self.cfg
-        # P_NS = P_q( q_y(pyN) * q_P(P_B)^* * q_P(P_E) * q_y(-pyN) )
-        pyn = cfg.py_nominal
-        if pyn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
-            # Conjugating a pure tilt rotation negates its tilt phase
-            p_ns = (-p_b[0], -p_b[1])
-        else:
-            hy = 0.5 * pyn
-            cy_, sy_ = math.cos(hy), math.sin(hy)
-            bw, bx, by, bz = tilt_quat(p_b[0], p_b[1])
-            a = quat_mul((cy_, 0.0, sy_, 0.0), (bw, -bx, -by, -bz))
-            q = quat_mul(quat_mul(a, tilt_quat(p_e[0], p_e[1])), (cy_, 0.0, -sy_, 0.0))
-            p_ns = tilt_of_quat(q)
         m = self.sp_mean.step(p_ns)
         v0, v1 = smooth_deadband2(m[0], m[1], cfg.sp_deadband_x, cfg.sp_deadband_y)
-        plane = soft_coerce2(cfg.sp_gain * v0, cfg.sp_gain * v1,
-                             cfg.sp_limit_x, cfg.sp_limit_y, cfg.sp_buffer)
-        return plane, p_ns
+        return soft_coerce2(cfg.sp_gain * v0, cfg.sp_gain * v1,
+                            cfg.sp_limit_x, cfg.sp_limit_y, cfg.sp_buffer)
 
     def max_hip_height_step(self, pd_mean, dt):
         cfg = self.cfg
@@ -383,10 +372,10 @@ class TiltPhaseController:
             if "imu_nonfinite" not in flags:
                 flags = ("imu_nonfinite",) + flags
         p_e = self.waveform.evaluate(mu)
-        dev = deviation_tilt(p_b, p_e, cfg.py_nominal)
-        if not dev.converged:
+        p_dx, p_dy, _, converged, ns_px, ns_py = deviation_tilt(p_b, p_e, cfg.py_nominal)
+        if not converged:
             flags += ("deviation_degenerate",)
-        p_d = (dev.px, dev.py)
+        p_d = (p_dx, p_dy)
 
         pd_mean = self.p_mean.step(p_d)
         _, pd_slope, _ = self.d_wlbf.step(imu.t, p_d)
@@ -395,8 +384,8 @@ class TiltPhaseController:
         cft, hip = self.i_feedback_step(p_d, dt)
         lean = self.leaning(cmd, imu.t, dt)
         swing_out, e_l, e_r = self.swing_out_step(p_b[0], imu.t, mu, pd_mean)
-        plane, _ = self.swing_ground_plane(p_b, p_e)
-        f_g = timing_law(p_d[0], mu, cfg)
+        plane = self.swing_ground_plane((ns_px, ns_py))
+        f_g = timing_law(p_dx, mu, cfg)
         h_max, instability, s_d = self.max_hip_height_step(pd_mean, dt)
 
         self.mu = gait_phase_step(mu, f_g, dt)

@@ -13,6 +13,13 @@ linear in (cos(psi_E/2), sin(psi_E/2)), the zero-yaw constraint has the
 closed-form solution psi_E = 2*atan2(-z1, z2), where z1 and z2 are the
 quaternion z-components of the products with q_z(psi_E) replaced by the
 identity and by the unit z quaternion respectively.
+
+The first of those products, A * B with A = q_y(p_yN) * q_P(P_B)^* and
+B = q_P(P_E) * q_y(-p_yN), is also the swing ground plane's rotation: its
+2D tilt phase P_NS = P_q(A * B) is the expected tilt relative to the body,
+seen from the nominal ground plane (Allgeuer & Behnke, *Fused Angles*,
+IROS 2015). `deviation_tilt` returns it, so the cycle composes the tilt
+quaternions once.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from tiltphase.rotation import TiltPhase2D, tilt_of_quat, tilt_quat, wrap_pi
+
+_new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
 
 
 def gait_phase_step(mu: float, f_g: float, dt: float) -> float:
@@ -60,6 +69,9 @@ class DeviationResult(NamedTuple):
     py: float
     psi_e: float
     converged: bool
+    # P_NS, the ground plane tilt phase P_q(A * B)
+    ns_px: float
+    ns_py: float
 
 
 def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
@@ -68,12 +80,14 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     Degenerate configurations where the zero-yaw constraint does not pin
     down psi_E (both sensitivity coefficients vanish, e.g. half-turn tilts)
     fall back to psi_E = 0 and report converged=False instead of aborting.
+    The ground plane tilt P_NS = P_q(A * B) comes with it.
     """
     # With a zero expected tilt and a level nominal ground plane the whole
     # composition collapses: q_d = q_P(P_B)^* already has zero fused yaw,
-    # so the deviation is exactly the body tilt.
+    # so the deviation is exactly the body tilt, and conjugating a pure
+    # tilt rotation negates its tilt phase: P_NS = -P_B.
     if p_yn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
-        return DeviationResult(p_b[0], p_b[1], 0.0, True)
+        return _new_tuple(DeviationResult, (p_b[0], p_b[1], 0.0, True, -p_b[0], -p_b[1]))
 
     hy = 0.5 * p_yn
     cyn = math.cos(hy)
@@ -118,4 +132,10 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
         -(c0 * b2 - c1 * b3 + c2 * b0 + c3 * b1),
         -(c0 * b3 + c1 * b2 - c2 * b1 + c3 * b0),
     ))
-    return DeviationResult(px, py, psi_e, converged)
+    nx, ny = tilt_of_quat((
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        z1,
+    ))
+    return _new_tuple(DeviationResult, (px, py, psi_e, converged, nx, ny))

@@ -8,7 +8,9 @@ hard coercion (``hard_coerce2``), smooth deadband (``smooth_deadband_1d``,
 ``smooth_deadband2``, ``one_sided_deadband``) and coerced interpolation.
 Only the shapes the controller builds are here: two-axis ellipses given by
 their semi-axes (a0, a1), a 2D bounded integrator, 2D mean filters and WLBF
-filters of dim 1 or 2.
+filters of dim 1 or 2. A WLBF whose window lies on the control grid
+(`on_grid`) takes its slope and mean as dot products with weights fixed per
+window size and cycle_dt; other windows take the direct moment sums.
 
 The elliptical operations act radially: the direction of the input is
 preserved exactly and only the magnitude is reshaped against the directional
@@ -191,6 +193,35 @@ class MeanFilter:
         return (s[0] / n, s[1] / n)
 
 
+# A time gap is on the control grid when it is within GRID_TOL * cycle_dt of
+# cycle_dt: 1 us at 100 Hz, above the 2.4e-7 s resolution of a timestamp in
+# Unix-epoch seconds. Stamps that jitter by more, as a free-running IMU
+# clock's may, keep the WLBF on its direct sums.
+GRID_TOL = 1e-4
+
+
+def on_grid(gap: float, cycle_dt: float) -> bool:
+    """True if a time gap is a control cycle: |gap - cycle_dt| <= GRID_TOL * cycle_dt."""
+    return abs(gap - cycle_dt) <= GRID_TOL * cycle_dt
+
+
+def _grid_weights(n: int, cycle_dt: float):
+    """(slope weights, mean weights, tbar) of a WLBF over n samples cycle_dt
+    apart, oldest first, with the newest at time 0.
+
+    The sample of age j (newest 0) has weight n - j and time -j * cycle_dt,
+    so the weighted mean time is tbar = -(n - 1) * cycle_dt / 3 and the
+    slope weight is w * (tau - tbar) / cov_tt. Written over the integer
+    moments of (3j - (n - 1)), each slope weight is rounded twice and each
+    mean weight once.
+    """
+    ages = range(n - 1, -1, -1)
+    c9 = sum((n - j) * (3 * j - (n - 1)) ** 2 for j in ages)
+    slope = tuple(-3 * (n - j) * (3 * j - (n - 1)) / c9 / cycle_dt if c9 else 0.0 for j in ages)
+    mean = tuple(2 * (n - j) / (n * (n + 1)) for j in ages)
+    return slope, mean, -(n - 1) * cycle_dt / 3
+
+
 class WlbfFilter:
     """Weighted line of best fit over a sliding time buffer of 1D or 2D samples.
 
@@ -202,44 +233,87 @@ class WlbfFilter:
 
     With fewer than 2 samples the slope is 0 and the value is the latest
     sample. Buffer times must be strictly increasing.
+
+    Given the nominal `cycle_dt`, a full window whose every gap is on the
+    control grid (`on_grid`) takes the slope and the mean as dot products of
+    the values with weights fixed per capacity and cycle_dt: the times enter
+    only as their nominal grid. Warm-up, and the capacity - 1 steps whose
+    window holds an off-grid gap, take the direct moment sums over the
+    actual times.
     """
 
-    __slots__ = ("dim", "capacity", "_buf")
+    __slots__ = ("dim", "capacity", "_buf", "_dt", "_tol", "_direct", "_slope_w", "_mean_w",
+                 "_tbar")
 
-    def __init__(self, dim: int, capacity: int):
-        if dim not in (1, 2) or capacity < 1:
+    def __init__(self, dim: int, capacity: int, cycle_dt: float):
+        if dim not in (1, 2) or capacity < 1 or not 0.0 < cycle_dt < math.inf:
             raise ValueError(
-                f"WlbfFilter needs dim 1 or 2 and capacity >= 1, got {dim}, {capacity}"
+                f"WlbfFilter needs dim 1 or 2, capacity >= 1 and a positive finite "
+                f"cycle_dt, got {dim}, {capacity}, {cycle_dt}"
             )
         self.dim = dim
         self.capacity = capacity
         self._buf = deque(maxlen=capacity)
+        # Steps left on the direct sums: warm-up, or an off-grid gap in the window
+        self._direct = capacity - 1
+        self._dt = cycle_dt
+        self._tol = GRID_TOL * cycle_dt
+        self._slope_w, self._mean_w, self._tbar = _grid_weights(capacity, cycle_dt)
 
     def step(self, t: float, x: Sequence[float]):
         dim = self.dim
         if len(x) != dim:
             raise ValueError(f"expected {dim}-dim sample, got {len(x)}")
         buf = self._buf
-        if buf and t <= buf[-1][0]:
-            raise ValueError(f"non-increasing time {t} (last was {buf[-1][0]})")
-        # Records are flat (t, x0) or (t, x0, x1) tuples so the moment loops
-        # below unpack them without a second indexing step.
+        # Records are flat (t, x0) or (t, x0, x1) tuples so the loops below
+        # unpack them without a second indexing step.
         t0 = float(t)
+        if buf:
+            last = buf[-1][0]
+            if t <= last:
+                raise ValueError(f"non-increasing time {t} (last was {last})")
+            if not abs(t0 - last - self._dt) <= self._tol:  # on_grid, inline
+                self._direct = self.capacity - 1
         if dim == 1:
             latest = (float(x[0]),)
         else:
             latest = (float(x[0]), float(x[1]))
         buf.append((t0,) + latest)
 
+        if not self._direct:
+            ws = self._slope_w
+            wm = self._mean_w
+            tbar = self._tbar
+            i = 0
+            if dim == 1:
+                s0 = xb0 = 0.0
+                for _, x0 in buf:
+                    s0 += ws[i] * x0
+                    xb0 += wm[i] * x0
+                    i += 1
+                return (xb0 - s0 * tbar,), (s0,), (xb0,)
+            s0 = s1 = xb0 = xb1 = 0.0
+            for _, x0, x1 in buf:
+                a = ws[i]
+                b = wm[i]
+                s0 += a * x0
+                s1 += a * x1
+                xb0 += b * x0
+                xb1 += b * x1
+                i += 1
+            return (xb0 - s0 * tbar, xb1 - s1 * tbar), (s0, s1), (xb0, xb1)
+        self._direct -= 1
+
         n = len(buf)
         if n < 2:
             return latest, (0.0,) * dim, latest
 
-        # Linear recency weights w_k = k+1 for the k-th oldest sample;
-        # normalization cancels in the regression. Times are shifted so the
-        # newest sample sits at 0, which keeps the moment sums well
-        # conditioned regardless of absolute time. Time gaps so large that
-        # the moments overflow make cov_tt nan: no slope, as for equal times.
+        # Direct moment sums over the actual times. Linear recency weights
+        # w_k = k+1 for the k-th oldest sample; normalization cancels in the
+        # regression. Times are shifted so the newest sample sits at 0, which
+        # keeps the sums well conditioned regardless of absolute time. Time
+        # gaps so large that the moments overflow make cov_tt nan: no slope,
+        # as for equal times.
         sw = 0.5 * n * (n + 1)
         if dim == 1:
             w = st = stt = sx0 = stx0 = 0.0

@@ -15,6 +15,7 @@ from tiltphase.config import ControllerConfig, PlantConfig, apply_overrides
 from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController
 from tiltphase.deviation import ExpectedWaveform, gait_phase_step
 from tiltphase.estimator import ImuSample
+from tiltphase.filters import on_grid
 from tiltphase.plant import Disturbance, SurrogatePlant
 from tiltphase.trace import csv_rows, finite_float, record_values
 
@@ -254,10 +255,17 @@ def run_replay(
     samples: Sequence[ImuSample],
     commands: Optional[List[Tuple[float, GaitCommand]]] = None,
 ) -> List[tuple]:
-    """Run the controller open loop over a recorded IMU stream."""
+    """Run the controller open loop over a recorded IMU stream.
+
+    The first sample, and each sample whose gap to the one before is on the
+    control grid (`filters.on_grid`, the WLBF's test), steps with
+    `cycle_dt`, as the closed loop does. Any other sample steps with its
+    gap, and its record carries the flag `replay_gap`.
+    """
     commands = commands or []
     times = _schedule_times(commands)
     controller = TiltPhaseController(ctrl_cfg)
+    cycle_dt = ctrl_cfg.cycle_dt
     records = []
     t_prev = None
     for s in samples:
@@ -265,9 +273,13 @@ def run_replay(
             raise ValueError(f"non-finite IMU timestamp {s.t}")
         if t_prev is not None and s.t <= t_prev:
             raise ValueError(f"non-monotone IMU timestamp {s.t} after {t_prev}")
-        dt = ctrl_cfg.cycle_dt if t_prev is None else s.t - t_prev
+        gap = cycle_dt if t_prev is None else s.t - t_prev
         cmd = _command_at(times, commands, s.t)
-        act = controller.step(s, cmd, dt)
+        if on_grid(gap, cycle_dt):
+            act = controller.step(s, cmd, cycle_dt)
+        else:
+            act = controller.step(s, cmd, gap)
+            act = act._replace(flags=act.flags + ("replay_gap",))
         records.append(record_values(s.t, act))
         t_prev = s.t
     return records

@@ -97,7 +97,7 @@ def test_filter_oracle_equivalence():
     worst = 0.0
     for _ in range(10_000):
         n = rng.randint(2, 25)
-        f = WlbfFilter(1, n)
+        f = WlbfFilter(1, n, 0.01)
         t0 = rng.uniform(-5.0, 5.0)
         buf = []
         value = slope = mtv = None

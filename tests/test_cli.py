@@ -180,15 +180,16 @@ class TestReplay:
 
     @pytest.mark.parametrize("rows, flags", [
         (["1e300,1e10,0,0,0,0,9.81", "2e300,1e10,0,0,0,0,9.81", "3e300,1e10,0,0,0,0,9.81"],
-         ["", "imu_nonfinite", "imu_nonfinite"]),
+         ["", "imu_nonfinite|replay_gap", "imu_nonfinite|replay_gap"]),
         # No gyro at all: the accelerometer correction alone overflows over dt
-        (["0,0,0,0,0,0,9.81", "1e308,0,0,0,9.81,0,0"], ["", "imu_nonfinite"]),
+        (["0,0,0,0,0,0,9.81", "1e308,0,0,0,9.81,0,0"], ["", "imu_nonfinite|replay_gap"]),
         # The gyro's squares overflow, so the zero gyro before it is held
-        (["0.01,0,0,0,0,0,9.81", "1e300,0,1e200,0,0,0,9.81"], ["", "imu_nonfinite"]),
+        (["0.01,0,0,0,0,0,9.81", "1e300,0,1e200,0,0,0,9.81"], ["", "imu_nonfinite|replay_gap"]),
     ])
     def test_rotation_overflow_is_held(self, tmp_path, capsys, rows, flags):
-        # The estimator rotates by |rate| * dt; with dt a timestamp difference
-        # that product can overflow although each value is finite
+        # The estimator rotates by |rate| * dt; with dt an off-grid timestamp
+        # gap (flagged replay_gap) that product can overflow although each
+        # value is finite
         log = tmp_path / "log.csv"
         log.write_text("\n".join(["t,gx,gy,gz,ax,ay,az", *rows]) + "\n")
         trace = tmp_path / "r.trace"

@@ -46,21 +46,63 @@ class TestDefaults:
             ControllerConfig(**{name: -0.1}).validate()
         ControllerConfig(**{name: 0.0}).validate()
 
+    @pytest.mark.parametrize("name", [
+        "i_gain", "i_cft_gain", "i_hip_gain", "so_gain", "sp_gain", "tim_gain",
+    ])
+    def test_negative_feedback_gain_rejected(self, name):
+        # A negative gain reverses its correction, as for the eight PD gains
+        with pytest.raises(ConfigError, match=f"^controller.{name} must be >= 0$"):
+            ControllerConfig(**{name: -1.0}).validate()
+        ControllerConfig(**{name: 0.0}).validate()
+
+    @pytest.mark.parametrize("name", ["lean_gain_vx", "lean_gain_wz", "lean_gain_ax"])
+    def test_feedforward_lean_gain_may_be_negative(self, name):
+        ControllerConfig(**{name: -1.0}).validate()
+
     @pytest.mark.parametrize("name, bad, good, message", [
         ("cycle_dt", 1e-12, 1e-3, r"must lie in \[0.001, 0.1\]"),
         ("cycle_dt", 1e300, 0.1, r"must lie in \[0.001, 0.1\]"),
         ("so_pendulum_c", 1e-300, 1e-3, "must be at least 0.001"),
+        ("f_min", 5e-324, 0.1, "must be at least 0.1"),
+        ("hh_height_hi", 1e300, 1.0, r"must lie in \[0, 1\]"),
+        ("hh_height_lo", -0.1, 0.0, r"must lie in \[0, 1\]"),
         ("wave_amp_x", 1e300, math.pi, r"must lie in \[0, pi\]"),
         ("wave_amp_y", -0.1, 0.0, r"must lie in \[0, pi\]"),
         ("wave_offset_x", 1e300, -math.pi, r"must lie in \[-pi, pi\]"),
         ("wave_offset_y", -3.2, math.pi, r"must lie in \[-pi, pi\]"),
     ])
     def test_field_limits_named(self, name, bad, good, message):
-        # Past these limits step divides by zero or overflows tilt_quat, or
-        # a run asks for trillions of cycles or plant substeps
+        # Past these limits step divides by zero or overflows tilt_quat, a
+        # plant's pendulum overflows, or a run asks for trillions of cycles
+        # or plant substeps
         with pytest.raises(ConfigError, match=f"^controller.{name} {message}$"):
             ControllerConfig(**{name: bad}).validate()
         ControllerConfig(**{name: good}).validate()
+
+    @pytest.mark.parametrize("bad", [0.0, 5e-324, 1e-300, 9.9e-6])
+    def test_substep_dt_limit_named(self, bad):
+        # Below it a 0.1 s cycle asks for over 1e4 substeps; at 5e-324,
+        # ceil(dt / substep_dt) overflows
+        with pytest.raises(ConfigError, match=r"^plant.substep_dt must be at least 1e-05$"):
+            PlantConfig(substep_dt=bad).validate()
+        PlantConfig(substep_dt=1e-5).validate()
+
+    @pytest.mark.parametrize("name, bad, good, message", [
+        ("pendulum_c", 1e300, 1e3, "plant.pendulum_c must be at most 1000"),
+        ("impulse_scale", 5e-324, 1e-6, "plant.impulse_scale must be at least 1e-06"),
+        ("couple_arm", 1e300, 1e3, r"plant.couple_arm must lie in \[-1000, 1000\]"),
+        ("couple_plane", -1e300, -1e3, r"plant.couple_plane must lie in \[-1000, 1000\]"),
+        ("couple_lean", 1000.5, -1e3, r"plant.couple_lean must lie in \[-1000, 1000\]"),
+        ("strike_capture", -1e300, 0.0, "plant.strike_capture must be >= 0"),
+        ("pivot_y", 1e300, math.pi, r"plant.pivot_y must lie in \[-pi, pi\]"),
+        ("pivot_x_left", -3.2, -math.pi, r"plant.pivot_x_left must lie in \[-pi, pi\]"),
+    ])
+    def test_plant_overflow_limits_named(self, name, bad, good, message):
+        # Past these limits one cycle's tilt, or a foot strike's, overflows
+        # the IMU emission, or the substeps take sin(inf)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            PlantConfig(**{name: bad}).validate()
+        PlantConfig(**{name: good}).validate()
 
     def test_invalid_plant_fields(self):
         with pytest.raises(ConfigError, match="strike_restitution"):

@@ -303,7 +303,7 @@ class TestControllerStep:
         ctrl.i_feedback_step = lambda p_d, dt: ((3.0, 3.5), (4.0, 4.5))
         ctrl.leaning = lambda cmd, t, dt: (0.0, 5.0)
         ctrl.swing_out_step = lambda p_xb, t, mu, pd_mean: ((6.0, 6.5), 7.0, 8.0)
-        ctrl.swing_ground_plane = lambda p_b, p_e: ((9.0, 9.5), (0.0, 0.0))
+        ctrl.swing_ground_plane = lambda p_ns: (9.0, 9.5)
         ctrl.max_hip_height_step = lambda pd_mean, dt: (0.75, 10.0, 11.0)
         dt = 0.01
         act = ctrl.step(ImuSample(dt, (0.3, -0.2, 0.0), (0.0, 0.0, G)), GaitCommand(), dt)

@@ -198,6 +198,7 @@ _BOUNDARY = (0.0, 5e-324, 1e-300, 1e-3, 0.1, math.pi, -math.pi, 1e300, -1e300,
                               min_size=1, max_size=2))
 @example({"i_clamp_x": 1e-300})
 @example({"so_pendulum_c": 1e-300})
+@example({"f_min": 5e-324, "f_nom": 5e-324})
 @example({"wave_amp_x": 1e300})
 @example({"wave_amp_y": 1e300})
 @example({"wave_offset_x": 1e300})
@@ -223,6 +224,51 @@ def test_boundary_config_rejected_or_runs(values):
         assert all(map(math.isfinite, record_values(k * dt, act)[:-1]))
         assert output_errors(act, cfg) == []
         imu = plant.step(act, ctrl.mu, push, k * dt, dt)
+
+
+_PLANT_FLOAT_FIELDS = sorted(f.name for f in fields(PlantConfig) if f.type == "float")
+# Boundaries of the plant's validators: 0, the smallest positive float, the
+# substep and impulse scale limits, the strike factors' [0, 1], a pi/2 fall
+# angle, the pivots' pi, the +-1000 of the pendulum and couplings, and 1e+-300
+_PLANT_BOUNDARY = (0.0, 5e-324, 1e-300, 1e-6, 1e-5, 1.0, -1.0, math.pi / 2, math.pi, 1e3, -1e3,
+                   1e300, -1e300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=hs.dictionaries(hs.sampled_from(_PLANT_FLOAT_FIELDS),
+                              hs.sampled_from(_PLANT_BOUNDARY), min_size=1, max_size=2))
+@example({"substep_dt": 5e-324})
+@example({"impulse_scale": 5e-324})
+@example({"couple_arm": 1e300})
+@example({"couple_plane": -1e300})
+@example({"strike_capture": -1e300})
+@example({"pendulum_c": 1e300})
+@example({"pivot_y": 1e300, "strike_capture": 1e300})
+def test_boundary_plant_config_rejected_or_runs(values):
+    """One or two float fields of the plant config at a boundary of their
+    validator: validate() rejects the config, or a 2 s loop pushed at 0.5 s
+    raises nothing, its records are finite, its outputs lie inside their
+    ellipses and the plant's state stays finite."""
+    plant_cfg = PlantConfig(**values)
+    try:
+        plant_cfg.validate()
+    except ConfigError:
+        return
+    cfg = ControllerConfig()
+    ctrl = TiltPhaseController(cfg)
+    plant = SurrogatePlant(plant_cfg)
+    push = [Disturbance("impulse", 0.8, 1.0, start_time=0.5)]
+    dt = cfg.cycle_dt
+    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, push, 0.0, dt)
+    for k in range(1, round(2.0 / dt) + 1):
+        act = ctrl.step(imu, GaitCommand(), dt)
+        assert all(map(math.isfinite, record_values(k * dt, act)[:-1]))
+        assert output_errors(act, cfg) == []
+        imu = plant.step(act, ctrl.mu, push, k * dt, dt)
+        st = plant.state
+        assert all(map(math.isfinite, (st.px, st.py, st.vx, st.vy)))
+        if st.fallen:
+            break
 
 
 _NONFINITE = (math.nan, math.inf, -math.inf)

@@ -12,10 +12,12 @@ from tiltphase.filters import (
     LowPassFilter,
     MeanFilter,
     SlopeLimiter,
+    GRID_TOL,
     WlbfFilter,
     _scaled_radius,
     coerced_interp,
     hard_coerce2,
+    on_grid,
     one_sided_deadband,
     smooth_deadband2,
     smooth_deadband_1d,
@@ -430,7 +432,7 @@ class TestMeanFilter:
 
 class TestWlbf:
     def test_exact_line(self):
-        f = WlbfFilter(1, 6)
+        f = WlbfFilter(1, 6, 0.1)
         for k in range(6):
             t = 0.1 * k
             value, slope, mtv = f.step(t, (2.0 * t + 1.0,))
@@ -438,7 +440,7 @@ class TestWlbf:
         assert value[0] == pytest.approx(2.0 * 0.5 + 1.0, abs=1e-9)
 
     def test_constant_gives_zero_slope(self):
-        f = WlbfFilter(2, 5)
+        f = WlbfFilter(2, 5, 0.01)
         for k in range(5):
             value, slope, mtv = f.step(0.01 * k, (4.0, -2.0))
         assert slope == pytest.approx((0.0, 0.0), abs=1e-9)
@@ -446,7 +448,7 @@ class TestWlbf:
         assert mtv == pytest.approx((4.0, -2.0), abs=1e-9)
 
     def test_single_sample(self):
-        f = WlbfFilter(1, 4)
+        f = WlbfFilter(1, 4, 0.01)
         value, slope, mtv = f.step(0.0, (7.0,))
         assert value == (7.0,)
         assert slope == (0.0,)
@@ -455,19 +457,19 @@ class TestWlbf:
     @pytest.mark.parametrize("dim", [0, 3])
     def test_scalar_or_2d_only(self, dim):
         with pytest.raises(ValueError, match="dim 1 or 2"):
-            WlbfFilter(dim, 4)
+            WlbfFilter(dim, 4, 0.01)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_time_gaps_beyond_float_range_give_no_slope(self, dim):
         # The moments of gaps near 1e300 overflow; the value stays the latest
-        f = WlbfFilter(dim, 4)
+        f = WlbfFilter(dim, 4, 0.01)
         for k in range(1, 6):
             value, slope, mtv = f.step(1e300 * k, (0.5 * k,) * dim)
             assert value == mtv == (0.5 * k,) * dim
             assert slope == (0.0,) * dim
 
     def test_rejects_non_increasing_time(self):
-        f = WlbfFilter(1, 4)
+        f = WlbfFilter(1, 4, 0.01)
         f.step(1.0, (0.0,))
         with pytest.raises(ValueError):
             f.step(1.0, (0.0,))
@@ -476,7 +478,7 @@ class TestWlbf:
         rng = random.Random(59)
         for trial in range(300):
             cap = rng.randint(2, 12)
-            f = WlbfFilter(1, cap)
+            f = WlbfFilter(1, cap, 0.01)
             t = 0.0
             hist = []
             for _ in range(rng.randint(2, 25)):
@@ -488,6 +490,92 @@ class TestWlbf:
             assert value[0] == pytest.approx(ov, abs=1e-9)
             assert slope[0] == pytest.approx(os_, abs=1e-9)
             assert mtv[0] == pytest.approx(omtv, abs=1e-9)
+
+
+class TestWlbfGrid:
+    """The fixed-weight path on the control grid, and the direct sums it
+    falls back to. A twin filter whose mean weights are nan tells the paths
+    apart: its output is nan exactly where the grid path ran."""
+
+    DT = 0.01
+
+    @staticmethod
+    def twins(dim, cap, dt):
+        f = WlbfFilter(dim, cap, dt)
+        probe = WlbfFilter(dim, cap, dt)
+        probe._mean_w = (math.nan,) * cap
+        return f, probe
+
+    def run(self, dim, cap, times, dt=DT, seed=3):
+        """Step twin filters over times; (output, took the grid path, window) per step."""
+        rng = random.Random(seed)
+        f, probe = self.twins(dim, cap, dt)
+        hist, steps = [], []
+        for t in times:
+            x = tuple(rng.uniform(-1.0, 1.0) for _ in range(dim))
+            hist.append((t, x))
+            out = f.step(t, x)
+            grid = math.isnan(probe.step(t, x)[2][0])
+            steps.append((out, grid, list(hist[-cap:])))
+        return steps
+
+    @staticmethod
+    def assert_matches_oracle(out, window, tol):
+        # The oracle's times shifted so the newest is 0: the same line, and
+        # well conditioned normal equations
+        t_last = window[-1][0]
+        for i, got in enumerate(zip(*out)):
+            if len(window) < 2:
+                want = (window[0][1][i], 0.0, window[0][1][i])
+            else:
+                want = wlbf_oracle([(t - t_last, x[i]) for t, x in window])
+            for g, w in zip(got, want):
+                assert abs(g - w) <= tol * max(1.0, abs(w)), (got, want)
+
+    @pytest.mark.parametrize("dt", [DT, 2.0 ** -7])
+    @pytest.mark.parametrize("dim, cap", [(1, 10), (2, 8), (1, 2), (2, 25)])
+    def test_grid_path_matches_oracle(self, dim, cap, dt):
+        # k * 0.01 is on the grid up to the rounding of each timestamp, and
+        # k * 2**-7 exactly
+        steps = self.run(dim, cap, [k * dt for k in range(1, 150)], dt)
+        for k, (out, grid, window) in enumerate(steps, start=1):
+            assert grid == (k >= cap)
+            self.assert_matches_oracle(out, window, 1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_warm_up_takes_direct_sums(self, dim):
+        cap = 10
+        steps = self.run(dim, cap, [5.0 + k * self.DT for k in range(cap + 3)])
+        assert [grid for _, grid, _ in steps] == [False] * (cap - 1) + [True] * 4
+
+    @pytest.mark.parametrize("dim, cap", [(1, 10), (2, 8), (2, 2)])
+    def test_off_grid_gap_takes_direct_sums_until_it_leaves(self, dim, cap):
+        # One 13 ms gap after 30 on-grid steps: that step and the next
+        # cap - 2, whose windows hold the gap, take the direct sums
+        times = [k * self.DT for k in range(1, 31)]
+        times += [times[-1] + 0.013 + k * self.DT for k in range(40)]
+        steps = self.run(dim, cap, times)
+        grid = [g for _, g, _ in steps]
+        assert grid == (
+            [False] * (cap - 1) + [True] * (31 - cap)
+            + [False] * (cap - 1) + [True] * (41 - cap)
+        )
+        for out, _, window in steps:
+            self.assert_matches_oracle(out, window, 1e-9)
+
+    def test_gap_within_tolerance_is_on_grid(self):
+        dt = self.DT
+        assert on_grid(dt, dt)
+        assert on_grid(dt * (1.0 + GRID_TOL), dt)
+        assert on_grid(dt * (1.0 - GRID_TOL), dt)
+        assert not on_grid(dt * (1.0 + 2.0 * GRID_TOL), dt)
+        assert not on_grid(100.0, dt)
+        assert not on_grid(math.nan, dt)
+
+    def test_grid_weights_sum_to_one_and_zero(self):
+        a = WlbfFilter(1, 10, 0.01)
+        assert sum(a._mean_w) == pytest.approx(1.0, abs=1e-15)
+        assert sum(a._slope_w) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBoundedIntegrator:

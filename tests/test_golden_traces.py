@@ -10,7 +10,14 @@ controller-on push battery digest were re-pinned in one trace epoch, when
 the plant's default RK4 substep went from 1 ms to 5 ms and saturated
 `soft_coerce2` outputs were stepped back inside their ellipse: every column
 of both closed loops moved by at most 2.2e-10, with no flag and no fall
-result changed. Any change that moves a single trace byte fails here. A
+result changed. A second epoch re-pinned the same two closed loops, both
+replay digests, the `fit-waveform` CLI digest and the controller-on push
+battery digest: the WLBF filters took fixed weights on the control grid,
+the swing ground plane took its tilt from the deviation tilt's quaternion
+product, and replay took `cycle_dt` as its step wherever a sample is on
+the grid. Every column moved by at most 1.2e-14 (closed loops) and
+1.4e-14 (replay), with no flag, fall result or push threshold changed.
+Any change that moves a single trace byte fails here. A
 change that is meant to move traces must say so, state its bound and record
 the new digests. The accuracy tests at the end pin the 5 ms default against
 a finer substep.
@@ -44,10 +51,10 @@ FIT_WAVEFORM_HEX = [
     "-0x1.1b503f6160554p+0", "0x1.0508c931fa785p-8", "-0x1.ba0c894aeda24p-11",
     "0x1.0877c0f4be591p-9", "0x1.0a79dd48ddfbbp-9",
 ]
-FIT_WAVEFORM_CLI_SHA256 = "e12387a95421f458a54d73874fc191c866293702ec5e1044b1175431e4e671ed"
+FIT_WAVEFORM_CLI_SHA256 = "85fe805f52aedac5954e76b6102c24f59eb0eae746c5338800162cac8addc2cb"
 PUSH_BATTERY_GOLDEN = [
     (True, [(1.0, 1), (1.5, 1), (7.0, 1)],
-     "a93307b4de0bec88ba1d6d9d344d5d51619a730dacf8a75d2590cf9831ef5320"),
+     "f4c4e16849d1c23a10dba8d1b526d17d21c675b941a14451ef95c93a700eae5d"),
     (False, [(1.0, 1), (1.5, 0), (7.0, 0)],
      "05f013fe77741db6bdc6b4853e33784f84c3a8034e9f2c28b04adc497e08f271"),
 ]
@@ -79,9 +86,9 @@ def tilted_plane_with_waveform():
 
 @pytest.mark.parametrize("make_run, n_records, digest", [
     (default_loop_with_impulse, 1000,
-     "faaa37fbf3e526d6b30bb2b534f7af7dcd2e07ef6dadfe68fe4d72cdcff3f96d"),
+     "8638501f998d50a7debcdc0cffd921dfebdeb64655af00885a6ddad89f3201c8"),
     (tilted_plane_with_waveform, 500,
-     "c7fdf7219b79fd37c6f895e74910804a6fb3cf65e2dc0595c20ada8a059b3db5"),
+     "5c5b021efe8af2bd1c0e34c53d4f2887efa61dffd688693e1b7f25a8344430b6"),
 ])
 def test_trace_digest(tmp_path, make_run, n_records, digest):
     cfg, scenario = make_run()
@@ -119,8 +126,8 @@ def noisy_imu_log(path, n=400, seed=5):
 
 
 @pytest.mark.parametrize("csv, digest", [
-    (False, "ba099a31d04d3b03cbc9cb44dde99ba4c5a3dc0a450a6d09871bc17ad668d914"),
-    (True, "61662ca6a7584292a3dc428cb6de4abb29d490074cf978b9abab25358ae5b07d"),
+    (False, "11c1462935fec8e6eae484b10a019ca935276e20cc007516caf6b3532fdaaf85"),
+    (True, "21b50b28bd1779030edbbf91c7047d8d263efa17c855d965eb5330f6edfa37b8"),
 ])
 def test_replay_trace_digest(tmp_path, csv, digest):
     """A fitted-like waveform and a constant command over a noisy log: the

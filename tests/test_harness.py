@@ -204,6 +204,59 @@ class TestReplay:
             run_replay(ControllerConfig(), samples,
                        [(0.02, GaitCommand(0.3)), (0.01, GaitCommand())])
 
+    def test_replay_gap_is_flagged(self):
+        # 100 s between two samples: the step takes the gap as its dt, with
+        # no clamp, so 0.01 rad/s turns the estimate by 1 rad, and says so
+        samples = [ImuSample(0.01, (0.0, 0.0, 0.0), (0.0, 0.0, 9.81)),
+                   ImuSample(100.01, (0.01, 0.0, 0.0), (0.0, 0.0, 0.0))]
+        records = run_replay(ControllerConfig(), samples)
+        assert [r[-1] for r in records] == ["", "replay_gap"]
+        assert records[1][2] == pytest.approx(1.0, abs=1e-12)  # pxB
+
+    @pytest.mark.parametrize("t0", [0.0, 1.7e9])
+    def test_replay_dt_rule(self, monkeypatch, t0):
+        # Gaps within GRID_TOL * cycle_dt step with cycle_dt itself, also
+        # where Unix-epoch seconds round every stamp to 2.4e-7 s; a 13 ms
+        # gap steps with its own length and is flagged
+        from tiltphase.controller import TiltPhaseController
+
+        dts = []
+        step = TiltPhaseController.step
+        monkeypatch.setattr(TiltPhaseController, "step",
+                            lambda self, imu, cmd, dt: dts.append(dt) or step(self, imu, cmd, dt))
+        times = [t0 + 0.01 * k + (-4e-7 if k % 2 else 4e-7) for k in range(1, 30)]
+        times.append(times[-1] + 0.013)
+        records = run_replay(ControllerConfig(), [
+            ImuSample(t, (0.1, 0.0, 0.0), (0.0, 0.0, 9.81)) for t in times])
+        assert dts[:29] == [0.01] * 29
+        assert dts[29] == times[29] - times[28]
+        assert [r[-1] for r in records] == [""] * 29 + ["replay_gap"]
+
+    def test_replaying_a_closed_loop_reproduces_it(self, monkeypatch):
+        """The IMU stream of a closed loop, replayed: every column but t bit
+        for bit, as both loops step with cycle_dt. The loop's t is k * dt and
+        an IMU stamp (k - 1) * dt + dt, which differ by ulps."""
+        from test_golden_traces import default_loop_with_impulse
+        from test_plant import _bits
+
+        from tiltphase.controller import TiltPhaseController
+
+        imus = []
+        step = TiltPhaseController.step
+
+        def recording_step(self, imu, cmd, dt):
+            imus.append(imu)
+            return step(self, imu, cmd, dt)
+
+        cfg, scenario = default_loop_with_impulse()
+        monkeypatch.setattr(TiltPhaseController, "step", recording_step)
+        loop = run_closed_loop(cfg, PlantConfig(), scenario).records
+        monkeypatch.undo()
+        replay = run_replay(cfg, imus, scenario.commands)
+        assert len(replay) == len(loop) == 1000
+        for a, b in zip(loop, replay):
+            assert _bits(a[1:-1]) == _bits(b[1:-1]) and a[-1] == b[-1]
+
     def test_replay_rejects_non_finite_timestamp(self):
         samples = [ImuSample(t, (0.0, 0.0, 0.0), (0.0, 0.0, 9.81)) for t in (0.01, math.nan, 0.03)]
         with pytest.raises(ValueError, match="non-finite"):

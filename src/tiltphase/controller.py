@@ -35,7 +35,7 @@ from tiltphase.filters import (
     soft_coerce2,
     soft_coerce_1d,
 )
-from tiltphase.rotation import tilt_of_quat
+from tiltphase.rotation import TiltPhase2D, tilt_of_quat
 
 
 # tuple.__new__(ActivationSet, fields) skips the generated keyword
@@ -166,7 +166,7 @@ class TiltPhaseController:
     __slots__ = (
         "cfg", "waveform", "estimator", "p_mean", "d_wlbf", "integrator", "ripple_mean",
         "lean_wlbf", "lean_slope", "so_wlbf", "so_hold_l", "so_hold_r", "sp_mean",
-        "hh_lowpass", "hh_islope", "hh_hslope", "mu", "_pd_mean_prev", "_held",
+        "hh_lowpass", "hh_islope", "hh_hslope", "mu", "_pd_mean_prev", "_held", "_flat",
     )
 
     def __init__(self, cfg: ControllerConfig):
@@ -177,6 +177,15 @@ class TiltPhaseController:
             cfg.wave_phase_x, cfg.wave_phase_y,
             cfg.wave_offset_x, cfg.wave_offset_y,
         )
+        # A flat waveform (zero amplitudes, +0.0 offsets) is +0.0 on both
+        # axes at every mu: amp * sin(...) is a signed zero and adding +0.0
+        # makes it +0.0. Its expected tilt is this constant, not evaluated.
+        flat = (
+            cfg.wave_amp_x == 0.0 and cfg.wave_amp_y == 0.0
+            and math.copysign(1.0, cfg.wave_offset_x) == 1.0 and cfg.wave_offset_x == 0.0
+            and math.copysign(1.0, cfg.wave_offset_y) == 1.0 and cfg.wave_offset_y == 0.0
+        )
+        self._flat = TiltPhase2D(0.0, 0.0) if flat else None
         self.estimator = AttitudeEstimator(
             kp=cfg.est_kp, ki=cfg.est_ki, bias_limit=cfg.est_bias_limit,
             acc_min_g=cfg.est_acc_min_g, acc_max_g=cfg.est_acc_max_g,
@@ -371,7 +380,9 @@ class TiltPhaseController:
             p_b = tilt_of_quat(self.estimator.q)
             if "imu_nonfinite" not in flags:
                 flags = ("imu_nonfinite",) + flags
-        p_e = self.waveform.evaluate(mu)
+        p_e = self._flat
+        if p_e is None:
+            p_e = self.waveform.evaluate(mu)
         p_dx, p_dy, _, converged, ns_px, ns_py = deviation_tilt(p_b, p_e, cfg.py_nominal)
         if not converged:
             flags += ("deviation_degenerate",)

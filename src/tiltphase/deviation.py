@@ -58,10 +58,10 @@ class ExpectedWaveform:
             raise ValueError("waveform amplitudes must be non-negative")
 
     def evaluate(self, mu: float) -> TiltPhase2D:
-        return TiltPhase2D(
+        return _new_tuple(TiltPhase2D, (
             self.amp_x * math.sin(mu + self.phase_x) + self.offset_x,
             self.amp_y * math.sin(mu + self.phase_y) + self.offset_y,
-        )
+        ))
 
 
 class DeviationResult(NamedTuple):

@@ -12,6 +12,16 @@ filters of dim 1 or 2. A WLBF whose window lies on the control grid
 (`on_grid`) takes its slope and mean as dot products with weights fixed per
 window size and cycle_dt; other windows take the direct moment sums.
 
+Such a grid fit reads only the values, so when a full window on the grid
+and the window before it hold one value, bit for bit (sign of zero
+included), the fit is the one before and the WLBF returns it unsummed. That
+depends on a held input: the leaning WLBF sees the commanded vx, which a
+gait command schedule holds between its entries (about 95% of walk_push's
+cycles and all but the first few of a replay or push trial). Deviation and
+tilt inputs move every cycle and pay one comparison. The low pass takes its
+coefficient again only when dt changes, and the mean filter keeps its two
+running sums in float slots, added and subtracted in the same order.
+
 The elliptical operations act radially: the direction of the input is
 preserved exactly and only the magnitude is reshaped against the directional
 radius of the bounding/deadband ellipse. This keeps the radial limit tight
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from math import copysign
 from typing import Sequence, Tuple
 
 
@@ -169,28 +180,30 @@ class MeanFilter:
     sum keeps the step O(1) regardless of order.
     """
 
-    __slots__ = ("order", "_buf", "_sum")
+    __slots__ = ("order", "_buf", "_s0", "_s1")
 
     def __init__(self, order: int):
         if order < 1:
             raise ValueError(f"MeanFilter needs order >= 1, got {order}")
         self.order = order
         self._buf = deque()
-        self._sum = [0.0, 0.0]
+        self._s0 = 0.0
+        self._s1 = 0.0
 
     def step(self, x: Sequence[float]) -> Tuple[float, float]:
         buf = self._buf
-        s = self._sum
         x0, x1 = x
         buf.append((x0, x1))
-        s[0] += x0
-        s[1] += x1
+        s0 = self._s0 + x0
+        s1 = self._s1 + x1
         if len(buf) > self.order:
             o0, o1 = buf.popleft()
-            s[0] -= o0
-            s[1] -= o1
+            s0 -= o0
+            s1 -= o1
+        self._s0 = s0
+        self._s1 = s1
         n = len(buf)
-        return (s[0] / n, s[1] / n)
+        return (s0 / n, s1 / n)
 
 
 # A time gap is on the control grid when it is within GRID_TOL * cycle_dt of
@@ -203,6 +216,10 @@ GRID_TOL = 1e-4
 def on_grid(gap: float, cycle_dt: float) -> bool:
     """True if a time gap is a control cycle: |gap - cycle_dt| <= GRID_TOL * cycle_dt."""
     return abs(gap - cycle_dt) <= GRID_TOL * cycle_dt
+
+
+# The previous record of an empty window: no value repeats it
+_NO_SAMPLE = (math.nan, math.nan, math.nan)
 
 
 def _grid_weights(n: int, cycle_dt: float):
@@ -239,11 +256,12 @@ class WlbfFilter:
     the values with weights fixed per capacity and cycle_dt: the times enter
     only as their nominal grid. Warm-up, and the capacity - 1 steps whose
     window holds an off-grid gap, take the direct moment sums over the
-    actual times.
+    actual times. A grid step whose window and the previous window hold one
+    value returns the previous grid fit (module docstring).
     """
 
     __slots__ = ("dim", "capacity", "_buf", "_dt", "_tol", "_direct", "_slope_w", "_mean_w",
-                 "_tbar")
+                 "_tbar", "_run", "_fit")
 
     def __init__(self, dim: int, capacity: int, cycle_dt: float):
         if dim not in (1, 2) or capacity < 1 or not 0.0 < cycle_dt < math.inf:
@@ -259,6 +277,10 @@ class WlbfFilter:
         self._dt = cycle_dt
         self._tol = GRID_TOL * cycle_dt
         self._slope_w, self._mean_w, self._tbar = _grid_weights(capacity, cycle_dt)
+        # The last _run + 1 samples hold one value, bit for bit; _fit is the
+        # previous step's fit on the grid, None after a direct step
+        self._run = 0
+        self._fit = None
 
     def step(self, t: float, x: Sequence[float]):
         dim = self.dim
@@ -269,18 +291,35 @@ class WlbfFilter:
         # unpack them without a second indexing step.
         t0 = float(t)
         if buf:
-            last = buf[-1][0]
+            prev = buf[-1]
+            last = prev[0]
             if t <= last:
                 raise ValueError(f"non-increasing time {t} (last was {last})")
             if not abs(t0 - last - self._dt) <= self._tol:  # on_grid, inline
                 self._direct = self.capacity - 1
-        if dim == 1:
-            latest = (float(x[0]),)
         else:
-            latest = (float(x[0]), float(x[1]))
+            prev = _NO_SAMPLE
+        # A value repeats when it is the previous one bit for bit: the same
+        # float object, or equal with the same sign (0.0 == -0.0)
+        x0 = float(x[0])
+        p0 = prev[1]
+        same = x0 is p0 or x0 == p0 and copysign(1.0, x0) == copysign(1.0, p0)
+        if dim == 1:
+            latest = (x0,)
+        else:
+            x1 = float(x[1])
+            latest = (x0, x1)
+            if same:
+                p1 = prev[2]
+                same = x1 is p1 or x1 == p1 and copysign(1.0, x1) == copysign(1.0, p1)
+        self._run = self._run + 1 if same else 0
         buf.append((t0,) + latest)
 
         if not self._direct:
+            if self._run >= self.capacity and self._fit is not None:
+                # This window and the previous one hold one value: the fit
+                # on the grid, which reads only the values, is the same
+                return self._fit
             ws = self._slope_w
             wm = self._mean_w
             tbar = self._tbar
@@ -291,7 +330,8 @@ class WlbfFilter:
                     s0 += ws[i] * x0
                     xb0 += wm[i] * x0
                     i += 1
-                return (xb0 - s0 * tbar,), (s0,), (xb0,)
+                fit = self._fit = (xb0 - s0 * tbar,), (s0,), (xb0,)
+                return fit
             s0 = s1 = xb0 = xb1 = 0.0
             for _, x0, x1 in buf:
                 a = ws[i]
@@ -301,8 +341,10 @@ class WlbfFilter:
                 xb0 += b * x0
                 xb1 += b * x1
                 i += 1
-            return (xb0 - s0 * tbar, xb1 - s1 * tbar), (s0, s1), (xb0, xb1)
+            fit = self._fit = (xb0 - s0 * tbar, xb1 - s1 * tbar), (s0, s1), (xb0, xb1)
+            return fit
         self._direct -= 1
+        self._fit = None
 
         n = len(buf)
         if n < 2:
@@ -443,16 +485,21 @@ class HoldFilter:
 class LowPassFilter:
     """First-order low pass parameterized by 99% step-response settling time."""
 
-    __slots__ = ("settling_time", "value")
+    __slots__ = ("settling_time", "value", "_dt", "_a")
 
     def __init__(self, settling_time: float):
         if settling_time <= 0.0:
             raise ValueError("settling_time must be positive")
         self.settling_time = settling_time
         self.value = 0.0
+        # The coefficient of the last dt, taken again only when dt changes
+        self._dt = None
+        self._a = 0.0
 
     def step(self, x: float, dt: float) -> float:
-        # After settling_time of constant input the output covers 99% of a step.
-        a = 1.0 - 0.01 ** (dt / self.settling_time)
-        self.value += a * (x - self.value)
+        if dt != self._dt:
+            # After settling_time of constant input the output covers 99% of a step.
+            self._a = 1.0 - 0.01 ** (dt / self.settling_time)
+            self._dt = dt
+        self.value += self._a * (x - self.value)
         return self.value

@@ -7,7 +7,6 @@ import math
 import random
 import sys
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -16,7 +15,7 @@ from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController
 from tiltphase.deviation import ExpectedWaveform, gait_phase_step
 from tiltphase.estimator import ImuSample
 from tiltphase.filters import on_grid
-from tiltphase.plant import Disturbance, SurrogatePlant
+from tiltphase.plant import Disturbance, SurrogatePlant, disturbance_error
 from tiltphase.trace import csv_rows, finite_float, record_values
 
 
@@ -50,9 +49,12 @@ class Scenario:
             kind = d.get("kind")
             if type(kind) is not str:
                 raise ValueError(f"scenario {where}kind: expected a string, got {kind!r}")
-            disturbances.append(
-                Disturbance(kind, *(_json_number(d, k, where) for k in _DISTURBANCE_KEYS))
-            )
+            values = [_json_number(d, k, where) for k in _DISTURBANCE_KEYS]
+            error = disturbance_error(kind, *values)
+            if error:
+                name, reason = error
+                raise ValueError(f"scenario {where}{name}: disturbance {name} {reason}")
+            disturbances.append(Disturbance(kind, *values))
         seed = data.get("seed", 0)
         enabled = data.get("controller_enabled", True)
         overrides = data.get("config", {})
@@ -130,12 +132,17 @@ def _schedule_times(commands: List[Tuple[float, GaitCommand]]) -> List[float]:
     return times
 
 
-def _command_at(
-    times: List[float], commands: List[Tuple[float, GaitCommand]], t: float
-) -> GaitCommand:
-    """The last command whose time is <= t (times from `_schedule_times`)."""
-    i = bisect_right(times, t)
-    return commands[i - 1][1] if i else _NO_COMMAND
+def _next_command(
+    times: List[float], commands: List[Tuple[float, GaitCommand]], i: int, t: float
+) -> Tuple[int, GaitCommand, float]:
+    """Advance the cursor i of a command schedule (times from
+    `_schedule_times`) past every time <= t: (cursor, the last command whose
+    time is <= t, the next command time). A run calls it only when t
+    reaches the next command time, and its t must not decrease."""
+    n = len(times)
+    while i < n and times[i] <= t:
+        i += 1
+    return i, commands[i - 1][1] if i else _NO_COMMAND, times[i] if i < n else math.inf
 
 
 _new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
@@ -207,12 +214,14 @@ def run_closed_loop(
         imu = plant.step(idle, 0.0, scenario.disturbances, 0.0, dt)
         mu_open = 0.0
         first, store_at = 1, quiet
+    i_cmd, cmd, t_cmd = _next_command(times, commands, 0, -math.inf)
     for k in range(first, n + 1):
         if k == store_at:
             blob = pickle.dumps((controller, plant), pickle.HIGHEST_PROTOCOL)
             _quiet_prefix = (key, blob, tuple(records), imu, mu_open)
         t = k * dt
-        cmd = _command_at(times, commands, t)
+        if t >= t_cmd:
+            i_cmd, cmd, t_cmd = _next_command(times, commands, i_cmd, t)
         if controller is not None:
             act = controller.step(imu, cmd, dt)
             mu = controller.mu
@@ -268,13 +277,15 @@ def run_replay(
     cycle_dt = ctrl_cfg.cycle_dt
     records = []
     t_prev = None
+    i_cmd, cmd, t_cmd = _next_command(times, commands, 0, -math.inf)
     for s in samples:
         if not math.isfinite(s.t):
             raise ValueError(f"non-finite IMU timestamp {s.t}")
         if t_prev is not None and s.t <= t_prev:
             raise ValueError(f"non-monotone IMU timestamp {s.t} after {t_prev}")
         gap = cycle_dt if t_prev is None else s.t - t_prev
-        cmd = _command_at(times, commands, s.t)
+        if s.t >= t_cmd:
+            i_cmd, cmd, t_cmd = _next_command(times, commands, i_cmd, s.t)
         if on_grid(gap, cycle_dt):
             act = controller.step(s, cmd, cycle_dt)
         else:

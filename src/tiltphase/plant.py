@@ -46,15 +46,21 @@ is needed because ``inf * 0.0`` is nan. Walking in place before a push starts
 exactly at rest; since the harness replays that walk from its quiet-prefix
 memo, the skip covers about 6% of the push battery's plant steps.
 
-Disturbances are scanned once per cycle, in list order, so the force and
-bias sums are unchanged. The IMU sample takes two rotation.py calls:
-``quat_from_tilt_phase`` for the measured orientation and the fused
-``imu_of_motion`` kernel for the gyro and accelerometer values.
+Disturbances act through a per-run `DisturbanceSchedule`, built the first
+time a step sees a disturbance list. Impulses are sorted by start time and
+consumed by a cursor; force and bias windows open and close by start and
+end time, and their sums are taken again, in list order, only when the set
+of active windows changes. Between those events a step reads two stored
+sums, so its cost does not depend on the length of the list. The IMU sample
+takes two rotation.py calls: ``quat_from_tilt_phase`` for the measured
+orientation and the fused ``imu_of_motion`` kernel for the gyro and
+accelerometer values.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import List, Optional
@@ -68,17 +74,41 @@ from tiltphase.rotation import imu_of_motion, quat_from_tilt_phase
 from tiltphase.rotation import quat_conj, quat_mul, quat_normalize, quat_rotate  # noqa: F401
 
 _INF = math.inf
+_is = operator.is_
 _new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
 
 
-@dataclass
+KINDS = ("impulse", "force", "bias")
+# Largest disturbance magnitude, as the plant's coupling limit: an impulse of
+# 1000 over the smallest impulse_scale, a force of 1000 rad/s^2 or a bias of
+# 1000 rad keeps every emitted IMU value and trace column finite
+MAX_MAGNITUDE = 1e3
+
+
+def disturbance_error(kind, direction, magnitude, start_time, duration):
+    """(field name, reason) for the first invalid field of a disturbance, or None."""
+    if kind not in KINDS:
+        return "kind", f"must be one of {', '.join(KINDS)}, got {kind!r}"
+    for name, value in (("direction", direction), ("magnitude", magnitude),
+                        ("start_time", start_time), ("duration", duration)):
+        if not math.isfinite(value):
+            return name, f"must be finite, got {value}"
+    if not 0.0 <= magnitude <= MAX_MAGNITUDE:
+        return "magnitude", f"must lie in [0, {MAX_MAGNITUDE:g}], got {magnitude}"
+    if duration < 0.0:
+        return "duration", f"must be >= 0, got {duration}"
+    return None
+
+
+@dataclass(slots=True)
 class Disturbance:
     """External disturbance acting on the plant.
 
     kind: 'impulse' (one-shot velocity jump at start_time), 'force'
     (constant tilt acceleration over [start_time, start_time + duration]),
     or 'bias' (software orientation offset added to the emitted IMU data
-    over the window; the true state is untouched).
+    over the window; the true state is untouched). A plant reads its
+    disturbances when it builds their schedule (`DisturbanceSchedule`).
     """
 
     kind: str
@@ -88,16 +118,118 @@ class Disturbance:
     duration: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("impulse", "force", "bias"):
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        for name in ("direction", "magnitude", "start_time", "duration"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"disturbance {name} must be finite, got {value}")
-        if self.magnitude < 0.0:
-            raise ValueError("disturbance magnitude must be >= 0")
-        if self.duration < 0.0:
-            raise ValueError("disturbance duration must be >= 0")
+        error = disturbance_error(self.kind, self.direction, self.magnitude,
+                                  self.start_time, self.duration)
+        if error:
+            raise ValueError("disturbance {} {}".format(*error))
+
+
+class _Windows:
+    """The force or bias windows of a schedule and the sum of the active ones.
+
+    A window (list index, start, end, x, y) is active at time tau when
+    start <= tau < end, with end = start + duration and (x, y) the
+    magnitude along the direction. Windows are opened in start order by a
+    cursor and closed at their end; the sum is taken again, from +0.0 and in
+    list order, only when the active set changes, which is when
+    `next_change` <= tau. Times passed to `advance` must not decrease.
+    """
+
+    __slots__ = ("pending", "active", "sum", "next_change")
+
+    def __init__(self, windows):
+        # Latest start first, so the next window to open is popped off the end
+        self.pending = sorted(windows, key=lambda w: w[1], reverse=True)
+        self.active = []
+        self.sum = (0.0, 0.0)
+        self.next_change = self.pending[-1][1] if self.pending else _INF
+
+    def advance(self, tau: float) -> None:
+        pending = self.pending
+        active = self.active
+        n = len(active)
+        while pending and pending[-1][1] <= tau:
+            active.append(pending.pop())
+        if n != len(active) or any(w[2] <= tau for w in active):
+            active = self.active = sorted(w for w in active if tau < w[2])
+            sx = 0.0
+            sy = 0.0
+            for w in active:
+                sx += w[3]
+                sy += w[4]
+            self.sum = (sx, sy)
+        self.next_change = min(pending[-1][1] if pending else _INF,
+                               min((w[2] for w in active), default=_INF))
+
+
+class DisturbanceSchedule:
+    """A disturbance list as the plant consumes it, step by step.
+
+    Impulses are sorted by start time (ties in list order) and consumed by
+    a cursor: each is due in the one step with t <= start_time < t_end, and
+    the impulses due in one step are applied in list order. An impulse whose
+    start falls before the first step that sees it never acts. Force
+    windows are evaluated at a step's t and bias windows at its t_end, as
+    `_Windows`. `next_event` is the earliest time at which anything can
+    change; a step whose t_end is below it only reads `force` and `bias`.
+
+    Step times must not decrease. The list and its disturbances are read
+    once, here: a plant given another list, or a list holding other
+    disturbances, builds a new schedule.
+    """
+
+    __slots__ = ("source", "members", "impulses", "next_impulse", "forces", "biases",
+                 "force", "bias", "next_event")
+
+    def __init__(self, disturbances):
+        self.source = disturbances
+        self.members = tuple(disturbances)
+        impulses = []
+        windows = {"force": [], "bias": []}
+        for i, d in enumerate(disturbances):
+            if d.kind == "impulse":
+                impulses.append((i, d.start_time, d.direction, d.magnitude))
+            else:
+                windows[d.kind].append((
+                    i, d.start_time, d.start_time + d.duration,
+                    d.magnitude * math.cos(d.direction), d.magnitude * math.sin(d.direction),
+                ))
+        self.impulses = sorted(impulses, key=lambda imp: imp[1])
+        self.next_impulse = 0
+        self.forces = _Windows(windows["force"])
+        self.biases = _Windows(windows["bias"])
+        self.force = self.bias = (0.0, 0.0)
+        self._update_next_event()
+
+    def _update_next_event(self) -> None:
+        imps = self.impulses
+        i = self.next_impulse
+        self.next_event = min(imps[i][1] if i < len(imps) else _INF,
+                              self.forces.next_change, self.biases.next_change)
+
+    def advance(self, t: float, t_end: float) -> list:
+        """Bring the force sum to t and the bias sum to t_end; the impulses
+        due in [t, t_end), as (list index, start, direction, magnitude) in
+        list order."""
+        imps = self.impulses
+        i = self.next_impulse
+        due = []
+        while i < len(imps) and imps[i][1] < t_end:
+            if t <= imps[i][1]:
+                due.append(imps[i])
+            i += 1
+        self.next_impulse = i
+        due.sort()
+        forces = self.forces
+        if forces.next_change <= t:
+            forces.advance(t)
+            self.force = forces.sum
+        biases = self.biases
+        if biases.next_change <= t_end:
+            biases.advance(t_end)
+            self.bias = biases.sum
+        self._update_next_event()
+        return due
 
 
 @dataclass(slots=True)
@@ -113,7 +245,7 @@ class PlantState:
 
 
 class SurrogatePlant:
-    __slots__ = ("cfg", "state", "rng", "_mu_prev", "_q_meas_prev", "_applied_impulses")
+    __slots__ = ("cfg", "state", "rng", "_mu_prev", "_q_meas_prev", "_schedule")
 
     def __init__(self, cfg: PlantConfig, seed: int = 0):
         cfg.validate()
@@ -124,7 +256,7 @@ class SurrogatePlant:
         self.rng = random.Random(seed)
         self._mu_prev: Optional[float] = None
         self._q_meas_prev = (1.0, 0.0, 0.0, 0.0)
-        self._applied_impulses: set = set()
+        self._schedule = DisturbanceSchedule(())
 
     # -- disturbance and stepping hooks --------------------------------------
 
@@ -168,6 +300,15 @@ class SurrogatePlant:
         elif mu < prev and prev - mu > math.pi:  # wrapped from +pi to -pi side
             self._foot_strike("L")
 
+    def _use_schedule(self, disturbances) -> DisturbanceSchedule:
+        sched = self._schedule
+        members = sched.members
+        if len(disturbances) == len(members) and all(map(_is, disturbances, members)):
+            sched.source = disturbances
+        else:
+            sched = self._schedule = DisturbanceSchedule(disturbances)
+        return sched
+
     # -- dynamics -------------------------------------------------------------
 
     def step(
@@ -178,7 +319,11 @@ class SurrogatePlant:
         t: float,
         dt: float,
     ) -> ImuSample:
-        """Advance the plant by dt (internal RK4 substeps) and emit an IMU sample."""
+        """Advance the plant by dt (internal RK4 substeps) and emit an IMU sample.
+
+        Over the steps that pass one disturbance list (or lists of the same
+        disturbances), t must not decrease; see `DisturbanceSchedule`.
+        """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         st = self.state
@@ -187,26 +332,16 @@ class SurrogatePlant:
         if alive:
             self._handle_gait_events(mu)
 
-        # One pass over the disturbances, in list order: one-shot impulses
-        # whose start time falls inside this step, the force active at t and
-        # the IMU bias active at t_end
-        fx = 0.0
-        fy = 0.0
-        bias_x = 0.0
-        bias_y = 0.0
-        for i, d in enumerate(disturbances):
-            kind = d.kind
-            if kind == "impulse":
-                if alive and i not in self._applied_impulses and t <= d.start_time < t_end:
-                    self._applied_impulses.add(i)
-                    self.apply_push(d.direction, d.magnitude)
-            elif kind == "force":
-                if alive and d.start_time <= t < d.start_time + d.duration:
-                    fx += d.magnitude * math.cos(d.direction)
-                    fy += d.magnitude * math.sin(d.direction)
-            elif kind == "bias" and d.start_time <= t_end < d.start_time + d.duration:
-                bias_x += d.magnitude * math.cos(d.direction)
-                bias_y += d.magnitude * math.sin(d.direction)
+        # The schedule of this list; a list with the same disturbances keeps
+        # it, cursors and all
+        sched = self._schedule
+        if disturbances is not sched.source:
+            sched = self._use_schedule(disturbances)
+        if sched.next_event <= t_end:
+            for _, _, direction, magnitude in sched.advance(t, t_end):
+                self.apply_push(direction, magnitude)  # a fallen plant ignores it
+        fx, fy = sched.force
+        bias_x, bias_y = sched.bias
 
         if alive:
             cfg = self.cfg

@@ -28,19 +28,19 @@ COLUMNS = {
     "instability": ("inst",), "deviation_speed": ("sd",),
 }
 FIELDS = ("t", *(c for cols in COLUMNS.values() for c in cols), "flags")
-# (ActivationSet index, number of columns); a renamed field fails here
-_LAYOUT = tuple((ActivationSet._fields.index(f), len(cols)) for f, cols in COLUMNS.items())
 
 
 def record_values(t: float, act: ActivationSet) -> tuple:
-    row = [t]
-    for i, width in _LAYOUT:
-        if width == 1:
-            row.append(act[i])
-        else:
-            row.extend(act[i])
-    row.append("|".join(act.flags))
-    return tuple(row)
+    """The trace record of one cycle: t, the COLUMNS of act in order, the
+    flags joined by "|". One tuple display, which a test checks against
+    COLUMNS."""
+    (arm, foot, cft, hip, hmax, lean, so, plane, fg, mu, body, expected, dev, _, e_l, e_r,
+     inst, sd, flags) = act
+    return (
+        t, mu, body[0], body[1], expected[0], expected[1], dev[0], dev[1], arm[0], arm[1],
+        foot[0], foot[1], cft[0], cft[1], hip[0], hip[1], hmax, lean[0], lean[1],
+        so[0], so[1], plane[0], plane[1], fg, e_l, e_r, inst, sd, "|".join(flags),
+    )
 
 
 def format_record(values: tuple) -> str:

@@ -455,3 +455,21 @@ def test_package_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "tiltphase", (
                     f"{path.name}:{node.lineno} imports {name}"
                 )
+
+
+def test_python_m_tiltphase_runs_the_cli(tmp_path):
+    """`python -m tiltphase` from a source checkout: the CLI, with its exit
+    codes."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "tiltphase", "--dump-config"],
+        env=env, capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "controller.cycle_dt" in done.stdout
+    done = subprocess.run(
+        [sys.executable, "-m", "tiltphase", "simulate", "--duration", "-1"],
+        env=env, capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr.startswith("error: ")

@@ -470,3 +470,30 @@ class TestNonFiniteInput:
         ctrl = TiltPhaseController(ControllerConfig())
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             ctrl.step(ImuSample(0.01, (0, 0, 0), (0, 0, G)), GaitCommand(), dt)
+
+
+@pytest.mark.parametrize("fields, flat", [
+    ({}, True),
+    ({"wave_phase_x": 2.5, "wave_phase_y": -1.0, "wave_amp_y": -0.0}, True),
+    ({"wave_offset_x": -0.0}, False),
+    ({"wave_offset_y": -0.0}, False),
+    ({"wave_amp_x": 5e-324}, False),
+    ({"wave_offset_y": 0.004}, False),
+])
+def test_flat_waveform_is_a_constant(fields, flat):
+    """Zero amplitudes and +0.0 offsets make the expected tilt a constant
+    +0.0 pair, taken without evaluating the waveform: each step equals, in
+    its repr (which tells -0.0 from 0.0), a twin's that evaluates it."""
+    cfg = ControllerConfig(**fields)
+    ctrl = TiltPhaseController(cfg)
+    twin = TiltPhaseController(cfg)
+    twin._flat = None
+    assert (ctrl._flat is not None) == flat
+    p_prev = (0.0, 0.0)
+    for k in range(1, 300):
+        t = k * cfg.cycle_dt
+        p = (0.04 * math.sin(3.0 * t), 0.02 * math.cos(2.0 * t))
+        imu = imu_for_tilt(p, p_prev, t, cfg.cycle_dt)
+        p_prev = p
+        cmd = GaitCommand(0.1, 0.0, 0.0)
+        assert repr(ctrl.step(imu, cmd, cfg.cycle_dt)) == repr(twin.step(imu, cmd, cfg.cycle_dt))

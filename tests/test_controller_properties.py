@@ -193,19 +193,7 @@ _BOUNDARY = (0.0, 5e-324, 1e-300, 1e-3, 0.1, math.pi, -math.pi, 1e300, -1e300,
              math.nextafter(math.pi / 2, 0.0))
 
 
-@settings(max_examples=100, deadline=None)
-@given(values=hs.dictionaries(hs.sampled_from(_FLOAT_FIELDS), hs.sampled_from(_BOUNDARY),
-                              min_size=1, max_size=2))
-@example({"i_clamp_x": 1e-300})
-@example({"so_pendulum_c": 1e-300})
-@example({"f_min": 5e-324, "f_nom": 5e-324})
-@example({"wave_amp_x": 1e300})
-@example({"wave_amp_y": 1e300})
-@example({"wave_offset_x": 1e300})
-@example({"wave_offset_y": 1e300})
-@example({"cycle_dt": 1e-12})
-@example({"cycle_dt": 1e300})
-def test_boundary_config_rejected_or_runs(values):
+def config_rejected_or_runs(values):
     """One or two float fields at a boundary of their validator: validate()
     rejects the config, or a 2 s loop pushed at 0.5 s raises nothing, every
     record is finite and every output lies inside its ellipse."""
@@ -226,6 +214,30 @@ def test_boundary_config_rejected_or_runs(values):
         imu = plant.step(act, ctrl.mu, push, k * dt, dt)
 
 
+@pytest.mark.parametrize("field, value", [(f, v) for f in _FLOAT_FIELDS for v in _BOUNDARY],
+                         ids=lambda x: x if isinstance(x, str) else repr(x))
+def test_boundary_config_cell_rejected_or_runs(field, value):
+    """Every single-field boundary cell, in every run."""
+    config_rejected_or_runs({field: value})
+
+
+# Pairs of fields: derandomized, so every run draws the same examples
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(values=hs.dictionaries(hs.sampled_from(_FLOAT_FIELDS), hs.sampled_from(_BOUNDARY),
+                              min_size=1, max_size=2))
+@example({"i_clamp_x": 1e-300})
+@example({"so_pendulum_c": 1e-300})
+@example({"f_min": 5e-324, "f_nom": 5e-324})
+@example({"wave_amp_x": 1e300})
+@example({"wave_amp_y": 1e300})
+@example({"wave_offset_x": 1e300})
+@example({"wave_offset_y": 1e300})
+@example({"cycle_dt": 1e-12})
+@example({"cycle_dt": 1e300})
+def test_boundary_config_rejected_or_runs(values):
+    config_rejected_or_runs(values)
+
+
 _PLANT_FLOAT_FIELDS = sorted(f.name for f in fields(PlantConfig) if f.type == "float")
 # Boundaries of the plant's validators: 0, the smallest positive float, the
 # substep and impulse scale limits, the strike factors' [0, 1], a pi/2 fall
@@ -234,17 +246,7 @@ _PLANT_BOUNDARY = (0.0, 5e-324, 1e-300, 1e-6, 1e-5, 1.0, -1.0, math.pi / 2, math
                    1e300, -1e300)
 
 
-@settings(max_examples=100, deadline=None)
-@given(values=hs.dictionaries(hs.sampled_from(_PLANT_FLOAT_FIELDS),
-                              hs.sampled_from(_PLANT_BOUNDARY), min_size=1, max_size=2))
-@example({"substep_dt": 5e-324})
-@example({"impulse_scale": 5e-324})
-@example({"couple_arm": 1e300})
-@example({"couple_plane": -1e300})
-@example({"strike_capture": -1e300})
-@example({"pendulum_c": 1e300})
-@example({"pivot_y": 1e300, "strike_capture": 1e300})
-def test_boundary_plant_config_rejected_or_runs(values):
+def plant_config_rejected_or_runs(values):
     """One or two float fields of the plant config at a boundary of their
     validator: validate() rejects the config, or a 2 s loop pushed at 0.5 s
     raises nothing, its records are finite, its outputs lie inside their
@@ -269,6 +271,29 @@ def test_boundary_plant_config_rejected_or_runs(values):
         assert all(map(math.isfinite, (st.px, st.py, st.vx, st.vy)))
         if st.fallen:
             break
+
+
+@pytest.mark.parametrize("field, value",
+                         [(f, v) for f in _PLANT_FLOAT_FIELDS for v in _PLANT_BOUNDARY],
+                         ids=lambda x: x if isinstance(x, str) else repr(x))
+def test_boundary_plant_config_cell_rejected_or_runs(field, value):
+    """Every single-field boundary cell of the plant config, in every run."""
+    plant_config_rejected_or_runs({field: value})
+
+
+# Pairs of fields: derandomized, so every run draws the same examples
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(values=hs.dictionaries(hs.sampled_from(_PLANT_FLOAT_FIELDS),
+                              hs.sampled_from(_PLANT_BOUNDARY), min_size=1, max_size=2))
+@example({"substep_dt": 5e-324})
+@example({"impulse_scale": 5e-324})
+@example({"couple_arm": 1e300})
+@example({"couple_plane": -1e300})
+@example({"strike_capture": -1e300})
+@example({"pendulum_c": 1e300})
+@example({"pivot_y": 1e300, "strike_capture": 1e300})
+def test_boundary_plant_config_rejected_or_runs(values):
+    plant_config_rejected_or_runs(values)
 
 
 _NONFINITE = (math.nan, math.inf, -math.inf)

@@ -578,6 +578,52 @@ class TestWlbfGrid:
         assert sum(a._slope_w) == pytest.approx(0.0, abs=1e-12)
 
 
+class TestWlbfHeldWindow:
+    """A full window on the grid that holds one value, bit for bit, returns
+    the previous fit; checked against a twin whose repeat count is cleared
+    before every step, so it always sums."""
+
+    @staticmethod
+    def stream(dim):
+        """(t, x): a held value, a change, the new value held across an
+        off-grid gap, signed zeros that alternate and then hold, and equal
+        values given as new float objects; in 2D, also a stretch where only
+        the first axis holds."""
+        dt = 0.01
+        held = [0.25, 0.25, -1.5, -1.5, 0.0, -0.0, -0.0, 7.0]
+        runs = [30, 12, 1, 25, 3, 1, 20, 15]
+        t = 0.0
+        for k, (value, n) in enumerate(zip(held, runs)):
+            for _ in range(n):
+                # An off-grid gap inside the held -1.5
+                t += 0.013 if (k == 3 and _ == 4) else dt
+                v = float(repr(value)) if k == 7 else value
+                if dim == 1:
+                    yield t, (v,)
+                else:
+                    # The second axis moves while the first holds
+                    yield t, (v, v + 0.5 * (_ % 2) if k == 1 else v)
+
+    @pytest.mark.parametrize("dim, cap", [(1, 10), (2, 8), (1, 1)])
+    def test_reuse_matches_a_filter_without_it(self, dim, cap):
+        f = WlbfFilter(dim, cap, 0.01)
+        plain = WlbfFilter(dim, cap, 0.01)
+        reused = 0
+        for t, x in self.stream(dim):
+            prev = f._fit
+            plain._fit = None
+            got = f.step(t, x)
+            assert _bits(got) == _bits(plain.step(t, x)), t
+            reused += got is prev
+        assert reused > 40
+
+    def test_signed_zero_breaks_the_run(self):
+        f = WlbfFilter(1, 3, 0.01)
+        for k, v in enumerate((0.0, 0.0, 0.0, 0.0, -0.0, -0.0)):
+            f.step(0.01 * (k + 1), (v,))
+        assert f._run == 1
+
+
 class TestBoundedIntegrator:
     def test_zero_input(self):
         bi = BoundedIntegrator(1.0, 1.0, 0.1)
@@ -647,7 +693,7 @@ class TestBitExactPaths:
             )
             want = tuple(ref.step((xi,))[0] for ref, xi in zip(refs, x))
             assert _bits(f.step(x)) == _bits(want)
-        assert _bits(tuple(f._sum)) == _bits(tuple(ref._sum[0] for ref in refs))
+        assert _bits((f._s0, f._s1)) == _bits(tuple(ref._sum[0] for ref in refs))
 
     def test_radius_along(self):
         """The directional radius inside the 2D kernels, by the bits of their
@@ -752,6 +798,16 @@ class TestLowPass:
         for _ in range(n):
             v = lp.step(1.0, dt)
         assert v == pytest.approx(0.99, abs=1e-9)
+
+    def test_coefficient_follows_dt(self):
+        """The coefficient is kept per dt: any sequence of steps, with dt
+        changing and coming back, is the formula's, bit for bit."""
+        lp = LowPassFilter(3.0)
+        value = 0.0
+        for k, dt in enumerate((0.01, 0.01, 0.013, 0.01, 0.5, 0.5, 0.01)):
+            x = math.sin(k)
+            value += (1.0 - 0.01 ** (dt / 3.0)) * (x - value)
+            assert _bits(lp.step(x, dt)) == _bits(value)
 
     def test_dt_invariance(self):
         # Same trajectory endpoint for different step sizes

@@ -89,7 +89,7 @@ def tilted_plane_with_waveform():
      "8638501f998d50a7debcdc0cffd921dfebdeb64655af00885a6ddad89f3201c8"),
     (tilted_plane_with_waveform, 500,
      "5c5b021efe8af2bd1c0e34c53d4f2887efa61dffd688693e1b7f25a8344430b6"),
-])
+], ids=["default_loop_with_impulse", "tilted_plane_with_waveform"])
 def test_trace_digest(tmp_path, make_run, n_records, digest):
     cfg, scenario = make_run()
     result = run_closed_loop(cfg, PlantConfig(), scenario)
@@ -128,7 +128,7 @@ def noisy_imu_log(path, n=400, seed=5):
 @pytest.mark.parametrize("csv, digest", [
     (False, "11c1462935fec8e6eae484b10a019ca935276e20cc007516caf6b3532fdaaf85"),
     (True, "21b50b28bd1779030edbbf91c7047d8d263efa17c855d965eb5330f6edfa37b8"),
-])
+], ids=["noisy_replay_trace", "noisy_replay_csv"])
 def test_replay_trace_digest(tmp_path, csv, digest):
     """A fitted-like waveform and a constant command over a noisy log: the
     estimator's gate, the full deviation path and both `write_trace` modes."""
@@ -176,7 +176,11 @@ def test_fit_waveform_cli_digest(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIT_WAVEFORM_CLI_SHA256
 
 
-@pytest.mark.parametrize("enabled, withstood, digest", PUSH_BATTERY_GOLDEN)
+# Test ids by scenario, so that re-pinning a digest keeps them
+PUSH_BATTERY_IDS = ["battery_controller_on", "battery_controller_off"]
+
+
+@pytest.mark.parametrize("enabled, withstood, digest", PUSH_BATTERY_GOLDEN, ids=PUSH_BATTERY_IDS)
 def test_push_battery_digest(monkeypatch, enabled, withstood, digest):
     """Ladder (1.0, 1.5, 7.0), one push per level, seed 5: the push trial path,
     the rest skip and, with the controller off, the open loop."""
@@ -198,7 +202,7 @@ def test_push_battery_digest(monkeypatch, enabled, withstood, digest):
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize("enabled, withstood, digest", PUSH_BATTERY_GOLDEN)
+@pytest.mark.parametrize("enabled, withstood, digest", PUSH_BATTERY_GOLDEN, ids=PUSH_BATTERY_IDS)
 def test_push_battery_digest_with_the_prefix_warm(monkeypatch, enabled, withstood, digest):
     """The same battery after another trial filled the quiet-prefix memo, so
     its first trial replays the walk to the push too."""

@@ -7,13 +7,14 @@ import re
 import numpy as np
 import pytest
 
+from tiltphase.cli import main
 from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import GaitCommand
 from tiltphase.deviation import ExpectedWaveform
 from tiltphase.estimator import ImuSample
 from tiltphase.harness import (
     Scenario,
-    _command_at,
+    _next_command,
     _schedule_times,
     benchmark_controller_step,
     fit_waveform,
@@ -97,6 +98,27 @@ class TestScenario:
         with pytest.raises(ValueError, match="disturbance duration must be >= 0"):
             Scenario.from_json(text)
 
+    @pytest.mark.parametrize("kind", ["impulse", "force", "bias"])
+    def test_huge_disturbance_magnitude_rejected(self, kind, tmp_path, capsys):
+        """A magnitude of 1e300 overflowed the plant's tilt and the closed
+        loop raised a math domain error; it is refused where it enters, by
+        name, and the CLI exits 1."""
+        with pytest.raises(ValueError, match=r"disturbance magnitude must lie in \[0, 1000\]"):
+            Disturbance(kind, 0.3, 1e300, 0.2, 0.5)
+        text = json.dumps({"disturbances": [
+            {"kind": "impulse", "magnitude": 1.0, "start_time": 0.1},
+            {"kind": kind, "direction": 0.3, "magnitude": 1e300, "start_time": 0.2,
+             "duration": 0.5},
+        ]})
+        with pytest.raises(ValueError, match=re.escape("scenario disturbances[1].magnitude: ")):
+            Scenario.from_json(text)
+        sc = tmp_path / "huge.json"
+        sc.write_text(text)
+        assert main(["simulate", "--scenario", str(sc), "--duration", "1.0"]) == 1
+        assert "disturbances[1].magnitude" in capsys.readouterr().err
+        # The limit itself is accepted
+        assert Disturbance(kind, 0.3, 1e3, 0.2, 0.5).magnitude == 1e3
+
     def test_non_finite_disturbance_rejected(self):
         text = json.dumps({"disturbances": [{"kind": "force", "magnitude": math.nan}]})
         with pytest.raises(ValueError, match="magnitude must be finite"):
@@ -120,7 +142,7 @@ class TestScenario:
 
 
 def _scan_command_at(commands, t):
-    """The linear schedule scan that `_command_at` replaced, as its reference."""
+    """The linear schedule scan that the command cursor replaced, as its reference."""
     cmd = GaitCommand()
     for tc, c in commands:
         if tc <= t:
@@ -131,6 +153,8 @@ def _scan_command_at(commands, t):
 
 
 def test_command_lookup_matches_linear_scan():
+    """The cursor, advanced as the runners advance it (only once t reaches
+    the next command time), over non-decreasing probe times."""
     rng = random.Random(5)
     for _ in range(300):
         # Few distinct times, so schedules have ties and repeated entries
@@ -139,9 +163,14 @@ def test_command_lookup_matches_linear_scan():
         commands = [(tc, GaitCommand(rng.random(), float(k))) for k, tc in enumerate(times)]
         probes = [-1.0, -0.0, 0.0, 0.5, 1.0, 3.5] + times
         probes += [rng.uniform(-0.5, 3.5) for _ in range(10)]
+        probes.sort()
         checked = _schedule_times(commands)
+        i, cmd, t_next = _next_command(checked, commands, 0, -math.inf)
         for t in probes:
-            assert _command_at(checked, commands, t) == _scan_command_at(commands, t)
+            if t >= t_next:
+                i, cmd, t_next = _next_command(checked, commands, i, t)
+            assert cmd == _scan_command_at(commands, t)
+            assert t_next == min((tc for tc in times if tc > t), default=math.inf)
 
 
 @pytest.mark.parametrize("field", GaitCommand._fields)

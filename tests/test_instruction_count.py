@@ -1,4 +1,5 @@
-"""Bytecode instructions of five steady controller steps, pinned.
+"""Bytecode instructions of five steady controller steps and of five
+closed-loop cycles, pinned, and of a plant step against its schedule length.
 
 Instruction counts are deterministic for one Python version and one input,
 so unlike step timings no host load moves them. They count what the
@@ -15,9 +16,11 @@ import sys
 
 import pytest
 
-from tiltphase.config import ControllerConfig
-from tiltphase.controller import GaitCommand, TiltPhaseController
+from tiltphase.config import ControllerConfig, PlantConfig
+from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController
 from tiltphase.estimator import GRAVITY, ImuSample
+from tiltphase.plant import Disturbance, SurrogatePlant
+from tiltphase.trace import record_values
 
 # Expected waveform as `fit-waveform` gives it for a swaying walk: every
 # cycle takes the full deviation composition
@@ -25,7 +28,9 @@ FITTED = dict(wave_amp_x=0.055, wave_amp_y=0.03, wave_phase_x=0.4, wave_phase_y=
               wave_offset_x=0.004, wave_offset_y=-0.002)
 
 # Instructions over steps 201-205, CPython 3.11
-PINNED = {"default": 19330, "fitted": 22289}
+PINNED = {"default": 17875, "fitted": 21039}
+# Instructions over closed-loop cycles 201-205, CPython 3.11
+PINNED_CYCLES = 23987
 
 
 def imu_stream(n, dt=0.01):
@@ -38,13 +43,9 @@ def imu_stream(n, dt=0.01):
                         (-GRAVITY * math.sin(a), 0.3, GRAVITY * math.cos(a)))
 
 
-def steady_step_instructions(cfg, warm=200, n=5):
-    """Bytecode instructions of steps warm+1 .. warm+n of a fresh controller."""
-    ctrl = TiltPhaseController(cfg)
-    cmd = GaitCommand(0.2, 0.0, 0.1)
-    samples = list(imu_stream(warm + n))
-    for s in samples[:warm]:
-        ctrl.step(s, cmd, cfg.cycle_dt)
+def count_instructions(calls):
+    """Bytecode instructions that the calls run, each call an (fn, args)
+    pair; the loop over them runs in this frame, which is not traced."""
     count = 0
 
     def local(frame, event, arg):
@@ -59,11 +60,51 @@ def steady_step_instructions(cfg, warm=200, n=5):
 
     sys.settrace(on_call)
     try:
-        for s in samples[warm:]:
-            ctrl.step(s, cmd, cfg.cycle_dt)
+        for fn, args in calls:
+            fn(*args)
     finally:
         sys.settrace(None)
     return count
+
+
+def steady_step_instructions(cfg, warm=200, n=5):
+    """Bytecode instructions of steps warm+1 .. warm+n of a fresh controller."""
+    ctrl = TiltPhaseController(cfg)
+    cmd = GaitCommand(0.2, 0.0, 0.1)
+    samples = list(imu_stream(warm + n))
+    for s in samples[:warm]:
+        ctrl.step(s, cmd, cfg.cycle_dt)
+    return count_instructions([(ctrl.step, (s, cmd, cfg.cycle_dt)) for s in samples[warm:]])
+
+
+def pushes(n, first=3.0):
+    """n sub-fall impulses 4 s apart from `first`, in walk_push's manner."""
+    return [Disturbance("impulse", 0.4 + 2.4 * k, (0.8, 1.0, 1.2)[k % 3], first + 4.0 * k)
+            for k in range(n)]
+
+
+def closed_loop_cycle_instructions(warm=200, n=5):
+    """Bytecode instructions of cycles warm+1 .. warm+n of a closed loop with
+    shipped defaults, a held command and 14 pushes still to come: the
+    controller step, the trace record and the plant step."""
+    cfg = ControllerConfig()
+    ctrl = TiltPhaseController(cfg)
+    plant = SurrogatePlant(PlantConfig())
+    schedule = pushes(14)
+    cmd = GaitCommand(0.2, 0.0, 0.1)
+    dt = cfg.cycle_dt
+    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, schedule, 0.0, dt)
+
+    def cycle(k):
+        nonlocal imu
+        act = ctrl.step(imu, cmd, dt)
+        record_values(k * dt, act)
+        imu = plant.step(act, ctrl.mu, schedule, k * dt, dt)
+
+    for k in range(1, warm + 1):
+        cycle(k)
+    # The count includes the glue in `cycle` itself
+    return count_instructions([(cycle, (k,)) for k in range(warm + 1, warm + n + 1)])
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts are pinned for CPython 3.11")
@@ -76,3 +117,30 @@ def test_steady_step_instruction_count(name, cfg):
     if sys.gettrace() is not None:
         pytest.skip("a tracer (coverage, debugger) is already installed")
     assert steady_step_instructions(cfg) == PINNED[name]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts are pinned for CPython 3.11")
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython bytecode")
+def test_closed_loop_cycle_instruction_count():
+    if sys.gettrace() is not None:
+        pytest.skip("a tracer (coverage, debugger) is already installed")
+    assert closed_loop_cycle_instructions() == PINNED_CYCLES
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython bytecode")
+def test_plant_step_count_does_not_grow_with_the_schedule():
+    """A plant step with 200 disturbances still to come (impulses, forces
+    and biases) runs the instructions of one with a single push to come."""
+    if sys.gettrace() is not None:
+        pytest.skip("a tracer (coverage, debugger) is already installed")
+    act = ActivationSet(arm_tilt=(0.01, -0.02), gait_frequency=ControllerConfig().f_nom)
+    kinds = ("impulse", "force", "bias")
+    long = [Disturbance(kinds[k % 3], 0.1 * k, 0.5, 50.0 + 0.25 * k, 0.5) for k in range(200)]
+    counts = []
+    for schedule in (pushes(1, first=50.0), long):
+        plant = SurrogatePlant(PlantConfig())
+        plant.state.px = 0.05
+        for k in range(10):
+            plant.step(act, 0.1 * k, schedule, 0.01 * k, 0.01)
+        counts.append(count_instructions([(plant.step, (act, 1.0, schedule, 0.1, 0.01))]))
+    assert counts[0] == counts[1]

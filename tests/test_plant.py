@@ -13,7 +13,8 @@ from tiltphase.deviation import gait_phase_step
 from tiltphase.estimator import AttitudeEstimator, ImuSample
 import tiltphase.plant
 import tiltphase.rotation
-from tiltphase.plant import Disturbance, PlantState, SurrogatePlant
+from tiltphase.harness import Scenario, run_closed_loop
+from tiltphase.plant import MAX_MAGNITUDE, Disturbance, PlantState, SurrogatePlant
 from tiltphase.rotation import (
     quat_conj,
     quat_from_tilt_phase,
@@ -53,6 +54,23 @@ class TestDisturbanceValidation:
         with pytest.raises(ValueError, match="disturbance duration must be >= 0"):
             Disturbance(kind, duration=-5e-324)
         assert Disturbance(kind, duration=0.0).duration == 0.0
+
+    @pytest.mark.parametrize("kind", ["impulse", "force", "bias"])
+    @pytest.mark.parametrize("plant", [
+        {}, {"impulse_scale": 1e-6}, {"pendulum_c": 1e3, "couple_arm": 1e3, "couple_foot": -1e3},
+    ], ids=["defaults", "smallest-impulse-scale", "largest-couplings"])
+    def test_largest_magnitude_runs_finite(self, kind, plant):
+        """Every magnitude the limit accepts, up to the limit itself and at the
+        plant's extreme configs, gives a 2 s pushed loop with finite output,
+        with and without the controller."""
+        for magnitude in (5e-324, 1.0, 100.0, MAX_MAGNITUDE):
+            for enabled in (True, False):
+                scenario = Scenario(duration=2.0, controller_enabled=enabled, disturbances=[
+                    Disturbance(kind, 0.3, magnitude, 0.2, 0.5),
+                    Disturbance(kind, -2.0, magnitude, 0.0, 2.0),
+                ])
+                records = run_closed_loop(ControllerConfig(), PlantConfig(**plant), scenario).records
+                assert all(math.isfinite(v) for rec in records for v in rec[:-1]), magnitude
 
     @pytest.mark.parametrize("name", ["direction", "magnitude", "start_time", "duration"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -218,8 +236,14 @@ class ReferencePlant(SurrogatePlant):
     calls.
 
     This is the straightforward form the inlined step must match bit for bit;
-    it is only a test reference, never a second code path.
+    it is only a test reference, never a second code path. Its impulse scan
+    is the one `DisturbanceSchedule` replaced: every impulse whose index is
+    not yet in the applied set is checked on every step.
     """
+
+    def __init__(self, cfg, seed=0):
+        super().__init__(cfg, seed)
+        self._applied_impulses = set()
 
     def _acceleration(self, px, py, vx, vy, act, f_ext):
         cfg = self.cfg
@@ -405,6 +429,38 @@ class TestBitExactKernel:
             got = fast.step(act, mu, disturbances, k * DT, DT)
             want = ref.step(act, mu, disturbances, k * DT, DT)
             assert_bit_identical(fast, ref, got, want)
+
+
+class TestSchedule:
+    """Cases of the disturbance schedule where list order and start order
+    differ, against the reference's scans in list order, bit for bit."""
+
+    # Three disturbances of one kind whose starts run against their list order
+    PARAMS = ((0.3, 1.7, 0.037), (2.1, 0.9, 0.032), (-1.0, 1.3, 0.035))
+
+    def test_same_step_impulses_apply_in_list_order(self):
+        pushes = [Disturbance("impulse", d, m, t) for d, m, t in self.PARAMS]
+        run_pair(PlantConfig(), [IDLE] * 6, pushes, state=dict(vx=0.1234567, vy=-0.0987654))
+
+    @pytest.mark.parametrize("kind", ["force", "bias"])
+    def test_overlapping_windows_sum_in_list_order(self, kind):
+        windows = [Disturbance(kind, d, m, t - 0.025, 0.05 + t) for d, m, t in self.PARAMS]
+        run_pair(PlantConfig(), [IDLE] * 12, windows, state=dict(px=0.0123, vy=-0.0456))
+
+    def test_a_new_list_of_other_disturbances_starts_a_new_schedule(self):
+        push = Disturbance("impulse", 0.5, 1.0, 0.025)
+        plant = SurrogatePlant(PlantConfig())
+        plant.step(IDLE, 0.5, [push], 0.0, DT)
+        plant.step(IDLE, 0.5, [push], DT, DT)
+        assert plant.state.vx == 0.0
+        # The same push in another list keeps the schedule; another push replaces it
+        plant.step(IDLE, 0.5, [push], 2 * DT, DT)
+        vx = plant.state.vx
+        assert vx != 0.0
+        plant.step(IDLE, 0.5, [push], 2 * DT, DT)
+        assert abs(plant.state.vx - vx) < 0.01
+        plant.step(IDLE, 0.5, [Disturbance("impulse", 0.5, 1.0, 0.035)], 3 * DT, DT)
+        assert plant.state.vx > vx + 0.5
 
 
 _PAIR_FIELDS = (

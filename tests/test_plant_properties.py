@@ -1,4 +1,5 @@
-"""Property test of the plant's rest skip against the plain reference step.
+"""Property tests of the plant's rest skip and its disturbance schedule
+against the plain reference step.
 
 Needs Hypothesis (the `test` extra); skipped where it is not installed.
 """
@@ -65,4 +66,54 @@ def test_near_rest_matches_reference(data):
         mu = data.draw(hs.sampled_from([0.5, -0.1, 0.1, 3.1, -3.1]), label="mu")
         got = fast.step(act, mu, [force], k * DT, DT)
         want = ref.step(act, mu, [force], k * DT, DT)
+        assert_bit_identical(fast, ref, got, want)
+
+
+def _start_time(j, where):
+    """A time at or near the start of step j (t = j * DT): on it, just
+    before or after it, or inside the step."""
+    t = j * DT
+    return (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf),
+            t + 0.3 * DT, t + 0.7 * DT)[where]
+
+
+_DISTURBANCE = hs.builds(
+    lambda kind, direction, magnitude, j, where, duration: Disturbance(
+        kind, direction, magnitude, _start_time(j, where), duration),
+    kind=hs.sampled_from(["impulse", "force", "bias"]),
+    direction=hs.one_of(_SIGNED_ZERO, hs.floats(-math.pi, math.pi)),
+    magnitude=hs.one_of(_SIGNED_ZERO, hs.floats(0.0, 3.0), hs.just(60.0)),
+    j=hs.integers(-2, 12),
+    where=hs.integers(0, 4),
+    duration=hs.sampled_from([0.0, DT, 2.5 * DT, 0.1, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    disturbances=hs.lists(_DISTURBANCE, max_size=12),
+    fallen=hs.booleans(),
+    fresh_list=hs.booleans(),
+    seed=hs.integers(0, 3),
+)
+def test_schedule_matches_reference_scan(disturbances, fallen, fresh_list, seed):
+    """The plant's disturbance schedule against the reference's per-step
+    scans, bit for bit: impulses that share a step (applied in list order,
+    whatever their start order), overlapping force and bias windows,
+    windows that open or close on a step boundary or last no time, starts
+    before the first step, and pushes while fallen (from the start, or
+    after a push of 60 that fells the plant). With `fresh_list` every step
+    passes a new list of the same disturbances."""
+    cfg = PlantConfig(noise_gyro=0.01, noise_accel=0.05)
+    fast = SurrogatePlant(cfg, seed=seed)
+    ref = ReferencePlant(cfg, seed=seed)
+    for plant in (fast, ref):
+        plant.state.px, plant.state.vy = 0.02, -0.05
+        plant.state.fallen = fallen
+    act = ActivationSet(arm_tilt=(0.01, -0.02), swing_out_tilt=(0.0, 0.03))
+    mu = 0.0
+    for k in range(35):
+        mu = math.remainder(mu + 0.5, 2.0 * math.pi)
+        got = fast.step(act, mu, list(disturbances) if fresh_list else disturbances, k * DT, DT)
+        want = ref.step(act, mu, disturbances, k * DT, DT)
         assert_bit_identical(fast, ref, got, want)

@@ -103,6 +103,32 @@ def test_warm_prefix_equals_cleared_run(plant_steps):
     assert hits >= 30
 
 
+def test_restored_plant_resumes_its_schedule(plant_steps):
+    """The memo's plant carries the schedule of the run that filled it, its
+    cursors at the start; a run that restores it, with the same disturbance
+    list or another, reads its own schedule from there: the records equal
+    a cleared run's, bit for bit."""
+    ctrl = ControllerConfig()
+    plant = PlantConfig()
+
+    def scenario(shift):
+        return Scenario(duration=4.0, commands=[(1.05, GaitCommand(0.2, 0.0, 0.1))], disturbances=[
+            Disturbance("impulse", 0.4, 0.9, 1.0 + shift),
+            Disturbance("force", -1.0, 0.5, 1.2, 0.6),
+            Disturbance("bias", 2.0, 0.03, 1.1 + shift, 2.0),
+            Disturbance("impulse", 2.5, 0.7, 1.003 + shift),
+            Disturbance("force", 1.0, 0.4, 1.5 + shift, 0.3),
+        ])
+
+    first, other = scenario(0.0), scenario(0.137)
+    want = [repr(cold(ctrl, plant, s).records) for s in (first, other)]
+    cold(ctrl, plant, first)
+    plant_steps[0] = 0
+    assert repr(run_closed_loop(ctrl, plant, first).records) == want[0]
+    assert plant_steps[0] == 401 - quiet_cycles(1.0, ctrl.cycle_dt, 400)
+    assert repr(run_closed_loop(ctrl, plant, other).records) == want[1]
+
+
 def test_noise_seed_is_part_of_the_key(plant_steps):
     plant = PlantConfig(noise_gyro=0.02)
     ctrl = ControllerConfig()

@@ -69,6 +69,22 @@ class TestSchema:
 
 
 class TestRecordValues:
+    def test_record_values_is_the_columns_layout(self):
+        """Every ActivationSet value distinct, deviation_mean included: the
+        record is t, then each COLUMNS field's values in order, then the flags."""
+        values = iter(float(k) + 0.5 for k in range(100))
+        act = ActivationSet(**{
+            name: tuple(next(values) for _ in default) if isinstance(default, tuple)
+            else next(values)
+            for name, default in ActivationSet._field_defaults.items() if name != "flags"
+        }, flags=("x", "y", "z"))
+        want = [7.25]
+        for name, cols in COLUMNS.items():
+            value = getattr(act, name)
+            want.extend(value if len(cols) > 1 else (value,))
+        want.append("x|y|z")
+        assert record_values(7.25, act) == tuple(want)
+
     def test_field_count_matches_schema(self):
         assert len(record_values(0.0, ActivationSet())) == len(FIELDS)
 

@@ -99,11 +99,6 @@ def crossing_energy(phi: float, phidot: float, c: float) -> float:
     return kin + pot
 
 
-def pendulum_invariant(phi: float, phidot: float, c: float) -> float:
-    """Conserved quantity of the undisturbed tilt pendulum."""
-    return (phidot * phidot) / (c * c) + 2.0 * (math.cos(phi) - 1.0)
-
-
 def support_indicator(mu: float, double_support_width: float) -> float:
     """Expected support in [-1 (left), +1 (right)] with linear double-support blends.
 

@@ -148,6 +148,10 @@ def _next_command(
 _new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
 _MU = ActivationSet._fields.index("mu")
 
+# Most cycles a closed-loop run or the latency benchmark takes: a trace
+# record holds about 600 B, so 10**6 cycles (10^4 s at 100 Hz) keep 600 MB
+MAX_CYCLES = 10**6
+
 
 @dataclass
 class RunResult:
@@ -174,12 +178,18 @@ def run_closed_loop(
         plant_cfg = replace(plant_cfg)
         apply_overrides(ctrl_cfg, plant_cfg, scenario.overrides)
     dt = ctrl_cfg.cycle_dt
+    cycles = scenario.duration / dt
+    if cycles > MAX_CYCLES:  # inf too, which round() refuses
+        raise ValueError(
+            f"scenario duration {scenario.duration!r} s is {cycles:.4g} cycles of {dt!r} s,"
+            f" above MAX_CYCLES = {MAX_CYCLES}"
+        )
+    n = int(round(cycles))
     commands = scenario.commands
     times = _schedule_times(commands)
     controller = TiltPhaseController(ctrl_cfg) if scenario.controller_enabled else None
     plant = SurrogatePlant(plant_cfg, seed=scenario.seed)
 
-    n = int(round(scenario.duration / dt))
     idle = ActivationSet(gait_frequency=ctrl_cfg.f_nom)
     # The controller-off output is `idle` with mu replaced, built each cycle
     # with tuple.__new__ from the fields around mu
@@ -461,6 +471,8 @@ def benchmark_controller_step(ctrl_cfg: ControllerConfig, n: int = 20000) -> Tup
 
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if n > MAX_CYCLES:
+        raise ValueError(f"n = {n} cycles is above MAX_CYCLES = {MAX_CYCLES}")
     dt = ctrl_cfg.cycle_dt
     cmd = GaitCommand()
     g = 9.81

@@ -1,43 +1,32 @@
-"""Quaternion and tilt phase space rotation math.
+"""Quaternion and 2D tilt phase math of the control loop.
 
-Conventions
------------
 Quaternions are scalar-first tuples ``(w, x, y, z)`` mapping body frame to
-world frame. ``quat_normalize``, ``axis_rotation`` and ``quat_from_tilt_phase``
-return unit quaternions in canonical form (``w >= 0``); ``quat_mul``,
-``quat_conj`` and ``tilt_quat`` neither renormalise nor canonicalise.
+world frame. ``quat_normalize`` and ``quat_from_tilt_phase`` return unit
+quaternions in canonical form (``w >= 0``); ``quat_mul``, ``quat_conj`` and
+``tilt_quat`` neither renormalise nor canonicalise.
 
-A rotation decomposes as ``q = q_z(psi) * q_tilt`` where ``psi`` is the
-fused yaw and ``q_tilt`` is a pure tilt rotation, i.e. a rotation about an
-axis in the horizontal xy-plane (zero fused yaw). Writing the tilt axis
-angle as ``gamma`` (``gamma = 0`` is a pure x-axis tilt) and the tilt angle
-as ``alpha``, the tilt phase coordinates are::
+A rotation decomposes as ``q = q_z(psi) * q_tilt``: ``psi`` is the fused
+yaw and ``q_tilt`` a rotation by ``alpha`` about the horizontal axis at
+angle ``gamma`` from x. The controller reads only the yaw-independent 2D
+tilt phase ``(px, py) = (alpha*cos(gamma), alpha*sin(gamma))`` (lateral,
+sagittal). Tilt rotations form a vector space under componentwise addition
+of ``(px, py)``, which makes scaling and combining tilt feedback terms well
+defined. On the singular set ``|(w, z)| < 1e-12`` (``alpha`` at pi) the
+fused yaw is undefined and ``gamma`` comes from the vector part ``(x, y)``.
+Fused yaw, the 3D tilt phase, tilt angles and fused angles are defined in
+Allgeuer & Behnke, *Fused Angles: A Representation of Body Orientation for
+Balance* (IROS 2015).
 
-    px = alpha * cos(gamma)      (lateral)
-    py = alpha * sin(gamma)      (sagittal)
-    pz = psi                     (fused yaw)
+The loop runs:
 
-Tilt rotations form a vector space under componentwise addition of
-``(px, py)``, which is what makes scaling and combining tilt feedback terms
-well defined.
-
-Singularity: the fused yaw is undefined at ``alpha = pi``. A quaternion
-with ``|(w, z)| < 1e-12`` is on that singular set: its fused yaw is 0 and
-its tilt axis ``gamma`` comes from the vector part ``(x, y)``.
-
-``tilt_quat``, ``tilt_of_quat`` and ``fused_yaw`` are the package's only
-tilt and yaw formulas. The other conversions are compositions of them::
-
-    quat_from_tilt_phase(p) = quat_normalize(q_z(pz) * tilt_quat(px, py))
-    tilt_phase_from_quat(q) = (*tilt_of_quat(q), fused_yaw(q))
-    remove_fused_yaw(q)     = quat_from_tilt_phase(tilt_of_quat(q))
-    imu_of_motion(q0, q, dt, g)
-        = (body rate of quat_normalize(quat_conj(q0) * q) over dt,
-           quat_rotate(quat_conj(q), (0, 0, g)))
-
-and ``tilt_angles_from_quat`` and ``fused_angles_from_quat`` are read off
-``tilt_phase_from_quat``. ``imu_of_motion`` is the plant's IMU emission in
-one call of plain floats, bit for bit the chain of five calls it fuses.
+- ``tilt_quat`` and ``tilt_of_quat``, the only tilt formulas (estimator,
+  deviation tilt, swing ground plane), and ``wrap_pi``;
+- ``quat_from_tilt_phase(p) = quat_normalize(tilt_quat(px, py))``, the
+  plant's measured orientation;
+- ``imu_of_motion(q0, q, dt, g)``, the plant's IMU emission in one call,
+  bit for bit the chain ``(body rate of quat_normalize(quat_conj(q0) * q)
+  over dt, quat_rotate(quat_conj(q), (0, 0, g)))``. The plant imports that
+  chain's functions for the traced benchmark's spans.
 """
 
 from __future__ import annotations
@@ -64,25 +53,6 @@ class TiltPhase2D(NamedTuple):
 
 _new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
 _ZERO_TILT = TiltPhase2D(0.0, 0.0)
-
-
-class TiltPhase3D(NamedTuple):
-    px: float
-    py: float
-    pz: float
-
-
-class TiltAngles(NamedTuple):
-    psi: float
-    gamma: float
-    alpha: float
-
-
-class FusedAngles(NamedTuple):
-    psi: float
-    theta: float
-    phi: float
-    hemisphere: int
 
 
 def wrap_pi(angle: float) -> float:
@@ -191,30 +161,6 @@ def imu_of_motion(q_prev, q, dt: float, g: float) -> Tuple[float, float, float, 
     )
 
 
-def axis_rotation(axis: str, angle: float) -> Quat:
-    """Unit quaternion for a pure rotation about the x, y or z axis."""
-    h = 0.5 * angle
-    c = math.cos(h)
-    s = math.sin(h)
-    if c < 0.0:
-        c, s = -c, -s
-    if axis == "x":
-        return Quat(c, s, 0.0, 0.0)
-    if axis == "y":
-        return Quat(c, 0.0, s, 0.0)
-    if axis == "z":
-        return Quat(c, 0.0, 0.0, s)
-    raise ValueError(f"unknown axis {axis!r}")
-
-
-def fused_yaw(q) -> float:
-    """Fused yaw of a rotation, in (-pi, pi]; 0 on the singular set."""
-    w, _, _, z = q
-    if math.sqrt(w * w + z * z) < 1e-12:
-        return 0.0
-    return wrap_pi(2.0 * math.atan2(z, w))
-
-
 def tilt_quat(px: float, py: float) -> Tuple[float, float, float, float]:
     """Pure tilt quaternion of the 2D tilt phase (px, py), as a plain 4-tuple.
 
@@ -248,36 +194,6 @@ def tilt_of_quat(q) -> TiltPhase2D:
 
 
 def quat_from_tilt_phase(p) -> Quat:
-    """Quaternion q_z(pz) * q_tilt(px, py) of a 2-tuple (pure tilt) or 3-tuple tilt phase."""
-    q = tilt_quat(p[0], p[1])
-    if len(p) == 3:
-        q = quat_mul(axis_rotation("z", p[2]), q)
-    return quat_normalize(q)
-
-
-def tilt_phase_from_quat(q) -> TiltPhase3D:
-    """3D tilt phase (alpha*cos(gamma), alpha*sin(gamma), psi) of a unit quaternion."""
-    return TiltPhase3D(*tilt_of_quat(q), fused_yaw(q))
-
-
-def remove_fused_yaw(q) -> Quat:
-    """Pure tilt rotation with the same 2D tilt phase as q (fused yaw removed)."""
-    return quat_from_tilt_phase(tilt_of_quat(q))
-
-
-def tilt_angles_from_quat(q) -> TiltAngles:
-    """Tilt angles (psi, gamma, alpha) of a unit quaternion."""
-    px, py, psi = tilt_phase_from_quat(q)
-    alpha = math.sqrt(px * px + py * py)
-    gamma = math.atan2(py, px) if alpha > 0.0 else 0.0
-    return TiltAngles(psi, gamma, alpha)
-
-
-def fused_angles_from_quat(q) -> FusedAngles:
-    """Fused angles (psi, theta, phi, hemisphere) of a unit quaternion."""
-    psi, gamma, alpha = tilt_angles_from_quat(q)
-    sa = math.sin(alpha)
-    phi = math.asin(max(-1.0, min(1.0, sa * math.cos(gamma))))
-    theta = math.asin(max(-1.0, min(1.0, sa * math.sin(gamma))))
-    hemi = 1 if math.cos(alpha) >= 0.0 else -1
-    return FusedAngles(psi, theta, phi, hemi)
+    """Unit pure tilt quaternion of a 2D tilt phase ``(px, py)``, canonical."""
+    px, py = p
+    return quat_normalize(tilt_quat(px, py))

@@ -411,6 +411,26 @@ class TestFlags:
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, patched, message", [
+        (["simulate", "--duration", "1e300"], "tiltphase.plant.SurrogatePlant.step",
+         "error: scenario duration 1e+300 s is 1e+302 cycles of 0.01 s, above MAX_CYCLES = 1000000"),
+        (["selftest", "--cycles", "1000000000"], "tiltphase.controller.TiltPhaseController.step",
+         "error: n = 1000000000 cycles is above MAX_CYCLES = 1000000"),
+    ], ids=["simulate-duration", "selftest-cycles"])
+    def test_run_above_max_cycles_exits_input(self, tmp_path, capsys, monkeypatch, argv, patched,
+                                              message):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(patched, no_step)
+        # A command at 0 leaves no quiet prefix to count out before the first step
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"commands": [{"t": 0.0}]}')
+        if argv[0] == "simulate":
+            argv = argv + ["--scenario", str(scenario)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == message + "\n"
+
     def test_help_still_exits_ok(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--help"])

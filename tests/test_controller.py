@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from reference import pendulum_invariant
 from test_filters import generic_smooth_deadband_ellip, generic_soft_coerce_ellip
 
 from tiltphase.config import ControllerConfig
@@ -11,7 +12,6 @@ from tiltphase.controller import (
     TiltPhaseController,
     crossing_energy,
     directional_gain,
-    pendulum_invariant,
     support_indicator,
     timing_law,
 )

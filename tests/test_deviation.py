@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from reference import axis_rotation, fused_yaw, tilt_phase_from_quat
 
 from tiltphase.deviation import (
     DeviationResult,
@@ -9,14 +10,7 @@ from tiltphase.deviation import (
     deviation_tilt,
     gait_phase_step,
 )
-from tiltphase.rotation import (
-    axis_rotation,
-    fused_yaw,
-    quat_conj,
-    quat_from_tilt_phase,
-    quat_mul,
-    tilt_phase_from_quat,
-)
+from tiltphase.rotation import quat_conj, quat_from_tilt_phase, quat_mul
 
 
 def qd_oracle(p_b, p_e, p_yn, psi_e):

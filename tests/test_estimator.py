@@ -2,19 +2,10 @@ import math
 import random
 
 import pytest
+from reference import fused_yaw, remove_fused_yaw, tilt_phase_from_quat
 
 from tiltphase.estimator import GRAVITY, AttitudeEstimator, ImuSample
-from tiltphase.rotation import (
-    axis_rotation,
-    fused_yaw,
-    quat_conj,
-    quat_from_tilt_phase,
-    quat_mul,
-    quat_normalize,
-    quat_rotate,
-    remove_fused_yaw,
-    tilt_phase_from_quat,
-)
+from tiltphase.rotation import quat_conj, quat_from_tilt_phase, quat_mul, quat_normalize, quat_rotate
 
 
 def ideal_imu(q_prev, q_now, dt):

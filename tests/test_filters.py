@@ -1,10 +1,10 @@
 import math
 import random
-import struct
 from collections import deque
 
 import numpy as np
 import pytest
+from reference import bits
 
 from tiltphase.filters import (
     BoundedIntegrator,
@@ -127,15 +127,6 @@ def ref_hard_coerce_ellip(x, semi_axes):
         return (x0, x1)
     k = 1.0 / math.sqrt(s)
     return (k * x0, k * x1)
-
-
-def _bits(value):
-    """value with every float replaced by its IEEE 754 bytes, so -0.0 != 0.0."""
-    if isinstance(value, float):
-        return struct.pack("<d", value)
-    if isinstance(value, tuple):
-        return tuple(_bits(v) for v in value)
-    return value
 
 
 # Signed zeros, subnormal, tiny and ordinary magnitudes
@@ -613,7 +604,7 @@ class TestWlbfHeldWindow:
             prev = f._fit
             plain._fit = None
             got = f.step(t, x)
-            assert _bits(got) == _bits(plain.step(t, x)), t
+            assert bits(got) == bits(plain.step(t, x)), t
             reused += got is prev
         assert reused > 40
 
@@ -692,8 +683,8 @@ class TestBitExactPaths:
                 for _ in range(2)
             )
             want = tuple(ref.step((xi,))[0] for ref, xi in zip(refs, x))
-            assert _bits(f.step(x)) == _bits(want)
-        assert _bits((f._s0, f._s1)) == _bits(tuple(ref._sum[0] for ref in refs))
+            assert bits(f.step(x)) == bits(want)
+        assert bits((f._s0, f._s1)) == bits(tuple(ref._sum[0] for ref in refs))
 
     def test_radius_along(self):
         """The directional radius inside the 2D kernels, by the bits of their
@@ -707,8 +698,8 @@ class TestBitExactPaths:
                 for _ in range(2)
             )
             b = 0.5 * min(a)
-            assert _bits(smooth_deadband2(*x, *a)) == _bits(generic_smooth_deadband_ellip(x, a))
-            assert _bits(soft_coerce2(*x, *a, b)) == _bits(generic_soft_coerce_ellip(x, a, b))
+            assert bits(smooth_deadband2(*x, *a)) == bits(generic_smooth_deadband_ellip(x, a))
+            assert bits(soft_coerce2(*x, *a, b)) == bits(generic_soft_coerce_ellip(x, a, b))
 
     def test_hard_coerce2(self):
         rng = random.Random(23)
@@ -719,22 +710,22 @@ class TestBitExactPaths:
                 rng.choice(EDGE_VALUES) if rng.random() < 0.5 else rng.gauss(0.0, 2.0)
                 for _ in range(2)
             )
-            assert _bits(hard_coerce2(*x, *a)) == _bits(ref_hard_coerce_ellip(x, a))
+            assert bits(hard_coerce2(*x, *a)) == bits(ref_hard_coerce_ellip(x, a))
 
     @pytest.mark.parametrize("semi_axes, buffer", [((1.0, 1.0), 0.1), ((0.08, 0.12), 0.02)])
     def test_bounded_integrator(self, semi_axes, buffer):
         rng = random.Random(11)
         bi = BoundedIntegrator(*semi_axes, buffer)
         ref = ReferenceIntegrator(semi_axes, buffer)
-        assert _bits(bi.value) == _bits(ref.value)
+        assert bits(bi.value) == bits(ref.value)
         for _ in range(5000):
             u = tuple(
                 rng.choice(EDGE_VALUES) if rng.random() < 0.3 else rng.uniform(-50.0, 50.0)
                 for _ in range(2)
             )
             dt = rng.choice((0.01, 1e-3, 5e-324, 0.05))
-            assert _bits(bi.step(u, dt)) == _bits(ref.step(u, dt))
-        assert _bits(bi._u_prev) == _bits(ref._u_prev)
+            assert bits(bi.step(u, dt)) == bits(ref.step(u, dt))
+        assert bits(bi._u_prev) == bits(ref._u_prev)
 
 
 class TestSlopeLimiter:
@@ -807,7 +798,7 @@ class TestLowPass:
         for k, dt in enumerate((0.01, 0.01, 0.013, 0.01, 0.5, 0.5, 0.01)):
             x = math.sin(k)
             value += (1.0 - 0.01 ** (dt / 3.0)) * (x - value)
-            assert _bits(lp.step(x, dt)) == _bits(value)
+            assert bits(lp.step(x, dt)) == bits(value)
 
     def test_dt_invariance(self):
         # Same trajectory endpoint for different step sizes

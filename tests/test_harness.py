@@ -9,7 +9,7 @@ import pytest
 
 from tiltphase.cli import main
 from tiltphase.config import ControllerConfig, PlantConfig
-from tiltphase.controller import GaitCommand
+from tiltphase.controller import GaitCommand, TiltPhaseController
 from tiltphase.deviation import ExpectedWaveform
 from tiltphase.estimator import ImuSample
 from tiltphase.harness import (
@@ -24,7 +24,7 @@ from tiltphase.harness import (
     run_push_trial,
     run_replay,
 )
-from tiltphase.plant import Disturbance
+from tiltphase.plant import Disturbance, SurrogatePlant
 
 
 class TestScenario:
@@ -127,7 +127,7 @@ class TestScenario:
     def test_validation(self):
         with pytest.raises(ValueError):
             Scenario(duration=0.0)
-        from tiltphase.controller import GaitCommand
+        from tiltphase.controller import GaitCommand, TiltPhaseController
 
         with pytest.raises(ValueError, match="sorted"):
             Scenario(commands=[(2.0, GaitCommand()), (1.0, GaitCommand())])
@@ -218,6 +218,34 @@ def test_benchmark_controller_step_rejects_no_cycles():
         benchmark_controller_step(ControllerConfig(), n=0)
 
 
+class _Stepped(Exception):
+    """Raised by a patched step: the run got past its size check."""
+
+
+def _no_step(*args):
+    raise _Stepped
+
+
+def test_run_above_max_cycles_refused_before_a_plant_step(monkeypatch):
+    monkeypatch.setattr(SurrogatePlant, "step", _no_step)
+    # A command at 0 leaves no quiet prefix to count out before the first step
+    commands = [(0.0, GaitCommand())]
+    # 1e308 s is inf cycles; 10000.01 s is 1000001 cycles of 0.01 s
+    for duration in (1e300, 1e308, 10000.01):
+        with pytest.raises(ValueError, match=r"above MAX_CYCLES = 1000000$"):
+            run_closed_loop(ControllerConfig(), PlantConfig(), Scenario(duration, commands=commands))
+    with pytest.raises(_Stepped):
+        run_closed_loop(ControllerConfig(), PlantConfig(), Scenario(10000.0, commands=commands))
+
+
+def test_benchmark_above_max_cycles_refused_before_a_step(monkeypatch):
+    monkeypatch.setattr(TiltPhaseController, "step", _no_step)
+    with pytest.raises(ValueError, match=r"^n = 1000001 cycles is above MAX_CYCLES = 1000000$"):
+        benchmark_controller_step(ControllerConfig(), n=10**6 + 1)
+    with pytest.raises(_Stepped):
+        benchmark_controller_step(ControllerConfig(), n=10**6)
+
+
 class TestReplay:
     def test_replay_runs_and_is_monotone_checked(self):
         samples = [ImuSample(0.01 * k, (0.0, 0.0, 0.0), (0.0, 0.0, 9.81)) for k in range(1, 50)]
@@ -265,8 +293,8 @@ class TestReplay:
         """The IMU stream of a closed loop, replayed: every column but t bit
         for bit, as both loops step with cycle_dt. The loop's t is k * dt and
         an IMU stamp (k - 1) * dt + dt, which differ by ulps."""
+        from reference import bits
         from test_golden_traces import default_loop_with_impulse
-        from test_plant import _bits
 
         from tiltphase.controller import TiltPhaseController
 
@@ -284,7 +312,7 @@ class TestReplay:
         replay = run_replay(cfg, imus, scenario.commands)
         assert len(replay) == len(loop) == 1000
         for a, b in zip(loop, replay):
-            assert _bits(a[1:-1]) == _bits(b[1:-1]) and a[-1] == b[-1]
+            assert bits(a[1:-1]) == bits(b[1:-1]) and a[-1] == b[-1]
 
     def test_replay_rejects_non_finite_timestamp(self):
         samples = [ImuSample(t, (0.0, 0.0, 0.0), (0.0, 0.0, 9.81)) for t in (0.01, math.nan, 0.03)]

@@ -2,13 +2,13 @@ import ast
 import dataclasses
 import math
 import random
-import struct
 from pathlib import Path
 
 import pytest
+from reference import bits, pendulum_invariant
 
 from tiltphase.config import ControllerConfig, PlantConfig
-from tiltphase.controller import ActivationSet, pendulum_invariant
+from tiltphase.controller import ActivationSet
 from tiltphase.deviation import gait_phase_step
 from tiltphase.estimator import AttitudeEstimator, ImuSample
 import tiltphase.plant
@@ -358,19 +358,10 @@ class ReferencePlant(SurrogatePlant):
         return ImuSample(t_now, tuple(gyro), tuple(accel))
 
 
-def _bits(value):
-    """value with every float replaced by its IEEE 754 bytes, so -0.0 != 0.0."""
-    if isinstance(value, float):
-        return struct.pack("<d", value)
-    if isinstance(value, tuple):
-        return tuple(_bits(v) for v in value)
-    return value
-
-
 def assert_bit_identical(fast, ref, got, want):
-    assert _bits(got) == _bits(want)
-    assert _bits(dataclasses.astuple(fast.state)) == _bits(dataclasses.astuple(ref.state))
-    assert _bits(tuple(fast._q_meas_prev)) == _bits(tuple(ref._q_meas_prev))
+    assert bits(got) == bits(want)
+    assert bits(dataclasses.astuple(fast.state)) == bits(dataclasses.astuple(ref.state))
+    assert bits(tuple(fast._q_meas_prev)) == bits(tuple(ref._q_meas_prev))
 
 
 def run_pair(cfg, acts, disturbances=(), state=None, mu=0.5, seed=0):
@@ -476,7 +467,7 @@ class TestRestPath:
     def test_negative_zero_state(self, names):
         plant = run_pair(PlantConfig(), [IDLE] * 3, state=dict.fromkeys(names, -0.0))
         st = plant.state
-        assert _bits((st.px, st.py, st.vx, st.vy)) == _bits((0.0, 0.0, 0.0, 0.0))
+        assert bits((st.px, st.py, st.vx, st.vy)) == bits((0.0, 0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("field", _PAIR_FIELDS)
     @pytest.mark.parametrize("pair", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])

@@ -1,19 +1,17 @@
 """The shared tilt phase <-> quaternion kernels against the code they replaced.
 
 The controller's ground plane, the estimator's output, the deviation tilt
-and the public conversions in `rotation` each used to carry a private copy
-of the tilt or fused yaw math. The copies are kept below as references.
-Every caller of `rotation.tilt_quat`, `rotation.tilt_of_quat` and
-`rotation.fused_yaw` must reproduce them bit for bit (IEEE bytes, so
--0.0 != 0.0), including signed zeros, subnormal tilts, tilts near and past
-pi, the h < 1e-12 branch and a tilted nominal ground plane. The stated
-exceptions are tested as such:
+and the plant's measured orientation each used to carry a private copy of
+the tilt math. The copies are kept below as references. Every caller of
+`rotation.tilt_quat` and `rotation.tilt_of_quat` must reproduce them bit
+for bit (IEEE bytes, so -0.0 != 0.0), including signed zeros, subnormal
+tilts, tilts near and past pi, the h < 1e-12 branch and a tilted nominal
+ground plane. The stated exceptions are tested as such:
 
 - `quat_from_tilt_phase` may differ in the sign of a zero component;
-- `fused_yaw` is 0 on the whole singular set 0 <= |(w, z)| < 1e-12, as
-  `tilt_phase_from_quat` always was (it used to be 0 only at w = z = 0);
-- `remove_fused_yaw` moves by rounding, and on the singular set by up to
-  |(w, z)|, which the old code dropped;
+- the de-yawed rotation `quat_from_tilt_phase(tilt_of_quat(q))` moves by
+  rounding, and on the singular set by up to |(w, z)|, which the old code
+  dropped;
 - the ground plane tilt P_NS now comes from `deviation_tilt`'s A * B
   product instead of the ground plane's own chain of rotation calls. It
   moves by rounding: within 1e-14 where |P_NS| < 3, and within 1e-9 (the
@@ -29,7 +27,8 @@ import math
 import random
 
 import pytest
-from test_plant import IDLE, _bits
+from reference import TiltPhase3D, bits, remove_fused_yaw, tilt_phase_from_quat
+from test_plant import IDLE
 
 from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import TiltPhaseController
@@ -39,15 +38,10 @@ from tiltphase.filters import smooth_deadband2, soft_coerce2
 from tiltphase.plant import SurrogatePlant
 from tiltphase.rotation import (
     Quat,
-    TiltPhase3D,
-    fused_angles_from_quat,
-    fused_yaw,
     imu_of_motion,
     quat_from_tilt_phase,
     quat_normalize,
-    remove_fused_yaw,
-    tilt_angles_from_quat,
-    tilt_phase_from_quat,
+    tilt_of_quat,
     wrap_pi,
 )
 
@@ -217,16 +211,12 @@ def ref_tilt_phase_from_quat(q):
 
 
 def ref_quat_from_tilt_phase(p):
-    """`quat_from_tilt_phase` with its own alpha and half-angle math."""
-    if len(p) == 2:
-        px, py = p
-        pz = 0.0
-    else:
-        px, py, pz = p
+    """`quat_from_tilt_phase` as it was, with its own alpha and half-angle
+    math; a 2D tilt phase has zero yaw, cos(0) = 1 and sin(0) = 0."""
+    px, py = p
+    cz = 1.0
+    sz = 0.0
     alpha = math.sqrt(px * px + py * py)
-    hz = 0.5 * pz
-    cz = math.cos(hz)
-    sz = math.sin(hz)
     if alpha < 1e-300:
         return quat_normalize((cz, 0.0, 0.0, sz))
     ha = 0.5 * alpha
@@ -235,23 +225,6 @@ def ref_quat_from_tilt_phase(p):
     tx = sa * px
     ty = sa * py
     return quat_normalize((cz * ca, cz * tx - sz * ty, cz * ty + sz * tx, sz * ca))
-
-
-def ref_fused_yaw(q):
-    """`fused_yaw` with the old singular set w = z = 0."""
-    w, _, _, z = q
-    if w == 0.0 and z == 0.0:
-        return 0.0
-    return wrap_pi(2.0 * math.atan2(z, w))
-
-
-def ref_tilt_phase_from_quat_kernel(q):
-    """`tilt_phase_from_quat` with its own copy of the fused yaw."""
-    w, _, _, z = q
-    px, py = ref_tilt2_of_quat(q)
-    if math.sqrt(w * w + z * z) < 1e-12:
-        return TiltPhase3D(px, py, 0.0)
-    return TiltPhase3D(px, py, wrap_pi(2.0 * math.atan2(z, w)))
 
 
 def ref_remove_fused_yaw(q):
@@ -335,7 +308,7 @@ def yaw_norm(q):
 def assert_equal_up_to_zero_sign(got, want, msg):
     assert got == want, msg
     for g, w in zip(got, want):
-        assert _bits(g) == _bits(w) or g == 0.0, msg
+        assert bits(g) == bits(w) or g == 0.0, msg
 
 
 # -- tests ----------------------------------------------------------------------
@@ -352,7 +325,7 @@ class TestBitExactTiltKernels:
             got = deviation_tilt(p_b, p_e, pyn)
             px, py, psi_e, _residual, converged = ref_deviation_tilt(p_b, p_e, pyn)
             # The trailing P_NS is checked in test_swing_ground_plane
-            assert _bits(got[:4]) == _bits((px, py, psi_e, converged)), (p_b, p_e, pyn)
+            assert bits(got[:4]) == bits((px, py, psi_e, converged)), (p_b, p_e, pyn)
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_estimator_tilt_phase(self, seed):
@@ -363,7 +336,7 @@ class TestBitExactTiltKernels:
             # No rotation and a gated-out accelerometer: step reports the
             # tilt phase of q as it stands
             p = est.step((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.01)
-            assert _bits(p) == _bits(ref_tilt2_of_quat(est.q)), est.q
+            assert bits(p) == bits(ref_tilt2_of_quat(est.q)), est.q
 
     @pytest.mark.parametrize("seed", [6, 7])
     @pytest.mark.parametrize("pyn", [0.0, -0.0, 0.12, -0.2])
@@ -383,7 +356,7 @@ class TestBitExactTiltKernels:
             got = ctrl.swing_ground_plane(p_ns)
             want, _ = ref.ref_swing_ground_plane(p_b, p_e)
             if pyn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
-                assert _bits(p_ns) == _bits(want_ns), (p_b, p_e, pyn)
+                assert bits(p_ns) == bits(want_ns), (p_b, p_e, pyn)
             # The planes share the ground plane's mean filter, which holds
             # the rounding of earlier cases
             tol = 1e-14 if math.hypot(*want_ns) < 3.0 else 1e-9
@@ -400,7 +373,7 @@ class TestTiltPhaseFromQuat:
             want = ref_tilt_phase_from_quat(q)
             assert abs(got.px - want.px) <= 1e-14, q
             assert abs(got.py - want.py) <= 1e-14, q
-            assert _bits(got.pz) == _bits(want.pz), q
+            assert bits(got.pz) == bits(want.pz), q
 
 
 class TestRotationCompositions:
@@ -413,40 +386,12 @@ class TestRotationCompositions:
             p = random_tilt(rng)
             assert_equal_up_to_zero_sign(quat_from_tilt_phase(p), ref_quat_from_tilt_phase(p), p)
 
-    def test_quat_from_tilt_phase_3d(self):
-        rng = random.Random(11)
-        special = (0.0, -0.0, 5e-324, math.pi, -math.pi, 3.0 * math.pi)
-        for _ in range(20000):
-            pz = rng.choice(special) if rng.random() < 0.3 else rng.uniform(-10.0, 10.0)
-            p = random_tilt(rng) + (pz,)
-            assert_equal_up_to_zero_sign(quat_from_tilt_phase(p), ref_quat_from_tilt_phase(p), p)
-
-    def test_tilt_phase_from_quat_bytes(self):
+    def test_tilt_of_quat_bytes(self):
         rng = random.Random(12)
         qs = [random_quat_special(rng) for _ in range(10000)]
         qs += [singular_quat(rng) for _ in range(2000)]
         for q in qs:
-            assert _bits(tilt_phase_from_quat(q)) == _bits(ref_tilt_phase_from_quat_kernel(q)), q
-
-    def test_fused_yaw_bytes_off_the_singular_set(self):
-        rng = random.Random(13)
-        qs = [random_quat_special(rng) for _ in range(10000)]
-        qs += [singular_quat(rng) for _ in range(2000)]
-        for q in qs:
-            want = 0.0 if yaw_norm(q) < 1e-12 else ref_fused_yaw(q)
-            assert _bits(fused_yaw(q)) == _bits(want), q
-
-    def test_fused_yaw_is_the_tilt_phase_yaw_on_the_singular_set(self):
-        rng = random.Random(14)
-        qs = [quat_normalize((1e-13, 0.6, 0.8, 1e-13))]
-        qs += [singular_quat(rng) for _ in range(2000)]
-        qs += [random_quat_special(rng) for _ in range(2000)]
-        for q in qs:
-            psi = fused_yaw(q)
-            assert _bits(psi) == _bits(tilt_phase_from_quat(q).pz), q
-            assert _bits(psi) == _bits(tilt_angles_from_quat(q).psi), q
-            assert _bits(psi) == _bits(fused_angles_from_quat(q).psi), q
-        assert fused_yaw(qs[0]) == 0.0
+            assert bits(tilt_of_quat(q)) == bits(ref_tilt2_of_quat(q)), q
 
     def test_remove_fused_yaw(self):
         rng = random.Random(15)

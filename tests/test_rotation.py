@@ -21,6 +21,7 @@ from tiltphase.rotation import (
     quat_mul,
     quat_normalize,
     quat_rotate,
+    tilt_of_quat,
     wrap_pi,
 )
 
@@ -99,6 +100,15 @@ class TestTiltPhaseConversion:
         assert math.atan2(p.py, p.px) == pytest.approx(g)
         assert p.pz == 0.0
 
+    def test_tilt_magnitude_is_alpha(self):
+        # alpha is the angle between the body z-axis and the world z-axis
+        rng = random.Random(7)
+        for _ in range(2000):
+            q = random_quat(rng)
+            R = quat_to_matrix(q)
+            alpha = math.atan2(math.hypot(R[2, 0], R[2, 1]), R[2, 2])
+            assert math.hypot(*tilt_of_quat(q)) == pytest.approx(alpha, abs=1e-10)
+
 
 class TestFusedYaw:
     def test_pure_z(self):
@@ -151,6 +161,53 @@ class TestRemoveFusedYaw:
             assert abs(pt.pz) < 1e-12
             assert pt.px == pytest.approx(pq.px, abs=1e-10)
             assert pt.py == pytest.approx(pq.py, abs=1e-10)
+
+
+class TestFusedAngles:
+    """The 2D tilt phase against the fused angles of the rotation matrix.
+
+    The world z-row of R is (-sin(theta), sin(phi), cos(alpha)) for fused
+    pitch theta, fused roll phi and tilt angle alpha, and the hemisphere is
+    the sign of cos(alpha) (Allgeuer & Behnke, IROS 2015).
+    """
+
+    def test_cross_identities(self):
+        # Fused roll, pitch and hemisphere give back the tilt:
+        # sin(alpha) = |(sin(phi), sin(theta))|, gamma = atan2(sin(theta), sin(phi))
+        rng = random.Random(33)
+        for _ in range(10_000):
+            q = random_quat(rng)
+            R = quat_to_matrix(q)
+            phi = math.asin(R[2, 1])
+            theta = math.asin(-R[2, 0])
+            hemisphere = 1.0 if R[2, 2] >= 0.0 else -1.0
+            sa = math.hypot(math.sin(phi), math.sin(theta))
+            alpha = math.atan2(sa, hemisphere * math.sqrt(max(0.0, 1.0 - sa * sa)))
+            gamma = math.atan2(math.sin(theta), math.sin(phi))
+            px, py = tilt_of_quat(q)
+            assert px == pytest.approx(alpha * math.cos(gamma), abs=1e-9)
+            assert py == pytest.approx(alpha * math.sin(gamma), abs=1e-9)
+
+    def test_hemisphere(self):
+        assert math.cos(math.hypot(*tilt_of_quat(quat_from_tilt_phase((0.3, 0.0))))) > 0.0
+        assert math.cos(math.hypot(*tilt_of_quat(quat_from_tilt_phase((2.5, 0.0))))) < 0.0
+        rng = random.Random(55)
+        for _ in range(1000):
+            q = random_quat(rng)
+            alpha = math.hypot(*tilt_of_quat(q))
+            assert (math.cos(alpha) >= 0.0) == (quat_to_matrix(q)[2, 2] >= 0.0)
+
+    def test_matches_rotation_matrix(self):
+        # sin(alpha) cos(gamma) = sin(phi) = R[2, 1], sin(alpha) sin(gamma) = sin(theta) = -R[2, 0]
+        rng = random.Random(44)
+        for _ in range(500):
+            q = random_quat(rng)
+            px, py = tilt_of_quat(q)
+            alpha = math.hypot(px, py)
+            sinc = math.sin(alpha) / alpha if alpha > 0.0 else 1.0
+            R = quat_to_matrix(q)
+            assert sinc * py == pytest.approx(-R[2, 0], abs=1e-9)
+            assert sinc * px == pytest.approx(R[2, 1], abs=1e-9)
 
 
 class TestTiltVectorAdd:

@@ -119,22 +119,28 @@ def support_indicator(mu: float, double_support_width: float) -> float:
 def directional_gain(v: Tuple[float, float], gain_lat: float, gain_sag: float) -> float:
     """Elliptical interpolation of lateral (x) and sagittal (y) gains along v.
 
-    A zero gain switches its axis off: where the formula divides by zero or
-    overflows, v on an axis gets that axis's gain and any other v the smaller.
+    A zero gain switches its axis off: where a gain is zero or the squares
+    overflow or vanish, v on an axis gets that axis's gain, any other v the smaller.
     """
+    if gain_lat == gain_sag:  # a circle: that gain along any v
+        return gain_lat
     x, y = v
     m2 = x * x + y * y
     if m2 == 0.0:
         return min(gain_lat, gain_sag)
     try:
-        s = (x / gain_lat) ** 2 + (y / gain_sag) ** 2
-        return math.sqrt(m2 / s)
-    except (ZeroDivisionError, OverflowError):
-        if x == 0.0:
-            return gain_sag
-        if y == 0.0:
-            return gain_lat
-        return min(gain_lat, gain_sag)
+        qx = x / gain_lat
+        qy = y / gain_sag
+        r2 = m2 / (qx * qx + qy * qy)
+    except ZeroDivisionError:  # a zero gain, or both squares vanish
+        r2 = 0.0
+    if r2 != 0.0:  # 0.0 also where the squares overflow to inf
+        return math.sqrt(r2)
+    if x == 0.0:
+        return gain_sag
+    if y == 0.0:
+        return gain_lat
+    return min(gain_lat, gain_sag)
 
 
 def timing_law(
@@ -396,26 +402,10 @@ class TiltPhaseController:
 
         self.mu = gait_phase_step(mu, f_g, dt)
 
-        # Fields in declaration order, see _new_tuple.
+        # Every field in declaration order (see _new_tuple): the nine actions,
+        # then mu, the body, expected and deviation tilts and the diagnostics
         return _new_tuple(ActivationSet, (
-            arm,  # arm_tilt
-            foot,  # support_foot_tilt
-            cft,  # continuous_foot_tilt
-            hip,  # hip_shift
-            h_max,  # max_hip_height
-            lean,  # lean_tilt
-            swing_out,  # swing_out_tilt
-            plane,  # swing_ground_plane
-            f_g,  # gait_frequency
-            mu,  # mu
-            (p_b[0], p_b[1]),  # body_tilt
-            (p_e[0], p_e[1]),  # expected_tilt
-            p_d,  # deviation
-            pd_mean,  # deviation_mean
-            e_l,  # crossing_energy_left
-            e_r,  # crossing_energy_right
-            instability,  # instability
-            s_d,  # deviation_speed
-            flags,  # flags
+            arm, foot, cft, hip, h_max, lean, swing_out, plane, f_g,
+            mu, (p_b[0], p_b[1]), (p_e[0], p_e[1]), p_d, pd_mean, e_l, e_r, instability, s_d, flags,
         ))
 

@@ -9,23 +9,20 @@ hard coercion (``hard_coerce2``), smooth deadband (``smooth_deadband_1d``,
 Only the shapes the controller builds are here: two-axis ellipses given by
 their semi-axes (a0, a1), a 2D bounded integrator, 2D mean filters and WLBF
 filters of dim 1 or 2. A WLBF whose window lies on the control grid
-(`on_grid`) takes its slope and mean as dot products with weights fixed per
-window size and cycle_dt; other windows take the direct moment sums.
+(`on_grid`) fits from running moments of its values, O(1) per step; other
+windows take the direct moment sums over the times.
 
-Such a grid fit reads only the values, so when a full window on the grid
-and the window before it hold one value, bit for bit (sign of zero
-included), the fit is the one before and the WLBF returns it unsummed. That
-depends on a held input: the leaning WLBF sees the commanded vx, which a
-gait command schedule holds between its entries (about 95% of walk_push's
-cycles and all but the first few of a replay or push trial). Deviation and
-tilt inputs move every cycle and pay one comparison. The low pass takes its
-coefficient again only when dt changes, and the mean filter keeps its two
-running sums in float slots, added and subtracted in the same order.
+A WLBF whose window and the window before it hold one value, bit for bit,
+returns its previous grid fit: the leaning WLBF sees the commanded vx, held
+for about 95% of walk_push's cycles.
 
 The elliptical operations act radially: the direction of the input is
 preserved exactly and only the magnitude is reshaped against the directional
-radius of the bounding/deadband ellipse. This keeps the radial limit tight
-between the principal axes, unlike independent per-axis limits.
+radius of the bounding/deadband ellipse, which keeps the radial limit tight
+between the principal axes; a circle's radius is its semi-axis. They square
+x / a by multiplication, which rounds once (libm `pow` may not), and take
+their fallback for squares that overflow or vanish on an explicit inf or
+0.0 test.
 """
 
 from __future__ import annotations
@@ -35,6 +32,8 @@ from collections import deque
 from math import copysign
 from typing import Sequence, Tuple
 
+_INF = math.inf
+
 
 def _scaled_radius(x0: float, x1: float, a0: float, a1: float) -> float:
     """Directional radius of the (a0, a1) ellipse along (x0, x1), for inputs
@@ -43,7 +42,7 @@ def _scaled_radius(x0: float, x1: float, a0: float, a1: float) -> float:
     """
     u = max(abs(x0), abs(x1))
     if u == 0.0:
-        return math.inf
+        return _INF
     y0 = x0 / u
     y1 = x1 / u
     return math.hypot(y0, y1) / math.hypot(y0 / a0, y1 / a1)
@@ -70,13 +69,13 @@ def soft_coerce_1d(x: float, limit: float, b: float) -> float:
 def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[float, float]:
     """Soft-coerce (x0, x1) radially to the ellipse with semi-axes (a0, a1),
     with soft buffer b: the direction is kept up to rounding, and a saturated
-    output satisfies (y0/a0)**2 + (y1/a1)**2 <= 1 as computed. Requires
-    0 < b < min(a0, a1).
+    output satisfies (y0/a0)*(y0/a0) + (y1/a1)*(y1/a1) <= 1 as computed.
+    Requires 0 < b < min(a0, a1).
     """
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
-    if m2 == math.inf:
+    if m2 == _INF:
         # The squared norm overflows: the magnitude comes from x scaled by
         # its larger component, so the output saturates along the input ray
         u = max(abs(x0), abs(x1))
@@ -86,10 +85,14 @@ def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[
         k = soft_coerce_mag(m * u, _scaled_radius(x0, x1, a0, a1), b) / m
         return _step_inside(k * x0, k * x1, a0, a1)
     m = math.sqrt(m2)
-    try:
-        r = math.sqrt(m2 / ((x0 / a0) ** 2 + (x1 / a1) ** 2))
-    except (OverflowError, ZeroDivisionError):
-        r = _scaled_radius(x0, x1, a0, a1)
+    r = a0  # a circle's radius along any x
+    if a0 != a1:
+        q0 = x0 / a0
+        q1 = x1 / a1
+        # Squares that overflow (inf) or both vanish (0.0, taken as inf) give 0.0
+        r = math.sqrt(m2 / (q0 * q0 + q1 * q1 or _INF))
+        if r == 0.0:
+            r = _scaled_radius(x0, x1, a0, a1)
     s = soft_coerce_mag(m, r, b)
     if s == m:
         return (x0, x1)
@@ -99,9 +102,8 @@ def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[
 
 def _step_inside(y0: float, y1: float, a0: float, a1: float) -> Tuple[float, float]:
     """(y0, y1), a radially clamped point, stepped toward 0 one ulp at a time
-    while (y0/a0)**2 + (y1/a1)**2 > 1: rounding in the radius and the products
-    can leave it a few ulps outside the ellipse."""
-    while (y0 / a0) ** 2 + (y1 / a1) ** 2 > 1.0:
+    while outside the ellipse, where rounding can leave it by a few ulps."""
+    while (y0 / a0) * (y0 / a0) + (y1 / a1) * (y1 / a1) > 1.0:
         y0 = math.nextafter(y0, 0.0)
         y1 = math.nextafter(y1, 0.0)
     return (y0, y1)
@@ -112,9 +114,8 @@ def hard_coerce2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float, flo
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
-    try:
-        s = (x0 / a0) ** 2 + (x1 / a1) ** 2
-    except (OverflowError, ZeroDivisionError):
+    s = (x0 / a0) * (x0 / a0) + (x1 / a1) * (x1 / a1)
+    if s == _INF:
         # Far outside an ellipse with a tiny semi-axis: clamp to the radius along x
         k = _scaled_radius(x0, x1, a0, a1) / math.hypot(x0, x1)
         return _step_inside(k * x0, k * x1, a0, a1)
@@ -145,10 +146,14 @@ def smooth_deadband2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float,
     if m2 == 0.0:
         return (0.0, 0.0)
     m = math.sqrt(m2)
-    try:
-        r = math.sqrt(m2 / ((x0 / a0) ** 2 + (x1 / a1) ** 2))
-    except (OverflowError, ZeroDivisionError):
-        r = _scaled_radius(x0, x1, a0, a1)
+    r = a0  # a circle's radius along any x
+    if a0 != a1:
+        q0 = x0 / a0
+        q1 = x1 / a1
+        # Squares that overflow (inf) or both vanish (0.0, taken as inf) give 0.0
+        r = math.sqrt(m2 / (q0 * q0 + q1 * q1 or _INF))
+        if r == 0.0:
+            r = _scaled_radius(x0, x1, a0, a1)
     k = smooth_deadband_mag(m, r) / m
     return (k * x0, k * x1)
 
@@ -222,23 +227,6 @@ def on_grid(gap: float, cycle_dt: float) -> bool:
 _NO_SAMPLE = (math.nan, math.nan, math.nan)
 
 
-def _grid_weights(n: int, cycle_dt: float):
-    """(slope weights, mean weights, tbar) of a WLBF over n samples cycle_dt
-    apart, oldest first, with the newest at time 0.
-
-    The sample of age j (newest 0) has weight n - j and time -j * cycle_dt,
-    so the weighted mean time is tbar = -(n - 1) * cycle_dt / 3 and the
-    slope weight is w * (tau - tbar) / cov_tt. Written over the integer
-    moments of (3j - (n - 1)), each slope weight is rounded twice and each
-    mean weight once.
-    """
-    ages = range(n - 1, -1, -1)
-    c9 = sum((n - j) * (3 * j - (n - 1)) ** 2 for j in ages)
-    slope = tuple(-3 * (n - j) * (3 * j - (n - 1)) / c9 / cycle_dt if c9 else 0.0 for j in ages)
-    mean = tuple(2 * (n - j) / (n * (n + 1)) for j in ages)
-    return slope, mean, -(n - 1) * cycle_dt / 3
-
-
 class WlbfFilter:
     """Weighted line of best fit over a sliding time buffer of 1D or 2D samples.
 
@@ -251,24 +239,26 @@ class WlbfFilter:
     With fewer than 2 samples the slope is 0 and the value is the latest
     sample. Buffer times must be strictly increasing.
 
-    Given the nominal `cycle_dt`, a full window whose every gap is on the
-    control grid (`on_grid`) takes the slope and the mean as dot products of
-    the values with weights fixed per capacity and cycle_dt: the times enter
-    only as their nominal grid. Warm-up, and the capacity - 1 steps whose
-    window holds an off-grid gap, take the direct moment sums over the
-    actual times. A grid step whose window and the previous window hold one
-    value returns the previous grid fit (module docstring).
+    A full window of values x_1 (oldest) .. x_n whose gaps are all on the
+    control grid (`on_grid`) fits from T0 = sum x_k, T1 = sum k x_k and
+    T2 = sum k^2 x_k: slope (9 T2 - 3 (2n + 1) T1) / (c9 cycle_dt), with
+    c9 = sum k (2n + 1 - 3k)^2, and mean T1 / (n (n + 1) / 2) at the time
+    -(n - 1) cycle_dt / 3 (newest at 0). A grid step updates the moments in
+    O(1); summing them afresh every n grid steps, after a direct step or a
+    held-window return and when the window first holds one value bounds
+    their drift and keeps it out of held fits. Warm-up, an off-grid gap in
+    the window and moments or a fit that overflow take the direct sums over
+    the actual times. A window holding the previous one's value returns the
+    previous fit.
     """
 
-    __slots__ = ("dim", "capacity", "_buf", "_dt", "_tol", "_direct", "_slope_w", "_mean_w",
-                 "_tbar", "_run", "_fit")
+    __slots__ = ("dim", "capacity", "_buf", "_dt", "_tol", "_direct", "_grid", "_mom", "_left",
+                 "_run", "_fit")
 
     def __init__(self, dim: int, capacity: int, cycle_dt: float):
-        if dim not in (1, 2) or capacity < 1 or not 0.0 < cycle_dt < math.inf:
-            raise ValueError(
-                f"WlbfFilter needs dim 1 or 2, capacity >= 1 and a positive finite "
-                f"cycle_dt, got {dim}, {capacity}, {cycle_dt}"
-            )
+        if dim not in (1, 2) or capacity < 1 or not 0.0 < cycle_dt < _INF:
+            raise ValueError(f"WlbfFilter needs dim 1 or 2, capacity >= 1 and a positive finite "
+                             f"cycle_dt, got {dim}, {capacity}, {cycle_dt}")
         self.dim = dim
         self.capacity = capacity
         self._buf = deque(maxlen=capacity)
@@ -276,7 +266,13 @@ class WlbfFilter:
         self._direct = capacity - 1
         self._dt = cycle_dt
         self._tol = GRID_TOL * cycle_dt
-        self._slope_w, self._mean_w, self._tbar = _grid_weights(capacity, cycle_dt)
+        # n, n^2, 3 (2n + 1), c9 cycle_dt (no slope at n = 1), n (n + 1) / 2, mean
+        # time; (T0, T1, T2) per axis, and the grid steps before the next re-sum
+        n = capacity
+        c9 = sum(k * (2 * n + 1 - 3 * k) ** 2 for k in range(1, n + 1))
+        self._grid = (float(n), float(n * n), float(6 * n + 3), c9 * cycle_dt if c9 else _INF,
+                      n * (n + 1) / 2, -(n - 1) * cycle_dt / 3)
+        self._mom, self._left = (), 0
         # The last _run + 1 samples hold one value, bit for bit; _fit is the
         # previous step's fit on the grid, None after a direct step
         self._run = 0
@@ -297,6 +293,7 @@ class WlbfFilter:
                 raise ValueError(f"non-increasing time {t} (last was {last})")
             if not abs(t0 - last - self._dt) <= self._tol:  # on_grid, inline
                 self._direct = self.capacity - 1
+            out = buf[0]  # evicted below once the window is full
         else:
             prev = _NO_SAMPLE
         # A value repeats when it is the previous one bit for bit: the same
@@ -305,47 +302,71 @@ class WlbfFilter:
         p0 = prev[1]
         same = x0 is p0 or x0 == p0 and copysign(1.0, x0) == copysign(1.0, p0)
         if dim == 1:
-            latest = (x0,)
+            rec = (t0, x0)
         else:
             x1 = float(x[1])
-            latest = (x0, x1)
+            rec = (t0, x0, x1)
             if same:
                 p1 = prev[2]
                 same = x1 is p1 or x1 == p1 and copysign(1.0, x1) == copysign(1.0, p1)
-        self._run = self._run + 1 if same else 0
-        buf.append((t0,) + latest)
+        run = self._run = self._run + 1 if same else 0
+        buf.append(rec)
 
-        if not self._direct:
-            if self._run >= self.capacity and self._fit is not None:
-                # This window and the previous one hold one value: the fit
-                # on the grid, which reads only the values, is the same
-                return self._fit
-            ws = self._slope_w
-            wm = self._mean_w
-            tbar = self._tbar
-            i = 0
+        if self._direct:
+            self._direct -= 1
+        elif run >= self.capacity and self._fit is not None:
+            # This window and the previous one hold one value: the fit on
+            # the grid, which reads only the values, is the same
+            self._left = 0
+            return self._fit
+        else:
+            n, n2, k3, c9dt, sw, tbar = self._grid
+            left = self._left
+            if left and run < self.capacity - 1:
+                # Each k falls by one, x_1 leaves and x enters as x_n
+                left -= 1
+                u0, u1, u2, w0, w1, w2 = self._mom
+                u2 = u2 - 2.0 * u1 + u0 + n2 * x0
+                u1 = u1 - u0 + n * x0
+                u0 = u0 - out[1] + x0
+                if dim == 2:
+                    w2 = w2 - 2.0 * w1 + w0 + n2 * x1
+                    w1 = w1 - w0 + n * x1
+                    w0 = w0 - out[2] + x1
+            else:
+                left = self.capacity - 1
+                u0 = u1 = u2 = w0 = w1 = w2 = k = 0.0
+                if dim == 1:
+                    for _, v0 in buf:
+                        k += 1.0
+                        u0, u1, u2 = u0 + v0, u1 + k * v0, u2 + k * k * v0
+                else:
+                    for _, v0, v1 in buf:
+                        k += 1.0
+                        kk = k * k
+                        u0, u1, u2 = u0 + v0, u1 + k * v0, u2 + kk * v0
+                        w0, w1, w2 = w0 + v1, w1 + k * v1, w2 + kk * v1
+            s0 = (9.0 * u2 - k3 * u1) / c9dt
+            xb0 = u1 / sw
+            v0 = xb0 - s0 * tbar
+            check = u0 + u2 + s0 + v0
             if dim == 1:
-                s0 = xb0 = 0.0
-                for _, x0 in buf:
-                    s0 += ws[i] * x0
-                    xb0 += wm[i] * x0
-                    i += 1
-                fit = self._fit = (xb0 - s0 * tbar,), (s0,), (xb0,)
+                fit = (v0,), (s0,), (xb0,)
+            else:
+                s1 = (9.0 * w2 - k3 * w1) / c9dt
+                xb1 = w1 / sw
+                v1 = xb1 - s1 * tbar
+                check += w0 + w2 + s1 + v1
+                fit = (v0, v1), (s0, s1), (xb0, xb1)
+            # A finite sum: no moment, slope or value overflows (T1 is finite
+            # with the mean, the mean with the value); else the direct sums
+            if check - check == 0.0:
+                self._mom, self._left, self._fit = (u0, u1, u2, w0, w1, w2), left, fit
                 return fit
-            s0 = s1 = xb0 = xb1 = 0.0
-            for _, x0, x1 in buf:
-                a = ws[i]
-                b = wm[i]
-                s0 += a * x0
-                s1 += a * x1
-                xb0 += b * x0
-                xb1 += b * x1
-                i += 1
-            fit = self._fit = (xb0 - s0 * tbar, xb1 - s1 * tbar), (s0, s1), (xb0, xb1)
-            return fit
-        self._direct -= 1
+        self._left = 0
         self._fit = None
 
+        latest = rec[1:]
         n = len(buf)
         if n < 2:
             return latest, (0.0,) * dim, latest

@@ -22,39 +22,32 @@ plant, and a plant step costs less than half of what it costs at 1 ms.
 
 The RK4 substep loop in `SurrogatePlant.step` is inlined over local floats,
 with everything that is constant over a control cycle (``c2``, the pivot
-offsets ``eq_x``/``eq_y``, the eight coupling products, the external force,
-``h/2`` and ``h/6``) computed once before it. Traces must stay bit-identical
-to the plain per-stage RK4 that tests keep as a reference, so the operation
-order is fixed: each hoisted value keeps its original expression, each
-acceleration is the left-to-right chain
-``c2*sin(p - eq) - foot - arm - plane - swing_out + f``, and each update is
-``p + h6*(k1 + 2*k2 + 2*k3 + k4)``. Never reassociate or pre-sum terms.
-The factor is written ``2.0``: the int 2 converts to exactly 2.0, so the
-product is the same, and a float-by-float multiply skips the mixed-type
-conversion (about 9% of a moving plant step).
+offsets ``eq_x``/``eq_y``, one forcing term per axis, ``h/2`` and ``h/6``)
+computed once before it. The forcing term is the left-to-right chain
+``u = -foot - arm - plane - swing_out + f`` of the coupling products and the
+external force, each acceleration is ``c2*sin(p - eq) + u`` and each update
+is ``p + h6*(k1 + 2*k2 + 2*k3 + k4)``. The plain per-stage RK4 that tests
+keep as a reference associates the same way, bit for bit; another order
+moves traces and so belongs in a declared trace epoch. The factor ``2.0``
+gives the product of the int 2 without a mixed-type conversion.
 
 Rest rule: the loop is skipped when ``px``, ``py``, ``vx``, ``vy``, ``eq_x``,
-``eq_y``, the eight coupling products, ``fx`` and ``fy`` all compare
-``== 0.0`` (either sign of zero) and ``c2`` is finite, and the four state
-values are set to +0.0, which is what the loop yields bit for bit. ``fx``
-and ``fy`` are sums that start at +0.0, so when they equal zero they are
-+0.0. Every ``p - eq`` is then a signed zero, ``c2 * sin`` of it too, and
-each acceleration chain ends in ``+ fx``, so every acceleration is +0.0.
+``eq_y`` and the forcing terms ``ux`` and ``uy`` all compare ``== 0.0``
+(either sign of zero) and ``c2`` is finite, and the four state values are
+set to +0.0, which is what the loop yields bit for bit. ``fx`` is a sum that
+starts at +0.0, so it is never -0.0, and neither is ``ux``, which ends in
+``+ fx``: a zero forcing term is +0.0. Every ``p - eq`` is then a signed
+zero, ``c2 * sin`` of it too, and every acceleration ``+ ux`` is +0.0.
 Every velocity update adds ``h*(+0.0)`` and every position update adds
 ``h6*(+0.0 sum)``, which also turns a -0.0 state into +0.0. A finite ``c2``
 is needed because ``inf * 0.0`` is nan. Walking in place before a push starts
 exactly at rest; since the harness replays that walk from its quiet-prefix
 memo, the skip covers about 6% of the push battery's plant steps.
 
-Disturbances act through a per-run `DisturbanceSchedule`, built the first
-time a step sees a disturbance list. Impulses are sorted by start time and
-consumed by a cursor; force and bias windows open and close by start and
-end time, and their sums are taken again, in list order, only when the set
-of active windows changes. Between those events a step reads two stored
-sums, so its cost does not depend on the length of the list. The IMU sample
-takes two rotation.py calls: ``quat_from_tilt_phase`` for the measured
-orientation and the fused ``imu_of_motion`` kernel for the gyro and
-accelerometer values.
+Disturbances act through a per-run `DisturbanceSchedule`, so a step's cost
+does not depend on the length of the list. The IMU sample takes two
+rotation.py calls: ``quat_from_tilt_phase`` for the measured orientation and
+the fused ``imu_of_motion`` kernel for the gyro and accelerometer values.
 """
 
 from __future__ import annotations
@@ -365,22 +358,18 @@ class SurrogatePlant:
                 + cfg.couple_hip * act.hip_shift[1]
                 + cfg.couple_lean * act.lean_tilt[1]
             )
-            foot_x = cfg.couple_foot * act.support_foot_tilt[0]
-            foot_y = cfg.couple_foot * act.support_foot_tilt[1]
-            arm_x = cfg.couple_arm * act.arm_tilt[0]
-            arm_y = cfg.couple_arm * act.arm_tilt[1]
-            plane_x = cfg.couple_plane * act.swing_ground_plane[0]
-            plane_y = cfg.couple_plane * act.swing_ground_plane[1]
-            so_x = cfg.couple_swing_out * act.swing_out_tilt[0]
-            so_y = cfg.couple_swing_out * act.swing_out_tilt[1]
+            # The forcing term u = -foot - arm - plane - swing_out + f per axis
+            foot, arm = cfg.couple_foot, cfg.couple_arm
+            plane, so = cfg.couple_plane, cfg.couple_swing_out
+            ux = (-(foot * act.support_foot_tilt[0]) - arm * act.arm_tilt[0]
+                  - plane * act.swing_ground_plane[0] - so * act.swing_out_tilt[0] + fx)
+            uy = (-(foot * act.support_foot_tilt[1]) - arm * act.arm_tilt[1]
+                  - plane * act.swing_ground_plane[1] - so * act.swing_out_tilt[1] + fy)
 
             px, py, vx, vy = st.px, st.py, st.vx, st.vy
             if (
                 px == 0.0 and py == 0.0 and vx == 0.0 and vy == 0.0
-                and eq_x == 0.0 and eq_y == 0.0
-                and foot_x == 0.0 and foot_y == 0.0 and arm_x == 0.0 and arm_y == 0.0
-                and plane_x == 0.0 and plane_y == 0.0 and so_x == 0.0 and so_y == 0.0
-                and fx == 0.0 and fy == 0.0 and c2 < _INF
+                and eq_x == 0.0 and eq_y == 0.0 and ux == 0.0 and uy == 0.0 and c2 < _INF
             ):
                 # Exactly at rest: the substep loop would yield +0.0 for all
                 # four (module docstring)
@@ -390,26 +379,26 @@ class SurrogatePlant:
                 # docstring for why every expression keeps its exact form.
                 sin = math.sin
                 for _ in range(n_sub):
-                    ax1 = c2 * sin(px - eq_x) - foot_x - arm_x - plane_x - so_x + fx
-                    ay1 = c2 * sin(py - eq_y) - foot_y - arm_y - plane_y - so_y + fy
+                    ax1 = c2 * sin(px - eq_x) + ux
+                    ay1 = c2 * sin(py - eq_y) + uy
                     px2 = px + hh * vx
                     py2 = py + hh * vy
                     vx2 = vx + hh * ax1
                     vy2 = vy + hh * ay1
-                    ax2 = c2 * sin(px2 - eq_x) - foot_x - arm_x - plane_x - so_x + fx
-                    ay2 = c2 * sin(py2 - eq_y) - foot_y - arm_y - plane_y - so_y + fy
+                    ax2 = c2 * sin(px2 - eq_x) + ux
+                    ay2 = c2 * sin(py2 - eq_y) + uy
                     px3 = px + hh * vx2
                     py3 = py + hh * vy2
                     vx3 = vx + hh * ax2
                     vy3 = vy + hh * ay2
-                    ax3 = c2 * sin(px3 - eq_x) - foot_x - arm_x - plane_x - so_x + fx
-                    ay3 = c2 * sin(py3 - eq_y) - foot_y - arm_y - plane_y - so_y + fy
+                    ax3 = c2 * sin(px3 - eq_x) + ux
+                    ay3 = c2 * sin(py3 - eq_y) + uy
                     px4 = px + h * vx3
                     py4 = py + h * vy3
                     vx4 = vx + h * ax3
                     vy4 = vy + h * ay3
-                    ax4 = c2 * sin(px4 - eq_x) - foot_x - arm_x - plane_x - so_x + fx
-                    ay4 = c2 * sin(py4 - eq_y) - foot_y - arm_y - plane_y - so_y + fy
+                    ax4 = c2 * sin(px4 - eq_x) + ux
+                    ay4 = c2 * sin(py4 - eq_y) + uy
                     px = px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4)
                     py = py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4)
                     vx = vx + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)

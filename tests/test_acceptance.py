@@ -120,9 +120,9 @@ def test_coercion_and_deadband_geometry():
         x = (rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0))
         b = rng.uniform(0.01, 0.9 * min(a))
         y = soft_coerce2(*x, *a, b)
-        assert (y[0] / a[0]) ** 2 + (y[1] / a[1]) ** 2 <= 1.0
+        assert (y[0] / a[0]) * (y[0] / a[0]) + (y[1] / a[1]) * (y[1] / a[1]) <= 1.0
         y = hard_coerce2(*x, *a)
-        assert (y[0] / a[0]) ** 2 + (y[1] / a[1]) ** 2 <= 1.0 + 1e-9
+        assert (y[0] / a[0]) * (y[0] / a[0]) + (y[1] / a[1]) * (y[1] / a[1]) <= 1.0 + 1e-9
         d = smooth_deadband2(*x, *a)
         assert math.hypot(*d) <= math.hypot(*x) + 1e-12
         # Off-axis directional radius (the length of a far input clamped onto

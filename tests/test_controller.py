@@ -3,9 +3,14 @@ import random
 
 import pytest
 from reference import pendulum_invariant
-from test_filters import generic_smooth_deadband_ellip, generic_soft_coerce_ellip
+from test_filters import (
+    BOUNDARY_Q,
+    BOUNDARY_Y,
+    generic_smooth_deadband_ellip,
+    generic_soft_coerce_ellip,
+)
 
-from tiltphase.config import ControllerConfig
+from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import (
     ActivationSet,
     GaitCommand,
@@ -16,6 +21,7 @@ from tiltphase.controller import (
     timing_law,
 )
 from tiltphase.estimator import ImuSample
+from tiltphase.harness import Scenario, run_closed_loop
 from tiltphase.rotation import quat_conj, quat_from_tilt_phase, quat_mul, quat_rotate
 
 G = 9.81
@@ -161,6 +167,16 @@ class TestDirectionalGain:
         assert directional_gain((0.3, 0.0), 2.0, 0.0) == 2.0
         assert directional_gain((0.3, 0.1), 2.0, 0.0) == 0.0
 
+    def test_exact_square_on_the_boundary(self):
+        # (v / gain) squared by products sums to 1.0, so the gain is |v|
+        v = (BOUNDARY_Q, 0.5 * BOUNDARY_Y)
+        assert directional_gain(v, 1.0, 0.5) == math.sqrt(v[0] * v[0] + v[1] * v[1])
+
+    @pytest.mark.parametrize("v", [(0.013, 0.021), (1.1, -0.3), (0.7, 0.7)])
+    def test_equal_gains_give_that_gain(self, v):
+        # Along these v the ellipse formula rounds 0.15 off by an ulp
+        assert directional_gain(v, 0.15, 0.15) == 0.15
+
     def test_tiny_gain_does_not_overflow(self):
         assert directional_gain((0.3, 0.0), 1e-300, 0.5) == 1e-300
         assert directional_gain((0.0, 0.3), 1e-300, 0.5) == 0.5
@@ -226,7 +242,7 @@ class TestControllerStep:
             cmd = GaitCommand(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
             act = ctrl.step(ImuSample(k * dt, gyro, accel), cmd, dt)
             def inside(v, ax, ay):
-                return (v[0] / ax) ** 2 + (v[1] / ay) ** 2 <= 1.0 + 1e-9
+                return (v[0] / ax) * (v[0] / ax) + (v[1] / ay) * (v[1] / ay) <= 1.0 + 1e-9
             assert inside(act.arm_tilt, cfg.arm_limit_x, cfg.arm_limit_y)
             assert inside(act.support_foot_tilt, cfg.foot_limit_x, cfg.foot_limit_y)
             assert inside(act.swing_out_tilt, cfg.so_limit_x, cfg.so_limit_y)
@@ -373,6 +389,17 @@ class TestLeaning:
             act = ctrl.step(imu, GaitCommand(vx=1.0), dt)
         assert act.lean_tilt[0] == 0.0
         assert act.lean_tilt[1] == pytest.approx(cfg.lean_gain_vx * 1.0, abs=1e-6)
+
+    def test_huge_command_stays_finite(self):
+        # A commanded vx of 1e306 or 5e305 is finite, so the scenario takes
+        # it, but the leaning WLBF's moments overflow: those steps take the
+        # direct sums, and every record stays finite
+        commands = [(0.0, GaitCommand(1e306)), (1.0, GaitCommand(5e305)), (1.5, GaitCommand(0.2))]
+        result = run_closed_loop(
+            ControllerConfig(), PlantConfig(), Scenario(duration=2.0, commands=commands))
+        assert len(result.records) == 200
+        for rec in result.records:
+            assert all(map(math.isfinite, rec[:-1])), rec[0]
 
     def test_velocity_step_transient_exceeds_steady_state(self):
         cfg = ControllerConfig()

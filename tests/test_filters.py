@@ -1,6 +1,7 @@
 import math
 import random
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tiltphase.filters import (
     GRID_TOL,
     WlbfFilter,
     _scaled_radius,
+    _step_inside,
     coerced_interp,
     hard_coerce2,
     on_grid,
@@ -29,15 +31,21 @@ from tiltphase.filters import (
 
 
 # The generic n-dim paths that filters.py used to carry beside its 2D and
-# scalar paths, kept verbatim as references for the paths that replaced them.
+# scalar paths, kept as references for the paths that replaced them. They
+# square x / a by multiplication, as the kernels do, so that each square is
+# correctly rounded (`** 2` goes through libm `pow`), and take a circle's
+# radius as its semi-axis.
 
 
 def generic_radius_along(x, semi_axes):
+    if len(set(semi_axes)) == 1:
+        return semi_axes[0]
     m2 = 0.0
     s = 0.0
     for xi, ai in zip(x, semi_axes):
         m2 += xi * xi
-        s += (xi / ai) ** 2
+        q = xi / ai
+        s += q * q
     if s <= 0.0:
         # Both squares underflow: scale x by its largest component first
         u = max(abs(xi) for xi in x)
@@ -58,7 +66,7 @@ def generic_soft_coerce_ellip(x, semi_axes, b):
         return tuple(x)
     k = s / m
     y = [k * xi for xi in x]
-    while sum((yi / ai) ** 2 for yi, ai in zip(y, semi_axes)) > 1.0:
+    while sum((yi / ai) * (yi / ai) for yi, ai in zip(y, semi_axes)) > 1.0:
         y = [math.nextafter(yi, 0.0) for yi in y]
     return tuple(y)
 
@@ -116,13 +124,16 @@ class ReferenceIntegrator:
 
 
 def ref_hard_coerce_ellip(x, semi_axes):
-    """hard_coerce_ellip as it was before the scalar kernel was split out."""
+    """hard_coerce_ellip as it was before the scalar kernel was split out,
+    squaring by multiplication as the kernel does."""
     x0, x1 = x
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
     a0, a1 = semi_axes
-    s = (x0 / a0) ** 2 + (x1 / a1) ** 2
+    q0 = x0 / a0
+    q1 = x1 / a1
+    s = q0 * q0 + q1 * q1
     if s <= 1.0:
         return (x0, x1)
     k = 1.0 / math.sqrt(s)
@@ -202,6 +213,46 @@ class TestEllipsoid:
         # x / a is subnormal or underflows to 0; scaling x first keeps the digits
         assert _scaled_radius(x0, 0.0, 10.0, 1.0) == pytest.approx(want, rel=1e-15)
         assert _scaled_radius(0.0, x0, 1.0, 10.0) == pytest.approx(want, rel=1e-15)
+
+
+# A point on the unit circle as the kernels compute it: Q * Q + Y * Y is 1.0
+# with products, and 1 + 2**-52 with Q ** 2 where libm `pow` rounds it up
+BOUNDARY_Q = float.fromhex("0x1.97239c4p-1")
+BOUNDARY_Y = float.fromhex("0x1.3674402d7e45cp-1")
+
+
+class TestExactSquares:
+    """The kernels square x / a by multiplication, which rounds once; libm
+    `pow`, behind `** 2`, may round up, which moves a point on the boundary."""
+
+    def test_product_is_the_rounded_square(self):
+        q = BOUNDARY_Q
+        assert (q * q).hex() == "0x1.43c11fe3cc6f0p-1" == float(Fraction(q) ** 2).hex()
+        # glibc's pow gives 0x1.43c11fe3cc6f1p-1, one ulp above
+        assert (q ** 2).hex() in ("0x1.43c11fe3cc6f0p-1", "0x1.43c11fe3cc6f1p-1")
+
+    def test_kernels_on_the_boundary(self):
+        # (q, y / 2) on the ellipse with semi-axes (1, 1/2): y / 2 / (1/2) is
+        # y exactly, so the squares sum to 1.0 and the directional radius is
+        # exactly the norm m
+        q, y = BOUNDARY_Q, 0.5 * BOUNDARY_Y
+        assert (q / 1.0) * (q / 1.0) + (y / 0.5) * (y / 0.5) == 1.0
+        assert hard_coerce2(q, y, 1.0, 0.5) == (q, y)
+        assert _step_inside(q, y, 1.0, 0.5) == (q, y)
+        m = math.sqrt(q * q + y * y)
+        k = soft_coerce_mag(m, m, 0.2) / m
+        assert soft_coerce2(q, y, 1.0, 0.5, 0.2) == (k * q, k * y)
+        k = smooth_deadband_mag(m, m) / m
+        assert smooth_deadband2(q, y, 1.0, 0.5) == (k * q, k * y)
+
+    @pytest.mark.parametrize("x", [(0.013, 0.021), (1.1, -0.3), (0.7, 0.7)])
+    def test_circle_radius_is_its_semi_axis(self, x):
+        # Along these x the ellipse formula rounds a circle's radius off 0.02
+        m = math.hypot(*x)
+        k = smooth_deadband_mag(m, 0.02) / m
+        assert smooth_deadband2(*x, 0.02, 0.02) == (k * x[0], k * x[1])
+        k = soft_coerce_mag(m, 0.02, 0.005) / m
+        assert soft_coerce2(*x, 0.02, 0.02, 0.005) == _step_inside(k * x[0], k * x[1], 0.02, 0.02)
 
 
 class TestSoftCoerce:
@@ -484,30 +535,22 @@ class TestWlbf:
 
 
 class TestWlbfGrid:
-    """The fixed-weight path on the control grid, and the direct sums it
-    falls back to. A twin filter whose mean weights are nan tells the paths
-    apart: its output is nan exactly where the grid path ran."""
+    """The running-moment path on the control grid, and the direct sums it
+    falls back to. A filter keeps its fit (`_fit`) exactly after a step on
+    the grid path, which tells the paths apart."""
 
     DT = 0.01
 
-    @staticmethod
-    def twins(dim, cap, dt):
-        f = WlbfFilter(dim, cap, dt)
-        probe = WlbfFilter(dim, cap, dt)
-        probe._mean_w = (math.nan,) * cap
-        return f, probe
-
     def run(self, dim, cap, times, dt=DT, seed=3):
-        """Step twin filters over times; (output, took the grid path, window) per step."""
+        """Step a filter over times; (output, took the grid path, window) per step."""
         rng = random.Random(seed)
-        f, probe = self.twins(dim, cap, dt)
+        f = WlbfFilter(dim, cap, dt)
         hist, steps = [], []
         for t in times:
             x = tuple(rng.uniform(-1.0, 1.0) for _ in range(dim))
             hist.append((t, x))
             out = f.step(t, x)
-            grid = math.isnan(probe.step(t, x)[2][0])
-            steps.append((out, grid, list(hist[-cap:])))
+            steps.append((out, f._fit is not None, list(hist[-cap:])))
         return steps
 
     @staticmethod
@@ -563,10 +606,57 @@ class TestWlbfGrid:
         assert not on_grid(100.0, dt)
         assert not on_grid(math.nan, dt)
 
-    def test_grid_weights_sum_to_one_and_zero(self):
-        a = WlbfFilter(1, 10, 0.01)
-        assert sum(a._mean_w) == pytest.approx(1.0, abs=1e-15)
-        assert sum(a._slope_w) == pytest.approx(0.0, abs=1e-12)
+
+class TestWlbfMoments:
+    """The grid path's running moments: their drift over a long run, and
+    moments that overflow."""
+
+    @pytest.mark.parametrize("dim, cap", [(1, 10), (2, 8)])
+    def test_long_run_stays_on_the_oracle(self, dim, cap):
+        # 10^5 steps of values offset by 1e3, held for 500 steps and shifted
+        # off the grid once halfway: every 7th fit is within 1e-12 of the
+        # oracle's, relative to the window's largest value (per cycle_dt for
+        # the slope). Without the re-sums the slope drifts to 5e-8 (dim 1)
+        # and 5e-6 (dim 2).
+        dt = 0.01
+        rng = random.Random(7)
+        f = WlbfFilter(dim, cap, dt)
+        window = deque(maxlen=cap)
+        grid = 0
+        for k in range(1, 100_001):
+            t = k * dt + (0.013 if k > 50_000 else 0.0)
+            if not 30_000 <= k < 30_500:
+                x = tuple(1e3 + rng.uniform(-1.0, 1.0) for _ in range(dim))
+            window.append((t, x))
+            _, slope, mean = f.step(t, x)
+            grid += f._fit is not None
+            if k % 7:
+                continue
+            for i in range(dim):
+                scale = max(abs(v[i]) for _, v in window)
+                want = wlbf_oracle([(tk - t, v[i]) for tk, v in window])
+                assert abs(slope[i] - want[1]) <= 1e-12 * scale / dt, k
+                assert abs(mean[i] - want[2]) <= 1e-12 * scale, k
+        assert grid == 100_000 - 2 * (cap - 1)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("big", [1e306, 4e305, 1e300])
+    def test_overflowing_moments_take_the_direct_sums(self, dim, big):
+        # At 1e306, T2 = sum k^2 x_k overflows; at 4e305 T2 is finite but
+        # 9 T2 overflows. Such steps take the direct sums, which stay finite,
+        # and the moments in state stay finite. At 1e300 nothing overflows,
+        # but the small values that follow are lost in its sums until they
+        # are summed afresh: the held 0.25 still gets its exact fit
+        f = WlbfFilter(dim, 10, 0.01)
+        values = [0.5] * 30 + [big] * 30 + [0.5 * big] * 5 + [big] * 5 + [0.25] * 30
+        for k, v in enumerate(values, start=1):
+            out = f.step(0.01 * k, (v,) * dim)
+            assert all(math.isfinite(c) for part in out for c in part), k
+            assert all(map(math.isfinite, f._mom)), k
+            if k == 45:
+                assert (f._fit is None) == (big > 1e305)
+        assert f._fit is not None
+        assert out == ((0.25,) * dim, (0.0,) * dim, (0.25,) * dim)
 
 
 class TestWlbfHeldWindow:

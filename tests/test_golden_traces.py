@@ -16,10 +16,16 @@ battery digest: the WLBF filters took fixed weights on the control grid,
 the swing ground plane took its tilt from the deviation tilt's quaternion
 product, and replay took `cycle_dt` as its step wherever a sample is on
 the grid. Every column moved by at most 1.2e-14 (closed loops) and
-1.4e-14 (replay), with no flag, fall result or push threshold changed.
-Any change that moves a single trace byte fails here. A
-change that is meant to move traces must say so, state its bound and record
-the new digests. The accuracy tests at the end pin the 5 ms default against
+1.4e-14 (replay), with no flag, fall result or push threshold changed. A
+third epoch re-pinned the same six: the grid WLBF fits from running
+moments updated in O(1), the elliptical kernels square by multiplication
+instead of `** 2` and take a circle's radius (and equal directional gains)
+exactly, and the plant sums its coupling and force terms into one forcing
+term per axis before the RK4 substeps. Every column moved by at most
+1.2e-14 (closed loops) and 1.1e-15 (replay), with no flag, fall result or
+push threshold changed. Any change that moves a single trace byte fails
+here. A change that is meant to move traces must say so, state its bound
+and record the new digests. The accuracy tests at the end pin the 5 ms default against
 a finer substep.
 """
 
@@ -51,10 +57,10 @@ FIT_WAVEFORM_HEX = [
     "-0x1.1b503f6160554p+0", "0x1.0508c931fa785p-8", "-0x1.ba0c894aeda24p-11",
     "0x1.0877c0f4be591p-9", "0x1.0a79dd48ddfbbp-9",
 ]
-FIT_WAVEFORM_CLI_SHA256 = "85fe805f52aedac5954e76b6102c24f59eb0eae746c5338800162cac8addc2cb"
+FIT_WAVEFORM_CLI_SHA256 = "19c45040da4ad75e959a697897c12f1f4df8d26c7ee54bdd68bf488beaec47ee"
 PUSH_BATTERY_GOLDEN = [
     (True, [(1.0, 1), (1.5, 1), (7.0, 1)],
-     "f4c4e16849d1c23a10dba8d1b526d17d21c675b941a14451ef95c93a700eae5d"),
+     "b0669b1687583b24fbce7e96fcddabb256008820f0a087cb22ae7ad2f974e6e9"),
     (False, [(1.0, 1), (1.5, 0), (7.0, 0)],
      "05f013fe77741db6bdc6b4853e33784f84c3a8034e9f2c28b04adc497e08f271"),
 ]
@@ -86,9 +92,9 @@ def tilted_plane_with_waveform():
 
 @pytest.mark.parametrize("make_run, n_records, digest", [
     (default_loop_with_impulse, 1000,
-     "8638501f998d50a7debcdc0cffd921dfebdeb64655af00885a6ddad89f3201c8"),
+     "93fca1a5692e966d0ca4dfc736d13fad8a495e784ed58c2e1225db09eca06af9"),
     (tilted_plane_with_waveform, 500,
-     "5c5b021efe8af2bd1c0e34c53d4f2887efa61dffd688693e1b7f25a8344430b6"),
+     "4430330e5bb4dcbccdd8fe9228ffbcc9bdd21d01a6029aa3edbab43d115fd8d7"),
 ], ids=["default_loop_with_impulse", "tilted_plane_with_waveform"])
 def test_trace_digest(tmp_path, make_run, n_records, digest):
     cfg, scenario = make_run()
@@ -126,8 +132,8 @@ def noisy_imu_log(path, n=400, seed=5):
 
 
 @pytest.mark.parametrize("csv, digest", [
-    (False, "11c1462935fec8e6eae484b10a019ca935276e20cc007516caf6b3532fdaaf85"),
-    (True, "21b50b28bd1779030edbbf91c7047d8d263efa17c855d965eb5330f6edfa37b8"),
+    (False, "6528f871a64bc2887bd5c7a32b83a1addddc4287b3117faa06d47c15ff8e73fe"),
+    (True, "37b60a7682137157da848e221d462d358d9fc4ff7a7d388f2bf26ad3d32d723e"),
 ], ids=["noisy_replay_trace", "noisy_replay_csv"])
 def test_replay_trace_digest(tmp_path, csv, digest):
     """A fitted-like waveform and a constant command over a noisy log: the

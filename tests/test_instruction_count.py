@@ -19,6 +19,7 @@ import pytest
 from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController
 from tiltphase.estimator import GRAVITY, ImuSample
+from tiltphase.filters import WlbfFilter
 from tiltphase.plant import Disturbance, SurrogatePlant
 from tiltphase.trace import record_values
 
@@ -28,9 +29,9 @@ FITTED = dict(wave_amp_x=0.055, wave_amp_y=0.03, wave_phase_x=0.4, wave_phase_y=
               wave_offset_x=0.004, wave_offset_y=-0.002)
 
 # Instructions over steps 201-205, CPython 3.11
-PINNED = {"default": 17875, "fitted": 21039}
+PINNED = {"default": 15080, "fitted": 18244}
 # Instructions over closed-loop cycles 201-205, CPython 3.11
-PINNED_CYCLES = 23942
+PINNED_CYCLES = 21357
 
 
 def imu_stream(n, dt=0.01):
@@ -143,4 +144,23 @@ def test_plant_step_count_does_not_grow_with_the_schedule():
         for k in range(10):
             plant.step(act, 0.1 * k, schedule, 0.01 * k, 0.01)
         counts.append(count_instructions([(plant.step, (act, 1.0, schedule, 0.1, 0.01))]))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython bytecode")
+@pytest.mark.parametrize("dim", [1, 2])
+def test_wlbf_grid_step_count_does_not_grow_with_the_window(dim):
+    """A grid step between re-sums updates the WLBF moments in O(1): it runs
+    the same instructions at capacity 8 and at capacity 64."""
+    if sys.gettrace() is not None:
+        pytest.skip("a tracer (coverage, debugger) is already installed")
+    counts = []
+    for cap in (8, 64):
+        f = WlbfFilter(dim, cap, 0.01)
+        # Warm-up, the first grid step, which sums afresh, and two updates
+        for k in range(1, cap + 3):
+            f.step(0.01 * k, (0.1 * k,) * dim)
+        assert f._left == cap - 3
+        k = cap + 3
+        counts.append(count_instructions([(f.step, (0.01 * k, (0.1 * k,) * dim))]))
     assert counts[0] == counts[1]

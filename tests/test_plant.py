@@ -260,22 +260,22 @@ class ReferencePlant(SurrogatePlant):
             + cfg.couple_hip * act.hip_shift[1]
             + cfg.couple_lean * act.lean_tilt[1]
         )
-        ax = (
-            c2 * math.sin(px - eq_x)
-            - cfg.couple_foot * act.support_foot_tilt[0]
+        ux = (
+            -(cfg.couple_foot * act.support_foot_tilt[0])
             - cfg.couple_arm * act.arm_tilt[0]
             - cfg.couple_plane * act.swing_ground_plane[0]
             - cfg.couple_swing_out * act.swing_out_tilt[0]
             + f_ext[0]
         )
-        ay = (
-            c2 * math.sin(py - eq_y)
-            - cfg.couple_foot * act.support_foot_tilt[1]
+        ax = c2 * math.sin(px - eq_x) + ux
+        uy = (
+            -(cfg.couple_foot * act.support_foot_tilt[1])
             - cfg.couple_arm * act.arm_tilt[1]
             - cfg.couple_plane * act.swing_ground_plane[1]
             - cfg.couple_swing_out * act.swing_out_tilt[1]
             + f_ext[1]
         )
+        ay = c2 * math.sin(py - eq_y) + uy
         return ax, ay
 
     def _rk4(self, px, py, vx, vy, act, f_ext, h):
@@ -495,6 +495,15 @@ class TestRestPath:
     def test_zero_magnitude_force(self):
         force = Disturbance("force", direction=2.5, magnitude=0.0, start_time=0.0, duration=1.0)
         run_pair(PlantConfig(), [IDLE] * 3, [force])
+
+    def test_cancelling_couplings(self):
+        # 6 * 0.1 and 3 * -0.2 cancel: the forcing term is +0.0 and the step
+        # skips with non-zero activations, as the reference loop rests
+        act = IDLE._replace(support_foot_tilt=(0.1, -0.05), arm_tilt=(-0.2, 0.1))
+        assert 6.0 * 0.1 == -(3.0 * -0.2) and 6.0 * -0.05 == -(3.0 * 0.1)
+        plant = run_pair(PlantConfig(couple_foot=6.0, couple_arm=3.0), [act] * 3)
+        st = plant.state
+        assert bits((st.px, st.py, st.vx, st.vy)) == bits((0.0, 0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("pivots", [dict(pivot_x_right=0.05), dict(pivot_y=-1e-300)])
     def test_non_zero_pivot_does_not_skip(self, pivots):

@@ -144,15 +144,15 @@ def directional_gain(v: Tuple[float, float], gain_lat: float, gain_sag: float) -
 
 
 def timing_law(
-    p_xd: float, mu: float, cfg: ControllerConfig
+    p_xd: float, sigma: float, cfg: ControllerConfig
 ) -> float:
-    """Gait frequency from the lateral deviation tilt.
+    """Gait frequency from the lateral deviation tilt and the support
+    indicator sigma (`support_indicator`).
 
     Leaning over the current support foot slows the stepping (the step is
     delayed until the lateral tilt returns); leaning toward the swing side
     speeds it up. Output clamped to [f_min, f_max].
     """
-    sigma = support_indicator(mu, cfg.double_support_width)
     f = cfg.f_nom - cfg.tim_gain * smooth_deadband_1d(p_xd * sigma, cfg.tim_deadband)
     if f < cfg.f_min:
         return cfg.f_min
@@ -252,7 +252,7 @@ class TiltPhaseController:
         )
         return (0.0, soft_coerce_1d(raw, cfg.lean_limit, cfg.lean_buffer))
 
-    def swing_out_step(self, p_xb: float, t: float, mu: float, pd_mean):
+    def swing_out_step(self, p_xb: float, t: float, sigma: float, pd_mean):
         cfg = self.cfg
         _, slope, mtv = self.so_wlbf.step(t, (p_xb,))
         p_sync = mtv[0]
@@ -268,8 +268,7 @@ class TiltPhaseController:
         h_l = self.so_hold_l.step(raw_l, t)
         h_r = self.so_hold_r.step(raw_r, t)
 
-        u = support_indicator(mu, cfg.double_support_width)
-        p_xo = 0.5 * (1.0 + u) * h_r - 0.5 * (1.0 - u) * h_l
+        p_xo = 0.5 * (1.0 + sigma) * h_r - 0.5 * (1.0 - sigma) * h_l
         if p_xo == 0.0:
             return (0.0, 0.0), e_l, e_r
 
@@ -395,9 +394,10 @@ class TiltPhaseController:
         arm, foot = self.pd_feedback(pd_mean, pd_slope)
         cft, hip = self.i_feedback_step(p_d, dt)
         lean = self.leaning(cmd, imu.t, dt)
-        swing_out, e_l, e_r = self.swing_out_step(p_b[0], imu.t, mu, pd_mean)
+        sigma = support_indicator(mu, cfg.double_support_width)
+        swing_out, e_l, e_r = self.swing_out_step(p_b[0], imu.t, sigma, pd_mean)
         plane = self.swing_ground_plane((ns_px, ns_py))
-        f_g = timing_law(p_dx, mu, cfg)
+        f_g = timing_law(p_dx, sigma, cfg)
         h_max, instability, s_d = self.max_hip_height_step(pd_mean, dt)
 
         self.mu = gait_phase_step(mu, f_g, dt)

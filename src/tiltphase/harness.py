@@ -167,11 +167,10 @@ def run_closed_loop(
     """Run plant + controller for scenario.duration and collect trace records.
 
     The cycles before the first command or disturbance can act are replayed
-    from a one-entry memo when a run with the same key filled it (see
-    `_quiet_prefix`), so push trials that differ only in the push share one
-    walk to the push. The result is bit for bit that of a full run.
+    from a memo when a run with the same key filled it (see `_quiet_prefix`),
+    so push trials that differ only in the push share one walk to the push.
+    The result is bit for bit that of a full run.
     """
-    global _quiet_prefix
     if scenario.overrides:
         # apply_overrides sets fields in place; the caller's configs stay as they are
         ctrl_cfg = replace(ctrl_cfg)
@@ -205,15 +204,16 @@ def run_closed_loop(
     while quiet < n and quiet * dt + dt < t_event:
         quiet += 1
     noisy = plant_cfg.noise_gyro > 0.0 or plant_cfg.noise_accel > 0.0
+    enabled = controller is not None
     # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not
     key = (
-        repr(ctrl_cfg), repr(plant_cfg), controller is not None, quiet,
+        repr(ctrl_cfg), repr(plant_cfg), enabled, quiet,
         scenario.seed if noisy else None,
     )
     # Imported here: pickle adds about 3 ms to a cold start of the CLI
     import pickle
 
-    memo = _quiet_prefix
+    memo = _quiet_prefix.get(enabled)
     if memo is not None and memo[0] == key:
         _, blob, prefix_records, imu, mu_open = memo
         controller, plant = _resume(blob, ctrl_cfg, plant_cfg, scenario.seed, noisy)
@@ -228,7 +228,7 @@ def run_closed_loop(
     for k in range(first, n + 1):
         if k == store_at:
             blob = pickle.dumps((controller, plant), pickle.HIGHEST_PROTOCOL)
-            _quiet_prefix = (key, blob, tuple(records), imu, mu_open)
+            _quiet_prefix[enabled] = (key, blob, tuple(records), imu, mu_open)
         t = k * dt
         if t >= t_cmd:
             i_cmd, cmd, t_cmd = _next_command(times, commands, i_cmd, t)
@@ -246,13 +246,15 @@ def run_closed_loop(
     return RunResult(records, plant.state.fallen)
 
 
-# (key, pickled (controller, plant), records, IMU sample, open-loop mu) at
-# the start of cycle `quiet` of the last run_closed_loop that reached it. The
-# key is everything cycles 0 .. quiet-1 read: both configs, the controller
-# switch, the count itself and, with plant noise, the seed. The package's
-# objects have `__slots__`, so neither pickling nor unpickling slows their
-# later steps, and a copy is restored in a quarter of copy.deepcopy's time.
-_quiet_prefix: Optional[tuple] = None
+# Per controller switch, (key, pickled (controller, plant), records, IMU
+# sample, open-loop mu) at the start of cycle `quiet` of the last
+# run_closed_loop with that switch that reached it, so alternating
+# controller-on and -off runs each keep their walk. The key is everything
+# cycles 0 .. quiet-1 read: both configs, the controller switch, the count
+# itself and, with plant noise, the seed. The package's objects have
+# `__slots__`, so neither pickling nor unpickling slows their later steps,
+# and a copy is restored in a quarter of copy.deepcopy's time.
+_quiet_prefix: Dict[bool, tuple] = {}
 
 
 def _resume(blob: bytes, ctrl_cfg, plant_cfg, seed: int, noisy: bool):

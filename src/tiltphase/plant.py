@@ -12,37 +12,64 @@ crossing energy. With the pivot at upright (the default) an exactly upright
 resting plant stays put; with the pivot at a crossing phase the trajectory
 conserves the pendulum invariant, which the conservation tests exploit.
 
-Each control cycle is integrated by classic RK4 in ``ceil(dt / substep_dt)``
-equal substeps. The default ``substep_dt`` of 5 ms gives 2 substeps per
-10 ms cycle: against a 0.1 ms reference, every traced column of the golden
-closed loops stays within 2.2e-10 (1 ms gives 3.6e-13, 10 ms 3.5e-9; the
-error falls as h^4), and none of 800 push trials changes its fall result
-against 1 ms. A pendulum with ``C = 2 rad/s`` needs no finer step in a test
-plant, and a plant step costs less than half of what it costs at 1 ms.
+Each control cycle is integrated in ``ceil(dt / substep_dt)`` equal steps
+of length h. The per-axis dynamics ``p'' = f(p)``, with
+``f(p) = c2*sin(p - eq) + u``, is a special second-order ODE (no ``p'``
+on the right), so it takes the 4-stage, fifth-order Runge-Kutta-Nystrom
+step with nodes 0, 1/5, 2/3, 1 (Hairer, Norsett & Wanner, *Solving
+Ordinary Differential Equations I*, section II.14): with ``k_i = f(p_i)``
+and ``p_1 = p``,
 
-The RK4 substep loop in `SurrogatePlant.step` is inlined over local floats,
-with everything that is constant over a control cycle (``c2``, the pivot
-offsets ``eq_x``/``eq_y``, one forcing term per axis, ``h/2`` and ``h/6``)
-computed once before it. The forcing term is the left-to-right chain
-``u = -foot - arm - plane - swing_out + f`` of the coupling products and the
-external force, each acceleration is ``c2*sin(p - eq) + u`` and each update
-is ``p + h6*(k1 + 2*k2 + 2*k3 + k4)``. The plain per-stage RK4 that tests
-keep as a reference associates the same way, bit for bit; another order
-moves traces and so belongs in a declared trace epoch. The factor ``2.0``
-gives the product of the int 2 without a mixed-type conversion.
+    p_2 = p + (h/5) v + (h^2/50) k_1
+    p_3 = p + (2h/3) v + (h^2/27) (7 k_2 - k_1)
+    p_4 = p + h v + (3h^2/10 k_1 - 2h^2/35 k_2 + 9h^2/35 k_3)
+    p'  = p + h v + (h^2/24 k_1 + 25h^2/84 k_2 + 9h^2/56 k_3)
+    v'  = v + (h/24 k_1 + 125h/336 k_2 + 27h/56 k_3 + 5h/48 k_4)
+
+which are the weights h^2 (14, 100, 54, 0) / 336 and h (14, 125, 162,
+35) / 336 reduced. That is 4 ``sin`` per axis and step where classic RK4
+on the first-order system reaches fourth order with the same 4. The
+default ``substep_dt`` of 10 ms gives one step per 10 ms cycle. Against a
+0.1 ms run, the largest difference over every traced column of the golden
+closed loops is
+
+    step   10 ms     5 ms      1 ms
+    diff   3.2e-12   8.7e-14   2.1e-14
+
+(rounding is most of the 1 ms figure), and halving h over one 0.1 s cycle
+divides the error against a 1e-5 s run by 31 (fifth order gives 32).
+Against the two 5 ms RK4 substeps that it replaced (2.2e-10 there), no
+push trial changes its fall result.
+
+The step loop in `SurrogatePlant.step` is inlined over local floats, with
+everything that is constant over a control cycle (``c2``, the pivot
+offsets ``eq_x``/``eq_y`` and one forcing term per axis) computed once
+before it. The forcing term is the left-to-right chain
+``u = -foot - arm - plane - swing_out + f`` of the coupling products and
+the external force, and each acceleration is ``c2*sin(p_i - eq) + u``.
+The h-dependent coefficient products are the tuple `_nystrom_constants`
+returns, taken again only when h changes, as `LowPassFilter` keeps its
+coefficient. Each ``p_i`` and update associates as written above, with
+the products first: ``p_2`` is ``(p + h5*v) + a2*k1`` and ``p'`` is
+``(p + h*v) + (bp1*k1 + bp2*k2 + bp3*k3)``. The plain per-stage step that
+tests keep as a reference associates the same way, bit for bit; another
+order moves traces and so belongs in a declared trace epoch.
 
 Rest rule: the loop is skipped when ``px``, ``py``, ``vx``, ``vy``, ``eq_x``,
 ``eq_y`` and the forcing terms ``ux`` and ``uy`` all compare ``== 0.0``
-(either sign of zero) and ``c2`` is finite, and the four state values are
-set to +0.0, which is what the loop yields bit for bit. ``fx`` is a sum that
-starts at +0.0, so it is never -0.0, and neither is ``ux``, which ends in
-``+ fx``: a zero forcing term is +0.0. Every ``p - eq`` is then a signed
-zero, ``c2 * sin`` of it too, and every acceleration ``+ ux`` is +0.0.
-Every velocity update adds ``h*(+0.0)`` and every position update adds
-``h6*(+0.0 sum)``, which also turns a -0.0 state into +0.0. A finite ``c2``
-is needed because ``inf * 0.0`` is nan. Walking in place before a push starts
-exactly at rest; since the harness replays that walk from its quiet-prefix
-memo, the skip covers about 6% of the push battery's plant steps.
+(either sign of zero), ``c2`` is finite and so are the coefficient
+products, and the four state values are set to +0.0, which is what the
+loop yields bit for bit. ``fx`` is a sum that starts at +0.0, so it is
+never -0.0, and neither is ``ux``, which ends in ``+ fx``: a zero forcing
+term is +0.0. ``p - eq`` is then a signed zero, ``c2 * sin`` of it too,
+and ``k_1 = c2*sin(p - eq) + u`` is +0.0. Every later stage position adds
+a product with a +0.0 stage, or a +0.0 sum of such products, to a signed
+zero, which gives +0.0, so every later ``k_i`` is +0.0 as well; ``p'``
+and ``v'`` add a +0.0 sum in the same way, which also turns a -0.0 state
+into +0.0. Finite ``c2`` and products are needed because ``inf * 0.0`` is
+nan. Walking in place before a push starts exactly at rest; since the
+harness replays that walk from its quiet-prefix memo, the skip covers
+about 6% of the push battery's plant steps.
 
 Disturbances act through a per-run `DisturbanceSchedule`, so a step's cost
 does not depend on the length of the list. The IMU sample takes two
@@ -225,6 +252,23 @@ class DisturbanceSchedule:
         return due
 
 
+def _nystrom_constants(h: float) -> tuple:
+    """(h, then the step's 14 coefficient products, then the rest bound) for
+    step length h, in the order `SurrogatePlant.step` unpacks them.
+
+    The rest skip applies while c2 is below the bound: inf, or -inf (never)
+    when a product overflows, as ``inf * 0.0`` is nan.
+    """
+    hh = h * h
+    k = (
+        h, h / 5.0, 2.0 * h / 3.0, hh / 50.0, hh / 27.0,
+        3.0 * hh / 10.0, 2.0 * hh / 35.0, 9.0 * hh / 35.0,
+        hh / 24.0, 25.0 * hh / 84.0, 9.0 * hh / 56.0,
+        h / 24.0, 125.0 * h / 336.0, 27.0 * h / 56.0, 5.0 * h / 48.0,
+    )
+    return k + (_INF if all(map(math.isfinite, k)) else -_INF,)
+
+
 @dataclass(slots=True)
 class PlantState:
     px: float = 0.0
@@ -238,7 +282,7 @@ class PlantState:
 
 
 class SurrogatePlant:
-    __slots__ = ("cfg", "state", "rng", "_mu_prev", "_q_meas_prev", "_schedule")
+    __slots__ = ("cfg", "state", "rng", "_mu_prev", "_q_meas_prev", "_schedule", "_nystrom")
 
     def __init__(self, cfg: PlantConfig, seed: int = 0):
         cfg.validate()
@@ -250,6 +294,9 @@ class SurrogatePlant:
         self._mu_prev: Optional[float] = None
         self._q_meas_prev = (1.0, 0.0, 0.0, 0.0)
         self._schedule = DisturbanceSchedule(())
+        # The step constants of the last step length h, taken again only
+        # when h changes (`_nystrom_constants`)
+        self._nystrom = (None,)
 
     # -- disturbance and stepping hooks --------------------------------------
 
@@ -312,7 +359,7 @@ class SurrogatePlant:
         t: float,
         dt: float,
     ) -> ImuSample:
-        """Advance the plant by dt (internal RK4 substeps) and emit an IMU sample.
+        """Advance the plant by dt (internal Nystrom steps) and emit an IMU sample.
 
         Over the steps that pass one disturbance list (or lists of the same
         disturbances), t must not decrease; see `DisturbanceSchedule`.
@@ -340,8 +387,10 @@ class SurrogatePlant:
             cfg = self.cfg
             n_sub = max(1, math.ceil(dt / cfg.substep_dt))
             h = dt / n_sub
-            hh = 0.5 * h
-            h6 = h / 6.0
+            k = self._nystrom
+            if k[0] != h:
+                k = self._nystrom = _nystrom_constants(h)
+            _, h5, h23, a2, a3, a41, a42, a43, bp1, bp2, bp3, bv1, bv2, bv3, bv4, c2_rest = k
             c = cfg.pendulum_c * act.max_hip_height  # lower hips -> slower dynamics
             c2 = c * c
             # The equilibrium of sin(p - eq) is unstable, so shifting it toward
@@ -369,40 +418,30 @@ class SurrogatePlant:
             px, py, vx, vy = st.px, st.py, st.vx, st.vy
             if (
                 px == 0.0 and py == 0.0 and vx == 0.0 and vy == 0.0
-                and eq_x == 0.0 and eq_y == 0.0 and ux == 0.0 and uy == 0.0 and c2 < _INF
+                and eq_x == 0.0 and eq_y == 0.0 and ux == 0.0 and uy == 0.0 and c2 < c2_rest
             ):
-                # Exactly at rest: the substep loop would yield +0.0 for all
+                # Exactly at rest: the step loop would yield +0.0 for all
                 # four (module docstring)
                 px = py = vx = vy = 0.0
             else:
-                # Classic RK4 on (p, v) with p' = v, v' = a(p); see the module
-                # docstring for why every expression keeps its exact form.
+                # The Nystrom step on p'' = a(p); see the module docstring for
+                # why every expression keeps its exact form.
                 sin = math.sin
                 for _ in range(n_sub):
                     ax1 = c2 * sin(px - eq_x) + ux
                     ay1 = c2 * sin(py - eq_y) + uy
-                    px2 = px + hh * vx
-                    py2 = py + hh * vy
-                    vx2 = vx + hh * ax1
-                    vy2 = vy + hh * ay1
-                    ax2 = c2 * sin(px2 - eq_x) + ux
-                    ay2 = c2 * sin(py2 - eq_y) + uy
-                    px3 = px + hh * vx2
-                    py3 = py + hh * vy2
-                    vx3 = vx + hh * ax2
-                    vy3 = vy + hh * ay2
-                    ax3 = c2 * sin(px3 - eq_x) + ux
-                    ay3 = c2 * sin(py3 - eq_y) + uy
-                    px4 = px + h * vx3
-                    py4 = py + h * vy3
-                    vx4 = vx + h * ax3
-                    vy4 = vy + h * ay3
-                    ax4 = c2 * sin(px4 - eq_x) + ux
-                    ay4 = c2 * sin(py4 - eq_y) + uy
-                    px = px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4)
-                    py = py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4)
-                    vx = vx + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-                    vy = vy + h6 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+                    ax2 = c2 * sin(px + h5 * vx + a2 * ax1 - eq_x) + ux
+                    ay2 = c2 * sin(py + h5 * vy + a2 * ay1 - eq_y) + uy
+                    ax3 = c2 * sin(px + h23 * vx + a3 * (7.0 * ax2 - ax1) - eq_x) + ux
+                    ay3 = c2 * sin(py + h23 * vy + a3 * (7.0 * ay2 - ay1) - eq_y) + uy
+                    px = px + h * vx
+                    py = py + h * vy
+                    ax4 = c2 * sin(px + (a41 * ax1 - a42 * ax2 + a43 * ax3) - eq_x) + ux
+                    ay4 = c2 * sin(py + (a41 * ay1 - a42 * ay2 + a43 * ay3) - eq_y) + uy
+                    px = px + (bp1 * ax1 + bp2 * ax2 + bp3 * ax3)
+                    py = py + (bp1 * ay1 + bp2 * ay2 + bp3 * ay3)
+                    vx = vx + (bv1 * ax1 + bv2 * ax2 + bv3 * ax3 + bv4 * ax4)
+                    vy = vy + (bv1 * ay1 + bv2 * ay2 + bv3 * ay3 + bv4 * ay4)
             st.px, st.py, st.vx, st.vy = px, py, vx, vy
 
             if math.hypot(st.px, st.py) > self.cfg.fall_angle:

@@ -123,14 +123,14 @@ class TestSupportIndicator:
 class TestTimingLaw:
     def test_slows_when_tilted_over_support(self):
         cfg = ControllerConfig()
-        mu = 2.0  # right support
-        assert support_indicator(mu, cfg.double_support_width) == 1.0
-        f = timing_law(0.3, mu, cfg)
+        sigma = support_indicator(2.0, cfg.double_support_width)
+        assert sigma == 1.0  # right support
+        f = timing_law(0.3, sigma, cfg)
         assert f < cfg.f_nom
 
     def test_speeds_when_tilted_over_swing(self):
         cfg = ControllerConfig()
-        f = timing_law(-0.3, 2.0, cfg)
+        f = timing_law(-0.3, 1.0, cfg)
         assert f > cfg.f_nom
 
     def test_near_nominal_inside_deadband(self):
@@ -139,13 +139,13 @@ class TestTimingLaw:
         cfg = ControllerConfig()
         x = cfg.tim_deadband * 0.4
         expect = cfg.f_nom - cfg.tim_gain * x * x / (4.0 * cfg.tim_deadband)
-        assert timing_law(x, 2.0, cfg) == pytest.approx(expect, abs=1e-12)
-        assert abs(timing_law(x, 2.0, cfg) - cfg.f_nom) < cfg.tim_gain * cfg.tim_deadband / 4.0
+        assert timing_law(x, 1.0, cfg) == pytest.approx(expect, abs=1e-12)
+        assert abs(timing_law(x, 1.0, cfg) - cfg.f_nom) < cfg.tim_gain * cfg.tim_deadband / 4.0
 
     def test_clamped_to_frequency_band(self):
         cfg = ControllerConfig(tim_gain=100.0)
-        assert timing_law(1.0, 2.0, cfg) == cfg.f_min
-        assert timing_law(-1.0, 2.0, cfg) == cfg.f_max
+        assert timing_law(1.0, 1.0, cfg) == cfg.f_min
+        assert timing_law(-1.0, 1.0, cfg) == cfg.f_max
 
 
 class TestDirectionalGain:
@@ -318,7 +318,7 @@ class TestControllerStep:
         ctrl.pd_feedback = lambda pd_mean, pd_slope: ((1.0, 1.5), (2.0, 2.5))
         ctrl.i_feedback_step = lambda p_d, dt: ((3.0, 3.5), (4.0, 4.5))
         ctrl.leaning = lambda cmd, t, dt: (0.0, 5.0)
-        ctrl.swing_out_step = lambda p_xb, t, mu, pd_mean: ((6.0, 6.5), 7.0, 8.0)
+        ctrl.swing_out_step = lambda p_xb, t, sigma, pd_mean: ((6.0, 6.5), 7.0, 8.0)
         ctrl.swing_ground_plane = lambda p_ns: (9.0, 9.5)
         ctrl.max_hip_height_step = lambda pd_mean, dt: (0.75, 10.0, 11.0)
         dt = 0.01

@@ -29,9 +29,9 @@ FITTED = dict(wave_amp_x=0.055, wave_amp_y=0.03, wave_phase_x=0.4, wave_phase_y=
               wave_offset_x=0.004, wave_offset_y=-0.002)
 
 # Instructions over steps 201-205, CPython 3.11
-PINNED = {"default": 15080, "fitted": 18244}
+PINNED = {"default": 14955, "fitted": 18119}
 # Instructions over closed-loop cycles 201-205, CPython 3.11
-PINNED_CYCLES = 21357
+PINNED_CYCLES = 20172
 
 
 def imu_stream(n, dt=0.01):

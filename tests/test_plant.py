@@ -231,9 +231,9 @@ def test_benchmark_rotation_wrap_points_exist():
 
 
 class ReferencePlant(SurrogatePlant):
-    """The plant written plainly: per-stage RK4 derivative calls, no rest
-    skip, three disturbance scans and an IMU sample built from rotation.py
-    calls.
+    """The plant written plainly: a per-stage Nystrom step with its step
+    constants taken in place, no rest skip, three disturbance scans and an
+    IMU sample built from rotation.py calls.
 
     This is the straightforward form the inlined step must match bit for bit;
     it is only a test reference, never a second code path. Its impulse scan
@@ -245,7 +245,7 @@ class ReferencePlant(SurrogatePlant):
         super().__init__(cfg, seed)
         self._applied_impulses = set()
 
-    def _acceleration(self, px, py, vx, vy, act, f_ext):
+    def _acceleration(self, px, py, act, f_ext):
         cfg = self.cfg
         c = cfg.pendulum_c * act.max_hip_height
         c2 = c * c
@@ -278,24 +278,33 @@ class ReferencePlant(SurrogatePlant):
         ay = c2 * math.sin(py - eq_y) + uy
         return ax, ay
 
-    def _rk4(self, px, py, vx, vy, act, f_ext, h):
-        def deriv(px_, py_, vx_, vy_):
-            ax, ay = self._acceleration(px_, py_, vx_, vy_, act, f_ext)
-            return vx_, vy_, ax, ay
+    def _nystrom_step(self, p, v, act, f_ext, h):
+        """One step of length h of p'' = a(p) for the pair p = (px, py) with
+        velocity v: the four stages, then the new (p, v)."""
+        def a(q):
+            return self._acceleration(q[0], q[1], act, f_ext)
 
-        k1 = deriv(px, py, vx, vy)
-        k2 = deriv(px + 0.5 * h * k1[0], py + 0.5 * h * k1[1],
-                   vx + 0.5 * h * k1[2], vy + 0.5 * h * k1[3])
-        k3 = deriv(px + 0.5 * h * k2[0], py + 0.5 * h * k2[1],
-                   vx + 0.5 * h * k2[2], vy + 0.5 * h * k2[3])
-        k4 = deriv(px + h * k3[0], py + h * k3[1],
-                   vx + h * k3[2], vy + h * k3[3])
-        return (
-            px + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            py + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-            vx + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-            vy + h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]),
-        )
+        hh = h * h
+        k1 = a(p)
+        k2 = a([p[i] + h / 5.0 * v[i] + hh / 50.0 * k1[i] for i in (0, 1)])
+        k3 = a([p[i] + 2.0 * h / 3.0 * v[i] + hh / 27.0 * (7.0 * k2[i] - k1[i]) for i in (0, 1)])
+        k4 = a([
+            p[i] + h * v[i]
+            + (3.0 * hh / 10.0 * k1[i] - 2.0 * hh / 35.0 * k2[i] + 9.0 * hh / 35.0 * k3[i])
+            for i in (0, 1)
+        ])
+        # The weights h^2 (14, 100, 54) / 336 and h (14, 125, 162, 35) / 336, reduced
+        p_new = [
+            p[i] + h * v[i]
+            + (hh / 24.0 * k1[i] + 25.0 * hh / 84.0 * k2[i] + 9.0 * hh / 56.0 * k3[i])
+            for i in (0, 1)
+        ]
+        v_new = [
+            v[i] + (h / 24.0 * k1[i] + 125.0 * h / 336.0 * k2[i]
+                    + 27.0 * h / 56.0 * k3[i] + 5.0 * h / 48.0 * k4[i])
+            for i in (0, 1)
+        ]
+        return p_new, v_new
 
     def step(self, act, mu, disturbances, t, dt):
         if dt <= 0.0:
@@ -317,10 +326,10 @@ class ReferencePlant(SurrogatePlant):
                     fy += d.magnitude * math.sin(d.direction)
             n_sub = max(1, math.ceil(dt / self.cfg.substep_dt))
             h = dt / n_sub
-            px, py, vx, vy = st.px, st.py, st.vx, st.vy
+            p, v = (st.px, st.py), (st.vx, st.vy)
             for _ in range(n_sub):
-                px, py, vx, vy = self._rk4(px, py, vx, vy, act, (fx, fy), h)
-            st.px, st.py, st.vx, st.vy = px, py, vx, vy
+                p, v = self._nystrom_step(p, v, act, (fx, fy), h)
+            (st.px, st.py), (st.vx, st.vy) = p, v
             if math.hypot(st.px, st.py) > self.cfg.fall_angle:
                 st.fallen = True
                 st.vx = 0.0
@@ -382,7 +391,7 @@ def run_pair(cfg, acts, disturbances=(), state=None, mu=0.5, seed=0):
 class TestBitExactKernel:
     @pytest.mark.parametrize("substep_dt, n_sub", [(0.01, 1), (1e-3, 10), (0.0015, 7)])
     @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_matches_reference_rk4_exactly(self, substep_dt, n_sub, seed):
+    def test_matches_reference_nystrom_exactly(self, substep_dt, n_sub, seed):
         assert max(1, math.ceil(DT / substep_dt)) == n_sub
         rng = random.Random(seed)
 
@@ -420,6 +429,44 @@ class TestBitExactKernel:
             got = fast.step(act, mu, disturbances, k * DT, DT)
             want = ref.step(act, mu, disturbances, k * DT, DT)
             assert_bit_identical(fast, ref, got, want)
+
+
+class TestNystromStep:
+    ACT = ActivationSet(arm_tilt=(0.02, -0.01), hip_shift=(0.01, 0.0))
+
+    def one_cycle(self, substep_dt, dt=0.1):
+        """(px, py, vx, vy) after one cycle of dt from a moving, forced state."""
+        plant = SurrogatePlant(PlantConfig(substep_dt=substep_dt))
+        st = plant.state
+        st.px, st.py, st.vx, st.vy = 0.3, -0.2, 0.8, 0.4
+        plant.step(self.ACT, 0.5, [], 0.0, dt)
+        return st.px, st.py, st.vx, st.vy
+
+    def test_fifth_order(self):
+        """Halving the step divides the error against a 1e-5 s run by about
+        2^5 = 32 (31.2 measured); a fourth-order step gives 16, and a 1%
+        error in any one coefficient drops the ratio below 5."""
+        fine = self.one_cycle(1e-5)
+        coarse, half = (
+            max(abs(a - b) for a, b in zip(self.one_cycle(h), fine)) for h in (0.1, 0.05)
+        )
+        assert 24.0 <= coarse / half <= 40.0
+
+    def test_default_cycle_takes_one_step_of_eight_sines(self, monkeypatch):
+        """Four stages per axis: a default 10 ms cycle calls math.sin 8 times."""
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def sin(self, x):
+                calls.append(x)
+                return math.sin(x)
+
+        monkeypatch.setattr(tiltphase.plant, "math", CountingMath())
+        self.one_cycle(PlantConfig().substep_dt, dt=DT)
+        assert len(calls) == 8
 
 
 class TestSchedule:
@@ -483,6 +530,16 @@ class TestRestPath:
         # c2 = inf turns c2 * sin(0) into nan, which the loop propagates
         plant = run_pair(PlantConfig(), [IDLE._replace(max_hip_height=math.inf)] * 2)
         assert math.isnan(plant.state.px)
+
+    def test_overflowing_step_constants(self):
+        # At a step of 1e200 s, h^2 / 50 is inf and inf * 0.0 is nan: the
+        # loop turns a resting state to nan, and so must the skip
+        cfg = PlantConfig(substep_dt=1e200)
+        fast, ref = SurrogatePlant(cfg), ReferencePlant(cfg)
+        got = fast.step(IDLE, 0.5, [], 0.0, 1e200)
+        want = ref.step(IDLE, 0.5, [], 0.0, 1e200)
+        assert_bit_identical(fast, ref, got, want)
+        assert math.isnan(fast.state.px)
 
     @pytest.mark.parametrize("pivots", [
         dict(pivot_x_left=-0.0, pivot_x_right=-0.0),

@@ -10,7 +10,7 @@ import pytest
 import tiltphase.harness as harness
 from tiltphase.config import ConfigError, ControllerConfig, PlantConfig
 from tiltphase.controller import GaitCommand, TiltPhaseController
-from tiltphase.harness import Scenario, run_closed_loop
+from tiltphase.harness import Scenario, push_battery, run_closed_loop
 from tiltphase.plant import Disturbance, SurrogatePlant
 
 
@@ -25,12 +25,12 @@ def plant_steps(monkeypatch):
         return step(self, *args)
 
     monkeypatch.setattr(SurrogatePlant, "step", counting)
-    monkeypatch.setattr(harness, "_quiet_prefix", None)
+    monkeypatch.setattr(harness, "_quiet_prefix", {})
     return count
 
 
 def cold(ctrl, plant, scenario):
-    harness._quiet_prefix = None
+    harness._quiet_prefix = {}
     return run_closed_loop(ctrl, plant, scenario)
 
 
@@ -129,6 +129,33 @@ def test_restored_plant_resumes_its_schedule(plant_steps):
     assert repr(run_closed_loop(ctrl, plant, other).records) == want[1]
 
 
+def test_alternating_switch_keeps_both_walks(monkeypatch):
+    """Batteries with the controller on, off, on, off: the memo keeps one
+    walk per switch, so the second on and off batteries step no plant cycle
+    before the push and withstand what the first did."""
+    quiet_steps = [0]
+    step = SurrogatePlant.step
+
+    def counting(self, act, mu, disturbances, t, dt):
+        quiet_steps[0] += t + dt < harness.T_PUSH  # the harness's quiet rule
+        return step(self, act, mu, disturbances, t, dt)
+
+    monkeypatch.setattr(SurrogatePlant, "step", counting)
+    monkeypatch.setattr(harness, "_quiet_prefix", {})
+    ctrl = ControllerConfig()
+    results = []
+    counts = []
+    for enabled in (True, False, True, False):
+        quiet_steps[0] = 0
+        results.append(push_battery(ctrl, PlantConfig(), (1.0, 7.0), 1, seed=5,
+                                    controller_enabled=enabled))
+        counts.append(quiet_steps[0])
+    quiet = quiet_cycles(harness.T_PUSH, ctrl.cycle_dt, 700)
+    assert quiet > 190
+    assert counts == [quiet, quiet, 0, 0]
+    assert results[:2] == results[2:]
+
+
 def test_noise_seed_is_part_of_the_key(plant_steps):
     plant = PlantConfig(noise_gyro=0.02)
     ctrl = ControllerConfig()
@@ -199,7 +226,7 @@ def test_no_reachable_object_has_a_dict(monkeypatch):
     """Neither a fresh controller and plant nor a pair restored from the memo
     and stepped on reaches an object with a __dict__. Such an object steps
     slower once its state has been read, as pickling it into the memo does."""
-    monkeypatch.setattr(harness, "_quiet_prefix", None)
+    monkeypatch.setattr(harness, "_quiet_prefix", {})
     restored = []
     resume = harness._resume
 

@@ -253,6 +253,10 @@ class PlantConfig:
         # A 0.1 s cycle then asks for at most 1e4 steps
         if self.substep_dt < 1e-5:
             raise ConfigError("plant.substep_dt must be at least 1e-05")
+        # A cycle is at most 0.1 s, so a longer step changes nothing, while
+        # at about 1e154 s the step constants overflow and rest turns to nan
+        if self.substep_dt > 0.1:
+            raise ConfigError("plant.substep_dt must be at most 0.1")
         # With these limits a cycle's acceleration and push stay finite, so
         # the tilt never overflows the IMU emission, which squares it
         if self.pendulum_c > 1e3:

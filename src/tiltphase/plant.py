@@ -55,26 +55,16 @@ the products first: ``p_2`` is ``(p + h5*v) + a2*k1`` and ``p'`` is
 tests keep as a reference associates the same way, bit for bit; another
 order moves traces and so belongs in a declared trace epoch.
 
-Rest rule: the loop is skipped when ``px``, ``py``, ``vx``, ``vy``, ``eq_x``,
-``eq_y`` and the forcing terms ``ux`` and ``uy`` all compare ``== 0.0``
-(either sign of zero), ``c2`` is finite and so are the coefficient
-products, and the four state values are set to +0.0, which is what the
-loop yields bit for bit. ``fx`` is a sum that starts at +0.0, so it is
-never -0.0, and neither is ``ux``, which ends in ``+ fx``: a zero forcing
-term is +0.0. ``p - eq`` is then a signed zero, ``c2 * sin`` of it too,
-and ``k_1 = c2*sin(p - eq) + u`` is +0.0. Every later stage position adds
-a product with a +0.0 stage, or a +0.0 sum of such products, to a signed
-zero, which gives +0.0, so every later ``k_i`` is +0.0 as well; ``p'``
-and ``v'`` add a +0.0 sum in the same way, which also turns a -0.0 state
-into +0.0. Finite ``c2`` and products are needed because ``inf * 0.0`` is
-nan. Walking in place before a push starts exactly at rest; since the
-harness replays that walk from its quiet-prefix memo, the skip covers
-about 6% of the push battery's plant steps.
+A plant exactly at rest runs the same loop. With a zero state (either
+sign of zero), zero pivot offsets, a zero forcing term (+0.0, as it ends
+in ``+ f``, a sum from +0.0) and finite ``c2``, every stage's
+acceleration is +0.0, and so are the four state values it returns.
 
-Disturbances act through a per-run `DisturbanceSchedule`, so a step's cost
-does not depend on the length of the list. The IMU sample takes two
-rotation.py calls: ``quat_from_tilt_phase`` for the measured orientation and
-the fused ``imu_of_motion`` kernel for the gyro and accelerometer values.
+Disturbances act through a per-run `DisturbanceSchedule`, which reads the
+list only at its events, so a step between them costs the same whatever
+the list's length. The IMU sample takes two rotation.py calls:
+``quat_from_tilt_phase`` for the measured orientation and the fused
+``imu_of_motion`` kernel for the gyro and accelerometer values.
 """
 
 from __future__ import annotations
@@ -128,7 +118,7 @@ class Disturbance:
     (constant tilt acceleration over [start_time, start_time + duration]),
     or 'bias' (software orientation offset added to the emitted IMU data
     over the window; the true state is untouched). A plant reads its
-    disturbances when it builds their schedule (`DisturbanceSchedule`).
+    disturbances through their schedule (`DisturbanceSchedule`).
     """
 
     kind: str
@@ -144,129 +134,76 @@ class Disturbance:
             raise ValueError("disturbance {} {}".format(*error))
 
 
-class _Windows:
-    """The force or bias windows of a schedule and the sum of the active ones.
-
-    A window (list index, start, end, x, y) is active at time tau when
-    start <= tau < end, with end = start + duration and (x, y) the
-    magnitude along the direction. Windows are opened in start order by a
-    cursor and closed at their end; the sum is taken again, from +0.0 and in
-    list order, only when the active set changes, which is when
-    `next_change` <= tau. Times passed to `advance` must not decrease.
-    """
-
-    __slots__ = ("pending", "active", "sum", "next_change")
-
-    def __init__(self, windows):
-        # Latest start first, so the next window to open is popped off the end
-        self.pending = sorted(windows, key=lambda w: w[1], reverse=True)
-        self.active = []
-        self.sum = (0.0, 0.0)
-        self.next_change = self.pending[-1][1] if self.pending else _INF
-
-    def advance(self, tau: float) -> None:
-        pending = self.pending
-        active = self.active
-        n = len(active)
-        while pending and pending[-1][1] <= tau:
-            active.append(pending.pop())
-        if n != len(active) or any(w[2] <= tau for w in active):
-            active = self.active = sorted(w for w in active if tau < w[2])
-            sx = 0.0
-            sy = 0.0
-            for w in active:
-                sx += w[3]
-                sy += w[4]
-            self.sum = (sx, sy)
-        self.next_change = min(pending[-1][1] if pending else _INF,
-                               min((w[2] for w in active), default=_INF))
-
-
 class DisturbanceSchedule:
     """A disturbance list as the plant consumes it, step by step.
 
-    Impulses are sorted by start time (ties in list order) and consumed by
-    a cursor: each is due in the one step with t <= start_time < t_end, and
-    the impulses due in one step are applied in list order. An impulse whose
-    start falls before the first step that sees it never acts. Force
-    windows are evaluated at a step's t and bias windows at its t_end, as
-    `_Windows`. `next_event` is the earliest time at which anything can
-    change; a step whose t_end is below it only reads `force` and `bias`.
+    An impulse is due in the one step with t <= start_time < t_end; the
+    impulses due in one step are applied in list order, and one whose start
+    falls before the first step that sees it never acts. Force windows are
+    summed at a step's t and bias windows at its t_end, each window acting
+    at tau when start_time <= tau < start_time + duration. `advance` scans
+    the list once and sets `next_event`, the earliest start or end after t;
+    a step whose t_end is below it only reads `force` and `bias`. The first
+    step scans, as `next_event` starts at -inf.
 
-    Step times must not decrease. The list and its disturbances are read
-    once, here: a plant given another list, or a list holding other
-    disturbances, builds a new schedule.
+    Step times must not decrease, and one step's t_end may pass the next
+    step's t by an ulp: `done`, the last t_end scanned, keeps an impulse in
+    that overlap from acting twice. A plant given another list, or a list
+    holding other disturbances, builds a new schedule; the disturbances
+    must not change while it is in use.
     """
 
-    __slots__ = ("source", "members", "impulses", "next_impulse", "forces", "biases",
-                 "force", "bias", "next_event")
+    __slots__ = ("source", "members", "force", "bias", "next_event", "done")
 
     def __init__(self, disturbances):
         self.source = disturbances
         self.members = tuple(disturbances)
-        impulses = []
-        windows = {"force": [], "bias": []}
-        for i, d in enumerate(disturbances):
-            if d.kind == "impulse":
-                impulses.append((i, d.start_time, d.direction, d.magnitude))
-            else:
-                windows[d.kind].append((
-                    i, d.start_time, d.start_time + d.duration,
-                    d.magnitude * math.cos(d.direction), d.magnitude * math.sin(d.direction),
-                ))
-        self.impulses = sorted(impulses, key=lambda imp: imp[1])
-        self.next_impulse = 0
-        self.forces = _Windows(windows["force"])
-        self.biases = _Windows(windows["bias"])
         self.force = self.bias = (0.0, 0.0)
-        self._update_next_event()
-
-    def _update_next_event(self) -> None:
-        imps = self.impulses
-        i = self.next_impulse
-        self.next_event = min(imps[i][1] if i < len(imps) else _INF,
-                              self.forces.next_change, self.biases.next_change)
+        self.next_event = -_INF
+        self.done = -_INF
 
     def advance(self, t: float, t_end: float) -> list:
-        """Bring the force sum to t and the bias sum to t_end; the impulses
-        due in [t, t_end), as (list index, start, direction, magnitude) in
-        list order."""
-        imps = self.impulses
-        i = self.next_impulse
+        """Take the force sum at t and the bias sum at t_end; the impulses
+        due in [t, t_end), in list order."""
+        done = self.done
         due = []
-        while i < len(imps) and imps[i][1] < t_end:
-            if t <= imps[i][1]:
-                due.append(imps[i])
-            i += 1
-        self.next_impulse = i
-        due.sort()
-        forces = self.forces
-        if forces.next_change <= t:
-            forces.advance(t)
-            self.force = forces.sum
-        biases = self.biases
-        if biases.next_change <= t_end:
-            biases.advance(t_end)
-            self.bias = biases.sum
-        self._update_next_event()
+        fx = fy = bx = by = 0.0
+        next_event = _INF
+        for d in self.members:
+            start = d.start_time
+            if t < start < next_event:
+                next_event = start
+            if d.kind == "impulse":
+                if t <= start < t_end and start >= done:
+                    due.append(d)
+                continue
+            end = start + d.duration
+            if t < end < next_event:
+                next_event = end
+            if d.kind == "force":
+                if start <= t < end:
+                    fx += d.magnitude * math.cos(d.direction)
+                    fy += d.magnitude * math.sin(d.direction)
+            elif start <= t_end < end:
+                bx += d.magnitude * math.cos(d.direction)
+                by += d.magnitude * math.sin(d.direction)
+        self.force = (fx, fy)
+        self.bias = (bx, by)
+        self.next_event = next_event
+        self.done = t_end
         return due
 
 
 def _nystrom_constants(h: float) -> tuple:
-    """(h, then the step's 14 coefficient products, then the rest bound) for
-    step length h, in the order `SurrogatePlant.step` unpacks them.
-
-    The rest skip applies while c2 is below the bound: inf, or -inf (never)
-    when a product overflows, as ``inf * 0.0`` is nan.
-    """
+    """(h, then the step's 14 coefficient products) for step length h, in
+    the order `SurrogatePlant.step` unpacks them."""
     hh = h * h
-    k = (
+    return (
         h, h / 5.0, 2.0 * h / 3.0, hh / 50.0, hh / 27.0,
         3.0 * hh / 10.0, 2.0 * hh / 35.0, 9.0 * hh / 35.0,
         hh / 24.0, 25.0 * hh / 84.0, 9.0 * hh / 56.0,
         h / 24.0, 125.0 * h / 336.0, 27.0 * h / 56.0, 5.0 * h / 48.0,
     )
-    return k + (_INF if all(map(math.isfinite, k)) else -_INF,)
 
 
 @dataclass(slots=True)
@@ -373,13 +310,13 @@ class SurrogatePlant:
             self._handle_gait_events(mu)
 
         # The schedule of this list; a list with the same disturbances keeps
-        # it, cursors and all
+        # it, `done` and all
         sched = self._schedule
         if disturbances is not sched.source:
             sched = self._use_schedule(disturbances)
         if sched.next_event <= t_end:
-            for _, _, direction, magnitude in sched.advance(t, t_end):
-                self.apply_push(direction, magnitude)  # a fallen plant ignores it
+            for d in sched.advance(t, t_end):
+                self.apply_push(d.direction, d.magnitude)  # a fallen plant ignores it
         fx, fy = sched.force
         bias_x, bias_y = sched.bias
 
@@ -390,7 +327,7 @@ class SurrogatePlant:
             k = self._nystrom
             if k[0] != h:
                 k = self._nystrom = _nystrom_constants(h)
-            _, h5, h23, a2, a3, a41, a42, a43, bp1, bp2, bp3, bv1, bv2, bv3, bv4, c2_rest = k
+            _, h5, h23, a2, a3, a41, a42, a43, bp1, bp2, bp3, bv1, bv2, bv3, bv4 = k
             c = cfg.pendulum_c * act.max_hip_height  # lower hips -> slower dynamics
             c2 = c * c
             # The equilibrium of sin(p - eq) is unstable, so shifting it toward
@@ -416,32 +353,24 @@ class SurrogatePlant:
                   - plane * act.swing_ground_plane[1] - so * act.swing_out_tilt[1] + fy)
 
             px, py, vx, vy = st.px, st.py, st.vx, st.vy
-            if (
-                px == 0.0 and py == 0.0 and vx == 0.0 and vy == 0.0
-                and eq_x == 0.0 and eq_y == 0.0 and ux == 0.0 and uy == 0.0 and c2 < c2_rest
-            ):
-                # Exactly at rest: the step loop would yield +0.0 for all
-                # four (module docstring)
-                px = py = vx = vy = 0.0
-            else:
-                # The Nystrom step on p'' = a(p); see the module docstring for
-                # why every expression keeps its exact form.
-                sin = math.sin
-                for _ in range(n_sub):
-                    ax1 = c2 * sin(px - eq_x) + ux
-                    ay1 = c2 * sin(py - eq_y) + uy
-                    ax2 = c2 * sin(px + h5 * vx + a2 * ax1 - eq_x) + ux
-                    ay2 = c2 * sin(py + h5 * vy + a2 * ay1 - eq_y) + uy
-                    ax3 = c2 * sin(px + h23 * vx + a3 * (7.0 * ax2 - ax1) - eq_x) + ux
-                    ay3 = c2 * sin(py + h23 * vy + a3 * (7.0 * ay2 - ay1) - eq_y) + uy
-                    px = px + h * vx
-                    py = py + h * vy
-                    ax4 = c2 * sin(px + (a41 * ax1 - a42 * ax2 + a43 * ax3) - eq_x) + ux
-                    ay4 = c2 * sin(py + (a41 * ay1 - a42 * ay2 + a43 * ay3) - eq_y) + uy
-                    px = px + (bp1 * ax1 + bp2 * ax2 + bp3 * ax3)
-                    py = py + (bp1 * ay1 + bp2 * ay2 + bp3 * ay3)
-                    vx = vx + (bv1 * ax1 + bv2 * ax2 + bv3 * ax3 + bv4 * ax4)
-                    vy = vy + (bv1 * ay1 + bv2 * ay2 + bv3 * ay3 + bv4 * ay4)
+            # The Nystrom step on p'' = a(p); see the module docstring for
+            # why every expression keeps its exact form.
+            sin = math.sin
+            for _ in range(n_sub):
+                ax1 = c2 * sin(px - eq_x) + ux
+                ay1 = c2 * sin(py - eq_y) + uy
+                ax2 = c2 * sin(px + h5 * vx + a2 * ax1 - eq_x) + ux
+                ay2 = c2 * sin(py + h5 * vy + a2 * ay1 - eq_y) + uy
+                ax3 = c2 * sin(px + h23 * vx + a3 * (7.0 * ax2 - ax1) - eq_x) + ux
+                ay3 = c2 * sin(py + h23 * vy + a3 * (7.0 * ay2 - ay1) - eq_y) + uy
+                px = px + h * vx
+                py = py + h * vy
+                ax4 = c2 * sin(px + (a41 * ax1 - a42 * ax2 + a43 * ax3) - eq_x) + ux
+                ay4 = c2 * sin(py + (a41 * ay1 - a42 * ay2 + a43 * ay3) - eq_y) + uy
+                px = px + (bp1 * ax1 + bp2 * ax2 + bp3 * ax3)
+                py = py + (bp1 * ay1 + bp2 * ay2 + bp3 * ay3)
+                vx = vx + (bv1 * ax1 + bv2 * ax2 + bv3 * ax3 + bv4 * ax4)
+                vy = vy + (bv1 * ay1 + bv2 * ay2 + bv3 * ay3 + bv4 * ay4)
             st.px, st.py, st.vx, st.vy = px, py, vx, vy
 
             if math.hypot(st.px, st.py) > self.cfg.fall_angle:

@@ -96,10 +96,13 @@ class TestDefaults:
         ("strike_capture", -1e300, 0.0, "plant.strike_capture must be >= 0"),
         ("pivot_y", 1e300, math.pi, r"plant.pivot_y must lie in \[-pi, pi\]"),
         ("pivot_x_left", -3.2, -math.pi, r"plant.pivot_x_left must lie in \[-pi, pi\]"),
+        ("substep_dt", 0.10000000000000002, 0.1, "plant.substep_dt must be at most 0.1"),
     ])
     def test_plant_overflow_limits_named(self, name, bad, good, message):
         # Past these limits one cycle's tilt, or a foot strike's, overflows
-        # the IMU emission, or the substeps take sin(inf)
+        # the IMU emission, or the substeps take sin(inf); a substep longer
+        # than the 0.1 s cycle limit changes nothing, and a huge one makes
+        # h^2 overflow
         with pytest.raises(ConfigError, match=f"^{message}$"):
             PlantConfig(**{name: bad}).validate()
         PlantConfig(**{name: good}).validate()

@@ -195,7 +195,7 @@ PUSH_BATTERY_IDS = ["battery_controller_on", "battery_controller_off"]
 @pytest.mark.parametrize("enabled, withstood, digest", PUSH_BATTERY_GOLDEN, ids=PUSH_BATTERY_IDS)
 def test_push_battery_digest(monkeypatch, enabled, withstood, digest):
     """Ladder (1.0, 1.5, 7.0), one push per level, seed 5: the push trial path,
-    the rest skip and, with the controller off, the open loop."""
+    the plant at rest and, with the controller off, the open loop."""
     h = hashlib.sha256()
     run = harness.run_closed_loop
 

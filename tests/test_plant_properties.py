@@ -1,5 +1,5 @@
-"""Property tests of the plant's rest skip and its disturbance schedule
-against the plain reference step.
+"""Property tests of the plant at and near rest and of its disturbance
+schedule against the plain reference step, bit for bit.
 
 Needs Hypothesis (the `test` extra); skipped where it is not installed.
 """
@@ -10,7 +10,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
 from test_plant import _PAIR_FIELDS, DT, ReferencePlant, assert_bit_identical  # noqa: E402
 
@@ -96,6 +96,11 @@ _DISTURBANCE = hs.builds(
     fresh_list=hs.booleans(),
     seed=hs.integers(0, 3),
 )
+# Step 5's t_end, 0.05 + 0.01, passes step 6's t = 0.06 by an ulp: the
+# impulse at 0.06 is due in step 5 and must not act again in step 6
+@example(disturbances=[Disturbance("impulse", 0.3, 1.5, _start_time(6, 0)),
+                       Disturbance("impulse", -1.2, 0.8, _start_time(6, 2))],
+         fallen=False, fresh_list=False, seed=0)
 def test_schedule_matches_reference_scan(disturbances, fallen, fresh_list, seed):
     """The plant's disturbance schedule against the reference's per-step
     scans, bit for bit: impulses that share a step (applied in list order,

@@ -104,10 +104,10 @@ def test_warm_prefix_equals_cleared_run(plant_steps):
 
 
 def test_restored_plant_resumes_its_schedule(plant_steps):
-    """The memo's plant carries the schedule of the run that filled it, its
-    cursors at the start; a run that restores it, with the same disturbance
-    list or another, reads its own schedule from there: the records equal
-    a cleared run's, bit for bit."""
+    """The memo's plant carries the schedule of the run that filled it, as
+    it stood before the first event; a run that restores it, with the same
+    disturbance list or another, reads its own schedule from there: the
+    records equal a cleared run's, bit for bit."""
     ctrl = ControllerConfig()
     plant = PlantConfig()
 

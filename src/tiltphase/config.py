@@ -26,6 +26,8 @@ def _check_finite(cfg, prefix: str) -> None:
 
 @dataclass(slots=True)
 class ControllerConfig:
+    """Controller parameters, as `controller.<name>` keys in a config file."""
+
     # Control cycle (nominal; used to size cycle-count filter windows)
     cycle_dt: float = 0.01
 
@@ -216,6 +218,8 @@ class ControllerConfig:
 
 @dataclass(slots=True)
 class PlantConfig:
+    """Surrogate plant parameters, as `plant.<name>` keys in a config file."""
+
     pendulum_c: float = 2.0
     gravity: float = 9.81
     # One fifth-order Nystrom step per 10 ms cycle (8 sin); within 3.2e-12 of 0.1 ms steps

@@ -93,6 +93,8 @@ def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[
         r = math.sqrt(m2 / (q0 * q0 + q1 * q1 or _INF))
         if r == 0.0:
             r = _scaled_radius(x0, x1, a0, a1)
+    if m <= r - b:  # soft_coerce_mag's identity range, tested before the call
+        return (x0, x1)
     s = soft_coerce_mag(m, r, b)
     if s == m:
         return (x0, x1)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import sys
@@ -21,6 +20,8 @@ from tiltphase.trace import csv_rows, finite_float, record_values
 
 @dataclass
 class Scenario:
+    """A closed-loop run: its length, seed, controller switch, schedules and overrides."""
+
     duration: float = 10.0
     seed: int = 0
     controller_enabled: bool = True
@@ -35,6 +36,9 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
+        # Imported here: json adds about 3 ms to a cold start of the CLI
+        import json
+
         data = json.loads(text)
         if type(data) is not dict:
             raise ValueError(f"scenario: expected a JSON object, got {data!r:.40}")
@@ -145,9 +149,6 @@ def _next_command(
     return i, commands[i - 1][1] if i else _NO_COMMAND, times[i] if i < n else math.inf
 
 
-_new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
-_MU = ActivationSet._fields.index("mu")
-
 # Most cycles a closed-loop run or the latency benchmark takes: a trace
 # record holds about 600 B, so 10**6 cycles (10^4 s at 100 Hz) keep 600 MB
 MAX_CYCLES = 10**6
@@ -155,6 +156,8 @@ MAX_CYCLES = 10**6
 
 @dataclass
 class RunResult:
+    """The trace records of a closed-loop run and whether the plant fell."""
+
     records: List[tuple]
     fallen: bool
 
@@ -190,13 +193,9 @@ def run_closed_loop(
     plant = SurrogatePlant(plant_cfg, seed=scenario.seed)
 
     idle = ActivationSet(gait_frequency=ctrl_cfg.f_nom)
-    # The controller-off output is `idle` with mu replaced, built each cycle
-    # with tuple.__new__ from the fields around mu
-    idle_head = idle[:_MU]
-    idle_tail = idle[_MU + 1:]
 
     # Cycle k's plant step ends at k*dt + dt (cycle 0's at 0.0 + dt), the
-    # same floats as below and in SurrogatePlant.step. While that end is
+    # same floats as below and in SurrogatePlant.advance. While that end is
     # before every command and disturbance time, nothing scheduled can act,
     # so cycles 0 .. quiet-1 read only the key's inputs.
     t_event = min(times[:1] + [d.start_time for d in scenario.disturbances], default=math.inf)
@@ -221,9 +220,13 @@ def run_closed_loop(
         first, store_at = quiet, 0
     else:
         records = []
-        imu = plant.step(idle, 0.0, scenario.disturbances, 0.0, dt)
+        # advance returns None: the open loop keeps no IMU sample
+        imu = (plant.step if enabled else plant.advance)(idle, 0.0, scenario.disturbances, 0.0, dt)
         mu_open = 0.0
         first, store_at = 1, quiet
+    # A controller-off cycle advances the plant with `idle`, whose mu the
+    # plant never reads, and records `idle` with t and mu replaced
+    idle_rest = None if enabled else record_values(0.0, idle)[2:]
     i_cmd, cmd, t_cmd = _next_command(times, commands, 0, -math.inf)
     for k in range(first, n + 1):
         if k == store_at:
@@ -234,20 +237,19 @@ def run_closed_loop(
             i_cmd, cmd, t_cmd = _next_command(times, commands, i_cmd, t)
         if controller is not None:
             act = controller.step(imu, cmd, dt)
-            mu = controller.mu
+            records.append(record_values(t, act))
+            imu = plant.step(act, controller.mu, scenario.disturbances, t, dt)
         else:
-            act = _new_tuple(ActivationSet, idle_head + (mu_open,) + idle_tail)
+            records.append((t, mu_open) + idle_rest)
             mu_open = gait_phase_step(mu_open, ctrl_cfg.f_nom, dt)
-            mu = mu_open
-        records.append(record_values(t, act))
-        imu = plant.step(act, mu, scenario.disturbances, t, dt)
+            plant.advance(idle, mu_open, scenario.disturbances, t, dt)
         if plant.state.fallen:
             break
     return RunResult(records, plant.state.fallen)
 
 
 # Per controller switch, (key, pickled (controller, plant), records, IMU
-# sample, open-loop mu) at the start of cycle `quiet` of the last
+# sample or None, open-loop mu) at the start of cycle `quiet` of the last
 # run_closed_loop with that switch that reached it, so alternating
 # controller-on and -off runs each keep their walk. The key is everything
 # cycles 0 .. quiet-1 read: both configs, the controller switch, the count

@@ -41,7 +41,7 @@ divides the error against a 1e-5 s run by 31 (fifth order gives 32).
 Against the two 5 ms RK4 substeps that it replaced (2.2e-10 there), no
 push trial changes its fall result.
 
-The step loop in `SurrogatePlant.step` is inlined over local floats, with
+The step loop in `SurrogatePlant.advance` is inlined over local floats, with
 everything that is constant over a control cycle (``c2``, the pivot
 offsets ``eq_x``/``eq_y`` and one forcing term per axis) computed once
 before it. The forcing term is the left-to-right chain
@@ -62,9 +62,12 @@ acceleration is +0.0, and so are the four state values it returns.
 
 Disturbances act through a per-run `DisturbanceSchedule`, which reads the
 list only at its events, so a step between them costs the same whatever
-the list's length. The IMU sample takes two rotation.py calls:
+the list's length. `SurrogatePlant.step` is `advance`, the dynamics,
+then the IMU sample, which takes two rotation.py calls:
 ``quat_from_tilt_phase`` for the measured orientation and the fused
-``imu_of_motion`` kernel for the gyro and accelerometer values.
+``imu_of_motion`` kernel for the gyro and accelerometer values. A loop
+that reads no IMU, such as the controller-off closed loop, calls
+`advance` alone; the rng is read only by the sample's noise.
 """
 
 from __future__ import annotations
@@ -196,7 +199,7 @@ class DisturbanceSchedule:
 
 def _nystrom_constants(h: float) -> tuple:
     """(h, then the step's 14 coefficient products) for step length h, in
-    the order `SurrogatePlant.step` unpacks them."""
+    the order `SurrogatePlant.advance` unpacks them."""
     hh = h * h
     return (
         h, h / 5.0, 2.0 * h / 3.0, hh / 50.0, hh / 27.0,
@@ -208,6 +211,8 @@ def _nystrom_constants(h: float) -> tuple:
 
 @dataclass(slots=True)
 class PlantState:
+    """Tilt phase, its rate, the support foot and its pivot, and the fall flag."""
+
     px: float = 0.0
     py: float = 0.0
     vx: float = 0.0
@@ -288,15 +293,15 @@ class SurrogatePlant:
 
     # -- dynamics -------------------------------------------------------------
 
-    def step(
-        self,
-        act: ActivationSet,
-        mu: float,
-        disturbances: List[Disturbance],
-        t: float,
-        dt: float,
-    ) -> ImuSample:
-        """Advance the plant by dt (internal Nystrom steps) and emit an IMU sample.
+    def step(self, act: ActivationSet, mu: float, disturbances: List[Disturbance],
+             t: float, dt: float) -> ImuSample:
+        """Advance the plant by dt and emit the IMU sample at t + dt."""
+        self.advance(act, mu, disturbances, t, dt)
+        return self._emit_imu(t + dt, dt)
+
+    def advance(self, act: ActivationSet, mu: float, disturbances: List[Disturbance],
+                t: float, dt: float) -> None:
+        """Advance the plant by dt (internal Nystrom steps), with no IMU sample.
 
         Over the steps that pass one disturbance list (or lists of the same
         disturbances), t must not decrease; see `DisturbanceSchedule`.
@@ -318,7 +323,6 @@ class SurrogatePlant:
             for d in sched.advance(t, t_end):
                 self.apply_push(d.direction, d.magnitude)  # a fallen plant ignores it
         fx, fy = sched.force
-        bias_x, bias_y = sched.bias
 
         if alive:
             cfg = self.cfg
@@ -378,12 +382,12 @@ class SurrogatePlant:
                 st.vx = 0.0
                 st.vy = 0.0
 
-        return self._emit_imu(bias_x, bias_y, t_end, dt)
-
-    def _emit_imu(self, bias_x, bias_y, t_now, dt) -> ImuSample:
-        """IMU sample of the measured orientation, biased by (bias_x, bias_y)."""
+    def _emit_imu(self, t_now, dt) -> ImuSample:
+        """IMU sample of the measured orientation, biased by the schedule's
+        bias at the last step's end; the rng is read only here."""
         cfg = self.cfg
         st = self.state
+        bias_x, bias_y = self._schedule.bias
         q_meas = quat_from_tilt_phase((st.px + bias_x, st.py + bias_y))
         # Exact body rates of the measured orientation over this step
         gx, gy, gz, ax, ay, az = imu_of_motion(self._q_meas_prev, q_meas, dt, cfg.gravity)

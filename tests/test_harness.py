@@ -7,6 +7,8 @@ import re
 import numpy as np
 import pytest
 
+import tiltphase.harness as harness
+import tiltphase.plant
 from tiltphase.cli import main
 from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import GaitCommand, TiltPhaseController
@@ -205,6 +207,26 @@ class TestClosedLoop:
         res = run_closed_loop(ControllerConfig(), PlantConfig(), sc)
         assert res.fallen
         assert len(res.records) < 500
+
+    @pytest.mark.parametrize("enabled, per_step", [(True, 1), (False, 0)])
+    def test_imu_is_synthesised_only_for_the_controller(self, monkeypatch, enabled, per_step):
+        """The controller-off loop reads no IMU sample, so its plant builds
+        none; with the controller on, every plant step builds one."""
+        calls = [0]
+        imu_of_motion = tiltphase.plant.imu_of_motion
+
+        def counting(*args):
+            calls[0] += 1
+            return imu_of_motion(*args)
+
+        monkeypatch.setattr(tiltphase.plant, "imu_of_motion", counting)
+        monkeypatch.setattr(harness, "_quiet_prefix", {})
+        sc = Scenario(duration=1.0, controller_enabled=enabled,
+                      disturbances=[Disturbance("impulse", 0.4, 0.5, 0.5)])
+        res = run_closed_loop(ControllerConfig(), PlantConfig(), sc)
+        assert not res.fallen
+        # One plant step before the first record and one after each
+        assert calls[0] == per_step * (len(res.records) + 1)
 
     def test_overrides_do_not_mutate_caller_config(self):
         ctrl = ControllerConfig()

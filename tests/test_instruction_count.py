@@ -1,5 +1,6 @@
 """Bytecode instructions of five steady controller steps and of five
-closed-loop cycles, pinned, and of a plant step against its schedule length.
+closed-loop cycles with the controller on and with it off, pinned, and of a
+plant step against its schedule length.
 
 Instruction counts are deterministic for one Python version and one input,
 so unlike step timings no host load moves them. They count what the
@@ -18,6 +19,7 @@ import pytest
 
 from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController
+from tiltphase.deviation import gait_phase_step
 from tiltphase.estimator import GRAVITY, ImuSample
 from tiltphase.filters import WlbfFilter
 from tiltphase.plant import Disturbance, SurrogatePlant
@@ -29,10 +31,11 @@ FITTED = dict(wave_amp_x=0.055, wave_amp_y=0.03, wave_phase_x=0.4, wave_phase_y=
               wave_offset_x=0.004, wave_offset_y=-0.002)
 
 # Instructions over steps 201-205, CPython 3.11
-PINNED = {"default": 14955, "fitted": 18119}
-# Instructions over closed-loop cycles 201-205, CPython 3.11: 20172 with
-# the plant's exact-rest test, 45 fewer without it (9 per plant step)
-PINNED_CYCLES = 20127
+PINNED = {"default": 14655, "fitted": 17819}
+# Instructions over closed-loop cycles 201-205, CPython 3.11
+PINNED_CYCLES = 19892
+# The same over controller-off cycles 201-205: the record and the dynamics
+PINNED_OFF_CYCLES = 3028
 
 
 def imu_stream(n, dt=0.01):
@@ -109,6 +112,30 @@ def closed_loop_cycle_instructions(warm=200, n=5):
     return count_instructions([(cycle, (k,)) for k in range(warm + 1, warm + n + 1)])
 
 
+def open_loop_cycle_instructions(warm=200, n=5):
+    """Bytecode instructions of cycles warm+1 .. warm+n of a controller-off
+    closed loop as `run_closed_loop` runs it, with the pushes of
+    `closed_loop_cycle_instructions`: the record and the plant's dynamics."""
+    cfg = ControllerConfig()
+    plant = SurrogatePlant(PlantConfig())
+    schedule = pushes(14)
+    dt = cfg.cycle_dt
+    idle = ActivationSet(gait_frequency=cfg.f_nom)
+    idle_rest = record_values(0.0, idle)[2:]
+    plant.advance(idle, 0.0, schedule, 0.0, dt)
+    mu = 0.0
+
+    def cycle(k):
+        nonlocal mu
+        (k * dt, mu) + idle_rest
+        mu = gait_phase_step(mu, cfg.f_nom, dt)
+        plant.advance(idle, mu, schedule, k * dt, dt)
+
+    for k in range(1, warm + 1):
+        cycle(k)
+    return count_instructions([(cycle, (k,)) for k in range(warm + 1, warm + n + 1)])
+
+
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts are pinned for CPython 3.11")
 @pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython bytecode")
 @pytest.mark.parametrize("name, cfg", [
@@ -127,6 +154,7 @@ def test_closed_loop_cycle_instruction_count():
     if sys.gettrace() is not None:
         pytest.skip("a tracer (coverage, debugger) is already installed")
     assert closed_loop_cycle_instructions() == PINNED_CYCLES
+    assert open_loop_cycle_instructions() == PINNED_OFF_CYCLES
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython bytecode")

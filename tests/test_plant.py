@@ -215,6 +215,36 @@ class TestImuOutput:
             plant.step(IDLE, 0.0, [], 0.0, 0.0)
 
 
+class TestAdvance:
+    def test_advance_alone_matches_step(self):
+        """A plant driven by `step` and a twin driven by `advance` alone
+        reach the same states, bit for bit, through a push, a force, a bias
+        and foot strikes; the twin draws no noise and keeps no IMU history."""
+        cfg = PlantConfig(noise_gyro=0.02, noise_accel=0.1)
+        disturbances = [
+            Disturbance("impulse", 0.7, 0.8, 0.305),
+            Disturbance("force", -2.0, 0.6, 0.5, 0.4),
+            Disturbance("bias", 1.0, 0.05, 0.2, 1.0),
+        ]
+        act = ActivationSet(arm_tilt=(0.01, -0.02), hip_shift=(0.005, 0.0),
+                            gait_frequency=ControllerConfig().f_nom)
+        stepped = SurrogatePlant(cfg, seed=4)
+        twin = SurrogatePlant(cfg, seed=4)
+        rng_state = twin.rng.getstate()
+        supports = set()
+        mu = 0.0
+        for k in range(150):
+            mu = gait_phase_step(mu, act.gait_frequency, DT)
+            stepped.step(act, mu, disturbances, k * DT, DT)
+            assert twin.advance(act, mu, disturbances, k * DT, DT) is None
+            assert bits(dataclasses.astuple(twin.state)) == bits(dataclasses.astuple(stepped.state))
+            supports.add(twin.state.support)
+        assert supports == {"L", "R"}
+        assert not twin.state.fallen and twin.state.vx != 0.0
+        assert twin.rng.getstate() == rng_state
+        assert twin._q_meas_prev == (1.0, 0.0, 0.0, 0.0)
+
+
 def test_benchmark_rotation_wrap_points_exist():
     # perfbench/layers.py wraps each of its ROTATION_NAMES on tiltphase.plant
     # for the rotation spans; a name the plant no longer has makes every

@@ -16,15 +16,17 @@ from tiltphase.plant import Disturbance, SurrogatePlant
 
 @pytest.fixture
 def plant_steps(monkeypatch):
-    """Counts SurrogatePlant.step calls; the memo starts empty and is put back after."""
+    """Counts plant steps, as SurrogatePlant.advance calls (`step` makes
+    one, and the controller-off loop calls it alone); the memo starts empty
+    and is put back after."""
     count = [0]
-    step = SurrogatePlant.step
+    advance = SurrogatePlant.advance
 
     def counting(self, *args):
         count[0] += 1
-        return step(self, *args)
+        return advance(self, *args)
 
-    monkeypatch.setattr(SurrogatePlant, "step", counting)
+    monkeypatch.setattr(SurrogatePlant, "advance", counting)
     monkeypatch.setattr(harness, "_quiet_prefix", {})
     return count
 
@@ -134,13 +136,13 @@ def test_alternating_switch_keeps_both_walks(monkeypatch):
     walk per switch, so the second on and off batteries step no plant cycle
     before the push and withstand what the first did."""
     quiet_steps = [0]
-    step = SurrogatePlant.step
+    advance = SurrogatePlant.advance
 
     def counting(self, act, mu, disturbances, t, dt):
         quiet_steps[0] += t + dt < harness.T_PUSH  # the harness's quiet rule
-        return step(self, act, mu, disturbances, t, dt)
+        return advance(self, act, mu, disturbances, t, dt)
 
-    monkeypatch.setattr(SurrogatePlant, "step", counting)
+    monkeypatch.setattr(SurrogatePlant, "advance", counting)
     monkeypatch.setattr(harness, "_quiet_prefix", {})
     ctrl = ControllerConfig()
     results = []

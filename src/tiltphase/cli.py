@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -13,7 +12,10 @@ from tiltphase.config import (
     PlantConfig,
     coerce,
     dump_config,
+    field_values,
+    fields,
     load_config,
+    replace,
 )
 from tiltphase.harness import (
     Scenario,
@@ -71,7 +73,7 @@ def _load_scenario(args) -> Scenario:
         scenario = Scenario()
     if getattr(args, "duration", None) is not None:
         # replace() re-runs Scenario's checks on the overridden duration
-        scenario = dataclasses.replace(scenario, duration=args.duration)
+        scenario = replace(scenario, duration=args.duration)
     if getattr(args, "seed", None) is not None:
         scenario.seed = args.seed
     return scenario
@@ -133,7 +135,7 @@ def cmd_fit_waveform(args) -> int:
     py = [r["pyB"] for r in records]
     wave, rms = fit_waveform(mu, px, py)
     # Named as the ControllerConfig keys they feed
-    out = {f"wave_{k}": v for k, v in dataclasses.asdict(wave).items()}
+    out = {f"wave_{k}": v for k, v in zip(fields(wave), field_values(wave))}
     out["residual_rms_x"], out["residual_rms_y"] = rms
     import json  # about 3 ms of a cold start, which only this command needs
 

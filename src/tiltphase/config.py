@@ -2,15 +2,115 @@
 
 All quantities are dimensionless or SI. The file format is one `key = value`
 per line, `#` comments allowed; keys are `controller.<field>` or
-`plant.<field>`. Defaults ship in the dataclasses below and can be printed
-with the CLI `--dump-config` flag.
+`plant.<field>`. Defaults ship in the record classes below and can be
+printed with the CLI `--dump-config` flag.
+
+A record class (`_Record`) is a `__slots__` class built from its annotated
+class body, as a dataclass would be, but without importing `dataclasses`
+and `inspect` or generating code per class: those took about a quarter of
+a cold start of the CLI.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Dict, Iterator, Tuple
+
+
+class _RecordType(type):
+    """Metaclass of `_Record`: the annotated names of a class body become the
+    class's `__slots__` and fields, in declaration order, and their values in
+    the body the defaults."""
+
+    def __new__(mcs, name, bases, ns):
+        types = ns.get("__annotations__", {})
+        defaults = {n: ns.pop(n) for n in types if n in ns}
+        cls = super().__new__(mcs, name, bases, {**ns, "__slots__": tuple(types)})
+        cls._types = types
+        cls._defaults = defaults
+        return cls
+
+
+class _Record(metaclass=_RecordType):
+    """Base of the package's record classes: construction by position and
+    keyword, with a fresh copy of a list or dict default and the class's
+    `__post_init__` check after it; a `Name(field=value!r, ...)` repr,
+    which tells -0.0 from 0.0 and 1 from 1.0; `==` field by field between
+    records of one class. Records pickle through their slots."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        name = cls.__name__
+        values = dict(zip(cls._types, args))
+        if len(values) < len(args):
+            raise TypeError(f"{name} takes {len(values)} positional arguments, got {len(args)}")
+        for key in kwargs:
+            if key not in cls._types:
+                raise TypeError(f"{name} got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name} got multiple values for argument {key!r}")
+        values.update(kwargs)
+        for key in cls._types:
+            if key in values:
+                value = values[key]
+            elif key in cls._defaults:
+                value = cls._defaults[key]
+                if type(value) in (list, dict):
+                    value = value.copy()
+            else:
+                raise TypeError(f"{name} missing argument {key!r}")
+            object.__setattr__(self, key, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._types)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return field_values(self) == field_values(other)
+
+
+class _FrozenRecord(_Record):
+    """A `_Record` whose fields cannot change after construction."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return field_values(self)
+
+    def __setstate__(self, state):
+        for name, value in zip(self._types, state):
+            object.__setattr__(self, name, value)
+
+
+def fields(record) -> Dict[str, str]:
+    """The fields of a record class or record, in declaration order, each
+    with the text of its annotation ("float", "int", ...). Read only."""
+    return record._types
+
+
+def field_values(record) -> tuple:
+    """A record's field values, in declaration order."""
+    return tuple([getattr(record, n) for n in record._types])
+
+
+def replace(record, **changes):
+    """A new record of the same class with some fields changed; the class's
+    `__post_init__` check runs on it."""
+    return type(record)(**dict(zip(record._types, field_values(record)), **changes))
 
 
 class ConfigError(ValueError):
@@ -24,8 +124,7 @@ def _check_finite(cfg, prefix: str) -> None:
             raise ConfigError(f"{prefix}.{name} must be finite")
 
 
-@dataclass(slots=True)
-class ControllerConfig:
+class ControllerConfig(_Record):
     """Controller parameters, as `controller.<name>` keys in a config file."""
 
     # Control cycle (nominal; used to size cycle-count filter windows)
@@ -216,8 +315,7 @@ class ControllerConfig:
             raise ConfigError("controller.double_support_width must be in (0, pi)")
 
 
-@dataclass(slots=True)
-class PlantConfig:
+class PlantConfig(_Record):
     """Surrogate plant parameters, as `plant.<name>` keys in a config file."""
 
     pendulum_c: float = 2.0
@@ -288,7 +386,7 @@ class PlantConfig:
 _PREFIXES = {"controller": ControllerConfig, "plant": PlantConfig}
 _TYPE_MAP = {"float": float, "int": int, "bool": bool}
 _FIELD_TYPES = {
-    prefix: {f.name: _TYPE_MAP.get(f.type, float) for f in fields(cls)}
+    prefix: {name: _TYPE_MAP.get(kind, float) for name, kind in fields(cls).items()}
     for prefix, cls in _PREFIXES.items()
 }
 
@@ -369,8 +467,8 @@ def apply_overrides(ctrl: ControllerConfig, plant: PlantConfig, overrides: Dict[
 
 def dump_config(ctrl: ControllerConfig, plant: PlantConfig) -> Iterator[str]:
     for prefix, cfg in (("controller", ctrl), ("plant", plant)):
-        for f in fields(cfg):
-            v = getattr(cfg, f.name)
+        for name in fields(cfg):
+            v = getattr(cfg, name)
             if isinstance(v, bool):
                 v = "true" if v else "false"
-            yield f"{prefix}.{f.name} = {v}"
+            yield f"{prefix}.{name} = {v}"

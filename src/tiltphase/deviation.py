@@ -25,9 +25,9 @@ quaternions once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from tiltphase.config import _FrozenRecord
 from tiltphase.rotation import TiltPhase2D, tilt_of_quat, tilt_quat, wrap_pi
 
 _new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
@@ -42,8 +42,7 @@ def gait_phase_step(mu: float, f_g: float, dt: float) -> float:
     return wrap_pi(mu + f_g * dt)
 
 
-@dataclass(frozen=True, slots=True)
-class ExpectedWaveform:
+class ExpectedWaveform(_FrozenRecord):
     """Per-axis sinusoid-with-offset model of the nominal tilt phase trajectory."""
 
     amp_x: float = 0.0

@@ -225,6 +225,37 @@ def on_grid(gap: float, cycle_dt: float) -> bool:
     return abs(gap - cycle_dt) <= GRID_TOL * cycle_dt
 
 
+# A window value more than this many times the sum of the other values'
+# magnitudes makes the grid path sum the moments afresh at each step until
+# it leaves; past about 2^53 the others are lost in its sums
+_SWAMP = 2.0 ** 26
+
+
+def _swamped(buf, i: int, t0: float, t1: float, t2: float, n2: float) -> bool:
+    """True if one record's value i in the window buf is more than _SWAMP
+    times the sum of the others' magnitudes, and that sum is not 0. t0, t1
+    and t2 are the window's moments of value i, n2 its length squared. A
+    value among exact zeros is left to the usual re-sums: a commanded step
+    from 0 enters the leaning WLBF that way.
+
+    A value x at k that swamps the others puts T0, T1 and T2 within
+    n^2 / _SWAMP times x of x, k x and k^2 x, so |T2 - T1^2 / T0| is at
+    most about 4 n^2 / _SWAMP times |T2|. A window above twice that holds
+    no such value and is not scanned; the bound holds for n below 5000.
+    """
+    if not t0 or abs(t2 - t1 * (t1 / t0)) > 8.0 * n2 / _SWAMP * abs(t2):
+        return False
+    m = rest = 0.0
+    for rec in buf:
+        a = abs(rec[i])
+        if a > m:
+            rest += m
+            m = a
+        else:
+            rest += a
+    return m > _SWAMP * rest > 0.0
+
+
 # The previous record of an empty window: no value repeats it
 _NO_SAMPLE = (math.nan, math.nan, math.nan)
 
@@ -248,10 +279,11 @@ class WlbfFilter:
     -(n - 1) cycle_dt / 3 (newest at 0). A grid step updates the moments in
     O(1); summing them afresh every n grid steps, after a direct step or a
     held-window return and when the window first holds one value bounds
-    their drift and keeps it out of held fits. Warm-up, an off-grid gap in
-    the window and moments or a fit that overflow take the direct sums over
-    the actual times. A window holding the previous one's value returns the
-    previous fit.
+    their drift and keeps it out of held fits; so does summing them afresh
+    at every step while one value swamps the others (`_swamped`). Warm-up,
+    an off-grid gap in the window and moments or a fit that overflow take
+    the direct sums over the actual times. A window holding the previous
+    one's value returns the previous fit.
     """
 
     __slots__ = ("dim", "capacity", "_buf", "_dt", "_tol", "_direct", "_grid", "_mom", "_left",
@@ -348,6 +380,11 @@ class WlbfFilter:
                         kk = k * k
                         u0, u1, u2 = u0 + v0, u1 + k * v0, u2 + kk * v0
                         w0, w1, w2 = w0 + v1, w1 + k * v1, w2 + kk * v1
+                if (_swamped(buf, 1, u0, u1, u2, n2)
+                        or dim == 2 and _swamped(buf, 2, w0, w1, w2, n2)):
+                    # Its rounding would stay in the moments once it left:
+                    # sum afresh until it has
+                    left = 0
             s0 = (9.0 * u2 - k3 * u1) / c9dt
             xb0 = u1 / sw
             v0 = xb0 - s0 * tbar
@@ -494,6 +531,10 @@ class HoldFilter:
 
     def step(self, x: float, t: float) -> float:
         buf = self._buf
+        if len(buf) == 1 and buf[0][1] <= x:
+            # It dominates the only entry, as a held or rising input does
+            buf[0] = (t, x)
+            return x
         # Monotone deque: drop entries dominated by the new sample.
         while buf and buf[-1][1] <= x:
             buf.pop()

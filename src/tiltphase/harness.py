@@ -6,10 +6,9 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from tiltphase.config import ControllerConfig, PlantConfig, apply_overrides
+from tiltphase.config import ControllerConfig, PlantConfig, _Record, apply_overrides, replace
 from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController
 from tiltphase.deviation import ExpectedWaveform, gait_phase_step
 from tiltphase.estimator import ImuSample
@@ -18,16 +17,16 @@ from tiltphase.plant import Disturbance, SurrogatePlant, disturbance_error
 from tiltphase.trace import csv_rows, finite_float, record_values
 
 
-@dataclass
-class Scenario:
+class Scenario(_Record):
     """A closed-loop run: its length, seed, controller switch, schedules and overrides."""
 
     duration: float = 10.0
     seed: int = 0
     controller_enabled: bool = True
-    commands: List[Tuple[float, GaitCommand]] = field(default_factory=list)
-    disturbances: List[Disturbance] = field(default_factory=list)
-    overrides: Dict[str, object] = field(default_factory=dict)
+    # Each scenario gets a fresh list or dict
+    commands: List[Tuple[float, GaitCommand]] = []
+    disturbances: List[Disturbance] = []
+    overrides: Dict[str, object] = {}
 
     def __post_init__(self):
         if not (0.0 < self.duration < math.inf):
@@ -154,8 +153,7 @@ def _next_command(
 MAX_CYCLES = 10**6
 
 
-@dataclass
-class RunResult:
+class RunResult(_Record):
     """The trace records of a closed-loop run and whether the plant fell."""
 
     records: List[tuple]
@@ -189,9 +187,7 @@ def run_closed_loop(
     n = int(round(cycles))
     commands = scenario.commands
     times = _schedule_times(commands)
-    controller = TiltPhaseController(ctrl_cfg) if scenario.controller_enabled else None
-    plant = SurrogatePlant(plant_cfg, seed=scenario.seed)
-
+    enabled = bool(scenario.controller_enabled)
     idle = ActivationSet(gait_frequency=ctrl_cfg.f_nom)
 
     # Cycle k's plant step ends at k*dt + dt (cycle 0's at 0.0 + dt), the
@@ -203,7 +199,6 @@ def run_closed_loop(
     while quiet < n and quiet * dt + dt < t_event:
         quiet += 1
     noisy = plant_cfg.noise_gyro > 0.0 or plant_cfg.noise_accel > 0.0
-    enabled = controller is not None
     # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not
     key = (
         repr(ctrl_cfg), repr(plant_cfg), enabled, quiet,
@@ -214,11 +209,17 @@ def run_closed_loop(
 
     memo = _quiet_prefix.get(enabled)
     if memo is not None and memo[0] == key:
+        # The configs are checked as building the pair would check them
+        if enabled:
+            ctrl_cfg.validate()
+        plant_cfg.validate()
         _, blob, prefix_records, imu, mu_open = memo
         controller, plant = _resume(blob, ctrl_cfg, plant_cfg, scenario.seed, noisy)
         records = list(prefix_records)
         first, store_at = quiet, 0
     else:
+        controller = TiltPhaseController(ctrl_cfg) if enabled else None
+        plant = SurrogatePlant(plant_cfg, seed=scenario.seed)
         records = []
         # advance returns None: the open loop keeps no IMU sample
         imu = (plant.step if enabled else plant.advance)(idle, 0.0, scenario.disturbances, 0.0, dt)
@@ -230,7 +231,10 @@ def run_closed_loop(
     i_cmd, cmd, t_cmd = _next_command(times, commands, 0, -math.inf)
     for k in range(first, n + 1):
         if k == store_at:
+            # The blob leaves out the configs, which _resume binds to each run's own
+            _bind(controller, plant, None, None)
             blob = pickle.dumps((controller, plant), pickle.HIGHEST_PROTOCOL)
+            _bind(controller, plant, ctrl_cfg, plant_cfg)
             _quiet_prefix[enabled] = (key, blob, tuple(records), imu, mu_open)
         t = k * dt
         if t >= t_cmd:
@@ -259,14 +263,19 @@ def run_closed_loop(
 _quiet_prefix: Dict[bool, tuple] = {}
 
 
+def _bind(controller, plant, ctrl_cfg, plant_cfg) -> None:
+    """Give a (controller or None, plant) pair its configs."""
+    if controller is not None:
+        controller.cfg = ctrl_cfg
+    plant.cfg = plant_cfg
+
+
 def _resume(blob: bytes, ctrl_cfg, plant_cfg, seed: int, noisy: bool):
     """The pickled (controller, plant) of the memo, bound to this run's configs."""
     import pickle
 
     controller, plant = pickle.loads(blob)
-    if controller is not None:
-        controller.cfg = ctrl_cfg
-    plant.cfg = plant_cfg
+    _bind(controller, plant, ctrl_cfg, plant_cfg)
     if not noisy:
         # The seed is never read without noise: this is a fresh run's rng
         plant.rng = random.Random(seed)

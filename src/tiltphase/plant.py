@@ -75,10 +75,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import List, Optional
 
-from tiltphase.config import PlantConfig
+from tiltphase.config import PlantConfig, _Record
 from tiltphase.controller import ActivationSet
 from tiltphase.estimator import ImuSample
 from tiltphase.rotation import imu_of_motion, quat_from_tilt_phase
@@ -113,8 +112,7 @@ def disturbance_error(kind, direction, magnitude, start_time, duration):
     return None
 
 
-@dataclass(slots=True)
-class Disturbance:
+class Disturbance(_Record):
     """External disturbance acting on the plant.
 
     kind: 'impulse' (one-shot velocity jump at start_time), 'force'
@@ -209,8 +207,7 @@ def _nystrom_constants(h: float) -> tuple:
     )
 
 
-@dataclass(slots=True)
-class PlantState:
+class PlantState(_Record):
     """Tilt phase, its rate, the support foot and its pivot, and the fall flag."""
 
     px: float = 0.0

@@ -446,6 +446,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["--dump-config"]) == 0
     assert main(["simulate", "--duration", "1.0", "--out", trace]) == 0
 print("json" in sys.modules)
+print("dataclasses" in sys.modules, "inspect" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["fit-waveform", trace]) == 0
 print("numpy" in sys.modules)
@@ -454,15 +455,17 @@ print("numpy" in sys.modules)
 
 def test_cli_never_loads_numpy(tmp_path):
     """In a fresh interpreter the CLI, the closed loop and the waveform fit
-    run on the standard library alone, and `simulate` without a scenario
-    file loads no json."""
+    run on the standard library alone, `simulate` without a scenario file
+    loads no json, and neither `--dump-config` nor `simulate` loads
+    dataclasses or inspect."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", COLD_START, str(tmp_path / "run.trace")],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.split()
     assert out[0] == "False", "json imported by simulate"
-    assert out[1:] == ["False"], "numpy imported"
+    assert out[1:3] == ["False", "False"], "dataclasses or inspect imported"
+    assert out[3:] == ["False"], "numpy imported"
 
 
 def test_package_imports_only_the_standard_library():

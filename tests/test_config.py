@@ -1,18 +1,27 @@
+import hashlib
 import math
+import pickle
 
 import pytest
 
 from tiltphase.config import (
+    _FIELD_TYPES,
     ConfigError,
     ControllerConfig,
     PlantConfig,
     apply_overrides,
     coerce,
     dump_config,
+    field_values,
+    fields,
     load_config,
     parse_config_lines,
     parse_number,
+    replace,
 )
+from tiltphase.deviation import ExpectedWaveform
+from tiltphase.harness import RunResult, Scenario
+from tiltphase.plant import Disturbance, PlantState
 from tiltphase.trace import finite_float
 
 
@@ -266,8 +275,97 @@ class TestDump:
     def test_dump_covers_every_field(self):
         lines = list(dump_config(ControllerConfig(), PlantConfig()))
         keys = {line.split("=", 1)[0].strip() for line in lines}
-        from dataclasses import fields
-
-        expected = {f"controller.{f.name}" for f in fields(ControllerConfig)}
-        expected |= {f"plant.{f.name}" for f in fields(PlantConfig)}
+        expected = {f"controller.{name}" for name in fields(ControllerConfig)}
+        expected |= {f"plant.{name}" for name in fields(PlantConfig)}
         assert keys == expected
+
+
+# Each record class, arguments it takes and a field without a check
+RECORDS = [
+    (ControllerConfig, {}, "py_nominal"),
+    (PlantConfig, {}, "pivot_y"),
+    (PlantState, {}, "px"),
+    (Disturbance, {"kind": "impulse"}, "direction"),
+    (ExpectedWaveform, {}, "phase_x"),
+    (Scenario, {}, "seed"),
+    (RunResult, {"records": [], "fallen": False}, "fallen"),
+]
+RECORD_IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, required, name", RECORDS, ids=RECORD_IDS)
+class TestRecordContract:
+    """What the package reads of its record classes: the repr the quiet
+    prefix memo keys on, ==, keyword checks and pickling through slots."""
+
+    def test_repr_tells_signed_zeros_and_ints_apart(self, cls, required, name):
+        shown = [repr(cls(**{**required, name: v})) for v in (0.0, -0.0, 1, 1.0)]
+        assert len(set(shown)) == 4
+        assert shown[1].startswith(f"{cls.__name__}(")
+        assert f"{name}=-0.0" in shown[1]
+
+    def test_eq_compares_fields(self, cls, required, name):
+        a = cls(**required)
+        assert a == cls(**required)
+        assert a != replace(a, **{name: 0.5})
+        assert a != field_values(a)
+
+    def test_unknown_keyword_is_named(self, cls, required, name):
+        with pytest.raises(TypeError, match="no_such_field"):
+            cls(**required, no_such_field=1)
+
+    def test_pickles_without_a_dict(self, cls, required, name):
+        a = cls(**{**required, name: 0.5})
+        b = pickle.loads(pickle.dumps(a, pickle.HIGHEST_PROTOCOL))
+        assert type(b) is cls and b == a and repr(b) == repr(a)
+        assert not hasattr(a, "__dict__") and not hasattr(b, "__dict__")
+
+
+class TestRecords:
+    def test_positional_and_keyword_construction(self):
+        d = Disturbance("force", 0.4, 1.0, start_time=0.5)
+        assert field_values(d) == ("force", 0.4, 1.0, 0.5, 0.0)
+        with pytest.raises(TypeError, match="kind"):
+            Disturbance()
+        with pytest.raises(TypeError, match="direction"):
+            Disturbance("force", 0.4, direction=0.5)
+        with pytest.raises(TypeError, match="positional"):
+            ExpectedWaveform(*range(7))
+
+    def test_list_and_dict_defaults_are_fresh(self):
+        a, b = Scenario(), Scenario()
+        a.commands.append((0.0, None))
+        a.overrides["plant.gravity"] = 9.8
+        assert b.commands == [] and b.overrides == {}
+
+    def test_replace_reruns_the_checks(self):
+        s = Scenario(seed=3)
+        assert replace(s, duration=2.0) == Scenario(duration=2.0, seed=3)
+        with pytest.raises(ValueError, match="duration"):
+            replace(s, duration=-1.0)
+        with pytest.raises(ValueError, match="amplitudes"):
+            replace(ExpectedWaveform(), amp_x=-1.0)
+
+    def test_expected_waveform_is_immutable(self):
+        w = ExpectedWaveform(0.1, 0.2)
+        with pytest.raises(AttributeError):
+            w.amp_x = 0.3
+        with pytest.raises(AttributeError):
+            del w.amp_y
+        assert w == ExpectedWaveform(0.1, 0.2)
+
+    def test_field_types_of_the_configs(self):
+        # Names, order and types of all 103 config fields, pinned by the
+        # digest of their "section.name:type" lines
+        lines = [f"{p}.{n}:{t.__name__}" for p, d in _FIELD_TYPES.items() for n, t in d.items()]
+        assert len(lines) == 103
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "b8d6fd197950640abfe9da40518b63157c5f850be21dd393af9473207c0b23e1"
+        )
+        assert [line for line in lines if not line.endswith(":float")] == [
+            "controller.pd_mean_order:int", "controller.pd_wlbf_size:int",
+            "controller.i_ripple_steps:int", "controller.lean_wlbf_size:int",
+            "controller.so_wlbf_size:int", "controller.sp_mean_order:int",
+            "controller.hh_sagittal_only:bool",
+        ]
+        assert list(fields(PlantConfig())) == list(_FIELD_TYPES["plant"])

@@ -8,7 +8,6 @@ Needs Hypothesis (the `test` extra); skipped where it is not installed.
 
 import math
 from collections import deque
-from dataclasses import fields
 
 import pytest
 
@@ -17,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
 
-from tiltphase.config import ConfigError, ControllerConfig, PlantConfig  # noqa: E402
+from tiltphase.config import ConfigError, ControllerConfig, PlantConfig, fields  # noqa: E402
 from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController  # noqa: E402
 from tiltphase.estimator import ImuSample  # noqa: E402
 from tiltphase.filters import soft_coerce2, soft_coerce_1d  # noqa: E402
@@ -186,7 +185,7 @@ def test_tiny_or_huge_axes_in_pushed_loop(fields):
         imu = plant.step(act, ctrl.mu, push, k * dt, dt)
 
 
-_FLOAT_FIELDS = sorted(f.name for f in fields(ControllerConfig) if f.type == "float")
+_FLOAT_FIELDS = sorted(n for n, t in fields(ControllerConfig).items() if t == "float")
 # Boundaries of the validators: 0, the smallest positive float, 1e+-300, the
 # limits of cycle_dt and so_pendulum_c, the waveform's +-pi and the largest
 # py_nominal
@@ -239,7 +238,7 @@ def test_boundary_config_rejected_or_runs(values):
     config_rejected_or_runs(values)
 
 
-_PLANT_FLOAT_FIELDS = sorted(f.name for f in fields(PlantConfig) if f.type == "float")
+_PLANT_FLOAT_FIELDS = sorted(n for n, t in fields(PlantConfig).items() if t == "float")
 # Boundaries of the plant's validators: 0, the smallest positive float, the
 # substep and impulse scale limits, the strike factors' [0, 1], a pi/2 fall
 # angle, the pivots' pi, the +-1000 of the pendulum and couplings, and 1e+-300

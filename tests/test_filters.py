@@ -15,8 +15,10 @@ from tiltphase.filters import (
     SlopeLimiter,
     GRID_TOL,
     WlbfFilter,
+    _SWAMP,
     _scaled_radius,
     _step_inside,
+    _swamped,
     coerced_interp,
     hard_coerce2,
     on_grid,
@@ -658,6 +660,52 @@ class TestWlbfMoments:
         assert f._fit is not None
         assert out == ((0.25,) * dim, (0.0,) * dim, (0.25,) * dim)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("at", range(30, 40))
+    def test_a_leaving_spike_leaves_no_rounding(self, dim, at):
+        # A 1e300 spike among uniform(-1, 1) values swamps the other values
+        # in the moments: each of the 9 fits after it leaves the window,
+        # before the next scheduled re-sum, is that of freshly summed
+        # moments. Spikes at 10 successive steps meet every phase of the
+        # re-sum schedule; only the first axis spikes.
+        cap, dt = 10, 0.01
+        rng = random.Random(at)
+        xs = [tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)) for _ in range(at + 2 * cap)]
+        xs[at] = (1e300,) + xs[at][1:]
+        f = WlbfFilter(dim, cap, dt)
+        for k, x in enumerate(xs):
+            fit = f.step(dt * (k + 1), x)
+            if at + cap <= k < at + 2 * cap - 1:
+                fresh = WlbfFilter(dim, cap, dt)
+                for j in range(k - cap + 1, k + 1):
+                    want = fresh.step(dt * (j + 1), xs[j])
+                for got_part, want_part in zip(fit, want):
+                    assert got_part == pytest.approx(want_part, rel=1e-12, abs=1e-12), k
+
+    def test_swamped_screen_passes_every_swamped_window(self):
+        # `_swamped` scans only windows whose moments pass its screen: each
+        # window of 2 to 64 values with one value just above _SWAMP times
+        # the sum of the others' magnitudes, anywhere and of either sign,
+        # passes it and is found; one just below is not
+        def swamped(values):
+            u0 = u1 = u2 = k = 0.0
+            for v in values:
+                k += 1.0
+                u0, u1, u2 = u0 + v, u1 + k * v, u2 + k * k * v
+            return _swamped([(0.0, v) for v in values], 1, u0, u1, u2, k * k)
+
+        rng = random.Random(11)
+        for case in range(3000):
+            n = rng.randrange(2, 65)
+            values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-3, 4) for _ in range(n)]
+            p = rng.randrange(n)
+            values[p] = 0.0
+            big = rng.choice((-1.0, 1.0)) * _SWAMP * math.fsum(abs(v) for v in values)
+            values[p] = big * (1.0 + rng.choice((1e-12, 1e-6, 1.0, 1e10)))
+            assert swamped(values), case
+            values[p] = big * (1.0 - 1e-12)
+            assert not swamped(values), case
+
 
 class TestWlbfHeldWindow:
     """A full window on the grid that holds one value, bit for bit, returns
@@ -861,6 +909,21 @@ class TestHoldFilter:
         hf = HoldFilter(0.2)
         for k in range(50):
             assert hf.step(1.5, 0.01 * k) == 1.5
+
+    def test_runs_and_rises_match_the_window_max(self):
+        # Held runs, rises and drops: the one-entry path and the deque path
+        # both return the max over the window, as the same float object
+        rng = random.Random(3)
+        hf = HoldFilter(0.05)
+        window = []
+        x = 0.0
+        for k in range(2000):
+            t = 0.01 * k
+            r = rng.random()
+            x = x if r < 0.5 else x + rng.random() if r < 0.8 else rng.uniform(-1.0, 1.0)
+            window = [(tk, v) for tk, v in window if tk > t - 0.05] + [(t, x)]
+            want = max(window, key=lambda e: (e[1], e[0]))[1]
+            assert hf.step(x, t) is want
 
     @pytest.mark.parametrize("t0", [1.7e18, 1e300])
     def test_keeps_newest_where_hold_time_vanishes(self, t0):

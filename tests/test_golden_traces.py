@@ -35,7 +35,6 @@ digests. The accuracy tests at the end pin the 10 ms default step against
 a finer one.
 """
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -45,7 +44,7 @@ import pytest
 
 from tiltphase import harness
 from tiltphase.cli import EXIT_OK, main
-from tiltphase.config import ControllerConfig, PlantConfig
+from tiltphase.config import ControllerConfig, PlantConfig, field_values
 from tiltphase.controller import GaitCommand
 from tiltphase.harness import (
     Scenario,
@@ -167,7 +166,7 @@ def noisy_tilt_waveform(n=300, seed=9):
 
 def test_fit_waveform_bits():
     wave, rms = fit_waveform(*noisy_tilt_waveform())
-    values = (*dataclasses.astuple(wave), *rms)
+    values = (*field_values(wave), *rms)
     assert [float.hex(v) for v in values] == FIT_WAVEFORM_HEX
 
 

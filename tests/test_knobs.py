@@ -9,19 +9,18 @@ and says why.
 
 import argparse
 import ast
-import dataclasses
 from pathlib import Path
 
 import tiltphase
 from tiltphase.cli import build_parser
-from tiltphase.config import ControllerConfig, PlantConfig
+from tiltphase.config import ControllerConfig, PlantConfig, fields
 
 # (config fields, CLI option flags, defaulted public parameters)
 KNOBS = (103, 17, 17)
 
 
 def config_fields():
-    return len(dataclasses.fields(ControllerConfig)) + len(dataclasses.fields(PlantConfig))
+    return len(fields(ControllerConfig)) + len(fields(PlantConfig))
 
 
 def cli_flags():

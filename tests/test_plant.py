@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 import random
 from pathlib import Path
@@ -7,7 +6,7 @@ from pathlib import Path
 import pytest
 from reference import bits, pendulum_invariant
 
-from tiltphase.config import ControllerConfig, PlantConfig
+from tiltphase.config import ControllerConfig, PlantConfig, field_values
 from tiltphase.controller import ActivationSet
 from tiltphase.deviation import gait_phase_step
 from tiltphase.estimator import AttitudeEstimator, ImuSample
@@ -237,7 +236,7 @@ class TestAdvance:
             mu = gait_phase_step(mu, act.gait_frequency, DT)
             stepped.step(act, mu, disturbances, k * DT, DT)
             assert twin.advance(act, mu, disturbances, k * DT, DT) is None
-            assert bits(dataclasses.astuple(twin.state)) == bits(dataclasses.astuple(stepped.state))
+            assert bits(field_values(twin.state)) == bits(field_values(stepped.state))
             supports.add(twin.state.support)
         assert supports == {"L", "R"}
         assert not twin.state.fallen and twin.state.vx != 0.0
@@ -399,7 +398,7 @@ class ReferencePlant(SurrogatePlant):
 
 def assert_bit_identical(fast, ref, got, want):
     assert bits(got) == bits(want)
-    assert bits(dataclasses.astuple(fast.state)) == bits(dataclasses.astuple(ref.state))
+    assert bits(field_values(fast.state)) == bits(field_values(ref.state))
     assert bits(tuple(fast._q_meas_prev)) == bits(tuple(ref._q_meas_prev))
 
 

@@ -2,6 +2,7 @@
 memo must equal the run made with the memo cleared, record for record."""
 
 import math
+import pickle
 import random
 from collections import deque
 
@@ -204,6 +205,38 @@ def test_invalid_config_raises_with_the_memo_warm(plant_steps):
         run_closed_loop(ControllerConfig(cycle_dt=-0.01), PlantConfig(), scenario)
     with pytest.raises(ConfigError, match="pendulum_c"):
         run_closed_loop(ControllerConfig(), PlantConfig(pendulum_c=0.0), scenario)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_memo_hit_builds_no_pair_and_still_validates(monkeypatch, enabled):
+    """A hit builds no controller or plant, which the memo's copy replaces,
+    yet checks the configs a miss would check; the memo holds no config."""
+    monkeypatch.setattr(harness, "_quiet_prefix", {})
+    calls = []
+
+    def logging(cls, method):
+        orig = getattr(cls, method)
+
+        def logged(self, *args, **kwargs):
+            calls.append(f"{cls.__name__}.{method}")
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, logged)
+
+    for cls in (TiltPhaseController, SurrogatePlant):
+        logging(cls, "__init__")
+    for cls in (ControllerConfig, PlantConfig):
+        logging(cls, "validate")
+    scenario = Scenario(duration=1.0, controller_enabled=enabled,
+                        disturbances=[Disturbance("impulse", 0.4, 1.0, 0.5)])
+    run_closed_loop(ControllerConfig(), PlantConfig(), scenario)
+    built = ["TiltPhaseController.__init__", "ControllerConfig.validate"] if enabled else []
+    assert calls == built + ["SurrogatePlant.__init__", "PlantConfig.validate"]
+    calls.clear()
+    run_closed_loop(ControllerConfig(), PlantConfig(), scenario)
+    assert calls == ["ControllerConfig.validate"] * enabled + ["PlantConfig.validate"]
+    controller, plant = pickle.loads(harness._quiet_prefix[enabled][1])
+    assert plant.cfg is None and (controller.cfg is None if enabled else controller is None)
 
 
 def reachable(root):

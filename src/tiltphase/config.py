@@ -276,12 +276,18 @@ class ControllerConfig(_Record):
             "sp_deadband_x", "sp_deadband_y", "sp_limit_x", "sp_limit_y", "sp_buffer",
             "tim_deadband", "hh_settle_time", "hh_slope_rate", "hh_height_rate",
         )
-        # A negative feedback gain turns its correction into a push the same way
+        # A negative feedback gain turns its correction into a push the same
+        # way, the estimator's gains push away from gravity and a negative
+        # bias limit inverts the bias clamp
         for n in ("arm_p_gain_lat", "arm_p_gain_sag", "arm_d_gain_lat", "arm_d_gain_sag",
                   "foot_p_gain_lat", "foot_p_gain_sag", "foot_d_gain_lat", "foot_d_gain_sag",
-                  "i_gain", "i_cft_gain", "i_hip_gain", "so_gain", "sp_gain", "tim_gain"):
+                  "i_gain", "i_cft_gain", "i_hip_gain", "so_gain", "sp_gain", "tim_gain",
+                  "est_kp", "est_ki", "est_bias_limit"):
             if getattr(self, n) < 0:
                 raise ConfigError(f"controller.{n} must be >= 0")
+        # An empty gate accepts no accelerometer sample: the gyro alone drifts
+        if self.est_acc_min_g >= self.est_acc_max_g:
+            raise ConfigError("controller.est_acc_min_g must be below est_acc_max_g")
         for n in ("pd_mean_order", "pd_wlbf_size", "lean_wlbf_size", "so_wlbf_size",
                   "sp_mean_order", "i_ripple_steps"):
             if getattr(self, n) < 1:
@@ -290,6 +296,10 @@ class ControllerConfig(_Record):
             raise ConfigError("controller.i_ripple_steps must be even")
         if not (self.f_min <= self.f_nom <= self.f_max):
             raise ConfigError("controller.f_nom must lie in [f_min, f_max]")
+        # The plant's foot strikes and the gait phase wrap need a step below
+        # half a cycle
+        if self.f_max * self.cycle_dt >= math.pi:
+            raise ConfigError("controller.f_max * cycle_dt must be below pi")
         for buf, lim_x, lim_y, name in (
             (self.arm_buffer, self.arm_limit_x, self.arm_limit_y, "arm_buffer"),
             (self.foot_buffer, self.foot_limit_x, self.foot_limit_y, "foot_buffer"),

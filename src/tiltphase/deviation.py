@@ -20,6 +20,23 @@ B = q_P(P_E) * q_y(-p_yN), is also the swing ground plane's rotation: its
 seen from the nominal ground plane (Allgeuer & Behnke, *Fused Angles*,
 IROS 2015). `deviation_tilt` returns it, so the cycle composes the tilt
 quaternions once.
+
+`deviation_tilt` is one kernel over local floats, as `imu_of_motion` is for
+the plant's IMU chain: `tilt_quat` of P_B and P_E and both `tilt_of_quat`
+extractions are written out, without the products with the tilt
+quaternions' zero z components, and q_y(p_yN) is the identity without trig
+when p_yN = 0. Nor does it take psi_E/2 through an angle. With
+(cz, sz) = (cos(psi_E/2), sin(psi_E/2)), q_d = cz * A * B + sz * (A * k) * B,
+whose z component cz*z1 + sz*z2 vanishes exactly for
+(cz, sz) = +-(z2, -z1) / |(z1, z2)|. psi_E in (-pi, pi] means cz > 0, or
+cz = 0 and sz = 1 (psi_E = pi, the sign to take when z2 = 0), and
+psi_E = 2*atan2(sz, cz). One square root replaces atan2, `wrap_pi`, cos
+and sin, and q_d = (w, x, y, 0) has zero fused yaw by construction, so its
+tilt phase takes the z component as the zero it is: P_q(q_d^*) =
+-sign(w) * alpha / |(x, y)| * (x, y) with alpha = 2*atan2(|(x, y)|, |w|),
+and sign(w) = 1 on the singular set |w| < 1e-12. This moves outputs by rounding
+(a few ulps away from the half turn) against the composition, whose
+rounded z component tilts P_d's direction near the half turn.
 """
 
 from __future__ import annotations
@@ -28,7 +45,7 @@ import math
 from typing import NamedTuple
 
 from tiltphase.config import _FrozenRecord
-from tiltphase.rotation import TiltPhase2D, tilt_of_quat, tilt_quat, wrap_pi
+from tiltphase.rotation import TiltPhase2D, tilt_of_quat, wrap_pi
 
 _new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
 
@@ -73,6 +90,8 @@ class DeviationResult(NamedTuple):
     ns_py: float
 
 
+
+
 def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     """Deviation tilt P_d of the body tilt P_B from the expected tilt P_E.
 
@@ -88,53 +107,99 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     if p_yn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
         return _new_tuple(DeviationResult, (p_b[0], p_b[1], 0.0, True, -p_b[0], -p_b[1]))
 
-    hy = 0.5 * p_yn
-    cyn = math.cos(hy)
-    syn = math.sin(hy)
-    bw, bxq, byq, bzq = tilt_quat(p_b[0], p_b[1])
-    ew, exq, eyq, ezq = tilt_quat(p_e[0], p_e[1])
-
-    # A = q_y(p_yN) * q_P(P_B)^*: multiply (cyn, 0, syn, 0) by the conjugate
-    a0 = cyn * bw + syn * byq
-    a1 = -cyn * bxq - syn * bzq
-    a2 = -cyn * byq + syn * bw
-    a3 = -cyn * bzq + syn * bxq
-    # B = q_P(P_E) * q_y(-p_yN): multiply qe by (cyn, 0, -syn, 0)
-    b0 = ew * cyn + eyq * syn
-    b1 = exq * cyn + ezq * syn
-    b2 = -ew * syn + eyq * cyn
-    b3 = -exq * syn + ezq * cyn
-
-    # z components of A*B and (A*k)*B where k = (0, 0, 0, 1)
-    z1 = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-    k0, k1, k2, k3 = -a3, a2, -a1, a0
-    z2 = k0 * b3 + k1 * b2 - k2 * b1 + k3 * b0
-    converged = True
-    if z1 * z1 + z2 * z2 < 1e-28:
-        psi_e = 0.0
-        converged = False
+    # tilt_quat(P_B) = (bw, bx, by, 0) and tilt_quat(P_E) = (ew, ex, ey, 0)
+    bx = p_b[0]
+    by = p_b[1]
+    t = math.sqrt(bx * bx + by * by)
+    if t < 1e-300:
+        bw = 1.0
+        bx = by = 0.0
     else:
-        psi_e = wrap_pi(2.0 * math.atan2(-z1, z2))
+        bw = math.cos(0.5 * t)
+        t = math.sin(0.5 * t) / t
+        bx *= t
+        by *= t
+    ex = p_e[0]
+    ey = p_e[1]
+    t = math.sqrt(ex * ex + ey * ey)
+    if t < 1e-300:
+        ew = 1.0
+        ex = ey = 0.0
+    else:
+        ew = math.cos(0.5 * t)
+        t = math.sin(0.5 * t) / t
+        ex *= t
+        ey *= t
 
-    hz = 0.5 * psi_e
-    cz = math.cos(hz)
-    sz = math.sin(hz)
-    # q_d = A * q_z(psi_E) * B, with A * q_z = cz*A + sz*(A*k)
-    c0 = cz * a0 + sz * k0
-    c1 = cz * a1 + sz * k1
-    c2 = cz * a2 + sz * k2
-    c3 = cz * a3 + sz * k3
-    # P_d = P_q(q_d^*): 2D tilt phase of the conjugate
-    px, py = tilt_of_quat((
-        c0 * b0 - c1 * b1 - c2 * b2 - c3 * b3,
-        -(c0 * b1 + c1 * b0 + c2 * b3 - c3 * b2),
-        -(c0 * b2 - c1 * b3 + c2 * b0 + c3 * b1),
-        -(c0 * b3 + c1 * b2 - c2 * b1 + c3 * b0),
-    ))
-    nx, ny = tilt_of_quat((
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        z1,
-    ))
-    return _new_tuple(DeviationResult, (px, py, psi_e, converged, nx, ny))
+    if p_yn == 0.0:
+        # q_y(0) is the identity: A = q_P(P_B)^*, B = q_P(P_E)
+        a0, a1, a2, a3 = bw, -bx, -by, 0.0
+        b0, b1, b2, b3 = ew, ex, ey, 0.0
+    else:
+        cy = math.cos(0.5 * p_yn)
+        sy = math.sin(0.5 * p_yn)
+        # A = q_y(p_yN) * q_P(P_B)^*, B = q_P(P_E) * q_y(-p_yN)
+        a0 = cy * bw + sy * by
+        a1 = -cy * bx
+        a2 = -cy * by + sy * bw
+        a3 = sy * bx
+        b0 = ew * cy + ey * sy
+        b1 = ex * cy
+        b2 = -ew * sy + ey * cy
+        b3 = -ex * sy
+
+    # z components of A * B and (A * k) * B, where A * k = (-a3, a2, -a1, a0)
+    z1 = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    z2 = a2 * b2 - a3 * b3 + a1 * b1 + a0 * b0
+
+    # P_NS = P_q(A * B), as tilt_of_quat extracts it
+    w = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+    x = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+    y = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+    s = math.sqrt(x * x + y * y)
+    if s < 1e-300:
+        nx = ny = 0.0
+    else:
+        h = math.sqrt(w * w + z1 * z1)
+        t = 2.0 * math.atan2(s, h)
+        if h < 1e-12:
+            t /= s
+            nx = t * x
+            ny = t * y
+        else:
+            t /= h * s
+            nx = t * (w * x + z1 * y)
+            ny = t * (w * y - z1 * x)
+
+    t = z1 * z1 + z2 * z2
+    if t < 1e-28:
+        px, py = tilt_of_quat((w, -x, -y, -z1))  # q_d = A * B
+        return _new_tuple(DeviationResult, (px, py, 0.0, False, nx, ny))
+    # (cz, sz) = (cos(psi_E/2), sin(psi_E/2)), with cz > 0, or sz = 1 at psi_E = pi
+    t = 1.0 / math.sqrt(t)
+    if z2 < 0.0 or (z2 == 0.0 and z1 > 0.0):
+        t = -t
+    cz = t * z2
+    sz = -t * z1
+
+    # q_d = A * q_z(psi_E) * B, with A * q_z = cz * A + sz * (A * k)
+    c0 = cz * a0 - sz * a3
+    c1 = cz * a1 + sz * a2
+    c2 = cz * a2 - sz * a1
+    c3 = cz * a3 + sz * a0
+    w = c0 * b0 - c1 * b1 - c2 * b2 - c3 * b3
+    x = c0 * b1 + c1 * b0 + c2 * b3 - c3 * b2
+    y = c0 * b2 - c1 * b3 + c2 * b0 + c3 * b1
+    # P_d = P_q(q_d^*). With zero fused yaw q_d = (w, x, y, 0), so the
+    # de-yawed direction is sign(w) * (x, y) and the conjugate negates it;
+    # on the singular set |w| < 1e-12 the direction is (x, y) unsigned.
+    s = math.sqrt(x * x + y * y)
+    if s < 1e-300:
+        px = py = 0.0
+    else:
+        t = 2.0 * math.atan2(s, abs(w)) / s
+        if w > -1e-12:
+            t = -t
+        px = t * x
+        py = t * y
+    return _new_tuple(DeviationResult, (px, py, 2.0 * math.atan2(sz, cz), True, nx, ny))

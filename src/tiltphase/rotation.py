@@ -19,8 +19,10 @@ Balance* (IROS 2015).
 
 The loop runs:
 
-- ``tilt_quat`` and ``tilt_of_quat``, the only tilt formulas (estimator,
-  deviation tilt, swing ground plane), and ``wrap_pi``;
+- ``tilt_quat`` and ``tilt_of_quat``, the tilt formulas (estimator, plant
+  orientation), and ``wrap_pi``. ``deviation.deviation_tilt``, which also
+  yields the swing ground plane's tilt, inlines them, as ``imu_of_motion``
+  does for the IMU chain;
 - ``quat_from_tilt_phase(p) = quat_normalize(tilt_quat(px, py))``, the
   plant's measured orientation;
 - ``imu_of_motion(q0, q, dt, g)``, the plant's IMU emission in one call,

@@ -3,7 +3,9 @@
 The package computes only what the control loop runs: the 2D tilt phase and
 the plant's IMU emission. The fused yaw, the 3D tilt phase and the free
 pendulum invariant below are not on that path; the tests use them to check
-the kept code from a second formula. Definitions follow Allgeuer & Behnke,
+the kept code from a second formula. `composed_deviation_tilt` is the
+deviation tilt as a composition of the rotation kernels, the oracle of the
+one-kernel `deviation.deviation_tilt`. Definitions follow Allgeuer & Behnke,
 *Fused Angles: A Representation of Body Orientation for Balance* (IROS 2015).
 """
 
@@ -11,7 +13,15 @@ import math
 import struct
 from typing import NamedTuple
 
-from tiltphase.rotation import Quat, quat_from_tilt_phase, quat_normalize, tilt_of_quat, wrap_pi
+from tiltphase.deviation import DeviationResult
+from tiltphase.rotation import (
+    Quat,
+    quat_from_tilt_phase,
+    quat_normalize,
+    tilt_of_quat,
+    tilt_quat,
+    wrap_pi,
+)
 
 
 class TiltPhase3D(NamedTuple):
@@ -78,3 +88,63 @@ def bits(value):
     if isinstance(value, tuple):
         return tuple(bits(v) for v in value)
     return value
+
+
+def composed_deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
+    """`deviation.deviation_tilt` as it was before it became one kernel: the
+    same rotation composition through `tilt_quat`, `wrap_pi` and two
+    `tilt_of_quat` calls, with psi_E = wrap_pi(2*atan2(-z1, z2)) and its
+    cosine and sine taken afresh."""
+    if p_yn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
+        return DeviationResult(p_b[0], p_b[1], 0.0, True, -p_b[0], -p_b[1])
+
+    hy = 0.5 * p_yn
+    cyn = math.cos(hy)
+    syn = math.sin(hy)
+    bw, bxq, byq, bzq = tilt_quat(p_b[0], p_b[1])
+    ew, exq, eyq, ezq = tilt_quat(p_e[0], p_e[1])
+
+    # A = q_y(p_yN) * q_P(P_B)^*: multiply (cyn, 0, syn, 0) by the conjugate
+    a0 = cyn * bw + syn * byq
+    a1 = -cyn * bxq - syn * bzq
+    a2 = -cyn * byq + syn * bw
+    a3 = -cyn * bzq + syn * bxq
+    # B = q_P(P_E) * q_y(-p_yN): multiply qe by (cyn, 0, -syn, 0)
+    b0 = ew * cyn + eyq * syn
+    b1 = exq * cyn + ezq * syn
+    b2 = -ew * syn + eyq * cyn
+    b3 = -exq * syn + ezq * cyn
+
+    # z components of A*B and (A*k)*B where k = (0, 0, 0, 1)
+    z1 = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    k0, k1, k2, k3 = -a3, a2, -a1, a0
+    z2 = k0 * b3 + k1 * b2 - k2 * b1 + k3 * b0
+    converged = True
+    if z1 * z1 + z2 * z2 < 1e-28:
+        psi_e = 0.0
+        converged = False
+    else:
+        psi_e = wrap_pi(2.0 * math.atan2(-z1, z2))
+
+    hz = 0.5 * psi_e
+    cz = math.cos(hz)
+    sz = math.sin(hz)
+    # q_d = A * q_z(psi_E) * B, with A * q_z = cz*A + sz*(A*k)
+    c0 = cz * a0 + sz * k0
+    c1 = cz * a1 + sz * k1
+    c2 = cz * a2 + sz * k2
+    c3 = cz * a3 + sz * k3
+    # P_d = P_q(q_d^*): 2D tilt phase of the conjugate
+    px, py = tilt_of_quat((
+        c0 * b0 - c1 * b1 - c2 * b2 - c3 * b3,
+        -(c0 * b1 + c1 * b0 + c2 * b3 - c3 * b2),
+        -(c0 * b2 - c1 * b3 + c2 * b0 + c3 * b1),
+        -(c0 * b3 + c1 * b2 - c2 * b1 + c3 * b0),
+    ))
+    nx, ny = tilt_of_quat((
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        z1,
+    ))
+    return DeviationResult(px, py, psi_e, converged, nx, ny)

@@ -64,6 +64,35 @@ class TestDefaults:
             ControllerConfig(**{name: -1.0}).validate()
         ControllerConfig(**{name: 0.0}).validate()
 
+    @pytest.mark.parametrize("name", ["est_kp", "est_ki", "est_bias_limit"])
+    def test_negative_estimator_field_rejected(self, name):
+        # Negative gains pull the estimate away from gravity; a negative
+        # bias limit inverts the bias clamp
+        with pytest.raises(ConfigError, match=f"^controller.{name} must be >= 0$"):
+            ControllerConfig(**{name: -0.1}).validate()
+        ControllerConfig(**{name: 0.0}).validate()
+
+    @pytest.mark.parametrize("lo, hi", [(1.5, 1.5), (2.0, 1.5), (0.5, 0.4)])
+    def test_empty_accelerometer_gate_rejected(self, lo, hi):
+        # The gate accepts no sample, and the estimator runs on the gyro alone
+        with pytest.raises(ConfigError,
+                           match="^controller.est_acc_min_g must be below est_acc_max_g$"):
+            ControllerConfig(est_acc_min_g=lo, est_acc_max_g=hi).validate()
+        ControllerConfig(est_acc_min_g=lo, est_acc_max_g=math.nextafter(lo, math.inf)).validate()
+
+    def test_gait_phase_step_below_half_a_cycle(self):
+        # At f_max * cycle_dt >= pi the gait phase may step half a cycle or
+        # more per cycle, and the plant's foot strikes need a step below pi
+        message = r"^controller.f_max \* cycle_dt must be below pi$"
+        with pytest.raises(ConfigError, match=message):
+            ControllerConfig(f_nom=400.0, f_max=400.0, f_min=300.0).validate()
+        edge = math.pi / 0.01
+        with pytest.raises(ConfigError, match=message):
+            ControllerConfig(f_max=edge).validate()
+        with pytest.raises(ConfigError, match=message):
+            ControllerConfig(f_max=40.0, cycle_dt=0.1).validate()
+        ControllerConfig(f_max=math.nextafter(edge, 0.0)).validate()
+
     @pytest.mark.parametrize("name", ["lean_gain_vx", "lean_gain_wz", "lean_gain_ax"])
     def test_feedforward_lean_gain_may_be_negative(self, name):
         ControllerConfig(**{name: -1.0}).validate()

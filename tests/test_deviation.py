@@ -143,9 +143,10 @@ class TestDeviationTilt:
 
 class TestDegenerate:
     def test_half_turn_fallback(self):
-        # P_B a half-turn tilt with P_E a half-turn tilt can degenerate; the
-        # function must return a finite result and flag non-convergence
-        # instead of raising.
-        d = deviation_tilt((math.pi, 0.0), (0.0, math.pi), 0.0)
+        # A zero body tilt against a half-turn expected tilt degenerates (z1
+        # and z2 vanish); the function must return a finite result and flag
+        # non-convergence instead of raising.
+        d = deviation_tilt((0.0, 0.0), (math.pi, 0.0), 0.0)
         assert isinstance(d, DeviationResult)
+        assert not d.converged and d.psi_e == 0.0
         assert math.isfinite(d.px) and math.isfinite(d.py)

@@ -29,6 +29,12 @@ plant integrates each 10 ms cycle in one fifth-order Nystrom step instead
 of two 5 ms RK4 substeps. Every column moved by at most 2.2e-10 (sd; the
 others by at most 4.6e-11), with no flag, fall result or push threshold
 changed; the replay digests and the controller-off battery did not move.
+A fifth epoch re-pinned the full-path closed loop and both replay
+digests: `deviation_tilt` became one kernel that takes psi_E's half-angle
+pair straight from z1 and z2 and the deviation's zero z component as
+zero. Every column moved by at most 1.3e-14 (closed loop) and 1.5e-15
+(replay), with no flag changed; the fast-path closed loop, the push
+batteries and both `fit_waveform` goldens did not move.
 Any change that moves a single trace byte fails here. A change that is
 meant to move traces must say so, state its bound and record the new
 digests. The accuracy tests at the end pin the 10 ms default step against
@@ -41,8 +47,9 @@ import math
 import random
 
 import pytest
+from reference import composed_deviation_tilt
 
-from tiltphase import harness
+from tiltphase import controller, harness
 from tiltphase.cli import EXIT_OK, main
 from tiltphase.config import ControllerConfig, PlantConfig, field_values
 from tiltphase.controller import GaitCommand
@@ -99,7 +106,7 @@ def tilted_plane_with_waveform():
     (default_loop_with_impulse, 1000,
      "65923257105b7296954b7b85aef328d33739929c7a150ad2e1338f86801f6817"),
     (tilted_plane_with_waveform, 500,
-     "7831eff2a8a91846f9d5e3321b509c902eb6930d6c53e9d06d037fcebbd685b6"),
+     "850bcac78fad5ce2243d01c7ec35c3187f3e3261a50cb2d90a955565828ea991"),
 ], ids=["default_loop_with_impulse", "tilted_plane_with_waveform"])
 def test_trace_digest(tmp_path, make_run, n_records, digest):
     cfg, scenario = make_run()
@@ -137,8 +144,8 @@ def noisy_imu_log(path, n=400, seed=5):
 
 
 @pytest.mark.parametrize("csv, digest", [
-    (False, "6528f871a64bc2887bd5c7a32b83a1addddc4287b3117faa06d47c15ff8e73fe"),
-    (True, "37b60a7682137157da848e221d462d358d9fc4ff7a7d388f2bf26ad3d32d723e"),
+    (False, "ad3684342e3709371ca87b69c25fd840f14f3c86ec234e31c7db97022142ae06"),
+    (True, "14b69507a5df5c74978bd980e54f800f8fa13125331cdf1c2fb9ed897de0dc82"),
 ], ids=["noisy_replay_trace", "noisy_replay_csv"])
 def test_replay_trace_digest(tmp_path, csv, digest):
     """A fitted-like waveform and a constant command over a noisy log: the
@@ -236,6 +243,22 @@ def test_default_substep_matches_a_finer_one(make_run):
         assert a[-1] == b[-1]
         worst = max(worst, max(abs(x - y) for x, y in zip(a[:-1], b[:-1])))
     assert worst <= 1e-10
+
+
+def test_deviation_kernel_matches_the_composition(monkeypatch):
+    """The golden closed loop with the full deviation path, on the one-kernel
+    deviation tilt and on the composition it replaced: every traced column
+    within 1e-13 (1.3e-14 measured), the flags equal."""
+    cfg, scenario = tilted_plane_with_waveform()
+    kernel = run_closed_loop(cfg, PlantConfig(), scenario).records
+    monkeypatch.setattr(controller, "deviation_tilt", composed_deviation_tilt)
+    composed = run_closed_loop(cfg, PlantConfig(), scenario).records
+    assert len(kernel) == len(composed) == 500
+    worst = 0.0
+    for a, b in zip(kernel, composed):
+        assert a[-1] == b[-1]
+        worst = max(worst, max(abs(x - y) for x, y in zip(a[:-1], b[:-1])))
+    assert 0.0 < worst <= 1e-13
 
 
 def test_default_substep_keeps_the_fall_results():

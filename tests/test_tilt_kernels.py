@@ -16,7 +16,11 @@ ground plane. The stated exceptions are tested as such:
   product instead of the ground plane's own chain of rotation calls. It
   moves by rounding: within 1e-14 where |P_NS| < 3, and within 1e-9 (the
   trace epoch bound) everywhere. The residue near the half turn, about
-  1e-11, is the tilt direction's sensitivity there.
+  1e-11, is the tilt direction's sensitivity there;
+- `deviation_tilt` is one kernel over local floats with both conversions
+  written out. It is tested against `reference.composed_deviation_tilt`,
+  the composition of the kernels it replaced, within the per-call bounds
+  of `assert_kernel_matches_composition`.
 
 The plant's IMU emission was a chain of rotation calls after
 `quat_from_tilt_phase`; `rotation.imu_of_motion` must match a copy of that
@@ -27,7 +31,13 @@ import math
 import random
 
 import pytest
-from reference import TiltPhase3D, bits, remove_fused_yaw, tilt_phase_from_quat
+from reference import (
+    TiltPhase3D,
+    bits,
+    composed_deviation_tilt,
+    remove_fused_yaw,
+    tilt_phase_from_quat,
+)
 from test_plant import IDLE
 
 from tiltphase.config import ControllerConfig, PlantConfig
@@ -42,6 +52,7 @@ from tiltphase.rotation import (
     quat_from_tilt_phase,
     quat_normalize,
     tilt_of_quat,
+    tilt_quat,
     wrap_pi,
 )
 
@@ -113,85 +124,6 @@ class ReferenceGroundPlane(TiltPhaseController):
         v0, v1 = smooth_deadband2(m[0], m[1], a0, a1)
         a0, a1 = cfg.sp_limit_x, cfg.sp_limit_y
         return soft_coerce2(cfg.sp_gain * v0, cfg.sp_gain * v1, a0, a1, cfg.sp_buffer), p_ns
-
-
-def ref_deviation_tilt(p_b, p_e, p_yn):
-    """`deviation_tilt` with its inline conversions written out.
-
-    Returns (px, py, psi_e, residual, converged): the old result still
-    carried the fused yaw residual of q_d.
-    """
-    if p_yn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
-        return (p_b[0], p_b[1], 0.0, 0.0, True)
-    hy = 0.5 * p_yn
-    cyn = math.cos(hy)
-    syn = math.sin(hy)
-
-    bx, by = p_b[0], p_b[1]
-    alpha_b = math.sqrt(bx * bx + by * by)
-    if alpha_b < 1e-300:
-        qb = (1.0, 0.0, 0.0, 0.0)
-    else:
-        sb = math.sin(0.5 * alpha_b) / alpha_b
-        qb = (math.cos(0.5 * alpha_b), sb * bx, sb * by, 0.0)
-    ex, ey = p_e[0], p_e[1]
-    alpha_e = math.sqrt(ex * ex + ey * ey)
-    if alpha_e < 1e-300:
-        qe = (1.0, 0.0, 0.0, 0.0)
-    else:
-        se = math.sin(0.5 * alpha_e) / alpha_e
-        qe = (math.cos(0.5 * alpha_e), se * ex, se * ey, 0.0)
-
-    bw, bxq, byq, bzq = qb
-    a0 = cyn * bw + syn * byq
-    a1 = -cyn * bxq - syn * bzq
-    a2 = -cyn * byq + syn * bw
-    a3 = -cyn * bzq + syn * bxq
-    ew, exq, eyq, ezq = qe
-    b0 = ew * cyn + eyq * syn
-    b1 = exq * cyn + ezq * syn
-    b2 = -ew * syn + eyq * cyn
-    b3 = -exq * syn + ezq * cyn
-
-    z1 = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-    k0, k1, k2, k3 = -a3, a2, -a1, a0
-    z2 = k0 * b3 + k1 * b2 - k2 * b1 + k3 * b0
-    converged = True
-    if z1 * z1 + z2 * z2 < 1e-28:
-        psi_e = 0.0
-        converged = False
-    else:
-        psi_e = wrap_pi(2.0 * math.atan2(-z1, z2))
-
-    hz = 0.5 * psi_e
-    cz = math.cos(hz)
-    sz = math.sin(hz)
-    c0 = cz * a0 + sz * k0
-    c1 = cz * a1 + sz * k1
-    c2 = cz * a2 + sz * k2
-    c3 = cz * a3 + sz * k3
-    qd = (
-        c0 * b0 - c1 * b1 - c2 * b2 - c3 * b3,
-        c0 * b1 + c1 * b0 + c2 * b3 - c3 * b2,
-        c0 * b2 - c1 * b3 + c2 * b0 + c3 * b1,
-        c0 * b3 + c1 * b2 - c2 * b1 + c3 * b0,
-    )
-    if qd[0] == 0.0 and qd[3] == 0.0:
-        residual = 0.0
-    else:
-        residual = abs(wrap_pi(2.0 * math.atan2(qd[3], qd[0])))
-
-    w, x, y, z = qd[0], -qd[1], -qd[2], -qd[3]
-    s = math.sqrt(x * x + y * y)
-    if s < 1e-300:
-        return (0.0, 0.0, psi_e, residual, converged)
-    h = math.sqrt(w * w + z * z)
-    alpha = 2.0 * math.atan2(s, h)
-    if h < 1e-12:
-        k = alpha / s
-        return (k * x, k * y, psi_e, residual, converged)
-    k = alpha / (h * s)
-    return (k * (w * x + z * y), k * (w * y - z * x), psi_e, residual, converged)
 
 
 def ref_tilt_phase_from_quat(q):
@@ -315,18 +247,6 @@ def assert_equal_up_to_zero_sign(got, want, msg):
 
 
 class TestBitExactTiltKernels:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_deviation_tilt(self, seed):
-        rng = random.Random(seed)
-        cases = [(random_tilt(rng), random_tilt(rng), random_pyn(rng)) for _ in range(3000)]
-        for _ in range(100):
-            cases.extend(half_turn_pairs(rng))
-        for p_b, p_e, pyn in cases:
-            got = deviation_tilt(p_b, p_e, pyn)
-            px, py, psi_e, _residual, converged = ref_deviation_tilt(p_b, p_e, pyn)
-            # The trailing P_NS is checked in test_swing_ground_plane
-            assert bits(got[:4]) == bits((px, py, psi_e, converged)), (p_b, p_e, pyn)
-
     @pytest.mark.parametrize("seed", [4, 5])
     def test_estimator_tilt_phase(self, seed):
         rng = random.Random(seed)
@@ -362,6 +282,84 @@ class TestBitExactTiltKernels:
             tol = 1e-14 if math.hypot(*want_ns) < 3.0 else 1e-9
             for g, w in zip(p_ns + got, want_ns + want):
                 assert abs(g - w) <= tol, (p_b, p_e, pyn)
+
+
+# Found by bisecting z2(P_E) for these P_B and scanning the ulps around the
+# root: z2 == 0 exactly and z1 != 0, so psi_E = pi. Mirroring py flips z1.
+Z2_ZERO = [
+    ((1.490870174183882, 0.5595928518309905), (1.6150471567498057, 0.0)),
+    ((1.803185945445526, 0.8309786809084105), (1.245886244965902, 0.0)),
+    ((0.6877191735484698, 0.22267798121760507), (2.451085037468854, 0.0)),
+]
+
+
+def z1_z2(p_b, p_e):
+    """z1 and z2 of a level nominal plane, A = q_P(P_B)^* and B = q_P(P_E)."""
+    bw, bx, by, _ = tilt_quat(*p_b)
+    ew, ex, ey, _ = tilt_quat(*p_e)
+    return -bx * ey + by * ex, -by * ey - bx * ex + bw * ew
+
+
+def assert_kernel_matches_composition(p_b, p_e, pyn):
+    """The one-kernel deviation tilt against the composition it replaced:
+    the same flag, psi_E in (-pi, pi] and within 2e-15 of the composition's,
+    P_NS equal up to the sign of a zero, and P_d within 4e-15 / h, where
+    h = |cos(|P_d| / 2)| is the w component of q_d. The composition's
+    q_d carries a rounded z component, which tilts its P_d's direction by
+    about that over h; the kernel takes the z component as the zero it is
+    (against a 40-digit evaluation, the kernel's P_d was within 3.7e-13
+    where the composition's was 8.6e-5 off, near the half turn)."""
+    got = deviation_tilt(p_b, p_e, pyn)
+    want = composed_deviation_tilt(p_b, p_e, pyn)
+    case = (p_b, p_e, pyn)
+    assert got.converged == want.converged, case
+    assert -math.pi < got.psi_e <= math.pi, case
+    assert abs(got.psi_e - want.psi_e) <= 2e-15, case
+    assert_equal_up_to_zero_sign(got[4:], want[4:], case)
+    h = abs(math.cos(0.5 * math.hypot(want.px, want.py)))
+    assert max(abs(got.px - want.px), abs(got.py - want.py)) * h <= 4e-15, case
+
+
+class TestDeviationKernel:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_deviation_tilt(self, seed):
+        rng = random.Random(seed)
+        cases = [(random_tilt(rng), random_tilt(rng), random_pyn(rng)) for _ in range(3000)]
+        for _ in range(100):
+            cases.extend(half_turn_pairs(rng))
+        for p_b, p_e, pyn in cases:
+            assert_kernel_matches_composition(p_b, p_e, pyn)
+
+    def test_zero_tilts_of_both_signs(self):
+        zeros = [(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        for p_b in zeros + [(0.1, -0.2)]:
+            for p_e in zeros + [(-0.03, 0.02)]:
+                for pyn in (0.0, -0.0, 0.05, -0.3):
+                    assert_kernel_matches_composition(p_b, p_e, pyn)
+
+    def test_degenerate_pairs_fall_back(self):
+        """A zero or subnormal body tilt against a half-turn expected tilt,
+        where z1 and z2 vanish: psi_E = 0 and the flag down, with P_d the
+        tilt of (A * B)^*, as the composition gives it, bit for bit up to
+        the sign of a zero."""
+        cases = [((0.0, 0.0), (math.pi, 0.0), 0.0), ((-0.0, 0.0), (0.0, -math.pi), -0.0),
+                 ((5e-324, -1e-160), (2.4331240035479555, -1.9873379140066012), 0.0),
+                 ((1.5553493640173743, -2.729559077385964), (-1e-300, -1e-160), -0.0),
+                 ((-0.8217107424955716, -3.0322262212369107), (5e-324, 1e-160), 1e-310)]
+        for p_b, p_e, pyn in cases:
+            got = deviation_tilt(p_b, p_e, pyn)
+            assert not got.converged and got.psi_e == 0.0
+            assert_equal_up_to_zero_sign(got, composed_deviation_tilt(p_b, p_e, pyn), p_b)
+
+    @pytest.mark.parametrize("flip", [1.0, -1.0], ids=["z1_positive", "z1_negative"])
+    def test_z2_zero_boundary(self, flip):
+        """z2 == 0: psi_E is pi, not -pi, for either sign of z1."""
+        for p_b, p_e in Z2_ZERO:
+            p_b = (p_b[0], flip * p_b[1])
+            z1, z2 = z1_z2(p_b, p_e)
+            assert z2 == 0.0 and (z1 > 0.0) == (flip > 0.0)
+            assert deviation_tilt(p_b, p_e, 0.0).psi_e == math.pi
+            assert_kernel_matches_composition(p_b, p_e, 0.0)
 
 
 class TestTiltPhaseFromQuat:

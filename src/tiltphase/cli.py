@@ -12,8 +12,6 @@ from tiltphase.config import (
     PlantConfig,
     coerce,
     dump_config,
-    field_values,
-    fields,
     load_config,
     replace,
 )
@@ -135,7 +133,7 @@ def cmd_fit_waveform(args) -> int:
     py = [r["pyB"] for r in records]
     wave, rms = fit_waveform(mu, px, py)
     # Named as the ControllerConfig keys they feed
-    out = {f"wave_{k}": v for k, v in zip(fields(wave), field_values(wave))}
+    out = {f"wave_{k}": v for k, v in wave._asdict().items()}
     out["residual_rms_x"], out["residual_rms_y"] = rms
     import json  # about 3 ms of a cold start, which only this command needs
 

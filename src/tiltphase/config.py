@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, Tuple
 
+from tiltphase.filters import MAX_WLBF_SIZE
+
 
 class _RecordType(type):
     """Metaclass of `_Record`: the annotated names of a class body become the
@@ -75,25 +77,6 @@ class _Record(metaclass=_RecordType):
         if type(other) is not type(self):
             return NotImplemented
         return field_values(self) == field_values(other)
-
-
-class _FrozenRecord(_Record):
-    """A `_Record` whose fields cannot change after construction."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __getstate__(self):
-        return field_values(self)
-
-    def __setstate__(self, state):
-        for name, value in zip(self._types, state):
-            object.__setattr__(self, name, value)
 
 
 def fields(record) -> Dict[str, str]:
@@ -250,7 +233,8 @@ class ControllerConfig(_Record):
         # it can take, the ripple filter's pi / (f_nom * cycle_dt) cycles per
         # step or the crossing energy divide by zero, or the expected tilt,
         # which no walk takes beyond pi, or the plant's pendulum, which a
-        # hip height above 1 speeds up, overflows tilt_quat
+        # hip height above 1 speeds up, overflows tilt_quat; a WLBF window
+        # takes O(n) to build
         for n, lo, hi, limit in (
             ("cycle_dt", 1e-3, 0.1, "lie in [0.001, 0.1]"),
             ("f_min", 0.1, math.inf, "be at least 0.1"),
@@ -261,6 +245,9 @@ class ControllerConfig(_Record):
             ("wave_amp_y", 0.0, math.pi, "lie in [0, pi]"),
             ("wave_offset_x", -math.pi, math.pi, "lie in [-pi, pi]"),
             ("wave_offset_y", -math.pi, math.pi, "lie in [-pi, pi]"),
+            ("pd_wlbf_size", 1, MAX_WLBF_SIZE, f"lie in [1, {MAX_WLBF_SIZE}]"),
+            ("lean_wlbf_size", 1, MAX_WLBF_SIZE, f"lie in [1, {MAX_WLBF_SIZE}]"),
+            ("so_wlbf_size", 1, MAX_WLBF_SIZE, f"lie in [1, {MAX_WLBF_SIZE}]"),
         ):
             if not lo <= getattr(self, n) <= hi:
                 raise ConfigError(f"controller.{n} must {limit}")
@@ -288,8 +275,7 @@ class ControllerConfig(_Record):
         # An empty gate accepts no accelerometer sample: the gyro alone drifts
         if self.est_acc_min_g >= self.est_acc_max_g:
             raise ConfigError("controller.est_acc_min_g must be below est_acc_max_g")
-        for n in ("pd_mean_order", "pd_wlbf_size", "lean_wlbf_size", "so_wlbf_size",
-                  "sp_mean_order", "i_ripple_steps"):
+        for n in ("pd_mean_order", "sp_mean_order", "i_ripple_steps"):
             if getattr(self, n) < 1:
                 raise ConfigError(f"controller.{n} must be >= 1")
         if self.i_ripple_steps % 2 != 0:
@@ -432,6 +418,7 @@ def coerce(field_type, value, key: str):
 
 def parse_config_lines(lines) -> Tuple[ControllerConfig, PlantConfig]:
     values: Dict[str, Dict[str, object]] = {"controller": {}, "plant": {}}
+    seen: Dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -446,6 +433,9 @@ def parse_config_lines(lines) -> Tuple[ControllerConfig, PlantConfig]:
             raise ConfigError(f"line {lineno}: unknown section {prefix!r}")
         if name not in _FIELD_TYPES[prefix]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} already given on line {seen[key]}")
+        seen[key] = lineno
         values[prefix][name] = coerce(_FIELD_TYPES[prefix][name], raw, f"line {lineno}: {key}")
     ctrl = ControllerConfig(**values["controller"])
     plant = PlantConfig(**values["plant"])

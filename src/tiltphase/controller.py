@@ -243,7 +243,7 @@ class TiltPhaseController:
 
     def leaning(self, cmd: GaitCommand, t: float, dt: float):
         cfg = self.cfg
-        _, slope, _ = self.lean_wlbf.step(t, (cmd.vx,))
+        slope, _ = self.lean_wlbf.step(t, (cmd.vx,))
         a_gx = self.lean_slope.step(slope[0], dt)
         raw = (
             cfg.lean_gain_vx * cmd.vx
@@ -254,7 +254,7 @@ class TiltPhaseController:
 
     def swing_out_step(self, p_xb: float, t: float, sigma: float, pd_mean):
         cfg = self.cfg
-        _, slope, mtv = self.so_wlbf.step(t, (p_xb,))
+        slope, mtv = self.so_wlbf.step(t, (p_xb,))
         p_sync = mtv[0]
         pdot_sync = slope[0]
 
@@ -389,7 +389,7 @@ class TiltPhaseController:
         p_d = (p_dx, p_dy)
 
         pd_mean = self.p_mean.step(p_d)
-        _, pd_slope, _ = self.d_wlbf.step(imu.t, p_d)
+        pd_slope, _ = self.d_wlbf.step(imu.t, p_d)
 
         arm, foot = self.pd_feedback(pd_mean, pd_slope)
         cft, hip = self.i_feedback_step(p_d, dt)

@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from tiltphase.config import _FrozenRecord
 from tiltphase.rotation import TiltPhase2D, tilt_of_quat, wrap_pi
 
 _new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
@@ -59,8 +58,9 @@ def gait_phase_step(mu: float, f_g: float, dt: float) -> float:
     return wrap_pi(mu + f_g * dt)
 
 
-class ExpectedWaveform(_FrozenRecord):
-    """Per-axis sinusoid-with-offset model of the nominal tilt phase trajectory."""
+class ExpectedWaveform(NamedTuple):
+    """Per-axis sinusoid-with-offset model of the nominal tilt phase trajectory;
+    `ControllerConfig.validate` keeps the amplitudes in [0, pi]."""
 
     amp_x: float = 0.0
     amp_y: float = 0.0
@@ -68,10 +68,6 @@ class ExpectedWaveform(_FrozenRecord):
     phase_y: float = 0.0
     offset_x: float = 0.0
     offset_y: float = 0.0
-
-    def __post_init__(self):
-        if self.amp_x < 0.0 or self.amp_y < 0.0:
-            raise ValueError("waveform amplitudes must be non-negative")
 
     def evaluate(self, mu: float) -> TiltPhase2D:
         return _new_tuple(TiltPhase2D, (

@@ -33,14 +33,8 @@ class AttitudeEstimator:
 
     __slots__ = ("kp", "ki", "bias_limit", "acc_min", "acc_max", "q", "bias")
 
-    def __init__(
-        self,
-        kp: float = 2.0,
-        ki: float = 0.0,
-        bias_limit: float = 0.1,
-        acc_min_g: float = 0.5,
-        acc_max_g: float = 1.5,
-    ):
+    def __init__(self, kp: float, ki: float, bias_limit: float, acc_min_g: float, acc_max_g: float):
+        # The est_* keys of ControllerConfig, which holds their defaults
         self.kp = kp
         self.ki = ki
         self.bias_limit = bias_limit

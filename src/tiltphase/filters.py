@@ -8,9 +8,10 @@ hard coercion (``hard_coerce2``), smooth deadband (``smooth_deadband_1d``,
 ``smooth_deadband2``, ``one_sided_deadband``) and coerced interpolation.
 Only the shapes the controller builds are here: two-axis ellipses given by
 their semi-axes (a0, a1), a 2D bounded integrator, 2D mean filters and WLBF
-filters of dim 1 or 2. A WLBF whose window lies on the control grid
-(`on_grid`) fits from running moments of its values, O(1) per step; other
-windows take the direct moment sums over the times.
+filters of dim 1 or 2, which return the slope and mean of their window. A
+WLBF whose window lies on the control grid (`on_grid`) fits from running
+moments of its values, O(1) per step; other windows take the direct moment
+sums over the times, then over each axis.
 
 A WLBF whose window and the window before it hold one value, bit for bit,
 returns its previous grid fit: the leaning WLBF sees the commanded vx, held
@@ -256,6 +257,9 @@ def _swamped(buf, i: int, t0: float, t1: float, t2: float, n2: float) -> bool:
     return m > _SWAMP * rest > 0.0
 
 
+# The largest WLBF window; `_swamped`'s screen holds below 5000 values
+MAX_WLBF_SIZE = 4096
+
 # The previous record of an empty window: no value repeats it
 _NO_SAMPLE = (math.nan, math.nan, math.nan)
 
@@ -265,12 +269,14 @@ class WlbfFilter:
 
     Performs per-dimension weighted linear least squares regression against
     time. Weights decrease linearly with sample age (newest sample heaviest)
-    and are normalized. Returns the line value at the latest time, the line
-    slope, and the line value at the weighted mean time (where the smoothed
-    value and slope estimates are synchronized).
+    and are normalized. `step` returns (slope, mean): the line slope, and the
+    line value at the weighted mean time t̄, where the smoothed value and slope
+    estimates are synchronized. The line value at a time t is
+    mean + slope (t - t̄).
 
-    With fewer than 2 samples the slope is 0 and the value is the latest
-    sample. Buffer times must be strictly increasing.
+    With fewer than 2 samples, or times too far apart for the moments, the
+    slope is 0 and the mean is the latest sample. Buffer times must be
+    strictly increasing, and the window holds at most MAX_WLBF_SIZE samples.
 
     A full window of values x_1 (oldest) .. x_n whose gaps are all on the
     control grid (`on_grid`) fits from T0 = sum x_k, T1 = sum k x_k and
@@ -290,9 +296,9 @@ class WlbfFilter:
                  "_run", "_fit")
 
     def __init__(self, dim: int, capacity: int, cycle_dt: float):
-        if dim not in (1, 2) or capacity < 1 or not 0.0 < cycle_dt < _INF:
-            raise ValueError(f"WlbfFilter needs dim 1 or 2, capacity >= 1 and a positive finite "
-                             f"cycle_dt, got {dim}, {capacity}, {cycle_dt}")
+        if dim not in (1, 2) or not 1 <= capacity <= MAX_WLBF_SIZE or not 0.0 < cycle_dt < _INF:
+            raise ValueError(f"WlbfFilter needs dim 1 or 2, capacity in [1, {MAX_WLBF_SIZE}] and "
+                             f"a positive finite cycle_dt, got {dim}, {capacity}, {cycle_dt}")
         self.dim = dim
         self.capacity = capacity
         self._buf = deque(maxlen=capacity)
@@ -300,12 +306,12 @@ class WlbfFilter:
         self._direct = capacity - 1
         self._dt = cycle_dt
         self._tol = GRID_TOL * cycle_dt
-        # n, n^2, 3 (2n + 1), c9 cycle_dt (no slope at n = 1), n (n + 1) / 2, mean
-        # time; (T0, T1, T2) per axis, and the grid steps before the next re-sum
+        # n, n^2, 3 (2n + 1), c9 cycle_dt (no slope at n = 1), n (n + 1) / 2;
+        # (T0, T1, T2) per axis, and the grid steps before the next re-sum
         n = capacity
         c9 = sum(k * (2 * n + 1 - 3 * k) ** 2 for k in range(1, n + 1))
         self._grid = (float(n), float(n * n), float(6 * n + 3), c9 * cycle_dt if c9 else _INF,
-                      n * (n + 1) / 2, -(n - 1) * cycle_dt / 3)
+                      n * (n + 1) / 2)
         self._mom, self._left = (), 0
         # The last _run + 1 samples hold one value, bit for bit; _fit is the
         # previous step's fit on the grid, None after a direct step
@@ -354,7 +360,7 @@ class WlbfFilter:
             self._left = 0
             return self._fit
         else:
-            n, n2, k3, c9dt, sw, tbar = self._grid
+            n, n2, k3, c9dt, sw = self._grid
             left = self._left
             if left and run < self.capacity - 1:
                 # Each k falls by one, x_1 leaves and x enters as x_n
@@ -387,78 +393,54 @@ class WlbfFilter:
                     left = 0
             s0 = (9.0 * u2 - k3 * u1) / c9dt
             xb0 = u1 / sw
-            v0 = xb0 - s0 * tbar
-            check = u0 + u2 + s0 + v0
+            check = u0 + u2 + s0 + xb0
             if dim == 1:
-                fit = (v0,), (s0,), (xb0,)
+                fit = (s0,), (xb0,)
             else:
                 s1 = (9.0 * w2 - k3 * w1) / c9dt
                 xb1 = w1 / sw
-                v1 = xb1 - s1 * tbar
-                check += w0 + w2 + s1 + v1
-                fit = (v0, v1), (s0, s1), (xb0, xb1)
-            # A finite sum: no moment, slope or value overflows (T1 is finite
-            # with the mean, the mean with the value); else the direct sums
+                check += w0 + w2 + s1 + xb1
+                fit = (s0, s1), (xb0, xb1)
+            # A finite sum: no moment, slope or mean overflows (T1 is finite
+            # with the mean); else the direct sums
             if check - check == 0.0:
                 self._mom, self._left, self._fit = (u0, u1, u2, w0, w1, w2), left, fit
                 return fit
         self._left = 0
         self._fit = None
 
-        latest = rec[1:]
-        n = len(buf)
-        if n < 2:
-            return latest, (0.0,) * dim, latest
-
         # Direct moment sums over the actual times. Linear recency weights
         # w_k = k+1 for the k-th oldest sample; normalization cancels in the
         # regression. Times are shifted so the newest sample sits at 0, which
         # keeps the sums well conditioned regardless of absolute time. Time
         # gaps so large that the moments overflow make cov_tt nan: no slope,
-        # as for equal times.
+        # as for equal times or a single sample.
+        n = len(buf)
         sw = 0.5 * n * (n + 1)
-        if dim == 1:
-            w = st = stt = sx0 = stx0 = 0.0
-            for tk, x0 in buf:
-                w += 1.0
-                tau = tk - t0
-                wt = w * tau
-                st += wt
-                stt += wt * tau
-                sx0 += w * x0
-                stx0 += wt * x0
-            tbar = st / sw
-            cov_tt = stt - tbar * st
-            if not cov_tt > 0.0:
-                return latest, (0.0,), latest
-            xb0 = sx0 / sw
-            s0 = (stx0 - tbar * sx0) / cov_tt
-            return (xb0 - s0 * tbar,), (s0,), (xb0,)
         w = st = stt = 0.0
-        sx0 = sx1 = stx0 = stx1 = 0.0
-        for tk, x0, x1 in buf:
+        wts = []
+        for r in buf:
             w += 1.0
-            tau = tk - t0
+            tau = r[0] - t0
             wt = w * tau
             st += wt
             stt += wt * tau
-            sx0 += w * x0
-            sx1 += w * x1
-            stx0 += wt * x0
-            stx1 += wt * x1
+            wts.append(wt)
         tbar = st / sw
         cov_tt = stt - tbar * st
         if not cov_tt > 0.0:
-            return latest, (0.0, 0.0), latest
-        xb0 = sx0 / sw
-        xb1 = sx1 / sw
-        s0 = (stx0 - tbar * sx0) / cov_tt
-        s1 = (stx1 - tbar * sx1) / cov_tt
-        return (
-            (xb0 - s0 * tbar, xb1 - s1 * tbar),
-            (s0, s1),
-            (xb0, xb1),
-        )
+            return (0.0,) * dim, rec[1:]
+        slope = mean = ()
+        for i in range(1, dim + 1):
+            w = sx = stx = 0.0
+            for r, wt in zip(buf, wts):
+                w += 1.0
+                x = r[i]
+                sx += w * x
+                stx += wt * x
+            slope += ((stx - tbar * sx) / cov_tt,)
+            mean += (sx / sw,)
+        return slope, mean
 
 
 class BoundedIntegrator:

@@ -7,13 +7,17 @@ the kept code from a second formula. `composed_deviation_tilt` is the
 deviation tilt as a composition of the rotation kernels, the oracle of the
 one-kernel `deviation.deviation_tilt`. Definitions follow Allgeuer & Behnke,
 *Fused Angles: A Representation of Body Orientation for Balance* (IROS 2015).
+`wlbf_direct_sums` is the WLBF's direct moment sums as they were written out
+once per dimension, the bit-exact oracle of `WlbfFilter`'s direct path.
 """
 
 import math
 import struct
 from typing import NamedTuple
 
+from tiltphase.config import ControllerConfig
 from tiltphase.deviation import DeviationResult
+from tiltphase.estimator import AttitudeEstimator
 from tiltphase.rotation import (
     Quat,
     quat_from_tilt_phase,
@@ -148,3 +152,64 @@ def composed_deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
         z1,
     ))
     return DeviationResult(px, py, psi_e, converged, nx, ny)
+
+
+def estimator(**changes) -> AttitudeEstimator:
+    """An AttitudeEstimator with the est_* defaults of ControllerConfig, some changed."""
+    cfg = ControllerConfig()
+    args = dict(kp=cfg.est_kp, ki=cfg.est_ki, bias_limit=cfg.est_bias_limit,
+                acc_min_g=cfg.est_acc_min_g, acc_max_g=cfg.est_acc_max_g)
+    args.update(changes)
+    return AttitudeEstimator(**args)
+
+
+def wlbf_direct_sums(buf):
+    """(value at the newest time, slope, mean) of a WLBF window of flat
+    (t, x0) or (t, x0, x1) records, oldest first, by the direct moment sums
+    as `WlbfFilter` once wrote them: one loop for 1D windows and one for 2D,
+    each summing the times and the values together."""
+    n = len(buf)
+    t0 = buf[-1][0]
+    latest = buf[-1][1:]
+    dim = len(latest)
+    if n < 2:
+        return latest, (0.0,) * dim, latest
+    sw = 0.5 * n * (n + 1)
+    if dim == 1:
+        w = st = stt = sx0 = stx0 = 0.0
+        for tk, x0 in buf:
+            w += 1.0
+            tau = tk - t0
+            wt = w * tau
+            st += wt
+            stt += wt * tau
+            sx0 += w * x0
+            stx0 += wt * x0
+        tbar = st / sw
+        cov_tt = stt - tbar * st
+        if not cov_tt > 0.0:
+            return latest, (0.0,), latest
+        xb0 = sx0 / sw
+        s0 = (stx0 - tbar * sx0) / cov_tt
+        return (xb0 - s0 * tbar,), (s0,), (xb0,)
+    w = st = stt = 0.0
+    sx0 = sx1 = stx0 = stx1 = 0.0
+    for tk, x0, x1 in buf:
+        w += 1.0
+        tau = tk - t0
+        wt = w * tau
+        st += wt
+        stt += wt * tau
+        sx0 += w * x0
+        sx1 += w * x1
+        stx0 += wt * x0
+        stx1 += wt * x1
+    tbar = st / sw
+    cov_tt = stt - tbar * st
+    if not cov_tt > 0.0:
+        return latest, (0.0, 0.0), latest
+    xb0 = sx0 / sw
+    xb1 = sx1 / sw
+    s0 = (stx0 - tbar * sx0) / cov_tt
+    s1 = (stx1 - tbar * sx1) / cov_tt
+    return (xb0 - s0 * tbar, xb1 - s1 * tbar), (s0, s1), (xb0, xb1)

@@ -115,6 +115,21 @@ class TestSimulate:
         assert "error: line 2: controller.i_gain: expected a number, got '1_0'" in captured.err
         assert captured.out == ""
 
+    def test_config_key_given_twice_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("controller.f_nom = 6.0\ncontroller.i_gain = 1.0\ncontroller.f_nom = 6.0\n")
+        assert main(["--config", str(cfg), "--dump-config"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "line 3: key 'controller.f_nom' already given on line 1" in captured.err
+        assert captured.out == ""
+
+    def test_config_wlbf_size_bounded(self, tmp_path, capsys):
+        # Rejected before any WLBF of that size is built
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("controller.pd_wlbf_size = 100000000\n")
+        assert main(["--config", str(cfg), "simulate", "--duration", "0.1"]) == EXIT_INPUT
+        assert "controller.pd_wlbf_size must lie in [1, 4096]" in capsys.readouterr().err
+
     def test_scenario_override_underscore_rejected(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps({"duration": 0.1, "config": {"controller.i_gain": "2_5"}}))

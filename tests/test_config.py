@@ -19,7 +19,7 @@ from tiltphase.config import (
     parse_number,
     replace,
 )
-from tiltphase.deviation import ExpectedWaveform
+from tiltphase.filters import MAX_WLBF_SIZE
 from tiltphase.harness import RunResult, Scenario
 from tiltphase.plant import Disturbance, PlantState
 from tiltphase.trace import finite_float
@@ -108,11 +108,14 @@ class TestDefaults:
         ("wave_amp_y", -0.1, 0.0, r"must lie in \[0, pi\]"),
         ("wave_offset_x", 1e300, -math.pi, r"must lie in \[-pi, pi\]"),
         ("wave_offset_y", -3.2, math.pi, r"must lie in \[-pi, pi\]"),
+        ("pd_wlbf_size", 0, 1, r"must lie in \[1, 4096\]"),
+        ("lean_wlbf_size", MAX_WLBF_SIZE + 1, MAX_WLBF_SIZE, r"must lie in \[1, 4096\]"),
+        ("so_wlbf_size", 10 ** 8, MAX_WLBF_SIZE, r"must lie in \[1, 4096\]"),
     ])
     def test_field_limits_named(self, name, bad, good, message):
         # Past these limits step divides by zero or overflows tilt_quat, a
-        # plant's pendulum overflows, or a run asks for trillions of cycles
-        # or plant substeps
+        # plant's pendulum overflows, a run asks for trillions of cycles
+        # or plant substeps, or a WLBF takes seconds to build its window
         with pytest.raises(ConfigError, match=f"^controller.{name} {message}$"):
             ControllerConfig(**{name: bad}).validate()
         ControllerConfig(**{name: good}).validate()
@@ -195,6 +198,16 @@ class TestParsing:
             parse_config_lines(["controller.pd_mean_order = 2.5"])
         with pytest.raises(ConfigError, match="expected a boolean"):
             parse_config_lines(["controller.hh_sagittal_only = maybe"])
+
+    def test_key_given_twice_names_both_lines(self):
+        lines = ["controller.f_nom = 6.0", "plant.gravity = 9.8", "# again",
+                 "controller.f_nom = 6.5"]
+        message = "^line 4: key 'controller.f_nom' already given on line 1$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_lines(lines)
+        # The same name in the other section is another key
+        ctrl, plant = parse_config_lines(["controller.cycle_dt = 0.02", "plant.substep_dt = 0.02"])
+        assert ctrl.cycle_dt == plant.substep_dt == 0.02
 
     @pytest.mark.parametrize("line, message", [
         ("controller.i_gain = 1_0", "line 1: controller.i_gain: expected a number, got '1_0'"),
@@ -315,7 +328,6 @@ RECORDS = [
     (PlantConfig, {}, "pivot_y"),
     (PlantState, {}, "px"),
     (Disturbance, {"kind": "impulse"}, "direction"),
-    (ExpectedWaveform, {}, "phase_x"),
     (Scenario, {}, "seed"),
     (RunResult, {"records": [], "fallen": False}, "fallen"),
 ]
@@ -359,7 +371,7 @@ class TestRecords:
         with pytest.raises(TypeError, match="direction"):
             Disturbance("force", 0.4, direction=0.5)
         with pytest.raises(TypeError, match="positional"):
-            ExpectedWaveform(*range(7))
+            Disturbance(*range(6))
 
     def test_list_and_dict_defaults_are_fresh(self):
         a, b = Scenario(), Scenario()
@@ -372,16 +384,8 @@ class TestRecords:
         assert replace(s, duration=2.0) == Scenario(duration=2.0, seed=3)
         with pytest.raises(ValueError, match="duration"):
             replace(s, duration=-1.0)
-        with pytest.raises(ValueError, match="amplitudes"):
-            replace(ExpectedWaveform(), amp_x=-1.0)
-
-    def test_expected_waveform_is_immutable(self):
-        w = ExpectedWaveform(0.1, 0.2)
-        with pytest.raises(AttributeError):
-            w.amp_x = 0.3
-        with pytest.raises(AttributeError):
-            del w.amp_y
-        assert w == ExpectedWaveform(0.1, 0.2)
+        with pytest.raises(ValueError, match="disturbance"):
+            replace(Disturbance("impulse", 0.4, 1.0), kind="no_such_kind")
 
     def test_field_types_of_the_configs(self):
         # Names, order and types of all 103 config fields, pinned by the

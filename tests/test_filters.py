@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference import bits
+from reference import bits, wlbf_direct_sums
 
 from tiltphase.filters import (
     BoundedIntegrator,
@@ -14,6 +14,7 @@ from tiltphase.filters import (
     MeanFilter,
     SlopeLimiter,
     GRID_TOL,
+    MAX_WLBF_SIZE,
     WlbfFilter,
     _SWAMP,
     _scaled_radius,
@@ -150,7 +151,8 @@ EDGE_VALUES = (
 
 
 def wlbf_oracle(buf):
-    """Independent weighted normal-equations solve of the WLBF regression."""
+    """Independent weighted normal-equations solve of the WLBF regression:
+    (slope, line value at the weighted mean time)."""
     n = len(buf)
     w = np.arange(1, n + 1, dtype=float)
     w = w / w.sum()
@@ -160,9 +162,7 @@ def wlbf_oracle(buf):
     W = np.diag(w)
     beta = np.linalg.solve(A.T @ W @ A, A.T @ W @ x)
     tbar = float(w @ t)
-    value = beta[0] + beta[1] * t[-1]
-    mean_time_value = beta[0] + beta[1] * tbar
-    return value, beta[1], mean_time_value
+    return beta[1], beta[0] + beta[1] * tbar
 
 
 class TestEllipsoid:
@@ -479,37 +479,46 @@ class TestWlbf:
         f = WlbfFilter(1, 6, 0.1)
         for k in range(6):
             t = 0.1 * k
-            value, slope, mtv = f.step(t, (2.0 * t + 1.0,))
+            slope, mean = f.step(t, (2.0 * t + 1.0,))
         assert slope[0] == pytest.approx(2.0, abs=1e-9)
-        assert value[0] == pytest.approx(2.0 * 0.5 + 1.0, abs=1e-9)
+        # The weighted mean time of times 0.1 k with weights k + 1
+        tbar = sum((k + 1) * 0.1 * k for k in range(6)) / 21
+        assert mean[0] == pytest.approx(2.0 * tbar + 1.0, abs=1e-9)
+        # The line value at the latest time t = 0.5 is mean + slope (t - t̄)
+        assert mean[0] + slope[0] * (0.5 - tbar) == pytest.approx(2.0 * 0.5 + 1.0, abs=1e-9)
 
     def test_constant_gives_zero_slope(self):
         f = WlbfFilter(2, 5, 0.01)
         for k in range(5):
-            value, slope, mtv = f.step(0.01 * k, (4.0, -2.0))
+            slope, mean = f.step(0.01 * k, (4.0, -2.0))
         assert slope == pytest.approx((0.0, 0.0), abs=1e-9)
-        assert value == pytest.approx((4.0, -2.0), abs=1e-9)
-        assert mtv == pytest.approx((4.0, -2.0), abs=1e-9)
+        assert mean == pytest.approx((4.0, -2.0), abs=1e-9)
 
     def test_single_sample(self):
         f = WlbfFilter(1, 4, 0.01)
-        value, slope, mtv = f.step(0.0, (7.0,))
-        assert value == (7.0,)
+        slope, mean = f.step(0.0, (7.0,))
         assert slope == (0.0,)
-        assert mtv == (7.0,)
+        assert mean == (7.0,)
 
     @pytest.mark.parametrize("dim", [0, 3])
     def test_scalar_or_2d_only(self, dim):
         with pytest.raises(ValueError, match="dim 1 or 2"):
             WlbfFilter(dim, 4, 0.01)
 
+    @pytest.mark.parametrize("capacity", [0, MAX_WLBF_SIZE + 1, 10 ** 7])
+    def test_window_size_bounded(self, capacity):
+        # Refused before the fit constants, a sum over the window, are built
+        with pytest.raises(ValueError, match=rf"capacity in \[1, {MAX_WLBF_SIZE}\]"):
+            WlbfFilter(1, capacity, 0.01)
+        assert WlbfFilter(2, MAX_WLBF_SIZE, 0.01).capacity == MAX_WLBF_SIZE
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_time_gaps_beyond_float_range_give_no_slope(self, dim):
-        # The moments of gaps near 1e300 overflow; the value stays the latest
+        # The moments of gaps near 1e300 overflow; the mean stays the latest
         f = WlbfFilter(dim, 4, 0.01)
         for k in range(1, 6):
-            value, slope, mtv = f.step(1e300 * k, (0.5 * k,) * dim)
-            assert value == mtv == (0.5 * k,) * dim
+            slope, mean = f.step(1e300 * k, (0.5 * k,) * dim)
+            assert mean == (0.5 * k,) * dim
             assert slope == (0.0,) * dim
 
     def test_rejects_non_increasing_time(self):
@@ -529,11 +538,10 @@ class TestWlbf:
                 t += rng.uniform(0.001, 0.1)
                 x = rng.uniform(-3, 3)
                 hist.append((t, x))
-                value, slope, mtv = f.step(t, (x,))
-            ov, os_, omtv = wlbf_oracle(hist[-cap:])
-            assert value[0] == pytest.approx(ov, abs=1e-9)
+                slope, mean = f.step(t, (x,))
+            os_, omean = wlbf_oracle(hist[-cap:])
             assert slope[0] == pytest.approx(os_, abs=1e-9)
-            assert mtv[0] == pytest.approx(omtv, abs=1e-9)
+            assert mean[0] == pytest.approx(omean, abs=1e-9)
 
 
 class TestWlbfGrid:
@@ -562,7 +570,7 @@ class TestWlbfGrid:
         t_last = window[-1][0]
         for i, got in enumerate(zip(*out)):
             if len(window) < 2:
-                want = (window[0][1][i], 0.0, window[0][1][i])
+                want = (0.0, window[0][1][i])
             else:
                 want = wlbf_oracle([(t - t_last, x[i]) for t, x in window])
             for g, w in zip(got, want):
@@ -630,15 +638,15 @@ class TestWlbfMoments:
             if not 30_000 <= k < 30_500:
                 x = tuple(1e3 + rng.uniform(-1.0, 1.0) for _ in range(dim))
             window.append((t, x))
-            _, slope, mean = f.step(t, x)
+            slope, mean = f.step(t, x)
             grid += f._fit is not None
             if k % 7:
                 continue
             for i in range(dim):
                 scale = max(abs(v[i]) for _, v in window)
                 want = wlbf_oracle([(tk - t, v[i]) for tk, v in window])
-                assert abs(slope[i] - want[1]) <= 1e-12 * scale / dt, k
-                assert abs(mean[i] - want[2]) <= 1e-12 * scale, k
+                assert abs(slope[i] - want[0]) <= 1e-12 * scale / dt, k
+                assert abs(mean[i] - want[1]) <= 1e-12 * scale, k
         assert grid == 100_000 - 2 * (cap - 1)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -658,7 +666,7 @@ class TestWlbfMoments:
             if k == 45:
                 assert (f._fit is None) == (big > 1e305)
         assert f._fit is not None
-        assert out == ((0.25,) * dim, (0.0,) * dim, (0.25,) * dim)
+        assert out == ((0.0,) * dim, (0.25,) * dim)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("at", range(30, 40))
@@ -751,6 +759,65 @@ class TestWlbfHeldWindow:
         for k, v in enumerate((0.0, 0.0, 0.0, 0.0, -0.0, -0.0)):
             f.step(0.01 * (k + 1), (v,))
         assert f._run == 1
+
+
+class TestWlbfDirectOracle:
+    """The direct path, one pass over the times and one per axis, against
+    `wlbf_direct_sums`, the same sums written out once per dimension: every
+    step that takes it (`_fit` is None after it) returns that slope and mean
+    bit for bit. The line value the oracle also returns is mean - slope t̄,
+    with t̄ measured from the newest time."""
+
+    @staticmethod
+    def value(rng):
+        c = rng.random()
+        if c < 0.6:
+            return rng.uniform(-1.0, 1.0)
+        if c < 0.7:
+            return rng.choice((0.0, -0.0))
+        if c < 0.8:
+            # Moments, slopes or sums that overflow
+            return rng.choice((1e300, -1e300, 1e306, -4e305, 1.7e308))
+        if c < 0.85:
+            return rng.choice((5e-324, -2.5e-310))
+        return 1e3 + rng.uniform(-1.0, 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_direct_path_matches_bit_for_bit(self, dim, seed):
+        # Warm-up after each refill, gaps on the grid, within its tolerance
+        # and off it, held values and values that overflow the moments
+        rng = random.Random(seed)
+        cap = (2, 5, 10, 3, 17, 8)[seed]
+        dt = 0.01
+        f = WlbfFilter(dim, cap, dt)
+        window = deque(maxlen=cap)
+        t = 1.7e9 if seed % 2 else 0.0
+        x = (0.5,) * dim
+        direct = 0
+        for k in range(600):
+            r = rng.random()
+            t += dt if r < 0.8 else dt * (1.0 + 5e-5) if r < 0.9 else rng.uniform(0.001, 0.05)
+            if rng.random() < 0.6:
+                x = tuple(self.value(rng) for _ in range(dim))
+            window.append((t,) + x)
+            got = f.step(t, x)
+            if f._fit is None:
+                direct += 1
+                assert bits(got) == bits(wlbf_direct_sums(list(window))[1:]), k
+        assert direct > 50, direct
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_overflowing_times_match_bit_for_bit(self, dim):
+        # Gaps near 1e300 overflow the time moments: no slope, the latest mean
+        f = WlbfFilter(dim, 4, 0.01)
+        window = deque(maxlen=4)
+        for k in range(1, 9):
+            x = (0.5 * k, -0.0)[:dim]
+            window.append((1e300 * k,) + x)
+            got = f.step(1e300 * k, x)
+            assert bits(got) == bits(wlbf_direct_sums(list(window))[1:])
+            assert bits(got) == bits(((0.0,) * dim, x))
 
 
 class TestBoundedIntegrator:

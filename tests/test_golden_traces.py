@@ -51,7 +51,7 @@ from reference import composed_deviation_tilt
 
 from tiltphase import controller, harness
 from tiltphase.cli import EXIT_OK, main
-from tiltphase.config import ControllerConfig, PlantConfig, field_values
+from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import GaitCommand
 from tiltphase.harness import (
     Scenario,
@@ -173,7 +173,7 @@ def noisy_tilt_waveform(n=300, seed=9):
 
 def test_fit_waveform_bits():
     wave, rms = fit_waveform(*noisy_tilt_waveform())
-    values = (*field_values(wave), *rms)
+    values = (*wave, *rms)
     assert [float.hex(v) for v in values] == FIT_WAVEFORM_HEX
 
 

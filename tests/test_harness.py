@@ -9,7 +9,7 @@ import pytest
 import tiltphase.harness as harness
 import tiltphase.plant
 from tiltphase.cli import main
-from tiltphase.config import ControllerConfig, PlantConfig, field_values
+from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import GaitCommand, TiltPhaseController
 from tiltphase.deviation import ExpectedWaveform
 from tiltphase.estimator import ImuSample
@@ -435,7 +435,7 @@ class TestFitWaveform:
                 c, noise = rng.uniform(-0.05, 0.05), rng.uniform(0.0, 0.01)
                 cols.append([a * math.sin(m + phi) + c + rng.gauss(0.0, noise) for m in mu])
             wave, rms = fit_waveform(mu, *cols)
-            got = (*field_values(wave), *rms)
+            got = (*wave, *rms)
             want = lstsq_fit(mu, *cols)
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (n, span)
 

@@ -31,9 +31,9 @@ FITTED = dict(wave_amp_x=0.055, wave_amp_y=0.03, wave_phase_x=0.4, wave_phase_y=
               wave_offset_x=0.004, wave_offset_y=-0.002)
 
 # Instructions over steps 201-205, CPython 3.11
-PINNED = {"default": 14445, "fitted": 16819}
+PINNED = {"default": 14305, "fitted": 16679}
 # Instructions over closed-loop cycles 201-205, CPython 3.11
-PINNED_CYCLES = 19682
+PINNED_CYCLES = 19587
 # The same over controller-off cycles 201-205: the record and the dynamics
 PINNED_OFF_CYCLES = 3028
 

@@ -4,12 +4,12 @@ import random
 from pathlib import Path
 
 import pytest
-from reference import bits, pendulum_invariant
+from reference import bits, estimator, pendulum_invariant
 
 from tiltphase.config import ControllerConfig, PlantConfig, field_values
 from tiltphase.controller import ActivationSet
 from tiltphase.deviation import gait_phase_step
-from tiltphase.estimator import AttitudeEstimator, ImuSample
+from tiltphase.estimator import ImuSample
 import tiltphase.plant
 import tiltphase.rotation
 from tiltphase.harness import Scenario, run_closed_loop
@@ -177,7 +177,7 @@ class TestImuOutput:
         plant = SurrogatePlant(cfg)
         plant.state.px = 0.15
         plant.state.vx = -0.2
-        est = AttitudeEstimator(kp=5.0)
+        est = estimator(kp=5.0)
         errs = []
         for k in range(200):
             s = plant.step(IDLE, 0.5, [], k * DT, DT)
@@ -191,7 +191,7 @@ class TestImuOutput:
     def test_bias_disturbance_offsets_imu_not_state(self):
         plant = SurrogatePlant(PlantConfig())
         d = Disturbance("bias", direction=0.0, magnitude=0.1, start_time=0.0, duration=10.0)
-        est = AttitudeEstimator(kp=5.0)
+        est = estimator(kp=5.0)
         p = (0.0, 0.0)
         for k in range(400):
             s = plant.step(IDLE, 0.0, [d], k * DT, DT)

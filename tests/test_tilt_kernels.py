@@ -35,6 +35,7 @@ from reference import (
     TiltPhase3D,
     bits,
     composed_deviation_tilt,
+    estimator,
     remove_fused_yaw,
     tilt_phase_from_quat,
 )
@@ -43,7 +44,7 @@ from test_plant import IDLE
 from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import TiltPhaseController
 from tiltphase.deviation import deviation_tilt
-from tiltphase.estimator import AttitudeEstimator, ImuSample
+from tiltphase.estimator import ImuSample
 from tiltphase.filters import smooth_deadband2, soft_coerce2
 from tiltphase.plant import SurrogatePlant
 from tiltphase.rotation import (
@@ -250,7 +251,7 @@ class TestBitExactTiltKernels:
     @pytest.mark.parametrize("seed", [4, 5])
     def test_estimator_tilt_phase(self, seed):
         rng = random.Random(seed)
-        est = AttitudeEstimator()
+        est = estimator()
         for _ in range(5000):
             est.q = random_quat_special(rng)
             # No rotation and a gated-out accelerometer: step reports the

@@ -371,6 +371,8 @@ class TiltPhaseController:
             + accel[0] + accel[1] + accel[2] + cmd[0] + cmd[1] + cmd[2]
         ):
             imu, cmd, flags = self._hold_non_finite(imu, cmd, dt)
+        # First: its WLBF refuses a non-increasing time before any state changes
+        lean = self.leaning(cmd, imu.t, dt)
         self._held = imu, cmd
 
         try:
@@ -393,7 +395,6 @@ class TiltPhaseController:
 
         arm, foot = self.pd_feedback(pd_mean, pd_slope)
         cft, hip = self.i_feedback_step(p_d, dt)
-        lean = self.leaning(cmd, imu.t, dt)
         sigma = support_indicator(mu, cfg.double_support_width)
         swing_out, e_l, e_r = self.swing_out_step(p_b[0], imu.t, sigma, pd_mean)
         plane = self.swing_ground_plane((ns_px, ns_py))

@@ -38,7 +38,7 @@ class Scenario(_Record):
         # Imported here: json adds about 3 ms to a cold start of the CLI
         import json
 
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
         if type(data) is not dict:
             raise ValueError(f"scenario: expected a JSON object, got {data!r:.40}")
         _known_keys(data, _SCENARIO_KEYS, "")
@@ -82,6 +82,16 @@ _SCENARIO_KEYS = ("duration", "seed", "controller_enabled", "commands", "disturb
 _COMMAND_KEYS = ("t", "vx", "vy", "wz")
 # In the order of Disturbance's fields after `kind`
 _DISTURBANCE_KEYS = ("direction", "magnitude", "start_time", "duration")
+
+
+def _unique_keys(pairs: List[tuple]) -> dict:
+    # json.loads would keep the last of a key given twice, and say nothing
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"scenario: key {key!r} given twice")
+        obj[key] = value
+    return obj
 
 
 def _known_keys(obj: dict, keys: Sequence[str], where: str) -> None:
@@ -214,15 +224,17 @@ def run_closed_loop(
             ctrl_cfg.validate()
         plant_cfg.validate()
         _, blob, prefix_records, imu, mu_open = memo
-        controller, plant = _resume(blob, ctrl_cfg, plant_cfg, scenario.seed, noisy)
+        controller, plant = _resume(blob, ctrl_cfg, plant_cfg)
+        plant.set_disturbances(scenario.disturbances)
         records = list(prefix_records)
         first, store_at = quiet, 0
     else:
         controller = TiltPhaseController(ctrl_cfg) if enabled else None
         plant = SurrogatePlant(plant_cfg, seed=scenario.seed)
+        plant.set_disturbances(scenario.disturbances)
         records = []
         # advance returns None: the open loop keeps no IMU sample
-        imu = (plant.step if enabled else plant.advance)(idle, 0.0, scenario.disturbances, 0.0, dt)
+        imu = (plant.step if enabled else plant.advance)(idle, 0.0, 0.0, dt)
         mu_open = 0.0
         first, store_at = 1, quiet
     # A controller-off cycle advances the plant with `idle`, whose mu the
@@ -242,11 +254,11 @@ def run_closed_loop(
         if controller is not None:
             act = controller.step(imu, cmd, dt)
             records.append(record_values(t, act))
-            imu = plant.step(act, controller.mu, scenario.disturbances, t, dt)
+            imu = plant.step(act, controller.mu, t, dt)
         else:
             records.append((t, mu_open) + idle_rest)
             mu_open = gait_phase_step(mu_open, ctrl_cfg.f_nom, dt)
-            plant.advance(idle, mu_open, scenario.disturbances, t, dt)
+            plant.advance(idle, mu_open, t, dt)
         if plant.state.fallen:
             break
     return RunResult(records, plant.state.fallen)
@@ -270,15 +282,13 @@ def _bind(controller, plant, ctrl_cfg, plant_cfg) -> None:
     plant.cfg = plant_cfg
 
 
-def _resume(blob: bytes, ctrl_cfg, plant_cfg, seed: int, noisy: bool):
-    """The pickled (controller, plant) of the memo, bound to this run's configs."""
+def _resume(blob: bytes, ctrl_cfg, plant_cfg):
+    """The pickled (controller, plant) of the memo, bound to this run's configs;
+    its rng is this run's, as the memo key holds the seed whenever noise reads it."""
     import pickle
 
     controller, plant = pickle.loads(blob)
     _bind(controller, plant, ctrl_cfg, plant_cfg)
-    if not noisy:
-        # The seed is never read without noise: this is a fresh run's rng
-        plant.rng = random.Random(seed)
     return controller, plant
 
 
@@ -399,8 +409,8 @@ def push_threshold(
     ctrl_cfg: ControllerConfig,
     plant_cfg: PlantConfig,
     controller_enabled: bool,
+    hi: float,
     direction: float = 0.0,
-    hi: float = 4.0,
     seed: int = 0,
 ) -> float:
     """Binary-search the maximum withstood impulse along one direction."""
@@ -472,7 +482,7 @@ WARMUP_STEPS = 2000
 REPEATS = 3
 
 
-def benchmark_controller_step(ctrl_cfg: ControllerConfig, n: int = 20000) -> Tuple[float, float]:
+def benchmark_controller_step(ctrl_cfg: ControllerConfig, n: int) -> Tuple[float, float]:
     """Measure controller_step latency; returns (mean_us, p99_us).
 
     Cyclic garbage collection is paused around the timed region (the hot

@@ -60,9 +60,10 @@ sign of zero), zero pivot offsets, a zero forcing term (+0.0, as it ends
 in ``+ f``, a sum from +0.0) and finite ``c2``, every stage's
 acceleration is +0.0, and so are the four state values it returns.
 
-Disturbances act through a per-run `DisturbanceSchedule`, which reads the
-list only at its events, so a step between them costs the same whatever
-the list's length. `SurrogatePlant.step` is `advance`, the dynamics,
+A run gives its disturbances once, to `SurrogatePlant.set_disturbances`,
+which builds the run's `DisturbanceSchedule`; the schedule reads them only
+at its events, so a step between them costs the same whatever their
+number. `SurrogatePlant.step` is `advance`, the dynamics,
 then the IMU sample, which takes two rotation.py calls:
 ``quat_from_tilt_phase`` for the measured orientation and the fused
 ``imu_of_motion`` kernel for the gyro and accelerometer values. A loop
@@ -73,9 +74,8 @@ that reads no IMU, such as the controller-off closed loop, calls
 from __future__ import annotations
 
 import math
-import operator
 import random
-from typing import List, Optional
+from typing import Optional
 
 from tiltphase.config import PlantConfig, _Record
 from tiltphase.controller import ActivationSet
@@ -86,7 +86,6 @@ from tiltphase.rotation import imu_of_motion, quat_from_tilt_phase
 from tiltphase.rotation import quat_conj, quat_mul, quat_normalize, quat_rotate  # noqa: F401
 
 _INF = math.inf
-_is = operator.is_
 _new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
 
 
@@ -136,7 +135,7 @@ class Disturbance(_Record):
 
 
 class DisturbanceSchedule:
-    """A disturbance list as the plant consumes it, step by step.
+    """A run's disturbances as the plant consumes them, step by step.
 
     An impulse is due in the one step with t <= start_time < t_end; the
     impulses due in one step are applied in list order, and one whose start
@@ -149,15 +148,13 @@ class DisturbanceSchedule:
 
     Step times must not decrease, and one step's t_end may pass the next
     step's t by an ulp: `done`, the last t_end scanned, keeps an impulse in
-    that overlap from acting twice. A plant given another list, or a list
-    holding other disturbances, builds a new schedule; the disturbances
-    must not change while it is in use.
+    that overlap from acting twice. The disturbances must not change while
+    it is in use.
     """
 
-    __slots__ = ("source", "members", "force", "bias", "next_event", "done")
+    __slots__ = ("members", "force", "bias", "next_event", "done")
 
     def __init__(self, disturbances):
-        self.source = disturbances
         self.members = tuple(disturbances)
         self.force = self.bias = (0.0, 0.0)
         self.next_event = -_INF
@@ -279,29 +276,22 @@ class SurrogatePlant:
         elif mu < prev and prev - mu > math.pi:  # wrapped from +pi to -pi side
             self._foot_strike("L")
 
-    def _use_schedule(self, disturbances) -> DisturbanceSchedule:
-        sched = self._schedule
-        members = sched.members
-        if len(disturbances) == len(members) and all(map(_is, disturbances, members)):
-            sched.source = disturbances
-        else:
-            sched = self._schedule = DisturbanceSchedule(disturbances)
-        return sched
+    def set_disturbances(self, disturbances) -> None:
+        """Take a run's disturbances, as a new schedule; a new plant has none."""
+        self._schedule = DisturbanceSchedule(disturbances)
 
     # -- dynamics -------------------------------------------------------------
 
-    def step(self, act: ActivationSet, mu: float, disturbances: List[Disturbance],
-             t: float, dt: float) -> ImuSample:
+    def step(self, act: ActivationSet, mu: float, t: float, dt: float) -> ImuSample:
         """Advance the plant by dt and emit the IMU sample at t + dt."""
-        self.advance(act, mu, disturbances, t, dt)
+        self.advance(act, mu, t, dt)
         return self._emit_imu(t + dt, dt)
 
-    def advance(self, act: ActivationSet, mu: float, disturbances: List[Disturbance],
-                t: float, dt: float) -> None:
+    def advance(self, act: ActivationSet, mu: float, t: float, dt: float) -> None:
         """Advance the plant by dt (internal Nystrom steps), with no IMU sample.
 
-        Over the steps that pass one disturbance list (or lists of the same
-        disturbances), t must not decrease; see `DisturbanceSchedule`.
+        Between two `set_disturbances` calls t must not decrease; see
+        `DisturbanceSchedule`.
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -311,11 +301,7 @@ class SurrogatePlant:
         if alive:
             self._handle_gait_events(mu)
 
-        # The schedule of this list; a list with the same disturbances keeps
-        # it, `done` and all
         sched = self._schedule
-        if disturbances is not sched.source:
-            sched = self._use_schedule(disturbances)
         if sched.next_event <= t_end:
             for d in sched.advance(t, t_end):
                 self.apply_push(d.direction, d.magnitude)  # a fallen plant ignores it

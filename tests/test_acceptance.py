@@ -190,7 +190,7 @@ def test_crossing_energy_properties():
     dt = 1e-3
     idle = ActivationSet()
     for k in range(5000):
-        plant.step(idle, 0.5, [], k * dt, dt)
+        plant.step(idle, 0.5, k * dt, dt)
         g = pendulum_invariant(
             plant.state.px - 0.7, plant.state.vx, cfg.pendulum_c
         )

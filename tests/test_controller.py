@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -491,6 +492,25 @@ class TestNonFiniteInput:
         act = ctrl.step(ImuSample(0.01, (0.0, 0.0, 0.0), (0.0, 0.0, G)),
                         GaitCommand(1e308, 1e308, 0.0), 0.01)
         assert act.flags == ()
+
+    @pytest.mark.parametrize("t", [0.02, 0.015])
+    def test_non_increasing_time_leaves_the_controller_untouched(self, t):
+        """A sample at or before the last one's time is refused before any
+        state changes: the controller pickles to the same bytes, and its
+        next step equals that of a twin that never saw the sample."""
+        ctrl = TiltPhaseController(ControllerConfig())
+        twin = TiltPhaseController(ControllerConfig())
+        for k in (1, 2):
+            imu = ImuSample(0.01 * k, (0.01, 0.02 * k, 0.0), (0.1, 0.0, G))
+            ctrl.step(imu, GaitCommand(vx=0.1 * k), 0.01)
+            twin.step(imu, GaitCommand(vx=0.1 * k), 0.01)
+        before = pickle.dumps(ctrl)
+        with pytest.raises(ValueError, match=f"non-increasing time {t} "):
+            ctrl.step(ImuSample(t, (0.5, -0.3, 0.1), (0.4, -0.2, G)), GaitCommand(vx=0.5), 0.01)
+        assert pickle.dumps(ctrl) == before
+        imu = ImuSample(0.03, (0.02, 0.01, 0.0), (0.1, 0.05, G))
+        assert repr(ctrl.step(imu, GaitCommand(vx=0.3), 0.01)) == \
+            repr(twin.step(imu, GaitCommand(vx=0.3), 0.01))
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_dt(self, dt):

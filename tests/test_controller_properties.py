@@ -152,11 +152,12 @@ def test_zero_or_tiny_pd_gain_in_pushed_loop(name, gain):
     # A diagonal push moves both axes, so each of the eight gains is used
     push = [Disturbance("impulse", 0.8, 1.0, start_time=1.0)]
     dt = cfg.cycle_dt
-    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, push, 0.0, dt)
+    plant.set_disturbances(push)
+    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, 0.0, dt)
     for k in range(1, 201):
         act = ctrl.step(imu, GaitCommand(), dt)
         assert output_errors(act, cfg) == []
-        imu = plant.step(act, ctrl.mu, push, k * dt, dt)
+        imu = plant.step(act, ctrl.mu, k * dt, dt)
     assert not plant.state.fallen
 
 
@@ -178,11 +179,12 @@ def test_tiny_or_huge_axes_in_pushed_loop(fields):
     plant = SurrogatePlant(PlantConfig())
     push = [Disturbance("impulse", 0.8, 1.0, start_time=1.0)]
     dt = cfg.cycle_dt
-    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, push, 0.0, dt)
+    plant.set_disturbances(push)
+    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, 0.0, dt)
     for k in range(1, 201):
         act = ctrl.step(imu, GaitCommand(), dt)
         assert output_errors(act, cfg) == []
-        imu = plant.step(act, ctrl.mu, push, k * dt, dt)
+        imu = plant.step(act, ctrl.mu, k * dt, dt)
 
 
 _FLOAT_FIELDS = sorted(n for n, t in fields(ControllerConfig).items() if t == "float")
@@ -206,12 +208,13 @@ def config_rejected_or_runs(values):
     plant = SurrogatePlant(PlantConfig())
     push = [Disturbance("impulse", 0.8, 1.0, start_time=0.5)]
     dt = cfg.cycle_dt
-    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, push, 0.0, dt)
+    plant.set_disturbances(push)
+    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, 0.0, dt)
     for k in range(1, round(2.0 / dt) + 1):
         act = ctrl.step(imu, GaitCommand(), dt)
         assert all(map(math.isfinite, record_values(k * dt, act)[:-1]))
         assert output_errors(act, cfg) == []
-        imu = plant.step(act, ctrl.mu, push, k * dt, dt)
+        imu = plant.step(act, ctrl.mu, k * dt, dt)
 
 
 @pytest.mark.parametrize("field, value", [(f, v) for f in _FLOAT_FIELDS for v in _BOUNDARY],
@@ -261,12 +264,13 @@ def plant_config_rejected_or_runs(values):
     plant = SurrogatePlant(plant_cfg)
     push = [Disturbance("impulse", 0.8, 1.0, start_time=0.5)]
     dt = cfg.cycle_dt
-    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, push, 0.0, dt)
+    plant.set_disturbances(push)
+    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, 0.0, dt)
     for k in range(1, round(2.0 / dt) + 1):
         act = ctrl.step(imu, GaitCommand(), dt)
         assert all(map(math.isfinite, record_values(k * dt, act)[:-1]))
         assert output_errors(act, cfg) == []
-        imu = plant.step(act, ctrl.mu, push, k * dt, dt)
+        imu = plant.step(act, ctrl.mu, k * dt, dt)
         st = plant.state
         assert all(map(math.isfinite, (st.px, st.py, st.vx, st.vy)))
         if st.fallen:
@@ -334,7 +338,8 @@ def test_non_finite_inputs_held_in_pushed_loop(config, injections):
     for cycle, field, value in injections:
         bad.setdefault(cycle, {})[field] = value
     dt = cfg.cycle_dt
-    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, push, 0.0, dt)
+    plant.set_disturbances(push)
+    imu = plant.step(ActivationSet(gait_frequency=cfg.f_nom), 0.0, 0.0, dt)
     for k in range(200):
         values = [imu.t, *imu.gyro, *imu.accel, 0.2, 0.0, 0.1]
         for field, value in bad.get(k, {}).items():
@@ -346,4 +351,4 @@ def test_non_finite_inputs_held_in_pushed_loop(config, injections):
         assert output_errors(act, cfg) == []
         state = list(state_floats(ctrl))
         assert all(map(math.isfinite, state)), f"cycle {k}: non-finite state"
-        imu = plant.step(act, ctrl.mu, push, (k + 1) * dt, dt)
+        imu = plant.step(act, ctrl.mu, (k + 1) * dt, dt)

@@ -79,6 +79,24 @@ class TestScenario:
         with pytest.raises(ValueError, match=re.escape(f"scenario {field}: expected a number")):
             Scenario.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"duration": 1.0, "duration": 2.0}', "duration"),
+        ('{"config": {"controller.f_nom": 6.0, "controller.f_nom": 6.5}}', "controller.f_nom"),
+        ('{"commands": [{"t": 0.5, "vx": 0.1, "vx": 0.3}]}', "vx"),
+        ('{"disturbances": [{"kind": "impulse", "magnitude": 1.0, "magnitude": 2.0}]}',
+         "magnitude"),
+    ], ids=["top-level", "config", "command", "disturbance"])
+    def test_key_given_twice_rejected(self, text, key, tmp_path, capsys):
+        # json.loads keeps the last value of a repeated key, and says nothing
+        with pytest.raises(ValueError, match=f"^scenario: key '{key}' given twice$"):
+            Scenario.from_json(text)
+        sc = tmp_path / "twice.json"
+        sc.write_text(text)
+        assert main(["simulate", "--scenario", str(sc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: scenario: key '{key}' given twice\n"
+        assert captured.out == ""
+
     def test_integer_numbers_accepted(self):
         text = json.dumps({
             "duration": 3,

@@ -16,7 +16,7 @@ from tiltphase.cli import build_parser
 from tiltphase.config import ControllerConfig, PlantConfig, fields
 
 # (config fields, CLI option flags, defaulted public parameters)
-KNOBS = (103, 17, 12)
+KNOBS = (103, 17, 10)
 
 
 def config_fields():
@@ -62,4 +62,4 @@ def defaulted_parameters():
 def test_settable_parameter_count():
     counts = (config_fields(), cli_flags(), defaulted_parameters())
     assert counts == KNOBS
-    assert sum(counts) == 132
+    assert sum(counts) == 130

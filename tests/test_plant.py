@@ -27,11 +27,12 @@ DT = 0.01
 
 
 def run_idle(plant, duration, mu=0.0, disturbances=()):
+    plant.set_disturbances(disturbances)
     t = 0.0
     samples = []
     n = int(round(duration / DT))
     for k in range(n):
-        samples.append(plant.step(IDLE, mu, list(disturbances), t, DT))
+        samples.append(plant.step(IDLE, mu, t, DT))
         t += DT
     return samples
 
@@ -96,7 +97,7 @@ class TestDynamics:
         plant.state.vx = 0.1
         g0 = pendulum_invariant(0.2, 0.1, cfg.pendulum_c)
         for k in range(500):
-            plant.step(IDLE, 0.5, [], k * DT, DT)
+            plant.step(IDLE, 0.5, k * DT, DT)
             st = plant.state
             if st.fallen:
                 break
@@ -114,11 +115,11 @@ class TestDynamics:
 
     def test_impulse_disturbance_fires_once(self):
         plant = SurrogatePlant(PlantConfig())
-        d = Disturbance("impulse", direction=0.0, magnitude=0.4, start_time=0.005)
-        plant.step(IDLE, 0.5, [d], 0.0, DT)
+        plant.set_disturbances([Disturbance("impulse", direction=0.0, magnitude=0.4, start_time=0.005)])
+        plant.step(IDLE, 0.5, 0.0, DT)
         assert plant.state.vx == pytest.approx(0.4, abs=0.01)
         # Stepping over the same time window again must not re-apply it
-        plant.step(IDLE, 0.5, [d], 0.0, DT)
+        plant.step(IDLE, 0.5, 0.0, DT)
         assert plant.state.vx == pytest.approx(0.4, abs=0.02)
 
     def test_fallen_is_absorbing(self):
@@ -143,11 +144,11 @@ class TestDynamics:
 class TestStepping:
     def test_strike_flips_support(self):
         plant = SurrogatePlant(PlantConfig())
-        plant.step(IDLE, -0.1, [], 0.0, DT)
+        plant.step(IDLE, -0.1, 0.0, DT)
         assert plant.state.support == "R"
-        plant.step(IDLE, 0.1, [], DT, DT)  # mu crosses 0 upward
+        plant.step(IDLE, 0.1, DT, DT)  # mu crosses 0 upward
         assert plant.state.support == "R"
-        plant.step(IDLE, -3.1, [], 2 * DT, DT)  # wrap past +pi
+        plant.step(IDLE, -3.1, 2 * DT, DT)  # wrap past +pi
         assert plant.state.support == "L"
 
     def test_strike_contracts_offset_and_velocity(self):
@@ -180,7 +181,7 @@ class TestImuOutput:
         est = estimator(kp=5.0)
         errs = []
         for k in range(200):
-            s = plant.step(IDLE, 0.5, [], k * DT, DT)
+            s = plant.step(IDLE, 0.5, k * DT, DT)
             p = est.step(s.gyro, s.accel, DT)
             if plant.state.fallen:
                 break
@@ -190,11 +191,12 @@ class TestImuOutput:
 
     def test_bias_disturbance_offsets_imu_not_state(self):
         plant = SurrogatePlant(PlantConfig())
-        d = Disturbance("bias", direction=0.0, magnitude=0.1, start_time=0.0, duration=10.0)
+        plant.set_disturbances([Disturbance("bias", direction=0.0, magnitude=0.1, start_time=0.0,
+                                            duration=10.0)])
         est = estimator(kp=5.0)
         p = (0.0, 0.0)
         for k in range(400):
-            s = plant.step(IDLE, 0.0, [d], k * DT, DT)
+            s = plant.step(IDLE, 0.0, k * DT, DT)
             p = est.step(s.gyro, s.accel, DT)
         assert plant.state.px == 0.0
         assert p[0] == pytest.approx(0.1, abs=0.01)
@@ -204,14 +206,14 @@ class TestImuOutput:
         a = SurrogatePlant(cfg, seed=9)
         b = SurrogatePlant(cfg, seed=9)
         for k in range(50):
-            sa = a.step(IDLE, 0.0, [], k * DT, DT)
-            sb = b.step(IDLE, 0.0, [], k * DT, DT)
+            sa = a.step(IDLE, 0.0, k * DT, DT)
+            sb = b.step(IDLE, 0.0, k * DT, DT)
             assert sa == sb
 
     def test_rejects_nonpositive_dt(self):
         plant = SurrogatePlant(PlantConfig())
         with pytest.raises(ValueError):
-            plant.step(IDLE, 0.0, [], 0.0, 0.0)
+            plant.step(IDLE, 0.0, 0.0, 0.0)
 
 
 class TestAdvance:
@@ -229,13 +231,15 @@ class TestAdvance:
                             gait_frequency=ControllerConfig().f_nom)
         stepped = SurrogatePlant(cfg, seed=4)
         twin = SurrogatePlant(cfg, seed=4)
+        stepped.set_disturbances(disturbances)
+        twin.set_disturbances(disturbances)
         rng_state = twin.rng.getstate()
         supports = set()
         mu = 0.0
         for k in range(150):
             mu = gait_phase_step(mu, act.gait_frequency, DT)
-            stepped.step(act, mu, disturbances, k * DT, DT)
-            assert twin.advance(act, mu, disturbances, k * DT, DT) is None
+            stepped.step(act, mu, k * DT, DT)
+            assert twin.advance(act, mu, k * DT, DT) is None
             assert bits(field_values(twin.state)) == bits(field_values(stepped.state))
             supports.add(twin.state.support)
         assert supports == {"L", "R"}
@@ -261,8 +265,8 @@ def test_benchmark_rotation_wrap_points_exist():
 
 class ReferencePlant(SurrogatePlant):
     """The plant written plainly: a per-stage Nystrom step with its step
-    constants taken in place, three disturbance scans on every step and an
-    IMU sample built from rotation.py calls.
+    constants taken in place, three scans of the run's disturbances on every
+    step and an IMU sample built from rotation.py calls.
 
     This is the straightforward form the inlined step must match bit for bit;
     it is only a test reference, never a second code path. Its impulse scan
@@ -272,6 +276,10 @@ class ReferencePlant(SurrogatePlant):
 
     def __init__(self, cfg, seed=0):
         super().__init__(cfg, seed)
+        self.set_disturbances(())
+
+    def set_disturbances(self, disturbances):
+        self._disturbances = tuple(disturbances)
         self._applied_impulses = set()
 
     def _acceleration(self, px, py, act, f_ext):
@@ -335,9 +343,10 @@ class ReferencePlant(SurrogatePlant):
         ]
         return p_new, v_new
 
-    def step(self, act, mu, disturbances, t, dt):
+    def step(self, act, mu, t, dt):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
+        disturbances = self._disturbances
         st = self.state
         t_end = t + dt
         if not st.fallen:
@@ -408,11 +417,12 @@ def run_pair(cfg, acts, disturbances=(), state=None, mu=0.5, seed=0):
     fast = SurrogatePlant(cfg, seed=seed)
     ref = ReferencePlant(cfg, seed=seed)
     for plant in (fast, ref):
+        plant.set_disturbances(disturbances)
         for name, value in (state or {}).items():
             setattr(plant.state, name, value)
     for k, act in enumerate(acts):
-        got = fast.step(act, mu, list(disturbances), k * DT, DT)
-        want = ref.step(act, mu, list(disturbances), k * DT, DT)
+        got = fast.step(act, mu, k * DT, DT)
+        want = ref.step(act, mu, k * DT, DT)
         assert_bit_identical(fast, ref, got, want)
     return fast
 
@@ -446,6 +456,8 @@ class TestBitExactKernel:
             Disturbance("bias", direction=rng.uniform(-math.pi, math.pi),
                         magnitude=rng.uniform(0.01, 0.1), start_time=0.105, duration=0.2),
         ]
+        fast.set_disturbances(disturbances)
+        ref.set_disturbances(disturbances)
         mu = 0.0
         for k in range(60):
             act = ActivationSet(
@@ -455,8 +467,8 @@ class TestBitExactKernel:
                 gait_frequency=rng.uniform(5.0, 8.0),
             )
             mu = gait_phase_step(mu, act.gait_frequency, DT)
-            got = fast.step(act, mu, disturbances, k * DT, DT)
-            want = ref.step(act, mu, disturbances, k * DT, DT)
+            got = fast.step(act, mu, k * DT, DT)
+            want = ref.step(act, mu, k * DT, DT)
             assert_bit_identical(fast, ref, got, want)
 
 
@@ -468,7 +480,7 @@ class TestNystromStep:
         plant = SurrogatePlant(PlantConfig(substep_dt=substep_dt))
         st = plant.state
         st.px, st.py, st.vx, st.vy = 0.3, -0.2, 0.8, 0.4
-        plant.step(self.ACT, 0.5, [], 0.0, dt)
+        plant.step(self.ACT, 0.5, 0.0, dt)
         return st.px, st.py, st.vx, st.vy
 
     def test_fifth_order(self):
@@ -514,23 +526,30 @@ class TestSchedule:
         windows = [Disturbance(kind, d, m, t - 0.025, 0.05 + t) for d, m, t in self.PARAMS]
         run_pair(PlantConfig(), [IDLE] * 12, windows, state=dict(px=0.0123, vy=-0.0456))
 
-    def test_a_new_list_of_other_disturbances_starts_a_new_schedule(self):
+    def test_set_disturbances_starts_a_new_schedule(self):
         push = Disturbance("impulse", 0.5, 1.0, 0.025)
         later = Disturbance("impulse", 0.5, 1.0, 0.055)
         plant = SurrogatePlant(PlantConfig())
-        plant.step(IDLE, 0.5, [push, later], 0.0, DT)
-        plant.step(IDLE, 0.5, [push, later], DT, DT)
+        plant.set_disturbances([push, later])
+        plant.step(IDLE, 0.5, 0.0, DT)
+        plant.step(IDLE, 0.5, DT, DT)
         assert plant.state.vx == 0.0
-        # The same pushes in another list keep the schedule; another push replaces it
-        plant.step(IDLE, 0.5, [push, later], 2 * DT, DT)
+        plant.step(IDLE, 0.5, 2 * DT, DT)
         vx = plant.state.vx
         assert vx != 0.0
-        # The repeated step scans the list again, and still pushes only once
+        # The repeated step scans the disturbances again, and still pushes only once
         assert plant._schedule.next_event <= 2 * DT + DT
-        plant.step(IDLE, 0.5, [push, later], 2 * DT, DT)
+        plant.step(IDLE, 0.5, 2 * DT, DT)
         assert abs(plant.state.vx - vx) < 0.01
-        plant.step(IDLE, 0.5, [Disturbance("impulse", 0.5, 1.0, 0.035)], 3 * DT, DT)
+        # A new set replaces the schedule: its push acts once, even over a
+        # repeated step, and `later` never acts
+        plant.set_disturbances([Disturbance("impulse", 0.5, 1.0, 0.035)])
+        plant.step(IDLE, 0.5, 3 * DT, DT)
         assert plant.state.vx > vx + 0.5
+        vx = plant.state.vx
+        for t in (3 * DT, 4 * DT, 5 * DT, 6 * DT):
+            plant.step(IDLE, 0.5, t, DT)
+            assert abs(plant.state.vx - vx) < 0.05, t
 
 
 _PAIR_FIELDS = (

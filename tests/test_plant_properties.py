@@ -54,6 +54,8 @@ def test_near_rest_matches_reference(data):
     )
     fast = SurrogatePlant(cfg)
     ref = ReferencePlant(cfg)
+    fast.set_disturbances([force])
+    ref.set_disturbances([force])
     for name in _STATE:
         v = value(name)
         setattr(fast.state, name, v)
@@ -64,8 +66,8 @@ def test_near_rest_matches_reference(data):
             max_hip_height=data.draw(hs.sampled_from([1.0, 0.9, 0.0, -0.0]), label="hip"),
         )
         mu = data.draw(hs.sampled_from([0.5, -0.1, 0.1, 3.1, -3.1]), label="mu")
-        got = fast.step(act, mu, [force], k * DT, DT)
-        want = ref.step(act, mu, [force], k * DT, DT)
+        got = fast.step(act, mu, k * DT, DT)
+        want = ref.step(act, mu, k * DT, DT)
         assert_bit_identical(fast, ref, got, want)
 
 
@@ -93,32 +95,31 @@ _DISTURBANCE = hs.builds(
 @given(
     disturbances=hs.lists(_DISTURBANCE, max_size=12),
     fallen=hs.booleans(),
-    fresh_list=hs.booleans(),
     seed=hs.integers(0, 3),
 )
 # Step 5's t_end, 0.05 + 0.01, passes step 6's t = 0.06 by an ulp: the
 # impulse at 0.06 is due in step 5 and must not act again in step 6
 @example(disturbances=[Disturbance("impulse", 0.3, 1.5, _start_time(6, 0)),
                        Disturbance("impulse", -1.2, 0.8, _start_time(6, 2))],
-         fallen=False, fresh_list=False, seed=0)
-def test_schedule_matches_reference_scan(disturbances, fallen, fresh_list, seed):
+         fallen=False, seed=0)
+def test_schedule_matches_reference_scan(disturbances, fallen, seed):
     """The plant's disturbance schedule against the reference's per-step
     scans, bit for bit: impulses that share a step (applied in list order,
     whatever their start order), overlapping force and bias windows,
     windows that open or close on a step boundary or last no time, starts
     before the first step, and pushes while fallen (from the start, or
-    after a push of 60 that fells the plant). With `fresh_list` every step
-    passes a new list of the same disturbances."""
+    after a push of 60 that fells the plant)."""
     cfg = PlantConfig(noise_gyro=0.01, noise_accel=0.05)
     fast = SurrogatePlant(cfg, seed=seed)
     ref = ReferencePlant(cfg, seed=seed)
     for plant in (fast, ref):
+        plant.set_disturbances(disturbances)
         plant.state.px, plant.state.vy = 0.02, -0.05
         plant.state.fallen = fallen
     act = ActivationSet(arm_tilt=(0.01, -0.02), swing_out_tilt=(0.0, 0.03))
     mu = 0.0
     for k in range(35):
         mu = math.remainder(mu + 0.5, 2.0 * math.pi)
-        got = fast.step(act, mu, list(disturbances) if fresh_list else disturbances, k * DT, DT)
-        want = ref.step(act, mu, disturbances, k * DT, DT)
+        got = fast.step(act, mu, k * DT, DT)
+        want = ref.step(act, mu, k * DT, DT)
         assert_bit_identical(fast, ref, got, want)

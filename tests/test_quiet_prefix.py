@@ -107,10 +107,9 @@ def test_warm_prefix_equals_cleared_run(plant_steps):
 
 
 def test_restored_plant_resumes_its_schedule(plant_steps):
-    """The memo's plant carries the schedule of the run that filled it, as
-    it stood before the first event; a run that restores it, with the same
-    disturbance list or another, reads its own schedule from there: the
-    records equal a cleared run's, bit for bit."""
+    """A run that restores the memo's plant, with the disturbances of the
+    run that filled it or with others, gives it its own disturbances before
+    the first event: the records equal a cleared run's, bit for bit."""
     ctrl = ControllerConfig()
     plant = PlantConfig()
 
@@ -132,6 +131,36 @@ def test_restored_plant_resumes_its_schedule(plant_steps):
     assert repr(run_closed_loop(ctrl, plant, other).records) == want[1]
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_disturbances_are_set_once_per_run(monkeypatch, enabled):
+    """A run gives the plant its disturbances once, before its first step:
+    on a memo miss and on a hit."""
+    monkeypatch.setattr(harness, "_quiet_prefix", {})
+    calls = []
+    set_disturbances = SurrogatePlant.set_disturbances
+    advance = SurrogatePlant.advance
+
+    def setting(self, disturbances):
+        calls.append(disturbances)
+        return set_disturbances(self, disturbances)
+
+    def stepping(self, *args):
+        calls.append("advance")
+        return advance(self, *args)
+
+    monkeypatch.setattr(SurrogatePlant, "set_disturbances", setting)
+    monkeypatch.setattr(SurrogatePlant, "advance", stepping)
+    ctrl = ControllerConfig()
+    for push in (1.0, 0.7):  # a miss that fills the memo, then a hit
+        scenario = Scenario(duration=1.0, controller_enabled=enabled,
+                            disturbances=[Disturbance("impulse", 0.4, push, 0.5)])
+        calls.clear()
+        run_closed_loop(ctrl, PlantConfig(), scenario)
+        assert calls[0] is scenario.disturbances
+        assert calls[1:] == ["advance"] * (len(calls) - 1)
+    assert len(calls) - 1 == 101 - quiet_cycles(0.5, ctrl.cycle_dt, 100)
+
+
 def test_alternating_switch_keeps_both_walks(monkeypatch):
     """Batteries with the controller on, off, on, off: the memo keeps one
     walk per switch, so the second on and off batteries step no plant cycle
@@ -139,9 +168,9 @@ def test_alternating_switch_keeps_both_walks(monkeypatch):
     quiet_steps = [0]
     advance = SurrogatePlant.advance
 
-    def counting(self, act, mu, disturbances, t, dt):
+    def counting(self, act, mu, t, dt):
         quiet_steps[0] += t + dt < harness.T_PUSH  # the harness's quiet rule
-        return advance(self, act, mu, disturbances, t, dt)
+        return advance(self, act, mu, t, dt)
 
     monkeypatch.setattr(SurrogatePlant, "advance", counting)
     monkeypatch.setattr(harness, "_quiet_prefix", {})

@@ -463,7 +463,7 @@ def test_imu_outputs_keep_their_types():
     assert type(quat_normalize((2.0, 0.0, 0.0, -2.0))) is Quat
     plant = SurrogatePlant(PlantConfig())
     plant.state.px = 0.1
-    sample = plant.step(IDLE, 0.0, [], 0.0, _CYCLE_DT)
+    sample = plant.step(IDLE, 0.0, 0.0, _CYCLE_DT)
     assert type(sample) is ImuSample
     assert sample.t == _CYCLE_DT and len(sample.gyro) == len(sample.accel) == 3
 

@@ -25,6 +25,7 @@ from tiltphase.harness import (
     run_closed_loop,
     run_replay,
 )
+from tiltphase.plant import disturbance_error
 from tiltphase.trace import FIELDS, read_trace, write_trace
 
 EXIT_OK = 0
@@ -106,6 +107,9 @@ def cmd_pushtest(args) -> int:
     impulses = [coerce(float, s, "--impulses") for s in args.impulses.split(",") if s.strip()]
     if not impulses:
         raise ValueError("no impulse levels given")
+    for level in impulses:  # checked as its pushes will be, before the first trial
+        if error := disturbance_error("impulse", 0.0, level, 0.0, 0.0):
+            raise ValueError("--impulses: {} {}".format(*error))
     for enabled, label in ((True, "on"), (False, "off")):
         if args.controller != "both" and args.controller != label:
             continue

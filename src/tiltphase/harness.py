@@ -38,21 +38,22 @@ class Scenario(_Record):
         # Imported here: json adds about 3 ms to a cold start of the CLI
         import json
 
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        repeats = []
+        data = json.loads(text, object_pairs_hook=_noting_repeats(repeats))
         if type(data) is not dict:
             raise ValueError(f"scenario: expected a JSON object, got {data!r:.40}")
-        _known_keys(data, _SCENARIO_KEYS, "")
+        _known_keys(data, _SCENARIO_KEYS, "", repeats)
         commands = []
-        for i, c in enumerate(_json_objects(data, "commands", _COMMAND_KEYS)):
+        for i, c in enumerate(_json_objects(data, "commands", _COMMAND_KEYS, repeats)):
             t, vx, vy, wz = (_json_number(c, k, f"commands[{i}].") for k in _COMMAND_KEYS)
             commands.append((t, GaitCommand(vx, vy, wz)))
         disturbances = []
-        for i, d in enumerate(_json_objects(data, "disturbances", ("kind", *_DISTURBANCE_KEYS))):
+        for i, d in enumerate(_json_objects(data, "disturbances", _DISTURBANCE_KEYS, repeats)):
             where = f"disturbances[{i}]."
             kind = d.get("kind")
             if type(kind) is not str:
                 raise ValueError(f"scenario {where}kind: expected a string, got {kind!r}")
-            values = [_json_number(d, k, where) for k in _DISTURBANCE_KEYS]
+            values = [_json_number(d, k, where) for k in _DISTURBANCE_KEYS[1:]]
             error = disturbance_error(kind, *values)
             if error:
                 name, reason = error
@@ -68,6 +69,7 @@ class Scenario(_Record):
             raise ValueError(f"scenario controller_enabled: expected a boolean, got {enabled!r}")
         if type(overrides) is not dict:
             raise ValueError(f"scenario config: expected an object, got {overrides!r:.40}")
+        _given_once(overrides, "config.", repeats)
         return cls(
             duration=_json_number(data, "duration", "", 10.0),
             seed=seed,
@@ -80,28 +82,40 @@ class Scenario(_Record):
 
 _SCENARIO_KEYS = ("duration", "seed", "controller_enabled", "commands", "disturbances", "config")
 _COMMAND_KEYS = ("t", "vx", "vy", "wz")
-# In the order of Disturbance's fields after `kind`
-_DISTURBANCE_KEYS = ("direction", "magnitude", "start_time", "duration")
+# In the order of Disturbance's fields
+_DISTURBANCE_KEYS = ("kind", "direction", "magnitude", "start_time", "duration")
 
 
-def _unique_keys(pairs: List[tuple]) -> dict:
-    # json.loads would keep the last of a key given twice, and say nothing
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"scenario: key {key!r} given twice")
-        obj[key] = value
-    return obj
+def _noting_repeats(repeats: List[tuple]):
+    """A json.loads object_pairs_hook that notes (object, key) in repeats for a
+    key given twice, which json.loads would read silently as its last value.
+    The check that knows the object's place raises it (`_given_once`)."""
+
+    def hook(pairs: List[tuple]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeats.append((obj, next(key for key in obj if keys.count(key) > 1)))
+        return obj
+
+    return hook
 
 
-def _known_keys(obj: dict, keys: Sequence[str], where: str) -> None:
+def _given_once(obj: dict, where: str, repeats: List[tuple]) -> None:
+    for repeated, key in repeats:
+        if repeated is obj:
+            raise ValueError(f"scenario {where}{key}: key given twice")
+
+
+def _known_keys(obj: dict, keys: Sequence[str], where: str, repeats: List[tuple]) -> None:
+    _given_once(obj, where, repeats)
     # A misspelt key would otherwise silently take its default
     for key in obj:
         if key not in keys:
             raise ValueError(f"scenario {where}{key}: unknown key")
 
 
-def _json_objects(data: dict, key: str, keys: Sequence[str]) -> list:
+def _json_objects(data: dict, key: str, keys: Sequence[str], repeats: List[tuple]) -> list:
     """data[key] (or []), checked to be a list of JSON objects with known keys."""
     items = data.get(key, [])
     if type(items) is not list:
@@ -109,7 +123,7 @@ def _json_objects(data: dict, key: str, keys: Sequence[str]) -> list:
     for i, item in enumerate(items):
         if type(item) is not dict:
             raise ValueError(f"scenario {key}[{i}]: expected an object, got {item!r:.40}")
-        _known_keys(item, keys, f"{key}[{i}].")
+        _known_keys(item, keys, f"{key}[{i}].", repeats)
     return items
 
 
@@ -224,7 +238,7 @@ def run_closed_loop(
             ctrl_cfg.validate()
         plant_cfg.validate()
         _, blob, prefix_records, imu, mu_open = memo
-        controller, plant = _resume(blob, ctrl_cfg, plant_cfg)
+        controller, plant = pickle.loads(blob)
         plant.set_disturbances(scenario.disturbances)
         records = list(prefix_records)
         first, store_at = quiet, 0
@@ -243,10 +257,7 @@ def run_closed_loop(
     i_cmd, cmd, t_cmd = _next_command(times, commands, 0, -math.inf)
     for k in range(first, n + 1):
         if k == store_at:
-            # The blob leaves out the configs, which _resume binds to each run's own
-            _bind(controller, plant, None, None)
             blob = pickle.dumps((controller, plant), pickle.HIGHEST_PROTOCOL)
-            _bind(controller, plant, ctrl_cfg, plant_cfg)
             _quiet_prefix[enabled] = (key, blob, tuple(records), imu, mu_open)
         t = k * dt
         if t >= t_cmd:
@@ -268,28 +279,12 @@ def run_closed_loop(
 # sample or None, open-loop mu) at the start of cycle `quiet` of the last
 # run_closed_loop with that switch that reached it, so alternating
 # controller-on and -off runs each keep their walk. The key is everything
-# cycles 0 .. quiet-1 read: both configs, the controller switch, the count
+# cycles 0 .. quiet-1 read: the repr of both configs (so the configs the
+# pair was pickled with equal a hit's), the controller switch, the count
 # itself and, with plant noise, the seed. The package's objects have
 # `__slots__`, so neither pickling nor unpickling slows their later steps,
 # and a copy is restored in a quarter of copy.deepcopy's time.
 _quiet_prefix: Dict[bool, tuple] = {}
-
-
-def _bind(controller, plant, ctrl_cfg, plant_cfg) -> None:
-    """Give a (controller or None, plant) pair its configs."""
-    if controller is not None:
-        controller.cfg = ctrl_cfg
-    plant.cfg = plant_cfg
-
-
-def _resume(blob: bytes, ctrl_cfg, plant_cfg):
-    """The pickled (controller, plant) of the memo, bound to this run's configs;
-    its rng is this run's, as the memo key holds the seed whenever noise reads it."""
-    import pickle
-
-    controller, plant = pickle.loads(blob)
-    _bind(controller, plant, ctrl_cfg, plant_cfg)
-    return controller, plant
 
 
 def run_replay(

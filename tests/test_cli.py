@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import tiltphase.harness as harness
 from tiltphase.cli import EXIT_DIFFERENT, EXIT_FALLEN, EXIT_INPUT, EXIT_OK, THRESHOLD_HI, main
 from tiltphase.config import ControllerConfig
 from tiltphase.trace import read_trace
@@ -249,6 +250,24 @@ class TestPushtest:
         captured = capsys.readouterr()
         assert "error: --impulses: expected a number, got '1_0'" in captured.err
         assert "controller=" not in captured.out
+
+    @pytest.mark.parametrize("levels, reason", [
+        ("0.5,nan", "magnitude must be finite, got nan"),
+        ("0.5,-inf", "magnitude must be finite, got -inf"),
+        ("0.5,-0.25", "magnitude must lie in [0, 1000], got -0.25"),
+        ("1001,0.5", "magnitude must lie in [0, 1000], got 1001.0"),
+    ])
+    def test_bad_level_rejected_before_any_trial(self, levels, reason, monkeypatch, capsys):
+        # A bad level used to surface only after the good levels' trials ran,
+        # and its message did not name the flag
+        def no_trial(*args):
+            raise AssertionError("a push trial ran")
+
+        monkeypatch.setattr(harness, "run_closed_loop", no_trial)
+        assert main(["pushtest", "--impulses", levels, "--pushes", "1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --impulses: {reason}\n"
+        assert captured.out == ""
 
 
 class TestFitWaveform:

@@ -79,22 +79,29 @@ class TestScenario:
         with pytest.raises(ValueError, match=re.escape(f"scenario {field}: expected a number")):
             Scenario.from_json(json.dumps(data))
 
-    @pytest.mark.parametrize("text, key", [
+    @pytest.mark.parametrize("text, field", [
         ('{"duration": 1.0, "duration": 2.0}', "duration"),
-        ('{"config": {"controller.f_nom": 6.0, "controller.f_nom": 6.5}}', "controller.f_nom"),
-        ('{"commands": [{"t": 0.5, "vx": 0.1, "vx": 0.3}]}', "vx"),
+        ('{"commands": [], "seed": 1, "commands": []}', "commands"),
+        ('{"config": {"controller.f_nom": 6.0, "controller.f_nom": 6.5}}',
+         "config.controller.f_nom"),
+        ('{"commands": [{"t": 0.5, "vx": 0.1, "vx": 0.3}]}', "commands[0].vx"),
+        ('{"commands": [{"t": 0}, {"t": 1, "vx": 1, "vx": 2}]}', "commands[1].vx"),
         ('{"disturbances": [{"kind": "impulse", "magnitude": 1.0, "magnitude": 2.0}]}',
-         "magnitude"),
-    ], ids=["top-level", "config", "command", "disturbance"])
-    def test_key_given_twice_rejected(self, text, key, tmp_path, capsys):
-        # json.loads keeps the last value of a repeated key, and says nothing
-        with pytest.raises(ValueError, match=f"^scenario: key '{key}' given twice$"):
+         "disturbances[0].magnitude"),
+        ('{"disturbances": [{"kind": "force"}, {"kind": "bias", "kind": "force"}]}',
+         "disturbances[1].kind"),
+    ], ids=["top-level", "top-level-list", "config", "command", "second-command",
+            "disturbance", "second-disturbance"])
+    def test_key_given_twice_rejected(self, text, field, tmp_path, capsys):
+        # json.loads keeps the last value of a repeated key, and says nothing;
+        # the message places the key as every other scenario error does
+        with pytest.raises(ValueError, match=re.escape(f"scenario {field}: key given twice")):
             Scenario.from_json(text)
         sc = tmp_path / "twice.json"
         sc.write_text(text)
         assert main(["simulate", "--scenario", str(sc)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: scenario: key '{key}' given twice\n"
+        assert captured.err == f"error: scenario {field}: key given twice\n"
         assert captured.out == ""
 
     def test_integer_numbers_accepted(self):

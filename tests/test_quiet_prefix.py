@@ -239,7 +239,8 @@ def test_invalid_config_raises_with_the_memo_warm(plant_steps):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_a_memo_hit_builds_no_pair_and_still_validates(monkeypatch, enabled):
     """A hit builds no controller or plant, which the memo's copy replaces,
-    yet checks the configs a miss would check; the memo holds no config."""
+    yet checks the configs a miss would check; the copy holds configs equal
+    to the run's, repr for repr."""
     monkeypatch.setattr(harness, "_quiet_prefix", {})
     calls = []
 
@@ -265,7 +266,8 @@ def test_a_memo_hit_builds_no_pair_and_still_validates(monkeypatch, enabled):
     run_closed_loop(ControllerConfig(), PlantConfig(), scenario)
     assert calls == ["ControllerConfig.validate"] * enabled + ["PlantConfig.validate"]
     controller, plant = pickle.loads(harness._quiet_prefix[enabled][1])
-    assert plant.cfg is None and (controller.cfg is None if enabled else controller is None)
+    assert repr(plant.cfg) == repr(PlantConfig())
+    assert repr(controller.cfg) == repr(ControllerConfig()) if enabled else controller is None
 
 
 def reachable(root):
@@ -292,13 +294,13 @@ def test_no_reachable_object_has_a_dict(monkeypatch):
     slower once its state has been read, as pickling it into the memo does."""
     monkeypatch.setattr(harness, "_quiet_prefix", {})
     restored = []
-    resume = harness._resume
+    loads = pickle.loads
 
-    def keeping(*args):
-        restored.append(resume(*args))
+    def keeping(blob):
+        restored.append(loads(blob))
         return restored[-1]
 
-    monkeypatch.setattr(harness, "_resume", keeping)
+    monkeypatch.setattr(pickle, "loads", keeping)
     scenario = Scenario(duration=1.0, disturbances=[Disturbance("impulse", 0.4, 1.0, 0.5)])
     for _ in range(2):  # fills the memo, then restores from it
         run_closed_loop(ControllerConfig(), PlantConfig(), scenario)

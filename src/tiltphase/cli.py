@@ -104,9 +104,7 @@ def cmd_replay(args) -> int:
 
 def cmd_pushtest(args) -> int:
     ctrl, plant = _load_configs(args)
-    impulses = [coerce(float, s, "--impulses") for s in args.impulses.split(",") if s.strip()]
-    if not impulses:
-        raise ValueError("no impulse levels given")
+    impulses = [coerce(float, s, "--impulses") for s in args.impulses.split(",")]
     for level in impulses:  # checked as its pushes will be, before the first trial
         if error := disturbance_error("impulse", 0.0, level, 0.0, 0.0):
             raise ValueError("--impulses: {} {}".format(*error))

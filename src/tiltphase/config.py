@@ -416,6 +416,21 @@ def coerce(field_type, value, key: str):
         raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from None
 
 
+def resolve_setting(key: str, value, where: str) -> Tuple[str, str, object]:
+    """(section, field name, value as the field's type) of a `section.key`
+    setting from a config file line, a scenario's config or an override;
+    `where` starts each error."""
+    section, dot, name = key.partition(".")
+    if not dot:
+        raise ConfigError(f"{where}key {key!r} must be 'controller.x' or 'plant.x'")
+    if section not in _FIELD_TYPES:
+        raise ConfigError(f"{where}unknown section {section!r}")
+    types = _FIELD_TYPES[section]
+    if name not in types:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    return section, name, coerce(types[name], value, f"{where}{key}")
+
+
 def parse_config_lines(lines) -> Tuple[ControllerConfig, PlantConfig]:
     values: Dict[str, Dict[str, object]] = {"controller": {}, "plant": {}}
     seen: Dict[str, int] = {}
@@ -426,17 +441,12 @@ def parse_config_lines(lines) -> Tuple[ControllerConfig, PlantConfig]:
         if "=" not in text:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {text!r}")
         key, raw = (s.strip() for s in text.split("=", 1))
-        if "." not in key:
-            raise ConfigError(f"line {lineno}: key {key!r} must be 'controller.x' or 'plant.x'")
-        prefix, name = key.split(".", 1)
-        if prefix not in _PREFIXES:
-            raise ConfigError(f"line {lineno}: unknown section {prefix!r}")
-        if name not in _FIELD_TYPES[prefix]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        # Only a key that resolved is in seen
         if key in seen:
             raise ConfigError(f"line {lineno}: key {key!r} already given on line {seen[key]}")
+        section, name, value = resolve_setting(key, raw, f"line {lineno}: ")
         seen[key] = lineno
-        values[prefix][name] = coerce(_FIELD_TYPES[prefix][name], raw, f"line {lineno}: {key}")
+        values[section][name] = value
     ctrl = ControllerConfig(**values["controller"])
     plant = PlantConfig(**values["plant"])
     ctrl.validate()
@@ -452,14 +462,8 @@ def load_config(path) -> Tuple[ControllerConfig, PlantConfig]:
 def apply_overrides(ctrl: ControllerConfig, plant: PlantConfig, overrides: Dict[str, object]):
     """Apply `section.key -> value` overrides (e.g. from a scenario file)."""
     for key, value in overrides.items():
-        if "." not in key:
-            raise ConfigError(f"override key {key!r} must be 'controller.x' or 'plant.x'")
-        prefix, name = key.split(".", 1)
-        types = _FIELD_TYPES.get(prefix, {})
-        if name not in types:
-            raise ConfigError(f"unknown override key {key!r}")
-        cfg = ctrl if prefix == "controller" else plant
-        setattr(cfg, name, coerce(types[name], value, key))
+        section, name, value = resolve_setting(key, value, "override: ")
+        setattr(ctrl if section == "controller" else plant, name, value)
     ctrl.validate()
     plant.validate()
     return ctrl, plant

@@ -39,7 +39,7 @@ from tiltphase.rotation import TiltPhase2D, tilt_of_quat
 
 
 # tuple.__new__(ActivationSet, fields) skips the generated keyword
-# constructor, which costs about 1 us per cycle for this 19-field tuple.
+# constructor, which costs about 1 us per cycle for this 18-field tuple.
 _new_tuple = tuple.__new__
 
 
@@ -68,7 +68,6 @@ class ActivationSet(NamedTuple):
     body_tilt: Tuple[float, float] = (0.0, 0.0)
     expected_tilt: Tuple[float, float] = (0.0, 0.0)
     deviation: Tuple[float, float] = (0.0, 0.0)
-    deviation_mean: Tuple[float, float] = (0.0, 0.0)
     crossing_energy_left: float = 0.0
     crossing_energy_right: float = 0.0
     instability: float = 0.0
@@ -385,7 +384,7 @@ class TiltPhaseController:
         p_e = self._flat
         if p_e is None:
             p_e = self.waveform.evaluate(mu)
-        p_dx, p_dy, _, converged, ns_px, ns_py = deviation_tilt(p_b, p_e, cfg.py_nominal)
+        p_dx, p_dy, converged, ns_px, ns_py = deviation_tilt(p_b, p_e, cfg.py_nominal)
         if not converged:
             flags += ("deviation_degenerate",)
         p_d = (p_dx, p_dy)
@@ -407,6 +406,6 @@ class TiltPhaseController:
         # then mu, the body, expected and deviation tilts and the diagnostics
         return _new_tuple(ActivationSet, (
             arm, foot, cft, hip, h_max, lean, swing_out, plane, f_g,
-            mu, (p_b[0], p_b[1]), (p_e[0], p_e[1]), p_d, pd_mean, e_l, e_r, instability, s_d, flags,
+            mu, (p_b[0], p_b[1]), (p_e[0], p_e[1]), p_d, e_l, e_r, instability, s_d, flags,
         ))
 

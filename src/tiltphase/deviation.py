@@ -29,14 +29,16 @@ when p_yN = 0. Nor does it take psi_E/2 through an angle. With
 (cz, sz) = (cos(psi_E/2), sin(psi_E/2)), q_d = cz * A * B + sz * (A * k) * B,
 whose z component cz*z1 + sz*z2 vanishes exactly for
 (cz, sz) = +-(z2, -z1) / |(z1, z2)|. psi_E in (-pi, pi] means cz > 0, or
-cz = 0 and sz = 1 (psi_E = pi, the sign to take when z2 = 0), and
-psi_E = 2*atan2(sz, cz). One square root replaces atan2, `wrap_pi`, cos
-and sin, and q_d = (w, x, y, 0) has zero fused yaw by construction, so its
-tilt phase takes the z component as the zero it is: P_q(q_d^*) =
--sign(w) * alpha / |(x, y)| * (x, y) with alpha = 2*atan2(|(x, y)|, |w|),
-and sign(w) = 1 on the singular set |w| < 1e-12. This moves outputs by rounding
-(a few ulps away from the half turn) against the composition, whose
-rounded z component tilts P_d's direction near the half turn.
+cz = 0 and sz = 1 (psi_E = pi, the sign to take when z2 = 0); the sign
+decides P_d on the singular set below. psi_E itself is never formed: the
+tilt phase is yaw-free, and nothing reads it. One square root replaces
+atan2, `wrap_pi`, cos and sin, and q_d = (w, x, y, 0) has zero fused yaw
+by construction, so its tilt phase takes the z component as the zero it
+is: P_q(q_d^*) = -sign(w) * alpha / |(x, y)| * (x, y) with
+alpha = 2*atan2(|(x, y)|, |w|), and sign(w) = 1 on the singular set
+|w| < 1e-12. This moves outputs by rounding (a few ulps away from the half
+turn) against the composition, whose rounded z component tilts P_d's
+direction near the half turn.
 """
 
 from __future__ import annotations
@@ -79,13 +81,10 @@ class ExpectedWaveform(NamedTuple):
 class DeviationResult(NamedTuple):
     px: float
     py: float
-    psi_e: float
     converged: bool
     # P_NS, the ground plane tilt phase P_q(A * B)
     ns_px: float
     ns_py: float
-
-
 
 
 def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
@@ -101,7 +100,7 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     # so the deviation is exactly the body tilt, and conjugating a pure
     # tilt rotation negates its tilt phase: P_NS = -P_B.
     if p_yn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
-        return _new_tuple(DeviationResult, (p_b[0], p_b[1], 0.0, True, -p_b[0], -p_b[1]))
+        return _new_tuple(DeviationResult, (p_b[0], p_b[1], True, -p_b[0], -p_b[1]))
 
     # tilt_quat(P_B) = (bw, bx, by, 0) and tilt_quat(P_E) = (ew, ex, ey, 0)
     bx = p_b[0]
@@ -170,7 +169,7 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     t = z1 * z1 + z2 * z2
     if t < 1e-28:
         px, py = tilt_of_quat((w, -x, -y, -z1))  # q_d = A * B
-        return _new_tuple(DeviationResult, (px, py, 0.0, False, nx, ny))
+        return _new_tuple(DeviationResult, (px, py, False, nx, ny))
     # (cz, sz) = (cos(psi_E/2), sin(psi_E/2)), with cz > 0, or sz = 1 at psi_E = pi
     t = 1.0 / math.sqrt(t)
     if z2 < 0.0 or (z2 == 0.0 and z1 > 0.0):
@@ -198,4 +197,4 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
             t = -t
         px = t * x
         py = t * y
-    return _new_tuple(DeviationResult, (px, py, 2.0 * math.atan2(sz, cz), True, nx, ny))
+    return _new_tuple(DeviationResult, (px, py, True, nx, ny))

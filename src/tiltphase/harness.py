@@ -8,7 +8,9 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from tiltphase.config import ControllerConfig, PlantConfig, _Record, apply_overrides, replace
+from tiltphase.config import (
+    ControllerConfig, PlantConfig, _Record, apply_overrides, replace, resolve_setting,
+)
 from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController
 from tiltphase.deviation import ExpectedWaveform, gait_phase_step
 from tiltphase.estimator import ImuSample
@@ -70,6 +72,8 @@ class Scenario(_Record):
         if type(overrides) is not dict:
             raise ValueError(f"scenario config: expected an object, got {overrides!r:.40}")
         _given_once(overrides, "config.", repeats)
+        for key, value in overrides.items():
+            resolve_setting(key, value, "scenario config: ")
         return cls(
             duration=_json_number(data, "duration", "", 10.0),
             seed=seed,
@@ -224,19 +228,12 @@ def run_closed_loop(
         quiet += 1
     noisy = plant_cfg.noise_gyro > 0.0 or plant_cfg.noise_accel > 0.0
     # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not
-    key = (
-        repr(ctrl_cfg), repr(plant_cfg), enabled, quiet,
-        scenario.seed if noisy else None,
-    )
+    key = repr(ctrl_cfg), repr(plant_cfg), quiet, scenario.seed if noisy else None
     # Imported here: pickle adds about 3 ms to a cold start of the CLI
     import pickle
 
     memo = _quiet_prefix.get(enabled)
     if memo is not None and memo[0] == key:
-        # The configs are checked as building the pair would check them
-        if enabled:
-            ctrl_cfg.validate()
-        plant_cfg.validate()
         _, blob, prefix_records, imu, mu_open = memo
         controller, plant = pickle.loads(blob)
         plant.set_disturbances(scenario.disturbances)
@@ -279,11 +276,13 @@ def run_closed_loop(
 # sample or None, open-loop mu) at the start of cycle `quiet` of the last
 # run_closed_loop with that switch that reached it, so alternating
 # controller-on and -off runs each keep their walk. The key is everything
-# cycles 0 .. quiet-1 read: the repr of both configs (so the configs the
-# pair was pickled with equal a hit's), the controller switch, the count
-# itself and, with plant noise, the seed. The package's objects have
-# `__slots__`, so neither pickling nor unpickling slows their later steps,
-# and a copy is restored in a quarter of copy.deepcopy's time.
+# else cycles 0 .. quiet-1 read: the repr of both configs, the count itself
+# and, with plant noise, the seed. Building the pair validated the configs
+# of that repr, so a hit holds configs equal to its own and checks nothing
+# again; an invalid or since-mutated config has another repr and misses.
+# The package's objects have `__slots__`, so neither pickling nor
+# unpickling slows their later steps, and a copy is restored in a quarter
+# of copy.deepcopy's time.
 _quiet_prefix: Dict[bool, tuple] = {}
 
 

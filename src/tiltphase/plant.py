@@ -205,15 +205,14 @@ def _nystrom_constants(h: float) -> tuple:
 
 
 class PlantState(_Record):
-    """Tilt phase, its rate, the support foot and its pivot, and the fall flag."""
+    """Tilt phase, its rate, the support foot's lateral pivot (`cfg.pivot_y`
+    is the sagittal one), and the fall flag."""
 
     px: float = 0.0
     py: float = 0.0
     vx: float = 0.0
     vy: float = 0.0
-    support: str = "R"
     pivot_x: float = 0.0
-    pivot_y: float = 0.0
     fallen: bool = False
 
 
@@ -223,9 +222,7 @@ class SurrogatePlant:
     def __init__(self, cfg: PlantConfig, seed: int = 0):
         cfg.validate()
         self.cfg = cfg
-        self.state = PlantState(
-            pivot_x=cfg.pivot_x_right, pivot_y=cfg.pivot_y
-        )
+        self.state = PlantState(pivot_x=cfg.pivot_x_right)
         self.rng = random.Random(seed)
         self._mu_prev: Optional[float] = None
         self._q_meas_prev = (1.0, 0.0, 0.0, 0.0)
@@ -236,34 +233,23 @@ class SurrogatePlant:
 
     # -- disturbance and stepping hooks --------------------------------------
 
-    def apply_push(self, direction: float, impulse: float) -> None:
-        """Instantaneous velocity jump of impulse/impulse_scale along direction."""
-        if impulse < 0.0:
-            raise ValueError("impulse must be >= 0")
-        if self.state.fallen:
-            return
-        dv = impulse / self.cfg.impulse_scale
-        self.state.vx += dv * math.cos(direction)
-        self.state.vy += dv * math.sin(direction)
-
-    def _foot_strike(self, new_support: str) -> None:
+    def _foot_strike(self, pivot_x: float) -> None:
+        """Move the support to the foot whose lateral pivot is pivot_x."""
+        cfg = self.cfg
         st = self.state
-        st.support = new_support
-        st.pivot_x = (
-            self.cfg.pivot_x_left if new_support == "L" else self.cfg.pivot_x_right
-        )
+        st.pivot_x = pivot_x
         # Foot placement pulls the body back over the new pivot, but a single
         # step can only correct so much tilt; the rest of the offset stays
-        dx = st.px - st.pivot_x
-        dy = st.py - st.pivot_y
+        dx = st.px - pivot_x
+        dy = st.py - cfg.pivot_y
         m = math.hypot(dx, dy)
-        correction = min((1.0 - self.cfg.strike_reset) * m, self.cfg.strike_capture)
+        correction = min((1.0 - cfg.strike_reset) * m, cfg.strike_capture)
         if m > 0.0:
             scale = (m - correction) / m
-            st.px = st.pivot_x + scale * dx
-            st.py = st.pivot_y + scale * dy
-        st.vx *= self.cfg.strike_restitution
-        st.vy *= self.cfg.strike_restitution
+            st.px = pivot_x + scale * dx
+            st.py = cfg.pivot_y + scale * dy
+        st.vx *= cfg.strike_restitution
+        st.vy *= cfg.strike_restitution
 
     def _handle_gait_events(self, mu: float) -> None:
         prev = self._mu_prev
@@ -272,9 +258,9 @@ class SurrogatePlant:
             return
         # mu crossing 0 upward -> right support; wrap past pi -> left support
         if prev < 0.0 <= mu and mu - prev < math.pi:
-            self._foot_strike("R")
+            self._foot_strike(self.cfg.pivot_x_right)
         elif mu < prev and prev - mu > math.pi:  # wrapped from +pi to -pi side
-            self._foot_strike("L")
+            self._foot_strike(self.cfg.pivot_x_left)
 
     def set_disturbances(self, disturbances) -> None:
         """Take a run's disturbances, as a new schedule; a new plant has none."""
@@ -301,14 +287,17 @@ class SurrogatePlant:
         if alive:
             self._handle_gait_events(mu)
 
+        cfg = self.cfg
         sched = self._schedule
         if sched.next_event <= t_end:
             for d in sched.advance(t, t_end):
-                self.apply_push(d.direction, d.magnitude)  # a fallen plant ignores it
+                if alive:  # a fallen plant ignores impulses
+                    dv = d.magnitude / cfg.impulse_scale
+                    st.vx += dv * math.cos(d.direction)
+                    st.vy += dv * math.sin(d.direction)
         fx, fy = sched.force
 
         if alive:
-            cfg = self.cfg
             n_sub = max(1, math.ceil(dt / cfg.substep_dt))
             h = dt / n_sub
             k = self._nystrom
@@ -326,7 +315,7 @@ class SurrogatePlant:
                 + cfg.couple_hip * act.hip_shift[0]
             )
             eq_y = (
-                st.pivot_y
+                cfg.pivot_y
                 + cfg.couple_cft * act.continuous_foot_tilt[1]
                 + cfg.couple_hip * act.hip_shift[1]
                 + cfg.couple_lean * act.lean_tilt[1]
@@ -360,7 +349,7 @@ class SurrogatePlant:
                 vy = vy + (bv1 * ay1 + bv2 * ay2 + bv3 * ay3 + bv4 * ay4)
             st.px, st.py, st.vx, st.vy = px, py, vx, vy
 
-            if math.hypot(st.px, st.py) > self.cfg.fall_angle:
+            if math.hypot(st.px, st.py) > cfg.fall_angle:
                 st.fallen = True
                 st.vx = 0.0
                 st.vy = 0.0

@@ -16,8 +16,7 @@ from tiltphase.controller import ActivationSet
 
 SCHEMA = "tiltphase-trace v1"
 
-# Each traced ActivationSet field and its columns, in trace order;
-# deviation_mean is not traced
+# Each traced ActivationSet field and its columns, in trace order
 COLUMNS = {
     "mu": ("mu",), "body_tilt": ("pxB", "pyB"), "expected_tilt": ("pxE", "pyE"),
     "deviation": ("pxd", "pyd"), "arm_tilt": ("pxa", "pya"),
@@ -34,8 +33,8 @@ def record_values(t: float, act: ActivationSet) -> tuple:
     """The trace record of one cycle: t, the COLUMNS of act in order, the
     flags joined by "|". One tuple display, which a test checks against
     COLUMNS."""
-    (arm, foot, cft, hip, hmax, lean, so, plane, fg, mu, body, expected, dev, _, e_l, e_r,
-     inst, sd, flags) = act
+    (arm, foot, cft, hip, hmax, lean, so, plane, fg, mu, body, expected, dev, e_l, e_r, inst,
+     sd, flags) = act
     return (
         t, mu, body[0], body[1], expected[0], expected[1], dev[0], dev[1], arm[0], arm[1],
         foot[0], foot[1], cft[0], cft[1], hip[0], hip[1], hmax, lean[0], lean[1],

@@ -5,15 +5,17 @@ the plant's IMU emission. The fused yaw, the 3D tilt phase and the free
 pendulum invariant below are not on that path; the tests use them to check
 the kept code from a second formula. `composed_deviation_tilt` is the
 deviation tilt as a composition of the rotation kernels, the oracle of the
-one-kernel `deviation.deviation_tilt`. Definitions follow Allgeuer & Behnke,
-*Fused Angles: A Representation of Body Orientation for Balance* (IROS 2015).
+one-kernel `deviation.deviation_tilt`; `composed_deviation` also gives the
+yaw psi_E it composed with, which the kernel never forms. Definitions
+follow Allgeuer & Behnke, *Fused Angles: A Representation of Body
+Orientation for Balance* (IROS 2015).
 `wlbf_direct_sums` is the WLBF's direct moment sums as they were written out
 once per dimension, the bit-exact oracle of `WlbfFilter`'s direct path.
 """
 
 import math
 import struct
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 from tiltphase.config import ControllerConfig
 from tiltphase.deviation import DeviationResult
@@ -99,8 +101,15 @@ def composed_deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     same rotation composition through `tilt_quat`, `wrap_pi` and two
     `tilt_of_quat` calls, with psi_E = wrap_pi(2*atan2(-z1, z2)) and its
     cosine and sine taken afresh."""
+    return composed_deviation(p_b, p_e, p_yn)[0]
+
+
+def composed_deviation(p_b, p_e, p_yn: float) -> Tuple[DeviationResult, float]:
+    """`composed_deviation_tilt` and the psi_E it composed q_d with, the yaw
+    that zeroes q_d's fused yaw (0.0 where z1 and z2 vanish); the kernel
+    never forms psi_E."""
     if p_yn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
-        return DeviationResult(p_b[0], p_b[1], 0.0, True, -p_b[0], -p_b[1])
+        return DeviationResult(p_b[0], p_b[1], True, -p_b[0], -p_b[1]), 0.0
 
     hy = 0.5 * p_yn
     cyn = math.cos(hy)
@@ -151,7 +160,7 @@ def composed_deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
         a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
         z1,
     ))
-    return DeviationResult(px, py, psi_e, converged, nx, ny)
+    return DeviationResult(px, py, converged, nx, ny), psi_e
 
 
 def estimator(**changes) -> AttitudeEstimator:

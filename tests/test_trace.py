@@ -46,8 +46,8 @@ class TestSchema:
     def test_v1_columns_pinned(self):
         assert FIELDS == V1_FIELDS
 
-    def test_every_field_but_deviation_mean_is_traced(self):
-        assert set(COLUMNS) | {"flags"} == set(ActivationSet._fields) - {"deviation_mean"}
+    def test_every_field_but_flags_is_traced(self):
+        assert set(COLUMNS) == set(ActivationSet._fields) - {"flags"}
 
     def test_column_count_matches_field_shape(self):
         for name, cols in COLUMNS.items():
@@ -70,8 +70,8 @@ class TestSchema:
 
 class TestRecordValues:
     def test_record_values_is_the_columns_layout(self):
-        """Every ActivationSet value distinct, deviation_mean included: the
-        record is t, then each COLUMNS field's values in order, then the flags."""
+        """Every ActivationSet value distinct: the record is t, then each
+        COLUMNS field's values in order, then the flags."""
         values = iter(float(k) + 0.5 for k in range(100))
         act = ActivationSet(**{
             name: tuple(next(values) for _ in default) if isinstance(default, tuple)

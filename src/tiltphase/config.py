@@ -2,8 +2,8 @@
 
 All quantities are dimensionless or SI. The file format is one `key = value`
 per line, `#` comments allowed; keys are `controller.<field>` or
-`plant.<field>`. Defaults ship in the record classes below and can be
-printed with the CLI `--dump-config` flag.
+`plant.<field>`. Defaults ship in the record classes below (the CLI's
+`--dump-config` prints them), and each field's limits in `_LIMITS`.
 
 A record class (`_Record`) is a `__slots__` class built from its annotated
 class body, as a dataclass would be, but without importing `dataclasses`
@@ -107,8 +107,28 @@ def _check_finite(cfg, prefix: str) -> None:
             raise ConfigError(f"{prefix}.{name} must be finite")
 
 
-class ControllerConfig(_Record):
+class _Config(_Record):
+    """Base of the two configs: `validate` checks each float is finite, each field
+    is within its `_LIMITS` row and each `_RELATIONS` entry holds, in that order."""
+
+    def validate(self) -> None:
+        section = self._section
+        _check_finite(self, section)
+        for name, least, most, even, message in _CHECKS[section]:
+            value = getattr(self, name)
+            if not least <= value <= most:
+                raise ConfigError(message)
+            if even and value % 2:
+                raise ConfigError(f"{section}.{name} must be even")
+        for holds, message in _RELATIONS[section]:
+            if not holds(self):
+                raise ConfigError(f"{section}.{message}")
+
+
+class ControllerConfig(_Config):
     """Controller parameters, as `controller.<name>` keys in a config file."""
+
+    _section = "controller"
 
     # Control cycle (nominal; used to size cycle-count filter windows)
     cycle_dt: float = 0.01
@@ -221,98 +241,11 @@ class ControllerConfig(_Record):
     hh_height_rate: float = 0.05
     hh_sagittal_only: bool = False
 
-    def validate(self) -> None:
-        _check_finite(self, "controller")
 
-        def positive(*names):
-            for n in names:
-                if getattr(self, n) <= 0:
-                    raise ConfigError(f"controller.{n} must be positive")
-
-        # Past these limits a run asks for more cycles or plant substeps than
-        # it can take, the ripple filter's pi / (f_nom * cycle_dt) cycles per
-        # step or the crossing energy divide by zero, or the expected tilt,
-        # which no walk takes beyond pi, or the plant's pendulum, which a
-        # hip height above 1 speeds up, overflows tilt_quat; a WLBF window
-        # takes O(n) to build
-        for n, lo, hi, limit in (
-            ("cycle_dt", 1e-3, 0.1, "lie in [0.001, 0.1]"),
-            ("f_min", 0.1, math.inf, "be at least 0.1"),
-            ("hh_height_hi", 0.0, 1.0, "lie in [0, 1]"),
-            ("hh_height_lo", 0.0, 1.0, "lie in [0, 1]"),
-            ("so_pendulum_c", 1e-3, math.inf, "be at least 0.001"),
-            ("wave_amp_x", 0.0, math.pi, "lie in [0, pi]"),
-            ("wave_amp_y", 0.0, math.pi, "lie in [0, pi]"),
-            ("wave_offset_x", -math.pi, math.pi, "lie in [-pi, pi]"),
-            ("wave_offset_y", -math.pi, math.pi, "lie in [-pi, pi]"),
-            ("pd_wlbf_size", 1, MAX_WLBF_SIZE, f"lie in [1, {MAX_WLBF_SIZE}]"),
-            ("lean_wlbf_size", 1, MAX_WLBF_SIZE, f"lie in [1, {MAX_WLBF_SIZE}]"),
-            ("so_wlbf_size", 1, MAX_WLBF_SIZE, f"lie in [1, {MAX_WLBF_SIZE}]"),
-        ):
-            if not lo <= getattr(self, n) <= hi:
-                raise ConfigError(f"controller.{n} must {limit}")
-        positive(
-            "f_nom", "f_min", "f_max",
-            "pd_deadband_p_x", "pd_deadband_p_y", "pd_deadband_d_x", "pd_deadband_d_y",
-            "arm_limit_x", "arm_limit_y", "arm_buffer",
-            "foot_limit_x", "foot_limit_y", "foot_buffer",
-            "i_clamp_x", "i_clamp_y", "i_bound_x", "i_bound_y", "i_buffer",
-            "lean_slope_rate", "lean_limit", "lean_buffer",
-            "so_deadband", "so_hold_time",
-            "so_limit_x", "so_limit_y", "so_buffer",
-            "sp_deadband_x", "sp_deadband_y", "sp_limit_x", "sp_limit_y", "sp_buffer",
-            "tim_deadband", "hh_settle_time", "hh_slope_rate", "hh_height_rate",
-        )
-        # A negative feedback gain turns its correction into a push the same
-        # way, the estimator's gains push away from gravity and a negative
-        # bias limit inverts the bias clamp
-        for n in ("arm_p_gain_lat", "arm_p_gain_sag", "arm_d_gain_lat", "arm_d_gain_sag",
-                  "foot_p_gain_lat", "foot_p_gain_sag", "foot_d_gain_lat", "foot_d_gain_sag",
-                  "i_gain", "i_cft_gain", "i_hip_gain", "so_gain", "sp_gain", "tim_gain",
-                  "est_kp", "est_ki", "est_bias_limit"):
-            if getattr(self, n) < 0:
-                raise ConfigError(f"controller.{n} must be >= 0")
-        # An empty gate accepts no accelerometer sample: the gyro alone drifts
-        if self.est_acc_min_g >= self.est_acc_max_g:
-            raise ConfigError("controller.est_acc_min_g must be below est_acc_max_g")
-        for n in ("pd_mean_order", "sp_mean_order", "i_ripple_steps"):
-            if getattr(self, n) < 1:
-                raise ConfigError(f"controller.{n} must be >= 1")
-        if self.i_ripple_steps % 2 != 0:
-            raise ConfigError("controller.i_ripple_steps must be even")
-        if not (self.f_min <= self.f_nom <= self.f_max):
-            raise ConfigError("controller.f_nom must lie in [f_min, f_max]")
-        # The plant's foot strikes and the gait phase wrap need a step below
-        # half a cycle
-        if self.f_max * self.cycle_dt >= math.pi:
-            raise ConfigError("controller.f_max * cycle_dt must be below pi")
-        for buf, lim_x, lim_y, name in (
-            (self.arm_buffer, self.arm_limit_x, self.arm_limit_y, "arm_buffer"),
-            (self.foot_buffer, self.foot_limit_x, self.foot_limit_y, "foot_buffer"),
-            (self.i_buffer, self.i_bound_x, self.i_bound_y, "i_buffer"),
-            (self.so_buffer, self.so_limit_x, self.so_limit_y, "so_buffer"),
-            (self.sp_buffer, self.sp_limit_x, self.sp_limit_y, "sp_buffer"),
-        ):
-            if buf >= min(lim_x, lim_y):
-                raise ConfigError(f"controller.{name} must be below the smallest semi-axis")
-        if self.lean_buffer >= self.lean_limit:
-            raise ConfigError("controller.lean_buffer must be below lean_limit")
-        if not (self.so_crossing_px_l < 0.0 < self.so_crossing_px_r):
-            raise ConfigError("controller.so_crossing_px_l < 0 < so_crossing_px_r required")
-        if self.so_energy_min < 0.0:
-            raise ConfigError("controller.so_energy_min must be >= 0")
-        if self.hh_height_lo > self.hh_height_hi:
-            raise ConfigError("controller.hh_height_lo must not exceed hh_height_hi")
-        if self.hh_instability_lo >= self.hh_instability_hi:
-            raise ConfigError("controller.hh_instability_lo must be below hh_instability_hi")
-        if abs(self.py_nominal) >= math.pi / 2:
-            raise ConfigError("controller.py_nominal must satisfy |py_nominal| < pi/2")
-        if not (0.0 < self.double_support_width < math.pi):
-            raise ConfigError("controller.double_support_width must be in (0, pi)")
-
-
-class PlantConfig(_Record):
+class PlantConfig(_Config):
     """Surrogate plant parameters, as `plant.<name>` keys in a config file."""
+
+    _section = "plant"
 
     pendulum_c: float = 2.0
     gravity: float = 9.81
@@ -343,47 +276,110 @@ class PlantConfig(_Record):
     couple_hip: float = 0.5
     couple_lean: float = 0.5
 
-    def validate(self) -> None:
-        _check_finite(self, "plant")
-        for n in ("pendulum_c", "gravity", "fall_angle", "impulse_scale"):
-            if getattr(self, n) <= 0:
-                raise ConfigError(f"plant.{n} must be positive")
-        # A 0.1 s cycle then asks for at most 1e4 steps
-        if self.substep_dt < 1e-5:
-            raise ConfigError("plant.substep_dt must be at least 1e-05")
-        # A cycle is at most 0.1 s, so a longer step changes nothing, while
-        # at about 1e154 s the step constants overflow and rest turns to nan
-        if self.substep_dt > 0.1:
-            raise ConfigError("plant.substep_dt must be at most 0.1")
-        # With these limits a cycle's acceleration and push stay finite, so
-        # the tilt never overflows the IMU emission, which squares it
-        if self.pendulum_c > 1e3:
-            raise ConfigError("plant.pendulum_c must be at most 1000")
-        if self.impulse_scale < 1e-6:
-            raise ConfigError("plant.impulse_scale must be at least 1e-06")
-        for n in ("couple_arm", "couple_foot", "couple_plane", "couple_swing_out",
-                  "couple_cft", "couple_hip", "couple_lean"):
-            if abs(getattr(self, n)) > 1e3:
-                raise ConfigError(f"plant.{n} must lie in [-1000, 1000]")
-        # A negative capture would throw the body away from the new pivot
-        if self.strike_capture < 0.0:
-            raise ConfigError("plant.strike_capture must be >= 0")
-        for n in ("pivot_x_left", "pivot_x_right", "pivot_y"):
-            if abs(getattr(self, n)) > math.pi:
-                raise ConfigError(f"plant.{n} must lie in [-pi, pi]")
-        if not (0.0 <= self.strike_restitution <= 1.0):
-            raise ConfigError("plant.strike_restitution must lie in [0, 1]")
-        if not (0.0 <= self.strike_reset <= 1.0):
-            raise ConfigError("plant.strike_reset must lie in [0, 1]")
-        if self.noise_gyro < 0 or self.noise_accel < 0:
-            raise ConfigError("plant.noise_* must be >= 0")
+
+# Each field's limits, one row per field in declaration order: an interval,
+# whose "(" or ")" leaves that end out, with " even" if the value must also
+# be even, or "" for none. Past them a run takes too many cycles or
+# substeps, a WLBF window too long to build, a filter or the crossing energy
+# divides by zero, a tilt overflows tilt_quat or the IMU emission, or a gain
+# pushes the wrong way (the feedforward lean gains stay signed).
+_POS, _NONNEG, _FREE, _WLBF = "(0, inf)", "[0, inf)", "", f"[1, {MAX_WLBF_SIZE}]"
+_LIMITS = {
+    "controller": dict(
+        cycle_dt="[0.001, 0.1]", f_nom=_POS, f_min="[0.1, inf)", f_max=_POS,
+        py_nominal="(-pi/2, pi/2)", double_support_width="(0, pi)", wave_amp_x="[0, pi]",
+        wave_amp_y="[0, pi]", wave_phase_x=_FREE, wave_phase_y=_FREE,
+        wave_offset_x="[-pi, pi]", wave_offset_y="[-pi, pi]", est_kp=_NONNEG, est_ki=_NONNEG,
+        est_bias_limit=_NONNEG, est_acc_min_g=_FREE, est_acc_max_g=_FREE,
+        pd_mean_order="[1, inf)", pd_wlbf_size=_WLBF, pd_deadband_p_x=_POS,
+        pd_deadband_p_y=_POS, pd_deadband_d_x=_POS, pd_deadband_d_y=_POS,
+        arm_p_gain_lat=_NONNEG, arm_p_gain_sag=_NONNEG, arm_d_gain_lat=_NONNEG,
+        arm_d_gain_sag=_NONNEG, arm_limit_x=_POS, arm_limit_y=_POS, arm_buffer=_POS,
+        foot_p_gain_lat=_NONNEG, foot_p_gain_sag=_NONNEG, foot_d_gain_lat=_NONNEG,
+        foot_d_gain_sag=_NONNEG, foot_limit_x=_POS, foot_limit_y=_POS, foot_buffer=_POS,
+        i_gain=_NONNEG, i_clamp_x=_POS, i_clamp_y=_POS, i_bound_x=_POS, i_bound_y=_POS,
+        i_buffer=_POS, i_ripple_steps="[1, inf) even", i_cft_gain=_NONNEG, i_hip_gain=_NONNEG,
+        lean_wlbf_size=_WLBF, lean_slope_rate=_POS, lean_gain_vx=_FREE, lean_gain_wz=_FREE,
+        lean_gain_ax=_FREE, lean_limit=_POS, lean_buffer=_POS, so_wlbf_size=_WLBF,
+        so_pendulum_c="[0.001, inf)", so_crossing_px_l="(-inf, 0)", so_crossing_px_r=_POS,
+        so_energy_min=_NONNEG, so_deadband=_POS, so_gain=_NONNEG, so_hold_time=_POS,
+        so_max_rotation=_FREE, so_sagittal_max=_FREE, so_limit_x=_POS, so_limit_y=_POS,
+        so_buffer=_POS, sp_mean_order="[1, inf)", sp_deadband_x=_POS, sp_deadband_y=_POS,
+        sp_gain=_NONNEG, sp_limit_x=_POS, sp_limit_y=_POS, sp_buffer=_POS, tim_gain=_NONNEG,
+        tim_deadband=_POS, hh_settle_time=_POS, hh_slope_rate=_POS, hh_instability_lo=_FREE,
+        hh_instability_hi=_FREE, hh_height_hi="[0, 1]", hh_height_lo="[0, 1]",
+        hh_height_rate=_POS, hh_sagittal_only=_FREE,
+    ),
+    # A 0.1 s cycle takes at most 1e4 substeps and a longer substep changes
+    # nothing, while at about 1e154 s the step constants overflow; a negative
+    # capture would throw the body away from the new pivot
+    "plant": dict(
+        pendulum_c="(0, 1000]", gravity=_POS, substep_dt="[1e-05, 0.1]",
+        pivot_x_left="[-pi, pi]", pivot_x_right="[-pi, pi]", pivot_y="[-pi, pi]",
+        strike_restitution="[0, 1]", strike_reset="[0, 1]", strike_capture=_NONNEG,
+        fall_angle=_POS, impulse_scale="[1e-06, inf)", noise_gyro=_NONNEG, noise_accel=_NONNEG,
+        couple_arm="[-1000, 1000]", couple_foot="[-1000, 1000]", couple_plane="[-1000, 1000]",
+        couple_swing_out="[-1000, 1000]", couple_cft="[-1000, 1000]",
+        couple_hip="[-1000, 1000]", couple_lean="[-1000, 1000]",
+    ),
+}
+
+# Relations between fields, each with its message, checked after the limits
+_SEMI_AXIS = " must be below the smallest semi-axis"
+_RELATIONS = {
+    "controller": (
+        # An empty gate accepts no accelerometer sample: the gyro alone drifts
+        (lambda c: c.est_acc_min_g < c.est_acc_max_g, "est_acc_min_g must be below est_acc_max_g"),
+        (lambda c: c.f_min <= c.f_nom <= c.f_max, "f_nom must lie in [f_min, f_max]"),
+        # The plant's foot strikes and the gait phase wrap need a step below half a cycle
+        (lambda c: c.f_max * c.cycle_dt < math.pi, "f_max * cycle_dt must be below pi"),
+        (lambda c: c.arm_buffer < min(c.arm_limit_x, c.arm_limit_y), "arm_buffer" + _SEMI_AXIS),
+        (lambda c: c.foot_buffer < min(c.foot_limit_x, c.foot_limit_y), "foot_buffer" + _SEMI_AXIS),
+        (lambda c: c.i_buffer < min(c.i_bound_x, c.i_bound_y), "i_buffer" + _SEMI_AXIS),
+        (lambda c: c.so_buffer < min(c.so_limit_x, c.so_limit_y), "so_buffer" + _SEMI_AXIS),
+        (lambda c: c.sp_buffer < min(c.sp_limit_x, c.sp_limit_y), "sp_buffer" + _SEMI_AXIS),
+        (lambda c: c.lean_buffer < c.lean_limit, "lean_buffer must be below lean_limit"),
+        (lambda c: c.hh_height_lo <= c.hh_height_hi, "hh_height_lo must not exceed hh_height_hi"),
+        (lambda c: c.hh_instability_lo < c.hh_instability_hi,
+         "hh_instability_lo must be below hh_instability_hi"),
+    ),
+    "plant": (),
+}
+_NAMED_ENDS = {"pi": math.pi, "-pi": -math.pi, "pi/2": math.pi / 2, "-pi/2": -math.pi / 2}
+_WORDS = {_POS: "be positive", "(-inf, 0)": "be negative"}
 
 
-_PREFIXES = {"controller": ControllerConfig, "plant": PlantConfig}
+def _rendered(interval: str) -> str:
+    """What a value outside the interval must do, as its error says."""
+    if interval in _WORDS:
+        return _WORDS[interval]
+    if interval[0] == "[" and interval.endswith(", inf)"):
+        return f"be >= {interval[1:-6]}"
+    return f"lie in {interval}"
+
+
+def _checks(section: str) -> list:
+    """(name, least, most, even, message) of each field with limits. An open
+    finite end becomes the float next to it inside, so a value is within
+    its limits when least <= value <= most."""
+    checks = []
+    for name, row in _LIMITS[section].items():
+        if row:
+            interval = row.removesuffix(" even")
+            lo, hi = (_NAMED_ENDS.get(e) or float(e) for e in interval[1:-1].split(", "))
+            lo = math.nextafter(lo, math.inf) if interval[0] == "(" and lo > -math.inf else lo
+            hi = math.nextafter(hi, -math.inf) if interval[-1] == ")" and hi < math.inf else hi
+            message = f"{section}.{name} must {_rendered(interval)}"
+            checks.append((name, lo, hi, row != interval, message))
+    return checks
+
+
+_CHECKS = {section: _checks(section) for section in _LIMITS}
+
 _TYPE_MAP = {"float": float, "int": int, "bool": bool}
 _FIELD_TYPES = {
-    prefix: {name: _TYPE_MAP.get(kind, float) for name, kind in fields(cls).items()}
-    for prefix, cls in _PREFIXES.items()
+    cls._section: {name: _TYPE_MAP.get(kind, float) for name, kind in fields(cls).items()}
+    for cls in (ControllerConfig, PlantConfig)
 }
 
 
@@ -432,7 +428,7 @@ def resolve_setting(key: str, value, where: str) -> Tuple[str, str, object]:
 
 
 def parse_config_lines(lines) -> Tuple[ControllerConfig, PlantConfig]:
-    values: Dict[str, Dict[str, object]] = {"controller": {}, "plant": {}}
+    values: Dict[str, str] = {}
     seen: Dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -444,28 +440,32 @@ def parse_config_lines(lines) -> Tuple[ControllerConfig, PlantConfig]:
         # Only a key that resolved is in seen
         if key in seen:
             raise ConfigError(f"line {lineno}: key {key!r} already given on line {seen[key]}")
-        section, name, value = resolve_setting(key, raw, f"line {lineno}: ")
+        resolve_setting(key, raw, f"line {lineno}: ")
         seen[key] = lineno
-        values[section][name] = value
-    ctrl = ControllerConfig(**values["controller"])
-    plant = PlantConfig(**values["plant"])
-    ctrl.validate()
-    plant.validate()
-    return ctrl, plant
+        values[key] = raw
+    return apply_overrides(ControllerConfig(), PlantConfig(), values, "")
 
 
 def load_config(path) -> Tuple[ControllerConfig, PlantConfig]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_lines(fh)
+        try:
+            return parse_config_lines(fh)
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from None
 
 
-def apply_overrides(ctrl: ControllerConfig, plant: PlantConfig, overrides: Dict[str, object]):
-    """Apply `section.key -> value` overrides (e.g. from a scenario file)."""
-    for key, value in overrides.items():
-        section, name, value = resolve_setting(key, value, "override: ")
-        setattr(ctrl if section == "controller" else plant, name, value)
-    ctrl.validate()
-    plant.validate()
+def apply_overrides(ctrl: ControllerConfig, plant: PlantConfig, overrides: Dict[str, object],
+                    where: str):
+    """Apply `section.key -> value` settings (a config file's lines, a
+    scenario's config) and validate the result; `where` starts each error."""
+    try:
+        for key, value in overrides.items():
+            section, name, value = resolve_setting(key, value, "")
+            setattr(ctrl if section == "controller" else plant, name, value)
+        ctrl.validate()
+        plant.validate()
+    except ConfigError as err:
+        raise ConfigError(f"{where}{err}") from None
     return ctrl, plant
 
 

@@ -202,9 +202,8 @@ def run_closed_loop(
     """
     if scenario.overrides:
         # apply_overrides sets fields in place; the caller's configs stay as they are
-        ctrl_cfg = replace(ctrl_cfg)
-        plant_cfg = replace(plant_cfg)
-        apply_overrides(ctrl_cfg, plant_cfg, scenario.overrides)
+        ctrl_cfg, plant_cfg = apply_overrides(
+            replace(ctrl_cfg), replace(plant_cfg), scenario.overrides, "scenario config: ")
     dt = ctrl_cfg.cycle_dt
     cycles = scenario.duration / dt
     if cycles > MAX_CYCLES:  # inf too, which round() refuses

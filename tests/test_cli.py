@@ -113,7 +113,8 @@ class TestSimulate:
         cfg.write_text("controller.f_nom = 6.0\ncontroller.i_gain = 1_0\n")
         assert main(["--config", str(cfg), "--dump-config"]) == EXIT_INPUT
         captured = capsys.readouterr()
-        assert "error: line 2: controller.i_gain: expected a number, got '1_0'" in captured.err
+        message = f"error: {cfg}: line 2: controller.i_gain: expected a number, got '1_0'"
+        assert message in captured.err
         assert captured.out == ""
 
     def test_config_key_given_twice_rejected(self, tmp_path, capsys):
@@ -139,6 +140,23 @@ class TestSimulate:
         message = "error: scenario config: controller.i_gain: expected a number, got '2_5'"
         assert message in captured.err
         assert "cycles" not in captured.out
+
+    def test_scenario_config_breaking_a_relation_names_the_scenario(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"duration": 0.1, "config": {"controller.f_min": 50}}))
+        assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        message = "error: scenario config: controller.f_nom must lie in [f_min, f_max]\n"
+        assert captured.err == message
+        assert captured.out == ""
+
+    def test_config_file_breaking_a_relation_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("controller.f_min = 50\n")
+        assert main(["--config", str(cfg), "simulate", "--duration", "0.1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfg}: controller.f_nom must lie in [f_min, f_max]\n"
+        assert captured.out == ""
 
     def test_deterministic_trace_output(self, tmp_path):
         a, b = tmp_path / "a.trace", tmp_path / "b.trace"

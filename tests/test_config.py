@@ -6,6 +6,8 @@ import pytest
 
 from tiltphase.config import (
     _FIELD_TYPES,
+    _LIMITS,
+    _RELATIONS,
     ConfigError,
     ControllerConfig,
     PlantConfig,
@@ -46,32 +48,6 @@ class TestDefaults:
         with pytest.raises(ConfigError, match="double_support_width"):
             ControllerConfig(double_support_width=math.pi).validate()
 
-    @pytest.mark.parametrize("name", [
-        f"{part}_{term}_gain_{axis}"
-        for part in ("arm", "foot") for term in ("p", "d") for axis in ("lat", "sag")
-    ])
-    def test_negative_pd_gain_rejected(self, name):
-        with pytest.raises(ConfigError, match=f"^controller.{name} must be >= 0$"):
-            ControllerConfig(**{name: -0.1}).validate()
-        ControllerConfig(**{name: 0.0}).validate()
-
-    @pytest.mark.parametrize("name", [
-        "i_gain", "i_cft_gain", "i_hip_gain", "so_gain", "sp_gain", "tim_gain",
-    ])
-    def test_negative_feedback_gain_rejected(self, name):
-        # A negative gain reverses its correction, as for the eight PD gains
-        with pytest.raises(ConfigError, match=f"^controller.{name} must be >= 0$"):
-            ControllerConfig(**{name: -1.0}).validate()
-        ControllerConfig(**{name: 0.0}).validate()
-
-    @pytest.mark.parametrize("name", ["est_kp", "est_ki", "est_bias_limit"])
-    def test_negative_estimator_field_rejected(self, name):
-        # Negative gains pull the estimate away from gravity; a negative
-        # bias limit inverts the bias clamp
-        with pytest.raises(ConfigError, match=f"^controller.{name} must be >= 0$"):
-            ControllerConfig(**{name: -0.1}).validate()
-        ControllerConfig(**{name: 0.0}).validate()
-
     @pytest.mark.parametrize("lo, hi", [(1.5, 1.5), (2.0, 1.5), (0.5, 0.4)])
     def test_empty_accelerometer_gate_rejected(self, lo, hi):
         # The gate accepts no sample, and the estimator runs on the gyro alone
@@ -97,57 +73,6 @@ class TestDefaults:
     def test_feedforward_lean_gain_may_be_negative(self, name):
         ControllerConfig(**{name: -1.0}).validate()
 
-    @pytest.mark.parametrize("name, bad, good, message", [
-        ("cycle_dt", 1e-12, 1e-3, r"must lie in \[0.001, 0.1\]"),
-        ("cycle_dt", 1e300, 0.1, r"must lie in \[0.001, 0.1\]"),
-        ("so_pendulum_c", 1e-300, 1e-3, "must be at least 0.001"),
-        ("f_min", 5e-324, 0.1, "must be at least 0.1"),
-        ("hh_height_hi", 1e300, 1.0, r"must lie in \[0, 1\]"),
-        ("hh_height_lo", -0.1, 0.0, r"must lie in \[0, 1\]"),
-        ("wave_amp_x", 1e300, math.pi, r"must lie in \[0, pi\]"),
-        ("wave_amp_y", -0.1, 0.0, r"must lie in \[0, pi\]"),
-        ("wave_offset_x", 1e300, -math.pi, r"must lie in \[-pi, pi\]"),
-        ("wave_offset_y", -3.2, math.pi, r"must lie in \[-pi, pi\]"),
-        ("pd_wlbf_size", 0, 1, r"must lie in \[1, 4096\]"),
-        ("lean_wlbf_size", MAX_WLBF_SIZE + 1, MAX_WLBF_SIZE, r"must lie in \[1, 4096\]"),
-        ("so_wlbf_size", 10 ** 8, MAX_WLBF_SIZE, r"must lie in \[1, 4096\]"),
-    ])
-    def test_field_limits_named(self, name, bad, good, message):
-        # Past these limits step divides by zero or overflows tilt_quat, a
-        # plant's pendulum overflows, a run asks for trillions of cycles
-        # or plant substeps, or a WLBF takes seconds to build its window
-        with pytest.raises(ConfigError, match=f"^controller.{name} {message}$"):
-            ControllerConfig(**{name: bad}).validate()
-        ControllerConfig(**{name: good}).validate()
-
-    @pytest.mark.parametrize("bad", [0.0, 5e-324, 1e-300, 9.9e-6])
-    def test_substep_dt_limit_named(self, bad):
-        # Below it a 0.1 s cycle asks for over 1e4 substeps; at 5e-324,
-        # ceil(dt / substep_dt) overflows
-        with pytest.raises(ConfigError, match=r"^plant.substep_dt must be at least 1e-05$"):
-            PlantConfig(substep_dt=bad).validate()
-        PlantConfig(substep_dt=1e-5).validate()
-
-    @pytest.mark.parametrize("name, bad, good, message", [
-        ("pendulum_c", 1e300, 1e3, "plant.pendulum_c must be at most 1000"),
-        ("impulse_scale", 5e-324, 1e-6, "plant.impulse_scale must be at least 1e-06"),
-        ("couple_arm", 1e300, 1e3, r"plant.couple_arm must lie in \[-1000, 1000\]"),
-        ("couple_plane", -1e300, -1e3, r"plant.couple_plane must lie in \[-1000, 1000\]"),
-        ("couple_lean", 1000.5, -1e3, r"plant.couple_lean must lie in \[-1000, 1000\]"),
-        ("strike_capture", -1e300, 0.0, "plant.strike_capture must be >= 0"),
-        ("pivot_y", 1e300, math.pi, r"plant.pivot_y must lie in \[-pi, pi\]"),
-        ("pivot_x_left", -3.2, -math.pi, r"plant.pivot_x_left must lie in \[-pi, pi\]"),
-        ("substep_dt", 0.10000000000000002, 0.1, "plant.substep_dt must be at most 0.1"),
-    ])
-    def test_plant_overflow_limits_named(self, name, bad, good, message):
-        # Past these limits one cycle's tilt, or a foot strike's, overflows
-        # the IMU emission, or the substeps take sin(inf); a substep longer
-        # than the 0.1 s cycle limit changes nothing, and a huge one makes
-        # h^2 overflow
-        with pytest.raises(ConfigError, match=f"^{message}$"):
-            PlantConfig(**{name: bad}).validate()
-        PlantConfig(**{name: good}).validate()
-
     def test_invalid_plant_fields(self):
         with pytest.raises(ConfigError, match="strike_restitution"):
             PlantConfig(strike_restitution=1.5).validate()
@@ -165,6 +90,137 @@ class TestDefaults:
         with pytest.raises(ConfigError, match="must be finite"):
             parse_config_lines([f"plant.couple_arm = {bad}"])
 
+
+CONFIGS = {"controller": ControllerConfig, "plant": PlantConfig}
+# What a value outside each interval of the limits tables must do, as its
+# error says: a new interval, or a changed error, fails a test here
+RENDERED = {
+    "(0, inf)": "be positive",
+    "(-inf, 0)": "be negative",
+    "[0, inf)": "be >= 0",
+    "[1, inf)": "be >= 1",
+    "[0.1, inf)": "be >= 0.1",
+    "[0.001, inf)": "be >= 0.001",
+    "[1e-06, inf)": "be >= 1e-06",
+    "[0.001, 0.1]": "lie in [0.001, 0.1]",
+    "[1e-05, 0.1]": "lie in [1e-05, 0.1]",
+    "[0, 1]": "lie in [0, 1]",
+    "[0, pi]": "lie in [0, pi]",
+    "[-pi, pi]": "lie in [-pi, pi]",
+    "(-pi/2, pi/2)": "lie in (-pi/2, pi/2)",
+    "(0, pi)": "lie in (0, pi)",
+    "(0, 1000]": "lie in (0, 1000]",
+    "[-1000, 1000]": "lie in [-1000, 1000]",
+    f"[1, {MAX_WLBF_SIZE}]": f"lie in [1, {MAX_WLBF_SIZE}]",
+}
+_NAMED = {"pi": math.pi, "pi/2": math.pi / 2}
+
+
+def ends(interval):
+    """The two ends of an interval row as numbers, read here apart from the
+    config module."""
+    values = []
+    for text in interval[1:-1].split(", "):
+        magnitude = _NAMED.get(text.lstrip("-")) or float(text.lstrip("-"))
+        values.append(-magnitude if text.startswith("-") else magnitude)
+    return values
+
+
+def expected_error(section, name, row, value):
+    """The error validate() raises for one field at value as the row reads,
+    or None; a relation may still reject a value within the limits."""
+    interval = row.removesuffix(" even")
+    lo, hi = ends(interval)
+    if not ((lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if interval[-1] == "]" else value < hi)):
+        return f"{section}.{name} must {RENDERED[interval]}"
+    if row != interval and value % 2:
+        return f"{section}.{name} must be even"
+    return None
+
+
+# One config per relation of the controller that breaks it, and its message
+RELATION_CASES = [
+    ({"est_acc_min_g": 1.5}, "est_acc_min_g must be below est_acc_max_g"),
+    ({"f_min": 7.0}, "f_nom must lie in [f_min, f_max]"),
+    ({"cycle_dt": 0.1, "f_max": 40.0}, "f_max * cycle_dt must be below pi"),
+    ({"arm_limit_y": 0.1}, "arm_buffer must be below the smallest semi-axis"),
+    ({"foot_limit_x": 0.05}, "foot_buffer must be below the smallest semi-axis"),
+    ({"i_bound_y": 0.05}, "i_buffer must be below the smallest semi-axis"),
+    ({"so_buffer": 0.4}, "so_buffer must be below the smallest semi-axis"),
+    ({"sp_buffer": 0.3}, "sp_buffer must be below the smallest semi-axis"),
+    ({"lean_buffer": 0.3}, "lean_buffer must be below lean_limit"),
+    ({"hh_height_lo": 1.0, "hh_height_hi": 0.95}, "hh_height_lo must not exceed hh_height_hi"),
+    ({"hh_instability_lo": 0.5}, "hh_instability_lo must be below hh_instability_hi"),
+]
+
+
+LIMITED = [(section, name, row) for section in CONFIGS
+           for name, row in _LIMITS[section].items() if row]
+
+
+class TestLimitsTable:
+    """The per-field limits and the relations of both configs, from their tables."""
+
+    def test_every_field_has_one_row_in_order(self):
+        # A field added without a row, or a row without a field, fails here
+        for section, cls in CONFIGS.items():
+            assert list(_LIMITS[section]) == list(fields(cls))
+        assert [len(_LIMITS[section]) for section in CONFIGS] == [83, 20]
+        unbounded = [name for section in CONFIGS for name, row in _LIMITS[section].items()
+                     if not row]
+        assert unbounded == [
+            "wave_phase_x", "wave_phase_y", "est_acc_min_g", "est_acc_max_g",
+            "lean_gain_vx", "lean_gain_wz", "lean_gain_ax", "so_max_rotation",
+            "so_sagittal_max", "hh_instability_lo", "hh_instability_hi", "hh_sagittal_only",
+        ]
+
+    def test_limits_pinned(self):
+        # A limit that moves changes which configs are accepted: pinned by
+        # the digest of the "section.name: row" lines
+        lines = [f"{s}.{n}: {row}" for s, rows in _LIMITS.items() for n, row in rows.items()]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "9a9e3e5952a68e029617adc31bc7888b40b5b1c163b0c3c54625633dc9e58815"
+        )
+
+    def test_every_interval_has_its_error_pinned(self):
+        assert {row for _, _, row in LIMITED} == set(RENDERED) | {"[1, inf) even"}
+
+    @pytest.mark.parametrize("section, name, row", LIMITED, ids=[n for _, n, _ in LIMITED])
+    def test_bounds_and_their_outward_neighbours(self, section, name, row):
+        """Each finite end and the next value outward, plus far and unit
+        values, are accepted or rejected as the row reads, with its error."""
+        cls = CONFIGS[section]
+        integer = fields(cls)[name] == "int"
+        values = [-1, 0, 1, 2, 3, 10 ** 8] if integer else [
+            -1e300, -1.0, -5e-324, 0.0, 5e-324, 1.0, 1e300]
+        for end, outward in zip(ends(row.removesuffix(" even")), (-math.inf, math.inf)):
+            if math.isfinite(end):
+                values += [int(end), int(end) + int(math.copysign(1, outward))] if integer else [
+                    end, math.nextafter(end, outward)]
+        relations = {f"{section}.{message}" for _, message in _RELATIONS[section]}
+        for value in values:
+            expected = expected_error(section, name, row, value)
+            try:
+                cls(**{name: value}).validate()
+                error = None
+            except ConfigError as err:
+                error = str(err)
+            if expected is None and error is not None:
+                assert error in relations, (value, error)
+            else:
+                assert error == expected, value
+
+    @pytest.mark.parametrize("changes, message", RELATION_CASES)
+    def test_each_relation_named(self, changes, message):
+        with pytest.raises(ConfigError) as err:
+            ControllerConfig(**changes).validate()
+        assert str(err.value) == f"controller.{message}"
+
+    def test_every_relation_has_a_case(self):
+        relations = [message for _, message in _RELATIONS["controller"]]
+        assert [message for _, message in RELATION_CASES] == relations
+        assert _RELATIONS["plant"] == ()
 
 class TestParsing:
     def test_parse_basic(self):
@@ -249,49 +305,46 @@ class TestParsing:
         assert plant.pendulum_c == pytest.approx(1.5)
 
 
+def override(settings, ctrl=None):
+    """apply_overrides on fresh configs, or on ctrl and a fresh plant config."""
+    return apply_overrides(ctrl or ControllerConfig(), PlantConfig(), settings, "override: ")
+
+
 class TestOverrides:
     def test_apply(self):
         ctrl, plant = ControllerConfig(), PlantConfig()
-        apply_overrides(ctrl, plant, {"controller.i_gain": 0.0, "plant.noise_gyro": 0.01})
+        apply_overrides(ctrl, plant, {"controller.i_gain": 0.0, "plant.noise_gyro": 0.01}, "")
         assert ctrl.i_gain == 0.0
         assert plant.noise_gyro == pytest.approx(0.01)
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="^override: unknown key 'controller.bogus'$"):
-            apply_overrides(ControllerConfig(), PlantConfig(), {"controller.bogus": 1})
+            override({"controller.bogus": 1})
         with pytest.raises(ConfigError, match="^override: unknown section 'robot'$"):
-            apply_overrides(ControllerConfig(), PlantConfig(), {"robot.i_gain": 1})
+            override({"robot.i_gain": 1})
         with pytest.raises(ConfigError, match="^override: key 'i_gain' must be"):
-            apply_overrides(ControllerConfig(), PlantConfig(), {"i_gain": 1})
+            override({"i_gain": 1})
 
     def test_override_bool_parsed_like_config_file(self):
-        ctrl, _ = apply_overrides(
-            ControllerConfig(hh_sagittal_only=True), PlantConfig(),
-            {"controller.hh_sagittal_only": "false"},
-        )
+        ctrl, _ = override({"controller.hh_sagittal_only": "false"},
+                           ControllerConfig(hh_sagittal_only=True))
         assert ctrl.hh_sagittal_only is False
-        ctrl, _ = apply_overrides(
-            ControllerConfig(), PlantConfig(), {"controller.hh_sagittal_only": True}
-        )
+        ctrl, _ = override({"controller.hh_sagittal_only": True})
         assert ctrl.hh_sagittal_only is True
         with pytest.raises(ConfigError, match="expected a boolean"):
-            apply_overrides(
-                ControllerConfig(), PlantConfig(), {"controller.hh_sagittal_only": "maybe"}
-            )
+            override({"controller.hh_sagittal_only": "maybe"})
 
     def test_override_int_not_truncated(self):
         with pytest.raises(ConfigError, match="expected an integer"):
-            apply_overrides(ControllerConfig(), PlantConfig(), {"controller.pd_mean_order": 2.7})
-        ctrl, _ = apply_overrides(
-            ControllerConfig(), PlantConfig(), {"controller.pd_mean_order": 7}
-        )
+            override({"controller.pd_mean_order": 2.7})
+        ctrl, _ = override({"controller.pd_mean_order": 7})
         assert ctrl.pd_mean_order == 7
 
     def test_override_bad_number_rejected(self):
         with pytest.raises(ConfigError, match="expected a number"):
-            apply_overrides(ControllerConfig(), PlantConfig(), {"controller.i_gain": "fast"})
+            override({"controller.i_gain": "fast"})
         with pytest.raises(ConfigError, match="must be finite"):
-            apply_overrides(ControllerConfig(), PlantConfig(), {"plant.substep_dt": "inf"})
+            override({"plant.substep_dt": "inf"})
 
     @pytest.mark.parametrize("key, value, kind", [
         ("controller.i_gain", "2_5", "a number"),
@@ -299,12 +352,14 @@ class TestOverrides:
     ])
     def test_override_digit_group_underscores_rejected(self, key, value, kind):
         with pytest.raises(ConfigError) as err:
-            apply_overrides(ControllerConfig(), PlantConfig(), {key: value})
+            override({key: value})
         assert str(err.value) == f"override: {key}: expected {kind}, got {value!r}"
 
     def test_override_result_is_validated(self):
-        with pytest.raises(ConfigError):
-            apply_overrides(ControllerConfig(), PlantConfig(), {"controller.f_min": 50.0})
+        # The error of a check of the whole config starts with `where` too
+        with pytest.raises(ConfigError) as err:
+            override({"controller.f_min": 50.0})
+        assert str(err.value) == "override: controller.f_nom must lie in [f_min, f_max]"
 
 
 class TestDump:

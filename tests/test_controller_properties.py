@@ -16,7 +16,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
 
-from tiltphase.config import ConfigError, ControllerConfig, PlantConfig, fields  # noqa: E402
+from tiltphase.config import (  # noqa: E402
+    _CHECKS, ConfigError, ControllerConfig, PlantConfig, fields,
+)
 from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController  # noqa: E402
 from tiltphase.estimator import ImuSample  # noqa: E402
 from tiltphase.filters import soft_coerce2, soft_coerce_1d  # noqa: E402
@@ -187,12 +189,28 @@ def test_tiny_or_huge_axes_in_pushed_loop(fields):
         imu = plant.step(act, ctrl.mu, k * dt, dt)
 
 
-_FLOAT_FIELDS = sorted(n for n, t in fields(ControllerConfig).items() if t == "float")
-# Boundaries of the validators: 0, the smallest positive float, 1e+-300, the
-# limits of cycle_dt and so_pendulum_c, the waveform's +-pi and the largest
-# py_nominal
-_BOUNDARY = (0.0, 5e-324, 1e-300, 1e-3, 0.1, math.pi, -math.pi, 1e300, -1e300,
-             math.nextafter(math.pi / 2, 0.0))
+# Values every float field is tried at besides the edges of its config's
+# limits: zero, +-1, the smallest float and 1e-300 (whose squares
+# underflow), a quarter turn and +-1e300 (whose squares overflow)
+_PROBES = (-1e300, -1.0, -5e-324, 0.0, 5e-324, 1e-300, 1.0, math.pi / 2, 1e300)
+
+
+def boundary_cells(cls, section):
+    """(field, value) for each float field of a config at each probe and at
+    each edge of the float limits of that config (the least and most value
+    a row of the limits table accepts, where finite): a field is tried at
+    the other fields' edges too, and a limit added to the table adds its
+    cells."""
+    kinds = fields(cls)
+    edges = {v for name, least, most, _, _ in _CHECKS[section] if kinds[name] == "float"
+             for v in (least, most) if math.isfinite(v)}
+    values = sorted(edges.union(_PROBES))
+    return [(name, v) for name, kind in kinds.items() if kind == "float" for v in values]
+
+
+_CELLS = boundary_cells(ControllerConfig, "controller")
+_FLOAT_FIELDS = sorted({name for name, _ in _CELLS})
+_BOUNDARY = sorted({v for _, v in _CELLS})
 
 
 def config_rejected_or_runs(values):
@@ -217,7 +235,7 @@ def config_rejected_or_runs(values):
         imu = plant.step(act, ctrl.mu, k * dt, dt)
 
 
-@pytest.mark.parametrize("field, value", [(f, v) for f in _FLOAT_FIELDS for v in _BOUNDARY],
+@pytest.mark.parametrize("field, value", _CELLS,
                          ids=lambda x: x if isinstance(x, str) else repr(x))
 def test_boundary_config_cell_rejected_or_runs(field, value):
     """Every single-field boundary cell, in every run."""
@@ -241,12 +259,9 @@ def test_boundary_config_rejected_or_runs(values):
     config_rejected_or_runs(values)
 
 
-_PLANT_FLOAT_FIELDS = sorted(n for n, t in fields(PlantConfig).items() if t == "float")
-# Boundaries of the plant's validators: 0, the smallest positive float, the
-# substep and impulse scale limits, the strike factors' [0, 1], a pi/2 fall
-# angle, the pivots' pi, the +-1000 of the pendulum and couplings, and 1e+-300
-_PLANT_BOUNDARY = (0.0, 5e-324, 1e-300, 1e-6, 1e-5, 1.0, -1.0, math.pi / 2, math.pi, 1e3, -1e3,
-                   1e300, -1e300)
+_PLANT_CELLS = boundary_cells(PlantConfig, "plant")
+_PLANT_FLOAT_FIELDS = sorted({name for name, _ in _PLANT_CELLS})
+_PLANT_BOUNDARY = sorted({v for _, v in _PLANT_CELLS})
 
 
 def plant_config_rejected_or_runs(values):
@@ -277,8 +292,7 @@ def plant_config_rejected_or_runs(values):
             break
 
 
-@pytest.mark.parametrize("field, value",
-                         [(f, v) for f in _PLANT_FLOAT_FIELDS for v in _PLANT_BOUNDARY],
+@pytest.mark.parametrize("field, value", _PLANT_CELLS,
                          ids=lambda x: x if isinstance(x, str) else repr(x))
 def test_boundary_plant_config_cell_rejected_or_runs(field, value):
     """Every single-field boundary cell of the plant config, in every run."""

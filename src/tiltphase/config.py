@@ -280,10 +280,12 @@ class PlantConfig(_Config):
 # Each field's limits, one row per field in declaration order: an interval,
 # whose "(" or ")" leaves that end out, with " even" if the value must also
 # be even, or "" for none. Past them a run takes too many cycles or
-# substeps, a WLBF window too long to build, a filter or the crossing energy
-# divides by zero, a tilt overflows tilt_quat or the IMU emission, or a gain
-# pushes the wrong way (the feedforward lean gains stay signed).
-_POS, _NONNEG, _FREE, _WLBF = "(0, inf)", "[0, inf)", "", f"[1, {MAX_WLBF_SIZE}]"
+# substeps, a filter window (in cycles, or in steps for the ripple filter)
+# is too long for a WLBF to build or for a float to count, a filter or the
+# crossing energy divides by zero, a tilt overflows tilt_quat or the IMU
+# emission, or a gain pushes the wrong way (the feedforward lean gains stay
+# signed).
+_POS, _NONNEG, _FREE, _WINDOW = "(0, inf)", "[0, inf)", "", f"[1, {MAX_WLBF_SIZE}]"
 _LIMITS = {
     "controller": dict(
         cycle_dt="[0.001, 0.1]", f_nom=_POS, f_min="[0.1, inf)", f_max=_POS,
@@ -291,20 +293,20 @@ _LIMITS = {
         wave_amp_y="[0, pi]", wave_phase_x=_FREE, wave_phase_y=_FREE,
         wave_offset_x="[-pi, pi]", wave_offset_y="[-pi, pi]", est_kp=_NONNEG, est_ki=_NONNEG,
         est_bias_limit=_NONNEG, est_acc_min_g=_FREE, est_acc_max_g=_FREE,
-        pd_mean_order="[1, inf)", pd_wlbf_size=_WLBF, pd_deadband_p_x=_POS,
+        pd_mean_order=_WINDOW, pd_wlbf_size=_WINDOW, pd_deadband_p_x=_POS,
         pd_deadband_p_y=_POS, pd_deadband_d_x=_POS, pd_deadband_d_y=_POS,
         arm_p_gain_lat=_NONNEG, arm_p_gain_sag=_NONNEG, arm_d_gain_lat=_NONNEG,
         arm_d_gain_sag=_NONNEG, arm_limit_x=_POS, arm_limit_y=_POS, arm_buffer=_POS,
         foot_p_gain_lat=_NONNEG, foot_p_gain_sag=_NONNEG, foot_d_gain_lat=_NONNEG,
         foot_d_gain_sag=_NONNEG, foot_limit_x=_POS, foot_limit_y=_POS, foot_buffer=_POS,
         i_gain=_NONNEG, i_clamp_x=_POS, i_clamp_y=_POS, i_bound_x=_POS, i_bound_y=_POS,
-        i_buffer=_POS, i_ripple_steps="[1, inf) even", i_cft_gain=_NONNEG, i_hip_gain=_NONNEG,
-        lean_wlbf_size=_WLBF, lean_slope_rate=_POS, lean_gain_vx=_FREE, lean_gain_wz=_FREE,
-        lean_gain_ax=_FREE, lean_limit=_POS, lean_buffer=_POS, so_wlbf_size=_WLBF,
+        i_buffer=_POS, i_ripple_steps=_WINDOW + " even", i_cft_gain=_NONNEG, i_hip_gain=_NONNEG,
+        lean_wlbf_size=_WINDOW, lean_slope_rate=_POS, lean_gain_vx=_FREE, lean_gain_wz=_FREE,
+        lean_gain_ax=_FREE, lean_limit=_POS, lean_buffer=_POS, so_wlbf_size=_WINDOW,
         so_pendulum_c="[0.001, inf)", so_crossing_px_l="(-inf, 0)", so_crossing_px_r=_POS,
         so_energy_min=_NONNEG, so_deadband=_POS, so_gain=_NONNEG, so_hold_time=_POS,
         so_max_rotation=_FREE, so_sagittal_max=_FREE, so_limit_x=_POS, so_limit_y=_POS,
-        so_buffer=_POS, sp_mean_order="[1, inf)", sp_deadband_x=_POS, sp_deadband_y=_POS,
+        so_buffer=_POS, sp_mean_order=_WINDOW, sp_deadband_x=_POS, sp_deadband_y=_POS,
         sp_gain=_NONNEG, sp_limit_x=_POS, sp_limit_y=_POS, sp_buffer=_POS, tim_gain=_NONNEG,
         tim_deadband=_POS, hh_settle_time=_POS, hh_slope_rate=_POS, hh_instability_lo=_FREE,
         hh_instability_hi=_FREE, hh_height_hi="[0, 1]", hh_height_lo="[0, 1]",

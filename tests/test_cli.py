@@ -132,6 +132,13 @@ class TestSimulate:
         assert main(["--config", str(cfg), "simulate", "--duration", "0.1"]) == EXIT_INPUT
         assert "controller.pd_wlbf_size must lie in [1, 4096]" in capsys.readouterr().err
 
+    def test_config_ripple_steps_bounded(self, tmp_path, capsys):
+        # Rejected before the controller computes the ripple window's length
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("controller.i_ripple_steps = 1" + "0" * 400 + "\n")
+        assert main(["--config", str(cfg), "simulate", "--duration", "0.1"]) == EXIT_INPUT
+        assert "controller.i_ripple_steps must lie in [1, 4096]" in capsys.readouterr().err
+
     def test_scenario_override_underscore_rejected(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps({"duration": 0.1, "config": {"controller.i_gain": "2_5"}}))

@@ -98,7 +98,6 @@ RENDERED = {
     "(0, inf)": "be positive",
     "(-inf, 0)": "be negative",
     "[0, inf)": "be >= 0",
-    "[1, inf)": "be >= 1",
     "[0.1, inf)": "be >= 0.1",
     "[0.001, inf)": "be >= 0.001",
     "[1e-06, inf)": "be >= 1e-06",
@@ -180,11 +179,20 @@ class TestLimitsTable:
         # the digest of the "section.name: row" lines
         lines = [f"{s}.{n}: {row}" for s, rows in _LIMITS.items() for n, row in rows.items()]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "9a9e3e5952a68e029617adc31bc7888b40b5b1c163b0c3c54625633dc9e58815"
+            "728a256a1611e81b44ac953cff92cbff78e7ab9f426a9fc3bc7316a583fb15a2"
         )
 
     def test_every_interval_has_its_error_pinned(self):
-        assert {row for _, _, row in LIMITED} == set(RENDERED) | {"[1, inf) even"}
+        assert {row for _, _, row in LIMITED} == set(RENDERED) | {f"[1, {MAX_WLBF_SIZE}] even"}
+
+    @pytest.mark.parametrize("name", ["pd_mean_order", "i_ripple_steps", "sp_mean_order"])
+    def test_filter_windows_bounded(self, name):
+        # Unbounded, a 401-digit i_ripple_steps passed and then overflowed
+        # the ripple window's float length in the controller's constructor
+        with pytest.raises(ConfigError) as err:
+            ControllerConfig(**{name: 10 ** 400}).validate()
+        assert str(err.value) == f"controller.{name} must lie in [1, {MAX_WLBF_SIZE}]"
+        ControllerConfig(**{name: MAX_WLBF_SIZE}).validate()
 
     @pytest.mark.parametrize("section, name, row", LIMITED, ids=[n for _, n, _ in LIMITED])
     def test_bounds_and_their_outward_neighbours(self, section, name, row):

@@ -1,8 +1,11 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+import tiltphase.trace as T
 from tiltphase.config import ControllerConfig
 from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController
 from tiltphase.estimator import ImuSample
@@ -10,6 +13,7 @@ from tiltphase.harness import run_replay
 from tiltphase.trace import (
     COLUMNS,
     FIELDS,
+    SCHEMA,
     format_record,
     read_trace,
     record_values,
@@ -201,3 +205,183 @@ def test_numpy_float_replay_round_trips(tmp_path):
     assert "np.float64" not in path.read_text()
     back = read_trace(path)
     assert [tuple(row.values()) for row in back] == records
+
+
+def long_records(n):
+    """n records of np.float64 values, some with one flag and some with two."""
+    f = np.float64
+    records = []
+    for k in range(n):
+        act = ActivationSet(
+            arm_tilt=(f(0.1 * k), f(-0.05 * k)),
+            gait_frequency=f(2.0 * math.pi + 0.001 * k),
+            mu=f((0.113 * k) % 3.0),
+            deviation=(f(1e-17 * k), f(-0.3)),
+            flags=(("deviation_degenerate",) if k % 7 == 3
+                   else ("replay_gap", "imu_nonfinite") if k % 11 == 0 else ()),
+        )
+        records.append(record_values(f(0.01 * (k + 1)), act))
+    return records
+
+
+def one_process_bytes(tmp_path, records, csv=False):
+    """What write_trace writes with its split at len(records): no child."""
+    path = tmp_path / "one.trace"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_SPLIT_MIN", len(records) + 1)
+        write_trace(path, records, csv=csv)
+    return path.read_bytes()
+
+
+def header_lines(csv=False):
+    return [",".join(FIELDS)] if csv else [f"# {SCHEMA}", "# " + ",".join(FIELDS)]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child os.fork makes during the test."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    def fork():
+        raise AssertionError("write_trace forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+class TestSplitWriter:
+    """A forked child formats the second half of a long trace; the bytes
+    are those of the same loop run by one process."""
+
+    @pytest.mark.parametrize("n, csv", [
+        (2 * T._SPLIT_MIN, True), (2 * T._SPLIT_MIN + 1, False), (T._SPLIT_MIN, False),
+    ], ids=["twice_the_minimum_csv", "odd_count", "the_minimum"])
+    def test_split_bytes_are_one_process_bytes(self, tmp_path, forks, n, csv):
+        records = long_records(n)
+        path = tmp_path / "split.trace"
+        write_trace(path, records, csv=csv)
+        assert len(forks) == 1
+        assert path.read_bytes() == one_process_bytes(tmp_path, records, csv)
+
+    def test_records_on_each_side_of_the_split(self, tmp_path, forks):
+        n = 2 * T._SPLIT_MIN + 1
+        records = long_records(n)
+        path = tmp_path / "split.trace"
+        write_trace(path, records)
+        assert len(forks) == 1
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2 + n
+        body = lines[2:]
+        for k in (0, n // 2 - 1, n // 2, n - 1):
+            assert body[k] == format_record(records[k])
+        assert [tuple(row.values()) for row in read_trace(path)] == records
+
+    def test_short_trace_is_written_by_one_process(self, tmp_path, no_fork):
+        records = long_records(T._SPLIT_MIN - 1)
+        path = tmp_path / "short.trace"
+        write_trace(path, records)
+        assert path.read_text().splitlines() == header_lines() + [
+            format_record(rec) for rec in records]
+
+    def test_child_failure_raises_and_is_reaped(self, tmp_path, forks):
+        parent = os.getpid()
+
+        class ChildBomb(float):
+            def __str__(self):
+                if os.getpid() != parent:
+                    raise RuntimeError("formatted in the child")
+                return float.__repr__(self)
+
+        records = long_records(2 * T._SPLIT_MIN)
+        records[-1] = (ChildBomb(records[-1][0]), *records[-1][1:])
+        path = tmp_path / "bad.trace"
+        with pytest.raises(OSError, match="exited with status 1$"):
+            write_trace(path, records)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # The child wrote nothing: the file holds the first half only
+        assert path.read_text().splitlines() == header_lines() + [
+            format_record(rec) for rec in records[:T._SPLIT_MIN]]
+
+    def test_parent_failure_propagates_and_child_writes_nothing(self, tmp_path, forks):
+        parent = os.getpid()
+
+        class ParentBomb(float):
+            def __str__(self):
+                if os.getpid() == parent:
+                    raise RuntimeError("formatted in the parent")
+                return float.__repr__(self)
+
+        records = long_records(2 * T._SPLIT_MIN)
+        records[0] = (ParentBomb(records[0][0]), *records[0][1:])
+        path = tmp_path / "bad.trace"
+        with pytest.raises(RuntimeError, match="formatted in the parent"):
+            write_trace(path, records)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert path.read_text().splitlines() == header_lines()
+
+    def test_non_finite_record_refused_before_any_fork(self, tmp_path, no_fork):
+        records = long_records(2 * T._SPLIT_MIN)
+        records[-1] = (*records[-1][:5], math.nan, *records[-1][6:])
+        path = tmp_path / "nan.trace"
+        with pytest.raises(ValueError, match=r"non-finite pyE nan$"):
+            write_trace(path, records)
+        assert not path.exists()
+
+    def test_fork_failure_raises_and_closes_the_pipe(self, tmp_path, monkeypatch):
+        def fork():
+            raise OSError("no fork here")
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+        with pytest.raises(OSError, match="no fork here"):
+            write_trace(tmp_path / "run.trace", long_records(T._SPLIT_MIN))
+        if fds is not None:
+            assert os.listdir("/proc/self/fd") == fds
+
+    def test_second_live_thread_writes_without_forking(self, tmp_path, no_fork):
+        records = long_records(2 * T._SPLIT_MIN)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10.0,))
+        thread.start()
+        try:
+            path = tmp_path / "threaded.trace"
+            write_trace(path, records)
+        finally:
+            release.set()
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert path.read_bytes() == one_process_bytes(tmp_path, records)
+
+    def test_one_allowed_cpu_writes_without_forking(self, tmp_path, monkeypatch, no_fork):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        records = long_records(2 * T._SPLIT_MIN)
+        path = tmp_path / "one_cpu.trace"
+        write_trace(path, records)
+        assert path.read_bytes() == one_process_bytes(tmp_path, records)
+
+    @pytest.mark.parametrize("name", ["fork", "sched_getaffinity"])
+    def test_missing_call_writes_without_forking(self, tmp_path, monkeypatch, name):
+        records = long_records(2 * T._SPLIT_MIN)
+        expected = one_process_bytes(tmp_path, records)
+        monkeypatch.delattr(os, name, raising=False)
+        if name != "fork":
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("write_trace forked"))
+        path = tmp_path / "no_fork.trace"
+        write_trace(path, records)
+        assert path.read_bytes() == expected

@@ -14,7 +14,7 @@ arithmetic so one cycle stays in the tens-of-microseconds range.
 
 from __future__ import annotations
 
-import math
+from math import atan2, copysign, cos, inf, isfinite, pi, remainder, sin, sqrt
 from typing import NamedTuple, Tuple
 
 from tiltphase.config import ControllerConfig
@@ -62,7 +62,7 @@ class ActivationSet(NamedTuple):
     lean_tilt: Tuple[float, float] = (0.0, 0.0)
     swing_out_tilt: Tuple[float, float] = (0.0, 0.0)
     swing_ground_plane: Tuple[float, float] = (0.0, 0.0)
-    gait_frequency: float = 2.0 * math.pi
+    gait_frequency: float = 2.0 * pi
     # Diagnostics (carried, never thrown)
     mu: float = 0.0
     body_tilt: Tuple[float, float] = (0.0, 0.0)
@@ -92,7 +92,7 @@ def crossing_energy(phi: float, phidot: float, c: float) -> float:
     kin = (phidot * phidot) / (c * c)
     if phidot < 0.0:
         kin = -kin
-    pot = 2.0 * (math.cos(phi) - 1.0)
+    pot = 2.0 * (cos(phi) - 1.0)
     if phi > 0.0:
         pot = -pot
     return kin + pot
@@ -109,9 +109,9 @@ def support_indicator(mu: float, double_support_width: float) -> float:
         if mu <= d:
             return -1.0 + 2.0 * (mu / d)
         return 1.0
-    lo = -math.pi + d
+    lo = -pi + d
     if mu <= lo:
-        return 1.0 - 2.0 * ((mu + math.pi) / d)
+        return 1.0 - 2.0 * ((mu + pi) / d)
     return -1.0
 
 
@@ -134,7 +134,7 @@ def directional_gain(v: Tuple[float, float], gain_lat: float, gain_sag: float) -
     except ZeroDivisionError:  # a zero gain, or both squares vanish
         r2 = 0.0
     if r2 != 0.0:  # 0.0 also where the squares overflow to inf
-        return math.sqrt(r2)
+        return sqrt(r2)
     if x == 0.0:
         return gain_sag
     if y == 0.0:
@@ -167,6 +167,7 @@ class TiltPhaseController:
         "cfg", "waveform", "estimator", "p_mean", "d_wlbf", "integrator", "ripple_mean",
         "lean_wlbf", "lean_slope", "so_wlbf", "so_hold_l", "so_hold_r", "sp_mean",
         "hh_lowpass", "hh_islope", "hh_hslope", "mu", "_pd_mean_prev", "_held", "_flat",
+        "_pd_gains", "_lean",
     )
 
     def __init__(self, cfg: ControllerConfig):
@@ -182,22 +183,29 @@ class TiltPhaseController:
         # makes it +0.0. Its expected tilt is this constant, not evaluated.
         flat = (
             cfg.wave_amp_x == 0.0 and cfg.wave_amp_y == 0.0
-            and math.copysign(1.0, cfg.wave_offset_x) == 1.0 and cfg.wave_offset_x == 0.0
-            and math.copysign(1.0, cfg.wave_offset_y) == 1.0 and cfg.wave_offset_y == 0.0
+            and copysign(1.0, cfg.wave_offset_x) == 1.0 and cfg.wave_offset_x == 0.0
+            and copysign(1.0, cfg.wave_offset_y) == 1.0 and cfg.wave_offset_y == 0.0
         )
         self._flat = TiltPhase2D(0.0, 0.0) if flat else None
         self.estimator = AttitudeEstimator(
             kp=cfg.est_kp, ki=cfg.est_ki, bias_limit=cfg.est_bias_limit,
             acc_min_g=cfg.est_acc_min_g, acc_max_g=cfg.est_acc_max_g,
         )
+        # Equal lateral and sagittal gains are circles, and directional_gain
+        # returns each along any deviation: the PD gains are then these
+        lat = (cfg.arm_p_gain_lat, cfg.arm_d_gain_lat, cfg.foot_p_gain_lat, cfg.foot_d_gain_lat)
+        sag = (cfg.arm_p_gain_sag, cfg.arm_d_gain_sag, cfg.foot_p_gain_sag, cfg.foot_d_gain_sag)
+        self._pd_gains = lat if lat == sag else None
         self.p_mean = MeanFilter(cfg.pd_mean_order)
         self.d_wlbf = WlbfFilter(2, cfg.pd_wlbf_size, cfg.cycle_dt)
         self.integrator = BoundedIntegrator(cfg.i_bound_x, cfg.i_bound_y, cfg.i_buffer)
         # Ripple filter spans an even number of steps at the nominal frequency
-        step_cycles = math.pi / (cfg.f_nom * cfg.cycle_dt)
+        step_cycles = pi / (cfg.f_nom * cfg.cycle_dt)
         self.ripple_mean = MeanFilter(max(1, round(cfg.i_ripple_steps * step_cycles)))
         self.lean_wlbf = WlbfFilter(1, cfg.lean_wlbf_size, cfg.cycle_dt)
         self.lean_slope = SlopeLimiter(cfg.lean_slope_rate)
+        # The last step's leaning fit, wz and output
+        self._lean = (None, 0.0, None)
         self.so_wlbf = WlbfFilter(1, cfg.so_wlbf_size, cfg.cycle_dt)
         self.so_hold_l = HoldFilter(cfg.so_hold_time)
         self.so_hold_r = HoldFilter(cfg.so_hold_time)
@@ -218,16 +226,18 @@ class TiltPhaseController:
         cfg = self.cfg
         m0, m1 = pd_mean
         s0, s1 = pd_slope
-        db_p = p0, p1 = smooth_deadband2(m0, m1, cfg.pd_deadband_p_x, cfg.pd_deadband_p_y)
-        db_d = d0, d1 = smooth_deadband2(s0, s1, cfg.pd_deadband_d_x, cfg.pd_deadband_d_y)
+        p0, p1 = smooth_deadband2(m0, m1, cfg.pd_deadband_p_x, cfg.pd_deadband_p_y)
+        d0, d1 = smooth_deadband2(s0, s1, cfg.pd_deadband_d_x, cfg.pd_deadband_d_y)
 
-        gp = directional_gain(db_p, cfg.arm_p_gain_lat, cfg.arm_p_gain_sag)
-        gd = directional_gain(db_d, cfg.arm_d_gain_lat, cfg.arm_d_gain_sag)
-        arm = soft_coerce2(gp * p0 + gd * d0, gp * p1 + gd * d1,
+        ap, ad, fp, fd = self._pd_gains or (
+            directional_gain((p0, p1), cfg.arm_p_gain_lat, cfg.arm_p_gain_sag),
+            directional_gain((d0, d1), cfg.arm_d_gain_lat, cfg.arm_d_gain_sag),
+            directional_gain((p0, p1), cfg.foot_p_gain_lat, cfg.foot_p_gain_sag),
+            directional_gain((d0, d1), cfg.foot_d_gain_lat, cfg.foot_d_gain_sag),
+        )
+        arm = soft_coerce2(ap * p0 + ad * d0, ap * p1 + ad * d1,
                            cfg.arm_limit_x, cfg.arm_limit_y, cfg.arm_buffer)
-        gp = directional_gain(db_p, cfg.foot_p_gain_lat, cfg.foot_p_gain_sag)
-        gd = directional_gain(db_d, cfg.foot_d_gain_lat, cfg.foot_d_gain_sag)
-        foot = soft_coerce2(gp * p0 + gd * d0, gp * p1 + gd * d1,
+        foot = soft_coerce2(fp * p0 + fd * d0, fp * p1 + fd * d1,
                             cfg.foot_limit_x, cfg.foot_limit_y, cfg.foot_buffer)
         return arm, foot
 
@@ -235,27 +245,33 @@ class TiltPhaseController:
         cfg = self.cfg
         cx, cy = hard_coerce2(p_d[0], p_d[1], cfg.i_clamp_x, cfg.i_clamp_y)
         y = self.integrator.step((cfg.i_gain * cx, cfg.i_gain * cy), dt)
-        z = self.ripple_mean.step(y)
-        cft = (cfg.i_cft_gain * z[0], cfg.i_cft_gain * z[1])
-        hip = (cfg.i_hip_gain * z[0], cfg.i_hip_gain * z[1])
-        return cft, hip
+        z0, z1 = self.ripple_mean.step(y)
+        return ((cfg.i_cft_gain * z0, cfg.i_cft_gain * z1),
+                (cfg.i_hip_gain * z0, cfg.i_hip_gain * z1))
 
     def leaning(self, cmd: GaitCommand, t: float, dt: float):
+        fit = self.lean_wlbf.step(t, (cmd.vx,))
+        last_fit, last_wz, lean = self._lean
+        # The held fit means vx and the slope are the last step's, bit for
+        # bit; with wz too, and the limiter at rest, the output is the
+        # last one. The limiter's value is never -0.0 (it starts at +0.0,
+        # and v + d is -0.0 only for two -0.0s), so a step at rest keeps it.
+        if fit is last_fit and cmd.wz == last_wz and self.lean_slope.value == fit[0][0]:
+            return lean
         cfg = self.cfg
-        slope, _ = self.lean_wlbf.step(t, (cmd.vx,))
-        a_gx = self.lean_slope.step(slope[0], dt)
+        a_gx = self.lean_slope.step(fit[0][0], dt)
         raw = (
             cfg.lean_gain_vx * cmd.vx
             + cfg.lean_gain_wz * abs(cmd.wz)
             + cfg.lean_gain_ax * a_gx
         )
-        return (0.0, soft_coerce_1d(raw, cfg.lean_limit, cfg.lean_buffer))
+        lean = (0.0, soft_coerce_1d(raw, cfg.lean_limit, cfg.lean_buffer))
+        self._lean = fit, cmd.wz, lean
+        return lean
 
     def swing_out_step(self, p_xb: float, t: float, sigma: float, pd_mean):
         cfg = self.cfg
-        slope, mtv = self.so_wlbf.step(t, (p_xb,))
-        p_sync = mtv[0]
-        pdot_sync = slope[0]
+        (pdot_sync,), (p_sync,) = self.so_wlbf.step(t, (p_xb,))
 
         # Crossing angles per support foot (lambda = -1 for L, +1 for R)
         c = cfg.so_pendulum_c
@@ -266,18 +282,20 @@ class TiltPhaseController:
         raw_r = cfg.so_gain * one_sided_deadband(e_r, cfg.so_energy_min, cfg.so_deadband)
         h_l = self.so_hold_l.step(raw_l, t)
         h_r = self.so_hold_r.step(raw_r, t)
+        # Nothing held: p_xo is 0. A p_xo of 0 from held values ends at the
+        # same (0.0, 0.0) below, in soft_coerce2
+        if not (h_l or h_r):
+            return (0.0, 0.0), e_l, e_r
 
         p_xo = 0.5 * (1.0 + sigma) * h_r - 0.5 * (1.0 - sigma) * h_l
-        if p_xo == 0.0:
-            return (0.0, 0.0), e_l, e_r
 
         # Rotate toward the deviation direction, within the configured limits
         mag = abs(p_xo)
-        theta0 = 0.0 if p_xo > 0.0 else math.pi
+        theta0 = 0.0 if p_xo > 0.0 else pi
         pdx, pdy = pd_mean
         if pdx != 0.0 or pdy != 0.0:
-            want = math.atan2(pdy, pdx)
-            delta = math.remainder(want - theta0, 2.0 * math.pi)
+            want = atan2(pdy, pdx)
+            delta = remainder(want - theta0, 2.0 * pi)
             lim = cfg.so_max_rotation
             if delta > lim:
                 delta = lim
@@ -285,8 +303,8 @@ class TiltPhaseController:
                 delta = -lim
         else:
             delta = 0.0
-        vx = mag * math.cos(theta0 + delta)
-        vy = mag * math.sin(theta0 + delta)
+        vx = mag * cos(theta0 + delta)
+        vy = mag * sin(theta0 + delta)
         sag_max = cfg.so_sagittal_max
         if vy > sag_max:
             vy = sag_max
@@ -298,8 +316,8 @@ class TiltPhaseController:
         """Swing ground plane tilt from P_NS, which `deviation_tilt` returns:
         P_q( q_y(pyN) * q_P(P_B)^* * q_P(P_E) * q_y(-pyN) )."""
         cfg = self.cfg
-        m = self.sp_mean.step(p_ns)
-        v0, v1 = smooth_deadband2(m[0], m[1], cfg.sp_deadband_x, cfg.sp_deadband_y)
+        m0, m1 = self.sp_mean.step(p_ns)
+        v0, v1 = smooth_deadband2(m0, m1, cfg.sp_deadband_x, cfg.sp_deadband_y)
         return soft_coerce2(cfg.sp_gain * v0, cfg.sp_gain * v1,
                             cfg.sp_limit_x, cfg.sp_limit_y, cfg.sp_buffer)
 
@@ -314,8 +332,8 @@ class TiltPhaseController:
             if cfg.hh_sagittal_only:
                 s_d = abs(dy) / dt
             else:
-                s_d = math.sqrt(dx * dx + dy * dy) / dt
-        self._pd_mean_prev = (pd_mean[0], pd_mean[1])
+                s_d = sqrt(dx * dx + dy * dy) / dt
+        self._pd_mean_prev = pd_mean
         instability = self.hh_islope.step(self.hh_lowpass.step(s_d, dt), dt)
         h_raw = coerced_interp(
             instability,
@@ -339,23 +357,23 @@ class TiltPhaseController:
         held_imu, held_cmd = self._held
         flags = ()
         t, gyro, accel = imu
-        if not all(map(math.isfinite, (t, sum(v * v for v in gyro), *accel))):
+        if not all(map(isfinite, (t, sum(v * v for v in gyro), *accel))):
             flags = ("imu_nonfinite",)
-            gyro = tuple(v if math.isfinite(v) else h for v, h in zip(gyro, held_imu.gyro))
-            if not math.isfinite(sum(v * v for v in gyro)):
+            gyro = tuple(v if isfinite(v) else h for v, h in zip(gyro, held_imu.gyro))
+            if not isfinite(sum(v * v for v in gyro)):
                 gyro = held_imu.gyro
             imu = ImuSample(
-                t if math.isfinite(t) else held_imu.t + dt,
+                t if isfinite(t) else held_imu.t + dt,
                 gyro,
-                tuple(v if math.isfinite(v) else h for v, h in zip(accel, held_imu.accel)),
+                tuple(v if isfinite(v) else h for v, h in zip(accel, held_imu.accel)),
             )
-        if not all(map(math.isfinite, cmd)):
+        if not all(map(isfinite, cmd)):
             flags += ("cmd_nonfinite",)
-            cmd = GaitCommand(*(v if math.isfinite(v) else h for v, h in zip(cmd, held_cmd)))
+            cmd = GaitCommand(*(v if isfinite(v) else h for v, h in zip(cmd, held_cmd)))
         return imu, cmd, flags
 
     def step(self, imu: ImuSample, cmd: GaitCommand, dt: float) -> ActivationSet:
-        if not 0.0 < dt < math.inf:
+        if not 0.0 < dt < inf:
             raise ValueError("dt must be positive and finite")
         cfg = self.cfg
         mu = self.mu
@@ -363,19 +381,19 @@ class TiltPhaseController:
 
         # One sum covers every input, the gyro by its squares; only a
         # non-finite (or overflowing) sum is scanned
-        gyro = imu.gyro
-        accel = imu.accel
-        if not math.isfinite(
-            imu.t + gyro[0] * gyro[0] + gyro[1] * gyro[1] + gyro[2] * gyro[2]
+        t, gyro, accel = imu
+        if not isfinite(
+            t + gyro[0] * gyro[0] + gyro[1] * gyro[1] + gyro[2] * gyro[2]
             + accel[0] + accel[1] + accel[2] + cmd[0] + cmd[1] + cmd[2]
         ):
             imu, cmd, flags = self._hold_non_finite(imu, cmd, dt)
+            t, gyro, accel = imu
         # First: its WLBF refuses a non-increasing time before any state changes
-        lean = self.leaning(cmd, imu.t, dt)
+        lean = self.leaning(cmd, t, dt)
         self._held = imu, cmd
 
         try:
-            p_b = self.estimator.step(imu.gyro, imu.accel, dt)
+            p_b = self.estimator.step(gyro, accel, dt)
         except OverflowError:
             # |rate| * dt overflows: the estimate holds its attitude
             p_b = tilt_of_quat(self.estimator.q)
@@ -390,12 +408,12 @@ class TiltPhaseController:
         p_d = (p_dx, p_dy)
 
         pd_mean = self.p_mean.step(p_d)
-        pd_slope, _ = self.d_wlbf.step(imu.t, p_d)
+        pd_slope, _ = self.d_wlbf.step(t, p_d)
 
         arm, foot = self.pd_feedback(pd_mean, pd_slope)
         cft, hip = self.i_feedback_step(p_d, dt)
         sigma = support_indicator(mu, cfg.double_support_width)
-        swing_out, e_l, e_r = self.swing_out_step(p_b[0], imu.t, sigma, pd_mean)
+        swing_out, e_l, e_r = self.swing_out_step(p_b[0], t, sigma, pd_mean)
         plane = self.swing_ground_plane((ns_px, ns_py))
         f_g = timing_law(p_dx, sigma, cfg)
         h_max, instability, s_d = self.max_hip_height_step(pd_mean, dt)

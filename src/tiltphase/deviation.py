@@ -43,7 +43,7 @@ direction near the half turn.
 
 from __future__ import annotations
 
-import math
+from math import atan2, cos, sin, sqrt
 from typing import NamedTuple
 
 from tiltphase.rotation import TiltPhase2D, tilt_of_quat, wrap_pi
@@ -73,8 +73,8 @@ class ExpectedWaveform(NamedTuple):
 
     def evaluate(self, mu: float) -> TiltPhase2D:
         return _new_tuple(TiltPhase2D, (
-            self.amp_x * math.sin(mu + self.phase_x) + self.offset_x,
-            self.amp_y * math.sin(mu + self.phase_y) + self.offset_y,
+            self.amp_x * sin(mu + self.phase_x) + self.offset_x,
+            self.amp_y * sin(mu + self.phase_y) + self.offset_y,
         ))
 
 
@@ -99,30 +99,28 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     # composition collapses: q_d = q_P(P_B)^* already has zero fused yaw,
     # so the deviation is exactly the body tilt, and conjugating a pure
     # tilt rotation negates its tilt phase: P_NS = -P_B.
-    if p_yn == 0.0 and p_e[0] == 0.0 and p_e[1] == 0.0:
-        return _new_tuple(DeviationResult, (p_b[0], p_b[1], True, -p_b[0], -p_b[1]))
+    bx, by = p_b
+    ex, ey = p_e
+    if p_yn == 0.0 and ex == 0.0 and ey == 0.0:
+        return _new_tuple(DeviationResult, (bx, by, True, -bx, -by))
 
     # tilt_quat(P_B) = (bw, bx, by, 0) and tilt_quat(P_E) = (ew, ex, ey, 0)
-    bx = p_b[0]
-    by = p_b[1]
-    t = math.sqrt(bx * bx + by * by)
+    t = sqrt(bx * bx + by * by)
     if t < 1e-300:
         bw = 1.0
         bx = by = 0.0
     else:
-        bw = math.cos(0.5 * t)
-        t = math.sin(0.5 * t) / t
+        bw = cos(0.5 * t)
+        t = sin(0.5 * t) / t
         bx *= t
         by *= t
-    ex = p_e[0]
-    ey = p_e[1]
-    t = math.sqrt(ex * ex + ey * ey)
+    t = sqrt(ex * ex + ey * ey)
     if t < 1e-300:
         ew = 1.0
         ex = ey = 0.0
     else:
-        ew = math.cos(0.5 * t)
-        t = math.sin(0.5 * t) / t
+        ew = cos(0.5 * t)
+        t = sin(0.5 * t) / t
         ex *= t
         ey *= t
 
@@ -131,8 +129,8 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
         a0, a1, a2, a3 = bw, -bx, -by, 0.0
         b0, b1, b2, b3 = ew, ex, ey, 0.0
     else:
-        cy = math.cos(0.5 * p_yn)
-        sy = math.sin(0.5 * p_yn)
+        cy = cos(0.5 * p_yn)
+        sy = sin(0.5 * p_yn)
         # A = q_y(p_yN) * q_P(P_B)^*, B = q_P(P_E) * q_y(-p_yN)
         a0 = cy * bw + sy * by
         a1 = -cy * bx
@@ -151,12 +149,12 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     w = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
     x = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
     y = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-    s = math.sqrt(x * x + y * y)
+    s = sqrt(x * x + y * y)
     if s < 1e-300:
         nx = ny = 0.0
     else:
-        h = math.sqrt(w * w + z1 * z1)
-        t = 2.0 * math.atan2(s, h)
+        h = sqrt(w * w + z1 * z1)
+        t = 2.0 * atan2(s, h)
         if h < 1e-12:
             t /= s
             nx = t * x
@@ -171,7 +169,7 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
         px, py = tilt_of_quat((w, -x, -y, -z1))  # q_d = A * B
         return _new_tuple(DeviationResult, (px, py, False, nx, ny))
     # (cz, sz) = (cos(psi_E/2), sin(psi_E/2)), with cz > 0, or sz = 1 at psi_E = pi
-    t = 1.0 / math.sqrt(t)
+    t = 1.0 / sqrt(t)
     if z2 < 0.0 or (z2 == 0.0 and z1 > 0.0):
         t = -t
     cz = t * z2
@@ -188,11 +186,11 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     # P_d = P_q(q_d^*). With zero fused yaw q_d = (w, x, y, 0), so the
     # de-yawed direction is sign(w) * (x, y) and the conjugate negates it;
     # on the singular set |w| < 1e-12 the direction is (x, y) unsigned.
-    s = math.sqrt(x * x + y * y)
+    s = sqrt(x * x + y * y)
     if s < 1e-300:
         px = py = 0.0
     else:
-        t = 2.0 * math.atan2(s, abs(w)) / s
+        t = 2.0 * atan2(s, abs(w)) / s
         if w > -1e-12:
             t = -t
         px = t * x

@@ -14,7 +14,7 @@ window around 1 g, so free-fall or impact spikes do not corrupt the tilt.
 
 from __future__ import annotations
 
-import math
+from math import cos, inf, sin, sqrt
 from typing import NamedTuple, Sequence, Tuple
 
 from tiltphase.rotation import TiltPhase2D, tilt_of_quat
@@ -59,7 +59,7 @@ class AttitudeEstimator:
         gz = gyro[2] - bz
 
         ax, ay, az = accel
-        an = math.sqrt(ax * ax + ay * ay + az * az)
+        an = sqrt(ax * ax + ay * ay + az * az)
         if self.acc_min <= an <= self.acc_max:
             # Predicted up direction in body frame: R(q)^T e_z
             vx = 2.0 * (x * z - w * y)
@@ -86,13 +86,13 @@ class AttitudeEstimator:
                 )
 
         # Integrate body rates: q <- q * exp(0.5 * omega * dt)
-        th = math.sqrt(gx * gx + gy * gy + gz * gz) * dt
+        th = sqrt(gx * gx + gy * gy + gz * gz) * dt
         if th > 1e-12:
-            if th == math.inf:
+            if th == inf:
                 raise OverflowError("rotation angle |rate| * dt overflows")
             h = 0.5 * th
-            s = math.sin(h) / (th / dt)  # sin(h) / |omega|
-            dw = math.cos(h)
+            s = sin(h) / (th / dt)  # sin(h) / |omega|
+            dw = cos(h)
             dx = s * gx
             dy = s * gy
             dz = s * gz
@@ -100,7 +100,7 @@ class AttitudeEstimator:
             nx = w * dx + x * dw + y * dz - z * dy
             ny = w * dy - x * dz + y * dw + z * dx
             nz = w * dz + x * dy - y * dx + z * dw
-            n = math.sqrt(nw * nw + nx * nx + ny * ny + nz * nz)
+            n = sqrt(nw * nw + nx * nx + ny * ny + nz * nz)
             if nw < 0.0:
                 n = -n
             self.q = (nw / n, nx / n, ny / n, nz / n)

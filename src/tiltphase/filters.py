@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from math import copysign
+from math import copysign, sqrt
 from typing import Sequence, Tuple
 
 _INF = math.inf
@@ -85,13 +85,13 @@ def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[
         m = math.hypot(x0, x1)
         k = soft_coerce_mag(m * u, _scaled_radius(x0, x1, a0, a1), b) / m
         return _step_inside(k * x0, k * x1, a0, a1)
-    m = math.sqrt(m2)
+    m = sqrt(m2)
     r = a0  # a circle's radius along any x
     if a0 != a1:
         q0 = x0 / a0
         q1 = x1 / a1
         # Squares that overflow (inf) or both vanish (0.0, taken as inf) give 0.0
-        r = math.sqrt(m2 / (q0 * q0 + q1 * q1 or _INF))
+        r = sqrt(m2 / (q0 * q0 + q1 * q1 or _INF))
         if r == 0.0:
             r = _scaled_radius(x0, x1, a0, a1)
     if m <= r - b:  # soft_coerce_mag's identity range, tested before the call
@@ -124,7 +124,7 @@ def hard_coerce2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float, flo
         return _step_inside(k * x0, k * x1, a0, a1)
     if s <= 1.0:
         return (x0, x1)
-    k = 1.0 / math.sqrt(s)
+    k = 1.0 / sqrt(s)
     return (k * x0, k * x1)
 
 
@@ -148,13 +148,13 @@ def smooth_deadband2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float,
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
-    m = math.sqrt(m2)
+    m = sqrt(m2)
     r = a0  # a circle's radius along any x
     if a0 != a1:
         q0 = x0 / a0
         q1 = x1 / a1
         # Squares that overflow (inf) or both vanish (0.0, taken as inf) give 0.0
-        r = math.sqrt(m2 / (q0 * q0 + q1 * q1 or _INF))
+        r = sqrt(m2 / (q0 * q0 + q1 * q1 or _INF))
         if r == 0.0:
             r = _scaled_radius(x0, x1, a0, a1)
     k = smooth_deadband_mag(m, r) / m
@@ -185,32 +185,31 @@ class MeanFilter:
     """Moving average of a 2D vector over the last `order` samples.
 
     During warm-up the mean of the available samples is returned. A running
-    sum keeps the step O(1) regardless of order.
+    sum keeps the step O(1) regardless of order. The window starts full of
+    zeros, which leave the sums as they are (s - 0.0 is s), and keeps each
+    sample as given, so a caller must not change one after the step.
     """
 
-    __slots__ = ("order", "_buf", "_s0", "_s1")
+    __slots__ = ("order", "_buf", "_n", "_s0", "_s1")
 
     def __init__(self, order: int):
         if order < 1:
             raise ValueError(f"MeanFilter needs order >= 1, got {order}")
         self.order = order
-        self._buf = deque()
+        self._buf = deque([(0.0, 0.0)] * order)
+        self._n = 0  # samples in the window
         self._s0 = 0.0
         self._s1 = 0.0
 
     def step(self, x: Sequence[float]) -> Tuple[float, float]:
-        buf = self._buf
         x0, x1 = x
-        buf.append((x0, x1))
-        s0 = self._s0 + x0
-        s1 = self._s1 + x1
-        if len(buf) > self.order:
-            o0, o1 = buf.popleft()
-            s0 -= o0
-            s1 -= o1
-        self._s0 = s0
-        self._s1 = s1
-        n = len(buf)
+        o0, o1 = self._buf.popleft()
+        self._buf.append(x)
+        s0 = self._s0 = self._s0 + x0 - o0
+        s1 = self._s1 = self._s1 + x1 - o1
+        n = self._n
+        if n < self.order:
+            n = self._n = n + 1
         return (s0 / n, s1 / n)
 
 
@@ -306,12 +305,12 @@ class WlbfFilter:
         self._direct = capacity - 1
         self._dt = cycle_dt
         self._tol = GRID_TOL * cycle_dt
-        # n, n^2, 3 (2n + 1), c9 cycle_dt (no slope at n = 1), n (n + 1) / 2;
-        # (T0, T1, T2) per axis, and the grid steps before the next re-sum
+        # n, n^2, 3 (2n + 1), c9 cycle_dt (no slope at n = 1), n (n + 1) / 2,
+        # n - 1; (T0, T1, T2) per axis, and the grid steps before the next re-sum
         n = capacity
         c9 = sum(k * (2 * n + 1 - 3 * k) ** 2 for k in range(1, n + 1))
         self._grid = (float(n), float(n * n), float(6 * n + 3), c9 * cycle_dt if c9 else _INF,
-                      n * (n + 1) / 2)
+                      n * (n + 1) / 2, n - 1)
         self._mom, self._left = (), 0
         # The last _run + 1 samples hold one value, bit for bit; _fit is the
         # previous step's fit on the grid, None after a direct step
@@ -323,29 +322,28 @@ class WlbfFilter:
         if len(x) != dim:
             raise ValueError(f"expected {dim}-dim sample, got {len(x)}")
         buf = self._buf
-        # Records are flat (t, x0) or (t, x0, x1) tuples so the loops below
-        # unpack them without a second indexing step.
-        t0 = float(t)
+        # Records are flat (t, x0) or (t, x0, x1) tuples of the floats as
+        # given, so the loops below unpack them without a second indexing step.
         if buf:
             prev = buf[-1]
             last = prev[0]
-            if t <= last:
-                raise ValueError(f"non-increasing time {t} (last was {last})")
-            if not abs(t0 - last - self._dt) <= self._tol:  # on_grid, inline
+            if not abs(t - last - self._dt) <= self._tol:  # on_grid, inline; t > last on it
+                if t <= last:
+                    raise ValueError(f"non-increasing time {t} (last was {last})")
                 self._direct = self.capacity - 1
             out = buf[0]  # evicted below once the window is full
         else:
             prev = _NO_SAMPLE
         # A value repeats when it is the previous one bit for bit: the same
         # float object, or equal with the same sign (0.0 == -0.0)
-        x0 = float(x[0])
+        x0 = x[0]
         p0 = prev[1]
         same = x0 is p0 or x0 == p0 and copysign(1.0, x0) == copysign(1.0, p0)
         if dim == 1:
-            rec = (t0, x0)
+            rec = (t, x0)
         else:
-            x1 = float(x[1])
-            rec = (t0, x0, x1)
+            x1 = x[1]
+            rec = (t, x0, x1)
             if same:
                 p1 = prev[2]
                 same = x1 is p1 or x1 == p1 and copysign(1.0, x1) == copysign(1.0, p1)
@@ -360,9 +358,9 @@ class WlbfFilter:
             self._left = 0
             return self._fit
         else:
-            n, n2, k3, c9dt, sw = self._grid
+            n, n2, k3, c9dt, sw, n1 = self._grid
             left = self._left
-            if left and run < self.capacity - 1:
+            if left and run < n1:
                 # Each k falls by one, x_1 leaves and x enters as x_n
                 left -= 1
                 u0, u1, u2, w0, w1, w2 = self._mom
@@ -374,7 +372,7 @@ class WlbfFilter:
                     w1 = w1 - w0 + n * x1
                     w0 = w0 - out[2] + x1
             else:
-                left = self.capacity - 1
+                left = n1
                 u0 = u1 = u2 = w0 = w1 = w2 = k = 0.0
                 if dim == 1:
                     for _, v0 in buf:
@@ -421,7 +419,7 @@ class WlbfFilter:
         wts = []
         for r in buf:
             w += 1.0
-            tau = r[0] - t0
+            tau = r[0] - t
             wt = w * tau
             st += wt
             stt += wt * tau
@@ -449,7 +447,8 @@ class BoundedIntegrator:
     Each step integrates trapezoidally and soft-coerces the result to the
     bounding ellipse with semi-axes (a0, a1); the coerced output is the
     starting point of the next update, so the integral can leave the
-    boundary as fast as it got there.
+    boundary as fast as it got there. The input pair is kept as given for
+    the next step.
     """
 
     __slots__ = ("a0", "a1", "buffer", "value", "_u_prev")
@@ -468,12 +467,13 @@ class BoundedIntegrator:
     def step(self, u: Sequence[float], dt: float) -> Tuple[float, float]:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        up = self._u_prev
-        v = self.value
+        u0, u1 = u
+        up0, up1 = self._u_prev
+        v0, v1 = self.value
         h = 0.5 * dt
-        self._u_prev = (float(u[0]), float(u[1]))
+        self._u_prev = u
         self.value = soft_coerce2(
-            v[0] + h * (u[0] + up[0]), v[1] + h * (u[1] + up[1]), self.a0, self.a1, self.buffer
+            v0 + h * (u0 + up0), v1 + h * (u1 + up1), self.a0, self.a1, self.buffer
         )
         return self.value
 

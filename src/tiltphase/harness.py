@@ -478,8 +478,9 @@ REPEATS = 3
 def benchmark_controller_step(ctrl_cfg: ControllerConfig, n: int) -> Tuple[float, float]:
     """Measure controller_step latency; returns (mean_us, p99_us).
 
-    Cyclic garbage collection is paused around the timed region (the hot
-    path allocates only small reference-counted tuples) and the best of
+    Cyclic garbage collection is paused over the timed blocks, each of
+    which starts with a collection, and left as the caller had it (the hot
+    path allocates only small reference-counted tuples); the best of
     REPEATS blocks is reported, so scheduler noise from a loaded host is
     measured out rather than attributed to the controller.
     """
@@ -513,7 +514,6 @@ def benchmark_controller_step(ctrl_cfg: ControllerConfig, n: int) -> Tuple[float
                 t1 = perf()
                 if k >= WARMUP_STEPS:
                     times.append(t1 - t0)
-            gc.enable()
             times.sort()
             mean_us = 1e6 * sum(times) / len(times)
             p99_us = 1e6 * times[min(len(times) - 1, int(0.99 * len(times)))]

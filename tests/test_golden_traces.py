@@ -162,6 +162,39 @@ def test_replay_trace_digest(tmp_path, csv, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# Held, changed, through -0.0 and +0.0, and steps of vx that drive the
+# leaning slope limiter at its rate both ways
+LEAN_SCHEDULE = [
+    (0.0, GaitCommand(0.2, 0.0, 0.1)), (0.5, GaitCommand(0.2, 0.0, 0.1)),
+    (0.7, GaitCommand(0.2, 0.0, -0.1)), (0.9, GaitCommand(0.2, 0.05, 0.3)),
+    (1.2, GaitCommand(-0.0, 0.0, 0.3)), (1.5, GaitCommand(0.0, 0.0, 0.3)),
+    (1.8, GaitCommand(-0.0, 0.0, -0.0)), (2.1, GaitCommand(0.0, 0.0, 0.0)),
+    (2.3, GaitCommand(1.5, 0.0, 0.0)), (2.9, GaitCommand(-1.5, 0.1, 0.2)),
+    (3.3, GaitCommand(-1.5, 0.1, -0.2)), (3.6, GaitCommand(-0.0, 0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    ({}, "e879655ed3415a07ee64bd1b7062a72ac0a45ff61797240d3b2f71a0984170a4"),
+    ({"lean_gain_wz": -0.05, "lean_gain_ax": -0.05},
+     "d56e60ac380f4da4f690fd1cec17d8c797a3720705006000da69ec612d8d78a9"),
+], ids=["lean_schedule", "lean_schedule_negative_gains"])
+def test_lean_schedule_digest(tmp_path, overrides, digest):
+    """A replay over `LEAN_SCHEDULE`, with stamps jittered by up to 20 us
+    from 2.5 s to 2.7 s: the leaning action's held fits, its direct sums
+    and its slope limiter saturated. With negative wz and ax gains, a
+    command of -0.0 leans by -0.0."""
+    log = tmp_path / "imu.csv"
+    noisy_imu_log(log)
+    rng = random.Random(3)
+    samples = [s._replace(t=s.t + rng.uniform(-2e-5, 2e-5)) if 250 <= k < 270 else s
+               for k, s in enumerate(load_imu_log(log))]
+    records = run_replay(ControllerConfig(**overrides), samples, LEAN_SCHEDULE)
+    path = tmp_path / "run.trace"
+    write_trace(path, records)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def noisy_tilt_waveform(n=300, seed=9):
     """Gait phase and body tilt: a sinusoid with offset per axis plus seeded noise."""
     rng = random.Random(seed)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -279,6 +280,22 @@ class TestClosedLoop:
         sc = Scenario(duration=0.5, overrides={"controller.i_gain": 0.0})
         run_closed_loop(ctrl, PlantConfig(), sc)
         assert ctrl.i_gain == ControllerConfig().i_gain
+
+
+@pytest.mark.parametrize("collecting", [False, True])
+def test_benchmark_leaves_the_collector_as_it_found_it(monkeypatch, collecting):
+    """After a run and after a step that raises, gc is on exactly when the caller had it on."""
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        benchmark_controller_step(ControllerConfig(), 10)
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(TiltPhaseController, "step", _no_step)
+        with pytest.raises(_Stepped):
+            benchmark_controller_step(ControllerConfig(), 10)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_benchmark_controller_step_rejects_no_cycles():

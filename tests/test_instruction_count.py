@@ -1,6 +1,7 @@
-"""Bytecode instructions of five steady controller steps and of five
-closed-loop cycles with the controller on and with it off, pinned, and of a
-plant step against its schedule length.
+"""Bytecode instructions of five steady controller steps, on the control
+grid and with jittered stamps, and of five closed-loop cycles with the
+controller on and with it off, pinned, and of a plant step against its
+schedule length.
 
 Instruction counts are deterministic for one Python version and one input,
 so unlike step timings no host load moves them. They count what the
@@ -10,15 +11,21 @@ that moves a count updates the pin here and states the delta; a pin that
 fails prints its count per function, from which the delta can be read.
 
 The counts are those of CPython 3.11; other versions compile differently
-and skip.
+and skip. Run as a script, `python tests/test_instruction_count.py` prints
+the per-function table of every pin.
 """
 
 import gc
 import math
+import os
+import random
 import sys
 from collections import Counter
 
 import pytest
+
+if __name__ == "__main__":  # a script run from a source checkout
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from tiltphase.config import ControllerConfig, PlantConfig
 from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController
@@ -34,9 +41,11 @@ FITTED = dict(wave_amp_x=0.055, wave_amp_y=0.03, wave_phase_x=0.4, wave_phase_y=
               wave_offset_x=0.004, wave_offset_y=-0.002)
 
 # Instructions over steps 201-205, CPython 3.11
-PINNED = {"default": 14290, "fitted": 16629}
+PINNED = {"default": 12845, "fitted": 15082}
+# The same with every stamp jittered by up to 20 us: the WLBFs' direct sums
+PINNED_JITTERED = {"default": 22675, "fitted": 24912}
 # Instructions over closed-loop cycles 201-205, CPython 3.11
-PINNED_CYCLES = 19517
+PINNED_CYCLES = 18081
 # The same over controller-off cycles 201-205: the record and the dynamics
 PINNED_OFF_CYCLES = 2984
 
@@ -95,11 +104,16 @@ def assert_pinned(tally: Counter, pinned: int) -> None:
     assert total == pinned, f"{total} instructions, pinned {pinned}:\n{rows}"
 
 
-def steady_step_instructions(cfg, warm=200, n=5):
-    """Bytecode instructions of steps warm+1 .. warm+n of a fresh controller."""
+def steady_step_instructions(cfg, warm=200, n=5, jitter=0.0):
+    """Bytecode instructions of steps warm+1 .. warm+n of a fresh controller;
+    every stamp moves by a uniform draw from [-jitter, jitter] seconds
+    (`random.Random(1)`), off the control grid for jitter above 1 us."""
     ctrl = TiltPhaseController(cfg)
     cmd = GaitCommand(0.2, 0.0, 0.1)
     samples = list(imu_stream(warm + n))
+    if jitter:
+        rng = random.Random(1)
+        samples = [s._replace(t=s.t + rng.uniform(-jitter, jitter)) for s in samples]
     for s in samples[:warm]:
         ctrl.step(s, cmd, cfg.cycle_dt)
     return count_instructions([(ctrl.step, (s, cmd, cfg.cycle_dt)) for s in samples[warm:]])
@@ -173,6 +187,19 @@ def test_steady_step_instruction_count(name, cfg):
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts are pinned for CPython 3.11")
 @pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython bytecode")
+@pytest.mark.parametrize("name, cfg", [
+    ("default", ControllerConfig()),
+    ("fitted", ControllerConfig(**FITTED)),
+])
+def test_jittered_step_instruction_count(name, cfg):
+    """The worst case: with stamps off the grid every WLBF takes its direct sums."""
+    if sys.gettrace() is not None:
+        pytest.skip("a tracer (coverage, debugger) is already installed")
+    assert_pinned(steady_step_instructions(cfg, jitter=20e-6), PINNED_JITTERED[name])
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="counts are pinned for CPython 3.11")
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="counts CPython bytecode")
 def test_closed_loop_cycle_instruction_count():
     if sys.gettrace() is not None:
         pytest.skip("a tracer (coverage, debugger) is already installed")
@@ -242,3 +269,26 @@ def test_wlbf_grid_step_count_does_not_grow_with_the_window(dim):
         k = cap + 3
         counts.append(count_instructions([(f.step, (0.01 * k, (0.1 * k,) * dim))]).total())
     assert counts[0] == counts[1]
+
+
+def pinned_tallies():
+    """(name, tally, pin) for every pinned count."""
+    default, fitted = ControllerConfig(), ControllerConfig(**FITTED)
+    return [
+        ("default steps", steady_step_instructions(default), PINNED["default"]),
+        ("fitted steps", steady_step_instructions(fitted), PINNED["fitted"]),
+        ("jittered default steps", steady_step_instructions(default, jitter=20e-6),
+         PINNED_JITTERED["default"]),
+        ("jittered fitted steps", steady_step_instructions(fitted, jitter=20e-6),
+         PINNED_JITTERED["fitted"]),
+        ("closed-loop cycles", closed_loop_cycle_instructions(), PINNED_CYCLES),
+        ("controller-off cycles", open_loop_cycle_instructions(), PINNED_OFF_CYCLES),
+    ]
+
+
+if __name__ == "__main__":
+    for title, tally, pin in pinned_tallies():
+        print(f"{title}: {tally.total()} instructions (pinned {pin})")
+        for name, n in tally.most_common():
+            print(f"{n:8d}  {name}")
+        print()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Iterator, List, Tuple
 
 from tiltphase.config import parse_number
@@ -99,7 +99,8 @@ def _forked_tail(fh, records: List[tuple]) -> Iterator[int]:
     try:
         yield head
         fh.flush()
-        os.write(go_w, b"\1")
+        with suppress(BrokenPipeError):  # the child has exited; its status says why
+            os.write(go_w, b"\1")
     finally:
         os.close(go_w)
         status = os.waitpid(pid, 0)[1]

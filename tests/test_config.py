@@ -401,8 +401,8 @@ RECORD_IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
 @pytest.mark.parametrize("cls, required, name", RECORDS, ids=RECORD_IDS)
 class TestRecordContract:
-    """What the package reads of its record classes: the repr the quiet
-    prefix memo keys on, ==, keyword checks and pickling through slots."""
+    """What the package reads of its record classes: the repr a walk's key
+    holds, ==, keyword checks and pickling through slots."""
 
     def test_repr_tells_signed_zeros_and_ints_apart(self, cls, required, name):
         shown = [repr(cls(**{**required, name: v})) for v in (0.0, -0.0, 1, 1.0)]

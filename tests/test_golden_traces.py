@@ -61,7 +61,7 @@ from tiltphase.harness import (
     run_closed_loop,
     run_replay,
 )
-from tiltphase.plant import Disturbance
+from tiltphase.plant import Disturbance, SurrogatePlant
 from tiltphase.trace import format_record, write_trace
 
 FIT_WAVEFORM_HEX = [
@@ -231,12 +231,13 @@ def test_fit_waveform_cli_digest(tmp_path, capsys):
 PUSH_BATTERY_IDS = ["battery_controller_on", "battery_controller_off"]
 
 
-@pytest.mark.parametrize("enabled, withstood, digest", PUSH_BATTERY_GOLDEN, ids=PUSH_BATTERY_IDS)
-def test_push_battery_digest(monkeypatch, enabled, withstood, digest):
-    """Ladder (1.0, 1.5, 7.0), one push per level, seed 5: the push trial path,
-    the plant at rest and, with the controller off, the open loop."""
+def golden_battery(enabled):
+    """Ladder (1.0, 1.5, 7.0), one push per level, seed 5: (withstood counts,
+    SHA-256 of every trial's records, plant steps)."""
     h = hashlib.sha256()
+    steps = [0]
     run = harness.run_closed_loop
+    advance = SurrogatePlant.advance
 
     def recording_run(*args, **kwargs):
         result = run(*args, **kwargs)
@@ -245,22 +246,34 @@ def test_push_battery_digest(monkeypatch, enabled, withstood, digest):
         h.update(b"--\n")
         return result
 
-    monkeypatch.setattr(harness, "run_closed_loop", recording_run)
-    results = push_battery(
-        ControllerConfig(), PlantConfig(), (1.0, 1.5, 7.0), 1, seed=5, controller_enabled=enabled
-    )
-    assert results == withstood
-    assert h.hexdigest() == digest
+    def counting(self, *args):
+        steps[0] += 1
+        return advance(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "run_closed_loop", recording_run)
+        mp.setattr(SurrogatePlant, "advance", counting)
+        results = push_battery(ControllerConfig(), PlantConfig(), (1.0, 1.5, 7.0), 1, seed=5,
+                               controller_enabled=enabled)
+    return results, h.hexdigest(), steps[0]
 
 
 @pytest.mark.parametrize("enabled, withstood, digest", PUSH_BATTERY_GOLDEN, ids=PUSH_BATTERY_IDS)
-def test_push_battery_digest_with_the_prefix_warm(monkeypatch, enabled, withstood, digest):
-    """The same battery after another trial filled the quiet-prefix memo, so
-    its first trial replays the walk to the push too."""
-    monkeypatch.setattr(harness, "_quiet_prefix", {})
-    harness.run_push_trial(ControllerConfig(), PlantConfig(), 2.0, 0.3, 99, enabled)
-    assert list(harness._quiet_prefix) == [enabled]
-    test_push_battery_digest(monkeypatch, enabled, withstood, digest)
+def test_push_battery_digest(enabled, withstood, digest):
+    """The push trial path, the plant at rest and, with the controller off,
+    the open loop."""
+    results, got, _ = golden_battery(enabled)
+    assert results == withstood
+    assert got == digest
+
+
+@pytest.mark.parametrize("enabled, withstood, digest", PUSH_BATTERY_GOLDEN, ids=PUSH_BATTERY_IDS)
+def test_push_battery_digest_twice_in_one_process(enabled, withstood, digest):
+    """The same battery twice in one process: the same digest and the same
+    plant step count, so nothing the first battery leaves behind shortens
+    or changes the second."""
+    first = golden_battery(enabled)
+    assert golden_battery(enabled) == first == (withstood, digest, first[2])
 
 
 @pytest.mark.parametrize("make_run", [default_loop_with_impulse, tilted_plane_with_waveform])

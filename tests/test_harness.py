@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -267,7 +268,6 @@ class TestClosedLoop:
             return imu_of_motion(*args)
 
         monkeypatch.setattr(tiltphase.plant, "imu_of_motion", counting)
-        monkeypatch.setattr(harness, "_quiet_prefix", {})
         sc = Scenario(duration=1.0, controller_enabled=enabled,
                       disturbances=[Disturbance("impulse", 0.4, 0.5, 0.5)])
         res = run_closed_loop(ControllerConfig(), PlantConfig(), sc)
@@ -280,6 +280,14 @@ class TestClosedLoop:
         sc = Scenario(duration=0.5, overrides={"controller.i_gain": 0.0})
         run_closed_loop(ctrl, PlantConfig(), sc)
         assert ctrl.i_gain == ControllerConfig().i_gain
+
+    def test_module_holds_no_mutable_container(self):
+        """No run leaves state in the module for a later run to read: a run
+        that should go on from another's walk is given it (`Scenario.start`)."""
+        mutable = (dict, list, set, deque, bytearray)
+        held = {name: type(value).__name__ for name, value in vars(harness).items()
+                if not name.startswith("__") and isinstance(value, mutable)}
+        assert held == {}
 
 
 @pytest.mark.parametrize("collecting", [False, True])

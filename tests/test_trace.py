@@ -295,7 +295,7 @@ class TestSplitWriter:
         assert path.read_text().splitlines() == header_lines() + [
             format_record(rec) for rec in records]
 
-    def test_child_failure_raises_and_is_reaped(self, tmp_path, forks):
+    def test_child_failure_raises_and_is_reaped(self, tmp_path, forks, monkeypatch):
         parent = os.getpid()
 
         class ChildBomb(float):
@@ -307,6 +307,15 @@ class TestSplitWriter:
         records = long_records(2 * T._SPLIT_MIN)
         records[-1] = (ChildBomb(records[-1][0]), *records[-1][1:])
         path = tmp_path / "bad.trace"
+        write = os.write
+
+        def write_once_the_child_has_exited(fd, data):
+            # The child exits before the go byte, which then meets a closed pipe
+            if os.getpid() == parent and data == b"\1":
+                os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", write_once_the_child_has_exited)
         with pytest.raises(OSError, match="exited with status 1$"):
             write_trace(path, records)
         assert len(forks) == 1

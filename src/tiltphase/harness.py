@@ -41,17 +41,16 @@ class Scenario(_Record):
         # Imported here: json adds about 3 ms to a cold start of the CLI
         import json
 
-        repeats = []
-        data = json.loads(text, object_pairs_hook=_noting_repeats(repeats))
-        if type(data) is not dict:
+        data = json.loads(text, object_pairs_hook=_JsonObject)
+        if not isinstance(data, dict):
             raise ValueError(f"scenario: expected a JSON object, got {data!r:.40}")
-        _known_keys(data, _SCENARIO_KEYS, "", repeats)
+        _known_keys(data, _SCENARIO_KEYS, "")
         commands = []
-        for i, c in enumerate(_json_objects(data, "commands", _COMMAND_KEYS, repeats)):
+        for i, c in enumerate(_json_objects(data, "commands", _COMMAND_KEYS)):
             t, vx, vy, wz = (_json_number(c, k, f"commands[{i}].") for k in _COMMAND_KEYS)
             commands.append((t, GaitCommand(vx, vy, wz)))
         disturbances = []
-        for i, d in enumerate(_json_objects(data, "disturbances", _DISTURBANCE_KEYS, repeats)):
+        for i, d in enumerate(_json_objects(data, "disturbances", _DISTURBANCE_KEYS)):
             where = f"disturbances[{i}]."
             kind = d.get("kind")
             if type(kind) is not str:
@@ -64,15 +63,15 @@ class Scenario(_Record):
             disturbances.append(Disturbance(kind, *values))
         seed = data.get("seed", 0)
         enabled = data.get("controller_enabled", True)
-        overrides = data.get("config", {})
+        overrides = data.get("config", _JsonObject([]))
         # No coercion: bool("false") is True and int(2.7) is 2
         if type(seed) is not int:
             raise ValueError(f"scenario seed: expected an integer, got {seed!r}")
         if type(enabled) is not bool:
             raise ValueError(f"scenario controller_enabled: expected a boolean, got {enabled!r}")
-        if type(overrides) is not dict:
+        if not isinstance(overrides, dict):
             raise ValueError(f"scenario config: expected an object, got {overrides!r:.40}")
-        _given_once(overrides, "config.", repeats)
+        _known_keys(overrides, overrides, "config.")  # resolve_setting checks each key
         for key, value in overrides.items():
             resolve_setting(key, value, "scenario config: ")
         return cls(
@@ -91,44 +90,35 @@ _COMMAND_KEYS = ("t", "vx", "vy", "wz")
 _DISTURBANCE_KEYS = ("kind", "direction", "magnitude", "start_time", "duration")
 
 
-def _noting_repeats(repeats: List[tuple]):
-    """A json.loads object_pairs_hook that notes (object, key) in repeats for a
-    key given twice, which json.loads would read silently as its last value.
-    The check that knows the object's place raises it (`_given_once`)."""
+class _JsonObject(dict):
+    """A JSON object read with `object_pairs_hook=_JsonObject`, whose `twice`
+    holds its first key given twice, which json.loads would read silently
+    as its last value, or None."""
 
-    def hook(pairs: List[tuple]) -> dict:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            keys = [key for key, _ in pairs]
-            repeats.append((obj, next(key for key in obj if keys.count(key) > 1)))
-        return obj
-
-    return hook
+    def __init__(self, pairs: List[tuple]):
+        super().__init__(pairs)
+        keys = [key for key, _ in pairs] if len(self) < len(pairs) else []
+        self.twice = next((key for key in self if keys.count(key) > 1), None)
 
 
-def _given_once(obj: dict, where: str, repeats: List[tuple]) -> None:
-    for repeated, key in repeats:
-        if repeated is obj:
-            raise ValueError(f"scenario {where}{key}: key given twice")
-
-
-def _known_keys(obj: dict, keys: Sequence[str], where: str, repeats: List[tuple]) -> None:
-    _given_once(obj, where, repeats)
+def _known_keys(obj: _JsonObject, keys: Sequence[str], where: str) -> None:
+    if obj.twice is not None:
+        raise ValueError(f"scenario {where}{obj.twice}: key given twice")
     # A misspelt key would otherwise silently take its default
     for key in obj:
         if key not in keys:
             raise ValueError(f"scenario {where}{key}: unknown key")
 
 
-def _json_objects(data: dict, key: str, keys: Sequence[str], repeats: List[tuple]) -> list:
+def _json_objects(data: dict, key: str, keys: Sequence[str]) -> list:
     """data[key] (or []), checked to be a list of JSON objects with known keys."""
     items = data.get(key, [])
     if type(items) is not list:
         raise ValueError(f"scenario {key}: expected a list, got {items!r:.40}")
     for i, item in enumerate(items):
-        if type(item) is not dict:
+        if not isinstance(item, dict):
             raise ValueError(f"scenario {key}[{i}]: expected an object, got {item!r:.40}")
-        _known_keys(item, keys, f"{key}[{i}].", repeats)
+        _known_keys(item, keys, f"{key}[{i}].")
     return items
 
 
@@ -186,16 +176,14 @@ class Walk(_Record):
     """A run paused at the start of cycle `cycle`, before any command or
     disturbance could act, for later runs to fork (`Scenario.start`): what
     cycles 0 .. cycle-1 read (`key`: configs by repr, which tells -0.0 from
-    0.0 and 1 from 1.0, as `KEY_NAMES` names them), the pickled (controller,
-    plant), the records, the next IMU sample and the open-loop mu."""
+    0.0 and 1 from 1.0, as `KEY_NAMES` names them), their records, and the
+    pickled (controller, plant, next IMU sample, open-loop mu)."""
 
     KEY_NAMES = ("controller config", "plant config", "controller switch", "seed under plant noise")
     key: tuple
     cycle: int
-    blob: bytes
     records: tuple
-    imu: Optional[ImuSample]
-    mu_open: float
+    blob: bytes
 
 
 class RunResult(_Record):
@@ -258,27 +246,24 @@ def run_closed_loop(
             raise ValueError(f"scenario start: its cycle {walk.cycle} is past this run's first"
                              f" command or disturbance (cycle {quiet})")
         # Its run built, so validated, configs of these reprs: nothing to check again
-        controller, plant = pickle.loads(walk.blob)
+        controller, plant, imu, mu_open = pickle.loads(walk.blob)
         plant.set_disturbances(scenario.disturbances)
-        records, imu, mu_open = list(walk.records), walk.imu, walk.mu_open
-        first, walk_at = walk.cycle, -1
+        records, first, walk_at = list(walk.records), walk.cycle, -1
     else:
         controller = TiltPhaseController(ctrl_cfg) if enabled else None
         plant = SurrogatePlant(plant_cfg, seed=scenario.seed)
         plant.set_disturbances(scenario.disturbances)
-        records = []
         # advance returns None: the open loop keeps no IMU sample
         imu = (plant.step if enabled else plant.advance)(idle, 0.0, 0.0, dt)
-        mu_open = 0.0
-        first, walk_at = 1, quiet
+        records, mu_open, first, walk_at = [], 0.0, 1, quiet
     # A controller-off cycle advances the plant with `idle`, whose mu the
     # plant never reads, and records `idle` with t and mu replaced
     idle_rest = None if enabled else record_values(0.0, idle)[2:]
     i_cmd, cmd, t_cmd = _next_command(times, commands, 0, -math.inf)
     for k in range(first, n + 1):
         if k == walk_at:
-            blob = pickle.dumps((controller, plant), pickle.HIGHEST_PROTOCOL)
-            walk = Walk(key, k, blob, tuple(records), imu, mu_open)
+            blob = pickle.dumps((controller, plant, imu, mu_open), pickle.HIGHEST_PROTOCOL)
+            walk = Walk(key, k, tuple(records), blob)
         t = k * dt
         if t >= t_cmd:
             i_cmd, cmd, t_cmd = _next_command(times, commands, i_cmd, t)
@@ -356,9 +341,8 @@ T_PUSH = 2.0
 T_SETTLE = 5.0
 
 
-def _push_run(ctrl_cfg, plant_cfg, direction, impulse, seed, enabled, walk=None) -> RunResult:
-    """A push trial's run, forked from walk unless it is None or noisy under another seed."""
-    start = walk if walk is not None and walk.key[-1] in (None, seed) else None
+def _push_run(ctrl_cfg, plant_cfg, direction, impulse, seed, enabled, start=None) -> RunResult:
+    """A push trial's run, forked from start unless it is None."""
     push = Disturbance("impulse", direction, impulse, T_PUSH)
     scenario = Scenario(T_PUSH + T_SETTLE, seed, enabled, disturbances=[push], start=start)
     return run_closed_loop(ctrl_cfg, plant_cfg, scenario)
@@ -388,18 +372,20 @@ def push_battery(
 
     Directions are drawn from the seed only, so controller-on and
     controller-off batteries with the same seed are paired push-for-push.
-    The later trials fork the first one's walk (with plant noise, under its seed).
+    A trial forks the first trial's walk (with plant noise, the first under its seed).
     """
     results = []
-    walk = None
+    walks = {}  # by Walk.key[-1]: None without plant noise, else the trial's seed
     for level, impulse in enumerate(impulses):
         rng = random.Random(1000003 * seed + level)
         withstood = 0
         for k in range(pushes_per_level):
             direction = rng.uniform(-math.pi, math.pi)
-            result = _push_run(ctrl_cfg, plant_cfg, direction, impulse, seed * 1000 + k,
-                               controller_enabled, walk)
-            walk = walk or result.walk
+            trial_seed = seed * 1000 + k
+            result = _push_run(ctrl_cfg, plant_cfg, direction, impulse, trial_seed,
+                               controller_enabled, walks.get(None) or walks.get(trial_seed))
+            if result.walk is not None:
+                walks[result.walk.key[-1]] = result.walk
             withstood += not result.fallen
         results.append((impulse, withstood))
     return results

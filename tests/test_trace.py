@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import threading
 
 import numpy as np
@@ -295,7 +296,7 @@ class TestSplitWriter:
         assert path.read_text().splitlines() == header_lines() + [
             format_record(rec) for rec in records]
 
-    def test_child_failure_raises_and_is_reaped(self, tmp_path, forks, monkeypatch):
+    def test_child_failure_raises_and_is_reaped(self, tmp_path, forks):
         parent = os.getpid()
 
         class ChildBomb(float):
@@ -307,15 +308,6 @@ class TestSplitWriter:
         records = long_records(2 * T._SPLIT_MIN)
         records[-1] = (ChildBomb(records[-1][0]), *records[-1][1:])
         path = tmp_path / "bad.trace"
-        write = os.write
-
-        def write_once_the_child_has_exited(fd, data):
-            # The child exits before the go byte, which then meets a closed pipe
-            if os.getpid() == parent and data == b"\1":
-                os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
-            return write(fd, data)
-
-        monkeypatch.setattr(os, "write", write_once_the_child_has_exited)
         with pytest.raises(OSError, match="exited with status 1$"):
             write_trace(path, records)
         assert len(forks) == 1
@@ -336,9 +328,22 @@ class TestSplitWriter:
 
         records = long_records(2 * T._SPLIT_MIN)
         records[0] = (ParentBomb(records[0][0]), *records[0][1:])
+        # More than a pipe holds: the child blocks on the pipe until this
+        # process closes its end, which it must do before waiting for it
+        assert len("".join(format_record(rec) + "\n" for rec in records[T._SPLIT_MIN:])) > 1 << 16
         path = tmp_path / "bad.trace"
-        with pytest.raises(RuntimeError, match="formatted in the parent"):
-            write_trace(path, records)
+
+        def hung(signum, frame):
+            raise TimeoutError("write_trace waits for a child blocked on the pipe")
+
+        handler = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(RuntimeError, match="formatted in the parent"):
+                write_trace(path, records)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -12,6 +12,7 @@ import pytest
 import tiltphase.harness as harness
 from tiltphase.config import ControllerConfig, PlantConfig, replace
 from tiltphase.controller import GaitCommand, TiltPhaseController
+from tiltphase.estimator import ImuSample
 from tiltphase.harness import Scenario, push_battery, run_closed_loop
 from tiltphase.plant import Disturbance, SurrogatePlant
 
@@ -209,24 +210,30 @@ def test_each_battery_walks_once(monkeypatch):
     assert results[:2] == results[2:]
 
 
-def test_noisy_battery_trials_walk_alone(plant_steps):
-    """With plant noise each trial of a battery has its own seed, so only
-    the trials under the first trial's seed fork its walk; every result is
-    that of the trial run alone."""
+@pytest.mark.parametrize("enabled", [True, False])
+def test_noisy_battery_walks_once_per_trial_seed(monkeypatch, enabled):
+    """With plant noise, push k of every level has the seed 3000 + k: a
+    4 x 5 battery walks once per seed and forks the other 15 trials, and
+    every trial equals its cold run, records and `fallen` bit for bit."""
     ctrl = ControllerConfig()
     plant = PlantConfig(noise_gyro=0.02, noise_accel=0.1)
-    levels = (1.0, 6.0, 8.0)
-    want = []
-    for level, impulse in enumerate(levels):
-        rng = random.Random(1000003 * 3 + level)
-        want.append((impulse, sum(
-            harness.run_push_trial(ctrl, plant, rng.uniform(-math.pi, math.pi), impulse, 3000 + k)
-            for k in range(2))))
-    plant_steps[0] = 0
-    assert push_battery(ctrl, plant, levels, 2, seed=3) == want
-    quiet = quiet_cycles(harness.T_PUSH, ctrl.cycle_dt, 700)
-    # Six trials, of which the two later ones under seed 3000 fork
-    assert plant_steps[0] <= 6 * 701 - 2 * quiet
+    trials = []
+    run = harness.run_closed_loop
+
+    def capturing(ctrl_cfg, plant_cfg, scenario):
+        trials.append((scenario, run(ctrl_cfg, plant_cfg, scenario)))
+        return trials[-1][1]
+
+    monkeypatch.setattr(harness, "run_closed_loop", capturing)
+    push_battery(ctrl, plant, (1.0, 3.0, 6.0, 8.0), 5, seed=3, controller_enabled=enabled)
+    cold = [scenario.seed for scenario, _ in trials if scenario.start is None]
+    assert cold == [3000, 3001, 3002, 3003, 3004]
+    assert len(trials) == 20
+    for scenario, got in trials:
+        if scenario.start is not None:
+            assert scenario.start.key[-1] == scenario.seed
+        want = run(ctrl, plant, replace(scenario, start=None))
+        assert (got.records, got.fallen) == (want.records, want.fallen)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -258,9 +265,14 @@ def test_a_fork_builds_and_validates_nothing(monkeypatch, enabled):
     calls.clear()
     run_closed_loop(ControllerConfig(), PlantConfig(), replace(scenario, start=walk))
     assert calls == []
-    controller, plant = pickle.loads(walk.blob)
+    controller, plant, imu, mu_open = pickle.loads(walk.blob)
     assert repr(plant.cfg) == repr(PlantConfig())
     assert repr(controller.cfg) == repr(ControllerConfig()) if enabled else controller is None
+    # The open loop keeps no IMU sample, and the closed loop no open-loop mu
+    if enabled:
+        assert type(imu) is ImuSample and mu_open == 0.0
+    else:
+        assert imu is None and mu_open > 0.0
 
 
 PUSH = [Disturbance("impulse", 0.4, 1.0, 0.5)]

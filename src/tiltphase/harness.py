@@ -177,7 +177,7 @@ class Walk(_Record):
     disturbance could act, for later runs to fork (`Scenario.start`): what
     cycles 0 .. cycle-1 read (`key`: configs by repr, which tells -0.0 from
     0.0 and 1 from 1.0, as `KEY_NAMES` names them), their records, and the
-    pickled (controller, plant, next IMU sample, open-loop mu)."""
+    pickled (controller, plant, next IMU sample, open-loop mu). `walk` takes one."""
 
     KEY_NAMES = ("controller config", "plant config", "controller switch", "seed under plant noise")
     key: tuple
@@ -187,11 +187,10 @@ class Walk(_Record):
 
 
 class RunResult(_Record):
-    """The trace records of a closed-loop run, whether the plant fell and its `Walk`."""
+    """The trace records of a closed-loop run and whether the plant fell."""
 
     records: List[tuple]
     fallen: bool
-    walk: Optional[Walk] = None
 
 
 def run_closed_loop(
@@ -201,12 +200,18 @@ def run_closed_loop(
 ) -> RunResult:
     """Run plant + controller for scenario.duration and collect trace records.
 
-    A run walks the cycles before the first command or disturbance can act
-    and returns the walk taken at their end (`Walk`); a run given one as
-    `scenario.start` forks it, bit for bit as a full run, or raises
-    ValueError naming what does not fit. Forking a push trial's 199-cycle
-    walk (4.5 ms with the controller on, 0.9 ms off) takes 0.19 or 0.07 ms.
+    A run given a `Walk` as `scenario.start` forks it, bit for bit as a full
+    run, or raises ValueError naming what does not fit.
     """
+    return _run(ctrl_cfg, plant_cfg, scenario, False)
+
+
+def walk(ctrl_cfg: ControllerConfig, plant_cfg: PlantConfig, scenario: Scenario) -> Optional[Walk]:
+    """The `Walk` to scenario's first event, or None if no cycle is quiet or the plant falls."""
+    return _run(ctrl_cfg, plant_cfg, scenario, True)
+
+
+def _run(ctrl_cfg, plant_cfg, scenario, walking):
     if scenario.overrides:
         # apply_overrides sets fields in place; the caller's configs stay as they are
         ctrl_cfg, plant_cfg = apply_overrides(
@@ -229,41 +234,36 @@ def run_closed_loop(
     # before every command and disturbance time, nothing scheduled can act,
     # so cycles 0 .. quiet-1 read only the key's inputs.
     t_event = min(times[:1] + [d.start_time for d in scenario.disturbances], default=math.inf)
-    quiet = 0
-    while quiet < n and quiet * dt + dt < t_event:
-        quiet += 1
+    quiet = next((k for k in range(n) if k * dt + dt >= t_event), n)
     noisy = plant_cfg.noise_gyro > 0.0 or plant_cfg.noise_accel > 0.0
     key = repr(ctrl_cfg), repr(plant_cfg), enabled, scenario.seed if noisy else None
-    # Imported here: pickle adds about 3 ms to a cold start of the CLI
-    import pickle
-
-    walk = scenario.start
-    if walk is not None:
-        for name, walked, run in zip(Walk.KEY_NAMES, walk.key, key):
+    start = scenario.start
+    if start is not None or walking:
+        # Imported here: pickle adds about 3 ms to a cold start of the CLI
+        import pickle
+    if start is not None:
+        for name, walked, run in zip(Walk.KEY_NAMES, start.key, key):
             if walked != run:
                 raise ValueError(f"scenario start: walked with another {name} than this run's")
-        if walk.cycle > quiet:
-            raise ValueError(f"scenario start: its cycle {walk.cycle} is past this run's first"
+        if start.cycle > quiet:
+            raise ValueError(f"scenario start: its cycle {start.cycle} is past this run's first"
                              f" command or disturbance (cycle {quiet})")
         # Its run built, so validated, configs of these reprs: nothing to check again
-        controller, plant, imu, mu_open = pickle.loads(walk.blob)
+        controller, plant, imu, mu_open = pickle.loads(start.blob)
         plant.set_disturbances(scenario.disturbances)
-        records, first, walk_at = list(walk.records), walk.cycle, -1
+        records, first = list(start.records), start.cycle
     else:
         controller = TiltPhaseController(ctrl_cfg) if enabled else None
         plant = SurrogatePlant(plant_cfg, seed=scenario.seed)
         plant.set_disturbances(scenario.disturbances)
         # advance returns None: the open loop keeps no IMU sample
         imu = (plant.step if enabled else plant.advance)(idle, 0.0, 0.0, dt)
-        records, mu_open, first, walk_at = [], 0.0, 1, quiet
+        records, mu_open, first = [], 0.0, 1
     # A controller-off cycle advances the plant with `idle`, whose mu the
     # plant never reads, and records `idle` with t and mu replaced
     idle_rest = None if enabled else record_values(0.0, idle)[2:]
     i_cmd, cmd, t_cmd = _next_command(times, commands, 0, -math.inf)
-    for k in range(first, n + 1):
-        if k == walk_at:
-            blob = pickle.dumps((controller, plant, imu, mu_open), pickle.HIGHEST_PROTOCOL)
-            walk = Walk(key, k, tuple(records), blob)
+    for k in range(first, quiet if walking else n + 1):
         t = k * dt
         if t >= t_cmd:
             i_cmd, cmd, t_cmd = _next_command(times, commands, i_cmd, t)
@@ -277,7 +277,10 @@ def run_closed_loop(
             plant.advance(idle, mu_open, t, dt)
         if plant.state.fallen:
             break
-    return RunResult(records, plant.state.fallen, walk)
+    if walking and quiet and not plant.state.fallen:
+        blob = pickle.dumps((controller, plant, imu, mu_open), pickle.HIGHEST_PROTOCOL)
+        return Walk(key, quiet, tuple(records), blob)
+    return None if walking else RunResult(records, plant.state.fallen)
 
 
 def run_replay(
@@ -341,11 +344,9 @@ T_PUSH = 2.0
 T_SETTLE = 5.0
 
 
-def _push_run(ctrl_cfg, plant_cfg, direction, impulse, seed, enabled, start=None) -> RunResult:
-    """A push trial's run, forked from start unless it is None."""
+def _push(direction, impulse, seed, enabled, start=None) -> Scenario:
     push = Disturbance("impulse", direction, impulse, T_PUSH)
-    scenario = Scenario(T_PUSH + T_SETTLE, seed, enabled, disturbances=[push], start=start)
-    return run_closed_loop(ctrl_cfg, plant_cfg, scenario)
+    return Scenario(T_PUSH + T_SETTLE, seed, enabled, disturbances=[push], start=start)
 
 
 def run_push_trial(
@@ -354,10 +355,12 @@ def run_push_trial(
     direction: float,
     impulse: float,
     seed: int,
-    controller_enabled: bool = True,
+    controller_enabled: bool,
+    start: Optional[Walk] = None,
 ) -> bool:
-    """One walking-in-place run with a push; True if the plant never falls."""
-    return not _push_run(ctrl_cfg, plant_cfg, direction, impulse, seed, controller_enabled).fallen
+    """One push trial, forked from start if set; True if the plant never falls."""
+    scenario = _push(direction, impulse, seed, controller_enabled, start)
+    return not run_closed_loop(ctrl_cfg, plant_cfg, scenario).fallen
 
 
 def push_battery(
@@ -372,23 +375,20 @@ def push_battery(
 
     Directions are drawn from the seed only, so controller-on and
     controller-off batteries with the same seed are paired push-for-push.
-    A trial forks the first trial's walk (with plant noise, the first under its seed).
+    Push k of every level has the seed seed * 1000 + k; the trials run k by k
+    and fork one walk, taken once per call (with plant noise, once per k).
     """
-    results = []
-    walks = {}  # by Walk.key[-1]: None without plant noise, else the trial's seed
-    for level, impulse in enumerate(impulses):
-        rng = random.Random(1000003 * seed + level)
-        withstood = 0
-        for k in range(pushes_per_level):
-            direction = rng.uniform(-math.pi, math.pi)
-            trial_seed = seed * 1000 + k
-            result = _push_run(ctrl_cfg, plant_cfg, direction, impulse, trial_seed,
-                               controller_enabled, walks.get(None) or walks.get(trial_seed))
-            if result.walk is not None:
-                walks[result.walk.key[-1]] = result.walk
-            withstood += not result.fallen
-        results.append((impulse, withstood))
-    return results
+    rngs = [random.Random(1000003 * seed + level) for level in range(len(impulses))]
+    directions = [[rng.uniform(-math.pi, math.pi) for _ in range(pushes_per_level)] for rng in rngs]
+    withstood = [0] * len(impulses)
+    start = None
+    for k, pushes in enumerate(zip(*directions)):
+        if k == 0 or start is not None and start.key[-1] is not None:
+            start = walk(ctrl_cfg, plant_cfg, _push(0.0, 0.0, seed * 1000 + k, controller_enabled))
+        for level, direction in enumerate(pushes):
+            withstood[level] += run_push_trial(ctrl_cfg, plant_cfg, direction, impulses[level],
+                                               seed * 1000 + k, controller_enabled, start)
+    return list(zip(impulses, withstood))
 
 
 # Bisection steps of push_threshold below its cap
@@ -403,18 +403,18 @@ def push_threshold(
     direction: float = 0.0,
     seed: int = 0,
 ) -> float:
-    """Binary-search the maximum withstood impulse along one direction; the
-    later trials fork the first one's walk."""
-    first = _push_run(ctrl_cfg, plant_cfg, direction, hi, seed, controller_enabled)
-    if not first.fallen:
+    """Binary-search the maximum withstood impulse along one direction; every
+    trial forks one walk to the push."""
+    start = walk(ctrl_cfg, plant_cfg, _push(direction, hi, seed, controller_enabled))
+    if run_push_trial(ctrl_cfg, plant_cfg, direction, hi, seed, controller_enabled, start):
         return hi
-    lo, walk = 0.0, first.walk
+    lo = 0.0
     for _ in range(THRESHOLD_ITERS):
         mid = 0.5 * (lo + hi)
-        if _push_run(ctrl_cfg, plant_cfg, direction, mid, seed, controller_enabled, walk).fallen:
-            hi = mid
-        else:
+        if run_push_trial(ctrl_cfg, plant_cfg, direction, mid, seed, controller_enabled, start):
             lo = mid
+        else:
+            hi = mid
     return lo
 
 

@@ -11,7 +11,7 @@ import pytest
 import tiltphase.harness as harness
 import tiltphase.plant
 from tiltphase.cli import main
-from tiltphase.config import ControllerConfig, PlantConfig
+from tiltphase.config import ControllerConfig, PlantConfig, replace
 from tiltphase.controller import GaitCommand, TiltPhaseController
 from tiltphase.deviation import ExpectedWaveform
 from tiltphase.estimator import ImuSample
@@ -460,7 +460,9 @@ class TestReplay:
 
 class TestPushes:
     def test_trivial_push_is_withstood(self):
-        assert run_push_trial(ControllerConfig(), PlantConfig(), 0.0, 0.05, seed=0)
+        assert run_push_trial(
+            ControllerConfig(), PlantConfig(), 0.0, 0.05, seed=0, controller_enabled=True
+        )
 
     def test_huge_push_fells_controller_off(self):
         assert not run_push_trial(
@@ -472,6 +474,37 @@ class TestPushes:
         a = push_battery(*args, controller_enabled=True)
         b = push_battery(*args, controller_enabled=True)
         assert a == b
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_each_trial_is_one_call_of_each_wrapped_name(self, monkeypatch, enabled):
+        """perfbench wraps `harness.run_push_trial` and `harness.run_closed_loop`
+        by name: a battery or a threshold search calls each once per trial,
+        and each run returns the trial's full records (those of its cold run);
+        the walk goes through neither name."""
+        trials, runs = [], []
+        trial, run = harness.run_push_trial, harness.run_closed_loop
+
+        def trial_logged(*args):
+            trials.append(args)
+            return trial(*args)
+
+        def run_logged(ctrl_cfg, plant_cfg, scenario):
+            runs.append((scenario, run(ctrl_cfg, plant_cfg, scenario)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(harness, "run_push_trial", trial_logged)
+        monkeypatch.setattr(harness, "run_closed_loop", run_logged)
+        ctrl, plant = ControllerConfig(), PlantConfig()
+        counts = push_battery(ctrl, plant, (1.0, 1.5, 8.0), 2, seed=4, controller_enabled=enabled)
+        assert len(trials) == len(runs) == 6
+        assert sum(w for _, w in counts) == sum(not got.fallen for _, got in runs)
+        assert harness.push_threshold(ctrl, plant, enabled, hi=30.0) < 30.0
+        assert len(trials) == len(runs) == 6 + 1 + harness.THRESHOLD_ITERS
+        for args, (scenario, got) in zip(trials, runs):
+            assert scenario.start is not None and scenario.seed == args[4]
+            want = run(ctrl, plant, replace(scenario, start=None))
+            assert (got.records, got.fallen) == (want.records, want.fallen)
+            assert got.records[0][0] == ctrl.cycle_dt
 
 
 class TestFitWaveform:

@@ -1,4 +1,4 @@
-import ast
+import importlib.util
 import math
 import random
 from pathlib import Path
@@ -253,17 +253,20 @@ class TestAdvance:
 
 
 def test_benchmark_rotation_wrap_points_exist():
-    # perfbench/layers.py wraps each of its ROTATION_NAMES on tiltphase.plant
-    # for the rotation spans; a name the plant no longer has makes every
-    # traced benchmark run raise AttributeError
-    layers = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
-    tree = ast.parse(layers.read_text(encoding="utf-8"))
-    names = next(
-        ast.literal_eval(node.value) for node in tree.body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ROTATION_NAMES"
-    )
-    assert len(names) == 5
-    for name in names:
+    # perfbench/layers.py's targets() lists every (owner, attribute) a traced
+    # benchmark run wraps, the rotation functions on tiltphase.plant among
+    # them; an attribute the package no longer has makes every such run
+    # raise AttributeError
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    targets = layers.targets()
+    assert len(targets) == 28
+    for owner, attribute, span in targets:
+        assert callable(getattr(owner, attribute, None)), span
+    assert len(layers.ROTATION_NAMES) == 5
+    for name in layers.ROTATION_NAMES:
         assert getattr(tiltphase.plant, name) is getattr(tiltphase.rotation, name), name
 
 

@@ -1,10 +1,11 @@
-"""Forked runs: a run that goes on from another run's walk (`Scenario.start`)
+"""Forked runs: a run that goes on from a walk (`walk`, `Scenario.start`)
 must equal the full run, records and `fallen` bit for bit, and a walk that
 does not fit the run must be refused, naming why."""
 
 import math
 import pickle
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -13,7 +14,7 @@ import tiltphase.harness as harness
 from tiltphase.config import ControllerConfig, PlantConfig, replace
 from tiltphase.controller import GaitCommand, TiltPhaseController
 from tiltphase.estimator import ImuSample
-from tiltphase.harness import Scenario, push_battery, run_closed_loop
+from tiltphase.harness import Scenario, push_battery, run_closed_loop, walk
 from tiltphase.plant import Disturbance, SurrogatePlant
 
 
@@ -89,18 +90,17 @@ def test_fork_equals_full_run(plant_steps):
         plant_steps[0] = 0
         want = run_closed_loop(ctrl, plant, target)
         full = plant_steps[0]
-        walk = run_closed_loop(ctrl, plant, walking).walk
+        start = walk(ctrl, plant, walking)
         quiet = quiet_cycles(t_event, dt, int(round(duration / dt)))
-        if walk is None:
+        if start is None:
             assert quiet == 0, case
             continue
-        assert walk.cycle == quiet, case
+        assert start.cycle == quiet, case
         plant_steps[0] = 0
-        got = run_closed_loop(ctrl, plant, replace(target, start=walk))
+        got = run_closed_loop(ctrl, plant, replace(target, start=start))
 
         assert got.records == want.records, case
         assert got.fallen == want.fallen, case
-        assert got.walk is walk, case
         assert full - plant_steps[0] == quiet, case
         forked.add((enabled, noisy, kind))
     # Every disturbance kind, with the controller on and off, quiet and noisy
@@ -121,10 +121,10 @@ def test_fork_equals_full_run_for_each_kind(enabled, noisy, kind):
     for t_event in (math.nextafter(0.5, -math.inf), 0.5, math.nextafter(0.5, math.inf)):
         walking = scenario_at(t_event, kind, 1.2, 7, enabled, {}, rng)
         target = scenario_at(t_event, kind, 1.2, 7, enabled, {}, rng)
-        walk = run_closed_loop(ctrl, plant, walking).walk
-        assert walk.cycle == quiet_cycles(t_event, ctrl.cycle_dt, 120)
+        start = walk(ctrl, plant, walking)
+        assert start.cycle == quiet_cycles(t_event, ctrl.cycle_dt, 120)
         want = run_closed_loop(ctrl, plant, target)
-        got = run_closed_loop(ctrl, plant, replace(target, start=walk))
+        got = run_closed_loop(ctrl, plant, replace(target, start=start))
         assert repr(got.records) == repr(want.records)
         assert got.fallen == want.fallen
 
@@ -147,17 +147,17 @@ def test_fork_takes_its_own_disturbances(plant_steps):
 
     first, other = scenario(0.0), scenario(0.137)
     want = [repr(run_closed_loop(ctrl, plant, s).records) for s in (first, other)]
-    walk = run_closed_loop(ctrl, plant, first).walk
+    start = walk(ctrl, plant, first)
     plant_steps[0] = 0
-    assert repr(run_closed_loop(ctrl, plant, replace(first, start=walk)).records) == want[0]
+    assert repr(run_closed_loop(ctrl, plant, replace(first, start=start)).records) == want[0]
     assert plant_steps[0] == 401 - quiet_cycles(1.0, ctrl.cycle_dt, 400)
-    assert repr(run_closed_loop(ctrl, plant, replace(other, start=walk)).records) == want[1]
+    assert repr(run_closed_loop(ctrl, plant, replace(other, start=start)).records) == want[1]
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_disturbances_are_set_once_per_run(monkeypatch, enabled):
     """A run gives the plant its disturbances once, before its first step:
-    when it walks and when it forks."""
+    a walk, a full run and a fork of the walk."""
     calls = []
     set_disturbances = SurrogatePlant.set_disturbances
     advance = SurrogatePlant.advance
@@ -173,15 +173,22 @@ def test_disturbances_are_set_once_per_run(monkeypatch, enabled):
     monkeypatch.setattr(SurrogatePlant, "set_disturbances", setting)
     monkeypatch.setattr(SurrogatePlant, "advance", stepping)
     ctrl = ControllerConfig()
-    walk = None
-    for push in (1.0, 0.7):  # a walk, then a fork of it
-        scenario = Scenario(duration=1.0, controller_enabled=enabled, start=walk,
-                            disturbances=[Disturbance("impulse", 0.4, push, 0.5)])
+
+    def steps(run, scenario):
         calls.clear()
-        walk = run_closed_loop(ctrl, PlantConfig(), scenario).walk
+        result = run(ctrl, PlantConfig(), scenario)
         assert calls[0] is scenario.disturbances
         assert calls[1:] == ["advance"] * (len(calls) - 1)
-    assert len(calls) - 1 == 101 - quiet_cycles(0.5, ctrl.cycle_dt, 100)
+        return result, len(calls) - 1
+
+    quiet = quiet_cycles(0.5, ctrl.cycle_dt, 100)
+    cold = Scenario(duration=1.0, controller_enabled=enabled,
+                    disturbances=[Disturbance("impulse", 0.4, 1.0, 0.5)])
+    start, walked = steps(walk, cold)
+    assert walked == quiet
+    assert steps(run_closed_loop, cold)[1] == 101
+    fork = replace(cold, start=start, disturbances=[Disturbance("impulse", 0.4, 0.7, 0.5)])
+    assert steps(run_closed_loop, fork)[1] == 101 - quiet
 
 
 def test_each_battery_walks_once(monkeypatch):
@@ -213,27 +220,67 @@ def test_each_battery_walks_once(monkeypatch):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_noisy_battery_walks_once_per_trial_seed(monkeypatch, enabled):
     """With plant noise, push k of every level has the seed 3000 + k: a
-    4 x 5 battery walks once per seed and forks the other 15 trials, and
+    4 x 5 battery takes 5 walks, one per seed, and forks all 20 trials, and
     every trial equals its cold run, records and `fallen` bit for bit."""
     ctrl = ControllerConfig()
     plant = PlantConfig(noise_gyro=0.02, noise_accel=0.1)
     trials = []
-    run = harness.run_closed_loop
+    walks = []
+    run, walk_to = harness.run_closed_loop, harness.walk
 
     def capturing(ctrl_cfg, plant_cfg, scenario):
         trials.append((scenario, run(ctrl_cfg, plant_cfg, scenario)))
         return trials[-1][1]
 
+    def walking(ctrl_cfg, plant_cfg, scenario):
+        walks.append(walk_to(ctrl_cfg, plant_cfg, scenario))
+        return walks[-1]
+
     monkeypatch.setattr(harness, "run_closed_loop", capturing)
+    monkeypatch.setattr(harness, "walk", walking)
     push_battery(ctrl, plant, (1.0, 3.0, 6.0, 8.0), 5, seed=3, controller_enabled=enabled)
-    cold = [scenario.seed for scenario, _ in trials if scenario.start is None]
-    assert cold == [3000, 3001, 3002, 3003, 3004]
+    assert [start.key[-1] for start in walks] == [3000, 3001, 3002, 3003, 3004]
     assert len(trials) == 20
+    # Push k of each level forks the walk taken under its seed
+    assert [scenario.start for scenario, _ in trials] == [w for w in walks for _ in range(4)]
     for scenario, got in trials:
-        if scenario.start is not None:
-            assert scenario.start.key[-1] == scenario.seed
+        assert scenario.start.key[-1] == scenario.seed
         want = run(ctrl, plant, replace(scenario, start=None))
         assert (got.records, got.fallen) == (want.records, want.fallen)
+
+
+def test_noisy_battery_memory_does_not_grow_with_pushes(monkeypatch):
+    """A noisy battery holds one walk at a time: its tracemalloc peak with 40
+    pushes per level is within one walk of its peak with 10. The push comes
+    at 0.5 s and the trials end 0.25 s later, and the controller is off, to
+    keep the traced runs short; no trial falls, so each keeps the same records.
+    An untraced battery first fills the interpreter's free lists, which would
+    otherwise grow the traced memory by a few kB over the first trials."""
+    monkeypatch.setattr(harness, "T_PUSH", 0.5)
+    monkeypatch.setattr(harness, "T_SETTLE", 0.25)
+    ctrl = ControllerConfig()
+    plant = PlantConfig(noise_gyro=0.02, noise_accel=0.1)
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            kept = call()
+            return kept, tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    scenario = Scenario(duration=0.75, seed=7000, controller_enabled=False,
+                        disturbances=[Disturbance("impulse", 0.0, 0.0, 0.5)])
+    start, (one_walk, _) = traced(lambda: walk(ctrl, plant, scenario))
+    assert start.cycle == 49
+    push_battery(ctrl, plant, (0.0, 0.0), 40, seed=7, controller_enabled=False)
+    peaks = []
+    for pushes in (10, 40):
+        withstood, (_, peak) = traced(lambda: push_battery(
+            ctrl, plant, (0.0, 0.0), pushes, seed=7, controller_enabled=False))
+        assert withstood == [(0.0, pushes)] * 2
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < one_walk
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -259,13 +306,13 @@ def test_a_fork_builds_and_validates_nothing(monkeypatch, enabled):
         logging(cls, "validate")
     scenario = Scenario(duration=1.0, controller_enabled=enabled,
                         disturbances=[Disturbance("impulse", 0.4, 1.0, 0.5)])
-    walk = run_closed_loop(ControllerConfig(), PlantConfig(), scenario).walk
+    start = walk(ControllerConfig(), PlantConfig(), scenario)
     built = ["TiltPhaseController.__init__", "ControllerConfig.validate"] if enabled else []
     assert calls == built + ["SurrogatePlant.__init__", "PlantConfig.validate"]
     calls.clear()
-    run_closed_loop(ControllerConfig(), PlantConfig(), replace(scenario, start=walk))
+    run_closed_loop(ControllerConfig(), PlantConfig(), replace(scenario, start=start))
     assert calls == []
-    controller, plant, imu, mu_open = pickle.loads(walk.blob)
+    controller, plant, imu, mu_open = pickle.loads(start.blob)
     assert repr(plant.cfg) == repr(PlantConfig())
     assert repr(controller.cfg) == repr(ControllerConfig()) if enabled else controller is None
     # The open loop keeps no IMU sample, and the closed loop no open-loop mu
@@ -279,7 +326,7 @@ PUSH = [Disturbance("impulse", 0.4, 1.0, 0.5)]
 
 
 def walk_of(ctrl, plant, **scenario):
-    return run_closed_loop(ctrl, plant, Scenario(duration=1.0, disturbances=PUSH, **scenario)).walk
+    return walk(ctrl, plant, Scenario(duration=1.0, disturbances=PUSH, **scenario))
 
 
 # (config pair the walk is taken with, config pair of the run): each pair
@@ -300,31 +347,31 @@ REPR_ONLY = [
                          ids=["ctrl_signed_zero", "ctrl_int", "plant_signed_zero", "plant_int"])
 def test_configs_equal_only_under_eq_are_refused(walked, run, cause):
     assert walked == run
-    walk = walk_of(*walked)
+    start = walk_of(*walked)
     with pytest.raises(ValueError, match=f"^scenario start: walked with another {cause} "):
-        run_closed_loop(*run, Scenario(duration=1.0, disturbances=PUSH, start=walk))
+        run_closed_loop(*run, Scenario(duration=1.0, disturbances=PUSH, start=start))
 
 
 def test_config_mutated_in_place_is_refused():
     ctrl = ControllerConfig()
-    walk = walk_of(ctrl, PlantConfig())
+    start = walk_of(ctrl, PlantConfig())
     ctrl.f_nom = 5.0
     with pytest.raises(ValueError, match="another controller config"):
-        run_closed_loop(ctrl, PlantConfig(), Scenario(duration=1.0, disturbances=PUSH, start=walk))
+        run_closed_loop(ctrl, PlantConfig(), Scenario(duration=1.0, disturbances=PUSH, start=start))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_the_other_controller_switch_is_refused(enabled):
-    walk = walk_of(ControllerConfig(), PlantConfig(), controller_enabled=enabled)
-    scenario = Scenario(duration=1.0, disturbances=PUSH, controller_enabled=not enabled, start=walk)
+    start = walk_of(ControllerConfig(), PlantConfig(), controller_enabled=enabled)
+    scenario = Scenario(duration=1.0, disturbances=PUSH, controller_enabled=not enabled, start=start)
     with pytest.raises(ValueError, match="another controller switch"):
         run_closed_loop(ControllerConfig(), PlantConfig(), scenario)
 
 
 def test_another_seed_is_refused_only_with_plant_noise():
     noisy = PlantConfig(noise_gyro=0.02)
-    walk = walk_of(ControllerConfig(), noisy, seed=1)
-    scenario = Scenario(duration=1.0, seed=2, disturbances=PUSH, start=walk)
+    start = walk_of(ControllerConfig(), noisy, seed=1)
+    scenario = Scenario(duration=1.0, seed=2, disturbances=PUSH, start=start)
     with pytest.raises(ValueError, match="another seed under plant noise"):
         run_closed_loop(ControllerConfig(), noisy, scenario)
     # Without noise the seed is never read, so a walk under another seed fits
@@ -339,19 +386,58 @@ def test_another_seed_is_refused_only_with_plant_noise():
     Scenario(duration=0.2),
 ], ids=["disturbance", "command", "duration"])
 def test_a_start_past_the_first_event_is_refused(late):
-    walk = walk_of(ControllerConfig(), PlantConfig())
-    assert walk.cycle == 49
+    start = walk_of(ControllerConfig(), PlantConfig())
+    assert start.cycle == 49
     with pytest.raises(ValueError, match=r"its cycle 49 is past this run's first command or "
                                          r"disturbance \(cycle (2[09])\)$"):
-        run_closed_loop(ControllerConfig(), PlantConfig(), replace(late, start=walk))
+        run_closed_loop(ControllerConfig(), PlantConfig(), replace(late, start=start))
 
 
 def test_a_start_before_the_first_event_fits():
     """A walk that stops earlier than the run's quiet prefix ends is a valid start."""
-    walk = walk_of(ControllerConfig(), PlantConfig())
+    start = walk_of(ControllerConfig(), PlantConfig())
     later = Scenario(duration=1.5, disturbances=[Disturbance("impulse", 0.4, 1.0, 0.9)])
-    got = run_closed_loop(ControllerConfig(), PlantConfig(), replace(later, start=walk))
+    got = run_closed_loop(ControllerConfig(), PlantConfig(), replace(later, start=start))
     assert got.records == run_closed_loop(ControllerConfig(), PlantConfig(), later).records
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_only_a_walk_pickles(monkeypatch, enabled):
+    """A run without a start pickles nothing, a walk pickles its state once
+    and a fork only unpickles it."""
+    calls = []
+    dumps, loads = pickle.dumps, pickle.loads
+
+    def logged(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(pickle, "dumps", logged("dumps", dumps))
+    monkeypatch.setattr(pickle, "loads", logged("loads", loads))
+    scenario = Scenario(duration=1.0, controller_enabled=enabled, disturbances=PUSH,
+                        commands=[(0.7, GaitCommand(0.2))])
+    for cold in (scenario, Scenario(duration=1.0, controller_enabled=enabled)):
+        run_closed_loop(ControllerConfig(), PlantConfig(), cold)
+    assert calls == []
+    start = walk(ControllerConfig(), PlantConfig(), scenario)
+    assert calls == ["dumps"]
+    run_closed_loop(ControllerConfig(), PlantConfig(), replace(scenario, start=start))
+    assert calls == ["dumps", "loads"]
+
+
+@pytest.mark.parametrize("late", [
+    Scenario(duration=1.0, disturbances=[Disturbance("impulse", 0.4, 1.0, 0.0)]),
+    Scenario(duration=1.0, disturbances=[Disturbance("force", 0.4, 1.0, 0.01, 0.2)]),
+    Scenario(duration=1.0, commands=[(-0.5, GaitCommand(0.1))]),
+    Scenario(duration=0.005),
+], ids=["impulse_at_0", "force_at_dt", "command_before_0", "duration_below_dt"])
+def test_walk_is_none_without_a_quiet_cycle(late):
+    """No walk when even cycle 0's plant step (ending at dt) may read a
+    command or disturbance, or the run has no cycle."""
+    assert walk(ControllerConfig(), PlantConfig(), late) is None
+    assert walk(ControllerConfig(), PlantConfig(), replace(late, controller_enabled=False)) is None
 
 
 def test_a_scenario_file_cannot_set_a_start():
@@ -391,9 +477,9 @@ def test_no_reachable_object_has_a_dict(monkeypatch):
 
     monkeypatch.setattr(pickle, "loads", keeping)
     scenario = Scenario(duration=1.0, disturbances=PUSH)
-    walk = run_closed_loop(ControllerConfig(), PlantConfig(), scenario).walk
+    start = walk(ControllerConfig(), PlantConfig(), scenario)
     assert restored == []
-    run_closed_loop(ControllerConfig(), PlantConfig(), replace(scenario, start=walk))
+    run_closed_loop(ControllerConfig(), PlantConfig(), replace(scenario, start=start))
     assert len(restored) == 1
     fresh = (TiltPhaseController(ControllerConfig()), SurrogatePlant(PlantConfig()))
     for pair in (fresh, restored[0]):

@@ -15,6 +15,7 @@ arithmetic so one cycle stays in the tens-of-microseconds range.
 from __future__ import annotations
 
 from math import atan2, copysign, cos, inf, isfinite, pi, remainder, sin, sqrt
+from sys import float_info
 from typing import NamedTuple, Tuple
 
 from tiltphase.config import ControllerConfig
@@ -35,7 +36,7 @@ from tiltphase.filters import (
     soft_coerce2,
     soft_coerce_1d,
 )
-from tiltphase.rotation import TiltPhase2D, tilt_of_quat
+from tiltphase.rotation import tilt_of_quat
 
 
 # tuple.__new__(ActivationSet, fields) skips the generated keyword
@@ -85,11 +86,14 @@ def crossing_energy(phi: float, phidot: float, c: float) -> float:
     is past the peak (phi > 0). The result is zero everywhere along a
     trajectory that comes to rest exactly on the verge, negative for
     trajectories that fall back, and more positive the more severe the
-    crossing. C1 in both arguments.
+    crossing. C1 in both arguments. Finite for finite arguments: a kinetic
+    term that overflows is taken as the square of phidot / c, at most the largest float.
     """
     if c <= 0.0:
         raise ValueError("pendulum constant must be positive")
     kin = (phidot * phidot) / (c * c)
+    if not kin < inf:  # inf, or nan where c * c overflows too
+        kin = min((phidot / c) * (phidot / c), float_info.max)
     if phidot < 0.0:
         kin = -kin
     pot = 2.0 * (cos(phi) - 1.0)
@@ -186,7 +190,7 @@ class TiltPhaseController:
             and copysign(1.0, cfg.wave_offset_x) == 1.0 and cfg.wave_offset_x == 0.0
             and copysign(1.0, cfg.wave_offset_y) == 1.0 and cfg.wave_offset_y == 0.0
         )
-        self._flat = TiltPhase2D(0.0, 0.0) if flat else None
+        self._flat = (0.0, 0.0) if flat else None
         self.estimator = AttitudeEstimator(
             kp=cfg.est_kp, ki=cfg.est_ki, bias_limit=cfg.est_bias_limit,
             acc_min_g=cfg.est_acc_min_g, acc_max_g=cfg.est_acc_max_g,
@@ -280,6 +284,8 @@ class TiltPhaseController:
 
         raw_l = cfg.so_gain * one_sided_deadband(e_l, cfg.so_energy_min, cfg.so_deadband)
         raw_r = cfg.so_gain * one_sided_deadband(e_r, cfg.so_energy_min, cfg.so_deadband)
+        if raw_l + raw_r == inf:  # an so_gain above 1 times an energy near the largest float
+            raw_l, raw_r = min(raw_l, float_info.max), min(raw_r, float_info.max)
         h_l = self.so_hold_l.step(raw_l, t)
         h_r = self.so_hold_r.step(raw_r, t)
         # Nothing held: p_xo is 0. A p_xo of 0 from held values ends at the
@@ -424,6 +430,6 @@ class TiltPhaseController:
         # then mu, the body, expected and deviation tilts and the diagnostics
         return _new_tuple(ActivationSet, (
             arm, foot, cft, hip, h_max, lean, swing_out, plane, f_g,
-            mu, (p_b[0], p_b[1]), (p_e[0], p_e[1]), p_d, e_l, e_r, instability, s_d, flags,
+            mu, p_b, p_e, p_d, e_l, e_r, instability, s_d, flags,
         ))
 

@@ -18,8 +18,8 @@ The first of those products, A * B with A = q_y(p_yN) * q_P(P_B)^* and
 B = q_P(P_E) * q_y(-p_yN), is also the swing ground plane's rotation: its
 2D tilt phase P_NS = P_q(A * B) is the expected tilt relative to the body,
 seen from the nominal ground plane (Allgeuer & Behnke, *Fused Angles*,
-IROS 2015). `deviation_tilt` returns it, so the cycle composes the tilt
-quaternions once.
+IROS 2015). `deviation_tilt` returns it with P_d, in one plain tuple, so
+the cycle composes the tilt quaternions once.
 
 `deviation_tilt` is one kernel over local floats, as `imu_of_motion` is for
 the plant's IMU chain: `tilt_quat` of P_B and P_E and both `tilt_of_quat`
@@ -44,11 +44,9 @@ direction near the half turn.
 from __future__ import annotations
 
 from math import atan2, cos, sin, sqrt
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
-from tiltphase.rotation import TiltPhase2D, tilt_of_quat, wrap_pi
-
-_new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
+from tiltphase.rotation import tilt_of_quat, wrap_pi
 
 
 def gait_phase_step(mu: float, f_g: float, dt: float) -> float:
@@ -71,29 +69,22 @@ class ExpectedWaveform(NamedTuple):
     offset_x: float = 0.0
     offset_y: float = 0.0
 
-    def evaluate(self, mu: float) -> TiltPhase2D:
-        return _new_tuple(TiltPhase2D, (
+    def evaluate(self, mu: float) -> Tuple[float, float]:
+        """Expected tilt phase ``(px, py)`` at gait phase ``mu``."""
+        return (
             self.amp_x * sin(mu + self.phase_x) + self.offset_x,
             self.amp_y * sin(mu + self.phase_y) + self.offset_y,
-        ))
+        )
 
 
-class DeviationResult(NamedTuple):
-    px: float
-    py: float
-    converged: bool
-    # P_NS, the ground plane tilt phase P_q(A * B)
-    ns_px: float
-    ns_py: float
-
-
-def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
-    """Deviation tilt P_d of the body tilt P_B from the expected tilt P_E.
+def deviation_tilt(p_b, p_e, p_yn: float) -> Tuple[float, float, bool, float, float]:
+    """Deviation tilt P_d of the body tilt P_B from the expected tilt P_E, as
+    ``(px, py, converged, ns_px, ns_py)``: P_d, a flag, and the ground plane
+    tilt P_NS = P_q(A * B).
 
     Degenerate configurations where the zero-yaw constraint does not pin
     down psi_E (both sensitivity coefficients vanish, e.g. half-turn tilts)
-    fall back to psi_E = 0 and report converged=False instead of aborting.
-    The ground plane tilt P_NS = P_q(A * B) comes with it.
+    fall back to psi_E = 0 and report converged False instead of aborting.
     """
     # With a zero expected tilt and a level nominal ground plane the whole
     # composition collapses: q_d = q_P(P_B)^* already has zero fused yaw,
@@ -102,7 +93,7 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     bx, by = p_b
     ex, ey = p_e
     if p_yn == 0.0 and ex == 0.0 and ey == 0.0:
-        return _new_tuple(DeviationResult, (bx, by, True, -bx, -by))
+        return (bx, by, True, -bx, -by)
 
     # tilt_quat(P_B) = (bw, bx, by, 0) and tilt_quat(P_E) = (ew, ex, ey, 0)
     t = sqrt(bx * bx + by * by)
@@ -167,7 +158,7 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
     t = z1 * z1 + z2 * z2
     if t < 1e-28:
         px, py = tilt_of_quat((w, -x, -y, -z1))  # q_d = A * B
-        return _new_tuple(DeviationResult, (px, py, False, nx, ny))
+        return (px, py, False, nx, ny)
     # (cz, sz) = (cos(psi_E/2), sin(psi_E/2)), with cz > 0, or sz = 1 at psi_E = pi
     t = 1.0 / sqrt(t)
     if z2 < 0.0 or (z2 == 0.0 and z1 > 0.0):
@@ -195,4 +186,4 @@ def deviation_tilt(p_b, p_e, p_yn: float) -> DeviationResult:
             t = -t
         px = t * x
         py = t * y
-    return _new_tuple(DeviationResult, (px, py, True, nx, ny))
+    return (px, py, True, nx, ny)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import cos, inf, sin, sqrt
 from typing import NamedTuple, Sequence, Tuple
 
-from tiltphase.rotation import TiltPhase2D, tilt_of_quat
+from tiltphase.rotation import tilt_of_quat
 
 GRAVITY = 9.81
 
@@ -43,8 +43,8 @@ class AttitudeEstimator:
         self.q = (1.0, 0.0, 0.0, 0.0)
         self.bias = (0.0, 0.0, 0.0)
 
-    def step(self, gyro: Sequence[float], accel: Sequence[float], dt: float) -> TiltPhase2D:
-        """Advance by dt and return the tilt phase of the estimate.
+    def step(self, gyro: Sequence[float], accel: Sequence[float], dt: float) -> Tuple[float, float]:
+        """Advance by dt and return the tilt phase ``(px, py)`` of the estimate.
 
         Raises OverflowError, leaving the state unchanged, when the rotation
         angle |rate| * dt overflows (a huge dt can do so for any rate).

@@ -148,6 +148,13 @@ def smooth_deadband2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float,
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
+    if m2 == _INF:
+        # The squared norm overflows: m and r come divided by x's larger
+        # component, which leaves the law's ratio k = out / m as it is
+        u = max(abs(x0), abs(x1))
+        m = math.hypot(x0 / u, x1 / u)
+        k = smooth_deadband_mag(m, _scaled_radius(x0, x1, a0, a1) / u) / m
+        return (k * x0, k * x1)
     m = sqrt(m2)
     r = a0  # a circle's radius along any x
     if a0 != a1:

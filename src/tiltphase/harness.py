@@ -229,18 +229,18 @@ def _run(ctrl_cfg, plant_cfg, scenario, walking):
     enabled = bool(scenario.controller_enabled)
     idle = ActivationSet(gait_frequency=ctrl_cfg.f_nom)
 
-    # Cycle k's plant step ends at k*dt + dt (cycle 0's at 0.0 + dt), the
-    # same floats as below and in SurrogatePlant.advance. While that end is
-    # before every command and disturbance time, nothing scheduled can act,
-    # so cycles 0 .. quiet-1 read only the key's inputs.
-    t_event = min(times[:1] + [d.start_time for d in scenario.disturbances], default=math.inf)
-    quiet = next((k for k in range(n) if k * dt + dt >= t_event), n)
-    noisy = plant_cfg.noise_gyro > 0.0 or plant_cfg.noise_accel > 0.0
-    key = repr(ctrl_cfg), repr(plant_cfg), enabled, scenario.seed if noisy else None
     start = scenario.start
     if start is not None or walking:
         # Imported here: pickle adds about 3 ms to a cold start of the CLI
         import pickle
+        # Cycle k's plant step ends at k*dt + dt (cycle 0's at 0.0 + dt), the
+        # same floats as below and in SurrogatePlant.advance. While that end is
+        # before every command and disturbance time, nothing scheduled can act,
+        # so cycles 0 .. quiet-1 read only the key's inputs.
+        t_event = min(times[:1] + [d.start_time for d in scenario.disturbances], default=math.inf)
+        quiet = next((k for k in range(n) if k * dt + dt >= t_event), n)
+        noisy = plant_cfg.noise_gyro > 0.0 or plant_cfg.noise_accel > 0.0
+        key = repr(ctrl_cfg), repr(plant_cfg), enabled, scenario.seed if noisy else None
     if start is not None:
         for name, walked, run in zip(Walk.KEY_NAMES, start.key, key):
             if walked != run:

@@ -1,9 +1,10 @@
 """Quaternion and 2D tilt phase math of the control loop.
 
-Quaternions are scalar-first tuples ``(w, x, y, z)`` mapping body frame to
-world frame. ``quat_normalize`` and ``quat_from_tilt_phase`` return unit
-quaternions in canonical form (``w >= 0``); ``quat_mul``, ``quat_conj`` and
-``tilt_quat`` neither renormalise nor canonicalise.
+Quaternions are plain tuples ``(w, x, y, z)``, scalar first, mapping body
+frame to world frame; 2D tilt phases are plain tuples ``(px, py)``.
+``quat_normalize`` and ``quat_from_tilt_phase`` return unit quaternions in
+canonical form (``w >= 0``); ``quat_mul``, ``quat_conj`` and ``tilt_quat``
+neither renormalise nor canonicalise.
 
 A rotation decomposes as ``q = q_z(psi) * q_tilt``: ``psi`` is the fused
 yaw and ``q_tilt`` a rotation by ``alpha`` about the horizontal axis at
@@ -34,27 +35,11 @@ The loop runs:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 TWO_PI = 2.0 * math.pi
 
 IDENTITY = (1.0, 0.0, 0.0, 0.0)
-
-
-class Quat(NamedTuple):
-    w: float
-    x: float
-    y: float
-    z: float
-
-
-class TiltPhase2D(NamedTuple):
-    px: float
-    py: float
-
-
-_new_tuple = tuple.__new__  # skips the NamedTuple keyword constructor
-_ZERO_TILT = TiltPhase2D(0.0, 0.0)
 
 
 def wrap_pi(angle: float) -> float:
@@ -62,19 +47,19 @@ def wrap_pi(angle: float) -> float:
     return math.pi - (math.pi - angle) % TWO_PI
 
 
-def quat_normalize(q) -> Quat:
-    """Renormalize and put into canonical form (w >= 0)."""
+def quat_normalize(q) -> Tuple[float, float, float, float]:
+    """``q`` renormalised, in canonical form (w >= 0); IDENTITY for a norm <= 1e-300."""
     w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if n <= 1e-300:
-        return Quat(1.0, 0.0, 0.0, 0.0)
+        return IDENTITY
     if w < 0.0:
         n = -n
-    return _new_tuple(Quat, (w / n, x / n, y / n, z / n))
+    return (w / n, x / n, y / n, z / n)
 
 
 def quat_mul(a, b) -> Tuple[float, float, float, float]:
-    """Hamilton product a * b, as a plain 4-tuple (cheaper to build than a Quat)."""
+    """Hamilton product a * b, as ``(w, x, y, z)``."""
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
     return (
@@ -85,9 +70,10 @@ def quat_mul(a, b) -> Tuple[float, float, float, float]:
     )
 
 
-def quat_conj(q) -> Quat:
+def quat_conj(q) -> Tuple[float, float, float, float]:
+    """Conjugate ``(w, -x, -y, -z)`` of ``q = (w, x, y, z)``."""
     w, x, y, z = q
-    return Quat(w, -x, -y, -z)
+    return (w, -x, -y, -z)
 
 
 def quat_rotate(q, v):
@@ -164,7 +150,7 @@ def imu_of_motion(q_prev, q, dt: float, g: float) -> Tuple[float, float, float, 
 
 
 def tilt_quat(px: float, py: float) -> Tuple[float, float, float, float]:
-    """Pure tilt quaternion of the 2D tilt phase (px, py), as a plain 4-tuple.
+    """Pure tilt quaternion ``(w, x, y, 0.0)`` of the 2D tilt phase (px, py).
 
     Neither renormalised nor canonicalised (w < 0 for alpha > pi).
     """
@@ -175,8 +161,9 @@ def tilt_quat(px: float, py: float) -> Tuple[float, float, float, float]:
     return (math.cos(0.5 * alpha), s * px, s * py, 0.0)
 
 
-def tilt_of_quat(q) -> TiltPhase2D:
-    """2D tilt phase (alpha*cos(gamma), alpha*sin(gamma)) of a quaternion.
+def tilt_of_quat(q) -> Tuple[float, float]:
+    """2D tilt phase ``(px, py) = (alpha*cos(gamma), alpha*sin(gamma))`` of a
+    quaternion ``(w, x, y, z)``.
 
     No trig for gamma: the de-yawed direction (wx + zy, wy - zx) has norm
     h*s, where h = |(w, z)| and s = |(x, y)|. On the singular set the
@@ -185,17 +172,17 @@ def tilt_of_quat(q) -> TiltPhase2D:
     w, x, y, z = q
     s = math.sqrt(x * x + y * y)
     if s < 1e-300:
-        return _ZERO_TILT
+        return (0.0, 0.0)
     h = math.sqrt(w * w + z * z)
     alpha = 2.0 * math.atan2(s, h)
     if h < 1e-12:
         k = alpha / s
-        return _new_tuple(TiltPhase2D, (k * x, k * y))
+        return (k * x, k * y)
     k = alpha / (h * s)
-    return _new_tuple(TiltPhase2D, (k * (w * x + z * y), k * (w * y - z * x)))
+    return (k * (w * x + z * y), k * (w * y - z * x))
 
 
-def quat_from_tilt_phase(p) -> Quat:
+def quat_from_tilt_phase(p) -> Tuple[float, float, float, float]:
     """Unit pure tilt quaternion of a 2D tilt phase ``(px, py)``, canonical."""
     px, py = p
     return quat_normalize(tilt_quat(px, py))

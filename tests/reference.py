@@ -18,10 +18,8 @@ import struct
 from typing import NamedTuple, Tuple
 
 from tiltphase.config import ControllerConfig
-from tiltphase.deviation import DeviationResult
 from tiltphase.estimator import AttitudeEstimator
 from tiltphase.rotation import (
-    Quat,
     quat_from_tilt_phase,
     quat_normalize,
     tilt_of_quat,
@@ -36,7 +34,18 @@ class TiltPhase3D(NamedTuple):
     pz: float
 
 
-def axis_rotation(axis: str, angle: float) -> Quat:
+class DeviationResult(NamedTuple):
+    """The fields of `deviation.deviation_tilt`'s tuple, by name."""
+
+    px: float
+    py: float
+    converged: bool
+    # P_NS, the ground plane tilt phase P_q(A * B)
+    ns_px: float
+    ns_py: float
+
+
+def axis_rotation(axis: str, angle: float) -> Tuple[float, float, float, float]:
     """Unit quaternion for a pure rotation about the x, y or z axis."""
     h = 0.5 * angle
     c = math.cos(h)
@@ -44,11 +53,11 @@ def axis_rotation(axis: str, angle: float) -> Quat:
     if c < 0.0:
         c, s = -c, -s
     if axis == "x":
-        return Quat(c, s, 0.0, 0.0)
+        return (c, s, 0.0, 0.0)
     if axis == "y":
-        return Quat(c, 0.0, s, 0.0)
+        return (c, 0.0, s, 0.0)
     if axis == "z":
-        return Quat(c, 0.0, 0.0, s)
+        return (c, 0.0, 0.0, s)
     raise ValueError(f"unknown axis {axis!r}")
 
 
@@ -65,7 +74,7 @@ def tilt_phase_from_quat(q) -> TiltPhase3D:
     return TiltPhase3D(*tilt_of_quat(q), fused_yaw(q))
 
 
-def remove_fused_yaw(q) -> Quat:
+def remove_fused_yaw(q) -> Tuple[float, float, float, float]:
     """Pure tilt rotation with the same 2D tilt phase as q (fused yaw removed)."""
     return quat_from_tilt_phase(tilt_of_quat(q))
 

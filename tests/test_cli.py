@@ -220,6 +220,28 @@ class TestReplay:
         assert "39 cycles" in capsys.readouterr().out
         assert [r["flags"] for r in read_trace(trace)][18:21] == ["", "imu_nonfinite", ""]
 
+    @pytest.mark.parametrize("step", [5e-155, 3e-155])
+    def test_tiny_gaps_with_a_large_gyro_stay_finite(self, tmp_path, capsys, step):
+        # A gyro whose squared norm is finite passes the controller's input
+        # check, but over gaps this small the D term's WLBF slope squares
+        # past the float range, and the swing out's crossing energy with it
+        log = tmp_path / "log.csv"
+        rows = ["t,gx,gy,gz,ax,ay,az"]
+        rows += [f"{k * step!r},{1.3e154 if k >= 3 else 0.0!r},0,0,0,0,9.81" for k in range(14)]
+        log.write_text("\n".join(rows) + "\n")
+        trace = tmp_path / "r.trace"
+        assert main(["replay", str(log), "--out", str(trace)]) == EXIT_OK
+        assert "14 cycles" in capsys.readouterr().out
+        records = read_trace(trace)  # refuses non-finite values
+        assert len(records) == 14
+        assert all(math.isfinite(v) for r in records for k, v in r.items() if k != "flags")
+        cfg = ControllerConfig()
+        for x, y, a0, a1 in [("pxa", "pya", cfg.arm_limit_x, cfg.arm_limit_y),
+                             ("pxs", "pys", cfg.foot_limit_x, cfg.foot_limit_y),
+                             ("pxo", "pyo", cfg.so_limit_x, cfg.so_limit_y)]:
+            for r in records:
+                assert (r[x] / a0) * (r[x] / a0) + (r[y] / a1) * (r[y] / a1) <= 1.0, (x, r)
+
     @pytest.mark.parametrize("rows, flags", [
         (["1e300,1e10,0,0,0,0,9.81", "2e300,1e10,0,0,0,0,9.81", "3e300,1e10,0,0,0,0,9.81"],
          ["", "imu_nonfinite|replay_gap", "imu_nonfinite|replay_gap"]),

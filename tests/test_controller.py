@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import sys
 
 import pytest
 from reference import pendulum_invariant
@@ -24,7 +25,7 @@ from tiltphase.controller import (
 from tiltphase.estimator import ImuSample
 from tiltphase.harness import Scenario, run_closed_loop
 from tiltphase.rotation import quat_conj, quat_from_tilt_phase, quat_mul, quat_rotate
-from tiltphase.trace import COLUMNS
+from tiltphase.trace import COLUMNS, record_values
 
 G = 9.81
 
@@ -97,6 +98,15 @@ class TestCrossingEnergy:
     def test_rejects_bad_constant(self):
         with pytest.raises(ValueError):
             crossing_energy(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("phidot, c, kin", [
+        (2e154, 2.0, 1e308),  # phidot squared overflows, (phidot / c) squared does not
+        (1e160, 1e155, 1e10),  # c squared overflows too
+        (1e154, 1e-3, sys.float_info.max),  # the kinetic term itself overflows
+    ])
+    def test_overflowing_kinetic_term_stays_finite(self, phidot, c, kin):
+        assert crossing_energy(0.0, phidot, c) == pytest.approx(kin, rel=1e-15)
+        assert crossing_energy(0.0, -phidot, c) == pytest.approx(-kin, rel=1e-15)
 
 
 class TestSupportIndicator:
@@ -379,6 +389,21 @@ class TestSwingOut:
             act = ctrl.step(imu, GaitCommand(), dt)
         assert act.swing_out_tilt == (0.0, 0.0)
         assert act.crossing_energy_left < cfg.so_energy_min
+
+
+    def test_gain_times_an_overflowing_energy_holds_finite(self):
+        """Over 3e-155 s gaps a 1.3e154 rad/s gyro drives the crossing
+        energies near the largest float; a gain of 1e10 times them
+        overflows, and the hold filters keep the largest float instead."""
+        cfg = ControllerConfig(so_gain=1e10)
+        ctrl = TiltPhaseController(cfg)
+        for k in range(1, 14):
+            imu = ImuSample(k * 3e-155, (1.3e154 if k >= 3 else 0.0, 0.0, 0.0), (0.0, 0.0, G))
+            act = ctrl.step(imu, GaitCommand(), 3e-155)
+            assert all(map(math.isfinite, record_values(k * 3e-155, act)[:-1])), act
+            held = [x for hold in (ctrl.so_hold_l, ctrl.so_hold_r) for _, x in hold._buf]
+            assert all(map(math.isfinite, held)), held
+        assert max(held) == sys.float_info.max
 
 
 class TestLeaning:

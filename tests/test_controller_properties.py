@@ -1,4 +1,5 @@
-"""Property tests of the coercion bounds: scalar and 2D soft coercion, and the
+"""Property tests of the shaping laws: scalar and 2D soft coercion stay inside
+their bounds and the 2D smooth deadband stays finite; and of the
 controller's outputs for any plausible IMU input and, in a pushed closed
 loop, for zero or tiny PD gains, for tiny or huge semi-axes and deadbands,
 and for non-finite inputs, which the controller holds.
@@ -21,7 +22,7 @@ from tiltphase.config import (  # noqa: E402
 )
 from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController  # noqa: E402
 from tiltphase.estimator import ImuSample  # noqa: E402
-from tiltphase.filters import soft_coerce2, soft_coerce_1d  # noqa: E402
+from tiltphase.filters import smooth_deadband2, soft_coerce2, soft_coerce_1d  # noqa: E402
 from tiltphase.plant import Disturbance, SurrogatePlant  # noqa: E402
 from tiltphase.trace import record_values  # noqa: E402
 
@@ -57,6 +58,23 @@ def test_soft_coerce_1d_strictly_inside(x, limit, frac):
 def test_soft_coerce2_inside_its_ellipse(x0, x1, a0, a1, frac):
     y0, y1 = soft_coerce2(x0, x1, a0, a1, frac * min(a0, a1))
     assert (y0 / a0) * (y0 / a0) + (y1 / a1) * (y1 / a1) <= 1.0
+
+
+_SEMI_AXIS = hs.floats(5e-324, 1.7e308)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(x0=_FINITE, x1=_FINITE, a0=_SEMI_AXIS, a1=_SEMI_AXIS)
+@example(1e160, 0.0, 0.15, 0.15)
+@example(2.8e154, -1e154, 0.15, 0.3)
+@example(-1.7e308, 1.7e308, 1e3, 1e-3)
+@example(1e155, 1e155, 1e200, 2e200)
+def test_smooth_deadband2_finite_and_no_longer(x0, x1, a0, a1):
+    """Finite for finite input, also where the squared norm overflows, and
+    never longer than the input on either axis."""
+    y0, y1 = smooth_deadband2(x0, x1, a0, a1)
+    assert math.isfinite(y0) and math.isfinite(y1)
+    assert abs(y0) <= abs(x0) and abs(y1) <= abs(x1)
 
 
 def _anisotropic():

@@ -6,12 +6,7 @@ import pytest
 from reference import axis_rotation, composed_deviation, fused_yaw, tilt_phase_from_quat
 
 from tiltphase.config import ControllerConfig, fields
-from tiltphase.deviation import (
-    DeviationResult,
-    ExpectedWaveform,
-    deviation_tilt,
-    gait_phase_step,
-)
+from tiltphase.deviation import ExpectedWaveform, deviation_tilt, gait_phase_step
 from tiltphase.rotation import quat_conj, quat_from_tilt_phase, quat_mul
 
 
@@ -59,7 +54,7 @@ class TestExpectedWaveform:
 
     def test_direct_evaluation(self):
         w = ExpectedWaveform(amp_x=0.05, phase_x=0.0, offset_x=0.0)
-        assert w.evaluate(math.pi / 2).px == pytest.approx(0.05)
+        assert w.evaluate(math.pi / 2)[0] == pytest.approx(0.05)
 
     def test_is_an_immutable_named_tuple(self):
         # Its fields are the wave_* keys of ControllerConfig, in their order
@@ -86,15 +81,15 @@ class TestDeviationTilt:
             p = (rng.uniform(-1, 1), rng.uniform(-1, 1))
             pyn = rng.uniform(-1.0, 1.0)
             d = deviation_tilt(p, p, pyn)
-            assert math.hypot(d.px, d.py) < 1e-10
+            assert math.hypot(d[0], d[1]) < 1e-10
 
     def test_reduces_to_body_tilt(self):
         # pyN = 0, P_E = 0: q_d = q_P(P_B)^* with psi_E = 0, so P_d = P_B.
         d = deviation_tilt((0.1, 0.0), (0.0, 0.0), 0.0)
-        assert d.px == pytest.approx(0.1, abs=1e-10)
-        assert d.py == pytest.approx(0.0, abs=1e-10)
+        assert d[0] == pytest.approx(0.1, abs=1e-10)
+        assert d[1] == pytest.approx(0.0, abs=1e-10)
         d2 = deviation_tilt((0.2, -0.3), (0.0, 0.0), 0.0)
-        assert (d2.px, d2.py) == pytest.approx((0.2, -0.3), abs=1e-10)
+        assert d2[:2] == pytest.approx((0.2, -0.3), abs=1e-10)
 
     def test_residual_audit_fuzz(self):
         rng = random.Random(29)
@@ -102,15 +97,15 @@ class TestDeviationTilt:
             p_b = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
             p_e = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
             pyn = rng.uniform(-1.2, 1.2)
-            d = deviation_tilt(p_b, p_e, pyn)
-            assert d.converged
-            assert math.isfinite(d.px) and math.isfinite(d.py)
+            px, py, converged, _, _ = deviation_tilt(p_b, p_e, pyn)
+            assert converged
+            assert math.isfinite(px) and math.isfinite(py)
             # Cross-check against direct quaternion composition
             qd = qd_oracle(p_b, p_e, pyn, composed_deviation(p_b, p_e, pyn)[1])
             assert abs(fused_yaw(qd)) <= 1e-10
             p = tilt_phase_from_quat(quat_conj(qd))
-            assert d.px == pytest.approx(p.px, abs=1e-9)
-            assert d.py == pytest.approx(p.py, abs=1e-9)
+            assert px == pytest.approx(p.px, abs=1e-9)
+            assert py == pytest.approx(p.py, abs=1e-9)
 
     def test_continuity_under_perturbation(self):
         rng = random.Random(37)
@@ -121,7 +116,7 @@ class TestDeviationTilt:
             pyn = rng.uniform(-0.8, 0.8)
             d0 = deviation_tilt(p_b, p_e, pyn)
             d1 = deviation_tilt((p_b[0] + delta, p_b[1]), p_e, pyn)
-            change = math.hypot(d1.px - d0.px, d1.py - d0.py)
+            change = math.hypot(d1[0] - d0[0], d1[1] - d0[1])
             assert change < 100 * delta
 
 
@@ -131,6 +126,7 @@ class TestDegenerate:
         # and z2 vanish); the function must return a finite result and flag
         # non-convergence instead of raising.
         d = deviation_tilt((0.0, 0.0), (math.pi, 0.0), 0.0)
-        assert isinstance(d, DeviationResult)
-        assert not d.converged
-        assert math.isfinite(d.px) and math.isfinite(d.py)
+        assert type(d) is tuple and len(d) == 5
+        px, py, converged, _, _ = d
+        assert not converged
+        assert math.isfinite(px) and math.isfinite(py)

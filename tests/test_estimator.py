@@ -139,8 +139,8 @@ class TestInvariants:
             assert abs(fused_yaw(q_used)) < 1e-12
             # And matches the de-yawed estimate.
             pt = tilt_phase_from_quat(remove_fused_yaw(est.q))
-            assert p.px == pytest.approx(pt.px, abs=1e-10)
-            assert p.py == pytest.approx(pt.py, abs=1e-10)
+            assert p[0] == pytest.approx(pt.px, abs=1e-10)
+            assert p[1] == pytest.approx(pt.py, abs=1e-10)
 
 
 class TestImuSample:

@@ -275,6 +275,20 @@ class TestClosedLoop:
         # One plant step before the first record and one after each
         assert calls[0] == per_step * (len(res.records) + 1)
 
+    def test_cold_run_takes_no_config_repr(self, monkeypatch):
+        """A run that neither forks a walk nor takes one builds no walk key,
+        so it takes neither config's repr."""
+        def refused(cfg):
+            raise AssertionError(f"repr of a {type(cfg).__name__}")
+
+        monkeypatch.setattr(ControllerConfig, "__repr__", refused)
+        monkeypatch.setattr(PlantConfig, "__repr__", refused)
+        for enabled in (True, False):
+            sc = Scenario(duration=0.5, controller_enabled=enabled,
+                          commands=[(0.2, GaitCommand(0.1))],
+                          disturbances=[Disturbance("impulse", 0.4, 0.5, 0.3)])
+            assert len(run_closed_loop(ControllerConfig(), PlantConfig(), sc).records) == 50
+
     def test_overrides_do_not_mutate_caller_config(self):
         ctrl = ControllerConfig()
         sc = Scenario(duration=0.5, overrides={"controller.i_gain": 0.0})
@@ -321,14 +335,13 @@ def _no_step(*args):
 
 def test_run_above_max_cycles_refused_before_a_plant_step(monkeypatch):
     monkeypatch.setattr(SurrogatePlant, "step", _no_step)
-    # A command at 0 leaves no quiet prefix to count out before the first step
-    commands = [(0.0, GaitCommand())]
     # 1e308 s is inf cycles; 10000.01 s is 1000001 cycles of 0.01 s
     for duration in (1e300, 1e308, 10000.01):
         with pytest.raises(ValueError, match=r"above MAX_CYCLES = 1000000$"):
-            run_closed_loop(ControllerConfig(), PlantConfig(), Scenario(duration, commands=commands))
+            run_closed_loop(ControllerConfig(), PlantConfig(), Scenario(duration))
+    # A cold run counts out no quiet prefix before its first step
     with pytest.raises(_Stepped):
-        run_closed_loop(ControllerConfig(), PlantConfig(), Scenario(10000.0, commands=commands))
+        run_closed_loop(ControllerConfig(), PlantConfig(), Scenario(10000.0))
 
 
 def test_benchmark_above_max_cycles_refused_before_a_step(monkeypatch):

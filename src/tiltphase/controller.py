@@ -29,6 +29,7 @@ from tiltphase.filters import (
     SlopeLimiter,
     WlbfFilter,
     coerced_interp,
+    ellipse_radius,
     hard_coerce2,
     one_sided_deadband,
     smooth_deadband2,
@@ -120,30 +121,22 @@ def support_indicator(mu: float, double_support_width: float) -> float:
 
 
 def directional_gain(v: Tuple[float, float], gain_lat: float, gain_sag: float) -> float:
-    """Elliptical interpolation of lateral (x) and sagittal (y) gains along v.
+    """Elliptical interpolation of lateral (x) and sagittal (y) gains along v:
+    the radius along v of the ellipse whose semi-axes are the gains.
 
-    A zero gain switches its axis off: where a gain is zero or the squares
-    overflow or vanish, v on an axis gets that axis's gain, any other v the smaller.
+    v on an axis gets that axis's gain, exactly, and v = 0 the smaller gain.
+    A zero gain switches its axis off: v off the other axis gets 0.0.
     """
     if gain_lat == gain_sag:  # a circle: that gain along any v
         return gain_lat
     x, y = v
-    m2 = x * x + y * y
-    if m2 == 0.0:
-        return min(gain_lat, gain_sag)
-    try:
-        qx = x / gain_lat
-        qy = y / gain_sag
-        r2 = m2 / (qx * qx + qy * qy)
-    except ZeroDivisionError:  # a zero gain, or both squares vanish
-        r2 = 0.0
-    if r2 != 0.0:  # 0.0 also where the squares overflow to inf
-        return sqrt(r2)
+    if y == 0.0:
+        return gain_lat if x else min(gain_lat, gain_sag)
     if x == 0.0:
         return gain_sag
-    if y == 0.0:
-        return gain_lat
-    return min(gain_lat, gain_sag)
+    if not (gain_lat and gain_sag):
+        return 0.0
+    return ellipse_radius(x, y, gain_lat, gain_sag)
 
 
 def timing_law(
@@ -269,6 +262,10 @@ class TiltPhaseController:
             + cfg.lean_gain_wz * abs(cmd.wz)
             + cfg.lean_gain_ax * a_gx
         )
+        if raw != raw:  # products that overflow with opposite signs: each capped
+            raw = sum(max(-float_info.max, min(g * v, float_info.max)) for g, v in (
+                (cfg.lean_gain_vx, cmd.vx), (cfg.lean_gain_wz, abs(cmd.wz)),
+                (cfg.lean_gain_ax, a_gx)))
         lean = (0.0, soft_coerce_1d(raw, cfg.lean_limit, cfg.lean_buffer))
         self._lean = fit, cmd.wz, lean
         return lean

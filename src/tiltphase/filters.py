@@ -20,10 +20,11 @@ for about 95% of walk_push's cycles.
 The elliptical operations act radially: the direction of the input is
 preserved exactly and only the magnitude is reshaped against the directional
 radius of the bounding/deadband ellipse, which keeps the radial limit tight
-between the principal axes; a circle's radius is its semi-axis. They square
-x / a by multiplication, which rounds once (libm `pow` may not), and take
-their fallback for squares that overflow or vanish on an explicit inf or
-0.0 test.
+between the principal axes; a circle's radius is its semi-axis. Every other
+directional radius, the controller's elliptical gains' too, comes from one
+kernel, `ellipse_radius`. They square x / a by multiplication, which rounds
+once (libm `pow` may not), and take their fallback for squares that overflow
+or vanish on an explicit inf or 0.0 test.
 """
 
 from __future__ import annotations
@@ -36,14 +37,21 @@ from typing import Sequence, Tuple
 _INF = math.inf
 
 
-def _scaled_radius(x0: float, x1: float, a0: float, a1: float) -> float:
-    """Directional radius of the (a0, a1) ellipse along (x0, x1), for inputs
-    where squaring x / a overflows or underflows: x is scaled by its larger
-    component before it is divided by the semi-axes. Infinite for x = 0.
+def ellipse_radius(x0: float, x1: float, a0: float, a1: float) -> float:
+    """Radius along (x0, x1) != 0 of the ellipse with positive semi-axes (a0, a1).
+
+    The plain formula |x| / |(x0 / a0, x1 / a1)| where it is finite and not
+    zero; where the squares overflow or vanish, x is first scaled by its
+    larger component.
     """
+    q0 = x0 / a0
+    q1 = x1 / a1
+    # 0.0 where the squares of x vanish, or those of x / a overflow or both
+    # vanish (0.0, taken as inf); inf or nan where those of x overflow
+    r = sqrt((x0 * x0 + x1 * x1) / (q0 * q0 + q1 * q1 or _INF))
+    if 0.0 < r < _INF:
+        return r
     u = max(abs(x0), abs(x1))
-    if u == 0.0:
-        return _INF
     y0 = x0 / u
     y1 = x1 / u
     return math.hypot(y0, y1) / math.hypot(y0 / a0, y1 / a1)
@@ -62,6 +70,8 @@ def soft_coerce_mag(m: float, r: float, b: float) -> float:
 
 def soft_coerce_1d(x: float, limit: float, b: float) -> float:
     """Symmetric scalar soft coercion to (-limit, limit) with buffer b."""
+    if abs(x) <= limit - b:  # soft_coerce_mag's identity range, tested before the call
+        return x
     if x >= 0.0:
         return soft_coerce_mag(x, limit, b)
     return -soft_coerce_mag(-x, limit, b)
@@ -76,6 +86,9 @@ def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
+    r = a0  # a circle's radius along any x
+    if a0 != a1:
+        r = ellipse_radius(x0, x1, a0, a1)
     if m2 == _INF:
         # The squared norm overflows: the magnitude comes from x scaled by
         # its larger component, so the output saturates along the input ray
@@ -83,23 +96,12 @@ def soft_coerce2(x0: float, x1: float, a0: float, a1: float, b: float) -> Tuple[
         x0 /= u
         x1 /= u
         m = math.hypot(x0, x1)
-        k = soft_coerce_mag(m * u, _scaled_radius(x0, x1, a0, a1), b) / m
-        return _step_inside(k * x0, k * x1, a0, a1)
-    m = sqrt(m2)
-    r = a0  # a circle's radius along any x
-    if a0 != a1:
-        q0 = x0 / a0
-        q1 = x1 / a1
-        # Squares that overflow (inf) or both vanish (0.0, taken as inf) give 0.0
-        r = sqrt(m2 / (q0 * q0 + q1 * q1 or _INF))
-        if r == 0.0:
-            r = _scaled_radius(x0, x1, a0, a1)
-    if m <= r - b:  # soft_coerce_mag's identity range, tested before the call
-        return (x0, x1)
-    s = soft_coerce_mag(m, r, b)
-    if s == m:
-        return (x0, x1)
-    k = s / m
+        k = soft_coerce_mag(m * u, r, b) / m
+    else:
+        m = sqrt(m2)
+        if m <= r - b:  # soft_coerce_mag's identity range, tested before the call
+            return (x0, x1)
+        k = soft_coerce_mag(m, r, b) / m
     return _step_inside(k * x0, k * x1, a0, a1)
 
 
@@ -120,7 +122,7 @@ def hard_coerce2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float, flo
     s = (x0 / a0) * (x0 / a0) + (x1 / a1) * (x1 / a1)
     if s == _INF:
         # Far outside an ellipse with a tiny semi-axis: clamp to the radius along x
-        k = _scaled_radius(x0, x1, a0, a1) / math.hypot(x0, x1)
+        k = ellipse_radius(x0, x1, a0, a1) / math.hypot(x0, x1)
         return _step_inside(k * x0, k * x1, a0, a1)
     if s <= 1.0:
         return (x0, x1)
@@ -148,23 +150,18 @@ def smooth_deadband2(x0: float, x1: float, a0: float, a1: float) -> Tuple[float,
     m2 = x0 * x0 + x1 * x1
     if m2 == 0.0:
         return (0.0, 0.0)
+    r = a0  # a circle's radius along any x
+    if a0 != a1:
+        r = ellipse_radius(x0, x1, a0, a1)
     if m2 == _INF:
         # The squared norm overflows: m and r come divided by x's larger
         # component, which leaves the law's ratio k = out / m as it is
         u = max(abs(x0), abs(x1))
         m = math.hypot(x0 / u, x1 / u)
-        k = smooth_deadband_mag(m, _scaled_radius(x0, x1, a0, a1) / u) / m
-        return (k * x0, k * x1)
-    m = sqrt(m2)
-    r = a0  # a circle's radius along any x
-    if a0 != a1:
-        q0 = x0 / a0
-        q1 = x1 / a1
-        # Squares that overflow (inf) or both vanish (0.0, taken as inf) give 0.0
-        r = sqrt(m2 / (q0 * q0 + q1 * q1 or _INF))
-        if r == 0.0:
-            r = _scaled_radius(x0, x1, a0, a1)
-    k = smooth_deadband_mag(m, r) / m
+        k = smooth_deadband_mag(m, r / u) / m
+    else:
+        m = sqrt(m2)
+        k = smooth_deadband_mag(m, r) / m
     return (k * x0, k * x1)
 
 

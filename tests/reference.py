@@ -11,10 +11,13 @@ follow Allgeuer & Behnke, *Fused Angles: A Representation of Body
 Orientation for Balance* (IROS 2015).
 `wlbf_direct_sums` is the WLBF's direct moment sums as they were written out
 once per dimension, the bit-exact oracle of `WlbfFilter`'s direct path.
+`decimal_ellipse_radius` is the directional radius of an ellipse to 80
+digits, the oracle of `filters.ellipse_radius`.
 """
 
 import math
 import struct
+from decimal import Decimal, localcontext
 from typing import NamedTuple, Tuple
 
 from tiltphase.config import ControllerConfig
@@ -94,6 +97,16 @@ def quat_angle_dist(a, b):
     dm = math.sqrt(sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
     dp = math.sqrt(sum((ai + bi) ** 2 for ai, bi in zip(a, b)))
     return 2.0 * math.asin(min(1.0, 0.5 * min(dm, dp)))
+
+
+def decimal_ellipse_radius(x0: float, x1: float, a0: float, a1: float) -> Decimal:
+    """Radius along (x0, x1) != 0 of the ellipse with semi-axes (a0, a1),
+    |x| / |(x0 / a0, x1 / a1)|, in 80-digit decimal arithmetic, whose
+    exponent range holds every square of a float."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x0, x1, a0, a1 = map(Decimal, (x0, x1, a0, a1))
+        return ((x0 * x0 + x1 * x1) / ((x0 / a0) ** 2 + (x1 / a1) ** 2)).sqrt()
 
 
 def bits(value):

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_config import GAINS
 
 import tiltphase.harness as harness
 from tiltphase.cli import EXIT_DIFFERENT, EXIT_FALLEN, EXIT_INPUT, EXIT_OK, THRESHOLD_HI, main
@@ -220,8 +221,16 @@ class TestReplay:
         assert "39 cycles" in capsys.readouterr().out
         assert [r["flags"] for r in read_trace(trace)][18:21] == ["", "imu_nonfinite", ""]
 
+    @pytest.mark.parametrize("settings", [
+        {},
+        # Unequal D gains take the elliptical gain along a slope whose squares overflow
+        {"arm_d_gain_lat": 0.15, "arm_d_gain_sag": 0.2},
+        {"foot_d_gain_lat": 0.15, "foot_d_gain_sag": 0.2},
+        # Every non-negative gain at its bound
+        dict.fromkeys(GAINS, 1000.0),
+    ], ids=["defaults", "arm_d", "foot_d", "gains_1000"])
     @pytest.mark.parametrize("step", [5e-155, 3e-155])
-    def test_tiny_gaps_with_a_large_gyro_stay_finite(self, tmp_path, capsys, step):
+    def test_tiny_gaps_with_a_large_gyro_stay_finite(self, tmp_path, capsys, step, settings):
         # A gyro whose squared norm is finite passes the controller's input
         # check, but over gaps this small the D term's WLBF slope squares
         # past the float range, and the swing out's crossing energy with it
@@ -229,13 +238,15 @@ class TestReplay:
         rows = ["t,gx,gy,gz,ax,ay,az"]
         rows += [f"{k * step!r},{1.3e154 if k >= 3 else 0.0!r},0,0,0,0,9.81" for k in range(14)]
         log.write_text("\n".join(rows) + "\n")
+        config = tmp_path / "c.cfg"
+        config.write_text("".join(f"controller.{k} = {v!r}\n" for k, v in settings.items()))
         trace = tmp_path / "r.trace"
-        assert main(["replay", str(log), "--out", str(trace)]) == EXIT_OK
+        assert main(["--config", str(config), "replay", str(log), "--out", str(trace)]) == EXIT_OK
         assert "14 cycles" in capsys.readouterr().out
         records = read_trace(trace)  # refuses non-finite values
         assert len(records) == 14
         assert all(math.isfinite(v) for r in records for k, v in r.items() if k != "flags")
-        cfg = ControllerConfig()
+        cfg = ControllerConfig(**settings)
         for x, y, a0, a1 in [("pxa", "pya", cfg.arm_limit_x, cfg.arm_limit_y),
                              ("pxs", "pys", cfg.foot_limit_x, cfg.foot_limit_y),
                              ("pxo", "pyo", cfg.so_limit_x, cfg.so_limit_y)]:

@@ -110,6 +110,7 @@ RENDERED = {
     "(0, pi)": "lie in (0, pi)",
     "(0, 1000]": "lie in (0, 1000]",
     "[-1000, 1000]": "lie in [-1000, 1000]",
+    "[0, 1000]": "lie in [0, 1000]",
     f"[1, {MAX_WLBF_SIZE}]": f"lie in [1, {MAX_WLBF_SIZE}]",
 }
 _NAMED = {"pi": math.pi, "pi/2": math.pi / 2}
@@ -154,6 +155,11 @@ RELATION_CASES = [
 ]
 
 
+# The controller's non-negative gains, each bounded by 1000
+GAINS = [f"{part}_{term}_gain_{axis}" for part in ("arm", "foot") for term in ("p", "d")
+         for axis in ("lat", "sag")] + [
+    "i_gain", "i_cft_gain", "i_hip_gain", "so_gain", "sp_gain", "tim_gain"]
+
 LIMITED = [(section, name, row) for section in CONFIGS
            for name, row in _LIMITS[section].items() if row]
 
@@ -179,11 +185,20 @@ class TestLimitsTable:
         # the digest of the "section.name: row" lines
         lines = [f"{s}.{n}: {row}" for s, rows in _LIMITS.items() for n, row in rows.items()]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "728a256a1611e81b44ac953cff92cbff78e7ab9f426a9fc3bc7316a583fb15a2"
+            "8b29a96397fc2d788ec2a0b9d1e897acb924ce431d71e2084387a7d3fa9ec02c"
         )
 
     def test_every_interval_has_its_error_pinned(self):
         assert {row for _, _, row in LIMITED} == set(RENDERED) | {f"[1, {MAX_WLBF_SIZE}] even"}
+
+    @pytest.mark.parametrize("name", GAINS)
+    def test_gains_bounded(self, name):
+        # Unbounded, a 1e200 D gain made the arm's action nan, and a 1e308
+        # integral gain the foot tilt and hip shift inf
+        with pytest.raises(ConfigError) as err:
+            ControllerConfig(**{name: 1e200}).validate()
+        assert str(err.value) == f"controller.{name} must lie in [0, 1000]"
+        ControllerConfig(**{name: 1000.0}).validate()
 
     @pytest.mark.parametrize("name", ["pd_mean_order", "i_ripple_steps", "sp_mean_order"])
     def test_filter_windows_bounded(self, name):

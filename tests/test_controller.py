@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from reference import pendulum_invariant
+from reference import decimal_ellipse_radius, pendulum_invariant
 from test_filters import (
     BOUNDARY_Q,
     BOUNDARY_Y,
@@ -192,7 +192,15 @@ class TestDirectionalGain:
     def test_tiny_gain_does_not_overflow(self):
         assert directional_gain((0.3, 0.0), 1e-300, 0.5) == 1e-300
         assert directional_gain((0.0, 0.3), 1e-300, 0.5) == 0.5
-        assert 0.0 <= directional_gain((0.3, 0.1), 1e-300, 0.5) <= 1e-300
+        # Off the axes, the radius itself: about 1.054e-300
+        g = directional_gain((0.3, 0.1), 1e-300, 0.5)
+        assert 1e-300 <= g <= 0.5
+        assert g == pytest.approx(float(decimal_ellipse_radius(0.3, 0.1, 1e-300, 0.5)), rel=1e-14)
+
+    @pytest.mark.parametrize("v", [(0.3, 0.0), (-1e-300, -0.0), (1e300, 0.0), (0.0, -5e-324)])
+    def test_axis_gives_that_gain_exactly(self, v):
+        want = 0.2 if v[0] == 0.0 else 0.15
+        assert directional_gain(v, 0.15, 0.2) == want
 
 
 class TestControllerStep:
@@ -393,9 +401,9 @@ class TestSwingOut:
 
     def test_gain_times_an_overflowing_energy_holds_finite(self):
         """Over 3e-155 s gaps a 1.3e154 rad/s gyro drives the crossing
-        energies near the largest float; a gain of 1e10 times them
+        energies near the largest float; the largest gain, 1000, times them
         overflows, and the hold filters keep the largest float instead."""
-        cfg = ControllerConfig(so_gain=1e10)
+        cfg = ControllerConfig(so_gain=1000.0)
         ctrl = TiltPhaseController(cfg)
         for k in range(1, 14):
             imu = ImuSample(k * 3e-155, (1.3e154 if k >= 3 else 0.0, 0.0, 0.0), (0.0, 0.0, G))
@@ -428,6 +436,23 @@ class TestLeaning:
         assert len(result.records) == 200
         for rec in result.records:
             assert all(map(math.isfinite, rec[:-1])), rec[0]
+
+    @pytest.mark.parametrize("cmd, gains", [
+        (GaitCommand(-1e308, 0.0, 1e308), (2.0, 2.0)),
+        (GaitCommand(1e300, 0.0, -1e300), (1e10, -1e10)),
+    ])
+    def test_opposing_overflowing_terms_stay_finite(self, cmd, gains):
+        # The vx and wz terms overflow to infinities of opposite signs,
+        # whose sum is nan: each is taken at the largest float instead
+        cfg = ControllerConfig(lean_gain_vx=gains[0], lean_gain_wz=gains[1])
+        result = run_closed_loop(
+            cfg, PlantConfig(), Scenario(duration=0.5, commands=[(0.0, cmd)]))
+        for rec in result.records:
+            assert all(map(math.isfinite, rec[:-1])), rec[0]
+        # At the first step the acceleration term is 0: the capped terms cancel
+        ctrl = TiltPhaseController(cfg)
+        act = ctrl.step(ImuSample(0.01, (0.0, 0.0, 0.0), (0.0, 0.0, G)), cmd, cfg.cycle_dt)
+        assert act.lean_tilt == (0.0, 0.0)
 
     def test_velocity_step_transient_exceeds_steady_state(self):
         cfg = ControllerConfig()

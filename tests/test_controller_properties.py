@@ -1,16 +1,20 @@
 """Property tests of the shaping laws: scalar and 2D soft coercion stay inside
-their bounds and the 2D smooth deadband stays finite; and of the
+their bounds, the 2D smooth deadband stays finite and the directional radius
+of an ellipse is within a few ulps of an 80-digit reference; and of the
 controller's outputs for any plausible IMU input and, in a pushed closed
 loop, for zero or tiny PD gains, for tiny or huge semi-axes and deadbands,
-and for non-finite inputs, which the controller holds.
+and for non-finite inputs, which the controller holds; and of the records
+of configs within their limits over replays whose squares overflow.
 
 Needs Hypothesis (the `test` extra); skipped where it is not installed.
 """
 
 import math
 from collections import deque
+from decimal import Decimal
 
 import pytest
+from reference import decimal_ellipse_radius
 
 pytest.importorskip("hypothesis")
 
@@ -20,9 +24,14 @@ from hypothesis import strategies as hs  # noqa: E402
 from tiltphase.config import (  # noqa: E402
     _CHECKS, ConfigError, ControllerConfig, PlantConfig, fields,
 )
-from tiltphase.controller import ActivationSet, GaitCommand, TiltPhaseController  # noqa: E402
+from tiltphase.controller import (  # noqa: E402
+    ActivationSet, GaitCommand, TiltPhaseController, directional_gain,
+)
 from tiltphase.estimator import ImuSample  # noqa: E402
-from tiltphase.filters import smooth_deadband2, soft_coerce2, soft_coerce_1d  # noqa: E402
+from tiltphase.filters import (  # noqa: E402
+    ellipse_radius, smooth_deadband2, soft_coerce2, soft_coerce_1d,
+)
+from tiltphase.harness import run_replay  # noqa: E402
 from tiltphase.plant import Disturbance, SurrogatePlant  # noqa: E402
 from tiltphase.trace import record_values  # noqa: E402
 
@@ -75,6 +84,33 @@ def test_smooth_deadband2_finite_and_no_longer(x0, x1, a0, a1):
     y0, y1 = smooth_deadband2(x0, x1, a0, a1)
     assert math.isfinite(y0) and math.isfinite(y1)
     assert abs(y0) <= abs(x0) and abs(y1) <= abs(x1)
+
+
+def _signed(magnitudes):
+    return hs.tuples(magnitudes, hs.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+_AXIS = hs.floats(1e-3, 1e3)
+# Components whose squares are normal, or overflow (past about 1.3e154):
+# subnormal squares are left out, where the plain formula loses digits
+_COMPONENT = _signed(hs.one_of(_AXIS, hs.floats(1e155, 1.7e308)))
+# The plain formula rounds seven times, which bounds its error by 4 ulps;
+# 900,000 random draws over this domain measured at most 3.01
+_RADIUS_ULPS = 4
+
+
+@settings(max_examples=500, deadline=None)
+@given(x0=_COMPONENT, x1=_COMPONENT, a0=_AXIS, a1=_AXIS)
+@example(1e160, 1e160, 0.15, 0.2)
+@example(-0.04050464881325842, -64.39500160207726, 0.040386261015476356, 657.5969843339844)
+def test_directional_radius_within_ulps_of_decimal_reference(x0, x1, a0, a1):
+    """`ellipse_radius` and `directional_gain` against the radius in 80
+    digits, for semi-axes and components in [1e-3, 1e3] and components of
+    1e155 and above, whose squares overflow."""
+    want = decimal_ellipse_radius(x0, x1, a0, a1)
+    ulp = Decimal(math.ulp(float(want)))
+    for r in (ellipse_radius(x0, x1, a0, a1), directional_gain((x0, x1), a0, a1)):
+        assert abs(Decimal(r) - want) <= _RADIUS_ULPS * ulp, r
 
 
 def _anisotropic():
@@ -384,3 +420,55 @@ def test_non_finite_inputs_held_in_pushed_loop(config, injections):
         state = list(state_floats(ctrl))
         assert all(map(math.isfinite, state)), f"cycle {k}: non-finite state"
         imu = plant.step(act, ctrl.mu, (k + 1) * dt, dt)
+
+
+_ROWS = {name: (least, most, even) for name, least, most, even, _ in _CHECKS["controller"]}
+
+
+def within_row(name):
+    """Values of one controller field within its row of the limits table."""
+    kind = fields(ControllerConfig)[name]
+    if kind == "bool":
+        return hs.booleans()
+    least, most, even = _ROWS.get(name, (-math.inf, math.inf, False))
+    if even:
+        return hs.integers(math.ceil(least / 2), int(most) // 2).map(lambda v: 2 * v)
+    if kind == "int":
+        return hs.integers(int(least), int(most))
+    return hs.floats(least, most, allow_nan=False, allow_infinity=False)
+
+
+def tiny_gap_log(step, axis):
+    """The 14-row IMU log of stamps k * step whose gyro is 1.3e154 rad/s
+    about one axis from row 3: its squares are finite, the WLBF slopes over
+    such gaps square past the float range."""
+    return [ImuSample(k * step, tuple(1.3e154 if k >= 3 and i == axis else 0.0
+                                      for i in range(3)), (0.0, 0.0, 9.81))
+            for k in range(14)]
+
+
+_TINY_GAP_LOGS = [tiny_gap_log(step, axis) for step in (5e-155, 3e-155) for axis in (0, 1)]
+# vx and wz of opposite signs, whose lean terms overflow with large gains
+_OPPOSING = [(0.0, GaitCommand(-1e300, 0.0, 1e300))]
+
+
+# Derandomized, so every run draws the same examples
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(values=hs.sets(hs.sampled_from(sorted(fields(ControllerConfig))), min_size=2, max_size=8)
+       .flatmap(lambda names: hs.fixed_dictionaries({n: within_row(n) for n in sorted(names)})))
+@example({"arm_d_gain_lat": 0.15, "arm_d_gain_sag": 0.2})
+@example({"foot_d_gain_lat": 0.15, "foot_d_gain_sag": 0.2})
+@example({"lean_gain_vx": 2e8, "lean_gain_wz": 2e8})
+def test_configs_within_limits_replay_finite(values):
+    """Two to eight fields of the defaults anywhere within their limits:
+    the config is rejected by a relation, or every record of the tiny-gap
+    replays about x and y, with and without an opposing command, is finite."""
+    cfg = ControllerConfig(**values)
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    for samples in _TINY_GAP_LOGS:
+        for commands in (None, _OPPOSING):
+            for rec in run_replay(cfg, samples, commands):
+                assert all(map(math.isfinite, rec[:-1])), rec

@@ -17,10 +17,10 @@ from tiltphase.filters import (
     MAX_WLBF_SIZE,
     WlbfFilter,
     _SWAMP,
-    _scaled_radius,
     _step_inside,
     _swamped,
     coerced_interp,
+    ellipse_radius,
     hard_coerce2,
     on_grid,
     one_sided_deadband,
@@ -190,22 +190,27 @@ class TestEllipsoid:
             assert r >= min(a) - 1e-12
 
     def test_radius_where_squares_overflow_or_vanish(self):
-        # The scaled form agrees with the direct one where both work...
+        # The kernel agrees with the generic reference where its plain
+        # formula works...
         rng = random.Random(4)
         for _ in range(1000):
             a = (rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0))
             x = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
             want = generic_radius_along(x, a)
-            assert _scaled_radius(*x, *a) == pytest.approx(want, rel=1e-14)
-        # ...and takes over where (x / a) ** 2 overflows or both squares vanish
-        r = _scaled_radius(1.0, 1.0, 1e-200, 1.0)
+            assert ellipse_radius(*x, *a) == pytest.approx(want, rel=1e-14)
+        # ...and scales x first where (x / a) ** 2 overflows or the squares vanish
+        r = ellipse_radius(1.0, 1.0, 1e-200, 1.0)
         assert r == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-14)
-        assert _scaled_radius(1.0, -1.0, 1e300, 1e300) == pytest.approx(1e300, rel=1e-14)
-        assert _scaled_radius(1e-200, 0.0, 1e300, 1e300) == pytest.approx(1e300, rel=1e-14)
-        assert _scaled_radius(0.0, 0.0, 1.0, 1.0) == math.inf
+        assert ellipse_radius(1.0, -1.0, 1e300, 1e300) == pytest.approx(1e300, rel=1e-14)
+        assert ellipse_radius(1e-200, 0.0, 1e300, 1e300) == pytest.approx(1e300, rel=1e-14)
         # Both squares underflow to 0.0: the radius along the long axis
-        assert _scaled_radius(0.0, 1e-200, 1e-3, 2.5) == pytest.approx(2.5, rel=1e-14)
-        assert _scaled_radius(1e-170, -1e-170, 0.3, 0.3) == pytest.approx(0.3, rel=1e-14)
+        assert ellipse_radius(0.0, 1e-200, 1e-3, 2.5) == pytest.approx(2.5, rel=1e-14)
+        assert ellipse_radius(1e-170, -1e-170, 0.3, 0.3) == pytest.approx(0.3, rel=1e-14)
+        # x's squares overflow: inf or nan from the plain formula, not returned
+        assert ellipse_radius(1e160, 1e160, 0.15, 0.2) == pytest.approx(
+            math.sqrt(2.0) / math.hypot(1.0 / 0.15, 1.0 / 0.2), rel=1e-14)
+        r = ellipse_radius(-1.7e308, 1.7e308, 3.0, 4.0)
+        assert r == pytest.approx(12.0 * math.sqrt(2.0) / 5.0, rel=1e-14)
         # In the kernels: far past the deadband, |output| = |x| - r
         y = smooth_deadband2(1.0, 1.0, 1e-200, 1.0)
         assert math.hypot(*y) == pytest.approx(math.sqrt(2.0), rel=1e-14)
@@ -213,8 +218,8 @@ class TestEllipsoid:
     @pytest.mark.parametrize("x0, want", [(5e-324, 10.0), (1e-320, 10.0), (-2.5e-310, 10.0)])
     def test_radius_where_ratios_are_subnormal(self, x0, want):
         # x / a is subnormal or underflows to 0; scaling x first keeps the digits
-        assert _scaled_radius(x0, 0.0, 10.0, 1.0) == pytest.approx(want, rel=1e-15)
-        assert _scaled_radius(0.0, x0, 1.0, 10.0) == pytest.approx(want, rel=1e-15)
+        assert ellipse_radius(x0, 0.0, 10.0, 1.0) == pytest.approx(want, rel=1e-15)
+        assert ellipse_radius(0.0, x0, 1.0, 10.0) == pytest.approx(want, rel=1e-15)
 
 
 # A point on the unit circle as the kernels compute it: Q * Q + Y * Y is 1.0

@@ -7,9 +7,9 @@ import math
 import sys
 
 from tiltphase.config import (
-    ConfigError,
     ControllerConfig,
     PlantConfig,
+    apply_overrides,
     coerce,
     dump_config,
     load_config,
@@ -64,10 +64,16 @@ def _load_configs(args):
     return ControllerConfig(), PlantConfig()
 
 
-def _load_scenario(args) -> Scenario:
+def _load_scenario(args, ctrl, plant) -> Scenario:
     if getattr(args, "scenario", None):
         with open(args.scenario, "r", encoding="utf-8") as fh:
-            scenario = Scenario.from_json(fh.read())
+            try:  # json.JSONDecodeError is a ValueError, as is ConfigError
+                scenario = Scenario.from_json(fh.read())
+                # The run applies the overrides again; a relation they break is the file's
+                apply_overrides(replace(ctrl), replace(plant), scenario.overrides,
+                                "scenario config: ")
+            except ValueError as exc:
+                raise ValueError(f"{args.scenario}: {exc}") from None
     else:
         scenario = Scenario()
     if getattr(args, "duration", None) is not None:
@@ -80,7 +86,7 @@ def _load_scenario(args) -> Scenario:
 
 def cmd_simulate(args) -> int:
     ctrl, plant = _load_configs(args)
-    scenario = _load_scenario(args)
+    scenario = _load_scenario(args, ctrl, plant)
     result = run_closed_loop(ctrl, plant, scenario)
     if args.out:
         write_trace(args.out, result.records, csv=args.csv)
@@ -130,9 +136,7 @@ def cmd_fit_waveform(args) -> int:
     records = read_trace(args.trace)
     if len(records) < 10:
         raise ValueError(f"{args.trace}: need at least 10 records to fit")
-    mu = [r["mu"] for r in records]
-    px = [r["pxB"] for r in records]
-    py = [r["pyB"] for r in records]
+    mu, px, py = ([r[k] for r in records] for k in map(FIELDS.index, ("mu", "pxB", "pyB")))
     wave, rms = fit_waveform(mu, px, py)
     # Named as the ControllerConfig keys they feed
     out = {f"wave_{k}": v for k, v in wave._asdict().items()}
@@ -147,40 +151,32 @@ def cmd_fit_waveform(args) -> int:
     return EXIT_OK
 
 
-def _read_trace_of(path):
-    try:
-        return read_trace(path)
-    except ValueError as exc:  # read_trace names the line; add the file
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _differ(x: float, y: float) -> bool:
     # == alone takes -0.0 for 0.0, which the trace writes differently
     return x != y or math.copysign(1.0, x) != math.copysign(1.0, y)
 
 
 def cmd_diff(args) -> int:
-    a = _read_trace_of(args.a)
-    b = _read_trace_of(args.b)
-    numeric = FIELDS[:-1]
-    worst = dict.fromkeys(numeric, 0.0)
+    a, b = read_trace(args.a), read_trace(args.b)
+    n = len(FIELDS) - 1  # the numeric columns; flags is the last
+    worst = [0.0] * n
     flag_diffs = 0
     first = None
     for i, (ra, rb) in enumerate(zip(a, b), start=1):
-        cols = [n for n in numeric if _differ(ra[n], rb[n])]
-        for n in cols:
-            worst[n] = max(worst[n], abs(ra[n] - rb[n]))
-        if ra["flags"] != rb["flags"]:
+        cols = [k for k in range(n) if _differ(ra[k], rb[k])]
+        for k in cols:
+            worst[k] = max(worst[k], abs(ra[k] - rb[k]))
+        if ra[n] != rb[n]:
             flag_diffs += 1
-            cols.append("flags")
+            cols.append(n)
         if cols and first is None:
-            shown = ", ".join(f"{n} {ra[n]!r} vs {rb[n]!r}" for n in cols)
-            first = f"record {i} (t={ra['t']!r}): {shown}"
+            shown = ", ".join(f"{FIELDS[k]} {ra[k]!r} vs {rb[k]!r}" for k in cols)
+            first = f"record {i} (t={ra[0]!r}): {shown}"
     if first is None and len(a) != len(b):
         first = f"record {min(len(a), len(b)) + 1}: only in {args.a if len(a) > len(b) else args.b}"
     print("column max_abs_diff")
-    for n in numeric:
-        print(f"{n} {worst[n]!r}")
+    for name, w in zip(FIELDS, worst):
+        print(f"{name} {w!r}")
     print(f"flags {flag_diffs} records differ")
     print(f"records {len(a)} {len(b)}")
     if first is None:
@@ -265,7 +261,7 @@ def main(argv=None) -> int:
             parser.print_help()
             return EXIT_INPUT
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

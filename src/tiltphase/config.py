@@ -453,7 +453,7 @@ def load_config(path) -> Tuple[ControllerConfig, PlantConfig]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse_config_lines(fh)
-        except ConfigError as err:
+        except ValueError as err:  # a ConfigError, or bytes that are not UTF-8
             raise ConfigError(f"{path}: {err}") from None
 
 

@@ -30,27 +30,33 @@ or vanish on an explicit inf or 0.0 test.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from math import copysign, sqrt
 from typing import Sequence, Tuple
 
 _INF = math.inf
+_TINY = sys.float_info.min
+_MAX = sys.float_info.max
 
 
 def ellipse_radius(x0: float, x1: float, a0: float, a1: float) -> float:
     """Radius along (x0, x1) != 0 of the ellipse with positive semi-axes (a0, a1).
 
-    The plain formula |x| / |(x0 / a0, x1 / a1)| where it is finite and not
-    zero; where the squares overflow or vanish, x is first scaled by its
-    larger component.
+    The plain formula |x| / |(x0 / a0, x1 / a1)| where both sums of squares
+    are normal and the result is finite and not zero; elsewhere x is first
+    scaled by its larger component.
     """
     q0 = x0 / a0
     q1 = x1 / a1
-    # 0.0 where the squares of x vanish, or those of x / a overflow or both
-    # vanish (0.0, taken as inf); inf or nan where those of x overflow
-    r = sqrt((x0 * x0 + x1 * x1) / (q0 * q0 + q1 * q1 or _INF))
-    if 0.0 < r < _INF:
-        return r
+    s = x0 * x0 + x1 * x1
+    d = q0 * q0 + q1 * q1
+    # A sum below the least normal float has lost digits; the quotient is
+    # 0.0, inf or nan where the sums overflow
+    if s >= _TINY and d >= _TINY:
+        r = sqrt(s / d)
+        if 0.0 < r < _INF:
+            return r
     u = max(abs(x0), abs(x1))
     y0 = x0 / u
     y1 = x1 / u
@@ -260,6 +266,24 @@ def _swamped(buf, i: int, t0: float, t1: float, t2: float, n2: float) -> bool:
     return m > _SWAMP * rest > 0.0
 
 
+def _direct_fit(buf, dim: int, wts, tbar: float, cov_tt: float, sw: float):
+    """(slope, mean) per axis of the records (t, x0[, x1]) in buf from the
+    direct sums: wts holds each record's weight times its time, tbar, cov_tt
+    and sw are the weighted mean time, the time covariance and the weights'
+    sum."""
+    slope = mean = ()
+    for i in range(1, dim + 1):
+        w = sx = stx = 0.0
+        for r, wt in zip(buf, wts):
+            w += 1.0
+            x = r[i]
+            sx += w * x
+            stx += wt * x
+        slope += ((stx - tbar * sx) / cov_tt,)
+        mean += (sx / sw,)
+    return slope, mean
+
+
 # The largest WLBF window; `_swamped`'s screen holds below 5000 values
 MAX_WLBF_SIZE = 4096
 
@@ -432,17 +456,21 @@ class WlbfFilter:
         cov_tt = stt - tbar * st
         if not cov_tt > 0.0:
             return (0.0,) * dim, rec[1:]
-        slope = mean = ()
-        for i in range(1, dim + 1):
-            w = sx = stx = 0.0
-            for r, wt in zip(buf, wts):
-                w += 1.0
-                x = r[i]
-                sx += w * x
-                stx += wt * x
-            slope += ((stx - tbar * sx) / cov_tt,)
-            mean += (sx / sw,)
-        return slope, mean
+        fit = _direct_fit(buf, dim, wts, tbar, cov_tt, sw)
+        if all(map(math.isfinite, fit[0] + fit[1])):
+            return fit
+        big = max(abs(v) for r in buf for v in r[1:])
+        if not big < _INF:
+            return fit
+        # Sums of finite values that overflow: refit the window divided by c,
+        # the power of two that puts its largest magnitude in [1, 2), and
+        # scale the fit back. Dividing is exact for every value large enough
+        # to move the fit. A slope (or a mean rounded up) beyond the float
+        # range is held at the largest float.
+        c = 2.0 ** (math.frexp(big)[1] - 1)
+        fit = _direct_fit([(0.0, *(v / c for v in r[1:])) for r in buf], dim, wts,
+                          tbar, cov_tt, sw)
+        return tuple(tuple(max(-_MAX, min(v * c, _MAX)) for v in part) for part in fit)
 
 
 class BoundedIntegrator:

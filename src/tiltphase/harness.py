@@ -16,7 +16,7 @@ from tiltphase.deviation import ExpectedWaveform, gait_phase_step
 from tiltphase.estimator import ImuSample
 from tiltphase.filters import on_grid
 from tiltphase.plant import Disturbance, SurrogatePlant, disturbance_error
-from tiltphase.trace import csv_rows, finite_float, record_values
+from tiltphase.trace import csv_rows, record_values
 
 
 class Scenario(_Record):
@@ -324,15 +324,15 @@ _IMU_FIELDS = ("t", "gx", "gy", "gz", "ax", "ay", "az")
 
 
 def load_imu_log(path) -> List[ImuSample]:
-    """Parse an IMU log: header then rows `t,gx,gy,gz,ax,ay,az`."""
+    """Parse an IMU log: header then rows `t,gx,gy,gz,ax,ay,az`; each error starts with path."""
     samples = []
-    for lineno, parts in csv_rows(path, len(_IMU_FIELDS)):
-        t, *v = (finite_float(raw, name, lineno) for name, raw in zip(_IMU_FIELDS, parts))
+    for lineno, (t, *v) in csv_rows(path, _IMU_FIELDS, flags=False):
         if samples:
-            if t <= samples[-1].t:
-                raise ValueError(f"line {lineno}: non-monotone timestamp {t}")
-            if t - samples[-1].t == math.inf:
-                raise ValueError(f"line {lineno}: timestamp step overflows after t={samples[-1].t}")
+            last = samples[-1].t
+            if t <= last:
+                raise ValueError(f"{path}: line {lineno}: non-monotone timestamp {t}")
+            if t - last == math.inf:
+                raise ValueError(f"{path}: line {lineno}: timestamp step overflows after t={last}")
         samples.append(ImuSample(t, tuple(v[:3]), tuple(v[3:])))
     return samples
 

@@ -126,17 +126,24 @@ def write_trace(path, records: List[tuple], csv: bool = False) -> None:
                           f"with status {os.waitstatus_to_exitcode(status)}")
 
 
-def csv_rows(path, n_fields: int) -> Iterator[Tuple[int, List[str]]]:
-    """(line number, fields) of each row; blank, `#` and `t,...` header lines are skipped."""
+def csv_rows(path, names: Tuple[str, ...], *, flags: bool) -> Iterator[Tuple[int, tuple]]:
+    """(line number, row) of each row of the CSV file at path: a finite float
+    per name, then with flags the text of one more field. Blank, `#` and
+    `t,...` header lines are skipped; each error starts with path."""
+    width = len(names) + flags
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#") or text.startswith("t,"):
-                continue
-            parts = text.split(",")
-            if len(parts) != n_fields:
-                raise ValueError(f"line {lineno}: malformed row: {len(parts)} fields, not {n_fields}")
-            yield lineno, parts
+        try:  # around the reads too, which refuse bytes that are not UTF-8
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text or text.startswith("#") or text.startswith("t,"):
+                    continue
+                parts = text.split(",")
+                if len(parts) != width:
+                    raise ValueError(f"line {lineno}: malformed row: {len(parts)} fields, not {width}")
+                values = tuple(finite_float(raw, name, lineno) for name, raw in zip(names, parts))
+                yield lineno, (*values, parts[-1]) if flags else values
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def finite_float(raw: str, name: str, lineno: int) -> float:
@@ -150,11 +157,6 @@ def finite_float(raw: str, name: str, lineno: int) -> float:
     return v
 
 
-def read_trace(path) -> List[dict]:
-    """Trace records as dicts keyed by FIELDS; flags stays a string."""
-    out = []
-    for lineno, parts in csv_rows(path, len(FIELDS)):
-        rec = {name: finite_float(raw, name, lineno) for name, raw in zip(FIELDS[:-1], parts)}
-        rec["flags"] = parts[-1]
-        out.append(rec)
-    return out
+def read_trace(path) -> List[tuple]:
+    """The records of a trace or CSV file, as `record_values` builds them."""
+    return [row for _, row in csv_rows(path, FIELDS[:-1], flags=True)]

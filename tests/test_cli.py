@@ -12,7 +12,7 @@ from test_config import GAINS
 import tiltphase.harness as harness
 from tiltphase.cli import EXIT_DIFFERENT, EXIT_FALLEN, EXIT_INPUT, EXIT_OK, THRESHOLD_HI, main
 from tiltphase.config import ControllerConfig
-from tiltphase.trace import read_trace
+from tiltphase.trace import FIELDS, read_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -94,7 +94,7 @@ class TestSimulate:
         sc.write_text(text)
         assert main(["simulate", "--scenario", str(sc), "--duration", "0.5"]) == EXIT_INPUT
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: scenario {key}: unknown key")
+        assert captured.err.startswith(f"error: {sc}: scenario {key}: unknown key")
         assert "cycles" not in captured.out
 
     def test_nonpositive_duration_rejected(self, capsys):
@@ -145,7 +145,8 @@ class TestSimulate:
         scenario.write_text(json.dumps({"duration": 0.1, "config": {"controller.i_gain": "2_5"}}))
         assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
         captured = capsys.readouterr()
-        message = "error: scenario config: controller.i_gain: expected a number, got '2_5'"
+        message = (f"error: {scenario}: scenario config: controller.i_gain: expected a number, "
+                   "got '2_5'")
         assert message in captured.err
         assert "cycles" not in captured.out
 
@@ -154,7 +155,7 @@ class TestSimulate:
         scenario.write_text(json.dumps({"duration": 0.1, "config": {"controller.f_min": 50}}))
         assert main(["simulate", "--scenario", str(scenario)]) == EXIT_INPUT
         captured = capsys.readouterr()
-        message = "error: scenario config: controller.f_nom must lie in [f_min, f_max]\n"
+        message = f"error: {scenario}: scenario config: controller.f_nom must lie in [f_min, f_max]\n"
         assert captured.err == message
         assert captured.out == ""
 
@@ -209,7 +210,7 @@ class TestReplay:
             assert "60 cycles" in captured.out
             assert len(read_trace(trace)) == 60  # refuses non-finite values
         else:
-            assert rc == EXIT_INPUT and "error: line " in captured.err
+            assert rc == EXIT_INPUT and f"error: {log}: line " in captured.err
 
     def test_huge_gyro_is_held(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -219,7 +220,7 @@ class TestReplay:
         trace = tmp_path / "r.trace"
         assert main(["replay", str(log), "--out", str(trace)]) == EXIT_OK
         assert "39 cycles" in capsys.readouterr().out
-        assert [r["flags"] for r in read_trace(trace)][18:21] == ["", "imu_nonfinite", ""]
+        assert [r[-1] for r in read_trace(trace)][18:21] == ["", "imu_nonfinite", ""]
 
     @pytest.mark.parametrize("settings", [
         {},
@@ -245,13 +246,14 @@ class TestReplay:
         assert "14 cycles" in capsys.readouterr().out
         records = read_trace(trace)  # refuses non-finite values
         assert len(records) == 14
-        assert all(math.isfinite(v) for r in records for k, v in r.items() if k != "flags")
+        assert all(math.isfinite(v) for r in records for v in r[:-1])
         cfg = ControllerConfig(**settings)
         for x, y, a0, a1 in [("pxa", "pya", cfg.arm_limit_x, cfg.arm_limit_y),
                              ("pxs", "pys", cfg.foot_limit_x, cfg.foot_limit_y),
                              ("pxo", "pyo", cfg.so_limit_x, cfg.so_limit_y)]:
+            i, j = FIELDS.index(x), FIELDS.index(y)
             for r in records:
-                assert (r[x] / a0) * (r[x] / a0) + (r[y] / a1) * (r[y] / a1) <= 1.0, (x, r)
+                assert (r[i] / a0) * (r[i] / a0) + (r[j] / a1) * (r[j] / a1) <= 1.0, (x, r)
 
     @pytest.mark.parametrize("rows, flags", [
         (["1e300,1e10,0,0,0,0,9.81", "2e300,1e10,0,0,0,0,9.81", "3e300,1e10,0,0,0,0,9.81"],
@@ -271,8 +273,9 @@ class TestReplay:
         assert main(["replay", str(log), "--out", str(trace)]) == EXIT_OK
         assert f"{len(rows)} cycles" in capsys.readouterr().out
         records = read_trace(trace)
-        assert [r["flags"] for r in records] == flags
-        assert all(r["pxB"] == records[0]["pxB"] and r["pyB"] == records[0]["pyB"]
+        assert [r[-1] for r in records] == flags
+        pxb, pyb = FIELDS.index("pxB"), FIELDS.index("pyB")
+        assert all(r[pxb] == records[0][pxb] and r[pyb] == records[0][pyb]
                    for r, f in zip(records, flags) if f)
 
     def test_digit_group_underscore_rejected(self, tmp_path, capsys):
@@ -452,6 +455,52 @@ class TestDiff:
         bad.write_text("\n".join(lines[:5] + ["1.0,2.0"] + lines[5:]) + "\n")
         assert main(["diff", str(a), str(bad)]) == EXIT_INPUT
         assert f"{bad}: line 6: malformed row" in capsys.readouterr().err
+
+
+# Each file the CLI reads, malformed: (file name, its text or bytes, argv
+# with {bad} and {good} for the paths). None stands for a trace whose
+# fourth line has a non-numeric pxB.
+MALFORMED_INPUTS = [
+    pytest.param("c.cfg", "controller.i_gain = x\n",
+                 ["--config", "{bad}", "simulate", "--duration", "0.1"], id="config"),
+    pytest.param("c.cfg", b"controller.i_gain = \xff\n",
+                 ["--config", "{bad}", "simulate", "--duration", "0.1"], id="config-not-utf8"),
+    pytest.param("s.json", '{"duration": 0.1, "seed": 2.7}', ["simulate", "--scenario", "{bad}"],
+                 id="scenario-field"),
+    pytest.param("s.json", '{"duration": 0.1', ["simulate", "--scenario", "{bad}"],
+                 id="scenario-json"),
+    pytest.param("s.json", '{"duration": 0.1, "config": {"controller.f_min": 50}}',
+                 ["simulate", "--scenario", "{bad}"], id="scenario-relation"),
+    pytest.param("log.csv", "t,gx,gy,gz,ax,ay,az\n0.01,0,0,0,0,0,9.81\n0.02,x,0,0,0,0,9.81\n",
+                 ["replay", "{bad}"], id="replay-log"),
+    pytest.param("log.csv", b"t,gx,gy,gz,ax,ay,az\n0.01,0,0,0,0,0,9.81\xff\n",
+                 ["replay", "{bad}"], id="replay-log-not-utf8"),
+    pytest.param("bad.trace", None, ["fit-waveform", "{bad}"], id="fit-waveform-trace"),
+    pytest.param("bad.trace", None, ["diff", "{bad}", "{good}"], id="diff-first-trace"),
+    pytest.param("bad.trace", None, ["diff", "{good}", "{bad}"], id="diff-second-trace"),
+]
+
+
+@pytest.mark.parametrize("name, content, argv", MALFORMED_INPUTS)
+def test_malformed_input_file_is_named_once(tmp_path, capsys, name, content, argv):
+    good = tmp_path / "good.trace"
+    assert main(["simulate", "--duration", "0.2", "--out", str(good)]) == EXIT_OK
+    if content is None:
+        lines = good.read_text().splitlines()
+        row = lines[3].split(",")
+        row[2] = "x"
+        lines[3] = ",".join(row)
+        content = "\n".join(lines) + "\n"
+    bad = tmp_path / name
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
+    capsys.readouterr()
+    assert main([a.format(bad=bad, good=good) for a in argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert err.count(f"{bad}: ") == 1
 
 
 class TestTopLevel:

@@ -197,6 +197,14 @@ class TestDirectionalGain:
         assert 1e-300 <= g <= 0.5
         assert g == pytest.approx(float(decimal_ellipse_radius(0.3, 0.1, 1e-300, 0.5)), rel=1e-14)
 
+    def test_subnormal_squares_take_the_scaled_form(self):
+        # The sum of v's squares is subnormal and has lost its digits: the
+        # plain formula gave 0.02096, not the radius 0.015076
+        v = (-1.5986725343413916e-162, -2.682556222291249e-298)
+        a0, a1 = 0.015075959787654263, 0.02440355718473092
+        want = float(decimal_ellipse_radius(*v, a0, a1))
+        assert directional_gain(v, a0, a1) == pytest.approx(want, rel=1e-15)
+
     @pytest.mark.parametrize("v", [(0.3, 0.0), (-1e-300, -0.0), (1e300, 0.0), (0.0, -5e-324)])
     def test_axis_gives_that_gain_exactly(self, v):
         want = 0.2 if v[0] == 0.0 else 0.15
@@ -436,6 +444,23 @@ class TestLeaning:
         assert len(result.records) == 200
         for rec in result.records:
             assert all(map(math.isfinite, rec[:-1])), rec[0]
+
+    @pytest.mark.parametrize("vx", [
+        lambda k: -1e308,
+        lambda k: 1e308 if k < 5 else 0.0,
+        lambda k: (-1e308, 1e308)[k % 2],
+    ], ids=["constant", "step", "alternating"])
+    def test_command_whose_direct_sums_overflow_keeps_the_lean_state_finite(self, vx):
+        # A vx of 1e308 overflows the leaning WLBF's direct sums; its fit,
+        # refit at a power of two scale, and the lean held with it stay
+        # finite, also where the refit slope lies beyond the float range
+        cfg = ControllerConfig()
+        ctrl = TiltPhaseController(cfg)
+        for k in range(1, 60):
+            ctrl.step(ImuSample(k * cfg.cycle_dt, (0.0, 0.0, 0.0), (0.0, 0.0, G)),
+                      GaitCommand(vx(k)), cfg.cycle_dt)
+            (slope, mean), wz, lean = ctrl._lean
+            assert all(map(math.isfinite, (*slope, *mean, wz, *lean))), k
 
     @pytest.mark.parametrize("cmd, gains", [
         (GaitCommand(-1e308, 0.0, 1e308), (2.0, 2.0)),

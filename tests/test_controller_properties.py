@@ -91,9 +91,9 @@ def _signed(magnitudes):
 
 
 _AXIS = hs.floats(1e-3, 1e3)
-# Components whose squares are normal, or overflow (past about 1.3e154):
-# subnormal squares are left out, where the plain formula loses digits
-_COMPONENT = _signed(hs.one_of(_AXIS, hs.floats(1e155, 1.7e308)))
+# Components whose squares are normal, overflow (past about 1.3e154), or
+# are subnormal or vanish (below about 1.5e-154)
+_COMPONENT = _signed(hs.one_of(_AXIS, hs.floats(1e155, 1.7e308), hs.floats(5e-324, 1.4e-154)))
 # The plain formula rounds seven times, which bounds its error by 4 ulps;
 # 900,000 random draws over this domain measured at most 3.01
 _RADIUS_ULPS = 4
@@ -103,10 +103,13 @@ _RADIUS_ULPS = 4
 @given(x0=_COMPONENT, x1=_COMPONENT, a0=_AXIS, a1=_AXIS)
 @example(1e160, 1e160, 0.15, 0.2)
 @example(-0.04050464881325842, -64.39500160207726, 0.040386261015476356, 657.5969843339844)
+@example(-1.5986725343413916e-162, -2.682556222291249e-298, 0.015075959787654263,
+         0.02440355718473092)
 def test_directional_radius_within_ulps_of_decimal_reference(x0, x1, a0, a1):
     """`ellipse_radius` and `directional_gain` against the radius in 80
-    digits, for semi-axes and components in [1e-3, 1e3] and components of
-    1e155 and above, whose squares overflow."""
+    digits, for semi-axes and components in [1e-3, 1e3], components of
+    1e155 and above, whose squares overflow, and components below 1.4e-154,
+    whose squares are subnormal or vanish."""
     want = decimal_ellipse_radius(x0, x1, a0, a1)
     ulp = Decimal(math.ulp(float(want)))
     for r in (ellipse_radius(x0, x1, a0, a1), directional_gain((x0, x1), a0, a1)):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 
@@ -36,8 +37,9 @@ from tiltphase.filters import (
 # The generic n-dim paths that filters.py used to carry beside its 2D and
 # scalar paths, kept as references for the paths that replaced them. They
 # square x / a by multiplication, as the kernels do, so that each square is
-# correctly rounded (`** 2` goes through libm `pow`), and take a circle's
-# radius as its semi-axis.
+# correctly rounded (`** 2` goes through libm `pow`), take a circle's
+# radius as its semi-axis, and scale x first where a sum of squares is
+# below the least normal float.
 
 
 def generic_radius_along(x, semi_axes):
@@ -49,8 +51,8 @@ def generic_radius_along(x, semi_axes):
         m2 += xi * xi
         q = xi / ai
         s += q * q
-    if s <= 0.0:
-        # Both squares underflow: scale x by its largest component first
+    if m2 < sys.float_info.min or s < sys.float_info.min:
+        # Subnormal or vanishing squares: scale x by its largest component first
         u = max(abs(xi) for xi in x)
         if u == 0.0:
             return math.inf
@@ -674,6 +676,26 @@ class TestWlbfMoments:
         assert out == ((0.0,) * dim, (0.25,) * dim)
 
     @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("x", [
+        lambda k: -1e308,
+        lambda k: 1e308 if k < 5 else 0.0,
+        lambda k: (-1e308, 1e308)[k % 2],
+        lambda k: (-sys.float_info.max, sys.float_info.max)[k % 2],
+    ], ids=["constant", "step", "alternating", "alternating-largest"])
+    def test_overflowing_direct_sums_refit_scaled(self, dim, x):
+        # The direct sums of these windows overflow; each is refit at a
+        # power of two scale and stays finite, a slope beyond the float
+        # range held at the largest float. A constant's mean is the constant.
+        constant = len({x(k) for k in range(1, 31)}) == 1
+        f = WlbfFilter(dim, 10, 0.01)
+        for k in range(1, 31):
+            slope, mean = f.step(0.01 * k, (x(k),) * dim)
+            assert all(map(math.isfinite, slope + mean)), k
+            assert all(abs(m) <= abs(x(1)) for m in mean), k
+            if constant:
+                assert all(abs(m - x(1)) <= 4 * math.ulp(x(1)) for m in mean), k
+
+    @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("at", range(30, 40))
     def test_a_leaving_spike_leaves_no_rounding(self, dim, at):
         # A 1e300 spike among uniform(-1, 1) values swamps the other values
@@ -766,11 +788,27 @@ class TestWlbfHeldWindow:
         assert f._run == 1
 
 
+def direct_sums_or_scaled(window):
+    """(slope, mean) of `wlbf_direct_sums` over the window; where that fit
+    is not finite but the values are, the fit of the window divided by the
+    power of two c that puts its largest magnitude in [1, 2), times c and
+    held within the float range."""
+    fit = wlbf_direct_sums(list(window))[1:]
+    big = max(abs(v) for r in window for v in r[1:])
+    if all(map(math.isfinite, fit[0] + fit[1])) or not big < math.inf:
+        return fit
+    c = 2.0 ** (math.frexp(big)[1] - 1)
+    fit = wlbf_direct_sums([(r[0], *(v / c for v in r[1:])) for r in window])[1:]
+    top = sys.float_info.max
+    return tuple(tuple(max(-top, min(v * c, top)) for v in part) for part in fit)
+
+
 class TestWlbfDirectOracle:
     """The direct path, one pass over the times and one per axis, against
     `wlbf_direct_sums`, the same sums written out once per dimension: every
     step that takes it (`_fit` is None after it) returns that slope and mean
-    bit for bit. The line value the oracle also returns is mean - slope t̄,
+    bit for bit, or, where they overflow, those of the window scaled by a
+    power of two. The line value the oracle also returns is mean - slope t̄,
     with t̄ measured from the newest time."""
 
     @staticmethod
@@ -809,7 +847,7 @@ class TestWlbfDirectOracle:
             got = f.step(t, x)
             if f._fit is None:
                 direct += 1
-                assert bits(got) == bits(wlbf_direct_sums(list(window))[1:]), k
+                assert bits(got) == bits(direct_sums_or_scaled(window)), k
         assert direct > 50, direct
 
     @pytest.mark.parametrize("dim", [1, 2])

@@ -35,7 +35,9 @@ pair straight from z1 and z2 and the deviation's zero z component as
 zero. Every column moved by at most 1.3e-14 (closed loop) and 1.5e-15
 (replay), with no flag changed; the fast-path closed loop, the push
 batteries and both `fit_waveform` goldens did not move.
-Any change that moves a single trace byte fails here. A change that is
+Every golden closed-loop and replay trace also reads back as the records
+it was written from, with and without `--csv`, and writes the same bytes
+again. Any change that moves a single trace byte fails here. A change that is
 meant to move traces must say so, state its bound and record the new
 digests. The accuracy tests at the end pin the 10 ms default step against
 a finer one.
@@ -62,7 +64,7 @@ from tiltphase.harness import (
     run_replay,
 )
 from tiltphase.plant import Disturbance, SurrogatePlant
-from tiltphase.trace import format_record, write_trace
+from tiltphase.trace import format_record, read_trace, write_trace
 
 FIT_WAVEFORM_HEX = [
     "0x1.ed23e3d8669f3p-6", "0x1.43f999b2fec59p-6", "0x1.9494d5ab7607ap-2",
@@ -143,6 +145,17 @@ def noisy_imu_log(path, n=400, seed=5):
     path.write_text("\n".join(lines) + "\n")
 
 
+def noisy_replay(tmp_path):
+    """The records of a fitted-like waveform and a constant command over
+    `noisy_imu_log`."""
+    log = tmp_path / "imu.csv"
+    noisy_imu_log(log)
+    cfg = ControllerConfig(
+        wave_amp_x=0.03, wave_amp_y=0.02, wave_phase_x=0.4, wave_offset_y=-0.002
+    )
+    return run_replay(cfg, load_imu_log(log), [(0.0, GaitCommand(0.25, 0.0, 0.1))])
+
+
 @pytest.mark.parametrize("csv, digest", [
     (False, "ad3684342e3709371ca87b69c25fd840f14f3c86ec234e31c7db97022142ae06"),
     (True, "14b69507a5df5c74978bd980e54f800f8fa13125331cdf1c2fb9ed897de0dc82"),
@@ -150,12 +163,7 @@ def noisy_imu_log(path, n=400, seed=5):
 def test_replay_trace_digest(tmp_path, csv, digest):
     """A fitted-like waveform and a constant command over a noisy log: the
     estimator's gate, the full deviation path and both `write_trace` modes."""
-    log = tmp_path / "imu.csv"
-    noisy_imu_log(log)
-    cfg = ControllerConfig(
-        wave_amp_x=0.03, wave_amp_y=0.02, wave_phase_x=0.4, wave_offset_y=-0.002
-    )
-    records = run_replay(cfg, load_imu_log(log), [(0.0, GaitCommand(0.25, 0.0, 0.1))])
+    records = noisy_replay(tmp_path)
     assert len(records) == 400
     path = tmp_path / "run.trace"
     write_trace(path, records, csv=csv)
@@ -174,25 +182,65 @@ LEAN_SCHEDULE = [
 ]
 
 
+def lean_schedule_replay(tmp_path, overrides):
+    """The records of a replay of `noisy_imu_log` over `LEAN_SCHEDULE`, with
+    stamps jittered by up to 20 us from 2.5 s to 2.7 s."""
+    log = tmp_path / "imu.csv"
+    noisy_imu_log(log)
+    rng = random.Random(3)
+    samples = [s._replace(t=s.t + rng.uniform(-2e-5, 2e-5)) if 250 <= k < 270 else s
+               for k, s in enumerate(load_imu_log(log))]
+    return run_replay(ControllerConfig(**overrides), samples, LEAN_SCHEDULE)
+
+
+# Leaning gains of the two lean schedule replays
+NEGATIVE_LEAN_GAINS = {"lean_gain_wz": -0.05, "lean_gain_ax": -0.05}
+
+
 @pytest.mark.parametrize("overrides, digest", [
     ({}, "e879655ed3415a07ee64bd1b7062a72ac0a45ff61797240d3b2f71a0984170a4"),
-    ({"lean_gain_wz": -0.05, "lean_gain_ax": -0.05},
-     "d56e60ac380f4da4f690fd1cec17d8c797a3720705006000da69ec612d8d78a9"),
+    (NEGATIVE_LEAN_GAINS, "d56e60ac380f4da4f690fd1cec17d8c797a3720705006000da69ec612d8d78a9"),
 ], ids=["lean_schedule", "lean_schedule_negative_gains"])
 def test_lean_schedule_digest(tmp_path, overrides, digest):
     """A replay over `LEAN_SCHEDULE`, with stamps jittered by up to 20 us
     from 2.5 s to 2.7 s: the leaning action's held fits, its direct sums
     and its slope limiter saturated. With negative wz and ax gains, a
     command of -0.0 leans by -0.0."""
-    log = tmp_path / "imu.csv"
-    noisy_imu_log(log)
-    rng = random.Random(3)
-    samples = [s._replace(t=s.t + rng.uniform(-2e-5, 2e-5)) if 250 <= k < 270 else s
-               for k, s in enumerate(load_imu_log(log))]
-    records = run_replay(ControllerConfig(**overrides), samples, LEAN_SCHEDULE)
+    records = lean_schedule_replay(tmp_path, overrides)
     path = tmp_path / "run.trace"
     write_trace(path, records)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def closed_loop(make_run):
+    cfg, scenario = make_run()
+    return run_closed_loop(cfg, PlantConfig(), scenario).records
+
+
+# The records of each golden closed-loop and replay run, given a scratch directory
+GOLDEN_RUNS = {
+    "default_loop_with_impulse": lambda tmp: closed_loop(default_loop_with_impulse),
+    "tilted_plane_with_waveform": lambda tmp: closed_loop(tilted_plane_with_waveform),
+    "noisy_replay": noisy_replay,
+    "lean_schedule": lambda tmp: lean_schedule_replay(tmp, {}),
+    "lean_schedule_negative_gains": lambda tmp: lean_schedule_replay(tmp, NEGATIVE_LEAN_GAINS),
+}
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["trace", "csv"])
+@pytest.mark.parametrize("run", GOLDEN_RUNS)
+def test_golden_run_reads_back_as_written(tmp_path, capsys, run, csv):
+    """`read_trace` gives back the records a golden run wrote, writing them
+    again gives the same bytes, and `tiltphase diff` finds the two files
+    identical."""
+    records = GOLDEN_RUNS[run](tmp_path)
+    p, q = tmp_path / "p.trace", tmp_path / "q.trace"
+    write_trace(p, records, csv=csv)
+    assert read_trace(p) == records
+    write_trace(q, read_trace(p), csv=csv)
+    assert q.read_bytes() == p.read_bytes()
+    assert main(["diff", str(p), str(q)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "identical"
 
 
 def noisy_tilt_waveform(n=300, seed=9):

@@ -103,7 +103,7 @@ class TestScenario:
         sc.write_text(text)
         assert main(["simulate", "--scenario", str(sc)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: scenario {field}: key given twice\n"
+        assert captured.err == f"error: {sc}: scenario {field}: key given twice\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("config, message", [

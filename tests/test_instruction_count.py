@@ -43,7 +43,7 @@ FITTED = dict(wave_amp_x=0.055, wave_amp_y=0.03, wave_phase_x=0.4, wave_phase_y=
 # Instructions over steps 201-205, CPython 3.11
 PINNED = {"default": 12875, "fitted": 15092}
 # The same with every stamp jittered by up to 20 us: the WLBFs' direct sums
-PINNED_JITTERED = {"default": 22675, "fitted": 24892}
+PINNED_JITTERED = {"default": 23095, "fitted": 25312}
 # Instructions over closed-loop cycles 201-205, CPython 3.11
 PINNED_CYCLES = 18091
 # The same over controller-off cycles 201-205: the record and the dynamics

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import signal
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,14 +106,7 @@ class TestRoundTrip:
         path = tmp_path / "run.trace"
         records = sample_records()
         write_trace(path, records)
-        back = read_trace(path)
-        assert len(back) == len(records)
-        for rec, row in zip(records, back):
-            for name, value in zip(FIELDS, rec):
-                if name == "flags":
-                    assert row[name] == value
-                else:
-                    assert row[name] == value  # repr round trips floats exactly
+        assert read_trace(path) == records  # repr round trips floats exactly
 
     def test_csv_header_mode(self, tmp_path):
         path = tmp_path / "run.csv"
@@ -175,7 +170,7 @@ class TestRoundTrip:
         records[2] = (records[2][0], 1e308, 1e308, *records[2][3:])
         path = tmp_path / "big.trace"
         write_trace(path, records)
-        assert read_trace(path)[2]["pxB"] == 1e308
+        assert read_trace(path)[2][FIELDS.index("pxB")] == 1e308
 
     def test_nan_command_refused_on_write(self, tmp_path):
         # A nan in the lean tilt's sagittal column from t=0.2 on
@@ -193,6 +188,19 @@ class TestRoundTrip:
             write_trace(tmp_path / "nan.trace", records)
 
 
+def test_readme_trace_format_is_the_writers(tmp_path):
+    """README's Trace format shows the two header lines `write_trace` writes
+    and lists FIELDS, in order, in its column table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Trace format\n", 1)[1].split("\n## ", 1)[0]
+    path = tmp_path / "empty.trace"
+    write_trace(path, [])
+    assert section.split("```")[1].strip("\n").splitlines() == path.read_text().splitlines()
+    listed = [name for line in section.splitlines() if line.startswith("| `")
+              for name in re.findall(r"`(\w+)`", line.split("|")[1])]
+    assert listed == list(FIELDS)
+
+
 def test_numpy_float_replay_round_trips(tmp_path):
     """np.float64 inputs reach the trace as plain decimals and read back exactly."""
     f = np.float64
@@ -204,8 +212,7 @@ def test_numpy_float_replay_round_trips(tmp_path):
     path = tmp_path / "np.trace"
     write_trace(path, records)
     assert "np.float64" not in path.read_text()
-    back = read_trace(path)
-    assert [tuple(row.values()) for row in back] == records
+    assert read_trace(path) == records
 
 
 def long_records(n):
@@ -287,7 +294,7 @@ class TestSplitWriter:
         body = lines[2:]
         for k in (0, n // 2 - 1, n // 2, n - 1):
             assert body[k] == format_record(records[k])
-        assert [tuple(row.values()) for row in read_trace(path)] == records
+        assert read_trace(path) == records
 
     def test_short_trace_is_written_by_one_process(self, tmp_path, no_fork):
         records = long_records(T._SPLIT_MIN - 1)
